@@ -10,7 +10,9 @@
 // and the snapshot-index serving path, not Unix-socket syscalls.
 //
 // Reported (and written to BENCH_serve.json with --json):
-//   load_ms       — snapshot mmap load + full QueryIndex build;
+//   load_ms       — snapshot mmap load + full QueryIndex build (its
+//                   per-table parts are the serve.index.*_ms histograms);
+//   cores         — hardware threads of the host the run was taken on;
 //   queries, ok_responses, error_responses — workload composition check;
 //   wall_ms, qps  — whole-workload throughput;
 //   p50_ms / p99_ms — serve.latency_ms histogram quantiles (per-request
@@ -217,6 +219,8 @@ int main(int argc, char** argv) {
 
   reporter.AddResult("recipes", static_cast<double>(corpus.num_recipes()));
   reporter.AddResult("threads", static_cast<double>(threads));
+  reporter.AddResult("cores",
+                     static_cast<double>(std::thread::hardware_concurrency()));
   reporter.AddResult("load_ms", load_ms);
   reporter.AddResult("queries", static_cast<double>(served));
   reporter.AddResult("ok_responses",

@@ -15,27 +15,22 @@ bool ScoreBefore(const OverrepresentationScore& a,
 }
 
 /// Eq. 1 for every ingredient occurring in `cuisine`, unsorted (ascending
-/// ingredient id, the accumulation order).
+/// ingredient id, the table's order).
 std::vector<OverrepresentationScore> ScoreIngredients(
-    const RecipeCorpus& corpus, CuisineId cuisine) {
-  const std::span<const uint32_t> indices = corpus.recipes_of(cuisine);
-  if (indices.empty() || corpus.num_recipes() == 0) return {};
+    const PresenceCounts& counts, CuisineId cuisine) {
+  const size_t n_recipes = counts.recipes_in(cuisine);
+  if (n_recipes == 0) return {};
 
-  // Recipe-presence counts: per cuisine and world-wide. A recipe counts an
-  // ingredient once regardless of how it is used (corpus stores id sets).
-  std::vector<size_t> cuisine_count(kInvalidIngredient, 0);
-  for (uint32_t index : indices) {
-    for (IngredientId id : corpus.ingredients_of(index)) ++cuisine_count[id];
-  }
-  std::vector<size_t> world_count(kInvalidIngredient, 0);
-  for (uint32_t i = 0; i < corpus.num_recipes(); ++i) {
-    for (IngredientId id : corpus.ingredients_of(i)) ++world_count[id];
-  }
-
-  const double n_cuisine = static_cast<double>(indices.size());
-  const double n_world = static_cast<double>(corpus.num_recipes());
+  // A recipe counts an ingredient once regardless of how it is used
+  // (corpus stores id sets).
+  const std::span<const uint32_t> cuisine_count = counts.cuisine(cuisine);
+  const std::span<const uint32_t> world_count = counts.world();
+  const double n_cuisine = static_cast<double>(n_recipes);
+  const double n_world = static_cast<double>(counts.num_recipes());
   std::vector<OverrepresentationScore> out;
-  out.reserve(corpus.UniqueIngredients(cuisine).size());
+  out.reserve(static_cast<size_t>(std::count_if(
+      cuisine_count.begin(), cuisine_count.end(),
+      [](uint32_t n) { return n != 0; })));
   for (size_t id = 0; id < cuisine_count.size(); ++id) {
     if (cuisine_count[id] == 0) continue;
     OverrepresentationScore s;
@@ -51,17 +46,22 @@ std::vector<OverrepresentationScore> ScoreIngredients(
 }  // namespace
 
 std::vector<OverrepresentationScore> ComputeOverrepresentation(
-    const RecipeCorpus& corpus, CuisineId cuisine) {
+    const PresenceCounts& counts, CuisineId cuisine) {
   std::vector<OverrepresentationScore> out =
-      ScoreIngredients(corpus, cuisine);
+      ScoreIngredients(counts, cuisine);
   std::sort(out.begin(), out.end(), ScoreBefore);
   return out;
+}
+
+std::vector<OverrepresentationScore> ComputeOverrepresentation(
+    const RecipeCorpus& corpus, CuisineId cuisine) {
+  return ComputeOverrepresentation(PresenceCounts(corpus), cuisine);
 }
 
 std::vector<OverrepresentationScore> TopOverrepresented(
     const RecipeCorpus& corpus, CuisineId cuisine, size_t k) {
   std::vector<OverrepresentationScore> all =
-      ScoreIngredients(corpus, cuisine);
+      ScoreIngredients(PresenceCounts(corpus), cuisine);
   if (all.size() <= k) {
     std::sort(all.begin(), all.end(), ScoreBefore);
     return all;

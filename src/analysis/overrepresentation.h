@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "analysis/presence_counts.h"
 #include "corpus/recipe_corpus.h"
 #include "lexicon/lexicon.h"
 
@@ -25,6 +26,11 @@ struct OverrepresentationScore {
 /// descending score. Returns an empty vector for an empty cuisine.
 std::vector<OverrepresentationScore> ComputeOverrepresentation(
     const RecipeCorpus& corpus, CuisineId cuisine);
+
+/// The same table read off a precomputed count table, so building every
+/// cuisine's table costs one corpus pass, not one per cuisine.
+std::vector<OverrepresentationScore> ComputeOverrepresentation(
+    const PresenceCounts& counts, CuisineId cuisine);
 
 /// Convenience: the `k` most overrepresented ingredients of a cuisine
 /// (Table I's rightmost column). Ranks only the top k (partial_sort with

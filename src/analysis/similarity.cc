@@ -7,37 +7,35 @@
 
 namespace culevo {
 
-CuisineUsageProfile BuildUsageProfile(const RecipeCorpus& corpus,
+CuisineUsageProfile BuildUsageProfile(const PresenceCounts& counts,
                                       CuisineId cuisine) {
   CuisineUsageProfile profile;
-  const std::span<const uint32_t> indices = corpus.recipes_of(cuisine);
-  if (indices.empty()) return profile;
+  const size_t recipes = counts.recipes_in(cuisine);
+  if (recipes == 0) return profile;
 
-  // The cached sorted unique-ingredient list is the profile's key column;
-  // counts are accumulated per unique index (binary search per mention).
-  const std::span<const IngredientId> unique =
-      corpus.UniqueIngredients(cuisine);
-  std::vector<uint32_t> counts(unique.size(), 0);
-  for (uint32_t index : indices) {
-    for (IngredientId id : corpus.ingredients_of(index)) {
-      const size_t slot = static_cast<size_t>(
-          std::lower_bound(unique.begin(), unique.end(), id) -
-          unique.begin());
-      ++counts[slot];
-    }
-  }
-
-  profile.ingredients.assign(unique.begin(), unique.end());
-  profile.fractions.resize(unique.size());
-  const double n = static_cast<double>(indices.size());
+  // The nonzero counts, in ascending id order, are the profile's key
+  // column; the norm accumulates in the same order.
+  const std::span<const uint32_t> row = counts.cuisine(cuisine);
+  const size_t used = static_cast<size_t>(
+      std::count_if(row.begin(), row.end(), [](uint32_t n) { return n != 0; }));
+  profile.ingredients.reserve(used);
+  profile.fractions.reserve(used);
+  const double n = static_cast<double>(recipes);
   double norm_sq = 0.0;
-  for (size_t i = 0; i < unique.size(); ++i) {
-    const double fraction = static_cast<double>(counts[i]) / n;
-    profile.fractions[i] = fraction;
+  for (size_t id = 0; id < row.size(); ++id) {
+    if (row[id] == 0) continue;
+    const double fraction = static_cast<double>(row[id]) / n;
+    profile.ingredients.push_back(static_cast<IngredientId>(id));
+    profile.fractions.push_back(fraction);
     norm_sq += fraction * fraction;
   }
   profile.norm = std::sqrt(norm_sq);
   return profile;
+}
+
+CuisineUsageProfile BuildUsageProfile(const RecipeCorpus& corpus,
+                                      CuisineId cuisine) {
+  return BuildUsageProfile(PresenceCounts(corpus), cuisine);
 }
 
 double UsageProfileDistance(const CuisineUsageProfile& a,
@@ -68,18 +66,22 @@ double UsageProfileDistance(const CuisineUsageProfile& a,
   return std::clamp(1.0 - cosine, 0.0, 1.0);
 }
 
-UsageProfileCache::UsageProfileCache(const RecipeCorpus& corpus) {
+UsageProfileCache::UsageProfileCache(const RecipeCorpus& corpus)
+    : UsageProfileCache(PresenceCounts(corpus)) {}
+
+UsageProfileCache::UsageProfileCache(const PresenceCounts& counts) {
   profiles_.reserve(kNumCuisines);
   for (int c = 0; c < kNumCuisines; ++c) {
     profiles_.push_back(
-        BuildUsageProfile(corpus, static_cast<CuisineId>(c)));
+        BuildUsageProfile(counts, static_cast<CuisineId>(c)));
   }
 }
 
 double IngredientUsageDistance(const RecipeCorpus& corpus, CuisineId a,
                                CuisineId b) {
-  return UsageProfileDistance(BuildUsageProfile(corpus, a),
-                              BuildUsageProfile(corpus, b));
+  const PresenceCounts counts(corpus);
+  return UsageProfileDistance(BuildUsageProfile(counts, a),
+                              BuildUsageProfile(counts, b));
 }
 
 std::vector<std::vector<double>> IngredientUsageDistanceMatrix(

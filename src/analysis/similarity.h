@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/presence_counts.h"
 #include "analysis/rank_frequency.h"
 #include "corpus/recipe_corpus.h"
 #include "lexicon/lexicon.h"
@@ -29,10 +30,11 @@ struct CuisineUsageProfile {
   bool empty() const { return ingredients.empty(); }
 };
 
-/// Builds the sparse usage profile of one cuisine (one scan of the
-/// cuisine's recipes; the cached per-cuisine unique-ingredient list keys
-/// the counts, so no kInvalidIngredient-sized scratch is allocated).
+/// Builds the sparse usage profile of one cuisine: its row of the
+/// recipe-presence count table, zeros dropped, divided by N^c.
 CuisineUsageProfile BuildUsageProfile(const RecipeCorpus& corpus,
+                                      CuisineId cuisine);
+CuisineUsageProfile BuildUsageProfile(const PresenceCounts& counts,
                                       CuisineId cuisine);
 
 /// 1 - cosine similarity of two profiles. 0 = identical usage profile,
@@ -47,6 +49,7 @@ double UsageProfileDistance(const CuisineUsageProfile& a,
 class UsageProfileCache {
  public:
   explicit UsageProfileCache(const RecipeCorpus& corpus);
+  explicit UsageProfileCache(const PresenceCounts& counts);
 
   /// Precondition: cuisine < kNumCuisines.
   const CuisineUsageProfile& profile(CuisineId cuisine) const {

@@ -10,20 +10,48 @@
 namespace culevo {
 
 QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
-  static obs::Histogram* build_ms =
-      obs::MetricsRegistry::Get().histogram("serve.index.build_ms");
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  static obs::Histogram* build_ms = registry.histogram("serve.index.build_ms");
+  static obs::Histogram* counts_ms =
+      registry.histogram("serve.index.counts_ms");
+  static obs::Histogram* overrep_ms =
+      registry.histogram("serve.index.overrep_ms");
+  static obs::Histogram* profiles_ms =
+      registry.histogram("serve.index.profiles_ms");
+  static obs::Histogram* postings_ms =
+      registry.histogram("serve.index.postings_ms");
+  static obs::Histogram* ranks_ms = registry.histogram("serve.index.ranks_ms");
   const obs::ScopedTimer timer(build_ms);
 
   QueryIndex index;
 
+  // The one counting pass; every table below is derived from it.
+  const PresenceCounts counts = [&corpus] {
+    const obs::ScopedTimer phase(counts_ms);
+    return PresenceCounts(corpus);
+  }();
+
   // Per-cuisine overrepresentation tables, exactly the batch ranking.
-  index.overrep_.resize(kNumCuisines);
-  for (int c = 0; c < kNumCuisines; ++c) {
-    index.overrep_[static_cast<size_t>(c)] =
-        ComputeOverrepresentation(corpus, static_cast<CuisineId>(c));
+  {
+    const obs::ScopedTimer phase(overrep_ms);
+    index.overrep_.resize(kNumCuisines);
+    for (int c = 0; c < kNumCuisines; ++c) {
+      index.overrep_[static_cast<size_t>(c)] =
+          ComputeOverrepresentation(counts, static_cast<CuisineId>(c));
+    }
   }
 
-  index.profiles_ = std::make_shared<const UsageProfileCache>(corpus);
+  // Usage profiles, and each cuisine's full nearest-neighbour order from
+  // the batch NearestCuisines (top-k is a prefix of it).
+  {
+    const obs::ScopedTimer phase(profiles_ms);
+    index.profiles_ = std::make_shared<const UsageProfileCache>(counts);
+    index.nearest_.resize(kNumCuisines);
+    for (int c = 0; c < kNumCuisines; ++c) {
+      index.nearest_[static_cast<size_t>(c)] = NearestCuisines(
+          *index.profiles_, static_cast<CuisineId>(c), kNumCuisines);
+    }
+  }
 
   // Cuisine column copy for the search filter (the index must stay valid
   // even if the corpus it was built from is destroyed first).
@@ -31,55 +59,56 @@ QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
   index.cuisine_recipes_.resize(kNumCuisines);
   for (int c = 0; c < kNumCuisines; ++c) {
     index.cuisine_recipes_[static_cast<size_t>(c)] = static_cast<uint32_t>(
-        corpus.num_recipes_in(static_cast<CuisineId>(c)));
+        counts.recipes_in(static_cast<CuisineId>(c)));
   }
 
-  // Ingredient→recipe postings, CSR over the id universe. Two passes:
-  // count, then place — recipes ascend, so postings come out sorted.
-  const std::span<const IngredientId> world_unique =
-      corpus.UniqueIngredients();
-  const size_t universe =
-      world_unique.empty() ? 0 : static_cast<size_t>(world_unique.back()) + 1;
-  index.posting_offsets_.assign(universe + 1, 0);
-  for (uint32_t r = 0; r < corpus.num_recipes(); ++r) {
-    for (IngredientId id : corpus.ingredients_of(r)) {
-      ++index.posting_offsets_[id + 1];
-    }
-  }
-  std::partial_sum(index.posting_offsets_.begin(),
-                   index.posting_offsets_.end(),
-                   index.posting_offsets_.begin());
-  index.posting_recipes_.resize(corpus.total_mentions());
-  std::vector<uint32_t> cursor(index.posting_offsets_.begin(),
-                               index.posting_offsets_.end() - 1);
-  for (uint32_t r = 0; r < corpus.num_recipes(); ++r) {
-    for (IngredientId id : corpus.ingredients_of(r)) {
-      index.posting_recipes_[cursor[id]++] = r;
+  // Ingredient→recipe postings, CSR over the id universe. A world count
+  // is a posting-list length, so one placement pass suffices; recipes
+  // ascend, so postings come out sorted.
+  {
+    const obs::ScopedTimer phase(postings_ms);
+    const std::span<const uint32_t> world = counts.world();
+    index.posting_offsets_.assign(world.size() + 1, 0);
+    std::partial_sum(world.begin(), world.end(),
+                     index.posting_offsets_.begin() + 1);
+    index.posting_recipes_.resize(corpus.total_mentions());
+    std::vector<uint32_t> cursor(index.posting_offsets_.begin(),
+                                 index.posting_offsets_.end() - 1);
+    for (uint32_t r = 0; r < corpus.num_recipes(); ++r) {
+      for (IngredientId id : corpus.ingredients_of(r)) {
+        index.posting_recipes_[cursor[id]++] = r;
+      }
     }
   }
 
   // Per-cuisine usage-rank tables from the sparse profiles.
-  index.ranked_.resize(kNumCuisines);
-  index.rank_of_.resize(kNumCuisines);
-  for (int c = 0; c < kNumCuisines; ++c) {
-    const CuisineUsageProfile& profile =
-        index.profiles_->profile(static_cast<CuisineId>(c));
-    const size_t n = profile.ingredients.size();
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&profile](uint32_t a, uint32_t b) {
-      if (profile.fractions[a] != profile.fractions[b]) {
-        return profile.fractions[a] > profile.fractions[b];
+  {
+    const obs::ScopedTimer phase(ranks_ms);
+    index.ranked_.resize(kNumCuisines);
+    index.rank_of_.resize(kNumCuisines);
+    for (int c = 0; c < kNumCuisines; ++c) {
+      const CuisineUsageProfile& profile =
+          index.profiles_->profile(static_cast<CuisineId>(c));
+      const size_t n = profile.ingredients.size();
+      std::vector<uint32_t> order(n);
+      std::iota(order.begin(), order.end(), 0);
+      std::sort(order.begin(), order.end(),
+                [&profile](uint32_t a, uint32_t b) {
+                  if (profile.fractions[a] != profile.fractions[b]) {
+                    return profile.fractions[a] > profile.fractions[b];
+                  }
+                  return profile.ingredients[a] < profile.ingredients[b];
+                });
+      std::vector<IngredientId>& ranked =
+          index.ranked_[static_cast<size_t>(c)];
+      std::vector<uint32_t>& rank_of =
+          index.rank_of_[static_cast<size_t>(c)];
+      ranked.resize(n);
+      rank_of.resize(n);
+      for (size_t pos = 0; pos < n; ++pos) {
+        ranked[pos] = profile.ingredients[order[pos]];
+        rank_of[order[pos]] = static_cast<uint32_t>(pos) + 1;
       }
-      return profile.ingredients[a] < profile.ingredients[b];
-    });
-    std::vector<IngredientId>& ranked = index.ranked_[static_cast<size_t>(c)];
-    std::vector<uint32_t>& rank_of = index.rank_of_[static_cast<size_t>(c)];
-    ranked.resize(n);
-    rank_of.resize(n);
-    for (size_t pos = 0; pos < n; ++pos) {
-      ranked[pos] = profile.ingredients[order[pos]];
-      rank_of[order[pos]] = static_cast<uint32_t>(pos) + 1;
     }
   }
   return index;

@@ -1,6 +1,7 @@
 #ifndef CULEVO_SERVICE_QUERY_INDEX_H_
 #define CULEVO_SERVICE_QUERY_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -16,21 +17,23 @@ namespace culevo {
 
 /// Precomputed point-query indexes over one immutable RecipeCorpus.
 ///
-/// Built once at snapshot-install time (startup or SIGHUP reload) so the
-/// serving path never rescans recipes: overrepresentation top-k is a
-/// prefix slice of a per-cuisine table, nearest-cuisines reads the cached
-/// sparse usage profiles, recipe search intersects ingredient→recipe
-/// postings, and frequency/rank lookups binary-search a per-cuisine
-/// rank table. Every answer is bit-identical to what the batch analysis
-/// entry points (ComputeOverrepresentation, NearestCuisines, ...) return
-/// for the same corpus, because the tables are built *by* those entry
-/// points.
+/// Built once at snapshot-install time (startup or reload) so the serving
+/// path never rescans recipes: overrepresentation top-k and
+/// nearest-cuisines are prefix slices of per-cuisine tables, recipe
+/// search intersects ingredient→recipe postings, and frequency/rank
+/// lookups binary-search a per-cuisine rank table. Every answer is
+/// bit-identical to what the batch analysis entry points
+/// (ComputeOverrepresentation, NearestCuisines, ...) return for the same
+/// corpus, because the tables are built *by* those entry points, fed from
+/// one shared PresenceCounts table.
 ///
 /// Immutable after Build(); safe to read concurrently.
 class QueryIndex {
  public:
-  /// Builds all tables (one pass for postings, one analysis pass per
-  /// cuisine for overrepresentation/profiles/ranks).
+  /// Builds all tables from one counting pass (PresenceCounts) plus one
+  /// postings placement pass over the corpus. Each table's build time is
+  /// recorded in serve.index.{counts,overrep,profiles,postings,ranks}_ms,
+  /// the total in serve.index.build_ms.
   static QueryIndex Build(const RecipeCorpus& corpus);
 
   QueryIndex() = default;
@@ -44,10 +47,13 @@ class QueryIndex {
 
   const UsageProfileCache& profiles() const { return *profiles_; }
 
-  /// Nearest cuisines by ingredient-usage distance, served from the
-  /// cached profiles.
-  std::vector<CuisineNeighbor> Nearest(CuisineId cuisine, size_t k) const {
-    return NearestCuisines(*profiles_, cuisine, k);
+  /// The `k` nearest cuisines by ingredient-usage distance: a prefix of
+  /// the cuisine's full NearestCuisines order, sorted once at Build().
+  std::span<const CuisineNeighbor> Nearest(CuisineId cuisine,
+                                           size_t k) const {
+    const std::vector<CuisineNeighbor>& all = nearest_[cuisine];
+    return std::span<const CuisineNeighbor>(all).first(
+        std::min(k, all.size()));
   }
 
   /// Ascending recipe indices whose ingredient set contains `id`; empty
@@ -82,6 +88,8 @@ class QueryIndex {
  private:
   std::vector<std::vector<OverrepresentationScore>> overrep_;
   std::shared_ptr<const UsageProfileCache> profiles_;
+  /// nearest_[c] = every other non-empty cuisine, closest first.
+  std::vector<std::vector<CuisineNeighbor>> nearest_;
   /// Per-recipe cuisine column (copy; the index never dangles off the
   /// corpus it was built from).
   std::vector<CuisineId> cuisines_;

@@ -169,7 +169,7 @@ Result<std::vector<std::string>> HandleOverrep(
   return rows;
 }
 
-/// `nearest <CUISINE> [k]` — cached sparse usage profiles.
+/// `nearest <CUISINE> [k]` — prefix of the precomputed neighbour list.
 Result<std::vector<std::string>> HandleNearest(
     const ServiceOptions& options, const ParsedRequest& request,
     const ServiceSnapshot& snapshot) {
@@ -182,7 +182,7 @@ Result<std::vector<std::string>> HandleNearest(
     k = *parsed;
   }
   if (k <= 0) return Status::InvalidArgument("k must be positive");
-  const std::vector<CuisineNeighbor> neighbors = snapshot.index.Nearest(
+  const std::span<const CuisineNeighbor> neighbors = snapshot.index.Nearest(
       *cuisine, std::min<size_t>(static_cast<size_t>(k),
                                  options.max_results));
   std::vector<std::string> rows;

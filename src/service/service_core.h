@@ -111,7 +111,9 @@ struct ServiceSnapshot {
 /// Metrics: serve.requests, serve.rejects, serve.errors,
 /// serve.latency_ms, serve.latency_ema_ms, serve.inflight, serve.reloads,
 /// serve.delta_reloads, serve.reload_failures, serve.deadline_drops,
-/// serve.brownout.sheds, serve.brownout.active, serve.index.build_ms.
+/// serve.brownout.sheds, serve.brownout.active, serve.index.build_ms and
+/// its per-table parts serve.index.{counts,overrep,profiles,postings,
+/// ranks}_ms.
 /// Failpoints: serve.reload (before any reload touches its file), plus
 /// the staged delta-swap points serve.reload.delta.read,
 /// serve.reload.delta.apply, serve.reload.index, serve.reload.install.
