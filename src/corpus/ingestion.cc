@@ -120,11 +120,15 @@ IncrementalCorpus::IncrementalCorpus() : stats_(kNumCuisines) {
 }
 
 IncrementalCorpus IncrementalCorpus::FromCorpus(
-    const RecipeCorpus& corpus, std::span<const CuisineStats> stats) {
+    const RecipeCorpus& corpus, std::span<const CuisineStats> stats,
+    size_t append_recipes, size_t append_mentions) {
   IncrementalCorpus out;
   const std::span<const IngredientId> flat = corpus.flat();
   const std::span<const uint32_t> offsets = corpus.offsets();
   const std::span<const CuisineId> cuisines = corpus.cuisines();
+  out.flat_.reserve(flat.size() + append_mentions);
+  out.offsets_.reserve(offsets.size() + append_recipes);
+  out.cuisines_.reserve(cuisines.size() + append_recipes);
   out.flat_.assign(flat.begin(), flat.end());
   out.offsets_.assign(offsets.begin(), offsets.end());
   out.cuisines_.assign(cuisines.begin(), cuisines.end());
@@ -141,6 +145,7 @@ IncrementalCorpus IncrementalCorpus::FromCorpus(
     if (c < kNumCuisines) {
       const std::span<const uint32_t> shard =
           corpus.recipes_of(static_cast<CuisineId>(c));
+      out.shards_[ci].reserve(shard.size() + append_recipes);
       out.shards_[ci].assign(shard.begin(), shard.end());
     }
   }
@@ -224,15 +229,37 @@ IncrementalCorpus::DrainNewTransactions(CuisineId cuisine) {
   return std::exchange(pending_transactions_[cuisine], {});
 }
 
-Result<RecipeCorpus> IncrementalCorpus::Materialize() const {
-  RecipeCorpus::Builder builder;
-  builder.Reserve(num_recipes(), num_mentions());
-  for (size_t i = 0; i < cuisines_.size(); ++i) {
-    const std::span<const IngredientId> ingredients(
-        flat_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]);
-    CULEVO_RETURN_IF_ERROR(builder.Add(cuisines_[i], ingredients));
+Result<RecipeCorpus> IncrementalCorpus::Materialize() const& {
+  return HandOff(flat_, offsets_, cuisines_);
+}
+
+Result<RecipeCorpus> IncrementalCorpus::Materialize() && {
+  return HandOff(std::move(flat_), std::move(offsets_), std::move(cuisines_));
+}
+
+RecipeCorpus IncrementalCorpus::HandOff(std::vector<IngredientId> flat,
+                                        std::vector<uint32_t> offsets,
+                                        std::vector<CuisineId> cuisines) const {
+  // Add keeps every recipe sorted and unique, every shard ascending and
+  // every unique list sorted: exactly the storage Builder::Build derives.
+  RecipeCorpus corpus;
+  RecipeCorpus::Storage& s = corpus.storage_;
+  s.flat = std::move(flat);
+  s.offsets = std::move(offsets);
+  s.cuisines = std::move(cuisines);
+  s.shard_index.reserve(s.cuisines.size());
+  s.shard_offsets.assign(1, 0);
+  for (const std::vector<uint32_t>& shard : shards_) {
+    s.shard_index.insert(s.shard_index.end(), shard.begin(), shard.end());
+    s.shard_offsets.push_back(static_cast<uint32_t>(s.shard_index.size()));
   }
-  return builder.Build();
+  s.unique_offsets.assign(1, 0);
+  for (const std::vector<IngredientId>& unique : unique_) {
+    s.unique_flat.insert(s.unique_flat.end(), unique.begin(), unique.end());
+    s.unique_offsets.push_back(static_cast<uint32_t>(s.unique_flat.size()));
+  }
+  corpus.RebindViews();
+  return corpus;
 }
 
 Status IncrementalCorpus::WriteSnapshot(const std::string& path,
@@ -386,6 +413,12 @@ Result<CorpusDelta> LoadCorpusDelta(const std::string& path) {
     return Status::DataLoss(path + ": delta payload checksum mismatch");
   }
 
+  // The record count sits outside the checksum, and no count may size an
+  // allocation before the bytes it describes are known to be there.
+  constexpr size_t kRecordHeaderBytes = sizeof(uint8_t) + sizeof(uint32_t);
+  if (record_count > (bytes.size() - cursor) / kRecordHeaderBytes) {
+    return Status::DataLoss(path + ": delta record count exceeds the payload");
+  }
   delta.records.reserve(record_count);
   for (uint64_t r = 0; r < record_count; ++r) {
     CorpusDeltaRecord record;
@@ -399,6 +432,9 @@ Result<CorpusDelta> LoadCorpusDelta(const std::string& path) {
       return Status::DataLoss(
           StrFormat("%s: delta record cuisine id %d out of range",
                     path.c_str(), static_cast<int>(cuisine)));
+    }
+    if (count > (bytes.size() - cursor) / sizeof(IngredientId)) {
+      return Status::DataLoss(path + ": truncated delta record");
     }
     record.cuisine = static_cast<CuisineId>(cuisine);
     record.ingredients.resize(count);

@@ -91,9 +91,13 @@ class IncrementalCorpus {
 
   /// Seeds from a finalized corpus (copies the columns and indexes).
   /// `stats` must be ComputeCuisineStats output for `corpus` when
-  /// provided; when empty it is computed here.
+  /// provided; when empty it is computed here. The copies get room for
+  /// `append_recipes` more recipes of `append_mentions` mentions in all,
+  /// so that many Add calls never reallocate them.
   static IncrementalCorpus FromCorpus(const RecipeCorpus& corpus,
-                                      std::span<const CuisineStats> stats = {});
+                                      std::span<const CuisineStats> stats = {},
+                                      size_t append_recipes = 0,
+                                      size_t append_mentions = 0);
 
   /// Appends one recipe; semantics match RecipeCorpus::Builder::Add
   /// (ingredients are copied, deduplicated and sorted; empty recipes and
@@ -128,10 +132,15 @@ class IncrementalCorpus {
   std::vector<std::vector<IngredientId>> DrainNewTransactions(
       CuisineId cuisine);
 
-  /// Builds an owned, finalized RecipeCorpus from the current contents.
-  /// O(corpus); for handing the data to code that wants the immutable
-  /// type. Snapshots and stats do not need this.
-  Result<RecipeCorpus> Materialize() const;
+  /// Builds an owned, finalized RecipeCorpus from the current contents,
+  /// for code that wants the immutable type (snapshots and stats do not
+  /// need it). The columns, shards and unique lists this object maintains
+  /// become the corpus storage as they are: nothing is re-sorted or
+  /// re-scanned. `incremental.Materialize()` copies them;
+  /// `std::move(incremental).Materialize()` moves the columns instead and
+  /// leaves `incremental` fit only for destruction or assignment.
+  Result<RecipeCorpus> Materialize() const&;
+  Result<RecipeCorpus> Materialize() &&;
 
   /// Writes a `CULEVO-CORPUS 1` snapshot of the current contents.
   /// Sections untouched since this object's previous WriteSnapshot reuse
@@ -142,6 +151,11 @@ class IncrementalCorpus {
 
  private:
   void SeedSizeSums();
+  /// Materialize's body: `flat`, `offsets` and `cuisines` (copies or this
+  /// object's own, moved) plus flattened copies of shards_ and unique_.
+  RecipeCorpus HandOff(std::vector<IngredientId> flat,
+                       std::vector<uint32_t> offsets,
+                       std::vector<CuisineId> cuisines) const;
 
   // CSR columns (append-only).
   std::vector<IngredientId> flat_;
@@ -183,6 +197,8 @@ class IncrementalCorpus {
 ///   - not a delta (bad magic)                     -> InvalidArgument
 ///   - newer format version / wrong endianness     -> FailedPrecondition
 ///   - truncated file or payload checksum mismatch -> DataLoss
+///   - a record or ingredient count larger than the bytes left
+///     (checked before it sizes any allocation)    -> DataLoss
 ///   - base mismatch is the *caller's* refusal (the file itself is fine):
 ///     ServiceCore::ReloadDelta maps it to FailedPrecondition.
 

@@ -143,6 +143,9 @@ class RecipeCorpus {
 
  private:
   friend class Builder;
+  /// Materialize hands its maintained columns, shards and unique lists
+  /// straight to storage_ instead of replaying them through Builder.
+  friend class IncrementalCorpus;
 
   /// Owned columns (empty in borrowed mode). Shards and unique lists are
   /// flattened: shard c spans shard_offsets_[c]..shard_offsets_[c+1] of

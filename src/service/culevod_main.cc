@@ -303,9 +303,13 @@ int main(int argc, char** argv) {
     std::cerr << s << "\n";
     return 1;
   }
-  const auto snapshot = core.Acquire();
-  std::cerr << "corpus ready: " << snapshot->corpus.num_recipes()
-            << " recipes from " << snapshot->source << "\n";
+  {
+    // Scoped: a pointer held for the rest of main would pin this first
+    // generation (and its mapped snapshot) across every later reload.
+    const auto snapshot = core.Acquire();
+    std::cerr << "corpus ready: " << snapshot->corpus.num_recipes()
+              << " recipes from " << snapshot->source << "\n";
+  }
 
   const int rc = flags.GetBool("once", false) ? RunOnce(core)
                                               : RunServer(core, flags);

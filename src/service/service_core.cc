@@ -484,6 +484,12 @@ class InflightGuard {
   int entered_ = 0;
 };
 
+obs::Gauge* GenerationsLive() {
+  static obs::Gauge* gauge =
+      obs::MetricsRegistry::Get().gauge("serve.generations_live");
+  return gauge;
+}
+
 }  // namespace
 
 bool ShouldShedExpensive(const ServiceOptions& options, int inflight,
@@ -496,6 +502,10 @@ bool ShouldShedExpensive(const ServiceOptions& options, int inflight,
   return options.brownout_latency_ms > 0 &&
          latency_ema_ms > options.brownout_latency_ms;
 }
+
+ServiceSnapshot::ServiceSnapshot() { GenerationsLive()->Add(1.0); }
+
+ServiceSnapshot::~ServiceSnapshot() { GenerationsLive()->Add(-1.0); }
 
 ServiceCore::ServiceCore(const Lexicon* lexicon, ServiceOptions options)
     : lexicon_(lexicon), options_(options) {}
@@ -564,19 +574,28 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
           static_cast<unsigned long long>(current->content_fingerprint)));
     }
     CULEVO_FAILPOINT("serve.reload.delta.apply");
-    IncrementalCorpus incremental =
-        IncrementalCorpus::FromCorpus(current->corpus, current->stats);
-    for (const CorpusDeltaRecord& record : delta->records) {
-      CULEVO_RETURN_IF_ERROR(
-          incremental.Add(record.cuisine, record.ingredients));
-    }
-    Result<RecipeCorpus> corpus = incremental.Materialize();
-    if (!corpus.ok()) return corpus.status();
     auto next = std::make_shared<ServiceSnapshot>();
-    next->stats = incremental.stats();
+    {
+      // The reload's one copy of the corpus: seeded with room for the
+      // delta so Add never reallocates it, then moved into `next`.
+      size_t delta_mentions = 0;
+      for (const CorpusDeltaRecord& record : delta->records) {
+        delta_mentions += record.ingredients.size();
+      }
+      IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(
+          current->corpus, current->stats, delta->records.size(),
+          delta_mentions);
+      for (const CorpusDeltaRecord& record : delta->records) {
+        CULEVO_RETURN_IF_ERROR(
+            incremental.Add(record.cuisine, record.ingredients));
+      }
+      next->stats = incremental.stats();
+      Result<RecipeCorpus> corpus = std::move(incremental).Materialize();
+      if (!corpus.ok()) return corpus.status();
+      next->corpus = std::move(*corpus);
+    }
     CULEVO_FAILPOINT("serve.reload.index");
-    next->index = QueryIndex::Build(*corpus);
-    next->corpus = std::move(*corpus);
+    next->index = QueryIndex::Build(next->corpus);
     next->source = current->source + "+" + path;
     next->content_fingerprint = CorpusContentFingerprint(next->corpus);
     CULEVO_FAILPOINT("serve.reload.install");

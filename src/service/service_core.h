@@ -62,7 +62,16 @@ bool ShouldShedExpensive(const ServiceOptions& options, int inflight,
 /// precomputed stats, and the derived query indexes. Swapped wholesale on
 /// reload; readers that still hold the previous generation keep using it
 /// until they finish (shared_ptr refcount is the grace period).
+///
+/// Every generation counts in the serve.generations_live gauge from
+/// construction to destruction, so one that something still pins after a
+/// reload shows up there.
 struct ServiceSnapshot {
+  ServiceSnapshot();
+  ~ServiceSnapshot();
+  ServiceSnapshot(const ServiceSnapshot&) = delete;
+  ServiceSnapshot& operator=(const ServiceSnapshot&) = delete;
+
   RecipeCorpus corpus;
   std::vector<CuisineStats> stats;  ///< One entry per cuisine id.
   QueryIndex index;
@@ -111,7 +120,9 @@ struct ServiceSnapshot {
 /// Metrics: serve.requests, serve.rejects, serve.errors,
 /// serve.latency_ms, serve.latency_ema_ms, serve.inflight, serve.reloads,
 /// serve.delta_reloads, serve.reload_failures, serve.deadline_drops,
-/// serve.brownout.sheds, serve.brownout.active, serve.index.build_ms and
+/// serve.brownout.sheds, serve.brownout.active, serve.generations_live
+/// (ServiceSnapshots alive: 1 when idle, 2 while a reload builds the next
+/// one or a reader still holds the previous one), serve.index.build_ms and
 /// its per-table parts serve.index.{counts,overrep,profiles,postings,
 /// ranks}_ms.
 /// Failpoints: serve.reload (before any reload touches its file), plus
@@ -128,11 +139,13 @@ class ServiceCore {
 
   /// Builds the next generation from the *current* generation's corpus
   /// plus a CULEVO-DELTA file — no snapshot re-read (the hot incremental
-  /// reload; `corpus.snapshot.mmap_loads` stays flat). The delta's base
-  /// recipe count and content fingerprint must match the serving
-  /// generation exactly; any mismatch is refused with FailedPrecondition.
-  /// Like LoadFromFile, any failure at any stage of the swap leaves the
-  /// old generation serving.
+  /// reload; `corpus.snapshot.mmap_loads` stays flat). The corpus is
+  /// copied once, with room for the delta, and that copy becomes the next
+  /// generation's corpus, so a reload holds at most two generations. The
+  /// delta's base recipe count and content fingerprint must match the
+  /// serving generation exactly; any mismatch is refused with
+  /// FailedPrecondition. Like LoadFromFile, any failure at any stage of
+  /// the swap leaves the old generation serving.
   Status ReloadDelta(const std::string& path);
 
   /// Installs an in-memory corpus (tests, benches, --synth mode).

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus/corpus_snapshot.h"
+#include "corpus/ingestion.h"
 #include "service/protocol.h"
 #include "util/strings.h"
 
@@ -171,6 +173,56 @@ TEST_F(CulevodSmokeTest, AbruptClientDisconnectsDoNotKillServer) {
   EXPECT_TRUE(read.ok()) << read;
   EXPECT_EQ(response, "ok 1\npong\n");
   ::close(fresh);
+}
+
+/// The daemon started on a written snapshot, with a delta against it.
+class CulevodSnapshotTest : public CulevodSmokeTest {
+ protected:
+  std::vector<std::string> ExtraArgs() const override {
+    return {"--load-snapshot", snapshot_path_};
+  }
+
+  void SetUp() override {
+    const std::string stem = testing::TempDir() + "culevod_smoke_" +
+                             std::to_string(::getpid());
+    snapshot_path_ = stem + ".snap";
+    delta_path_ = stem + ".delta";
+    RecipeCorpus::Builder builder;
+    ASSERT_TRUE(builder.Add(0, {1, 2, 3}).ok());
+    ASSERT_TRUE(builder.Add(1, {2, 4}).ok());
+    const RecipeCorpus corpus = builder.Build();
+    ASSERT_TRUE(
+        WriteCorpusSnapshot(snapshot_path_, corpus, {.sync = false}).ok());
+    CorpusDelta delta;
+    delta.base_recipes = corpus.num_recipes();
+    delta.base_fingerprint = CorpusContentFingerprint(corpus);
+    delta.records = {{0, {5, 3}}, {2, {6}}};
+    ASSERT_TRUE(WriteCorpusDelta(delta_path_, delta, {.sync = false}).ok());
+    CulevodSmokeTest::SetUp();
+  }
+
+  void TearDown() override {
+    CulevodSmokeTest::TearDown();
+    ::unlink(snapshot_path_.c_str());
+    ::unlink(delta_path_.c_str());
+  }
+
+  std::string snapshot_path_;
+  std::string delta_path_;
+};
+
+// Once a reload-delta has answered, only the generation it installed may
+// be live: the startup generation (and the snapshot mapping under it) must
+// not stay pinned by the daemon itself.
+TEST_F(CulevodSnapshotTest, ReloadDeltaLeavesOneGenerationLive) {
+  EXPECT_NE(Query("info").find("source\t" + snapshot_path_ + "\n"),
+            std::string::npos);
+  EXPECT_EQ(Query("reload-delta " + delta_path_),
+            "ok 2\nepoch\t2\nrecipes\t4\n");
+  const std::string metrics = Query("metrics");
+  EXPECT_NE(metrics.find("\ngauge\tserve.generations_live\t1\n"),
+            std::string::npos)
+      << metrics;
 }
 
 class CulevodClientTimeoutTest : public CulevodSmokeTest {

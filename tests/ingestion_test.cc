@@ -147,6 +147,42 @@ bool SameStats(const std::vector<CuisineStats>& a,
   return true;
 }
 
+/// Materialize hands its own columns, shards and unique lists over instead
+/// of rebuilding them, so each must equal what Builder::Build derives.
+void ExpectSameCorpus(const RecipeCorpus& actual,
+                      const RecipeCorpus& expected) {
+  EXPECT_FALSE(actual.borrowed());
+  EXPECT_TRUE(std::ranges::equal(actual.flat(), expected.flat()));
+  EXPECT_TRUE(std::ranges::equal(actual.offsets(), expected.offsets()));
+  EXPECT_TRUE(std::ranges::equal(actual.cuisines(), expected.cuisines()));
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    EXPECT_TRUE(std::ranges::equal(actual.recipes_of(cuisine),
+                                   expected.recipes_of(cuisine)))
+        << "shard " << c;
+    EXPECT_TRUE(std::ranges::equal(actual.UniqueIngredients(cuisine),
+                                   expected.UniqueIngredients(cuisine)))
+        << "unique list " << c;
+  }
+  EXPECT_TRUE(std::ranges::equal(actual.UniqueIngredients(),
+                                 expected.UniqueIngredients()));
+  EXPECT_TRUE(
+      SameStats(ComputeCuisineStats(actual), ComputeCuisineStats(expected)));
+}
+
+/// Checks both Materialize forms against `expected`; consumes `incremental`.
+void ExpectMaterializesTo(IncrementalCorpus& incremental,
+                          const RecipeCorpus& expected) {
+  Result<RecipeCorpus> copied = incremental.Materialize();
+  ASSERT_TRUE(copied.ok()) << copied.status();
+  ExpectSameCorpus(*copied, expected);
+  Result<RecipeCorpus> moved = std::move(incremental).Materialize();
+  ASSERT_TRUE(moved.ok()) << moved.status();
+  ExpectSameCorpus(*moved, expected);
+  // A copy of the handed-off corpus points at its own storage.
+  ExpectSameCorpus(RecipeCorpus(*moved), expected);
+}
+
 TEST(IncrementalCorpusTest, MatchesFullRebuild) {
   Rng rng(3);
   IncrementalCorpus incremental;
@@ -184,11 +220,7 @@ TEST(IncrementalCorpusTest, MatchesFullRebuild) {
   EXPECT_TRUE(std::equal(global.begin(), global.end(),
                          expected_global.begin(), expected_global.end()));
 
-  Result<RecipeCorpus> materialized = incremental.Materialize();
-  ASSERT_TRUE(materialized.ok());
-  EXPECT_TRUE(std::equal(materialized->flat().begin(),
-                         materialized->flat().end(),
-                         rebuilt.flat().begin(), rebuilt.flat().end()));
+  ExpectMaterializesTo(incremental, rebuilt);
 }
 
 TEST(IncrementalCorpusTest, RejectsBadInput) {
@@ -227,6 +259,15 @@ TEST(IncrementalCorpusTest, SeedsFromCorpusAndExtends) {
   EXPECT_TRUE(
       std::equal(unique.begin(), unique.end(), expected.begin(),
                  expected.end()));
+  ExpectMaterializesTo(incremental, rebuilt);
+
+  // Room reserved for the appends changes no content.
+  IncrementalCorpus roomy = IncrementalCorpus::FromCorpus(
+      base, ComputeCuisineStats(base), /*append_recipes=*/1,
+      /*append_mentions=*/2);
+  ASSERT_TRUE(roomy.Add(0, std::vector<IngredientId>{5, 3}).ok());
+  EXPECT_TRUE(SameStats(roomy.stats(), ComputeCuisineStats(rebuilt)));
+  ExpectMaterializesTo(roomy, rebuilt);
 }
 
 TEST(IncrementalCorpusTest, TransactionDeltasDrainOnce) {

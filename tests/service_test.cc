@@ -564,6 +564,78 @@ TEST(ServiceCoreTest, ReloadDeltaFailpointAtEveryStageKeepsOldGeneration) {
   std::remove(path.c_str());
 }
 
+// The header's record count sits outside the payload checksum, and every
+// count in the file sizes an allocation. A flipped bit anywhere must come
+// back as a refusal status, never as an exception out of the loader, and
+// the serving generation must stay exactly as it was.
+TEST(ServiceCoreTest, ReloadDeltaRefusesEveryBitFlip) {
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "base").ok());
+  const std::string path = WriteDeltaFor(SmallCorpus(), "bitflip");
+  Result<std::string> pristine = ReadFileToString(path);
+  ASSERT_TRUE(pristine.ok()) << pristine.status();
+  const std::vector<std::string> requests = {
+      "info", "overrep " + Code(kA) + " 5", "search #1,#5", "recipe 4"};
+  std::vector<std::string> before;
+  for (const std::string& request : requests) {
+    before.push_back(core.Handle(request));
+  }
+
+  for (size_t byte = 0; byte < pristine->size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      const std::string where = StrFormat("byte %zu bit %d", byte, bit);
+      std::string flipped = *pristine;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
+      }
+      EXPECT_NO_THROW((void)LoadCorpusDelta(path)) << where;
+      Status refused;
+      EXPECT_NO_THROW(refused = core.ReloadDelta(path)) << where;
+      EXPECT_TRUE(refused.code() == StatusCode::kInvalidArgument ||
+                  refused.code() == StatusCode::kFailedPrecondition ||
+                  refused.code() == StatusCode::kDataLoss)
+          << where << ": " << refused;
+      EXPECT_EQ(core.Acquire()->epoch, 1u) << where;
+      EXPECT_EQ(core.Handle("info"), before[0]) << where;
+    }
+  }
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(core.Handle(requests[i]), before[i]) << requests[i];
+  }
+  std::remove(path.c_str());
+}
+
+/// The serve.generations_live gauge as the `metrics` request reports it.
+double GenerationsLive(ServiceCore& core) {
+  for (const std::string& row : Rows(core.Handle("metrics"))) {
+    const std::vector<std::string> fields = Split(row, '\t');
+    if (fields.size() == 3 && fields[0] == "gauge" &&
+        fields[1] == "serve.generations_live") {
+      return std::stod(fields[2]);
+    }
+  }
+  ADD_FAILURE() << "metrics has no serve.generations_live gauge";
+  return -1;
+}
+
+TEST(ServiceCoreTest, GenerationsLiveCountsPinnedGenerations) {
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "base").ok());
+  const std::string path = WriteDeltaFor(SmallCorpus(), "live");
+  EXPECT_EQ(GenerationsLive(core), 1.0);
+
+  // A reader still holding the pre-reload generation keeps it alive
+  // beside the new one; releasing it frees it.
+  std::shared_ptr<const ServiceSnapshot> pinned = core.Acquire();
+  ASSERT_TRUE(core.ReloadDelta(path).ok());
+  EXPECT_EQ(GenerationsLive(core), 2.0);
+  pinned.reset();
+  EXPECT_EQ(GenerationsLive(core), 1.0);
+  std::remove(path.c_str());
+}
+
 TEST(ServiceCoreTest, ReloadDeltaThroughRequestGrammar) {
   ServiceCore core = MakeCore();
   ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "base").ok());

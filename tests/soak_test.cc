@@ -43,6 +43,7 @@
 #include "service/service_core.h"
 #include "synth/generator.h"
 #include "util/csv.h"
+#include "util/signal.h"
 #include "util/strings.h"
 #include "util/subprocess.h"
 
@@ -139,6 +140,10 @@ Result<long long> EpochRow(const std::string& info) {
 }
 
 TEST(CulevodSoakTest, SupervisedChaosSoakKeepsAnswersBitIdentical) {
+  // A client writing to a child that was just SIGKILLed must get EPIPE
+  // and reconnect; the default SIGPIPE would end this test process and
+  // orphan the supervised daemon.
+  IgnoreSigPipe();
   const std::string socket_path = TempPath("srv.sock");
   const std::string pidfile = TempPath("child.pid");
   const std::string snapshot_path = TempPath("base.snap");
