@@ -1,0 +1,314 @@
+#include "corpus/container.h"
+
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cerrno>
+
+#include "obs/metrics.h"
+#include "util/failpoint.h"
+#include "util/file_io.h"
+#include "util/hash.h"
+#include "util/strings.h"
+
+namespace culevo {
+namespace {
+
+constexpr uint32_t kEndianMarker = 0x01020304;
+constexpr size_t kSectionAlign = 8;
+constexpr uint32_t kMaxSections = 4096;
+
+/// The header and a section-table entry exactly as they lie on disk
+/// (little-endian hosts only; no padding).
+struct Header {
+  std::array<char, 16> magic;
+  uint32_t version;
+  uint32_t endian;
+  uint64_t word0;
+  uint64_t word1;
+  uint32_t word2;
+  uint32_t section_count;
+  uint64_t file_bytes;
+  uint64_t table_checksum;
+};
+static_assert(sizeof(Header) == 64);
+
+struct TableEntry {
+  uint32_t id;
+  uint32_t reserved;
+  uint64_t offset;
+  uint64_t size;
+  uint64_t checksum;
+};
+static_assert(sizeof(TableEntry) == 32);
+
+size_t AlignUp(size_t offset) {
+  return (offset + kSectionAlign - 1) & ~(kSectionAlign - 1);
+}
+
+std::array<char, 16> MagicOf(const ContainerFormat& format) {
+  std::array<char, 16> magic{};
+  std::copy_n(format.magic.begin(), std::min(format.magic.size(), magic.size()),
+              magic.begin());
+  return magic;
+}
+
+std::string Prefixed(const ContainerFormat& format, const char* suffix) {
+  return std::string(format.prefix) + suffix;
+}
+
+Status CheckHostEndianness(const ContainerFormat& format) {
+  if constexpr (std::endian::native != std::endian::little) {
+    return Status::Unimplemented(std::string(format.magic) +
+                                 " files are little-endian; this host is not");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+/// The file bytes: an mmap'ed region or an owned 8-byte-aligned buffer.
+struct Container::Backing {
+  const uint8_t* data = nullptr;
+  size_t size = 0;
+  void* map_addr = nullptr;  ///< Non-null when memory-mapped.
+  std::vector<uint64_t> buffer;
+
+  ~Backing() {
+    if (map_addr != nullptr) ::munmap(map_addr, size);
+  }
+};
+
+namespace {
+
+Result<std::shared_ptr<Container::Backing>> OpenBacking(
+    const std::string& path, const ContainerFormat& format, bool allow_mmap) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) {
+      return Status::NotFound(
+          StrFormat("no %s file at %s", std::string(format.magic).c_str(),
+                    path.c_str()));
+    }
+    return Status::IOError(StrFormat("cannot open %s: %s", path.c_str(),
+                                     std::strerror(errno)));
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const Status status = Status::IOError(StrFormat(
+        "cannot stat %s: %s", path.c_str(), std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+  auto backing = std::make_shared<Container::Backing>();
+  backing->size = static_cast<size_t>(st.st_size);
+
+  if (allow_mmap && backing->size > 0) {
+    void* addr =
+        ::mmap(nullptr, backing->size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (addr != MAP_FAILED) {
+      backing->map_addr = addr;
+      backing->data = static_cast<const uint8_t*>(addr);
+      ::close(fd);
+      return backing;
+    }
+    // Fall through to the buffered read; a filesystem that cannot mmap
+    // must not make the file unreadable.
+  }
+
+  backing->buffer.resize((backing->size + 7) / 8, 0);
+  uint8_t* dst = reinterpret_cast<uint8_t*>(backing->buffer.data());
+  size_t done = 0;
+  while (done < backing->size) {
+    const ssize_t n = ::read(fd, dst + done, backing->size - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const Status status = Status::IOError(StrFormat(
+          "read failure on %s: %s", path.c_str(), std::strerror(errno)));
+      ::close(fd);
+      return status;
+    }
+    if (n == 0) break;  // Shrank underneath us.
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  if (done != backing->size) {
+    return Status::DataLoss(StrFormat("%s: short read (%zu of %zu bytes)",
+                                      path.c_str(), done, backing->size));
+  }
+  backing->data = dst;
+  return backing;
+}
+
+}  // namespace
+
+Status WriteContainer(const std::string& path, const ContainerFormat& format,
+                      const ContainerWords& words,
+                      std::span<const ContainerSection> sections, bool sync) {
+  CULEVO_RETURN_IF_ERROR(CheckHostEndianness(format));
+  std::vector<TableEntry> table;
+  table.reserve(sections.size());
+  size_t end = sizeof(Header) + sections.size() * sizeof(TableEntry);
+  for (const ContainerSection& section : sections) {
+    const size_t offset = AlignUp(end);
+    table.push_back({section.id, 0, offset, section.bytes.size(),
+                     section.checksum});
+    end = offset + section.bytes.size();
+  }
+  const std::string_view table_bytes =
+      AsBytes(std::span<const TableEntry>(table));
+  const Header header = {MagicOf(format),
+                         format.version,
+                         kEndianMarker,
+                         words.word0,
+                         words.word1,
+                         words.word2,
+                         static_cast<uint32_t>(sections.size()),
+                         end,
+                         Fnv1a64(table_bytes)};
+
+  std::string content;
+  content.reserve(end);
+  AppendPod(&content, header);
+  content += table_bytes;
+  for (const ContainerSection& section : sections) {
+    content.resize(AlignUp(content.size()), '\0');
+    content += section.bytes;
+  }
+
+  CULEVO_FAILPOINT(Prefixed(format, ".write"));
+  AtomicWriteOptions write_options;
+  write_options.sync = sync;
+  CULEVO_RETURN_IF_ERROR(WriteFileAtomic(path, content, write_options));
+  auto& registry = obs::MetricsRegistry::Get();
+  registry.counter(Prefixed(format, ".writes"))->Increment();
+  registry.counter(Prefixed(format, ".bytes_written"))
+      ->Increment(static_cast<int64_t>(content.size()));
+  return Status::Ok();
+}
+
+Result<Container> ReadContainer(const std::string& path,
+                                const ContainerFormat& format,
+                                bool allow_mmap) {
+  CULEVO_RETURN_IF_ERROR(CheckHostEndianness(format));
+  CULEVO_FAILPOINT(Prefixed(format, ".read"));
+  Result<std::shared_ptr<Container::Backing>> backing =
+      OpenBacking(path, format, allow_mmap);
+  if (!backing.ok()) return backing.status();
+  const std::string_view file(reinterpret_cast<const char*>((*backing)->data),
+                              (*backing)->size);
+  const std::string name(format.magic);
+  const auto corrupt = [&](const std::string& what) {
+    return Status::DataLoss(StrFormat("%s: corrupt %s file (%s)",
+                                      path.c_str(), name.c_str(),
+                                      what.c_str()));
+  };
+
+  if (file.size() < sizeof(Header)) return corrupt("shorter than its header");
+  Header header{};
+  std::memcpy(&header, file.data(), sizeof(header));
+  if (header.magic != MagicOf(format)) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: not a %s file (bad magic)", path.c_str(), name.c_str()));
+  }
+  if (header.version != format.version) {
+    return Status::FailedPrecondition(StrFormat(
+        "%s: %s format version %u, this build understands %u — refusing "
+        "to guess at the layout",
+        path.c_str(), name.c_str(), header.version, format.version));
+  }
+  if (header.endian != kEndianMarker) {
+    return Status::FailedPrecondition(
+        StrFormat("%s: written with foreign byte order (marker 0x%08x)",
+                  path.c_str(), header.endian));
+  }
+  if (header.file_bytes != file.size()) {
+    return corrupt("header size does not match the file");
+  }
+  const size_t table_bytes = size_t{header.section_count} * sizeof(TableEntry);
+  if (header.section_count > kMaxSections ||
+      sizeof(Header) + table_bytes > file.size()) {
+    return corrupt("section table exceeds the file");
+  }
+  if (Fnv1a64(file.substr(sizeof(Header), table_bytes)) !=
+      header.table_checksum) {
+    return corrupt("section-table checksum mismatch");
+  }
+
+  // Verify every section, and that the payloads tile the rest of the file
+  // exactly as WriteContainer lays them out, before handing any out.
+  Container container;
+  container.words_ = {header.word0, header.word1, header.word2};
+  container.sections_.reserve(header.section_count);
+  const Status forced_corrupt =
+      FailpointCheck(Prefixed(format, ".read.corrupt"));
+  size_t end = sizeof(Header) + table_bytes;
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    TableEntry entry{};
+    std::memcpy(&entry, file.data() + sizeof(Header) + i * sizeof(entry),
+                sizeof(entry));
+    const size_t offset = AlignUp(end);
+    if (entry.reserved != 0 || entry.offset != offset ||
+        offset > file.size() || entry.size > file.size() - offset) {
+      return corrupt(
+          StrFormat("section %u disagrees with the layout", entry.id));
+    }
+    if (file.substr(end, offset - end).find_first_not_of('\0') !=
+        std::string_view::npos) {
+      return corrupt(StrFormat("nonzero padding before section %u", entry.id));
+    }
+    if (!forced_corrupt.ok() ||
+        Fnv1a64(file.substr(offset, entry.size)) != entry.checksum) {
+      return corrupt(StrFormat("checksum mismatch in section %u", entry.id));
+    }
+    container.sections_.push_back(
+        {entry.id, {(*backing)->data + offset, entry.size}});
+    end = offset + entry.size;
+  }
+  if (end != file.size()) {
+    return corrupt("trailing bytes after the last section");
+  }
+
+  obs::MetricsRegistry::Get()
+      .counter(Prefixed(format, (*backing)->map_addr != nullptr
+                                    ? ".mmap_loads"
+                                    : ".fallback_loads"))
+      ->Increment();
+  container.backing_ = std::move(backing).value();
+  container.path_ = path;
+  return container;
+}
+
+bool Container::memory_mapped() const {
+  return backing_->map_addr != nullptr;
+}
+
+size_t Container::file_bytes() const { return backing_->size; }
+
+std::shared_ptr<const void> Container::backing() const { return backing_; }
+
+Result<std::span<const uint8_t>> Container::Payload(
+    uint32_t id, size_t elem_size, std::optional<uint64_t> count) const {
+  const auto entry =
+      std::find_if(sections_.begin(), sections_.end(),
+                   [id](const Entry& e) { return e.id == id; });
+  if (entry == sections_.end()) {
+    return Status::DataLoss(
+        StrFormat("%s: required section %u missing", path_.c_str(), id));
+  }
+  const size_t bytes = entry->bytes.size();
+  if (bytes % elem_size != 0 || (count && *count != bytes / elem_size)) {
+    return Status::DataLoss(
+        StrFormat("%s: section %u has %zu bytes, not the size its header "
+                  "and element type imply",
+                  path_.c_str(), id, bytes));
+  }
+  return entry->bytes;
+}
+
+}  // namespace culevo

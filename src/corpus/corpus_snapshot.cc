@@ -1,34 +1,22 @@
 #include "corpus/corpus_snapshot.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <bit>
-#include <cerrno>
-#include <cstring>
 #include <memory>
 #include <utility>
 
+#include "corpus/container.h"
 #include "obs/metrics.h"
-#include "util/failpoint.h"
-#include "util/file_io.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 
 namespace culevo {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Container constants (layout documented in docs/DATA_FORMATS.md).
-
-constexpr char kMagic[16] = "CULEVO-CORPUS";  // NUL-padded to 16 bytes.
-constexpr uint32_t kEndianMarker = 0x01020304;
-constexpr size_t kHeaderBytes = 64;
-constexpr size_t kTableEntryBytes = 32;
-constexpr size_t kSectionAlign = 8;
-
+// Section ids (layout documented in docs/DATA_FORMATS.md). The container
+// header words are {num_recipes, num_mentions, num_cuisines}.
+constexpr ContainerFormat kSnapshotFormat = {"CULEVO-CORPUS",
+                                             kCorpusSnapshotVersion,
+                                             "corpus.snapshot"};
 constexpr uint32_t kSecFlat = 1;
 constexpr uint32_t kSecOffsets = 2;
 constexpr uint32_t kSecCuisines = 3;
@@ -36,74 +24,6 @@ constexpr uint32_t kSecStats = 4;
 constexpr uint32_t kSecShardBase = 0x100;   // + cuisine id
 constexpr uint32_t kSecUniqueBase = 0x200;  // + cuisine id; +kNumCuisines
                                             // is the corpus-wide list.
-
-constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001B3ull;
-
-uint64_t Fnv1a(const void* data, size_t size, uint64_t state = kFnvOffset) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    state ^= static_cast<uint64_t>(p[i]);
-    state *= kFnvPrime;
-  }
-  return state;
-}
-
-struct SnapshotMetrics {
-  obs::Counter* writes;
-  obs::Counter* bytes_written;
-  obs::Counter* mmap_loads;
-  obs::Counter* fallback_loads;
-  obs::Counter* sections_rewritten;
-  obs::Counter* sections_reused;
-  obs::Histogram* load_ms;
-
-  static const SnapshotMetrics& Get() {
-    auto& registry = obs::MetricsRegistry::Get();
-    static const SnapshotMetrics metrics = {
-        registry.counter("corpus.snapshot.writes"),
-        registry.counter("corpus.snapshot.bytes_written"),
-        registry.counter("corpus.snapshot.mmap_loads"),
-        registry.counter("corpus.snapshot.fallback_loads"),
-        registry.counter("corpus.snapshot.sections_rewritten"),
-        registry.counter("corpus.snapshot.sections_reused"),
-        registry.histogram("corpus.snapshot.load_ms"),
-    };
-    return metrics;
-  }
-};
-
-Status CheckHostEndianness() {
-  if constexpr (std::endian::native != std::endian::little) {
-    return Status::Unimplemented(
-        "CULEVO-CORPUS snapshots are little-endian; this host is not");
-  }
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// Serialization helpers.
-
-void AppendRaw(std::string* out, const void* data, size_t size) {
-  out->append(static_cast<const char*>(data), size);
-}
-
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  AppendRaw(out, &value, sizeof(value));
-}
-
-template <typename T>
-std::string ColumnBytes(std::span<const T> column) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::string out;
-  out.resize(column.size_bytes());
-  if (!column.empty()) {
-    std::memcpy(out.data(), column.data(), column.size_bytes());
-  }
-  return out;
-}
 
 std::string SerializeStats(std::span<const CuisineStats> stats) {
   std::string out;
@@ -123,161 +43,12 @@ std::string SerializeStats(std::span<const CuisineStats> stats) {
   return out;
 }
 
-/// Bounds-checked cursor over the stats section.
-class StatsCursor {
- public:
-  StatsCursor(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  bool Read(T* out) {
-    if (pos_ + sizeof(T) > size_) return false;
-    std::memcpy(out, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-  bool AtEnd() const { return pos_ == size_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-Result<std::vector<CuisineStats>> ParseStats(const uint8_t* data,
-                                             size_t size) {
-  const auto corrupt = [] {
-    return Status::DataLoss("corpus snapshot: malformed stats section");
-  };
-  std::vector<CuisineStats> out;
-  out.reserve(kNumCuisines);
-  StatsCursor cursor(data, size);
-  for (int c = 0; c < kNumCuisines; ++c) {
-    CuisineStats s;
-    uint32_t cuisine = 0;
-    uint32_t reserved = 0;
-    uint64_t num_recipes = 0;
-    uint64_t num_unique = 0;
-    uint64_t mean_bits = 0;
-    int64_t min_size = 0;
-    int64_t max_size = 0;
-    uint64_t hist_len = 0;
-    if (!cursor.Read(&cuisine) || !cursor.Read(&reserved) ||
-        !cursor.Read(&num_recipes) || !cursor.Read(&num_unique) ||
-        !cursor.Read(&mean_bits) || !cursor.Read(&min_size) ||
-        !cursor.Read(&max_size) || !cursor.Read(&hist_len)) {
-      return corrupt();
-    }
-    if (cuisine != static_cast<uint32_t>(c) ||
-        hist_len > size / sizeof(uint64_t)) {
-      return corrupt();
-    }
-    s.cuisine = static_cast<CuisineId>(cuisine);
-    s.num_recipes = num_recipes;
-    s.num_unique_ingredients = num_unique;
-    s.mean_recipe_size = std::bit_cast<double>(mean_bits);
-    s.min_recipe_size = static_cast<int>(min_size);
-    s.max_recipe_size = static_cast<int>(max_size);
-    s.size_histogram.resize(hist_len);
-    for (uint64_t i = 0; i < hist_len; ++i) {
-      uint64_t bucket = 0;
-      if (!cursor.Read(&bucket)) return corrupt();
-      s.size_histogram[i] = bucket;
-    }
-    out.push_back(std::move(s));
-  }
-  if (!cursor.AtEnd()) return corrupt();
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Load-side file backing: an mmap'ed region or an owned aligned buffer.
-
-struct SnapshotBacking {
-  const uint8_t* data = nullptr;
-  size_t size = 0;
-  bool mapped = false;
-  void* map_addr = nullptr;
-  std::vector<uint64_t> buffer;  ///< Fallback storage, 8-byte aligned.
-
-  ~SnapshotBacking() {
-    if (map_addr != nullptr) ::munmap(map_addr, size);
-  }
-};
-
-Result<std::shared_ptr<SnapshotBacking>> OpenBacking(
-    const std::string& path, const SnapshotLoadOptions& options) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      return Status::NotFound("no corpus snapshot at " + path);
-    }
-    return Status::IOError(StrFormat("cannot open %s: %s", path.c_str(),
-                                     std::strerror(errno)));
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    const Status status = Status::IOError(StrFormat(
-        "cannot stat %s: %s", path.c_str(), std::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
-  auto backing = std::make_shared<SnapshotBacking>();
-  backing->size = static_cast<size_t>(st.st_size);
-
-  if (options.allow_mmap && backing->size > 0) {
-    void* addr =
-        ::mmap(nullptr, backing->size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (addr != MAP_FAILED) {
-      backing->map_addr = addr;
-      backing->data = static_cast<const uint8_t*>(addr);
-      backing->mapped = true;
-      ::close(fd);
-      return backing;
-    }
-    // Fall through to the buffered read; a filesystem that cannot mmap
-    // must not make snapshots unreadable.
-  }
-
-  backing->buffer.resize((backing->size + 7) / 8, 0);
-  uint8_t* dst = reinterpret_cast<uint8_t*>(backing->buffer.data());
-  size_t done = 0;
-  while (done < backing->size) {
-    const ssize_t n =
-        ::read(fd, dst + done, backing->size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status status = Status::IOError(StrFormat(
-          "read failure on %s: %s", path.c_str(), std::strerror(errno)));
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;  // Shrank underneath us; caught by size checks.
-    done += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  if (done != backing->size) {
-    return Status::DataLoss(StrFormat(
-        "%s: short read (%zu of %zu bytes)", path.c_str(), done,
-        backing->size));
-  }
-  backing->data = dst;
-  backing->mapped = false;
-  return backing;
-}
-
+/// A section whose bytes are the column itself, hashed in full.
 template <typename T>
-T ReadPod(const uint8_t* data, size_t offset) {
-  T value;
-  std::memcpy(&value, data + offset, sizeof(T));
-  return value;
+ContainerSection ColumnSection(uint32_t id, std::span<const T> column) {
+  const std::string_view bytes = AsBytes(column);
+  return {id, bytes, Fnv1a64(bytes)};
 }
-
-struct SectionEntry {
-  uint32_t id = 0;
-  uint64_t offset = 0;
-  uint64_t size = 0;
-  uint64_t checksum = 0;
-};
 
 }  // namespace
 
@@ -301,147 +72,42 @@ SnapshotWriter::Input SnapshotWriter::Input::FromCorpus(
   return input;
 }
 
-SnapshotWriter::CachedSection* SnapshotWriter::Find(uint32_t id) {
-  for (CachedSection& section : sections_) {
-    if (section.id == id) return &section;
-  }
-  return nullptr;
+uint64_t SnapshotWriter::ColumnChecksum::Extend(std::string_view column) {
+  if (column.size() < bytes) *this = ColumnChecksum{};
+  state = Fnv1a64(column.substr(bytes), state);
+  bytes = column.size();
+  return state;
 }
 
 Status SnapshotWriter::Write(const std::string& path, const Input& input,
-                             const Dirty& dirty,
                              const SnapshotWriteOptions& options) {
-  CULEVO_RETURN_IF_ERROR(CheckHostEndianness());
   if (input.offsets.size() != input.cuisines.size() + 1 ||
       input.stats.size() != static_cast<size_t>(kNumCuisines)) {
     return Status::InvalidArgument(
         "corpus snapshot: malformed writer input (offsets/stats shape)");
   }
-  const SnapshotMetrics& metrics = SnapshotMetrics::Get();
-  const bool first = !has_written_;
-  const bool any_dirty = first || dirty.AnyCuisine();
-
-  // Rebuild (or extend, for append-only columns) exactly the sections the
-  // delta touches; everything else reuses its cached bytes + checksum.
-  int rewritten = 0;
-  int reused = 0;
-  const auto refresh = [&](uint32_t id, bool section_dirty, auto serialize,
-                           size_t source_elems) {
-    CachedSection* cached = Find(id);
-    if (cached == nullptr) {
-      sections_.push_back(CachedSection{id, {}, 0, 0});
-      cached = &sections_.back();
-      section_dirty = true;
-    }
-    if (!first && !section_dirty && cached->source_elems == source_elems) {
-      ++reused;
-      return;
-    }
-    cached->bytes = serialize();
-    cached->checksum = Fnv1a(cached->bytes.data(), cached->bytes.size());
-    cached->source_elems = source_elems;
-    ++rewritten;
-  };
-  // Append-only column refresh: extend the cached bytes with the new tail
-  // and resume the FNV-1a state instead of rehashing the whole column.
-  const auto extend = [&]<typename T>(uint32_t id, std::span<const T> column) {
-    CachedSection* cached = Find(id);
-    const bool can_extend = !first && dirty.columns_appended_only &&
-                            cached != nullptr &&
-                            cached->source_elems <= column.size() &&
-                            cached->bytes.size() ==
-                                cached->source_elems * sizeof(T);
-    if (!can_extend) {
-      refresh(id, true, [&] { return ColumnBytes(column); }, column.size());
-      return;
-    }
-    if (cached->source_elems == column.size()) {
-      ++reused;
-      return;
-    }
-    const std::span<const T> tail = column.subspan(cached->source_elems);
-    const size_t old_size = cached->bytes.size();
-    cached->bytes.resize(old_size + tail.size_bytes());
-    std::memcpy(cached->bytes.data() + old_size, tail.data(),
-                tail.size_bytes());
-    cached->checksum = Fnv1a(cached->bytes.data() + old_size,
-                             tail.size_bytes(), cached->checksum);
-    cached->source_elems = column.size();
-    ++rewritten;
-  };
-
-  extend(kSecFlat, input.flat);
-  extend(kSecOffsets, input.offsets);
-  extend(kSecCuisines, input.cuisines);
-  refresh(
-      kSecStats, any_dirty, [&] { return SerializeStats(input.stats); },
-      input.cuisines.size());
-  for (int c = 0; c < kNumCuisines; ++c) {
+  const std::string stats = SerializeStats(input.stats);
+  std::vector<ContainerSection> sections;
+  sections.reserve(4 + 2 * kNumCuisines + 1);
+  const std::string_view flat = AsBytes(input.flat);
+  const std::string_view offsets = AsBytes(input.offsets);
+  const std::string_view cuisines = AsBytes(input.cuisines);
+  sections.push_back({kSecFlat, flat, flat_.Extend(flat)});
+  sections.push_back({kSecOffsets, offsets, offsets_.Extend(offsets)});
+  sections.push_back({kSecCuisines, cuisines, cuisines_.Extend(cuisines)});
+  sections.push_back({kSecStats, stats, Fnv1a64(stats)});
+  for (int c = 0; c <= kNumCuisines; ++c) {
     const size_t ci = static_cast<size_t>(c);
-    refresh(
-        kSecShardBase + static_cast<uint32_t>(c), dirty.cuisine[ci],
-        [&] { return ColumnBytes(input.shards[ci]); },
-        input.shards[ci].size());
-    refresh(
-        kSecUniqueBase + static_cast<uint32_t>(c), dirty.cuisine[ci],
-        [&] { return ColumnBytes(input.unique[ci]); },
-        input.unique[ci].size());
+    if (c < kNumCuisines) {
+      sections.push_back(ColumnSection(
+          kSecShardBase + static_cast<uint32_t>(c), input.shards[ci]));
+    }
+    sections.push_back(ColumnSection(
+        kSecUniqueBase + static_cast<uint32_t>(c), input.unique[ci]));
   }
-  refresh(
-      kSecUniqueBase + static_cast<uint32_t>(kNumCuisines), any_dirty,
-      [&] { return ColumnBytes(input.unique[kNumCuisines]); },
-      input.unique[kNumCuisines].size());
-
-  // Assemble the container: header, section table, 8-byte-aligned
-  // payloads.
-  const size_t section_count = sections_.size();
-  const size_t table_bytes = section_count * kTableEntryBytes;
-  size_t cursor = kHeaderBytes + table_bytes;
-  std::string table;
-  table.reserve(table_bytes);
-  for (const CachedSection& section : sections_) {
-    cursor = (cursor + kSectionAlign - 1) & ~(kSectionAlign - 1);
-    AppendPod<uint32_t>(&table, section.id);
-    AppendPod<uint32_t>(&table, 0);  // reserved
-    AppendPod<uint64_t>(&table, cursor);
-    AppendPod<uint64_t>(&table, section.bytes.size());
-    AppendPod<uint64_t>(&table, section.checksum);
-    cursor += section.bytes.size();
-  }
-  const size_t file_bytes = cursor;
-
-  std::string content;
-  content.reserve(file_bytes);
-  AppendRaw(&content, kMagic, sizeof(kMagic));
-  AppendPod<uint32_t>(&content, kCorpusSnapshotVersion);
-  AppendPod<uint32_t>(&content, kEndianMarker);
-  AppendPod<uint64_t>(&content, input.cuisines.size());
-  AppendPod<uint64_t>(&content, input.flat.size());
-  AppendPod<uint32_t>(&content, static_cast<uint32_t>(kNumCuisines));
-  AppendPod<uint32_t>(&content, static_cast<uint32_t>(section_count));
-  AppendPod<uint64_t>(&content, file_bytes);
-  AppendPod<uint64_t>(&content, Fnv1a(table.data(), table.size()));
-  content.append(table);
-  for (const CachedSection& section : sections_) {
-    const size_t aligned =
-        (content.size() + kSectionAlign - 1) & ~(kSectionAlign - 1);
-    content.append(aligned - content.size(), '\0');
-    content.append(section.bytes);
-  }
-
-  if (Status status = FailpointCheck("corpus.snapshot.write");
-      !status.ok()) {
-    return status;
-  }
-  AtomicWriteOptions write_options;
-  write_options.sync = options.sync;
-  CULEVO_RETURN_IF_ERROR(WriteFileAtomic(path, content, write_options));
-  has_written_ = true;
-  metrics.writes->Increment();
-  metrics.bytes_written->Increment(static_cast<int64_t>(content.size()));
-  metrics.sections_rewritten->Increment(rewritten);
-  metrics.sections_reused->Increment(reused);
-  return Status::Ok();
+  const ContainerWords words = {input.cuisines.size(), input.flat.size(),
+                                static_cast<uint32_t>(kNumCuisines)};
+  return WriteContainer(path, kSnapshotFormat, words, sections, options.sync);
 }
 
 // ---------------------------------------------------------------------------
@@ -460,187 +126,77 @@ Status WriteCorpusSnapshot(const std::string& path,
                            const SnapshotWriteOptions& options) {
   SnapshotWriter writer;
   return writer.Write(path, SnapshotWriter::Input::FromCorpus(corpus, stats),
-                      SnapshotWriter::Dirty::Everything(), options);
+                      options);
 }
 
 Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
     const std::string& path, const SnapshotLoadOptions& options) {
-  CULEVO_RETURN_IF_ERROR(CheckHostEndianness());
-  CULEVO_RETURN_IF_ERROR(FailpointCheck("corpus.snapshot.read"));
-  const SnapshotMetrics& metrics = SnapshotMetrics::Get();
+  static obs::Histogram* load_ms =
+      obs::MetricsRegistry::Get().histogram("corpus.snapshot.load_ms");
   Stopwatch load_watch;
-
-  Result<std::shared_ptr<SnapshotBacking>> backing_or =
-      OpenBacking(path, options);
-  if (!backing_or.ok()) return backing_or.status();
-  std::shared_ptr<SnapshotBacking> backing = std::move(backing_or).value();
-  const uint8_t* data = backing->data;
-  const size_t size = backing->size;
-
-  const auto truncated = [&](const char* what) {
-    return Status::DataLoss(
-        StrFormat("%s: truncated corpus snapshot (%s)", path.c_str(), what));
-  };
-  if (size < kHeaderBytes) return truncated("missing header");
-
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(
-        StrFormat("%s: not a CULEVO-CORPUS snapshot (bad magic)",
-                  path.c_str()));
-  }
-  const uint32_t version = ReadPod<uint32_t>(data, 16);
-  if (version != kCorpusSnapshotVersion) {
-    return Status::FailedPrecondition(StrFormat(
-        "%s: snapshot format version %u, this build understands %u — "
-        "refusing to guess at the section layout",
-        path.c_str(), version, kCorpusSnapshotVersion));
-  }
-  const uint32_t endian = ReadPod<uint32_t>(data, 20);
-  if (endian != kEndianMarker) {
-    return Status::FailedPrecondition(StrFormat(
-        "%s: snapshot written with foreign byte order (marker 0x%08x)",
-        path.c_str(), endian));
-  }
-  const uint64_t num_recipes = ReadPod<uint64_t>(data, 24);
-  const uint64_t num_mentions = ReadPod<uint64_t>(data, 32);
-  const uint32_t num_cuisines = ReadPod<uint32_t>(data, 40);
-  const uint32_t section_count = ReadPod<uint32_t>(data, 44);
-  const uint64_t file_bytes = ReadPod<uint64_t>(data, 48);
-  const uint64_t table_checksum = ReadPod<uint64_t>(data, 56);
-
+  Result<Container> file =
+      ReadContainer(path, kSnapshotFormat, options.allow_mmap);
+  if (!file.ok()) return file.status();
+  const auto [num_recipes, num_mentions, num_cuisines] = file->words();
   if (num_cuisines != static_cast<uint32_t>(kNumCuisines)) {
     return Status::FailedPrecondition(StrFormat(
         "%s: snapshot has %u cuisines, this build is compiled for %d",
         path.c_str(), num_cuisines, kNumCuisines));
   }
-  if (file_bytes != size) {
-    return truncated("header size does not match the file");
-  }
-  const size_t table_bytes =
-      static_cast<size_t>(section_count) * kTableEntryBytes;
-  if (section_count > 4096 || kHeaderBytes + table_bytes > size) {
-    return truncated("section table exceeds the file");
-  }
-  if (Fnv1a(data + kHeaderBytes, table_bytes) != table_checksum) {
-    return Status::DataLoss(StrFormat(
-        "%s: section-table checksum mismatch (bit rot or torn write)",
-        path.c_str()));
-  }
 
-  // Verify every section before adopting any of it.
-  const Status forced_corrupt = FailpointCheck("corpus.snapshot.read.corrupt");
-  std::vector<SectionEntry> sections(section_count);
-  for (uint32_t i = 0; i < section_count; ++i) {
-    const size_t at = kHeaderBytes + i * kTableEntryBytes;
-    SectionEntry& entry = sections[i];
-    entry.id = ReadPod<uint32_t>(data, at);
-    entry.offset = ReadPod<uint64_t>(data, at + 8);
-    entry.size = ReadPod<uint64_t>(data, at + 16);
-    entry.checksum = ReadPod<uint64_t>(data, at + 24);
-    if (entry.offset % kSectionAlign != 0 || entry.offset > size ||
-        entry.size > size - entry.offset) {
-      return truncated("section extends past end of file");
-    }
-    if (!forced_corrupt.ok() ||
-        Fnv1a(data + entry.offset, entry.size) != entry.checksum) {
-      return Status::DataLoss(StrFormat(
-          "%s: checksum mismatch in section %u (bit rot or torn write)",
-          path.c_str(), entry.id));
-    }
-  }
-  const auto find_section = [&](uint32_t id) -> const SectionEntry* {
-    for (const SectionEntry& entry : sections) {
-      if (entry.id == id) return &entry;
-    }
-    return nullptr;
-  };
-  const auto require = [&](uint32_t id, size_t expected_bytes,
-                           const SectionEntry** out) {
-    const SectionEntry* entry = find_section(id);
-    if (entry == nullptr) {
-      return Status::DataLoss(StrFormat(
-          "%s: required section %u missing", path.c_str(), id));
-    }
-    if (expected_bytes != static_cast<size_t>(-1) &&
-        entry->size != expected_bytes) {
-      return Status::DataLoss(StrFormat(
-          "%s: section %u has %llu bytes, expected %zu", path.c_str(), id,
-          static_cast<unsigned long long>(entry->size), expected_bytes));
-    }
-    *out = entry;
+  // Each required section as a typed view of the mapped bytes; a missing
+  // section or one whose size disagrees with the header is DataLoss.
+  RecipeCorpus::ColumnViews views;
+  const auto column = [&file]<typename T>(std::span<const T>* out,
+                                          uint32_t id,
+                                          std::optional<uint64_t> count) {
+    Result<std::span<const T>> section = file->Section<T>(id, count);
+    if (!section.ok()) return section.status();
+    *out = *section;
     return Status::Ok();
   };
-
-  const SectionEntry* flat = nullptr;
-  const SectionEntry* offsets = nullptr;
-  const SectionEntry* cuisines = nullptr;
-  const SectionEntry* stats_entry = nullptr;
-  CULEVO_RETURN_IF_ERROR(
-      require(kSecFlat, num_mentions * sizeof(IngredientId), &flat));
-  CULEVO_RETURN_IF_ERROR(require(
-      kSecOffsets, (num_recipes + 1) * sizeof(uint32_t), &offsets));
-  CULEVO_RETURN_IF_ERROR(
-      require(kSecCuisines, num_recipes * sizeof(CuisineId), &cuisines));
-  CULEVO_RETURN_IF_ERROR(
-      require(kSecStats, static_cast<size_t>(-1), &stats_entry));
-
-  RecipeCorpus::ColumnViews views;
-  views.flat = std::span<const IngredientId>(
-      reinterpret_cast<const IngredientId*>(data + flat->offset),
-      num_mentions);
-  views.offsets = std::span<const uint32_t>(
-      reinterpret_cast<const uint32_t*>(data + offsets->offset),
-      num_recipes + 1);
-  views.cuisines = std::span<const CuisineId>(
-      reinterpret_cast<const CuisineId*>(data + cuisines->offset),
-      num_recipes);
+  CULEVO_RETURN_IF_ERROR(column(&views.flat, kSecFlat, num_mentions));
+  // The cuisine column first: once it holds num_recipes entries, the
+  // count is far from wrapping in num_recipes + 1.
+  CULEVO_RETURN_IF_ERROR(column(&views.cuisines, kSecCuisines, num_recipes));
+  CULEVO_RETURN_IF_ERROR(column(&views.offsets, kSecOffsets, num_recipes + 1));
   for (int c = 0; c <= kNumCuisines; ++c) {
+    const size_t ci = static_cast<size_t>(c);
     if (c < kNumCuisines) {
-      const SectionEntry* shard = nullptr;
-      CULEVO_RETURN_IF_ERROR(require(
-          kSecShardBase + static_cast<uint32_t>(c),
-          static_cast<size_t>(-1), &shard));
-      if (shard->size % sizeof(uint32_t) != 0) {
-        return truncated("shard section not a whole number of entries");
-      }
-      views.shards[static_cast<size_t>(c)] = std::span<const uint32_t>(
-          reinterpret_cast<const uint32_t*>(data + shard->offset),
-          shard->size / sizeof(uint32_t));
+      CULEVO_RETURN_IF_ERROR(column(&views.shards[ci],
+                                    kSecShardBase + static_cast<uint32_t>(c),
+                                    std::nullopt));
     }
-    const SectionEntry* unique = nullptr;
-    CULEVO_RETURN_IF_ERROR(require(
-        kSecUniqueBase + static_cast<uint32_t>(c), static_cast<size_t>(-1),
-        &unique));
-    if (unique->size % sizeof(IngredientId) != 0) {
-      return truncated("unique section not a whole number of entries");
-    }
-    views.unique[static_cast<size_t>(c)] = std::span<const IngredientId>(
-        reinterpret_cast<const IngredientId*>(data + unique->offset),
-        unique->size / sizeof(IngredientId));
+    CULEVO_RETURN_IF_ERROR(column(&views.unique[ci],
+                                  kSecUniqueBase + static_cast<uint32_t>(c),
+                                  std::nullopt));
   }
+  std::span<const char> stats_section;
+  CULEVO_RETURN_IF_ERROR(column(&stats_section, kSecStats, std::nullopt));
 
-  Result<std::vector<CuisineStats>> stats =
-      ParseStats(data + stats_entry->offset, stats_entry->size);
-  if (!stats.ok()) return stats.status();
-
-  const bool mapped = backing->mapped;
   Result<RecipeCorpus> corpus =
-      RecipeCorpus::FromColumns(views, std::move(backing));
+      RecipeCorpus::FromColumns(views, file->backing());
   if (!corpus.ok()) {
     // Checksums passed but the columns are not a well-formed corpus: the
     // writer (or a crafted file) lied about the invariants.
     return Status::DataLoss(
-        StrFormat("%s: %s", path.c_str(),
-                  corpus.status().message().c_str()));
+        StrFormat("%s: %s", path.c_str(), corpus.status().message().c_str()));
+  }
+  // The stats section is derived data any producer could get wrong, so it
+  // must be exactly what the columns imply.
+  std::vector<CuisineStats> stats = ComputeCuisineStats(*corpus);
+  if (SerializeStats(stats) !=
+      std::string_view(stats_section.data(), stats_section.size())) {
+    return Status::DataLoss(StrFormat(
+        "%s: stats section disagrees with the corpus columns", path.c_str()));
   }
 
   LoadedCorpusSnapshot loaded;
   loaded.corpus = std::move(corpus).value();
-  loaded.stats = std::move(stats).value();
-  loaded.memory_mapped = mapped;
-  loaded.file_bytes = size;
-  (mapped ? metrics.mmap_loads : metrics.fallback_loads)->Increment();
-  metrics.load_ms->Record(load_watch.ElapsedMillis());
+  loaded.stats = std::move(stats);
+  loaded.memory_mapped = file->memory_mapped();
+  loaded.file_bytes = file->file_bytes();
+  load_ms->Record(load_watch.ElapsedMillis());
   return loaded;
 }
 

@@ -5,41 +5,45 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/corpus_stats.h"
 #include "corpus/recipe_corpus.h"
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace culevo {
 
-/// `CULEVO-CORPUS 1` — the binary corpus snapshot container.
+/// `CULEVO-CORPUS 1` — the binary corpus snapshot.
 ///
 /// A snapshot freezes a RecipeCorpus *and* its derived read indexes (the
 /// per-cuisine recipe-index shards, the cached unique-ingredient lists,
-/// and the precomputed CuisineStats) into one file of little-endian,
-/// fixed-width, 8-byte-aligned sections, each guarded by an FNV-1a-64
-/// checksum. Loading memory-maps the file and wires a RecipeCorpus
-/// directly onto the mapped columns (near-zero-copy: only the stats
-/// section and validation walk the data), with a buffered aligned read as
-/// the fallback when mmap is unavailable. Writes go through
-/// WriteFileAtomic, so a crash leaves the previous complete snapshot or
-/// the new complete one, never a torn hybrid.
+/// and the CuisineStats) as sections of the checksummed container in
+/// corpus/container.h, whose header words hold the recipe, mention and
+/// cuisine counts. Loading memory-maps the file and wires a RecipeCorpus
+/// directly onto the mapped columns (zero-copy: only the checksums and
+/// validation walk the data), with a buffered aligned read as the
+/// fallback when mmap is unavailable. Writes go through WriteFileAtomic,
+/// so a crash leaves the previous complete snapshot or the new complete
+/// one, never a torn hybrid.
 ///
 /// The full byte layout, checksum rules, and compatibility policy are
 /// documented in docs/DATA_FORMATS.md.
 ///
-/// Refusal contract:
+/// Refusal contract (the container's, plus the corpus checks):
+///   - missing file                                -> NotFound
 ///   - not a snapshot (bad magic)                  -> InvalidArgument
-///   - newer format version / wrong endianness /
+///   - other format version / wrong endianness /
 ///     wrong compiled-in cuisine count             -> FailedPrecondition
 ///   - truncated file, checksum mismatch, section
-///     table inconsistent with the header          -> DataLoss
+///     table inconsistent with the header, columns
+///     that are not a well-formed corpus, or a
+///     stats section that disagrees with them      -> DataLoss
 ///
 /// Metrics: `corpus.snapshot.writes`, `corpus.snapshot.bytes_written`,
 /// `corpus.snapshot.mmap_loads`, `corpus.snapshot.fallback_loads`,
-/// `corpus.snapshot.load_ms`, `corpus.snapshot.sections_rewritten`,
-/// `corpus.snapshot.sections_reused`.
+/// `corpus.snapshot.load_ms`.
 /// Failpoints: `corpus.snapshot.read` (before the file is opened),
 /// `corpus.snapshot.read.corrupt` (forces a section-checksum mismatch),
 /// `corpus.snapshot.write` (before the atomic write).
@@ -61,8 +65,9 @@ struct SnapshotLoadOptions {
   bool allow_mmap = true;
 };
 
-/// A corpus loaded from a snapshot, plus the precomputed per-cuisine
-/// statistics stored alongside it.
+/// A corpus loaded from a snapshot, plus the per-cuisine statistics
+/// stored alongside it (checked equal to ComputeCuisineStats of the
+/// loaded columns).
 struct LoadedCorpusSnapshot {
   RecipeCorpus corpus;
   std::vector<CuisineStats> stats;  ///< One entry per cuisine id.
@@ -76,30 +81,28 @@ Status WriteCorpusSnapshot(const std::string& path,
                            const RecipeCorpus& corpus,
                            const SnapshotWriteOptions& options = {});
 
-/// As above with caller-precomputed stats (must be one entry per cuisine,
-/// ordered by cuisine id — what ComputeCuisineStats returns).
+/// As above with caller-precomputed stats: they must be exactly what
+/// ComputeCuisineStats(corpus) returns, or LoadCorpusSnapshot refuses the
+/// file.
 Status WriteCorpusSnapshot(const std::string& path,
                            const RecipeCorpus& corpus,
                            std::span<const CuisineStats> stats,
                            const SnapshotWriteOptions& options = {});
 
-/// Reads, verifies, and adopts a snapshot. See the refusal contract above;
-/// NotFound when the file does not exist.
+/// Reads, verifies, and adopts a snapshot. See the refusal contract above.
 Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
     const std::string& path, const SnapshotLoadOptions& options = {});
 
-/// Incremental snapshot writer: serializes the container while reusing the
-/// cached bytes and checksums of every section that did not change since
-/// this writer's previous Write — the append-only columns are extended in
-/// place (their FNV-1a state is resumed rather than recomputed) and only
-/// the shard/unique sections of dirty cuisines plus the stats section are
-/// rebuilt. The file itself is still always written in full through
-/// WriteFileAtomic; "dirty-section rewrite" is about the serialization
-/// and checksum work, which is what dominates at corpus scale.
+/// Snapshot writer that hashes each append-only column only once. It
+/// keeps a resumable FNV-1a-64 state for each of flat, offsets and
+/// cuisines, so a Write whose columns extend those of this writer's
+/// previous Write hashes only the appended bytes. The shard, unique-list
+/// and stats sections are hashed in full on every Write: a realistic
+/// batch touches every cuisine, so caching them never paid. The file is
+/// always written in full through WriteFileAtomic.
 ///
-/// corpus/ingestion.h's IncrementalCorpus drives this with its delta
-/// tracking; WriteCorpusSnapshot uses it single-shot with everything
-/// dirty.
+/// IncrementalCorpus, whose columns only ever grow, keeps one writer across
+/// its WriteSnapshot calls; WriteCorpusSnapshot uses a fresh one.
 class SnapshotWriter {
  public:
   /// The columns of one snapshot. Spans must stay valid for the duration
@@ -117,52 +120,25 @@ class SnapshotWriter {
                             std::span<const CuisineStats> stats);
   };
 
-  /// Delta description for cache reuse. `Everything()` (the default) is
-  /// always correct; precise deltas are an optimization.
-  struct Dirty {
-    /// Columns only grew at the tail since the previous Write (no
-    /// rewrites of existing entries). Lets flat/offsets/cuisines reuse
-    /// their serialized prefix and resume their checksum state.
-    bool columns_appended_only = false;
-    /// Per-cuisine shard/unique/stats dirtiness.
-    std::array<bool, kNumCuisines> cuisine{};
-
-    static Dirty Everything() {
-      Dirty d;
-      d.cuisine.fill(true);
-      return d;
-    }
-    bool AnyCuisine() const {
-      for (bool b : cuisine) {
-        if (b) return true;
-      }
-      return false;
-    }
-  };
-
-  /// Serializes and atomically writes the snapshot. The first Write on a
-  /// writer serializes everything regardless of `dirty`.
+  /// Serializes and atomically writes the snapshot. Precondition: each
+  /// column of `input` begins with the bytes it had at this writer's
+  /// previous Write (a column that shrank is rehashed from its start).
   Status Write(const std::string& path, const Input& input,
-               const Dirty& dirty, const SnapshotWriteOptions& options = {});
-
-  /// Drops all cached section state (next Write serializes everything).
-  void Invalidate() { sections_.clear(); }
+               const SnapshotWriteOptions& options = {});
 
  private:
-  /// Cached serialized payload of one section.
-  struct CachedSection {
-    uint32_t id = 0;
-    std::string bytes;
-    uint64_t checksum = 0;
-    /// Resumable FNV-1a state == checksum (FNV is a running hash), kept
-    /// separate for clarity when extending append-only sections.
-    size_t source_elems = 0;  ///< Element count bytes were built from.
+  /// FNV-1a-64 state over the first `bytes` bytes of one column.
+  struct ColumnChecksum {
+    size_t bytes = 0;
+    uint64_t state = kFnv1a64Offset;
+
+    /// Hashes what `column` holds past `bytes`; returns its checksum.
+    uint64_t Extend(std::string_view column);
   };
 
-  CachedSection* Find(uint32_t id);
-
-  std::vector<CachedSection> sections_;
-  bool has_written_ = false;
+  ColumnChecksum flat_;
+  ColumnChecksum offsets_;
+  ColumnChecksum cuisines_;
 };
 
 }  // namespace culevo

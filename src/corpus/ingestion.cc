@@ -1,35 +1,23 @@
 #include "corpus/ingestion.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstring>
 #include <map>
 
+#include "corpus/container.h"
 #include "obs/metrics.h"
 #include "text/ingredient_parser.h"
 #include "text/stemmer.h"
-#include "util/csv.h"
-#include "util/failpoint.h"
-#include "util/file_io.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace culevo {
 namespace {
 
-struct IngestMetrics {
-  obs::Counter* recipes;
-  obs::Counter* delta_rebuilds;
-
-  static const IngestMetrics& Get() {
-    auto& registry = obs::MetricsRegistry::Get();
-    static const IngestMetrics metrics = {
-        registry.counter("corpus.ingest.recipes"),
-        registry.counter("corpus.ingest.delta_rebuilds"),
-    };
-    return metrics;
-  }
-};
+obs::Counter* IngestedRecipes() {
+  static obs::Counter* counter =
+      obs::MetricsRegistry::Get().counter("corpus.ingest.recipes");
+  return counter;
+}
 
 }  // namespace
 
@@ -116,7 +104,6 @@ IncrementalCorpus::IncrementalCorpus() : stats_(kNumCuisines) {
   for (int c = 0; c < kNumCuisines; ++c) {
     stats_[static_cast<size_t>(c)].cuisine = static_cast<CuisineId>(c);
   }
-  delta_.columns_appended_only = true;
 }
 
 IncrementalCorpus IncrementalCorpus::FromCorpus(
@@ -219,8 +206,7 @@ Status IncrementalCorpus::Add(CuisineId cuisine,
   stats.num_unique_ingredients = unique_[cuisine].size();
 
   pending_transactions_[cuisine].push_back(scratch_);
-  delta_.cuisine[cuisine] = true;
-  IngestMetrics::Get().recipes->Increment();
+  IngestedRecipes()->Increment();
   return Status::Ok();
 }
 
@@ -275,68 +261,31 @@ Status IncrementalCorpus::WriteSnapshot(const std::string& path,
   }
   input.unique[kNumCuisines] = unique_[kNumCuisines];
   input.stats = stats_;
-
-  int dirty_cuisines = 0;
-  for (const bool dirty : delta_.cuisine) {
-    if (dirty) ++dirty_cuisines;
-  }
-  CULEVO_RETURN_IF_ERROR(writer_.Write(path, input, delta_, options));
-  IngestMetrics::Get().delta_rebuilds->Increment(dirty_cuisines);
-  delta_ = SnapshotWriter::Dirty{};
-  delta_.columns_appended_only = true;
-  return Status::Ok();
+  return writer_.Write(path, input, options);
 }
 
 // ---------------------------------------------------------------------------
-// CULEVO-DELTA 1.
+// CULEVO-DELTA 2.
 
 namespace {
 
-constexpr char kDeltaMagic[8] = {'C', 'U', 'L', 'E', 'V', 'O', 'D', 'L'};
-constexpr uint32_t kDeltaEndianProbe = 0x01020304;
-constexpr uint64_t kDeltaFnvOffset = 0xCBF29CE484222325ull;
-constexpr uint64_t kDeltaFnvPrime = 0x100000001B3ull;
-
-uint64_t DeltaFnv1a(const void* data, size_t size,
-                    uint64_t state = kDeltaFnvOffset) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    state ^= bytes[i];
-    state *= kDeltaFnvPrime;
-  }
-  return state;
-}
-
-template <typename T>
-void DeltaAppendPod(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-/// Bounds-checked fixed-width read; false past the end of the file.
-template <typename T>
-bool DeltaReadPod(std::string_view bytes, size_t* cursor, T* out) {
-  if (bytes.size() - *cursor < sizeof(T)) return false;
-  std::memcpy(out, bytes.data() + *cursor, sizeof(T));
-  *cursor += sizeof(T);
-  return true;
-}
+// One section of records; the container header words are {base_recipes,
+// base_fingerprint, num_cuisines}.
+constexpr ContainerFormat kDeltaFormat = {"CULEVO-DELTA", kCorpusDeltaVersion,
+                                          "corpus.delta"};
+constexpr uint32_t kSecRecords = 1;
 
 }  // namespace
 
 uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus) {
-  const std::span<const IngredientId> flat = corpus.flat();
-  const std::span<const uint32_t> offsets = corpus.offsets();
-  const std::span<const CuisineId> cuisines = corpus.cuisines();
-  uint64_t state = kDeltaFnvOffset;
-  state = DeltaFnv1a(flat.data(), flat.size_bytes(), state);
-  state = DeltaFnv1a(offsets.data(), offsets.size_bytes(), state);
-  state = DeltaFnv1a(cuisines.data(), cuisines.size_bytes(), state);
-  return state;
+  uint64_t state = Fnv1a64(AsBytes(corpus.flat()));
+  state = Fnv1a64(AsBytes(corpus.offsets()), state);
+  return Fnv1a64(AsBytes(corpus.cuisines()), state);
 }
 
 Status WriteCorpusDelta(const std::string& path, const CorpusDelta& delta,
                         const SnapshotWriteOptions& options) {
-  std::string payload;
+  std::string records;
   for (const CorpusDeltaRecord& record : delta.records) {
     if (record.cuisine >= kNumCuisines) {
       return Status::InvalidArgument(
@@ -346,107 +295,55 @@ Status WriteCorpusDelta(const std::string& path, const CorpusDelta& delta,
     if (record.ingredients.empty()) {
       return Status::InvalidArgument("delta record has no ingredients");
     }
-    DeltaAppendPod<uint8_t>(&payload, record.cuisine);
-    DeltaAppendPod<uint32_t>(&payload,
-                             static_cast<uint32_t>(record.ingredients.size()));
+    AppendPod<uint8_t>(&records, record.cuisine);
+    AppendPod<uint32_t>(&records,
+                        static_cast<uint32_t>(record.ingredients.size()));
     for (const IngredientId id : record.ingredients) {
-      DeltaAppendPod<IngredientId>(&payload, id);
+      AppendPod<IngredientId>(&records, id);
     }
   }
-
-  std::string content;
-  content.append(kDeltaMagic, sizeof(kDeltaMagic));
-  DeltaAppendPod<uint32_t>(&content, kCorpusDeltaVersion);
-  DeltaAppendPod<uint32_t>(&content, kDeltaEndianProbe);
-  DeltaAppendPod<uint64_t>(&content, delta.base_recipes);
-  DeltaAppendPod<uint64_t>(&content, delta.base_fingerprint);
-  DeltaAppendPod<uint64_t>(&content,
-                           static_cast<uint64_t>(delta.records.size()));
-  DeltaAppendPod<uint64_t>(&content,
-                           DeltaFnv1a(payload.data(), payload.size()));
-  content += payload;
-
-  AtomicWriteOptions write_options;
-  write_options.sync = options.sync;
-  return WriteFileAtomic(path, content, write_options);
+  const ContainerSection section = {kSecRecords, records, Fnv1a64(records)};
+  const ContainerWords words = {delta.base_recipes, delta.base_fingerprint,
+                                static_cast<uint32_t>(kNumCuisines)};
+  return WriteContainer(path, kDeltaFormat, words, {&section, 1},
+                        options.sync);
 }
 
 Result<CorpusDelta> LoadCorpusDelta(const std::string& path) {
-  CULEVO_FAILPOINT("corpus.delta.read");
-  if (::access(path.c_str(), F_OK) != 0) {
-    return Status::NotFound("delta file not found: " + path);
+  Result<Container> file = ReadContainer(path, kDeltaFormat);
+  if (!file.ok()) return file.status();
+  const auto [base_recipes, base_fingerprint, num_cuisines] = file->words();
+  if (num_cuisines != static_cast<uint32_t>(kNumCuisines)) {
+    return Status::FailedPrecondition(StrFormat(
+        "%s: delta has %u cuisines, this build is compiled for %d",
+        path.c_str(), num_cuisines, kNumCuisines));
   }
-  Result<std::string> content = ReadFileToString(path);
-  if (!content.ok()) return content.status();
-  const std::string_view bytes = *content;
+  Result<std::span<const uint8_t>> records =
+      file->Section<uint8_t>(kSecRecords);
+  if (!records.ok()) return records.status();
 
-  size_t cursor = 0;
-  char magic[sizeof(kDeltaMagic)];
-  if (bytes.size() < sizeof(magic) ||
-      std::memcmp(bytes.data(), kDeltaMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument(path + " is not a CULEVO-DELTA file");
-  }
-  cursor += sizeof(magic);
-  uint32_t version = 0;
-  uint32_t endian = 0;
+  // Any producer can sign any counts, so no count may size an allocation
+  // before the bytes it describes are known to be there.
+  const auto malformed = [&path] {
+    return Status::DataLoss(path + ": malformed delta record");
+  };
   CorpusDelta delta;
-  uint64_t record_count = 0;
-  uint64_t checksum = 0;
-  if (!DeltaReadPod(bytes, &cursor, &version) ||
-      !DeltaReadPod(bytes, &cursor, &endian) ||
-      !DeltaReadPod(bytes, &cursor, &delta.base_recipes) ||
-      !DeltaReadPod(bytes, &cursor, &delta.base_fingerprint) ||
-      !DeltaReadPod(bytes, &cursor, &record_count) ||
-      !DeltaReadPod(bytes, &cursor, &checksum)) {
-    return Status::DataLoss(path + ": truncated delta header");
-  }
-  if (version != kCorpusDeltaVersion) {
-    return Status::FailedPrecondition(
-        StrFormat("%s: delta format version %u, this build reads %u",
-                  path.c_str(), version, kCorpusDeltaVersion));
-  }
-  if (endian != kDeltaEndianProbe) {
-    return Status::FailedPrecondition(
-        path + ": delta written with a different byte order");
-  }
-  if (DeltaFnv1a(bytes.data() + cursor, bytes.size() - cursor) != checksum) {
-    return Status::DataLoss(path + ": delta payload checksum mismatch");
-  }
-
-  // The record count sits outside the checksum, and no count may size an
-  // allocation before the bytes it describes are known to be there.
-  constexpr size_t kRecordHeaderBytes = sizeof(uint8_t) + sizeof(uint32_t);
-  if (record_count > (bytes.size() - cursor) / kRecordHeaderBytes) {
-    return Status::DataLoss(path + ": delta record count exceeds the payload");
-  }
-  delta.records.reserve(record_count);
-  for (uint64_t r = 0; r < record_count; ++r) {
+  delta.base_recipes = base_recipes;
+  delta.base_fingerprint = base_fingerprint;
+  ByteCursor cursor(*records);
+  while (cursor.remaining() > 0) {
     CorpusDeltaRecord record;
     uint8_t cuisine = 0;
     uint32_t count = 0;
-    if (!DeltaReadPod(bytes, &cursor, &cuisine) ||
-        !DeltaReadPod(bytes, &cursor, &count)) {
-      return Status::DataLoss(path + ": truncated delta record");
-    }
-    if (cuisine >= kNumCuisines) {
-      return Status::DataLoss(
-          StrFormat("%s: delta record cuisine id %d out of range",
-                    path.c_str(), static_cast<int>(cuisine)));
-    }
-    if (count > (bytes.size() - cursor) / sizeof(IngredientId)) {
-      return Status::DataLoss(path + ": truncated delta record");
+    if (!cursor.Read(&cuisine) || !cursor.Read(&count) ||
+        cuisine >= kNumCuisines || count == 0 ||
+        count > cursor.remaining() / sizeof(IngredientId)) {
+      return malformed();
     }
     record.cuisine = static_cast<CuisineId>(cuisine);
     record.ingredients.resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!DeltaReadPod(bytes, &cursor, &record.ingredients[i])) {
-        return Status::DataLoss(path + ": truncated delta record");
-      }
-    }
+    for (IngredientId& id : record.ingredients) cursor.Read(&id);
     delta.records.push_back(std::move(record));
-  }
-  if (cursor != bytes.size()) {
-    return Status::DataLoss(path + ": trailing bytes after delta records");
   }
   return delta;
 }

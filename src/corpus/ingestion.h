@@ -76,13 +76,10 @@ std::vector<RawRecipe> ParseRawRecipeText(std::string_view text);
 ///   - newly ingested recipes queue per cuisine as mining-transaction
 ///     deltas (DrainNewTransactions), so a miner's TransactionSet is
 ///     extended instead of rebuilt,
-///   - snapshots go through a persistent SnapshotWriter with per-cuisine
-///     dirty tracking: clean sections reuse their cached serialization and
-///     checksum, append-only columns resume their checksum state.
+///   - snapshots go through a persistent SnapshotWriter, which resumes the
+///     checksums of the append-only columns instead of rehashing them.
 ///
-/// Metrics: `corpus.ingest.recipes` (appended recipes),
-/// `corpus.ingest.delta_rebuilds` (dirty-cuisine section groups
-/// re-serialized across WriteSnapshot calls).
+/// Metrics: `corpus.ingest.recipes` (appended recipes).
 ///
 /// Not thread-safe; one writer at a time.
 class IncrementalCorpus {
@@ -142,10 +139,11 @@ class IncrementalCorpus {
   Result<RecipeCorpus> Materialize() const&;
   Result<RecipeCorpus> Materialize() &&;
 
-  /// Writes a `CULEVO-CORPUS 1` snapshot of the current contents.
-  /// Sections untouched since this object's previous WriteSnapshot reuse
-  /// their cached serialization (see SnapshotWriter); a first write — or a
-  /// writer invalidation — serializes everything.
+  /// Writes a `CULEVO-CORPUS 1` snapshot of the current contents,
+  /// byte-identical to WriteCorpusSnapshot of Materialize(). The column
+  /// checksums resume from this object's previous WriteSnapshot (see
+  /// SnapshotWriter), so only the appended bytes of flat, offsets and
+  /// cuisines are hashed again.
   Status WriteSnapshot(const std::string& path,
                        const SnapshotWriteOptions& options = {});
 
@@ -176,34 +174,42 @@ class IncrementalCorpus {
       pending_transactions_;
   std::vector<IngredientId> scratch_;
 
+  /// Holds the column checksums as of the previous WriteSnapshot; the
+  /// columns only ever grow, as it requires.
   SnapshotWriter writer_;
-  /// Cuisines touched since the last successful WriteSnapshot. Columns
-  /// only ever append here, so columns_appended_only stays true.
-  SnapshotWriter::Dirty delta_;
 };
 
-/// `CULEVO-DELTA 1` — the incremental-reload delta container.
+/// `CULEVO-DELTA 2` — the incremental-reload delta file.
 ///
 /// A delta file is a batch of appended recipes pinned to the exact corpus
 /// generation it extends: `base_recipes` and `base_fingerprint` must match
-/// the serving corpus or the consumer refuses the file. Applying a delta
-/// is IncrementalCorpus::FromCorpus(base) + Add() per record, so the
-/// result is bit-identical to re-ingesting the combined corpus from
-/// scratch — a service can swap in the next generation without re-reading
-/// its full snapshot (see ServiceCore::ReloadDelta).
+/// the serving corpus or the consumer refuses the file. It is a container
+/// (corpus/container.h) whose header words hold the base recipe count,
+/// the base fingerprint and the cuisine count, with the records in one
+/// checksummed section. Applying a delta is IncrementalCorpus::FromCorpus
+/// (base) + Add() per record, so the result is bit-identical to
+/// re-ingesting the combined corpus from scratch — a service can swap in
+/// the next generation without re-reading its full snapshot (see
+/// ServiceCore::ReloadDelta).
 ///
-/// Refusal contract (mirrors the snapshot container's):
+/// Refusal contract (the container's, plus the record checks):
 ///   - missing file                                -> NotFound
-///   - not a delta (bad magic)                     -> InvalidArgument
-///   - newer format version / wrong endianness     -> FailedPrecondition
-///   - truncated file or payload checksum mismatch -> DataLoss
-///   - a record or ingredient count larger than the bytes left
-///     (checked before it sizes any allocation)    -> DataLoss
+///   - not a v2 delta (bad magic; version 1 files
+///     had another magic)                          -> InvalidArgument
+///   - other format version / wrong endianness /
+///     wrong compiled-in cuisine count             -> FailedPrecondition
+///   - truncated file, checksum mismatch, or a
+///     record with a cuisine out of range, no
+///     ingredients, or more than the section holds -> DataLoss
 ///   - base mismatch is the *caller's* refusal (the file itself is fine):
 ///     ServiceCore::ReloadDelta maps it to FailedPrecondition.
+///
+/// Metrics: `corpus.delta.{writes,bytes_written,mmap_loads,
+/// fallback_loads}`. Failpoints: `corpus.delta.read`,
+/// `corpus.delta.read.corrupt`, `corpus.delta.write`.
 
 /// Delta format version this build reads and writes.
-inline constexpr uint32_t kCorpusDeltaVersion = 1;
+inline constexpr uint32_t kCorpusDeltaVersion = 2;
 
 /// One appended recipe.
 struct CorpusDeltaRecord {

@@ -135,6 +135,8 @@ class ServiceCore {
   /// Loads a CULEVO-CORPUS snapshot file, builds the query indexes, and
   /// installs the new generation. On any failure the previous generation
   /// stays installed and keeps serving (serve.reload_failures counts it).
+  /// Every install path refuses, with FailedPrecondition, a corpus that
+  /// uses an ingredient id outside the lexicon.
   Status LoadFromFile(const std::string& path);
 
   /// Builds the next generation from the *current* generation's corpus

@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace culevo {
@@ -77,14 +78,7 @@ bool VerifyRecordLine(std::string_view line, std::string_view* payload) {
 
 }  // namespace
 
-uint64_t JournalChecksum(std::string_view data) {
-  uint64_t hash = 0xCBF29CE484222325ull;  // FNV-1a 64 offset basis
-  for (unsigned char c : data) {
-    hash ^= static_cast<uint64_t>(c);
-    hash *= 0x100000001B3ull;  // FNV-1a 64 prime
-  }
-  return hash;
-}
+uint64_t JournalChecksum(std::string_view data) { return Fnv1a64(data); }
 
 std::string JournalHeader(int version) {
   return StrFormat("%.*s %d", static_cast<int>(kMagic.size()), kMagic.data(),

@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -148,17 +147,6 @@ Status WriteFileAtomic(const std::string& path, std::string_view content,
   }
   metrics.failures->Increment();
   return status;
-}
-
-Status WriteStringToFileTruncating(const std::string& path,
-                                   std::string_view content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  CULEVO_FAILPOINT("io.write.stream");
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  out.flush();
-  if (!out) return Status::IOError("write failure: " + path);
-  return Status::Ok();
 }
 
 }  // namespace culevo

@@ -58,13 +58,6 @@ std::chrono::milliseconds NextBackoffDelay(std::chrono::milliseconds base,
 Status WriteFileAtomic(const std::string& path, std::string_view content,
                        const AtomicWriteOptions& options = {});
 
-/// The pre-fault-tolerance write path: truncate `path` in place, then
-/// stream the bytes. A failure mid-write (failpoint `io.write.stream`)
-/// leaves a corrupt partial file. Kept only as the regression baseline
-/// proving WriteFileAtomic's guarantee — do not use for new artifacts.
-Status WriteStringToFileTruncating(const std::string& path,
-                                   std::string_view content);
-
 }  // namespace culevo
 
 #endif  // CULEVO_UTIL_FILE_IO_H_

@@ -1,0 +1,52 @@
+#ifndef CULEVO_TESTS_CONTAINER_TEST_UTIL_H_
+#define CULEVO_TESTS_CONTAINER_TEST_UTIL_H_
+
+// Test-only helpers for crafting CULEVO-CORPUS / CULEVO-DELTA files
+// (corpus/container.h has the layout).
+
+#include <cstdint>
+#include <cstring>
+#include <string>
+
+#include "util/hash.h"
+
+namespace culevo {
+
+/// Offset of the `i`th section-table entry in a container file.
+inline size_t ContainerTableEntry(uint32_t i) { return 64 + size_t{i} * 32; }
+
+/// Reads / writes a fixed-width field of a container file in place.
+template <typename T>
+T ContainerField(const std::string& file, size_t at) {
+  T value{};
+  std::memcpy(&value, file.data() + at, sizeof(T));
+  return value;
+}
+template <typename T>
+void SetContainerField(std::string* file, size_t at, T value) {
+  std::memcpy(file->data() + at, &value, sizeof(T));
+}
+
+/// Recomputes every checksum of a container file in place — each section
+/// payload's, then the section table's — as any producer could. Entries
+/// that point outside the file keep their checksum; a file too short for
+/// its header or table is left alone.
+inline void ResignContainer(std::string* file) {
+  if (file->size() < 64) return;
+  const uint32_t count = ContainerField<uint32_t>(*file, 44);
+  if (count > 4096 || ContainerTableEntry(count) > file->size()) return;
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t at = ContainerTableEntry(i);
+    const uint64_t offset = ContainerField<uint64_t>(*file, at + 8);
+    const uint64_t size = ContainerField<uint64_t>(*file, at + 16);
+    if (offset > file->size() || size > file->size() - offset) continue;
+    SetContainerField<uint64_t>(file, at + 24,
+                                Fnv1a64(file->substr(offset, size)));
+  }
+  SetContainerField<uint64_t>(
+      file, 56, Fnv1a64(file->substr(64, ContainerTableEntry(count) - 64)));
+}
+
+}  // namespace culevo
+
+#endif  // CULEVO_TESTS_CONTAINER_TEST_UTIL_H_

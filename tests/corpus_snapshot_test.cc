@@ -8,11 +8,13 @@
 
 #include "analysis/eclat.h"
 #include "analysis/transactions.h"
+#include "container_test_util.h"
 #include "corpus/corpus_io.h"
 #include "corpus/corpus_stats.h"
 #include "lexicon/world_lexicon.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace culevo {
@@ -255,6 +257,92 @@ TEST_F(CorpusSnapshotTest, RefusesBitFlips) {
     Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path_);
     EXPECT_FALSE(loaded.ok()) << "survived a bit flip at byte " << at;
   }
+}
+
+// Version 1 is a compatibility contract: snapshots already on disk must
+// keep loading, and this build must keep writing the same bytes. The hash
+// pins the file the version-1 writer produced for TestCorpus().
+TEST_F(CorpusSnapshotTest, WritesGoldenVersion1Bytes) {
+  path_ = TempPath("golden");
+  SnapshotWriteOptions write;
+  write.sync = false;
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, TestCorpus(), write).ok());
+  Result<std::string> bytes = ReadFileToString(path_);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes->size(), 10392u);
+  EXPECT_EQ(Fnv1a64(*bytes), 0x945a6ae394b77832ull);
+}
+
+// The stats section is derived data: a producer that writes stats the
+// columns do not support, under valid checksums, must be refused rather
+// than have `stats` answer its numbers.
+TEST_F(CorpusSnapshotTest, RefusesStatsThatDisagreeWithColumns) {
+  path_ = TempPath("stats_lie");
+  SnapshotWriteOptions write;
+  write.sync = false;
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, TestCorpus(20), write).ok());
+  Result<std::string> bytes = ReadFileToString(path_);
+  ASSERT_TRUE(bytes.ok());
+  std::string content = std::move(bytes).value();
+
+  // Re-signing an untouched file changes nothing.
+  ResignContainer(&content);
+  ASSERT_TRUE(WriteStringToFile(path_, content).ok());
+  ASSERT_TRUE(LoadCorpusSnapshot(path_).ok());
+
+  // Stats section (id 4): record 0 is cuisine 0, num_recipes at +8.
+  size_t stats_offset = 0;
+  for (uint32_t i = 0; i < ContainerField<uint32_t>(content, 44); ++i) {
+    if (ContainerField<uint32_t>(content, ContainerTableEntry(i)) == 4) {
+      stats_offset =
+          ContainerField<uint64_t>(content, ContainerTableEntry(i) + 8);
+    }
+  }
+  ASSERT_NE(stats_offset, 0u);
+  SetContainerField<uint64_t>(&content, stats_offset + 8, 1000000);
+  ResignContainer(&content);
+  ASSERT_TRUE(WriteStringToFile(path_, content).ok());
+  Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path_);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << loaded.status();
+}
+
+// No byte of the file goes unchecked: the zero padding between sections,
+// the reserved word of each table entry and anything after the last
+// section are outside every payload checksum, so the reader checks them
+// directly.
+TEST_F(CorpusSnapshotTest, RefusesBytesOutsideEverySection) {
+  path_ = TempPath("padding");
+  SnapshotWriteOptions write;
+  write.sync = false;
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, TestCorpus(21), write).ok());
+  Result<std::string> bytes = ReadFileToString(path_);
+  ASSERT_TRUE(bytes.ok());
+  const std::string content = std::move(bytes).value();
+
+  // The cuisine column (section 3, one byte per recipe) leaves padding
+  // before the section after it.
+  const size_t padding = ContainerField<uint64_t>(content,
+                                                  ContainerTableEntry(2) + 8) +
+                         ContainerField<uint64_t>(content,
+                                                  ContainerTableEntry(2) + 16);
+  ASSERT_EQ(ContainerField<uint32_t>(content, ContainerTableEntry(2)), 3u);
+  ASSERT_NE(padding % 8, 0u);
+  std::string corrupted = content;
+  corrupted[padding] = 1;
+  ASSERT_TRUE(WriteStringToFile(path_, corrupted).ok());
+  EXPECT_EQ(LoadCorpusSnapshot(path_).status().code(), StatusCode::kDataLoss);
+
+  corrupted = content;
+  SetContainerField<uint32_t>(&corrupted, ContainerTableEntry(5) + 4, 1);
+  ResignContainer(&corrupted);
+  ASSERT_TRUE(WriteStringToFile(path_, corrupted).ok());
+  EXPECT_EQ(LoadCorpusSnapshot(path_).status().code(), StatusCode::kDataLoss);
+
+  // Trailing bytes, with the header's file size raised to cover them.
+  corrupted = content + std::string(8, '\0');
+  SetContainerField<uint64_t>(&corrupted, 48, corrupted.size());
+  ASSERT_TRUE(WriteStringToFile(path_, corrupted).ok());
+  EXPECT_EQ(LoadCorpusSnapshot(path_).status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(CorpusSnapshotTest, ReadFailpointInjects) {

@@ -314,8 +314,8 @@ TEST(IncrementalCorpusTest, SnapshotRoundTripsAfterAppends) {
 
   add_batch(100);
   ASSERT_TRUE(incremental.WriteSnapshot(path, write).ok());
-  // Second write with appended batches exercises the dirty-section path:
-  // the columns extend, only touched cuisines re-serialize.
+  // Second write with appended batches exercises the resumed column
+  // checksums: only the appended bytes of each column are hashed.
   add_batch(40);
   ASSERT_TRUE(incremental.WriteSnapshot(path, write).ok());
 
@@ -349,7 +349,7 @@ TEST(IncrementalCorpusTest, DeltaSnapshotIdenticalToFreshSnapshot) {
   ASSERT_TRUE(incremental.WriteSnapshot(incremental_path, write).ok());
 
   // A from-scratch snapshot of the same corpus must be byte-identical —
-  // cached-section reuse is not allowed to change the serialization.
+  // resuming the column checksums is not allowed to change the bytes.
   Result<RecipeCorpus> materialized = incremental.Materialize();
   ASSERT_TRUE(materialized.ok());
   ASSERT_TRUE(

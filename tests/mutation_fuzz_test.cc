@@ -1,0 +1,278 @@
+// Seeded byte-mutation fuzzing of every entry point that parses untrusted
+// bytes: the CULEVO-CORPUS and CULEVO-DELTA containers, the run journal,
+// the wire frame and the request line. Each row mutates one valid seed
+// input a fixed number of times from a fixed seed, so a failure replays
+// exactly. The mutations are bit flips, byte sets, truncations, and
+// aligned u32/u64 fields set to 0, all-ones or the high bit; for the two
+// containers every other mutation also re-signs the file, so the
+// validators behind the checksums run too.
+//
+// Every call must return (no abort, no sanitizer report; an escaped
+// exception fails the test) with a status from the entry point's
+// documented refusal set. A snapshot or delta the loader accepts must then
+// be refused at install or answer a fixed request list. The per-format named refusal tests, which pin exact
+// statuses at exact offsets, live beside each format's other tests.
+
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <initializer_list>
+#include <string>
+#include <vector>
+
+#include "container_test_util.h"
+#include "corpus/container.h"
+#include "corpus/corpus_snapshot.h"
+#include "corpus/ingestion.h"
+#include "lexicon/world_lexicon.h"
+#include "service/protocol.h"
+#include "service/service_core.h"
+#include "util/checkpoint.h"
+#include "util/csv.h"
+#include "util/file_io.h"
+#include "util/rng.h"
+#include "util/strings.h"
+
+namespace culevo {
+namespace {
+
+constexpr int kMutations = 2000;
+
+/// `seed` with one random mutation applied.
+std::string Mutate(const std::string& seed, Rng& rng) {
+  std::string out = seed;
+  if (out.empty()) return out;
+  const size_t at = rng.NextBounded(out.size());
+  switch (rng.NextBounded(5)) {
+    case 0:
+      out[at] = static_cast<char>(out[at] ^ (1 << rng.NextBounded(8)));
+      break;
+    case 1:
+      out[at] = static_cast<char>(rng.NextBounded(256));
+      break;
+    case 2:
+      out.resize(at);
+      break;
+    default: {
+      // A u32 or u64 field at an aligned offset: 0, all-ones, high bit.
+      const size_t width = rng.NextBounded(2) == 0 ? 4 : 8;
+      const size_t field = at / width * width;
+      if (field + width > out.size()) break;
+      const uint64_t values[] = {0, ~uint64_t{0},
+                                 uint64_t{1} << (8 * width - 1)};
+      const uint64_t value = values[rng.NextBounded(3)];
+      std::memcpy(out.data() + field, &value, width);
+      break;
+    }
+  }
+  return out;
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  ASSERT_TRUE(WriteFileAtomic(path, bytes, {.sync = false}).ok());
+}
+
+/// True when `status` is one of `allowed`; adds a failure naming `where`
+/// otherwise.
+bool StatusIn(const Status& status, std::initializer_list<StatusCode> allowed,
+              const std::string& where) {
+  if (std::find(allowed.begin(), allowed.end(), status.code()) !=
+      allowed.end()) {
+    return true;
+  }
+  ADD_FAILURE() << where << ": undocumented status " << status;
+  return false;
+}
+
+/// A rendered response: `ok <rows>` or `error <Status>`.
+bool IsResponse(const std::string& response) {
+  return StartsWith(response, "ok ") || StartsWith(response, "error ");
+}
+
+/// Every request of a fixed list renders a response.
+void ExpectAnswers(ServiceCore& core, const std::string& where) {
+  for (const char* request :
+       {"info", "stats AFR", "stats ITA", "overrep ITA 5", "nearest ITA 3",
+        "freq ITA #2", "recipe 0", "recipe 2", "recipe 40", "search #1,#2",
+        "search #3 cuisine=ITA limit=4"}) {
+    const std::string response = core.Handle(request);
+    EXPECT_TRUE(IsResponse(response))
+        << where << ": " << request << " -> " << response;
+  }
+}
+
+/// A small corpus over ids the world lexicon holds, spread over a few
+/// cuisines (ITA among them) so every section kind is populated.
+RecipeCorpus SeedCorpus() {
+  Rng rng(21);
+  RecipeCorpus::Builder builder;
+  const CuisineId ita = CuisineFromCode("ITA").value();
+  for (int i = 0; i < 40; ++i) {
+    const CuisineId cuisine =
+        i % 3 == 0 ? ita : static_cast<CuisineId>(rng.NextBounded(4));
+    std::vector<IngredientId> ids;
+    for (size_t k = 0, n = 2 + rng.NextBounded(5); k < n; ++k) {
+      ids.push_back(static_cast<IngredientId>(rng.NextBounded(40)));
+    }
+    EXPECT_TRUE(builder.Add(cuisine, std::move(ids)).ok());
+  }
+  return builder.Build();
+}
+
+class MutationFuzzTest : public ::testing::Test {
+ protected:
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Runs `check` on kMutations mutants of `seed` written to path_,
+  /// re-signing every other one when `resign` is set.
+  void Fuzz(const std::string& seed, uint64_t rng_seed, bool resign,
+            const std::function<void(const std::string& where)>& check) {
+    Rng rng(rng_seed);
+    for (int i = 0; i < kMutations; ++i) {
+      std::string mutant = Mutate(seed, rng);
+      if (resign && i % 2 == 1) ResignContainer(&mutant);
+      WriteBytes(path_, mutant);
+      check(StrFormat("mutant %d", i));
+      if (HasFailure()) return;  // One replayable failure is enough.
+    }
+  }
+
+  std::string path_ = testing::TempDir() + "culevo_mutation_fuzz.bin";
+};
+
+TEST_F(MutationFuzzTest, LoadCorpusSnapshot) {
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, SeedCorpus(), {.sync = false}).ok());
+  const std::string seed = ReadFileToString(path_).value();
+  int accepted = 0;
+  Fuzz(seed, 1, /*resign=*/true, [&](const std::string& where) {
+    const Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path_);
+    if (!StatusIn(loaded.status(),
+                  {StatusCode::kOk, StatusCode::kInvalidArgument,
+                   StatusCode::kFailedPrecondition, StatusCode::kDataLoss},
+                  where) ||
+        !loaded.ok()) {
+      return;
+    }
+    ++accepted;
+    ServiceCore core(&WorldLexicon(), {});
+    const Status installed = core.LoadFromFile(path_);
+    if (StatusIn(installed,
+                 {StatusCode::kOk, StatusCode::kFailedPrecondition}, where) &&
+        installed.ok()) {
+      ExpectAnswers(core, where);
+    }
+  });
+  EXPECT_GT(accepted, 0);  // Some mutants must reach the install path.
+}
+
+TEST_F(MutationFuzzTest, LoadCorpusDelta) {
+  const RecipeCorpus base = SeedCorpus();
+  CorpusDelta delta;
+  delta.base_recipes = base.num_recipes();
+  delta.base_fingerprint = CorpusContentFingerprint(base);
+  delta.records = {{0, {1, 2, 3}}, {5, {7}}, {2, {4, 30, 39}}};
+  ASSERT_TRUE(WriteCorpusDelta(path_, delta, {.sync = false}).ok());
+  const std::string seed = ReadFileToString(path_).value();
+  ServiceCore core(&WorldLexicon(), {});
+  ASSERT_TRUE(core.InstallCorpus(base, "base").ok());
+  int applied = 0;
+  Fuzz(seed, 2, /*resign=*/true, [&](const std::string& where) {
+    const Result<CorpusDelta> loaded = LoadCorpusDelta(path_);
+    if (!StatusIn(loaded.status(),
+                  {StatusCode::kOk, StatusCode::kInvalidArgument,
+                   StatusCode::kFailedPrecondition, StatusCode::kDataLoss},
+                  where) ||
+        !loaded.ok()) {
+      return;
+    }
+    const Status reloaded = core.ReloadDelta(path_);
+    if (StatusIn(reloaded,
+                 {StatusCode::kOk, StatusCode::kFailedPrecondition}, where) &&
+        reloaded.ok()) {
+      ++applied;
+      ExpectAnswers(core, where);
+      ASSERT_TRUE(core.InstallCorpus(base, "base").ok());
+    }
+  });
+  EXPECT_GT(applied, 0);  // Some mutants must apply and be queried.
+}
+
+TEST_F(MutationFuzzTest, ReadJournal) {
+  const std::vector<std::string> records = {"kind=a x=1", "kind=b y=22",
+                                            "", "kind=c z=333 w=4"};
+  std::string seed = JournalHeader(kJournalFormatVersion) + "\n";
+  for (const std::string& record : records) {
+    seed += FormatJournalRecord(record);
+  }
+  Fuzz(seed, 3, /*resign=*/false, [&](const std::string& where) {
+    const Result<JournalContents> contents = ReadJournal(path_);
+    if (!StatusIn(contents.status(),
+                  {StatusCode::kOk, StatusCode::kInvalidArgument,
+                   StatusCode::kFailedPrecondition},
+                  where) ||
+        !contents.ok()) {
+      return;
+    }
+    // What survives is a prefix of what was written.
+    ASSERT_LE(contents->records.size(), records.size()) << where;
+    EXPECT_TRUE(std::equal(contents->records.begin(),
+                           contents->records.end(), records.begin()))
+        << where;
+  });
+}
+
+TEST_F(MutationFuzzTest, ReadFrame) {
+  const std::string request = "search #1,#2 cuisine=ITA limit=3";
+  std::string seed;
+  AppendPod(&seed, static_cast<uint32_t>(request.size()));
+  seed += request;
+  ServiceCore core(&WorldLexicon(), {});
+  ASSERT_TRUE(core.InstallCorpus(SeedCorpus(), "seed").ok());
+  Rng rng(4);
+  for (int i = 0; i < kMutations && !HasFailure(); ++i) {
+    const std::string mutant = Mutate(seed, rng);
+    const std::string where = StrFormat("mutant %d", i);
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ASSERT_EQ(::write(fds[1], mutant.data(), mutant.size()),
+              static_cast<ssize_t>(mutant.size()));
+    ::close(fds[1]);
+    std::string payload;
+    const Status status = ReadFrame(fds[0], &payload, 1000);
+    ::close(fds[0]);
+    if (StatusIn(status,
+                 {StatusCode::kOk, StatusCode::kNotFound,
+                  StatusCode::kDataLoss, StatusCode::kInvalidArgument},
+                 where) &&
+        status.ok()) {
+      const std::string response = core.Handle(payload);
+      EXPECT_TRUE(IsResponse(response)) << where << ": " << response;
+    }
+  }
+}
+
+TEST_F(MutationFuzzTest, ServiceCoreHandle) {
+  ServiceCore core(&WorldLexicon(), {});
+  ASSERT_TRUE(core.InstallCorpus(SeedCorpus(), "seed").ok());
+  const std::vector<std::string> seeds = {
+      "stats ITA",       "overrep ITA 5 deadline_ms=100",
+      "nearest ITA 3",   "freq ITA #2",
+      "recipe 2",        "search #1,#2 cuisine=ITA limit=3",
+      "info",            "simulate ITA NM replicas=1 seed=5"};
+  Rng rng(5);
+  for (int i = 0; i < kMutations && !HasFailure(); ++i) {
+    const std::string mutant = Mutate(seeds[i % seeds.size()], rng);
+    const std::string response = core.Handle(mutant);
+    EXPECT_TRUE(IsResponse(response))
+        << "mutant " << i << " '" << mutant << "' -> " << response;
+  }
+}
+
+}  // namespace
+}  // namespace culevo

@@ -13,11 +13,13 @@
 #include "analysis/similarity.h"
 #include "core/null_model.h"
 #include "core/simulation.h"
+#include "corpus/container.h"
 #include "corpus/corpus_snapshot.h"
 #include "corpus/ingestion.h"
 #include "lexicon/world_lexicon.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace culevo {
@@ -460,7 +462,7 @@ TEST(CorpusDeltaTest, LoadRefusalMatrix) {
 
   // Unsupported version: a delta file, but not one we can apply.
   corrupt = bytes;
-  corrupt[8] = 99;  // u32 version at offset 8
+  corrupt[16] = 99;  // u32 version at offset 16
   write_bytes(corrupt);
   EXPECT_EQ(LoadCorpusDelta(path).status().code(),
             StatusCode::kFailedPrecondition);
@@ -478,6 +480,73 @@ TEST(CorpusDeltaTest, LoadRefusalMatrix) {
   // The pristine bytes still load after all that.
   write_bytes(bytes);
   EXPECT_TRUE(LoadCorpusDelta(path).ok());
+  std::remove(path.c_str());
+}
+
+// A checksum only proves the bytes are the ones written: records that
+// WriteCorpusDelta would refuse to write are refused on load too, even
+// in a well-formed container, before any count sizes an allocation.
+TEST(CorpusDeltaTest, RefusesMalformedRecordsUnderValidChecksums) {
+  const std::string path = testing::TempDir() + "culevo_delta_records.bin";
+  const auto record = [](uint8_t cuisine, uint32_t count,
+                         std::vector<IngredientId> ids) {
+    std::string out;
+    AppendPod(&out, cuisine);
+    AppendPod(&out, count);
+    for (const IngredientId id : ids) AppendPod(&out, id);
+    return out;
+  };
+  // The records in the delta's one section (id 1), signed by the writer.
+  const auto load = [&](const std::string& records) {
+    const ContainerSection section = {1, records, Fnv1a64(records)};
+    EXPECT_TRUE(WriteContainer(path,
+                               {"CULEVO-DELTA", kCorpusDeltaVersion,
+                                "corpus.delta"},
+                               {5, CorpusContentFingerprint(SmallCorpus()),
+                                static_cast<uint32_t>(kNumCuisines)},
+                               {&section, 1}, /*sync=*/false)
+                    .ok());
+    return LoadCorpusDelta(path).status().code();
+  };
+  EXPECT_EQ(load(record(kA, 2, {7, 8})), StatusCode::kOk);
+  EXPECT_EQ(load(record(kNumCuisines, 2, {7, 8})), StatusCode::kDataLoss);
+  EXPECT_EQ(load(record(kA, 0, {})), StatusCode::kDataLoss);
+  EXPECT_EQ(load(record(kA, 3, {7, 8})), StatusCode::kDataLoss);
+  EXPECT_EQ(load(record(kA, 0xFFFFFFFFu, {7})), StatusCode::kDataLoss);
+  EXPECT_EQ(load(record(kA, 2, {7, 8}) + '\1'), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+// Version 1 deltas had an 8-byte magic, a header record count and one
+// payload checksum. A current build must refuse one, never misread it.
+TEST(CorpusDeltaTest, RefusesVersion1File) {
+  const RecipeCorpus base = SmallCorpus();
+  std::string payload;
+  for (const CorpusDeltaRecord& record : DeltaRecords()) {
+    AppendPod<uint8_t>(&payload, record.cuisine);
+    AppendPod<uint32_t>(&payload,
+                        static_cast<uint32_t>(record.ingredients.size()));
+    for (const IngredientId id : record.ingredients) {
+      AppendPod<IngredientId>(&payload, id);
+    }
+  }
+  std::string v1 = "CULEVODL";
+  AppendPod<uint32_t>(&v1, 1);
+  AppendPod<uint32_t>(&v1, 0x01020304);
+  AppendPod<uint64_t>(&v1, base.num_recipes());
+  AppendPod<uint64_t>(&v1, CorpusContentFingerprint(base));
+  AppendPod<uint64_t>(&v1, DeltaRecords().size());
+  AppendPod<uint64_t>(&v1, Fnv1a64(payload));
+  v1 += payload;
+  const std::string path = testing::TempDir() + "culevo_delta_v1.bin";
+  ASSERT_TRUE(WriteStringToFile(path, v1).ok());
+
+  EXPECT_EQ(LoadCorpusDelta(path).status().code(),
+            StatusCode::kInvalidArgument);
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.InstallCorpus(base, "base").ok());
+  EXPECT_EQ(core.ReloadDelta(path).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(core.Acquire()->epoch, 1u);
   std::remove(path.c_str());
 }
 
@@ -604,6 +673,54 @@ TEST(ServiceCoreTest, ReloadDeltaRefusesEveryBitFlip) {
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(core.Handle(requests[i]), before[i]) << requests[i];
   }
+  std::remove(path.c_str());
+}
+
+/// A corpus whose recipe 2 uses an id far outside the 721-entry world
+/// lexicon.
+RecipeCorpus OutOfLexiconCorpus() {
+  RecipeCorpus::Builder builder;
+  EXPECT_TRUE(builder.Add(kA, {1, 2}).ok());
+  EXPECT_TRUE(builder.Add(kB, {3}).ok());
+  EXPECT_TRUE(builder.Add(kA, {4, 5000}).ok());
+  return builder.Build();
+}
+
+// Rendering an id the lexicon does not hold CHECK-fails, so a file-borne
+// generation that uses one is refused before it is installed and the old
+// generation keeps answering.
+TEST(ServiceCoreTest, LoadFromFileRefusesIdsOutsideTheLexicon) {
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "base").ok());
+  const std::string before = core.Handle("recipe 2");
+  const std::string path =
+      testing::TempDir() + "culevo_service_out_of_lexicon.snap";
+  ASSERT_TRUE(
+      WriteCorpusSnapshot(path, OutOfLexiconCorpus(), {.sync = false}).ok());
+
+  EXPECT_EQ(core.LoadFromFile(path).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(core.Acquire()->epoch, 1u);
+  EXPECT_EQ(core.Handle("recipe 2"), before);
+  std::remove(path.c_str());
+}
+
+TEST(ServiceCoreTest, ReloadDeltaRefusesIdsOutsideTheLexicon) {
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "base").ok());
+  const std::string before = core.Handle("recipe 2");
+  CorpusDelta delta;
+  delta.base_recipes = SmallCorpus().num_recipes();
+  delta.base_fingerprint = CorpusContentFingerprint(SmallCorpus());
+  delta.records = {{kA, {7, 5000}}};
+  const std::string path =
+      testing::TempDir() + "culevo_delta_out_of_lexicon.bin";
+  ASSERT_TRUE(WriteCorpusDelta(path, delta, {.sync = false}).ok());
+
+  EXPECT_TRUE(StartsWith(core.Handle("reload-delta " + path),
+                         "error FailedPrecondition"));
+  EXPECT_EQ(core.Acquire()->epoch, 1u);
+  EXPECT_EQ(core.Handle("recipe 2"), before);
+  EXPECT_EQ(core.Handle("recipe 5").rfind("error NotFound", 0), 0u);
   std::remove(path.c_str());
 }
 

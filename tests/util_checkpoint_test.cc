@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
+#include "util/hash.h"
 
 namespace culevo {
 namespace {
@@ -49,6 +50,26 @@ TEST_F(CheckpointTest, ChecksumIsDeterministicAndContentSensitive) {
   EXPECT_EQ(JournalChecksum("abc"), JournalChecksum("abc"));
   EXPECT_NE(JournalChecksum("abc"), JournalChecksum("abd"));
   EXPECT_NE(JournalChecksum(""), JournalChecksum(" "));
+}
+
+// The journal shares the containers' FNV-1a-64, which must stay the
+// standard one: record lines already on disk carry its values.
+TEST_F(CheckpointTest, ChecksumIsStandardFnv1a64) {
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ull);
+  EXPECT_EQ(Fnv1a64("bar", Fnv1a64("foo")), Fnv1a64("foobar"));
+  EXPECT_EQ(JournalChecksum("foobar"), Fnv1a64("foobar"));
+
+  // A record line as the journal has always written it still verifies.
+  ASSERT_TRUE(WriteStringToFile(
+                  path_, JournalHeader(kJournalFormatVersion) +
+                             "\n7462020f0cdefae0 replica 3 ok\n")
+                  .ok());
+  Result<JournalContents> contents = ReadJournal(path_);
+  ASSERT_TRUE(contents.ok()) << contents.status();
+  EXPECT_EQ(contents->records, std::vector<std::string>{"replica 3 ok"});
+  EXPECT_EQ(contents->quarantined_records, 0);
 }
 
 TEST_F(CheckpointTest, WriteReadRoundtrip) {

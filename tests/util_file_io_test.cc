@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +15,21 @@
 
 namespace culevo {
 namespace {
+
+/// The pre-fault-tolerance write path, kept here as the regression
+/// baseline for WriteFileAtomic: truncate `path` in place, then stream the
+/// bytes. A failure mid-write (failpoint `io.write.stream`) leaves a
+/// corrupt partial file.
+Status WriteStringToFileTruncating(const std::string& path,
+                                   std::string_view content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IOError("cannot open for writing: " + path);
+  CULEVO_FAILPOINT("io.write.stream");
+  out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  out.flush();
+  if (!out) return Status::IOError("write failure: " + path);
+  return Status::Ok();
+}
 
 // Fast options for tests: no fsync churn on tmpfs, no backoff sleeps.
 AtomicWriteOptions FastOptions(int max_attempts = 3) {
