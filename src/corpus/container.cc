@@ -267,7 +267,7 @@ Result<Container> ReadContainer(const std::string& path,
       return corrupt(StrFormat("checksum mismatch in section %u", entry.id));
     }
     container.sections_.push_back(
-        {entry.id, {(*backing)->data + offset, entry.size}});
+        {entry.id, {(*backing)->data + offset, entry.size}, entry.checksum});
     end = offset + entry.size;
   }
   if (end != file.size()) {
@@ -292,8 +292,7 @@ size_t Container::file_bytes() const { return backing_->size; }
 
 std::shared_ptr<const void> Container::backing() const { return backing_; }
 
-Result<std::span<const uint8_t>> Container::Payload(
-    uint32_t id, size_t elem_size, std::optional<uint64_t> count) const {
+Result<const Container::Entry*> Container::Find(uint32_t id) const {
   const auto entry =
       std::find_if(sections_.begin(), sections_.end(),
                    [id](const Entry& e) { return e.id == id; });
@@ -301,14 +300,27 @@ Result<std::span<const uint8_t>> Container::Payload(
     return Status::DataLoss(
         StrFormat("%s: required section %u missing", path_.c_str(), id));
   }
-  const size_t bytes = entry->bytes.size();
+  return &*entry;
+}
+
+Result<uint64_t> Container::Checksum(uint32_t id) const {
+  Result<const Entry*> entry = Find(id);
+  if (!entry.ok()) return entry.status();
+  return (*entry)->checksum;
+}
+
+Result<std::span<const uint8_t>> Container::Payload(
+    uint32_t id, size_t elem_size, std::optional<uint64_t> count) const {
+  Result<const Entry*> entry = Find(id);
+  if (!entry.ok()) return entry.status();
+  const size_t bytes = (*entry)->bytes.size();
   if (bytes % elem_size != 0 || (count && *count != bytes / elem_size)) {
     return Status::DataLoss(
         StrFormat("%s: section %u has %zu bytes, not the size its header "
                   "and element type imply",
                   path_.c_str(), id, bytes));
   }
-  return entry->bytes;
+  return (*entry)->bytes;
 }
 
 }  // namespace culevo

@@ -143,6 +143,11 @@ class Container {
                               bytes->size() / sizeof(T));
   }
 
+  /// The FNV-1a-64 of the first section with `id`, as verified against
+  /// its payload: the state to continue a hash of that payload from.
+  /// DataLoss when the file has no such section.
+  Result<uint64_t> Checksum(uint32_t id) const;
+
   bool memory_mapped() const;
   size_t file_bytes() const;
   /// Owner of the bytes the section views point into.
@@ -155,7 +160,11 @@ class Container {
   struct Entry {
     uint32_t id;
     std::span<const uint8_t> bytes;
+    uint64_t checksum;
   };
+
+  /// The first section with `id`, or DataLoss.
+  Result<const Entry*> Find(uint32_t id) const;
 
   /// Section() without the element type: the checked payload bytes.
   Result<std::span<const uint8_t>> Payload(

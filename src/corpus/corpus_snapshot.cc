@@ -43,6 +43,14 @@ std::string SerializeStats(std::span<const CuisineStats> stats) {
   return out;
 }
 
+/// CorpusContentFingerprint, continued from `flat_state`, the FNV-1a-64
+/// of the flat column.
+uint64_t FingerprintFrom(uint64_t flat_state,
+                         std::span<const uint32_t> offsets,
+                         std::span<const CuisineId> cuisines) {
+  return Fnv1a64(AsBytes(cuisines), Fnv1a64(AsBytes(offsets), flat_state));
+}
+
 /// A section whose bytes are the column itself, hashed in full.
 template <typename T>
 ContainerSection ColumnSection(uint32_t id, std::span<const T> column) {
@@ -51,6 +59,11 @@ ContainerSection ColumnSection(uint32_t id, std::span<const T> column) {
 }
 
 }  // namespace
+
+uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus) {
+  return FingerprintFrom(Fnv1a64(AsBytes(corpus.flat())), corpus.offsets(),
+                         corpus.cuisines());
+}
 
 // ---------------------------------------------------------------------------
 // SnapshotWriter.
@@ -173,6 +186,10 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
   }
   std::span<const char> stats_section;
   CULEVO_RETURN_IF_ERROR(column(&stats_section, kSecStats, std::nullopt));
+  // The flat section is the fingerprint's first leg, and ReadContainer has
+  // just hashed it.
+  const Result<uint64_t> flat_checksum = file->Checksum(kSecFlat);
+  if (!flat_checksum.ok()) return flat_checksum.status();
 
   Result<RecipeCorpus> corpus =
       RecipeCorpus::FromColumns(views, file->backing());
@@ -194,6 +211,8 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
   LoadedCorpusSnapshot loaded;
   loaded.corpus = std::move(corpus).value();
   loaded.stats = std::move(stats);
+  loaded.content_fingerprint =
+      FingerprintFrom(*flat_checksum, views.offsets, views.cuisines);
   loaded.memory_mapped = file->memory_mapped();
   loaded.file_bytes = file->file_bytes();
   load_ms->Record(load_watch.ElapsedMillis());

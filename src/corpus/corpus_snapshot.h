@@ -71,9 +71,20 @@ struct SnapshotLoadOptions {
 struct LoadedCorpusSnapshot {
   RecipeCorpus corpus;
   std::vector<CuisineStats> stats;  ///< One entry per cuisine id.
+  /// CorpusContentFingerprint(corpus). The load continues it from the
+  /// flat section's verified checksum, so it hashes only the offsets and
+  /// cuisines.
+  uint64_t content_fingerprint = 0;
   bool memory_mapped = false;       ///< mmap path vs buffered fallback.
   size_t file_bytes = 0;
 };
+
+/// Content identity of a corpus: FNV-1a-64 over the CSR columns
+/// (flat, offsets, cuisines). Two corpora with equal fingerprints hold
+/// byte-identical recipe data regardless of how they were built (snapshot
+/// load, synthesis, incremental materialization). This is what a delta's
+/// `base_fingerprint` pins (CULEVO-DELTA, corpus/ingestion.h).
+uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus);
 
 /// Serializes `corpus` (computing its CuisineStats) and writes the
 /// snapshot atomically. Convenience wrapper over SnapshotWriter.

@@ -277,12 +277,6 @@ constexpr uint32_t kSecRecords = 1;
 
 }  // namespace
 
-uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus) {
-  uint64_t state = Fnv1a64(AsBytes(corpus.flat()));
-  state = Fnv1a64(AsBytes(corpus.offsets()), state);
-  return Fnv1a64(AsBytes(corpus.cuisines()), state);
-}
-
 Status WriteCorpusDelta(const std::string& path, const CorpusDelta& delta,
                         const SnapshotWriteOptions& options) {
   std::string records;

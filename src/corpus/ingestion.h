@@ -224,13 +224,6 @@ struct CorpusDelta {
   std::vector<CorpusDeltaRecord> records;
 };
 
-/// Content identity of a corpus: FNV-1a-64 over the CSR columns
-/// (flat, offsets, cuisines). Two corpora with equal fingerprints hold
-/// byte-identical recipe data regardless of how they were built (snapshot
-/// load, synthesis, incremental materialization). This is what a delta's
-/// `base_fingerprint` pins.
-uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus);
-
 /// Serializes and atomically writes `delta` (WriteFileAtomic underneath,
 /// like the snapshot writer).
 Status WriteCorpusDelta(const std::string& path, const CorpusDelta& delta,

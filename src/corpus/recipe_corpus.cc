@@ -269,26 +269,41 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
   if (views.offsets.size() != n + 1) {
     return invalid("offsets column must have num_recipes + 1 entries");
   }
-  if (n > 0 && views.offsets[0] != 0) {
-    return invalid("offsets must start at 0");
-  }
-  if (views.offsets.empty() || views.offsets.front() != 0) {
+  if (views.offsets.front() != 0) {
     return invalid("offsets must start at 0");
   }
   if (views.offsets.back() != views.flat.size()) {
     return invalid("offsets must end at the flat column size");
   }
+
+  // One pass over the recipes checks the offsets, cuisines and ingredient
+  // order and marks which ids each cuisine uses. Every id of a well-formed
+  // corpus is at most the last entry of the sorted corpus-wide unique
+  // list; a larger one is missing from that list.
+  const std::span<const IngredientId> all = views.unique[kNumCuisines];
+  const size_t universe =
+      all.empty() ? 0 : static_cast<size_t>(all.back()) + 1;
+  std::vector<uint8_t> used(kNumCuisines * universe, 0);  // [cuisine][id]
   for (size_t i = 0; i < n; ++i) {
-    if (views.offsets[i + 1] <= views.offsets[i]) {
+    const uint32_t begin = views.offsets[i];
+    const uint32_t end = views.offsets[i + 1];
+    if (end <= begin || end > views.flat.size()) {
       return invalid("offsets must be strictly increasing (empty recipe?)");
     }
     if (views.cuisines[i] >= kNumCuisines) {
       return invalid("cuisine id out of range");
     }
-    for (size_t m = views.offsets[i] + 1; m < views.offsets[i + 1]; ++m) {
-      if (views.flat[m - 1] >= views.flat[m]) {
+    uint8_t* row = used.data() + views.cuisines[i] * universe;
+    const std::span<const IngredientId> recipe =
+        views.flat.subspan(begin, end - begin);
+    for (size_t k = 0; k < recipe.size(); ++k) {
+      if (k > 0 && recipe[k - 1] >= recipe[k]) {
         return invalid("recipe ingredients must be sorted and unique");
       }
+      if (recipe[k] >= universe) {
+        return invalid("unique-ingredient list is missing a used id");
+      }
+      row[recipe[k]] = 1;
     }
   }
 
@@ -313,55 +328,39 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
     return invalid("shards must cover every recipe exactly once");
   }
 
-  // Unique lists: sorted, and exactly the distinct ids of their scope.
-  // The epoch trick keeps this one O(mentions) pass per scope instead of a
-  // sort; memory safety downstream (ContextFromCorpus indexes by
-  // lower_bound position) depends on completeness, so this is not
-  // optional even though the checksums already caught random corruption.
-  const size_t universe =
-      views.flat.empty() ? 1 : UniverseOf(views.flat);
-  SeenScratch seen(universe);
-  for (int c = 0; c <= kNumCuisines; ++c) {
-    const std::span<const IngredientId> unique =
-        views.unique[static_cast<size_t>(c)];
-    seen.NextPass();
+  // Unique lists: sorted, and exactly the ids marked for their scope (the
+  // corpus-wide scope is the union of the cuisine rows). Memory safety
+  // downstream (ContextFromCorpus indexes by lower_bound position)
+  // depends on completeness, so this is not optional even though the
+  // checksums already caught random corruption.
+  const auto mismatch = [](std::span<const IngredientId> unique,
+                           std::span<const uint8_t> marked) -> const char* {
     for (size_t k = 0; k < unique.size(); ++k) {
       if (k > 0 && unique[k - 1] >= unique[k]) {
-        return invalid("unique-ingredient lists must be sorted and unique");
+        return "unique-ingredient lists must be sorted and unique";
       }
-      if (static_cast<size_t>(unique[k]) >= universe) {
-        return invalid("unique-ingredient entry out of range");
+      if (unique[k] >= marked.size()) {
+        return "unique-ingredient entry out of range";
       }
-      seen.MarkSeen(unique[k]);
-    }
-    size_t covered = 0;
-    const auto consume = [&](IngredientId id) {
-      if (seen.epoch_of[id] < seen.epoch) return false;  // not listed
-      if (seen.epoch_of[id] == seen.epoch) {
-        seen.epoch_of[id] = seen.epoch + 1;  // listed, first sighting
-        ++covered;
+      if (marked[unique[k]] == 0) {
+        return "unique-ingredient list contains unused ids";
       }
-      return true;
-    };
-    bool complete = true;
-    if (c < kNumCuisines) {
-      for (uint32_t index : views.shards[static_cast<size_t>(c)]) {
-        for (size_t m = views.offsets[index]; m < views.offsets[index + 1];
-             ++m) {
-          complete = complete && consume(views.flat[m]);
-        }
-      }
-    } else {
-      for (IngredientId id : views.flat) complete = complete && consume(id);
     }
-    if (!complete) {
-      return invalid("unique-ingredient list is missing a used id");
+    if (unique.size() !=
+        static_cast<size_t>(std::count(marked.begin(), marked.end(), 1))) {
+      return "unique-ingredient list is missing a used id";
     }
-    if (covered != unique.size()) {
-      return invalid("unique-ingredient list contains unused ids");
+    return nullptr;
+  };
+  std::vector<uint8_t> any(universe, 0);
+  for (size_t c = 0; c < kNumCuisines; ++c) {
+    const std::span<const uint8_t> row(used.data() + c * universe, universe);
+    if (const char* error = mismatch(views.unique[c], row)) {
+      return invalid(error);
     }
-    seen.NextPass();  // burn the +1 epoch consume() used as a marker
+    for (size_t id = 0; id < universe; ++id) any[id] |= row[id];
   }
+  if (const char* error = mismatch(all, any)) return invalid(error);
 
   RecipeCorpus corpus;
   corpus.backing_ = std::move(backing);

@@ -63,15 +63,17 @@ QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
   }
 
   // Ingredient→recipe postings, CSR over the id universe. A world count
-  // is a posting-list length, so one placement pass suffices; recipes
-  // ascend, so postings come out sorted.
+  // is a posting-list length, so one placement pass suffices and writes
+  // every slot exactly once (no zero-fill first); recipes ascend, so
+  // postings come out sorted.
   {
     const obs::ScopedTimer phase(postings_ms);
     const std::span<const uint32_t> world = counts.world();
     index.posting_offsets_.assign(world.size() + 1, 0);
     std::partial_sum(world.begin(), world.end(),
                      index.posting_offsets_.begin() + 1);
-    index.posting_recipes_.resize(corpus.total_mentions());
+    index.posting_recipes_ =
+        std::make_unique_for_overwrite<uint32_t[]>(corpus.total_mentions());
     std::vector<uint32_t> cursor(index.posting_offsets_.begin(),
                                  index.posting_offsets_.end() - 1);
     for (uint32_t r = 0; r < corpus.num_recipes(); ++r) {
@@ -136,7 +138,7 @@ std::optional<QueryIndex::UsageRank> QueryIndex::Usage(
 std::span<const uint32_t> QueryIndex::Postings(IngredientId id) const {
   if (static_cast<size_t>(id) + 1 >= posting_offsets_.size()) return {};
   return std::span<const uint32_t>(
-      posting_recipes_.data() + posting_offsets_[id],
+      posting_recipes_.get() + posting_offsets_[id],
       posting_offsets_[id + 1] - posting_offsets_[id]);
 }
 

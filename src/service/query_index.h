@@ -96,9 +96,10 @@ class QueryIndex {
   /// Recipe count per cuisine (denominator of the usage fractions).
   std::vector<uint32_t> cuisine_recipes_;
   /// Ingredient→recipe postings in CSR layout over the id universe
-  /// [0, posting_offsets_.size() - 1).
+  /// [0, posting_offsets_.size() - 1); posting_recipes_ holds
+  /// posting_offsets_.back() entries.
   std::vector<uint32_t> posting_offsets_;
-  std::vector<uint32_t> posting_recipes_;
+  std::unique_ptr<uint32_t[]> posting_recipes_;
   /// ranked_[c] = cuisine ingredients by descending fraction;
   /// rank_of_[c][i] = 1-based rank of profile(c).ingredients[i].
   std::vector<std::vector<IngredientId>> ranked_;

@@ -540,7 +540,7 @@ Status ServiceCore::LoadFromFile(const std::string& path) {
     next->stats = std::move(loaded->stats);
     next->index = QueryIndex::Build(next->corpus);
     next->source = path;
-    next->content_fingerprint = CorpusContentFingerprint(next->corpus);
+    next->content_fingerprint = loaded->content_fingerprint;
     return Install(std::move(next));
   }();
   if (status.ok()) {

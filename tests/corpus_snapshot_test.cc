@@ -11,6 +11,7 @@
 #include "container_test_util.h"
 #include "corpus/corpus_io.h"
 #include "corpus/corpus_stats.h"
+#include "corpus/ingestion.h"
 #include "lexicon/world_lexicon.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
@@ -374,6 +375,59 @@ TEST_F(CorpusSnapshotTest, WriteFailpointInjects) {
   Failpoints::Get().Arm("corpus.snapshot.write");
   EXPECT_FALSE(WriteCorpusSnapshot(path_, TestCorpus(20)).ok());
   Failpoints::Get().DisarmAll();
+}
+
+// The loader continues the content fingerprint from the flat section's
+// verified checksum instead of rehashing that column; the result must be
+// the fingerprint of the loaded columns, and of the corpus written.
+TEST_F(CorpusSnapshotTest, LoadReturnsContentFingerprint) {
+  path_ = TempPath("fingerprint");
+  const SnapshotWriteOptions write{.sync = false};
+  const auto expect_fingerprint = [&](const RecipeCorpus& written,
+                                      const SnapshotLoadOptions& load,
+                                      const char* what) {
+    Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path_, load);
+    ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status();
+    EXPECT_EQ(loaded->memory_mapped, load.allow_mmap) << what;
+    EXPECT_EQ(loaded->content_fingerprint,
+              CorpusContentFingerprint(loaded->corpus))
+        << what;
+    EXPECT_EQ(loaded->content_fingerprint, CorpusContentFingerprint(written))
+        << what;
+  };
+
+  RecipeCorpus::Builder builder;
+  const RecipeCorpus empty = builder.Build();
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, empty, write).ok());
+  expect_fingerprint(empty, {}, "empty corpus");
+
+  ASSERT_TRUE(builder.Add(3, {9, 4}).ok());
+  const RecipeCorpus one = builder.Build();
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, one, write).ok());
+  expect_fingerprint(one, {}, "one recipe");
+
+  const RecipeCorpus small = TestCorpus(20);
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, small, write).ok());
+  expect_fingerprint(small, {}, "small corpus");
+  expect_fingerprint(small, {.allow_mmap = false}, "buffered load");
+
+  // The incremental writer resumes its column checksums across appends.
+  IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(small);
+  ASSERT_TRUE(incremental.WriteSnapshot(path_, write).ok());
+  const std::vector<IngredientId> appended[] = {{1, 2, 3}, {250, 7}, {42}};
+  for (size_t i = 0; i < std::size(appended); ++i) {
+    ASSERT_TRUE(incremental.Add(static_cast<CuisineId>(i), appended[i]).ok());
+  }
+  ASSERT_TRUE(incremental.WriteSnapshot(path_, write).ok());
+  Result<RecipeCorpus> grown = incremental.Materialize();
+  ASSERT_TRUE(grown.ok()) << grown.status();
+  expect_fingerprint(*grown, {}, "incremental snapshot after appends");
+}
+
+// A delta file pins its base corpus by this value, so it must not change:
+// FNV-1a-64 over flat, offsets and cuisines, in that order.
+TEST_F(CorpusSnapshotTest, ContentFingerprintIsPinned) {
+  EXPECT_EQ(CorpusContentFingerprint(TestCorpus()), 0x454d4cdca55ca90cull);
 }
 
 TEST_F(CorpusSnapshotTest, EmptyCorpusRoundTrips) {

@@ -1,6 +1,7 @@
 // Seeded byte-mutation fuzzing of every entry point that parses untrusted
 // bytes: the CULEVO-CORPUS and CULEVO-DELTA containers, the run journal,
-// the wire frame and the request line. Each row mutates one valid seed
+// the wire frame, the request line and the TSV readers (corpus, lexicon
+// and delimiter-separated tables). Each row mutates one valid seed
 // input a fixed number of times from a fixed seed, so a failure replays
 // exactly. The mutations are bit flips, byte sets, truncations, and
 // aligned u32/u64 fields set to 0, all-ones or the high bit; for the two
@@ -10,8 +11,10 @@
 // Every call must return (no abort, no sanitizer report; an escaped
 // exception fails the test) with a status from the entry point's
 // documented refusal set. A snapshot or delta the loader accepts must then
-// be refused at install or answer a fixed request list. The per-format named refusal tests, which pin exact
-// statuses at exact offsets, live beside each format's other tests.
+// be refused at install or answer a fixed request list, and text a TSV
+// reader accepts must read back the same from its own output. The
+// per-format named refusal tests, which pin exact statuses at exact
+// offsets, live beside each format's other tests.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -28,8 +31,10 @@
 
 #include "container_test_util.h"
 #include "corpus/container.h"
+#include "corpus/corpus_io.h"
 #include "corpus/corpus_snapshot.h"
 #include "corpus/ingestion.h"
+#include "lexicon/lexicon_io.h"
 #include "lexicon/world_lexicon.h"
 #include "service/protocol.h"
 #include "service/service_core.h"
@@ -125,9 +130,26 @@ RecipeCorpus SeedCorpus() {
   return builder.Build();
 }
 
+bool SameColumns(const RecipeCorpus& a, const RecipeCorpus& b) {
+  return std::ranges::equal(a.flat(), b.flat()) &&
+         std::ranges::equal(a.offsets(), b.offsets()) &&
+         std::ranges::equal(a.cuisines(), b.cuisines());
+}
+
 class MutationFuzzTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Runs `check` on kMutations mutants of the text `seed`; the TSV
+  /// readers parse bytes in memory, so no file is written.
+  void FuzzText(const std::string& seed, uint64_t rng_seed,
+                const std::function<void(const std::string& mutant,
+                                         const std::string& where)>& check) {
+    Rng rng(rng_seed);
+    for (int i = 0; i < kMutations && !HasFailure(); ++i) {
+      check(Mutate(seed, rng), StrFormat("mutant %d", i));
+    }
+  }
 
   /// Runs `check` on kMutations mutants of `seed` written to path_,
   /// re-signing every other one when `resign` is set.
@@ -271,6 +293,101 @@ TEST_F(MutationFuzzTest, ServiceCoreHandle) {
     const std::string response = core.Handle(mutant);
     EXPECT_TRUE(IsResponse(response))
         << "mutant " << i << " '" << mutant << "' -> " << response;
+  }
+}
+
+TEST_F(MutationFuzzTest, ParseCorpusTsv) {
+  const Lexicon& lexicon = WorldLexicon();
+  const std::string seed = FormatCorpusTsv(SeedCorpus(), lexicon);
+  for (const bool skip_unknown : {false, true}) {
+    int accepted = 0;
+    FuzzText(seed, skip_unknown ? 7 : 6, [&](const std::string& mutant,
+                                             const std::string& where) {
+      const Result<RecipeCorpus> parsed =
+          ParseCorpusTsv(mutant, lexicon, skip_unknown);
+      if (!StatusIn(parsed.status(),
+                    {StatusCode::kOk, StatusCode::kInvalidArgument,
+                     StatusCode::kNotFound},
+                    where) ||
+          !parsed.ok()) {
+        return;
+      }
+      ++accepted;
+      const Result<RecipeCorpus> reparsed =
+          ParseCorpusTsv(FormatCorpusTsv(*parsed, lexicon), lexicon);
+      ASSERT_TRUE(reparsed.ok()) << where << ": " << reparsed.status();
+      EXPECT_TRUE(SameColumns(*parsed, *reparsed)) << where;
+    });
+    EXPECT_GT(accepted, 0) << "skip_unknown " << skip_unknown;
+  }
+}
+
+TEST_F(MutationFuzzTest, ParseLexiconTsv) {
+  const std::string seed =
+      "# culevo lexicon: category\tname\tcompound\taliases\n"
+      "Vegetable\ttomato\t0\ttomatoes;roma tomato\n"
+      "Spice\tblack pepper\t0\tpeppercorn\n"
+      "Dairy\tmilk\t0\t\n"
+      "Herb\tbasil\t0\n"
+      "\n"
+      "Dish\tginger garlic paste\t1\tgg paste\n";
+  ASSERT_TRUE(ParseLexiconTsv(seed).ok());
+  int accepted = 0;
+  FuzzText(seed, 8, [&](const std::string& mutant, const std::string& where) {
+    // The codes of the parser itself and of Lexicon::Add and
+    // Lexicon::AddAlias, whose refusals it passes on.
+    const Result<Lexicon> parsed = ParseLexiconTsv(mutant);
+    if (!StatusIn(parsed.status(),
+                  {StatusCode::kOk, StatusCode::kInvalidArgument,
+                   StatusCode::kOutOfRange, StatusCode::kAlreadyExists,
+                   StatusCode::kNotFound},
+                  where) ||
+        !parsed.ok()) {
+      return;
+    }
+    ++accepted;
+    const Result<Lexicon> reparsed =
+        ParseLexiconTsv(FormatLexiconTsv(*parsed));
+    ASSERT_TRUE(reparsed.ok()) << where << ": " << reparsed.status();
+    ASSERT_EQ(reparsed->size(), parsed->size()) << where;
+    for (size_t i = 0; i < parsed->size(); ++i) {
+      const IngredientId id = static_cast<IngredientId>(i);
+      EXPECT_EQ(reparsed->name(id), parsed->name(id)) << where;
+      EXPECT_EQ(reparsed->entry(id).category, parsed->entry(id).category)
+          << where;
+      EXPECT_EQ(reparsed->entry(id).compound, parsed->entry(id).compound)
+          << where;
+    }
+  });
+  EXPECT_GT(accepted, 0);
+}
+
+TEST_F(MutationFuzzTest, ParseDsv) {
+  for (const char delimiter : {',', '\t'}) {
+    std::string seed =
+        "name,count,notes\r\n"
+        "\"tomato \"\"roma\"\"\",3,\"sliced, salted\"\n"
+        "basil,,\"two\nlines\"\n"
+        "\n"
+        "milk,12\n";
+    std::replace(seed.begin(), seed.end(), ',', delimiter);
+    ASSERT_TRUE(ParseDsv(seed, delimiter).ok());
+    int accepted = 0;
+    FuzzText(seed, delimiter == ',' ? 9 : 10, [&](const std::string& mutant,
+                                                  const std::string& where) {
+      const Result<DsvTable> parsed = ParseDsv(mutant, delimiter);
+      if (!StatusIn(parsed.status(),
+                    {StatusCode::kOk, StatusCode::kInvalidArgument}, where) ||
+          !parsed.ok()) {
+        return;
+      }
+      ++accepted;
+      const Result<DsvTable> reparsed =
+          ParseDsv(FormatDsv(*parsed, delimiter), delimiter);
+      ASSERT_TRUE(reparsed.ok()) << where << ": " << reparsed.status();
+      EXPECT_EQ(reparsed->rows, parsed->rows) << where;
+    });
+    EXPECT_GT(accepted, 0) << "delimiter " << static_cast<int>(delimiter);
   }
 }
 

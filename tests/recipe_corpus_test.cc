@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <utility>
+
+#include "lexicon/world_lexicon.h"
+#include "synth/generator.h"
+#include "util/rng.h"
 
 namespace culevo {
 namespace {
@@ -211,6 +217,251 @@ TEST(RecipeCorpusFromColumnsTest, RejectsOversizedUniqueList) {
   OwnedColumns columns = SmallColumns();
   columns.unique[kNumCuisines] = {1, 2, 3, 5, 7, 9};  // 9 never used.
   EXPECT_FALSE(RecipeCorpus::FromColumns(columns.Views(), nullptr).ok());
+}
+
+// Recipe 0 claims 100 ingredients of a 6-entry flat column. The offsets
+// end at the column size, so only the bound on each offset keeps the
+// order check from reading past the column before the next offset (5)
+// shows the list is not increasing.
+TEST(RecipeCorpusFromColumnsTest, RejectsOffsetPastFlatColumn) {
+  OwnedColumns columns = SmallColumns();
+  columns.flat = {1, 2, 3, 5, 6, 7};
+  columns.offsets = {0, 100, 5, 6};
+  columns.cuisines = {0, 0, 1};
+  EXPECT_EQ(RecipeCorpus::FromColumns(columns.Views(), nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// --- FromColumns against the four-pass validator it replaced: both must
+// accept and refuse exactly the same mutated columns.
+
+/// The four-pass validator FromColumns used before it checked everything
+/// in one pass over the recipes, kept as a reference: true when it
+/// accepts `views`. One line is new, the bound on each offset before the
+/// order check reads through it. Without it the validator read past the
+/// flat column on such input, and refused it only afterwards, so the
+/// bound changes nothing it accepts.
+bool ReferenceAccepts(const RecipeCorpus::ColumnViews& views) {
+  const size_t n = views.cuisines.size();
+  if (views.offsets.size() != n + 1 || views.offsets.front() != 0 ||
+      views.offsets.back() != views.flat.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (views.offsets[i + 1] <= views.offsets[i]) return false;
+    if (views.offsets[i + 1] > views.flat.size()) return false;  // New.
+    if (views.cuisines[i] >= kNumCuisines) return false;
+    for (size_t m = views.offsets[i] + 1; m < views.offsets[i + 1]; ++m) {
+      if (views.flat[m - 1] >= views.flat[m]) return false;
+    }
+  }
+
+  size_t shard_total = 0;
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const std::span<const uint32_t> shard =
+        views.shards[static_cast<size_t>(c)];
+    shard_total += shard.size();
+    for (size_t k = 0; k < shard.size(); ++k) {
+      if (shard[k] >= n) return false;
+      if (views.cuisines[shard[k]] != static_cast<CuisineId>(c)) return false;
+      if (k > 0 && shard[k - 1] >= shard[k]) return false;
+    }
+  }
+  if (shard_total != n) return false;
+
+  // Each unique list against its scope, gathered through the shards (the
+  // corpus-wide list against the whole flat column), with epoch marks:
+  // epoch = listed, epoch + 1 = listed and seen.
+  IngredientId max_id = 0;
+  for (IngredientId id : views.flat) max_id = std::max(max_id, id);
+  const size_t universe = static_cast<size_t>(max_id) + 1;
+  std::vector<uint32_t> epoch_of(universe, 0);
+  uint32_t epoch = 0;
+  for (int c = 0; c <= kNumCuisines; ++c) {
+    const std::span<const IngredientId> unique =
+        views.unique[static_cast<size_t>(c)];
+    ++epoch;
+    for (size_t k = 0; k < unique.size(); ++k) {
+      if (k > 0 && unique[k - 1] >= unique[k]) return false;
+      if (static_cast<size_t>(unique[k]) >= universe) return false;
+      epoch_of[unique[k]] = epoch;
+    }
+    size_t covered = 0;
+    bool complete = true;
+    const auto consume = [&](IngredientId id) {
+      if (epoch_of[id] < epoch) {
+        complete = false;
+      } else if (epoch_of[id] == epoch) {
+        epoch_of[id] = epoch + 1;
+        ++covered;
+      }
+    };
+    if (c < kNumCuisines) {
+      for (uint32_t index : views.shards[static_cast<size_t>(c)]) {
+        for (size_t m = views.offsets[index]; m < views.offsets[index + 1];
+             ++m) {
+          consume(views.flat[m]);
+        }
+      }
+    } else {
+      for (IngredientId id : views.flat) consume(id);
+    }
+    if (!complete || covered != unique.size()) return false;
+    ++epoch;
+  }
+  return true;
+}
+
+/// The columns, shards and unique lists of a built corpus.
+OwnedColumns ColumnsOf(const RecipeCorpus& corpus) {
+  OwnedColumns columns;
+  columns.flat = ToVec(corpus.flat());
+  columns.offsets = ToVec(corpus.offsets());
+  columns.cuisines = ToVec(corpus.cuisines());
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    columns.shards[static_cast<size_t>(c)] = ToVec(corpus.recipes_of(cuisine));
+    columns.unique[static_cast<size_t>(c)] =
+        ToVec(corpus.UniqueIngredients(cuisine));
+  }
+  columns.unique[kNumCuisines] = ToVec(corpus.UniqueIngredients());
+  return columns;
+}
+
+/// One element of `list` set to 0, to its type's maximum or to a
+/// neighbour +-1, two elements swapped, or the list truncated.
+template <typename T>
+void MutateList(std::vector<T>* list, Rng& rng) {
+  if (list == nullptr || list->empty()) return;
+  T& value = (*list)[rng.NextBounded(list->size())];
+  switch (rng.NextBounded(6)) {
+    case 0:
+      value = 0;
+      break;
+    case 1:
+      value = std::numeric_limits<T>::max();
+      break;
+    case 2:
+      value = static_cast<T>(value + 1);
+      break;
+    case 3:
+      value = static_cast<T>(value - 1);
+      break;
+    case 4:
+      std::swap(value, (*list)[rng.NextBounded(list->size())]);
+      break;
+    default:
+      list->resize(rng.NextBounded(list->size()));
+      break;
+  }
+}
+
+/// A random non-empty list of `lists`, or null when all are empty.
+template <typename T, size_t N>
+std::vector<T>* NonEmptyList(std::array<std::vector<T>, N>* lists,
+                             Rng& rng) {
+  std::vector<std::vector<T>*> candidates;
+  for (std::vector<T>& list : *lists) {
+    if (!list.empty()) candidates.push_back(&list);
+  }
+  return candidates.empty() ? nullptr
+                            : candidates[rng.NextBounded(candidates.size())];
+}
+
+/// One seeded mutation of `columns`: of the flat, offsets or cuisine
+/// column, of a shard or unique list, or a recipe moved to another
+/// cuisine's shard (its cuisine entry following it half the time).
+void MutateColumns(OwnedColumns* columns, Rng& rng) {
+  switch (rng.NextBounded(6)) {
+    case 0:
+      MutateList(&columns->flat, rng);
+      break;
+    case 1:
+      MutateList(&columns->offsets, rng);
+      break;
+    case 2:
+      MutateList(&columns->cuisines, rng);
+      break;
+    case 3:
+      MutateList(NonEmptyList(&columns->shards, rng), rng);
+      break;
+    case 4:
+      MutateList(NonEmptyList(&columns->unique, rng), rng);
+      break;
+    default: {
+      if (columns->cuisines.empty()) break;
+      const uint32_t recipe =
+          static_cast<uint32_t>(rng.NextBounded(columns->cuisines.size()));
+      const CuisineId to =
+          static_cast<CuisineId>(rng.NextBounded(kNumCuisines));
+      std::vector<uint32_t>& from = columns->shards[columns->cuisines[recipe]];
+      from.erase(std::find(from.begin(), from.end(), recipe));
+      std::vector<uint32_t>& into = columns->shards[to];
+      into.insert(std::lower_bound(into.begin(), into.end(), recipe), recipe);
+      if (rng.NextBounded(2) == 0) columns->cuisines[recipe] = to;
+      break;
+    }
+  }
+}
+
+/// Runs FromColumns and the reference on seeded mutants of `columns`.
+void ExpectSameVerdicts(const OwnedColumns& columns, uint64_t seed) {
+  ASSERT_TRUE(ReferenceAccepts(columns.Views()));
+  ASSERT_TRUE(RecipeCorpus::FromColumns(columns.Views(), nullptr).ok());
+  Rng rng(seed);
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < 3000; ++i) {
+    OwnedColumns mutant = columns;
+    MutateColumns(&mutant, rng);
+    const Result<RecipeCorpus> corpus =
+        RecipeCorpus::FromColumns(mutant.Views(), nullptr);
+    ASSERT_EQ(corpus.ok(), ReferenceAccepts(mutant.Views()))
+        << "mutant " << i << ": " << corpus.status();
+    if (corpus.ok()) {
+      ++accepted;
+    } else {
+      ++refused;
+      ASSERT_EQ(corpus.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(RecipeCorpusFromColumnsTest, MatchesReferenceOnSmallColumns) {
+  ExpectSameVerdicts(SmallColumns(), 15);
+}
+
+// A synthesized world of ~2k recipes: all 25 cuisines over the world
+// lexicon's ids.
+TEST(RecipeCorpusFromColumnsTest, MatchesReferenceOnSynthesizedCorpus) {
+  SynthConfig config;
+  config.scale = 0.0125;
+  config.seed = 1515;
+  const Result<RecipeCorpus> world =
+      SynthesizeWorldCorpus(WorldLexicon(), config);
+  ASSERT_TRUE(world.ok()) << world.status();
+  ASSERT_GT(world->num_recipes(), 1500u);
+  ExpectSameVerdicts(ColumnsOf(*world), 17);
+}
+
+// Few cuisines over a small id range, so a recipe moved to another
+// cuisine (cuisine entry and all) often leaves every unique list right,
+// and both validators must accept it.
+TEST(RecipeCorpusFromColumnsTest, MatchesReferenceOnFewCuisineCorpus) {
+  Rng rng(1515);
+  RecipeCorpus::Builder builder;
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<IngredientId> ids;
+    for (size_t k = 0, n = 2 + rng.NextBounded(9); k < n; ++k) {
+      ids.push_back(static_cast<IngredientId>(rng.NextBounded(200)));
+    }
+    ASSERT_TRUE(
+        builder.Add(static_cast<CuisineId>(rng.NextBounded(8)), std::move(ids))
+            .ok());
+  }
+  ExpectSameVerdicts(ColumnsOf(builder.Build()), 16);
 }
 
 }  // namespace
