@@ -12,10 +12,10 @@
 #include <cstdio>
 #include <iostream>
 
+#include "analysis/combinations.h"
 #include "analysis/distance.h"
 #include "bench/bench_common.h"
 #include "core/horizontal.h"
-#include "core/simulation.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -60,7 +60,7 @@ int Run(int argc, char** argv) {
     HorizontalConfig config;
     config.migration_prob = migration;
     config.seed = options.seed;
-    Result<HorizontalWorld> world =
+    Result<std::vector<TransactionSet>> world =
         EvolveHorizontalWorld(contexts, lexicon, config);
     if (!world.ok()) {
       return reporter.Fail(world.status());
@@ -68,8 +68,7 @@ int Run(int argc, char** argv) {
     std::vector<RankFrequency> evolved;
     double mae_total = 0.0;
     for (size_t k = 0; k < contexts.size(); ++k) {
-      const RankFrequency curve =
-          CombinationCurve(RecipesToTransactions(world->recipes[k]));
+      const RankFrequency curve = CombinationCurve((*world)[k]);
       mae_total += MeanAbsoluteError(empirical[k], curve);
       evolved.push_back(curve);
     }

@@ -65,9 +65,7 @@ TransactionSet CorpusTransactions(const RecipeCorpus& corpus,
   const size_t keep =
       static_cast<size_t>(static_cast<double>(all.size()) * fraction);
   subset.Reserve(keep);
-  for (size_t i = 0; i < keep; ++i) {
-    subset.Add(std::vector<Item>(all.transaction(i)));
-  }
+  for (size_t i = 0; i < keep; ++i) subset.Add(all.transaction(i));
   return subset;
 }
 

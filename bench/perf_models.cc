@@ -5,18 +5,14 @@
 // replacement policies (CM-R / CM-C / CM-M / NM), initial pool sizes
 // (m = 10 / 20 / 80), contexts (the synthetic ITA cuisine at --scale and
 // the fixed 300-ingredient golden context), and replica counts (batch of
-// --replicas vs a single replica). The `compat` rows time the
-// GeneratedRecipes wrapper (flat generation + per-recipe export), i.e.
-// what callers of the legacy Generate() API pay.
+// --replicas vs a single replica).
 //
-// Cross-checks inside the run (exit code 1 if any fails):
-//   * fixed-seed goldens — recipe-pool hashes (Generate, seed 7) and
-//     RunSimulation rank-frequency curves (seed 42, 8 replicas) on the
-//     golden context must match values captured from the seed engine
-//     (commit 7f8afb5), proving the rebuilt engine reproduces the seed
-//     engine's output draw-for-draw;
-//   * flat == compat — StoreToRecipes(GenerateInto(...)) must equal
-//     Generate(...) on the ITA context for every model.
+// Cross-check inside the run (exit code 1 if it fails): fixed-seed
+// goldens — recipe-pool hashes (GenerateInto + StoreTransactions, seed 7)
+// and RunSimulation rank-frequency curves (seed 42, 8 replicas) on the
+// golden context must match values captured from the seed engine (commit
+// 7f8afb5), proving the rebuilt engine reproduces the seed engine's output
+// draw-for-draw.
 //
 // With --json <path> it writes BENCH_models.json (schema documented in
 // EXPERIMENTS.md). `--reps <n>` controls timing repetitions (default 5,
@@ -69,10 +65,10 @@ CuisineContext GoldenContext() {
   return context;
 }
 
-uint64_t HashRecipes(const GeneratedRecipes& recipes) {
+uint64_t HashRecipes(const TransactionSet& recipes) {
   uint64_t h = 1469598103934665603ull;  // FNV-1a 64.
-  for (const auto& recipe : recipes) {
-    for (IngredientId id : recipe) {
+  for (size_t i = 0; i < recipes.size(); ++i) {
+    for (Item id : recipes.transaction(i)) {
       h ^= static_cast<uint64_t>(id) + 1;
       h *= 1099511628211ull;
     }
@@ -84,7 +80,7 @@ uint64_t HashRecipes(const GeneratedRecipes& recipes) {
 
 struct GoldenExpectation {
   const char* model;
-  uint64_t recipe_hash;  ///< Generate() at seed 7.
+  uint64_t recipe_hash;  ///< GenerateInto() at seed 7.
   size_t ingredient_curve_size;
   double ingredient_rank0;  ///< RunSimulation seed 42, 8 replicas.
   size_t category_curve_size;
@@ -104,7 +100,7 @@ constexpr GoldenExpectation kGoldens[] = {
      0.91062499999999991},
 };
 
-/// Seed-engine generate-phase baselines (Generate(), 20 replicas, median
+/// Seed-engine generate-phase baselines (its Generate(), 20 replicas, median
 /// of 5, -O3 -DNDEBUG, commit 7f8afb5) for the synthetic ITA cuisine.
 struct SeedBaseline {
   double scale;
@@ -149,14 +145,15 @@ bool RunGoldenCrossCheck(const std::vector<std::pair<
     }
     CULEVO_CHECK(model != nullptr);
 
-    GeneratedRecipes recipes;
-    CULEVO_CHECK_OK(model->Generate(golden, 7, &recipes));
-    if (HashRecipes(recipes) != expect.recipe_hash) {
+    RecipeStore store;
+    CULEVO_CHECK_OK(model->GenerateInto(golden, 7, &store));
+    const uint64_t hash =
+        HashRecipes(StoreTransactions(store, golden.ingredients));
+    if (hash != expect.recipe_hash) {
       std::fprintf(stderr,
                    "GOLDEN MISMATCH %s: recipe-pool hash %016llx want "
                    "%016llx\n",
-                   expect.model,
-                   static_cast<unsigned long long>(HashRecipes(recipes)),
+                   expect.model, static_cast<unsigned long long>(hash),
                    static_cast<unsigned long long>(expect.recipe_hash));
       ok = false;
     }
@@ -180,25 +177,6 @@ bool RunGoldenCrossCheck(const std::vector<std::pair<
                    result->category_curve.values()[0],
                    expect.ingredient_curve_size, expect.ingredient_rank0,
                    expect.category_curve_size, expect.category_rank0);
-      ok = false;
-    }
-  }
-  return ok;
-}
-
-bool RunFlatCompatCrossCheck(
-    const std::vector<std::pair<std::string, const EvolutionModel*>>& models,
-    const CuisineContext& context) {
-  bool ok = true;
-  for (const auto& [name, model] : models) {
-    GeneratedRecipes compat;
-    CULEVO_CHECK_OK(model->Generate(context, 101, &compat));
-    RecipeStore store;
-    CULEVO_CHECK_OK(model->GenerateInto(context, 101, &store));
-    GeneratedRecipes flat;
-    StoreToRecipes(store, context.ingredients, &flat);
-    if (compat != flat) {
-      std::fprintf(stderr, "FLAT/COMPAT DISAGREEMENT on %s\n", name.c_str());
       ok = false;
     }
   }
@@ -246,11 +224,8 @@ int main(int argc, char** argv) {
 
   reporter.BeginPhase("crosscheck");
   const bool goldens_ok = RunGoldenCrossCheck(models, lexicon);
-  const bool compat_ok = RunFlatCompatCrossCheck(models, *ita);
-  reporter.AddResult("crosscheck_passed",
-                     goldens_ok && compat_ok ? 1.0 : 0.0);
-  std::printf("# golden cross-check: %s, flat/compat cross-check: %s\n",
-              goldens_ok ? "PASS" : "FAIL", compat_ok ? "PASS" : "FAIL");
+  reporter.AddResult("crosscheck_passed", goldens_ok ? 1.0 : 0.0);
+  std::printf("# golden cross-check: %s\n", goldens_ok ? "PASS" : "FAIL");
 
   const int replicas = options.replicas;
   reporter.AddResult("reps", reps);
@@ -262,44 +237,30 @@ int main(int argc, char** argv) {
     const CuisineContext* context;
     const EvolutionModel* model;
     int replicas;
-    bool compat;                ///< Time Generate() instead of GenerateInto.
     double seed_baseline_ms;    ///< 0 = no recorded baseline.
   };
   std::vector<Row> rows;
   for (const auto& [name, model] : models) {
-    rows.push_back({"ita_" + KeyName(name), &*ita, model, replicas, false,
+    rows.push_back({"ita_" + KeyName(name), &*ita, model, replicas,
                     replicas == 20 ? SeedBaselineMs(options.scale, name)
                                    : 0.0});
   }
-  rows.push_back({"ita_cmr_m10", &*ita, &cmr_m10, replicas, false, 0.0});
-  rows.push_back({"ita_cmr_m80", &*ita, &cmr_m80, replicas, false, 0.0});
-  rows.push_back({"ita_cmr_r1", &*ita, cmr.get(), 1, false, 0.0});
-  rows.push_back({"ita_cmr_compat", &*ita, cmr.get(), replicas, true, 0.0});
+  rows.push_back({"ita_cmr_m10", &*ita, &cmr_m10, replicas, 0.0});
+  rows.push_back({"ita_cmr_m80", &*ita, &cmr_m80, replicas, 0.0});
+  rows.push_back({"ita_cmr_r1", &*ita, cmr.get(), 1, 0.0});
   for (const auto& [name, model] : models) {
-    rows.push_back(
-        {"golden_" + KeyName(name), &golden, model, replicas, false, 0.0});
+    rows.push_back({"golden_" + KeyName(name), &golden, model, replicas, 0.0});
   }
 
   reporter.BeginPhase("generate");
   for (const Row& row : rows) {
     RecipeStore store;
-    double ms = 0.0;
-    if (row.compat) {
-      ms = MedianMs(reps, [&]() {
-        for (uint64_t k = 0; k < static_cast<uint64_t>(row.replicas); ++k) {
-          GeneratedRecipes recipes;
-          CULEVO_CHECK_OK(row.model->Generate(
-              *row.context, DeriveSeed(options.seed, k), &recipes));
-        }
-      });
-    } else {
-      ms = MedianMs(reps, [&]() {
-        for (uint64_t k = 0; k < static_cast<uint64_t>(row.replicas); ++k) {
-          CULEVO_CHECK_OK(row.model->GenerateInto(
-              *row.context, DeriveSeed(options.seed, k), &store));
-        }
-      });
-    }
+    const double ms = MedianMs(reps, [&]() {
+      for (uint64_t k = 0; k < static_cast<uint64_t>(row.replicas); ++k) {
+        CULEVO_CHECK_OK(row.model->GenerateInto(
+            *row.context, DeriveSeed(options.seed, k), &store));
+      }
+    });
     const double speedup =
         row.seed_baseline_ms > 0.0 ? row.seed_baseline_ms / ms : 0.0;
     if (speedup > 0.0) {
@@ -314,6 +275,6 @@ int main(int argc, char** argv) {
   }
 
   const int exit_code = reporter.Finish();
-  if (!goldens_ok || !compat_ok) return 1;
+  if (!goldens_ok) return 1;
   return exit_code;
 }

@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   for (double migration : {0.0, 0.05, 0.2}) {
     HorizontalConfig hconfig;
     hconfig.migration_prob = migration;
-    Result<HorizontalWorld> world =
+    Result<std::vector<TransactionSet>> world =
         EvolveHorizontalWorld(contexts, lexicon, hconfig);
     if (!world.ok()) {
       std::cerr << world.status() << "\n";
@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
     std::vector<RankFrequency> curves;
     double mae = 0.0;
     for (size_t k = 0; k < contexts.size(); ++k) {
-      curves.push_back(
-          CombinationCurve(RecipesToTransactions(world->recipes[k])));
+      curves.push_back(CombinationCurve((*world)[k]));
       mae += MeanAbsoluteError(empirical[k], curves.back());
     }
     horizontal.AddRow(

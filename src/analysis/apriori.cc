@@ -1,6 +1,7 @@
 #include "analysis/apriori.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 #include "obs/metrics.h"
@@ -73,7 +74,8 @@ void CountSupports(const TransactionSet& transactions,
   }
 
   const size_t k = candidates.empty() ? 0 : candidates[0].size();
-  for (const std::vector<Item>& t : transactions.transactions()) {
+  for (size_t tid = 0; tid < transactions.size(); ++tid) {
+    const std::span<const Item> t = transactions.transaction(tid);
     if (t.size() < k) continue;
     for (size_t p = 0; p + k <= t.size(); ++p) {
       const auto [begin, end] = buckets[t[p]];
@@ -114,9 +116,7 @@ std::vector<Itemset> MineApriori(const TransactionSet& transactions,
 
   // Level 1: count singletons.
   std::vector<size_t> single_counts(transactions.item_universe(), 0);
-  for (const std::vector<Item>& t : transactions.transactions()) {
-    for (Item item : t) ++single_counts[item];
-  }
+  for (Item item : transactions.items()) ++single_counts[item];
   std::vector<std::vector<Item>> frequent;
   for (size_t item = 0; item < single_counts.size(); ++item) {
     if (single_counts[item] >= min_support_count) {

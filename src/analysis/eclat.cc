@@ -409,9 +409,7 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
     }
   } else {
     std::vector<uint32_t> counts(universe, 0);
-    for (const std::vector<Item>& t : transactions.transactions()) {
-      for (Item item : t) ++counts[item];
-    }
+    for (Item item : transactions.items()) ++counts[item];
     // Flat per-item destination tables keep the fill loop to one load and
     // one branch per occurrence of a frequent item.
     std::vector<uint64_t*> words_of_item(universe, nullptr);

@@ -13,14 +13,40 @@ bool ItemsetLess(const Itemset& a, const Itemset& b) {
   return a.items < b.items;
 }
 
-void TransactionSet::Add(std::vector<Item> items) {
-  CULEVO_DCHECK(std::is_sorted(items.begin(), items.end()));
-  CULEVO_DCHECK(std::adjacent_find(items.begin(), items.end()) ==
-                items.end());
-  if (!items.empty()) {
-    universe_ = std::max(universe_, static_cast<size_t>(items.back()) + 1);
+void TransactionSet::Add(std::span<const Item> items) {
+  items_.insert(items_.end(), items.begin(), items.end());
+  Seal();
+}
+
+void TransactionSet::AddIngredientSet(std::span<const IngredientId> ids) {
+  // IngredientId and Item are both uint16_t.
+  items_.insert(items_.end(), ids.begin(), ids.end());
+  std::sort(items_.begin() + static_cast<ptrdiff_t>(offsets_.back()),
+            items_.end());
+  Seal();
+}
+
+void TransactionSet::AddCategorySet(std::span<const IngredientId> ids,
+                                    const Lexicon& lexicon) {
+  bool present[kNumCategories] = {};
+  for (IngredientId id : ids) {
+    present[static_cast<int>(lexicon.category(id))] = true;
   }
-  transactions_.push_back(std::move(items));
+  for (int c = 0; c < kNumCategories; ++c) {
+    if (present[c]) items_.push_back(static_cast<Item>(c));
+  }
+  Seal();
+}
+
+void TransactionSet::Seal() {
+  const auto begin =
+      items_.begin() + static_cast<ptrdiff_t>(offsets_.back());
+  CULEVO_DCHECK(std::is_sorted(begin, items_.end()));
+  CULEVO_DCHECK(std::adjacent_find(begin, items_.end()) == items_.end());
+  if (begin != items_.end()) {
+    universe_ = std::max(universe_, static_cast<size_t>(items_.back()) + 1);
+  }
+  offsets_.push_back(static_cast<uint32_t>(items_.size()));
 }
 
 TransactionSet IngredientTransactions(const RecipeCorpus& corpus,
@@ -28,24 +54,9 @@ TransactionSet IngredientTransactions(const RecipeCorpus& corpus,
   TransactionSet out;
   out.Reserve(corpus.recipes_of(cuisine).size());
   for (uint32_t index : corpus.recipes_of(cuisine)) {
-    const std::span<const IngredientId> ingredients =
-        corpus.ingredients_of(index);
-    out.Add(std::vector<Item>(ingredients.begin(), ingredients.end()));
+    out.AddIngredientSet(corpus.ingredients_of(index));
   }
   return out;
-}
-
-size_t AppendNewTransactions(IncrementalCorpus& corpus, CuisineId cuisine,
-                             TransactionSet* set) {
-  std::vector<std::vector<IngredientId>> delta =
-      corpus.DrainNewTransactions(cuisine);
-  const size_t appended = delta.size();
-  for (std::vector<IngredientId>& transaction : delta) {
-    // IngredientId and Item are both uint16_t; the ingested sets are
-    // already sorted and unique, which is TransactionSet's contract.
-    set->Add(std::move(transaction));
-  }
-  return appended;
 }
 
 TransactionSet CategoryTransactions(const RecipeCorpus& corpus,
@@ -54,19 +65,7 @@ TransactionSet CategoryTransactions(const RecipeCorpus& corpus,
   TransactionSet out;
   out.Reserve(corpus.recipes_of(cuisine).size());
   for (uint32_t index : corpus.recipes_of(cuisine)) {
-    bool present[kNumCategories] = {};
-    int distinct = 0;
-    for (IngredientId id : corpus.ingredients_of(index)) {
-      bool& seen = present[static_cast<int>(lexicon.category(id))];
-      distinct += seen ? 0 : 1;
-      seen = true;
-    }
-    std::vector<Item> items;
-    items.reserve(static_cast<size_t>(distinct));
-    for (int c = 0; c < kNumCategories; ++c) {
-      if (present[c]) items.push_back(static_cast<Item>(c));
-    }
-    out.Add(std::move(items));
+    out.AddCategorySet(corpus.ingredients_of(index), lexicon);
   }
   return out;
 }

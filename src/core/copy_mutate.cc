@@ -56,7 +56,7 @@ uint64_t CopyMutateModel::ConfigFingerprint() const {
 namespace {
 
 /// Call-local generation statistics, flushed to the metrics registry once
-/// per Generate call (per-event registry traffic would dominate the loop).
+/// per GenerateInto call (per-event registry traffic would dominate the loop).
 struct GenStats {
   uint64_t recipes = 0;
   uint64_t items = 0;
@@ -314,14 +314,6 @@ Status CopyMutateModel::GenerateInto(const CuisineContext& context,
   stats.recipes = store->num_recipes();
   stats.items = store->num_items();
   stats.Flush();
-  return Status::Ok();
-}
-
-Status CopyMutateModel::Generate(const CuisineContext& context, uint64_t seed,
-                                 GeneratedRecipes* out) const {
-  RecipeStore store;
-  CULEVO_RETURN_IF_ERROR(GenerateInto(context, seed, &store));
-  StoreToRecipes(store, context.ingredients, out);
   return Status::Ok();
 }
 

@@ -62,10 +62,6 @@ class CopyMutateModel : public EvolutionModel {
 
   const ModelParams& params() const { return params_; }
 
-  Status Generate(const CuisineContext& context, uint64_t seed,
-                  GeneratedRecipes* out) const override;
-
-  /// Native flat-arena hot path; Generate() is a thin wrapper around it.
   /// Draw-for-draw identical to the seed engine's RNG schedule, so fixed
   /// seeds reproduce the original output exactly.
   Status GenerateInto(const CuisineContext& context, uint64_t seed,

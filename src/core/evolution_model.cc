@@ -82,60 +82,4 @@ Status ValidateCuisineContext(const CuisineContext& context) {
   return Status::Ok();
 }
 
-Status EvolutionModel::GenerateInto(const CuisineContext& context,
-                                    uint64_t seed, RecipeStore* store) const {
-  GeneratedRecipes recipes;
-  CULEVO_RETURN_IF_ERROR(Generate(context, seed, &recipes));
-  return PackRecipes(recipes, context.ingredients, store);
-}
-
-void StoreToRecipes(const RecipeStore& store,
-                    const std::vector<IngredientId>& ingredients,
-                    GeneratedRecipes* out) {
-  out->clear();
-  out->reserve(store.num_recipes());
-  for (size_t i = 0; i < store.num_recipes(); ++i) {
-    const std::span<const PoolPos> positions = store.recipe(i);
-    std::vector<IngredientId> ids;
-    ids.reserve(positions.size());
-    for (PoolPos pos : positions) ids.push_back(ingredients[pos]);
-    std::sort(ids.begin(), ids.end());
-    out->push_back(std::move(ids));
-  }
-}
-
-Status PackRecipes(const GeneratedRecipes& recipes,
-                   const std::vector<IngredientId>& ingredients,
-                   RecipeStore* store) {
-  size_t items = 0;
-  for (const std::vector<IngredientId>& recipe : recipes) {
-    items += recipe.size();
-  }
-  store->Reset(recipes.size(), items);
-  for (const std::vector<IngredientId>& recipe : recipes) {
-    store->BeginRecipe();
-    for (IngredientId id : recipe) {
-      const auto it =
-          std::lower_bound(ingredients.begin(), ingredients.end(), id);
-      if (it == ingredients.end() || *it != id) {
-        return Status::InvalidArgument(
-            "recipe ingredient not in the context's ingredient list");
-      }
-      store->AppendToOpen(
-          static_cast<PoolPos>(it - ingredients.begin()));
-    }
-    store->Commit();
-  }
-  return Status::Ok();
-}
-
-Result<RecipeCorpus> RecipesToCorpus(const GeneratedRecipes& recipes,
-                                     CuisineId cuisine) {
-  RecipeCorpus::Builder builder;
-  for (const std::vector<IngredientId>& recipe : recipes) {
-    CULEVO_RETURN_IF_ERROR(builder.Add(cuisine, recipe));
-  }
-  return builder.Build();
-}
-
 }  // namespace culevo

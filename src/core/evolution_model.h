@@ -39,11 +39,8 @@ Result<CuisineContext> ContextFromCorpus(const RecipeCorpus& corpus,
 /// recipe — an out-of-bounds read in release builds).
 Status ValidateCuisineContext(const CuisineContext& context);
 
-/// A generated recipe pool: one sorted-unique ingredient set per recipe.
-using GeneratedRecipes = std::vector<std::vector<IngredientId>>;
-
-/// Interface of the culinary-evolution models (Section V). Generate() must
-/// be deterministic in (context, seed) and safe to call concurrently.
+/// Interface of the culinary-evolution models (Section V). GenerateInto()
+/// must be deterministic in (context, seed) and safe to call concurrently.
 class EvolutionModel {
  public:
   virtual ~EvolutionModel() = default;
@@ -51,8 +48,8 @@ class EvolutionModel {
   /// Short display name: "CM-R", "CM-C", "CM-M", "NM", ...
   virtual std::string name() const = 0;
 
-  /// Hash of everything that changes what Generate() produces for a fixed
-  /// (context, seed) — the model's identity in a checkpoint manifest
+  /// Hash of everything that changes what GenerateInto() produces for a
+  /// fixed (context, seed) — the model's identity in a checkpoint manifest
   /// (core/run_journal.h). Two models with equal fingerprints must be
   /// output-identical; models with tunable parameters override this to
   /// fold them in (name() alone cannot tell two CM-M mixture ratios
@@ -60,39 +57,12 @@ class EvolutionModel {
   /// for parameter-free models.
   virtual uint64_t ConfigFingerprint() const;
 
-  /// Evolves context.target_recipes recipes.
-  virtual Status Generate(const CuisineContext& context, uint64_t seed,
-                          GeneratedRecipes* out) const = 0;
-
-  /// Flat-arena variant of Generate: evolves the same recipe pool for the
-  /// same (context, seed) but into `store` as context-ingredient positions
-  /// in draw order (unsorted), avoiding the per-recipe heap allocation of
-  /// the GeneratedRecipes format. This is the simulation hot path. The
-  /// base implementation falls back to Generate() + PackRecipes; the
-  /// built-in models override it with allocation-free native loops.
+  /// Evolves context.target_recipes recipes into `store` (reset first) as
+  /// context-ingredient positions in draw order (unsorted).
+  /// StoreTransactions (core/simulation.h) turns them into mining input.
   virtual Status GenerateInto(const CuisineContext& context, uint64_t seed,
-                              RecipeStore* store) const;
+                              RecipeStore* store) const = 0;
 };
-
-/// Converts a position store back to the GeneratedRecipes compat format:
-/// recipe i becomes `ingredients[pos]` for each position, sorted ascending
-/// (the format's sorted-set contract).
-void StoreToRecipes(const RecipeStore& store,
-                    const std::vector<IngredientId>& ingredients,
-                    GeneratedRecipes* out);
-
-/// Inverse of StoreToRecipes: packs id recipes into position form against
-/// `ingredients` (which must be sorted ascending, as CuisineContext
-/// requires). Returns InvalidArgument if a recipe mentions an id that is
-/// not in `ingredients`.
-Status PackRecipes(const GeneratedRecipes& recipes,
-                   const std::vector<IngredientId>& ingredients,
-                   RecipeStore* store);
-
-/// Packs generated recipes into a corpus (all under `cuisine`), e.g. to
-/// reuse the corpus-level analyses on model output.
-Result<RecipeCorpus> RecipesToCorpus(const GeneratedRecipes& recipes,
-                                     CuisineId cuisine);
 
 }  // namespace culevo
 

@@ -16,7 +16,7 @@ struct CuisineState {
   const CuisineContext* context = nullptr;
   std::vector<IngredientId> pool;
   std::vector<IngredientId> reserve;
-  GeneratedRecipes recipes;
+  std::vector<std::vector<IngredientId>> recipes;
 
   bool done() const { return recipes.size() >= context->target_recipes; }
 };
@@ -40,7 +40,7 @@ std::vector<IngredientId> FreshRecipe(const CuisineState& state, int size,
 
 }  // namespace
 
-Result<HorizontalWorld> EvolveHorizontalWorld(
+Result<std::vector<TransactionSet>> EvolveHorizontalWorld(
     const std::vector<CuisineContext>& contexts, const Lexicon& lexicon,
     const HorizontalConfig& config) {
   if (contexts.empty()) {
@@ -113,7 +113,7 @@ Result<HorizontalWorld> EvolveHorizontalWorld(
       if (states.size() > 1 && rng.NextBool(config.migration_prob)) {
         size_t donor = rng.NextBounded(states.size() - 1);
         if (donor >= k) ++donor;
-        const GeneratedRecipes& donor_recipes = states[donor].recipes;
+        const auto& donor_recipes = states[donor].recipes;
         if (!donor_recipes.empty()) {
           mother = &donor_recipes[rng.NextBounded(donor_recipes.size())];
         }
@@ -136,13 +136,12 @@ Result<HorizontalWorld> EvolveHorizontalWorld(
     }
   }
 
-  HorizontalWorld world;
-  world.recipes.reserve(states.size());
-  for (CuisineState& state : states) {
-    for (std::vector<IngredientId>& recipe : state.recipes) {
-      std::sort(recipe.begin(), recipe.end());
+  std::vector<TransactionSet> world(states.size());
+  for (size_t k = 0; k < states.size(); ++k) {
+    world[k].Reserve(states[k].recipes.size());
+    for (const std::vector<IngredientId>& recipe : states[k].recipes) {
+      world[k].AddIngredientSet(recipe);
     }
-    world.recipes.push_back(std::move(state.recipes));
   }
   return world;
 }

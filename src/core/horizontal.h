@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "analysis/transactions.h"
 #include "core/evolution_model.h"
 #include "lexicon/lexicon.h"
 #include "util/status.h"
@@ -23,17 +24,16 @@ struct HorizontalConfig {
   uint64_t seed = 42;
 };
 
-/// Result of a joint multi-cuisine evolution.
-struct HorizontalWorld {
-  /// recipes[k] are the recipes evolved for contexts[k]'s cuisine.
-  std::vector<GeneratedRecipes> recipes;
-};
-
 /// Evolves all `contexts` jointly under horizontal transmission. Steps are
 /// interleaved round-robin, weighted by each cuisine's remaining target, so
 /// that pools co-evolve in time. Fitness is a single world-wide U(0,1)
 /// table (intrinsic ingredient properties are region-independent).
-Result<HorizontalWorld> EvolveHorizontalWorld(
+///
+/// Element k of the result holds the recipes evolved for contexts[k]'s
+/// cuisine, one ingredient-id transaction per recipe. Migrated recipes can
+/// hold ids outside that context's ingredient list, so they have no
+/// RecipeStore position form.
+Result<std::vector<TransactionSet>> EvolveHorizontalWorld(
     const std::vector<CuisineContext>& contexts, const Lexicon& lexicon,
     const HorizontalConfig& config);
 

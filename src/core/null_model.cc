@@ -87,12 +87,4 @@ Status NullModel::GenerateInto(const CuisineContext& context, uint64_t seed,
   return Status::Ok();
 }
 
-Status NullModel::Generate(const CuisineContext& context, uint64_t seed,
-                           GeneratedRecipes* out) const {
-  RecipeStore store;
-  CULEVO_RETURN_IF_ERROR(GenerateInto(context, seed, &store));
-  StoreToRecipes(store, context.ingredients, out);
-  return Status::Ok();
-}
-
 }  // namespace culevo

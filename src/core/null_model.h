@@ -19,10 +19,6 @@ class NullModel : public EvolutionModel {
 
   std::string name() const override { return "NM"; }
 
-  Status Generate(const CuisineContext& context, uint64_t seed,
-                  GeneratedRecipes* out) const override;
-
-  /// Native flat-arena hot path (see CopyMutateModel::GenerateInto).
   Status GenerateInto(const CuisineContext& context, uint64_t seed,
                       RecipeStore* store) const override;
 

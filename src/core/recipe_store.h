@@ -25,8 +25,7 @@ using PoolPos = uint32_t;
 /// store exposes an "open recipe" protocol: exactly the tail of the buffer
 /// past the last committed offset. A mother recipe is copied to the tail,
 /// mutated in place through open(), and sealed with Commit(); committed
-/// recipes are immutable (except for the explicit in-place SortCommitted()
-/// used when exporting). Reset() rewinds without releasing capacity, so a
+/// recipes are immutable. Reset() rewinds without releasing capacity, so a
 /// store reused across replicas is allocation-free in steady state.
 class RecipeStore {
  public:
@@ -96,11 +95,6 @@ class RecipeStore {
     offsets_.push_back(static_cast<uint32_t>(items_.size()));
     open_ = false;
   }
-
-  /// Sorts every committed recipe's positions ascending, in place. Export
-  /// helper: generation keeps recipes in draw order (the RNG slot mapping
-  /// depends on it); consumers want sorted sets.
-  void SortCommitted();
 
  private:
   std::vector<PoolPos> items_;

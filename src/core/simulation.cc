@@ -19,51 +19,26 @@
 
 namespace culevo {
 
-TransactionSet RecipesToTransactions(const GeneratedRecipes& recipes) {
-  TransactionSet out;
-  out.Reserve(recipes.size());
-  for (const std::vector<IngredientId>& recipe : recipes) {
-    out.Add(std::vector<Item>(recipe.begin(), recipe.end()));
-  }
-  return out;
+namespace {
+
+/// Recipe `i` of `store` as ingredient ids, in draw order.
+void ResolveRecipe(const RecipeStore& store, size_t i,
+                   const std::vector<IngredientId>& ingredients,
+                   std::vector<IngredientId>* ids) {
+  ids->clear();
+  for (PoolPos pos : store.recipe(i)) ids->push_back(ingredients[pos]);
 }
 
-TransactionSet RecipesToCategoryTransactions(const GeneratedRecipes& recipes,
-                                             const Lexicon& lexicon) {
-  TransactionSet out;
-  out.Reserve(recipes.size());
-  for (const std::vector<IngredientId>& recipe : recipes) {
-    bool present[kNumCategories] = {};
-    int distinct = 0;
-    for (IngredientId id : recipe) {
-      bool& seen = present[static_cast<int>(lexicon.category(id))];
-      distinct += seen ? 0 : 1;
-      seen = true;
-    }
-    std::vector<Item> items;
-    items.reserve(static_cast<size_t>(distinct));
-    for (int c = 0; c < kNumCategories; ++c) {
-      if (present[c]) items.push_back(static_cast<Item>(c));
-    }
-    out.Add(std::move(items));
-  }
-  return out;
-}
+}  // namespace
 
 TransactionSet StoreTransactions(
     const RecipeStore& store, const std::vector<IngredientId>& ingredients) {
   TransactionSet out;
-  out.Reserve(store.num_recipes());
-  std::vector<Item> items;
+  out.Reserve(store.num_recipes(), store.num_items());
+  std::vector<IngredientId> ids;
   for (size_t i = 0; i < store.num_recipes(); ++i) {
-    const std::span<const PoolPos> positions = store.recipe(i);
-    items.clear();
-    items.reserve(positions.size());
-    for (PoolPos pos : positions) {
-      items.push_back(static_cast<Item>(ingredients[pos]));
-    }
-    std::sort(items.begin(), items.end());
-    out.Add(std::vector<Item>(items.begin(), items.end()));
+    ResolveRecipe(store, i, ingredients, &ids);
+    out.AddIngredientSet(ids);
   }
   return out;
 }
@@ -73,21 +48,10 @@ TransactionSet StoreCategoryTransactions(
     const Lexicon& lexicon) {
   TransactionSet out;
   out.Reserve(store.num_recipes());
+  std::vector<IngredientId> ids;
   for (size_t i = 0; i < store.num_recipes(); ++i) {
-    bool present[kNumCategories] = {};
-    int distinct = 0;
-    for (PoolPos pos : store.recipe(i)) {
-      bool& seen =
-          present[static_cast<int>(lexicon.category(ingredients[pos]))];
-      distinct += seen ? 0 : 1;
-      seen = true;
-    }
-    std::vector<Item> items;
-    items.reserve(static_cast<size_t>(distinct));
-    for (int c = 0; c < kNumCategories; ++c) {
-      if (present[c]) items.push_back(static_cast<Item>(c));
-    }
-    out.Add(std::move(items));
+    ResolveRecipe(store, i, ingredients, &ids);
+    out.AddCategorySet(ids, lexicon);
   }
   return out;
 }

@@ -175,17 +175,9 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
                                        const SimulationConfig& config,
                                        ThreadPool* pool = nullptr);
 
-/// Builds a TransactionSet directly from generated recipes.
-TransactionSet RecipesToTransactions(const GeneratedRecipes& recipes);
-
-/// Projects generated recipes to category transactions.
-TransactionSet RecipesToCategoryTransactions(const GeneratedRecipes& recipes,
-                                             const Lexicon& lexicon);
-
-/// Builds the ingredient-id TransactionSet straight from a flat recipe
-/// store (positions resolved against `ingredients`, each transaction
-/// sorted). Equivalent to StoreToRecipes + RecipesToTransactions without
-/// materializing the intermediate GeneratedRecipes.
+/// The ingredient-id transactions of a generated recipe store: recipe i's
+/// positions resolved against `ingredients` and sorted (the projection
+/// IngredientTransactions applies to a corpus).
 TransactionSet StoreTransactions(const RecipeStore& store,
                                  const std::vector<IngredientId>& ingredients);
 

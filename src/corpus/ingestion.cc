@@ -205,14 +205,8 @@ Status IncrementalCorpus::Add(CuisineId cuisine,
   ++stats.size_histogram[static_cast<size_t>(size)];
   stats.num_unique_ingredients = unique_[cuisine].size();
 
-  pending_transactions_[cuisine].push_back(scratch_);
   IngestedRecipes()->Increment();
   return Status::Ok();
-}
-
-std::vector<std::vector<IngredientId>>
-IncrementalCorpus::DrainNewTransactions(CuisineId cuisine) {
-  return std::exchange(pending_transactions_[cuisine], {});
 }
 
 Result<RecipeCorpus> IncrementalCorpus::Materialize() const& {

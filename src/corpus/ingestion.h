@@ -73,9 +73,6 @@ std::vector<RawRecipe> ParseRawRecipeText(std::string_view text);
 ///   - CuisineStats (count, mean, min/max, size histogram, unique count)
 ///     are maintained incrementally and stay bit-identical to what
 ///     ComputeCuisineStats would return on the materialized corpus,
-///   - newly ingested recipes queue per cuisine as mining-transaction
-///     deltas (DrainNewTransactions), so a miner's TransactionSet is
-///     extended instead of rebuilt,
 ///   - snapshots go through a persistent SnapshotWriter, which resumes the
 ///     checksums of the append-only columns instead of rehashing them.
 ///
@@ -123,12 +120,6 @@ class IncrementalCorpus {
     return stats_[cuisine];
   }
 
-  /// Moves out the (sorted, unique) ingredient sets of every recipe
-  /// appended to `cuisine` since the last drain — the delta to feed a
-  /// standing TransactionSet (analysis/transactions.h has the wiring).
-  std::vector<std::vector<IngredientId>> DrainNewTransactions(
-      CuisineId cuisine);
-
   /// Builds an owned, finalized RecipeCorpus from the current contents,
   /// for code that wants the immutable type (snapshots and stats do not
   /// need it). The columns, shards and unique lists this object maintains
@@ -169,9 +160,6 @@ class IncrementalCorpus {
   /// Exact per-cuisine mention totals (mean_recipe_size = sum / count,
   /// the same division ComputeCuisineStats performs).
   std::array<uint64_t, kNumCuisines> size_sums_{};
-  /// Undrained mining-transaction deltas per cuisine.
-  std::array<std::vector<std::vector<IngredientId>>, kNumCuisines>
-      pending_transactions_;
   std::vector<IngredientId> scratch_;
 
   /// Holds the column checksums as of the previous WriteSnapshot; the

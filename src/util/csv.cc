@@ -102,6 +102,12 @@ void AppendField(std::string* out, const std::string& field, char delimiter) {
 std::string FormatDsv(const DsvTable& table, char delimiter) {
   std::string out;
   for (const std::vector<std::string>& row : table.rows) {
+    if (row.size() == 1 && row[0].empty()) {
+      // Unquoted, this row would be a bare newline, which reads back as no
+      // row at all.
+      out.append("\"\"\n");
+      continue;
+    }
     for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) out.push_back(delimiter);
       AppendField(&out, row[i], delimiter);

@@ -25,7 +25,7 @@ Result<DsvTable> ParseDsv(std::string_view text, char delimiter);
 Result<DsvTable> ReadDsvFile(const std::string& path, char delimiter);
 
 /// Serializes rows, quoting any field containing the delimiter, a quote,
-/// or a newline.
+/// or a newline, and a row's only field when it is empty.
 std::string FormatDsv(const DsvTable& table, char delimiter);
 
 /// Writes `table` to `path` atomically (via util/file_io.h's

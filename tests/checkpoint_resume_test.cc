@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -54,21 +55,16 @@ class InterruptModel : public EvolutionModel {
     return inner_->ConfigFingerprint();
   }
 
-  Status Generate(const CuisineContext& context, uint64_t seed,
-                  GeneratedRecipes* out) const override {
-    return inner_->Generate(context, seed, out);
-  }
-
   Status GenerateInto(const CuisineContext& context, uint64_t seed,
                       RecipeStore* store) const override {
-    if (--fuse_ == 0) token_->Cancel();
+    if (fuse_.fetch_sub(1) == 1) token_->Cancel();
     return inner_->GenerateInto(context, seed, store);
   }
 
  private:
   const EvolutionModel* inner_;
   CancelToken* token_;
-  mutable int fuse_;
+  mutable std::atomic<int> fuse_;
 };
 
 /// Transparent wrapper that fails every attempt whose seed is denied,
@@ -83,26 +79,15 @@ class FlakyModel : public EvolutionModel {
     return inner_->ConfigFingerprint();
   }
 
-  Status Generate(const CuisineContext& context, uint64_t seed,
-                  GeneratedRecipes* out) const override {
-    CULEVO_RETURN_IF_ERROR(CheckSeed(seed));
-    return inner_->Generate(context, seed, out);
-  }
-
   Status GenerateInto(const CuisineContext& context, uint64_t seed,
                       RecipeStore* store) const override {
-    CULEVO_RETURN_IF_ERROR(CheckSeed(seed));
+    for (uint64_t denied : deny_) {
+      if (seed == denied) return Status::Internal("injected replica fault");
+    }
     return inner_->GenerateInto(context, seed, store);
   }
 
  private:
-  Status CheckSeed(uint64_t seed) const {
-    for (uint64_t denied : deny_) {
-      if (seed == denied) return Status::Internal("injected replica fault");
-    }
-    return Status::Ok();
-  }
-
   const EvolutionModel* inner_;
   std::vector<uint64_t> deny_;
 };

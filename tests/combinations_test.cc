@@ -20,9 +20,9 @@ TransactionSet SkewedTransactions() {
   // Items 0 and 1 co-occur everywhere; item 2 is present in 40%.
   for (int i = 0; i < 10; ++i) {
     if (i < 4) {
-      out.Add({0, 1, 2});
+      out.Add(std::vector<Item>{0, 1, 2});
     } else {
-      out.Add({0, 1});
+      out.Add(std::vector<Item>{0, 1});
     }
   }
   return out;

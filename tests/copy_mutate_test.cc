@@ -4,8 +4,11 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "model_test_util.h"
 
 namespace culevo {
 namespace {
@@ -42,10 +45,12 @@ CuisineContext GridContext(const Lexicon& lexicon, size_t target,
 TEST(CopyMutateTest, GeneratesTargetCountOfValidRecipes) {
   const Lexicon lexicon = GridLexicon(4, 25);
   const CuisineContext context = GridContext(lexicon, 400, 8);
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(MakeCmR(&lexicon)->Generate(context, 1, &recipes).ok());
-  ASSERT_EQ(recipes.size(), 400u);
-  for (const std::vector<IngredientId>& recipe : recipes) {
+  const Result<TransactionSet> recipes =
+      GenerateRecipes(*MakeCmR(&lexicon), context, 1);
+  ASSERT_TRUE(recipes.ok());
+  ASSERT_EQ(recipes->size(), 400u);
+  for (size_t r = 0; r < recipes->size(); ++r) {
+    const std::span<const Item> recipe = recipes->transaction(r);
     EXPECT_EQ(recipe.size(), 8u);  // Constant s̄ without insert/delete.
     EXPECT_TRUE(std::is_sorted(recipe.begin(), recipe.end()));
     std::set<IngredientId> unique(recipe.begin(), recipe.end());
@@ -60,14 +65,14 @@ TEST(CopyMutateTest, DeterministicPerSeed) {
   const Lexicon lexicon = GridLexicon(3, 30);
   const CuisineContext context = GridContext(lexicon, 200, 7);
   const auto model = MakeCmM(&lexicon);
-  GeneratedRecipes a;
-  GeneratedRecipes b;
-  ASSERT_TRUE(model->Generate(context, 42, &a).ok());
-  ASSERT_TRUE(model->Generate(context, 42, &b).ok());
-  EXPECT_EQ(a, b);
-  GeneratedRecipes c;
-  ASSERT_TRUE(model->Generate(context, 43, &c).ok());
-  EXPECT_NE(a, c);
+  const Result<TransactionSet> a = GenerateRecipes(*model, context, 42);
+  const Result<TransactionSet> b = GenerateRecipes(*model, context, 42);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(*a, *b);
+  const Result<TransactionSet> c = GenerateRecipes(*model, context, 43);
+  ASSERT_TRUE(c.ok());
+  EXPECT_NE(*a, *c);
 }
 
 TEST(CopyMutateTest, PaperFactoriesUsePaperParameters) {
@@ -85,19 +90,18 @@ TEST(CopyMutateTest, PaperFactoriesUsePaperParameters) {
 TEST(CopyMutateTest, InvalidContextsRejected) {
   const Lexicon lexicon = GridLexicon(2, 10);
   const auto model = MakeCmR(&lexicon);
-  GeneratedRecipes out;
 
   CuisineContext empty_target = GridContext(lexicon, 10, 5);
   empty_target.target_recipes = 0;
-  EXPECT_FALSE(model->Generate(empty_target, 1, &out).ok());
+  EXPECT_FALSE(GenerateRecipes(*model, empty_target, 1).ok());
 
   CuisineContext no_ingredients = GridContext(lexicon, 10, 5);
   no_ingredients.ingredients.clear();
-  EXPECT_FALSE(model->Generate(no_ingredients, 1, &out).ok());
+  EXPECT_FALSE(GenerateRecipes(*model, no_ingredients, 1).ok());
 
   CuisineContext bad_phi = GridContext(lexicon, 10, 5);
   bad_phi.phi = 0.0;
-  EXPECT_FALSE(model->Generate(bad_phi, 1, &out).ok());
+  EXPECT_FALSE(GenerateRecipes(*model, bad_phi, 1).ok());
 }
 
 /// CM-C preserves every recipe's per-category ingredient counts along its
@@ -108,11 +112,11 @@ TEST(CopyMutateTest, SameCategoryPolicyPreservesCategoryHistograms) {
   const Lexicon lexicon = GridLexicon(4, 25);
   const CuisineContext context = GridContext(lexicon, 400, 8);
 
-  const auto count_histograms = [&](const GeneratedRecipes& recipes) {
+  const auto count_histograms = [&](const TransactionSet& recipes) {
     std::set<std::vector<int>> histograms;
-    for (const std::vector<IngredientId>& recipe : recipes) {
+    for (size_t r = 0; r < recipes.size(); ++r) {
       std::vector<int> histogram(4, 0);
-      for (IngredientId id : recipe) {
+      for (IngredientId id : recipes.transaction(r)) {
         ++histogram[static_cast<int>(lexicon.category(id))];
       }
       histograms.insert(histogram);
@@ -120,15 +124,17 @@ TEST(CopyMutateTest, SameCategoryPolicyPreservesCategoryHistograms) {
     return histograms.size();
   };
 
-  GeneratedRecipes cm_c;
-  ASSERT_TRUE(MakeCmC(&lexicon)->Generate(context, 5, &cm_c).ok());
-  GeneratedRecipes cm_r;
-  ASSERT_TRUE(MakeCmR(&lexicon)->Generate(context, 5, &cm_r).ok());
+  const Result<TransactionSet> cm_c =
+      GenerateRecipes(*MakeCmC(&lexicon), context, 5);
+  ASSERT_TRUE(cm_c.ok());
+  const Result<TransactionSet> cm_r =
+      GenerateRecipes(*MakeCmR(&lexicon), context, 5);
+  ASSERT_TRUE(cm_r.ok());
 
   // n0 = m/phi = 20 / (100/400) = 80 initial recipes bound CM-C's
   // distinct-histogram count; CM-R keeps generating new histograms.
-  EXPECT_LE(count_histograms(cm_c), 80u + 4u);  // +slack for pool fallback.
-  EXPECT_GT(count_histograms(cm_r), count_histograms(cm_c));
+  EXPECT_LE(count_histograms(*cm_c), 80u + 4u);  // +slack for pool fallback.
+  EXPECT_GT(count_histograms(*cm_r), count_histograms(*cm_c));
 }
 
 TEST(CopyMutateTest, MixtureProbabilityInterpolates) {
@@ -141,12 +147,12 @@ TEST(CopyMutateTest, MixtureProbabilityInterpolates) {
     params.mutations = 6;
     params.mixture_cross_prob = cross_prob;
     const CopyMutateModel model(&lexicon, params);
-    GeneratedRecipes recipes;
-    EXPECT_TRUE(model.Generate(context, 5, &recipes).ok());
+    const Result<TransactionSet> recipes = GenerateRecipes(model, context, 5);
+    EXPECT_TRUE(recipes.ok());
     std::set<std::vector<int>> histograms;
-    for (const std::vector<IngredientId>& recipe : recipes) {
+    for (size_t r = 0; recipes.ok() && r < recipes->size(); ++r) {
       std::vector<int> histogram(4, 0);
-      for (IngredientId id : recipe) {
+      for (IngredientId id : recipes->transaction(r)) {
         ++histogram[static_cast<int>(lexicon.category(id))];
       }
       histograms.insert(histogram);
@@ -166,10 +172,11 @@ TEST(CopyMutateTest, VariableSizeExtensionChangesSizes) {
   params.insert_prob = 0.3;
   params.delete_prob = 0.3;
   const CopyMutateModel model(&lexicon, params);
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(model.Generate(context, 3, &recipes).ok());
+  const Result<TransactionSet> recipes = GenerateRecipes(model, context, 3);
+  ASSERT_TRUE(recipes.ok());
   std::set<size_t> sizes;
-  for (const std::vector<IngredientId>& recipe : recipes) {
+  for (size_t r = 0; r < recipes->size(); ++r) {
+    const std::span<const Item> recipe = recipes->transaction(r);
     sizes.insert(recipe.size());
     EXPECT_GE(recipe.size(), 2u);
     EXPECT_LE(recipe.size(), 38u);
@@ -186,16 +193,14 @@ TEST(CopyMutateTest, FitnessGatingEnrichesHighFitnessIngredients) {
   ModelParams params;
   params.mutations = 8;
   const CopyMutateModel model(&lexicon, params);
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(model.Generate(context, 11, &recipes).ok());
+  const Result<TransactionSet> recipes = GenerateRecipes(model, context, 11);
+  ASSERT_TRUE(recipes.ok());
 
   // Proxy: ingredient usage concentration. Fitness-gated evolution reuses
   // the fittest ingredients, so the most common ingredient should appear in
   // far more than the uniform share of recipes.
   std::map<IngredientId, size_t> counts;
-  for (const auto& recipe : recipes) {
-    for (IngredientId id : recipe) ++counts[id];
-  }
+  for (IngredientId id : recipes->items()) ++counts[id];
   size_t max_count = 0;
   for (const auto& [id, count] : counts) {
     max_count = std::max(max_count, count);
@@ -208,9 +213,10 @@ TEST(CopyMutateTest, SmallIngredientListsStillWork) {
   // |I| smaller than the initial pool request.
   const Lexicon lexicon = GridLexicon(1, 12);
   const CuisineContext context = GridContext(lexicon, 60, 5);
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(MakeCmR(&lexicon)->Generate(context, 2, &recipes).ok());
-  EXPECT_EQ(recipes.size(), 60u);
+  const Result<TransactionSet> recipes =
+      GenerateRecipes(*MakeCmR(&lexicon), context, 2);
+  ASSERT_TRUE(recipes.ok());
+  EXPECT_EQ(recipes->size(), 60u);
 }
 
 TEST(ReplacementPolicyNameTest, Names) {

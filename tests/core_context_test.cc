@@ -43,19 +43,5 @@ TEST(ContextFromCorpusTest, BadCuisineIdFails) {
   EXPECT_FALSE(ContextFromCorpus(corpus, kNumCuisines).ok());
 }
 
-TEST(RecipesToCorpusTest, PacksRecipes) {
-  GeneratedRecipes recipes = {{1, 2}, {3, 4, 5}};
-  Result<RecipeCorpus> corpus = RecipesToCorpus(recipes, 7);
-  ASSERT_TRUE(corpus.ok());
-  EXPECT_EQ(corpus->num_recipes(), 2u);
-  EXPECT_EQ(corpus->num_recipes_in(7), 2u);
-  EXPECT_EQ(corpus->cuisine_of(1), 7);
-}
-
-TEST(RecipesToCorpusTest, RejectsEmptyRecipe) {
-  GeneratedRecipes recipes = {{1}, {}};
-  EXPECT_FALSE(RecipesToCorpus(recipes, 0).ok());
-}
-
 }  // namespace
 }  // namespace culevo

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 
 #include "analysis/eclat.h"
@@ -46,26 +47,15 @@ class SeedDenyModel : public EvolutionModel {
 
   std::string name() const override { return "deny(" + inner_->name() + ")"; }
 
-  Status Generate(const CuisineContext& context, uint64_t seed,
-                  GeneratedRecipes* out) const override {
-    CULEVO_RETURN_IF_ERROR(CheckSeed(seed));
-    return inner_->Generate(context, seed, out);
-  }
-
   Status GenerateInto(const CuisineContext& context, uint64_t seed,
                       RecipeStore* store) const override {
-    CULEVO_RETURN_IF_ERROR(CheckSeed(seed));
+    for (uint64_t denied : deny_) {
+      if (seed == denied) return Status::Internal("injected replica fault");
+    }
     return inner_->GenerateInto(context, seed, store);
   }
 
  private:
-  Status CheckSeed(uint64_t seed) const {
-    for (uint64_t denied : deny_) {
-      if (seed == denied) return Status::Internal("injected replica fault");
-    }
-    return Status::Ok();
-  }
-
   const EvolutionModel* inner_;
   std::vector<uint64_t> deny_;
 };
@@ -307,21 +297,16 @@ class CancelAfterModel : public EvolutionModel {
 
   std::string name() const override { return inner_->name(); }
 
-  Status Generate(const CuisineContext& context, uint64_t seed,
-                  GeneratedRecipes* out) const override {
-    return inner_->Generate(context, seed, out);
-  }
-
   Status GenerateInto(const CuisineContext& context, uint64_t seed,
                       RecipeStore* store) const override {
-    if (--fuse_ == 0) token_->Cancel();
+    if (fuse_.fetch_sub(1) == 1) token_->Cancel();
     return inner_->GenerateInto(context, seed, store);
   }
 
  private:
   const EvolutionModel* inner_;
   CancelToken* token_;
-  mutable int fuse_;
+  mutable std::atomic<int> fuse_;
 };
 
 TEST_F(FaultInjectionTest, MidRunCancelStopsWithinOneReplica) {
@@ -340,8 +325,9 @@ TEST_F(FaultInjectionTest, MidRunCancelStopsWithinOneReplica) {
 TEST_F(FaultInjectionTest, EclatHonoursPreCancelledToken) {
   TransactionSet transactions;
   for (int t = 0; t < 40; ++t) {
-    transactions.Add({static_cast<Item>(t % 5), static_cast<Item>(5 + t % 7),
-                      static_cast<Item>(12 + t % 3)});
+    transactions.Add(std::vector<Item>{static_cast<Item>(t % 5),
+                                       static_cast<Item>(5 + t % 7),
+                                       static_cast<Item>(12 + t % 3)});
   }
   CancelToken token;
   token.Cancel();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 
 #include "lexicon/world_lexicon.h"
 
@@ -27,12 +28,10 @@ std::vector<CuisineContext> DisjointContexts() {
   return contexts;
 }
 
-bool AnyForeignIngredient(const GeneratedRecipes& recipes,
-                          IngredientId lo, IngredientId hi) {
-  for (const auto& recipe : recipes) {
-    for (IngredientId id : recipe) {
-      if (id < lo || id >= hi) return true;
-    }
+bool AnyForeignIngredient(const TransactionSet& recipes, IngredientId lo,
+                          IngredientId hi) {
+  for (IngredientId id : recipes.items()) {
+    if (id < lo || id >= hi) return true;
   }
   return false;
 }
@@ -41,37 +40,38 @@ TEST(HorizontalTest, ZeroMigrationKeepsCuisinesIsolated) {
   HorizontalConfig config;
   config.migration_prob = 0.0;
   config.seed = 3;
-  Result<HorizontalWorld> world =
+  Result<std::vector<TransactionSet>> world =
       EvolveHorizontalWorld(DisjointContexts(), WorldLexicon(), config);
   ASSERT_TRUE(world.ok());
-  ASSERT_EQ(world->recipes.size(), 2u);
-  EXPECT_EQ(world->recipes[0].size(), 200u);
-  EXPECT_EQ(world->recipes[1].size(), 200u);
-  EXPECT_FALSE(AnyForeignIngredient(world->recipes[0], 0, 80));
-  EXPECT_FALSE(AnyForeignIngredient(world->recipes[1], 80, 160));
+  ASSERT_EQ(world->size(), 2u);
+  EXPECT_EQ((*world)[0].size(), 200u);
+  EXPECT_EQ((*world)[1].size(), 200u);
+  EXPECT_FALSE(AnyForeignIngredient((*world)[0], 0, 80));
+  EXPECT_FALSE(AnyForeignIngredient((*world)[1], 80, 160));
 }
 
 TEST(HorizontalTest, MigrationLeaksForeignIngredients) {
   HorizontalConfig config;
   config.migration_prob = 0.5;
   config.seed = 3;
-  Result<HorizontalWorld> world =
+  Result<std::vector<TransactionSet>> world =
       EvolveHorizontalWorld(DisjointContexts(), WorldLexicon(), config);
   ASSERT_TRUE(world.ok());
   // With heavy migration, imported mother recipes carry the donor's
   // ingredients into the other cuisine's pool output.
-  EXPECT_TRUE(AnyForeignIngredient(world->recipes[0], 0, 80) ||
-              AnyForeignIngredient(world->recipes[1], 80, 160));
+  EXPECT_TRUE(AnyForeignIngredient((*world)[0], 0, 80) ||
+              AnyForeignIngredient((*world)[1], 80, 160));
 }
 
 TEST(HorizontalTest, RecipesAreSortedSets) {
   HorizontalConfig config;
   config.migration_prob = 0.1;
-  Result<HorizontalWorld> world =
+  Result<std::vector<TransactionSet>> world =
       EvolveHorizontalWorld(DisjointContexts(), WorldLexicon(), config);
   ASSERT_TRUE(world.ok());
-  for (const GeneratedRecipes& recipes : world->recipes) {
-    for (const std::vector<IngredientId>& recipe : recipes) {
+  for (const TransactionSet& recipes : *world) {
+    for (size_t r = 0; r < recipes.size(); ++r) {
+      const std::span<const Item> recipe = recipes.transaction(r);
       EXPECT_TRUE(std::is_sorted(recipe.begin(), recipe.end()));
       std::set<IngredientId> unique(recipe.begin(), recipe.end());
       EXPECT_EQ(unique.size(), recipe.size());
@@ -83,23 +83,23 @@ TEST(HorizontalTest, Deterministic) {
   HorizontalConfig config;
   config.migration_prob = 0.2;
   config.seed = 5;
-  Result<HorizontalWorld> a =
+  Result<std::vector<TransactionSet>> a =
       EvolveHorizontalWorld(DisjointContexts(), WorldLexicon(), config);
-  Result<HorizontalWorld> b =
+  Result<std::vector<TransactionSet>> b =
       EvolveHorizontalWorld(DisjointContexts(), WorldLexicon(), config);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->recipes, b->recipes);
+  EXPECT_EQ(*a, *b);
 }
 
 TEST(HorizontalTest, SingleCuisineWorks) {
   std::vector<CuisineContext> contexts = {DisjointContexts()[0]};
   HorizontalConfig config;
   config.migration_prob = 0.5;  // No donors available; stays local.
-  Result<HorizontalWorld> world =
+  Result<std::vector<TransactionSet>> world =
       EvolveHorizontalWorld(contexts, WorldLexicon(), config);
   ASSERT_TRUE(world.ok());
-  EXPECT_EQ(world->recipes[0].size(), 200u);
+  EXPECT_EQ((*world)[0].size(), 200u);
 }
 
 TEST(HorizontalTest, InvalidInputsRejected) {

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/transactions.h"
 #include "corpus/corpus_stats.h"
 #include "lexicon/world_lexicon.h"
 #include "util/csv.h"
@@ -268,25 +267,6 @@ TEST(IncrementalCorpusTest, SeedsFromCorpusAndExtends) {
   ASSERT_TRUE(roomy.Add(0, std::vector<IngredientId>{5, 3}).ok());
   EXPECT_TRUE(SameStats(roomy.stats(), ComputeCuisineStats(rebuilt)));
   ExpectMaterializesTo(roomy, rebuilt);
-}
-
-TEST(IncrementalCorpusTest, TransactionDeltasDrainOnce) {
-  IncrementalCorpus incremental;
-  ASSERT_TRUE(incremental.Add(2, std::vector<IngredientId>{9, 4}).ok());
-  ASSERT_TRUE(incremental.Add(2, std::vector<IngredientId>{7}).ok());
-  ASSERT_TRUE(incremental.Add(3, std::vector<IngredientId>{1}).ok());
-
-  TransactionSet standing;
-  EXPECT_EQ(AppendNewTransactions(incremental, 2, &standing), 2u);
-  ASSERT_EQ(standing.size(), 2u);
-  EXPECT_EQ(standing.transaction(0), (std::vector<Item>{4, 9}));
-  EXPECT_EQ(standing.transaction(1), (std::vector<Item>{7}));
-
-  // Drained: a second drain is empty until new recipes arrive.
-  EXPECT_EQ(AppendNewTransactions(incremental, 2, &standing), 0u);
-  ASSERT_TRUE(incremental.Add(2, std::vector<IngredientId>{5}).ok());
-  EXPECT_EQ(AppendNewTransactions(incremental, 2, &standing), 1u);
-  EXPECT_EQ(standing.size(), 3u);
 }
 
 TEST(IncrementalCorpusTest, SnapshotRoundTripsAfterAppends) {

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -45,21 +46,16 @@ class InterruptModel : public EvolutionModel {
     return inner_->ConfigFingerprint();
   }
 
-  Status Generate(const CuisineContext& context, uint64_t seed,
-                  GeneratedRecipes* out) const override {
-    return inner_->Generate(context, seed, out);
-  }
-
   Status GenerateInto(const CuisineContext& context, uint64_t seed,
                       RecipeStore* store) const override {
-    if (--fuse_ == 0) token_->Cancel();
+    if (fuse_.fetch_sub(1) == 1) token_->Cancel();
     return inner_->GenerateInto(context, seed, store);
   }
 
  private:
   const EvolutionModel* inner_;
   CancelToken* token_;
-  mutable int fuse_;
+  mutable std::atomic<int> fuse_;
 };
 
 class KillResumeTest : public ::testing::Test {

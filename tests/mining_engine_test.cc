@@ -345,7 +345,7 @@ TEST(MiningEngineTest, ParallelPathHandlesDegenerateInputs) {
   TransactionSet empty;
   EXPECT_TRUE(MineEclat(empty, 1, parallel).empty());
   TransactionSet one;
-  one.Add({3});
+  one.Add(std::vector<Item>{3});
   const std::vector<Itemset> result = MineEclat(one, 1, parallel);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].items, (std::vector<Item>{3}));
@@ -402,10 +402,10 @@ TEST(EclatCounterTest, SparsePathCountsPerIntersectionNotPerProbe) {
   // class(0) builds 1 child (0^1); class(1) has no extensions. Exactly 4
   // sparse kernel calls, zero aborts, 7 itemsets.
   TransactionSet transactions;
-  transactions.Add({0, 1, 2});
-  transactions.Add({0, 1, 2});
-  transactions.Add({0, 1, 2});
-  transactions.Add({0, 1});
+  transactions.Add(std::vector<Item>{0, 1, 2});
+  transactions.Add(std::vector<Item>{0, 1, 2});
+  transactions.Add(std::vector<Item>{0, 1, 2});
+  transactions.Add(std::vector<Item>{0, 1});
   EclatOptions sparse_forced;
   sparse_forced.density_threshold = 2.0;  // every list stays sparse
   std::vector<Itemset> result;

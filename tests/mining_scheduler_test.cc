@@ -322,8 +322,8 @@ TEST(EclatWorkStealingTest, CancellationMidStealLeavesWellFormedSubset) {
 
 TEST(EclatWorkStealingTest, PreCancelledMiningReturnsEmpty) {
   TransactionSet transactions;
-  transactions.Add({0, 1});
-  transactions.Add({0, 1});
+  transactions.Add(std::vector<Item>{0, 1});
+  transactions.Add(std::vector<Item>{0, 1});
   CancelToken cancel;
   cancel.Cancel();
   ThreadPool pool(2);
@@ -339,8 +339,8 @@ TEST(EclatWorkStealingTest, NestedMiningFromPoolWorkerDoesNotDeadlock) {
   // of deadlocking on pool capacity.
   TransactionSet transactions;
   for (int i = 0; i < 50; ++i) {
-    transactions.Add({static_cast<Item>(i % 5),
-                      static_cast<Item>(5 + i % 3), 9});
+    transactions.Add(std::vector<Item>{static_cast<Item>(i % 5),
+                                       static_cast<Item>(5 + i % 3), 9});
   }
   const std::vector<Itemset> expected = MineEclat(transactions, 2);
   ThreadPool pool(1);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "analysis/apriori.h"
@@ -32,7 +33,8 @@ std::vector<Itemset> MineBruteForce(const TransactionSet& transactions,
       if (mask & (1u << i)) items.push_back(static_cast<Item>(i));
     }
     size_t support = 0;
-    for (const std::vector<Item>& t : transactions.transactions()) {
+    for (size_t tid = 0; tid < transactions.size(); ++tid) {
+      const std::span<const Item> t = transactions.transaction(tid);
       if (std::includes(t.begin(), t.end(), items.begin(), items.end())) {
         ++support;
       }

@@ -1,7 +1,7 @@
 // Tests for the flat-arena model-simulation engine: RecipeStore semantics,
-// fixed-seed goldens captured from the seed (pre-rebuild) engine, flat ==
-// compat equivalence, serial == parallel determinism, and regressions for
-// the three sampling/validation bugs fixed alongside the rebuild.
+// fixed-seed goldens captured from the seed (pre-rebuild) engine, serial ==
+// parallel determinism, and regressions for the three sampling/validation
+// bugs fixed alongside the rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "core/null_model.h"
 #include "core/simulation.h"
 #include "lexicon/world_lexicon.h"
+#include "model_test_util.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 
@@ -96,7 +97,7 @@ TEST(RecipeStoreTest, EraseFromOpenPreservesOrder) {
             (std::vector<PoolPos>{4, 15, 16}));
 }
 
-TEST(RecipeStoreTest, ResetRewindsAndSortCommittedSorts) {
+TEST(RecipeStoreTest, ResetRewinds) {
   RecipeStore store;
   store.Reset(1, 3);
   store.BeginRecipe();
@@ -105,14 +106,6 @@ TEST(RecipeStoreTest, ResetRewindsAndSortCommittedSorts) {
   store.Reset(2, 6);
   EXPECT_EQ(store.num_recipes(), 0u);
   EXPECT_EQ(store.num_items(), 0u);
-
-  store.BeginRecipe();
-  for (PoolPos p : {9, 1, 5}) store.AppendToOpen(p);
-  store.Commit();
-  store.SortCommitted();
-  EXPECT_EQ(std::vector<PoolPos>(store.recipe(0).begin(),
-                                 store.recipe(0).end()),
-            (std::vector<PoolPos>{1, 5, 9}));
 }
 
 // ---------------------------------------------------------------------------
@@ -132,10 +125,10 @@ CuisineContext GoldenContext() {
   return context;
 }
 
-uint64_t HashRecipes(const GeneratedRecipes& recipes) {
+uint64_t HashRecipes(const TransactionSet& recipes) {
   uint64_t h = 1469598103934665603ull;  // FNV-1a 64.
-  for (const auto& recipe : recipes) {
-    for (IngredientId id : recipe) {
+  for (size_t i = 0; i < recipes.size(); ++i) {
+    for (Item id : recipes.transaction(i)) {
       h ^= static_cast<uint64_t>(id) + 1;
       h *= 1099511628211ull;
     }
@@ -147,7 +140,7 @@ uint64_t HashRecipes(const GeneratedRecipes& recipes) {
 
 struct ModelGolden {
   const char* name;
-  uint64_t recipe_hash;  // Generate() at seed 7 on GoldenContext.
+  uint64_t recipe_hash;  // GenerateInto() at seed 7 on GoldenContext.
   size_t ingredient_curve_size;
   size_t category_curve_size;
   std::vector<double> ingredient_head;
@@ -226,10 +219,10 @@ TEST(ModelEngineGoldenTest, ReproducesSeedEngineRecipePools) {
   const GoldenModels models;
   const CuisineContext context = GoldenContext();
   for (const ModelGolden& golden : Goldens()) {
-    GeneratedRecipes recipes;
-    ASSERT_TRUE(
-        models.by_name(golden.name).Generate(context, 7, &recipes).ok());
-    EXPECT_EQ(HashRecipes(recipes), golden.recipe_hash) << golden.name;
+    const Result<TransactionSet> recipes =
+        GenerateRecipes(models.by_name(golden.name), context, 7);
+    ASSERT_TRUE(recipes.ok());
+    EXPECT_EQ(HashRecipes(*recipes), golden.recipe_hash) << golden.name;
   }
 }
 
@@ -257,57 +250,6 @@ TEST(ModelEngineGoldenTest, ReproducesSeedEngineCurves) {
           << golden.name << " category rank " << i;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Flat-arena path vs the GeneratedRecipes compat path.
-
-TEST(ModelEngineTest, FlatStoreMatchesCompatRecipes) {
-  const GoldenModels models;
-  const CuisineContext context = GoldenContext();
-  for (const char* name : {"CM-R", "CM-C", "CM-M", "NM"}) {
-    const EvolutionModel& model = models.by_name(name);
-    GeneratedRecipes recipes;
-    ASSERT_TRUE(model.Generate(context, 19, &recipes).ok());
-
-    RecipeStore store;
-    ASSERT_TRUE(model.GenerateInto(context, 19, &store).ok());
-    GeneratedRecipes from_store;
-    StoreToRecipes(store, context.ingredients, &from_store);
-    EXPECT_EQ(recipes, from_store) << name;
-
-    // Transaction builders agree between the two representations.
-    const TransactionSet flat_t =
-        StoreTransactions(store, context.ingredients);
-    const TransactionSet compat_t = RecipesToTransactions(recipes);
-    ASSERT_EQ(flat_t.size(), compat_t.size()) << name;
-    for (size_t i = 0; i < flat_t.size(); ++i) {
-      ASSERT_EQ(flat_t.transaction(i), compat_t.transaction(i)) << name;
-    }
-    const TransactionSet flat_c =
-        StoreCategoryTransactions(store, context.ingredients,
-                                  models.lexicon());
-    const TransactionSet compat_c =
-        RecipesToCategoryTransactions(recipes, models.lexicon());
-    ASSERT_EQ(flat_c.size(), compat_c.size()) << name;
-    for (size_t i = 0; i < flat_c.size(); ++i) {
-      ASSERT_EQ(flat_c.transaction(i), compat_c.transaction(i)) << name;
-    }
-  }
-}
-
-TEST(ModelEngineTest, PackRecipesRoundTripsAndRejectsUnknownIds) {
-  std::vector<IngredientId> ingredients = {2, 5, 9};
-  GeneratedRecipes recipes = {{2, 9}, {5}};
-  RecipeStore store;
-  ASSERT_TRUE(PackRecipes(recipes, ingredients, &store).ok());
-  GeneratedRecipes back;
-  StoreToRecipes(store, ingredients, &back);
-  EXPECT_EQ(back, recipes);
-
-  GeneratedRecipes bad = {{2, 7}};
-  EXPECT_EQ(PackRecipes(bad, ingredients, &store).code(),
-            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -373,9 +315,8 @@ TEST(ModelEngineRegressionTest, ZeroMeanRecipeSizeIsInvalidArgument) {
   CuisineContext context = GoldenContext();
   context.mean_recipe_size = 0;
   for (const char* name : {"CM-R", "NM"}) {
-    GeneratedRecipes recipes;
     const Status status =
-        models.by_name(name).Generate(context, 1, &recipes);
+        GenerateRecipes(models.by_name(name), context, 1).status();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
   }
 }
@@ -388,23 +329,24 @@ TEST(ModelEngineRegressionTest, InvertedRecipeSizeBoundsAreRejected) {
   params.min_recipe_size = 10;
   params.max_recipe_size = 4;
   const CopyMutateModel model(&lexicon, params);
-  GeneratedRecipes recipes;
-  EXPECT_EQ(model.Generate(GoldenContext(), 1, &recipes).code(),
+  EXPECT_EQ(GenerateRecipes(model, GoldenContext(), 1).status().code(),
             StatusCode::kInvalidArgument);
 
   ModelParams zero_min = params;
   zero_min.min_recipe_size = 0;
   zero_min.max_recipe_size = 38;
   const CopyMutateModel zero_min_model(&lexicon, zero_min);
-  EXPECT_EQ(zero_min_model.Generate(GoldenContext(), 1, &recipes).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      GenerateRecipes(zero_min_model, GoldenContext(), 1).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 // The seed engine stored pool positions as uint16_t with an unchecked
 // narrowing cast: on a context of more than 65,535 ingredients, positions
 // past 65,535 silently wrapped to the low positions. With the layout below
 // every wrapped position lands on an ingredient with id 7, so id 9 never
-// appears in seed output; the widened engine must produce it.
+// appeared in seed output. The context repeats ids, so its recipes have no
+// ingredient-set form; the store's positions are checked directly.
 TEST(ModelEngineRegressionTest, WideContextsKeepHighPositions) {
   constexpr size_t kTotal = 66000;
   CuisineContext context;
@@ -419,14 +361,14 @@ TEST(ModelEngineRegressionTest, WideContextsKeepHighPositions) {
   context.phi = 0.5;
 
   const NullModel model(static_cast<int>(kTotal));
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(model.Generate(context, 21, &recipes).ok());
-  ASSERT_EQ(recipes.size(), 100u);
+  RecipeStore store;
+  ASSERT_TRUE(model.GenerateInto(context, 21, &store).ok());
+  ASSERT_EQ(store.num_recipes(), 100u);
   bool saw_high_position = false;
-  for (const auto& recipe : recipes) {
-    for (IngredientId id : recipe) {
-      ASSERT_TRUE(id == 7 || id == 9);
-      saw_high_position |= (id == 9);
+  for (size_t i = 0; i < store.num_recipes(); ++i) {
+    for (PoolPos pos : store.recipe(i)) {
+      ASSERT_LT(pos, kTotal);
+      saw_high_position |= (pos >= 65536);
     }
   }
   // 100 recipes x 40 draws over 66,000 positions, 464 of them high:

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <tuple>
 
 #include "core/copy_mutate.h"
 #include "core/null_model.h"
 #include "lexicon/world_lexicon.h"
+#include "model_test_util.h"
 
 namespace culevo {
 namespace {
@@ -43,14 +45,15 @@ TEST_P(CopyMutatePropertyTest, GeneratedPoolSatisfiesAllInvariants) {
   const CopyMutateModel model(&WorldLexicon(), params);
 
   const CuisineContext context = WorldContext(150, 450, 8);
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(model.Generate(context, 97, &recipes).ok());
+  const Result<TransactionSet> recipes = GenerateRecipes(model, context, 97);
+  ASSERT_TRUE(recipes.ok());
 
   // Invariant 1: exactly N recipes.
-  ASSERT_EQ(recipes.size(), context.target_recipes);
+  ASSERT_EQ(recipes->size(), context.target_recipes);
 
   std::set<IngredientId> used;
-  for (const std::vector<IngredientId>& recipe : recipes) {
+  for (size_t r = 0; r < recipes->size(); ++r) {
+    const std::span<const Item> recipe = recipes->transaction(r);
     // Invariant 2: constant size s̄ (no insert/delete configured).
     EXPECT_EQ(recipe.size(), 8u);
     // Invariant 3: sorted unique ingredient sets.
@@ -69,9 +72,9 @@ TEST_P(CopyMutatePropertyTest, GeneratedPoolSatisfiesAllInvariants) {
   EXPECT_GT(used.size(), 40u);
 
   // Invariant 6: determinism.
-  GeneratedRecipes again;
-  ASSERT_TRUE(model.Generate(context, 97, &again).ok());
-  EXPECT_EQ(recipes, again);
+  const Result<TransactionSet> again = GenerateRecipes(model, context, 97);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*recipes, *again);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -96,9 +99,10 @@ TEST_P(VariableSizePropertyTest, SizesStayInPaperEnvelope) {
   params.delete_prob = delete_prob;
   const CopyMutateModel model(&WorldLexicon(), params);
   const CuisineContext context = WorldContext(120, 400, 9);
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(model.Generate(context, 31, &recipes).ok());
-  for (const std::vector<IngredientId>& recipe : recipes) {
+  const Result<TransactionSet> recipes = GenerateRecipes(model, context, 31);
+  ASSERT_TRUE(recipes.ok());
+  for (size_t r = 0; r < recipes->size(); ++r) {
+    const std::span<const Item> recipe = recipes->transaction(r);
     EXPECT_GE(recipe.size(), 2u);
     EXPECT_LE(recipe.size(), 38u);
   }
@@ -115,10 +119,11 @@ class NullModelPropertyTest : public ::testing::TestWithParam<int> {};
 TEST_P(NullModelPropertyTest, ValidForVaryingPoolSizes) {
   const NullModel model(GetParam());
   const CuisineContext context = WorldContext(100, 250, 7);
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(model.Generate(context, 13, &recipes).ok());
-  ASSERT_EQ(recipes.size(), 250u);
-  for (const std::vector<IngredientId>& recipe : recipes) {
+  const Result<TransactionSet> recipes = GenerateRecipes(model, context, 13);
+  ASSERT_TRUE(recipes.ok());
+  ASSERT_EQ(recipes->size(), 250u);
+  for (size_t r = 0; r < recipes->size(); ++r) {
+    const std::span<const Item> recipe = recipes->transaction(r);
     EXPECT_LE(recipe.size(), 7u);
     EXPECT_TRUE(std::is_sorted(recipe.begin(), recipe.end()));
   }

@@ -27,6 +27,7 @@
 #include <functional>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "container_test_util.h"
@@ -371,23 +372,31 @@ TEST_F(MutationFuzzTest, ParseDsv) {
         "\n"
         "milk,12\n";
     std::replace(seed.begin(), seed.end(), ',', delimiter);
-    ASSERT_TRUE(ParseDsv(seed, delimiter).ok());
-    int accepted = 0;
-    FuzzText(seed, delimiter == ',' ? 9 : 10, [&](const std::string& mutant,
-                                                  const std::string& where) {
-      const Result<DsvTable> parsed = ParseDsv(mutant, delimiter);
-      if (!StatusIn(parsed.status(),
-                    {StatusCode::kOk, StatusCode::kInvalidArgument}, where) ||
-          !parsed.ok()) {
-        return;
-      }
-      ++accepted;
-      const Result<DsvTable> reparsed =
-          ParseDsv(FormatDsv(*parsed, delimiter), delimiter);
-      ASSERT_TRUE(reparsed.ok()) << where << ": " << reparsed.status();
-      EXPECT_EQ(reparsed->rows, parsed->rows) << where;
-    });
-    EXPECT_GT(accepted, 0) << "delimiter " << static_cast<int>(delimiter);
+    // A row holding one empty field, between two others.
+    const std::string lone_empty =
+        std::string("a\n\"\"\nb") + delimiter + "c\n";
+    const uint64_t rng_seed = delimiter == ',' ? 9 : 10;
+    for (const auto& [text, text_rng_seed] :
+         {std::pair{seed, rng_seed}, std::pair{lone_empty, rng_seed + 2}}) {
+      ASSERT_TRUE(ParseDsv(text, delimiter).ok());
+      int accepted = 0;
+      FuzzText(text, text_rng_seed, [&](const std::string& mutant,
+                                        const std::string& where) {
+        const Result<DsvTable> parsed = ParseDsv(mutant, delimiter);
+        if (!StatusIn(parsed.status(),
+                      {StatusCode::kOk, StatusCode::kInvalidArgument},
+                      where) ||
+            !parsed.ok()) {
+          return;
+        }
+        ++accepted;
+        const Result<DsvTable> reparsed =
+            ParseDsv(FormatDsv(*parsed, delimiter), delimiter);
+        ASSERT_TRUE(reparsed.ok()) << where << ": " << reparsed.status();
+        EXPECT_EQ(reparsed->rows, parsed->rows) << where;
+      });
+      EXPECT_GT(accepted, 0) << "delimiter " << static_cast<int>(delimiter);
+    }
   }
 }
 

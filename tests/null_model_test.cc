@@ -4,6 +4,10 @@
 
 #include <map>
 #include <set>
+#include <span>
+#include <vector>
+
+#include "model_test_util.h"
 
 namespace culevo {
 namespace {
@@ -25,16 +29,19 @@ CuisineContext MakeContext(size_t num_ingredients, size_t target,
 
 TEST(NullModelTest, GeneratesTargetCount) {
   const NullModel model;
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(model.Generate(MakeContext(100, 300, 6), 1, &recipes).ok());
-  EXPECT_EQ(recipes.size(), 300u);
+  const Result<TransactionSet> recipes =
+      GenerateRecipes(model, MakeContext(100, 300, 6), 1);
+  ASSERT_TRUE(recipes.ok());
+  EXPECT_EQ(recipes->size(), 300u);
 }
 
 TEST(NullModelTest, RecipesAreValidSets) {
   const NullModel model;
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(model.Generate(MakeContext(80, 200, 7), 2, &recipes).ok());
-  for (const std::vector<IngredientId>& recipe : recipes) {
+  const Result<TransactionSet> recipes =
+      GenerateRecipes(model, MakeContext(80, 200, 7), 2);
+  ASSERT_TRUE(recipes.ok());
+  for (size_t r = 0; r < recipes->size(); ++r) {
+    const std::span<const Item> recipe = recipes->transaction(r);
     EXPECT_EQ(recipe.size(), 7u);
     EXPECT_TRUE(std::is_sorted(recipe.begin(), recipe.end()));
     std::set<IngredientId> unique(recipe.begin(), recipe.end());
@@ -46,11 +53,11 @@ TEST(NullModelTest, RecipesAreValidSets) {
 TEST(NullModelTest, Deterministic) {
   const NullModel model;
   const CuisineContext context = MakeContext(60, 150, 5);
-  GeneratedRecipes a;
-  GeneratedRecipes b;
-  ASSERT_TRUE(model.Generate(context, 7, &a).ok());
-  ASSERT_TRUE(model.Generate(context, 7, &b).ok());
-  EXPECT_EQ(a, b);
+  const Result<TransactionSet> a = GenerateRecipes(model, context, 7);
+  const Result<TransactionSet> b = GenerateRecipes(model, context, 7);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(*a, *b);
 }
 
 TEST(NullModelTest, NoDuplicationPressure) {
@@ -58,10 +65,15 @@ TEST(NullModelTest, NoDuplicationPressure) {
   // pool (unlike copy-mutate, which duplicates by construction when M
   // mutations all fail the fitness gate).
   const NullModel model;
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(model.Generate(MakeContext(200, 500, 8), 3, &recipes).ok());
-  std::set<std::vector<IngredientId>> unique(recipes.begin(), recipes.end());
-  EXPECT_GT(unique.size(), recipes.size() * 9 / 10);
+  const Result<TransactionSet> recipes =
+      GenerateRecipes(model, MakeContext(200, 500, 8), 3);
+  ASSERT_TRUE(recipes.ok());
+  std::set<std::vector<IngredientId>> unique;
+  for (size_t r = 0; r < recipes->size(); ++r) {
+    const std::span<const Item> recipe = recipes->transaction(r);
+    unique.emplace(recipe.begin(), recipe.end());
+  }
+  EXPECT_GT(unique.size(), recipes->size() * 9 / 10);
 }
 
 TEST(NullModelTest, EarlyPoolMembersAreOverused) {
@@ -70,14 +82,12 @@ TEST(NullModelTest, EarlyPoolMembersAreOverused) {
   // model's abrupt rank-frequency collapse.
   const NullModel model(20);
   const CuisineContext context = MakeContext(200, 1000, 8);
-  GeneratedRecipes recipes;
-  ASSERT_TRUE(model.Generate(context, 4, &recipes).ok());
+  const Result<TransactionSet> recipes = GenerateRecipes(model, context, 4);
+  ASSERT_TRUE(recipes.ok());
   std::map<IngredientId, size_t> counts;
-  for (const auto& recipe : recipes) {
-    for (IngredientId id : recipe) ++counts[id];
-  }
+  for (IngredientId id : recipes->items()) ++counts[id];
   size_t max_count = 0;
-  size_t min_count = recipes.size();
+  size_t min_count = recipes->size();
   for (const auto& [id, count] : counts) {
     max_count = std::max(max_count, count);
     min_count = std::min(min_count, count);
@@ -87,16 +97,15 @@ TEST(NullModelTest, EarlyPoolMembersAreOverused) {
 
 TEST(NullModelTest, InvalidContextsRejected) {
   const NullModel model;
-  GeneratedRecipes out;
   CuisineContext context = MakeContext(10, 20, 4);
   context.target_recipes = 0;
-  EXPECT_FALSE(model.Generate(context, 1, &out).ok());
+  EXPECT_FALSE(GenerateRecipes(model, context, 1).ok());
   context = MakeContext(10, 20, 4);
   context.ingredients.clear();
-  EXPECT_FALSE(model.Generate(context, 1, &out).ok());
+  EXPECT_FALSE(GenerateRecipes(model, context, 1).ok());
   context = MakeContext(10, 20, 4);
   context.phi = -1.0;
-  EXPECT_FALSE(model.Generate(context, 1, &out).ok());
+  EXPECT_FALSE(GenerateRecipes(model, context, 1).ok());
 }
 
 TEST(NullModelTest, NameIsNM) {

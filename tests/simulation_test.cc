@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "core/copy_mutate.h"
 #include "core/null_model.h"
 #include "lexicon/world_lexicon.h"
@@ -25,22 +29,41 @@ CuisineContext SmallContext() {
   return context;
 }
 
-TEST(RecipesToTransactionsTest, PreservesRecipes) {
-  GeneratedRecipes recipes = {{1, 2, 3}, {2, 5}};
-  const TransactionSet transactions = RecipesToTransactions(recipes);
-  ASSERT_EQ(transactions.size(), 2u);
-  EXPECT_EQ(transactions.transaction(0), (std::vector<Item>{1, 2, 3}));
-  EXPECT_EQ(transactions.transaction(1), (std::vector<Item>{2, 5}));
+/// A store holding `recipes` as context positions, in draw order.
+RecipeStore StoreOf(const std::vector<std::vector<PoolPos>>& recipes) {
+  RecipeStore store;
+  store.Reset(recipes.size(), 0);
+  for (const std::vector<PoolPos>& recipe : recipes) {
+    store.BeginRecipe();
+    for (PoolPos pos : recipe) store.AppendToOpen(pos);
+    store.Commit();
+  }
+  return store;
 }
 
-TEST(RecipesToCategoryTransactionsTest, ProjectsViaLexicon) {
+std::vector<Item> ToVector(std::span<const Item> items) {
+  return {items.begin(), items.end()};
+}
+
+TEST(StoreTransactionsTest, PreservesRecipes) {
+  const std::vector<IngredientId> ingredients = {1, 2, 3, 5};
+  const TransactionSet transactions =
+      StoreTransactions(StoreOf({{2, 0, 1}, {3, 1}}), ingredients);
+  ASSERT_EQ(transactions.size(), 2u);
+  EXPECT_EQ(ToVector(transactions.transaction(0)),
+            (std::vector<Item>{1, 2, 3}));
+  EXPECT_EQ(ToVector(transactions.transaction(1)), (std::vector<Item>{2, 5}));
+}
+
+TEST(StoreCategoryTransactionsTest, ProjectsViaLexicon) {
   const Lexicon& lexicon = WorldLexicon();
   const IngredientId basil = *lexicon.Find("Basil");    // Herb.
   const IngredientId mint = *lexicon.Find("Mint");      // Herb.
   const IngredientId salt = *lexicon.Find("Salt");      // Additive.
-  GeneratedRecipes recipes = {{basil, mint, salt}};
+  std::vector<IngredientId> ingredients = {basil, mint, salt};
+  std::sort(ingredients.begin(), ingredients.end());
   const TransactionSet transactions =
-      RecipesToCategoryTransactions(recipes, lexicon);
+      StoreCategoryTransactions(StoreOf({{0, 1, 2}}), ingredients, lexicon);
   ASSERT_EQ(transactions.size(), 1u);
   EXPECT_EQ(transactions.transaction(0).size(), 2u);  // Herb + Additive.
 }

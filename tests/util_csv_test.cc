@@ -68,7 +68,9 @@ TEST(ParseDsvTest, TabDelimiter) {
 
 TEST(FormatDsvTest, RoundTripsWithQuoting) {
   DsvTable table;
-  table.rows = {{"plain", "with,comma", "with\"quote", "with\nnewline"}};
+  // {""} is written quoted: as a bare newline it would read back as no row.
+  table.rows = {{"plain", "with,comma", "with\"quote", "with\nnewline"},
+                {""}};
   const std::string text = FormatDsv(table, ',');
   Result<DsvTable> parsed = ParseDsv(text, ',');
   ASSERT_TRUE(parsed.ok());
