@@ -2,11 +2,14 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
+#include <variant>
 
 #include "obs/metrics.h"
 #include "util/hash.h"
@@ -19,12 +22,18 @@ struct JournalMetrics {
   obs::Counter* resumes;
   obs::Counter* replicas_restored;
   obs::Counter* points_restored;
+  obs::Counter* shards_merged;
+  obs::Counter* records_merged;
+  obs::Counter* merge_quarantined;
 
   static const JournalMetrics& Get() {
     static const JournalMetrics metrics = {
         obs::MetricsRegistry::Get().counter("ckpt.resumes"),
         obs::MetricsRegistry::Get().counter("ckpt.replicas_restored"),
         obs::MetricsRegistry::Get().counter("ckpt.points_restored"),
+        obs::MetricsRegistry::Get().counter("exec.merge.shards_merged"),
+        obs::MetricsRegistry::Get().counter("exec.merge.records_merged"),
+        obs::MetricsRegistry::Get().counter("exec.merge.quarantined_records"),
     };
     return metrics;
   }
@@ -34,7 +43,22 @@ std::string HexU64(uint64_t value) {
   return StrFormat("%016llx", static_cast<unsigned long long>(value));
 }
 
-bool ParseHexU64(std::string_view text, uint64_t* out) {
+/// The record grammar's values, one overload per type: an int is decimal
+/// and must fit `int` (a wider value would otherwise be truncated into
+/// some other unit's slot), a u64 is up to 16 lowercase hex digits, a
+/// double is its bit pattern as a u64, and a curve is comma-separated
+/// doubles ("" is the empty curve).
+bool ParseValue(std::string_view text, int* out) {
+  long long value = 0;
+  if (!ParseInt64(text, &value) || value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+bool ParseValue(std::string_view text, uint64_t* out) {
   if (text.empty() || text.size() > 16) return false;
   uint64_t value = 0;
   for (char c : text) {
@@ -58,9 +82,9 @@ std::string HexDouble(double value) {
   return HexU64(std::bit_cast<uint64_t>(value));
 }
 
-bool ParseHexDouble(std::string_view text, double* out) {
+bool ParseValue(std::string_view text, double* out) {
   uint64_t bits;
-  if (!ParseHexU64(text, &bits)) return false;
+  if (!ParseValue(text, &bits)) return false;
   *out = std::bit_cast<double>(bits);
   return true;
 }
@@ -114,39 +138,43 @@ std::string FormatCurve(const std::vector<double>& values) {
   return out;
 }
 
-bool ParseCurve(std::string_view text, std::vector<double>* out) {
+bool ParseValue(std::string_view text, std::vector<double>* out) {
   out->clear();
-  if (text.empty()) return true;  // an empty curve serializes as ""
-  for (const std::string& item : Split(text, ',')) {
+  if (text.empty()) return true;
+  out->reserve(text.size() / 17 + 1);
+  for (size_t pos = 0;;) {
+    const size_t comma = std::min(text.find(',', pos), text.size());
     double value;
-    if (!ParseHexDouble(item, &value)) return false;
+    if (!ParseValue(text.substr(pos, comma - pos), &value)) return false;
     out->push_back(value);
+    if (comma == text.size()) return true;
+    pos = comma + 1;
   }
-  return true;
 }
 
-/// A record payload is `kind=<kind> key=value key=value ...`.
-using Fields = std::map<std::string, std::string, std::less<>>;
+/// A record payload is `kind=<kind> key=value key=value ...`. The views
+/// point into the payload.
+using Fields = std::map<std::string_view, std::string_view, std::less<>>;
 
 Fields ParseFields(std::string_view payload) {
   Fields fields;
-  for (const std::string& token : Split(payload, ' ')) {
-    if (token.empty()) continue;
+  for (size_t pos = 0; pos <= payload.size();) {
+    const size_t space = std::min(payload.find(' ', pos), payload.size());
+    const std::string_view token = payload.substr(pos, space - pos);
     const size_t eq = token.find('=');
-    if (eq == std::string::npos) continue;
-    fields[token.substr(0, eq)] = token.substr(eq + 1);
+    if (eq != std::string_view::npos) {
+      fields[token.substr(0, eq)] = token.substr(eq + 1);
+    }
+    pos = space + 1;
   }
   return fields;
 }
 
-bool FieldInt(const Fields& fields, std::string_view key, long long* out) {
+/// Parses field `key` into `out`; false when it is missing or malformed.
+template <typename T>
+bool Field(const Fields& fields, std::string_view key, T* out) {
   auto it = fields.find(key);
-  return it != fields.end() && ParseInt64(it->second, out);
-}
-
-bool FieldHex(const Fields& fields, std::string_view key, uint64_t* out) {
-  auto it = fields.find(key);
-  return it != fields.end() && ParseHexU64(it->second, out);
+  return it != fields.end() && ParseValue(it->second, out);
 }
 
 std::string FieldString(const Fields& fields, std::string_view key) {
@@ -166,26 +194,61 @@ std::string FormatManifest(const RunManifest& manifest) {
       HexU64(manifest.context_hash).c_str());
 }
 
-Status ParseManifest(std::string_view payload, RunManifest* out) {
+/// One verified payload, typed. std::monostate is every other kind:
+/// interrupt records and kinds this build does not know.
+using JournalRecord =
+    std::variant<std::monostate, RunManifest, ReplicaCheckpoint,
+                 IncidentCheckpoint, SweepPointCheckpoint>;
+
+/// The one record parser: every source resume or merge reads goes through
+/// it. A known kind whose fields do not parse is FailedPrecondition;
+/// `index` names the record of `path` in the message.
+Result<JournalRecord> ParseRecord(std::string_view payload,
+                                  const std::string& path, size_t index) {
   const Fields fields = ParseFields(payload);
-  long long schema = 0, replicas = 0, points = 0;
-  if (FieldString(fields, "kind") != "manifest" ||
-      !FieldInt(fields, "v", &schema) ||
-      !FieldInt(fields, "replicas", &replicas) ||
-      !FieldInt(fields, "points", &points) ||
-      !FieldHex(fields, "cfg", &out->config_fingerprint) ||
-      !FieldHex(fields, "seed", &out->seed) ||
-      !FieldHex(fields, "mining", &out->mining_hash) ||
-      !FieldHex(fields, "context", &out->context_hash)) {
-    return Status::FailedPrecondition(
-        "journal manifest record is unreadable");
+  const std::string kind = FieldString(fields, "kind");
+  JournalRecord record;
+  bool readable = true;
+  if (kind == "manifest") {
+    RunManifest manifest;
+    readable = Field(fields, "v", &manifest.schema) &&
+               Field(fields, "replicas", &manifest.replicas) &&
+               Field(fields, "points", &manifest.points) &&
+               Field(fields, "cfg", &manifest.config_fingerprint) &&
+               Field(fields, "seed", &manifest.seed) &&
+               Field(fields, "mining", &manifest.mining_hash) &&
+               Field(fields, "context", &manifest.context_hash);
+    manifest.run_kind = FieldString(fields, "run");
+    manifest.name = FieldString(fields, "name");
+    record = std::move(manifest);
+  } else if (kind == "replica") {
+    ReplicaCheckpoint replica;
+    readable = Field(fields, "k", &replica.replica) &&
+               Field(fields, "retries", &replica.retries) &&
+               Field(fields, "ic", &replica.ingredient) &&
+               Field(fields, "cc", &replica.category);
+    record = std::move(replica);
+  } else if (kind == "incident") {
+    IncidentCheckpoint incident;
+    readable = Field(fields, "k", &incident.replica) &&
+               Field(fields, "code", &incident.status_code) &&
+               Field(fields, "retries", &incident.retries);
+    incident.message = FieldString(fields, "msg");
+    record = std::move(incident);
+  } else if (kind == "sweep") {
+    SweepPointCheckpoint point;
+    readable = Field(fields, "i", &point.index) &&
+               Field(fields, "value", &point.value) &&
+               Field(fields, "mi", &point.mae_ingredient) &&
+               Field(fields, "mc", &point.mae_category);
+    record = point;
   }
-  out->schema = static_cast<int>(schema);
-  out->replicas = static_cast<int>(replicas);
-  out->points = static_cast<int>(points);
-  out->run_kind = FieldString(fields, "run");
-  out->name = FieldString(fields, "name");
-  return Status::Ok();
+  if (!readable) {
+    return Status::FailedPrecondition(
+        StrFormat("journal %s: unreadable %s record %zu", path.c_str(),
+                  kind.c_str(), index));
+  }
+  return record;
 }
 
 /// Refusal messages name the first mismatching field with both values, so
@@ -287,132 +350,6 @@ std::string ShardJournalFileName(const std::string& file_name,
   return StrFormat("%s.shard%d.journal", stem.c_str(), shard_index);
 }
 
-Status MergeShardJournals(const CheckpointOptions& options,
-                          const std::string& file_name,
-                          const RunManifest& manifest, int shard_count) {
-  if (!options.enabled()) {
-    return Status::InvalidArgument(
-        "MergeShardJournals requires a checkpoint directory");
-  }
-  if (shard_count <= 0) {
-    return Status::InvalidArgument("MergeShardJournals: shard_count <= 0");
-  }
-  static obs::Counter* shards_merged_metric =
-      obs::MetricsRegistry::Get().counter("exec.merge.shards_merged");
-  static obs::Counter* records_merged_metric =
-      obs::MetricsRegistry::Get().counter("exec.merge.records_merged");
-  static obs::Counter* quarantined_metric =
-      obs::MetricsRegistry::Get().counter("exec.merge.quarantined_records");
-
-  CULEVO_RETURN_IF_ERROR(EnsureDirectory(options.directory));
-  const std::string target_path = options.directory + "/" + file_name;
-
-  // Union state: first occurrence of a unit wins, so the pre-existing
-  // target journal (absorbed first) shadows shards, and earlier shards
-  // shadow later ones. Which copy wins is immaterial for correctness —
-  // any journaled replica k is the deterministic output of
-  // DeriveSeed(seed, k) — dedup just keeps the merged journal canonical.
-  std::vector<std::string> merged;
-  std::set<int> seen_replicas;
-  std::set<int> seen_points;
-  std::set<std::string> seen_incidents;
-  int quarantined = 0;
-
-  const auto absorb = [&](const JournalContents& contents,
-                          const std::string& path) -> Status {
-    RunManifest loaded;
-    CULEVO_RETURN_IF_ERROR(ParseManifest(contents.records[0], &loaded));
-    CULEVO_RETURN_IF_ERROR(CheckManifest(loaded, manifest, path));
-    for (size_t i = 1; i < contents.records.size(); ++i) {
-      const std::string& record = contents.records[i];
-      const Fields fields = ParseFields(record);
-      const std::string kind = FieldString(fields, "kind");
-      long long unit = 0;
-      if (kind == "replica") {
-        if (!FieldInt(fields, "k", &unit)) {
-          return Status::FailedPrecondition(StrFormat(
-              "journal %s: unreadable replica record %zu", path.c_str(), i));
-        }
-        if (!seen_replicas.insert(static_cast<int>(unit)).second) continue;
-      } else if (kind == "sweep") {
-        if (!FieldInt(fields, "i", &unit)) {
-          return Status::FailedPrecondition(StrFormat(
-              "journal %s: unreadable sweep record %zu", path.c_str(), i));
-        }
-        if (!seen_points.insert(static_cast<int>(unit)).second) continue;
-      } else if (kind == "incident") {
-        // The union of the shards' incident ledgers, deduplicated by
-        // exact payload so a re-merged target contributes each incident
-        // once.
-        if (!seen_incidents.insert(record).second) continue;
-      } else {
-        // Interrupt (and unknown) records describe why one *process*
-        // stopped; the merged logical run supersedes them.
-        continue;
-      }
-      merged.push_back(record);
-    }
-    return Status::Ok();
-  };
-
-  // Existing target first: a coordinator crash between a prior merge and
-  // the end of its resume pass must not discard what that pass already
-  // consolidated or appended. Re-merging is idempotent.
-  Result<JournalContents> target = ReadJournal(target_path);
-  if (target.ok()) {
-    if (target.value().records.empty()) {
-      return Status::FailedPrecondition(StrFormat(
-          "merge refused: journal %s has no readable manifest "
-          "(%d corrupt record(s) quarantined); delete it to start over",
-          target_path.c_str(), target.value().quarantined_records));
-    }
-    CULEVO_RETURN_IF_ERROR(absorb(target.value(), target_path));
-    quarantined += target.value().quarantined_records;
-  } else if (target.status().code() != StatusCode::kNotFound) {
-    return target.status();
-  }
-
-  int shards_found = 0;
-  for (int s = 0; s < shard_count; ++s) {
-    const std::string shard_path =
-        options.directory + "/" + ShardJournalFileName(file_name, s);
-    Result<JournalContents> shard = ReadJournal(shard_path);
-    if (!shard.ok()) {
-      if (shard.status().code() == StatusCode::kNotFound) {
-        // Worker never got far enough to open its journal; the resume
-        // pass after the merge re-runs its units (straggler recovery).
-        continue;
-      }
-      return shard.status();
-    }
-    if (shard.value().records.empty()) {
-      return Status::FailedPrecondition(StrFormat(
-          "merge refused: shard journal %s has no readable manifest "
-          "(%d corrupt record(s) quarantined); delete it to start over",
-          shard_path.c_str(), shard.value().quarantined_records));
-    }
-    CULEVO_RETURN_IF_ERROR(absorb(shard.value(), shard_path));
-    quarantined += shard.value().quarantined_records;
-    ++shards_found;
-  }
-
-  std::vector<std::string> records;
-  records.reserve(merged.size() + 1);
-  records.push_back(FormatManifest(manifest));
-  for (std::string& record : merged) records.push_back(std::move(record));
-
-  JournalWriter writer;
-  JournalWriter::Options writer_options;
-  writer_options.sync = options.sync;
-  CULEVO_RETURN_IF_ERROR(
-      writer.Open(target_path, std::move(records), writer_options));
-
-  shards_merged_metric->Increment(shards_found);
-  records_merged_metric->Increment(static_cast<int64_t>(merged.size()));
-  quarantined_metric->Increment(quarantined);
-  return Status::Ok();
-}
-
 std::string SanitizeFileToken(std::string_view name) {
   std::string out;
   out.reserve(name.size());
@@ -438,108 +375,117 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
   CULEVO_RETURN_IF_ERROR(EnsureDirectory(options.directory));
   const std::string path = options.directory + "/" + file_name;
 
-  // Coordinator mode: consolidate worker shard journals into `path`
-  // before the normal resume protocol reads it. Everything below then
-  // treats the merged journal exactly like a single-process one.
-  if (options.resume && options.merge_shards > 0) {
-    CULEVO_RETURN_IF_ERROR(
-        MergeShardJournals(options, file_name, manifest, options.merge_shards));
-  }
-
   std::unique_ptr<RunJournal> journal(new RunJournal());
-  JournalWriter::Options writer_options;
-  writer_options.sync = options.sync;
-
-  std::vector<std::string> seed_records;
+  // The journal Open writes: this run's manifest, then every record
+  // resume restores, each payload exactly as its source held it.
+  std::vector<std::string> records = {FormatManifest(manifest)};
   if (options.resume) {
-    Result<JournalContents> read = ReadJournal(path);
-    if (read.ok()) {
-      const JournalContents& contents = read.value();
-      journal->quarantined_records_ = contents.quarantined_records;
+    const bool merging = options.merge_shards > 0;
+    // One rule set for every source. The first record of a replica or
+    // sweep point wins: any copy of unit k is the deterministic output of
+    // DeriveSeed(seed, k), so which one wins is immaterial. Incidents are
+    // a multiset union: each payload is kept as often as the one source
+    // that repeats it most, so a single journal keeps its repeats and
+    // re-merging a merged journal adds nothing.
+    std::set<int> seen_replicas;
+    std::set<int> seen_points;
+    struct IncidentCount {
+      int kept = 0;
+      int in_source = 0;
+    };
+    std::map<std::string, IncidentCount> incidents;
+    int sources = 0;
+    int shards_found = 0;
+    int quarantined = 0;
+
+    // Reads, checks and restores one source; a missing file is skipped.
+    // The source's records are released when it returns.
+    const auto absorb = [&](const std::string& source, bool shard) -> Status {
+      Result<JournalContents> read = ReadJournal(source);
+      if (read.status().code() == StatusCode::kNotFound) return Status::Ok();
+      CULEVO_RETURN_IF_ERROR(read.status());
+      JournalContents& contents = read.value();
       if (contents.records.empty()) {
         // The file exists but not even the manifest survived: nothing
         // certifies what run this was, so refusal is the only safe move.
         return Status::FailedPrecondition(StrFormat(
-            "resume refused: journal %s has no readable manifest "
+            "%s refused: %s %s has no readable manifest "
             "(%d corrupt record(s) quarantined); delete it to start over",
-            path.c_str(), contents.quarantined_records));
+            merging ? "merge" : "resume", shard ? "shard journal" : "journal",
+            source.c_str(), contents.quarantined_records));
       }
-      RunManifest loaded;
-      Status status = ParseManifest(contents.records[0], &loaded);
-      if (!status.ok()) return status;
-      CULEVO_RETURN_IF_ERROR(CheckManifest(loaded, manifest, path));
+      Result<JournalRecord> first = ParseRecord(contents.records[0], source, 0);
+      if (!first.ok() || !std::holds_alternative<RunManifest>(*first)) {
+        return Status::FailedPrecondition(
+            "journal manifest record is unreadable");
+      }
+      CULEVO_RETURN_IF_ERROR(
+          CheckManifest(std::get<RunManifest>(*first), manifest, source));
 
-      const JournalMetrics& metrics = JournalMetrics::Get();
+      for (auto& [payload, count] : incidents) count.in_source = 0;
       for (size_t i = 1; i < contents.records.size(); ++i) {
-        const Fields fields = ParseFields(contents.records[i]);
-        const std::string kind = FieldString(fields, "kind");
-        long long k = 0, retries = 0, code = 0, index = 0;
-        if (kind == "replica") {
-          ReplicaCheckpoint replica;
-          auto ic = fields.find("ic");
-          auto cc = fields.find("cc");
-          if (!FieldInt(fields, "k", &k) ||
-              !FieldInt(fields, "retries", &retries) ||
-              ic == fields.end() || cc == fields.end() ||
-              !ParseCurve(ic->second, &replica.ingredient) ||
-              !ParseCurve(cc->second, &replica.category)) {
-            return Status::FailedPrecondition(StrFormat(
-                "journal %s: unreadable replica record %zu", path.c_str(),
-                i));
+        std::string& payload = contents.records[i];
+        Result<JournalRecord> record = ParseRecord(payload, source, i);
+        CULEVO_RETURN_IF_ERROR(record.status());
+        bool keep = false;
+        if (auto* replica = std::get_if<ReplicaCheckpoint>(&*record)) {
+          keep = seen_replicas.insert(replica->replica).second;
+          if (keep) journal->restored_replicas_.push_back(std::move(*replica));
+        } else if (auto* point = std::get_if<SweepPointCheckpoint>(&*record)) {
+          keep = seen_points.insert(point->index).second;
+          if (keep) journal->restored_points_.push_back(*point);
+        } else if (auto* incident =
+                       std::get_if<IncidentCheckpoint>(&*record)) {
+          IncidentCount& count = incidents[payload];
+          keep = ++count.in_source > count.kept;
+          if (keep) {
+            ++count.kept;
+            journal->prior_incidents_.push_back(std::move(*incident));
           }
-          replica.replica = static_cast<int>(k);
-          replica.retries = static_cast<int>(retries);
-          journal->restored_replicas_.push_back(std::move(replica));
-        } else if (kind == "incident") {
-          if (!FieldInt(fields, "k", &k) ||
-              !FieldInt(fields, "code", &code) ||
-              !FieldInt(fields, "retries", &retries)) {
-            return Status::FailedPrecondition(StrFormat(
-                "journal %s: unreadable incident record %zu", path.c_str(),
-                i));
-          }
-          journal->prior_incidents_.push_back(IncidentCheckpoint{
-              static_cast<int>(k), static_cast<int>(code),
-              FieldString(fields, "msg"), static_cast<int>(retries)});
-        } else if (kind == "sweep") {
-          SweepPointCheckpoint point;
-          auto value = fields.find("value");
-          auto mi = fields.find("mi");
-          auto mc = fields.find("mc");
-          if (!FieldInt(fields, "i", &index) || value == fields.end() ||
-              mi == fields.end() || mc == fields.end() ||
-              !ParseHexDouble(value->second, &point.value) ||
-              !ParseHexDouble(mi->second, &point.mae_ingredient) ||
-              !ParseHexDouble(mc->second, &point.mae_category)) {
-            return Status::FailedPrecondition(StrFormat(
-                "journal %s: unreadable sweep record %zu", path.c_str(), i));
-          }
-          point.index = static_cast<int>(index);
-          journal->restored_points_.push_back(point);
         }
-        // Unknown kinds (e.g. "interrupt") are forensic only: preserved
-        // in the rewritten journal, ignored by the resume protocol.
+        // Interrupt records (and unknown kinds) describe why one process
+        // stopped. Resume restores nothing from them, so the rewritten
+        // journal drops them.
+        if (keep) records.push_back(std::move(payload));
       }
-      journal->resumed_ = true;
-      seed_records = contents.records;
+      ++sources;
+      if (shard) ++shards_found;
+      quarantined += contents.quarantined_records;
+      return Status::Ok();
+    };
+
+    // The target first: a coordinator crash between an earlier merge and
+    // the end of its resume pass must not lose what that pass already
+    // consolidated or appended.
+    CULEVO_RETURN_IF_ERROR(absorb(path, false));
+    for (int s = 0; s < options.merge_shards; ++s) {
+      // A missing shard never opened its journal; the resume pass re-runs
+      // its units (straggler recovery).
+      CULEVO_RETURN_IF_ERROR(absorb(
+          options.directory + "/" + ShardJournalFileName(file_name, s),
+          true));
+    }
+
+    const JournalMetrics& metrics = JournalMetrics::Get();
+    if (merging) {
+      metrics.shards_merged->Increment(shards_found);
+      metrics.records_merged->Increment(
+          static_cast<int64_t>(records.size() - 1));
+      metrics.merge_quarantined->Increment(quarantined);
+    }
+    if (sources > 0) {
       metrics.resumes->Increment();
       metrics.replicas_restored->Increment(
           static_cast<int64_t>(journal->restored_replicas_.size()));
       metrics.points_restored->Increment(
           static_cast<int64_t>(journal->restored_points_.size()));
-    } else if (read.status().code() == StatusCode::kNotFound) {
-      // Nothing completed before the interruption — resume degenerates to
-      // a fresh start.
-    } else {
-      return read.status();
     }
   }
 
-  if (seed_records.empty()) {
-    seed_records.push_back(FormatManifest(manifest));
-  }
+  JournalWriter::Options writer_options;
+  writer_options.sync = options.sync;
   CULEVO_RETURN_IF_ERROR(
-      journal->writer_.Open(path, std::move(seed_records), writer_options));
+      journal->writer_.Open(path, std::move(records), writer_options));
   return journal;
 }
 

@@ -35,12 +35,11 @@ struct CheckpointOptions {
   /// fsync journal writes (see JournalWriter::Options::sync). The CLI
   /// runs durable; tests and benches keep tmpfs churn down.
   bool sync = false;
-  /// When > 0 (and `resume` is set), RunJournal::Open first folds the
-  /// per-worker shard journals `<stem>.shard<k>.journal` for
-  /// k < merge_shards into the target journal (see MergeShardJournals),
-  /// then resumes from the merged result. This is the coordinator's final
-  /// pass after a fabric run: restored shards plus the normal resume
-  /// protocol re-running whatever no shard completed.
+  /// When > 0 (and `resume` is set), RunJournal::Open resumes from the
+  /// target journal and the per-worker shard journals
+  /// `<stem>.shard<k>.journal` for k < merge_shards together. This is the
+  /// coordinator's final pass after a fabric run: restored shards plus the
+  /// normal resume protocol re-running whatever no shard completed.
   int merge_shards = 0;
 
   bool enabled() const { return !directory.empty(); }
@@ -112,28 +111,10 @@ std::string SanitizeFileToken(std::string_view name);
 /// Name of shard `shard_index`'s journal for the logical journal
 /// `file_name`: inserts `.shard<k>` before the `.journal` suffix
 /// (`sim_cm_c0.journal` → `sim_cm_c0.shard3.journal`). Workers write these;
-/// MergeShardJournals folds them back into `file_name`.
+/// RunJournal::Open with CheckpointOptions::merge_shards folds them back
+/// into `file_name`.
 std::string ShardJournalFileName(const std::string& file_name,
                                  int shard_index);
-
-/// Folds the shard journals `<stem>.shard<k>.journal` (k < shard_count)
-/// under `options.directory` into the target journal `file_name`, written
-/// durably via the journal writer. Every readable source — the existing
-/// target journal first (so a re-merge after a crashed merge pass keeps
-/// prior consolidation), then each shard in index order — must carry a
-/// manifest matching `manifest` under the usual refusal matrix
-/// (FailedPrecondition otherwise). Corrupt shard tails are quarantined by
-/// the checksummed reader exactly as in single-journal resume, so a
-/// worker killed mid-append loses at most its unflushed record. Completed
-/// units are unioned first-wins (replicas by k, sweep points by index,
-/// incidents by exact payload); per-process interrupt records are
-/// dropped. A missing shard file is skipped — that worker never started,
-/// and the resume pass after the merge re-runs its units. A shard file
-/// with no readable manifest is refused: nothing certifies what run wrote
-/// it.
-Status MergeShardJournals(const CheckpointOptions& options,
-                          const std::string& file_name,
-                          const RunManifest& manifest, int shard_count);
 
 /// The domain layer over util/checkpoint.h: serializes run records
 /// (manifest, replica, incident, sweep point, interrupt) and implements
@@ -142,13 +123,14 @@ Status MergeShardJournals(const CheckpointOptions& options,
 class RunJournal {
  public:
   /// Opens `<options.directory>/<file_name>`, creating the directory if
-  /// needed. Fresh runs truncate any existing journal; with
-  /// `options.resume` the existing journal is loaded instead:
-  /// checksum-verified (a corrupt tail is quarantined and durably
-  /// dropped on the next append), manifest-checked against `manifest`
-  /// (mismatch → FailedPrecondition naming the field), and the completed
-  /// records exposed via restored_replicas()/restored_points()/
-  /// prior_incidents().
+  /// needed. Fresh runs truncate any existing journal. With
+  /// `options.resume`, Open restores completed work from the existing
+  /// journal and, when `options.merge_shards > 0`, from each shard journal
+  /// after it. Every source is read, and every record parsed, once, under
+  /// the refusal matrix and dedup rules of DESIGN.md §10.2; a missing
+  /// source is skipped. The journal is then rewritten once, holding
+  /// exactly the manifest and the restored records, and appends continue
+  /// it.
   static Result<std::unique_ptr<RunJournal>> Open(
       const CheckpointOptions& options, const std::string& file_name,
       const RunManifest& manifest);
@@ -162,12 +144,6 @@ class RunJournal {
   const std::vector<SweepPointCheckpoint>& restored_points() const {
     return restored_points_;
   }
-  /// True when Open loaded an existing journal (even one with zero
-  /// completed records).
-  bool resumed() const { return resumed_; }
-  /// Records dropped by the corruption quarantine during Open.
-  int quarantined_records() const { return quarantined_records_; }
-  const std::string& path() const { return writer_.path(); }
 
   /// Checkpoints one completed replica. Thread-safe.
   Status AppendReplica(const ReplicaCheckpoint& replica);
@@ -184,8 +160,6 @@ class RunJournal {
 
   JournalWriter writer_;
   std::mutex mu_;
-  bool resumed_ = false;
-  int quarantined_records_ = 0;
   std::vector<ReplicaCheckpoint> restored_replicas_;
   std::vector<IncidentCheckpoint> prior_incidents_;
   std::vector<SweepPointCheckpoint> restored_points_;

@@ -2,13 +2,16 @@
 
 #include <dirent.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <thread>
 
 #include "obs/metrics.h"
 #include "util/failpoint.h"
+#include "util/file_io.h"
 #include "util/json.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace culevo {
@@ -36,8 +39,8 @@ struct FabricMetrics {
 };
 
 /// The heartbeat: total bytes of every file in `dir` whose name contains
-/// `token` (".shard<s>."). Journal appends rewrite the shard file one
-/// record longer, so any live worker grows this number between appends;
+/// `token` (".shard<s>."). Each journal append grows the shard file by one
+/// record, so any live worker grows this number between appends;
 /// a worker that is computing (not journaling) holds it flat, which is
 /// why stall_ms must dominate per-unit compute time.
 int64_t ShardProgressBytes(const std::string& dir, const std::string& token) {
@@ -67,6 +70,7 @@ struct ShardState {
   int64_t last_bytes = -1;
   Clock::time_point last_change;
   Clock::time_point next_dispatch;  ///< backoff gate for the next spawn
+  std::chrono::milliseconds backoff{0};  ///< the last backoff delay
 };
 
 }  // namespace
@@ -151,16 +155,11 @@ Result<FabricReport> RunWorkerFabric(
     }
   };
 
-  const auto backoff_ms = [&options](int spawns) {
-    int64_t delay = options.retry_backoff_ms;
-    for (int i = 1; i < spawns && delay < options.retry_backoff_cap_ms; ++i) {
-      delay *= 2;
-    }
-    if (delay > options.retry_backoff_cap_ms) {
-      delay = options.retry_backoff_cap_ms;
-    }
-    return delay < 0 ? int64_t{0} : delay;
-  };
+  // Decorrelated-jitter backoff between re-dispatches (the supervisor's
+  // and WriteFileAtomic's policy), seeded from the pid like theirs.
+  const std::chrono::milliseconds backoff_base(options.retry_backoff_ms);
+  const std::chrono::milliseconds backoff_cap(options.retry_backoff_cap_ms);
+  Rng backoff_rng(DeriveSeed(0xFAB81Cull, static_cast<uint64_t>(::getpid())));
 
   // Handles one worker death (exit, signal, or stall-kill): re-dispatch
   // within budget, otherwise a permanent shard failure judged by the
@@ -172,8 +171,10 @@ Result<FabricReport> RunWorkerFabric(
     metrics.worker_failures->Increment();
     if (shard.spawns - 1 < options.max_worker_retries) {
       metrics.worker_retries->Increment();
-      shard.next_dispatch =
-          Clock::now() + std::chrono::milliseconds(backoff_ms(shard.spawns));
+      shard.backoff = NextBackoffDelay(
+          backoff_base, shard.spawns == 1 ? backoff_base : shard.backoff,
+          backoff_cap, &backoff_rng);
+      shard.next_dispatch = Clock::now() + shard.backoff;
       return Status::Ok();
     }
     shard.failed = true;

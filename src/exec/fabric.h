@@ -40,8 +40,10 @@ struct FabricOptions {
   /// worker resumes its own shard journal, so completed units are never
   /// re-run — only the interrupted remainder.
   int max_worker_retries = 2;
-  /// Exponential backoff between re-dispatches of the same shard:
-  /// attempt a waits retry_backoff_ms << (a-1), capped below.
+  /// Decorrelated-jitter backoff between re-dispatches of the same shard
+  /// (NextBackoffDelay): the first retry waits uniform in [base, 3·base],
+  /// each later one uniform in [base, 3 × the previous wait], never more
+  /// than the cap. The jitter is seeded from the coordinator's pid.
   int retry_backoff_ms = 250;
   int retry_backoff_cap_ms = 5000;
   /// PR 4's failure semantics at worker granularity. kFailFast: a shard
@@ -141,8 +143,8 @@ class StallEstimator {
 /// completes, fails permanently, or the policy aborts the run:
 ///
 ///  - exit 0            → shard complete; never re-dispatched.
-///  - exit != 0 / signal → re-dispatched with exponential backoff while
-///                         the retry budget lasts.
+///  - exit != 0 / signal → re-dispatched with decorrelated-jitter backoff
+///                         while the retry budget lasts.
 ///  - journal progress stalls past `stall_ms` → SIGKILL + re-dispatch.
 ///
 /// Workers inherit the coordinator's environment (including

@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "util/file_io.h"
 #include "util/strings.h"
 
 namespace culevo {
@@ -19,21 +20,6 @@ int RemainingMillis(Clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
       deadline - Clock::now());
   return left.count() > 0 ? static_cast<int>(left.count()) : 0;
-}
-
-/// Writes exactly `len` bytes, looping over partial writes and EINTR.
-Status WriteAll(int fd, const char* data, size_t len) {
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::write(fd, data + done, len - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(
-          StrFormat("frame write failed: %s", std::strerror(errno)));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::Ok();
 }
 
 /// Reads exactly `len` bytes. `*got_any` reports whether at least one
@@ -93,8 +79,9 @@ Status WriteFrame(int fd, std::string_view payload) {
                     static_cast<char>((len >> 8) & 0xFF),
                     static_cast<char>((len >> 16) & 0xFF),
                     static_cast<char>((len >> 24) & 0xFF)};
-  CULEVO_RETURN_IF_ERROR(WriteAll(fd, prefix, sizeof(prefix)));
-  return WriteAll(fd, payload.data(), payload.size());
+  CULEVO_RETURN_IF_ERROR(
+      WriteAll(fd, std::string_view(prefix, sizeof(prefix)), "frame"));
+  return WriteAll(fd, payload, "frame");
 }
 
 Status ReadFrame(int fd, std::string* payload, int timeout_ms) {

@@ -1,6 +1,11 @@
 #include "util/checkpoint.h"
 
-#include <cstdlib>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "obs/metrics.h"
@@ -172,58 +177,79 @@ Result<JournalContents> ReadJournal(const std::string& path) {
   return contents;
 }
 
+JournalWriter::~JournalWriter() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
 Status JournalWriter::Open(std::string path,
                            std::vector<std::string> records,
                            Options options) {
-  path_ = std::move(path);
-  options_ = options;
-  content_ = JournalHeader(kJournalFormatVersion);
-  content_.push_back('\n');
-  num_records_ = 0;
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  std::string content = JournalHeader(kJournalFormatVersion);
+  content.push_back('\n');
   for (const std::string& record : records) {
     if (record.find('\n') != std::string::npos) {
       return Status::InvalidArgument(
           "journal record payload must not contain newlines");
     }
-    content_.append(FormatJournalRecord(record));
-    ++num_records_;
+    content.append(FormatJournalRecord(record));
   }
-  open_ = true;
-  Status status = Flush();
-  if (!status.ok()) open_ = false;
-  return status;
+  AtomicWriteOptions write_options;
+  write_options.sync = options.sync;
+  CULEVO_RETURN_IF_ERROR(WriteFileAtomic(path, content, write_options));
+  CkptMetrics::Get().bytes_written->Increment(
+      static_cast<int64_t>(content.size()));
+
+  fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd_ < 0) {
+    return Status::IOError(StrFormat("cannot open journal %s for appending: %s",
+                                     path.c_str(), std::strerror(errno)));
+  }
+  path_ = std::move(path);
+  size_ = content.size();
+  num_records_ = records.size();
+  options_ = options;
+  torn_ = false;
+  return Status::Ok();
 }
 
 Status JournalWriter::Append(std::string_view payload) {
-  if (!open_) {
+  if (fd_ < 0) {
     return Status::FailedPrecondition("journal writer is not open");
+  }
+  if (torn_) {
+    return Status::FailedPrecondition(StrFormat(
+        "journal %s ends in a torn record that could not be truncated; "
+        "reopen it to continue",
+        path_.c_str()));
   }
   if (payload.find('\n') != std::string_view::npos) {
     return Status::InvalidArgument(
         "journal record payload must not contain newlines");
   }
   CULEVO_RETURN_IF_ERROR(FailpointCheck("ckpt.write.record"));
-  const size_t rollback = content_.size();
-  content_.append(FormatJournalRecord(payload));
-  Status status = Flush();
+  const std::string line = FormatJournalRecord(payload);
+  Status status = WriteAll(fd_, line, path_);
+  if (status.ok() && options_.sync && ::fdatasync(fd_) != 0) {
+    status = Status::IOError(StrFormat("fdatasync failure %s: %s",
+                                       path_.c_str(), std::strerror(errno)));
+  }
   if (!status.ok()) {
-    // Keep the in-memory image consistent with the last durable state so
-    // a later successful append does not smuggle this record back in.
-    content_.resize(rollback);
+    // Part of the record may have landed. Cut it off so the next append
+    // does not follow a torn record, which would quarantine both.
+    if (!FailpointCheck("ckpt.write.rollback").ok() ||
+        ::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
+      torn_ = true;
+    }
     return status;
   }
+  size_ += line.size();
   ++num_records_;
-  CkptMetrics::Get().records_written->Increment();
+  const CkptMetrics& metrics = CkptMetrics::Get();
+  metrics.records_written->Increment();
+  metrics.bytes_written->Increment(static_cast<int64_t>(line.size()));
   return status;
-}
-
-Status JournalWriter::Flush() {
-  AtomicWriteOptions write_options;
-  write_options.sync = options_.sync;
-  CULEVO_RETURN_IF_ERROR(WriteFileAtomic(path_, content_, write_options));
-  CkptMetrics::Get().bytes_written->Increment(
-      static_cast<int64_t>(content_.size()));
-  return Status::Ok();
 }
 
 }  // namespace culevo

@@ -25,18 +25,19 @@ namespace culevo {
 /// 16 lowercase hex digits. Payloads are opaque to this layer except that
 /// they must not contain '\n'.
 ///
-/// Durability model: the journal is *logically* append-only but
-/// *physically* rewritten through WriteFileAtomic on every append, so a
-/// crash at any instant leaves either the previous complete journal or
-/// the new complete journal — never a torn hybrid. The checksums defend
-/// against the failure modes rename-atomicity cannot: bit rot, partial
-/// scribbles by other tools, and files produced by non-atomic writers.
+/// Durability model: JournalWriter::Open writes the header and the seeded
+/// records through WriteFileAtomic (dropping any quarantined tail); each
+/// later record is appended to the open file. A crash leaves at most one
+/// torn record at the end, which the reader quarantines, and a failed
+/// append is truncated away, so no record ever follows a torn one. The
+/// checksums also catch what no write protocol can: bit rot, partial
+/// scribbles by other tools, and files produced by other writers.
 ///
 /// Corruption protocol: ReadJournal verifies records in order and stops at
 /// the first bad one, quarantining it and everything after it (salvaging
 /// a suffix after a bad record could silently resurrect records the
 /// corrupted one superseded). The salvaged prefix is returned; the next
-/// JournalWriter::Open + Append durably rewrites only that prefix.
+/// JournalWriter::Open durably rewrites only that prefix.
 
 /// Journal format version understood by this build.
 inline constexpr int kJournalFormatVersion = 1;
@@ -78,40 +79,46 @@ std::string JournalHeader(int version);
 class JournalWriter {
  public:
   struct Options {
-    /// fsync through WriteFileAtomic. The CLI runs durable; tests disable
-    /// to keep tmpfs churn down.
+    /// fsync the seeded file at Open (through WriteFileAtomic) and
+    /// fdatasync every append. The CLI runs durable; tests disable to keep
+    /// tmpfs churn down.
     bool sync = true;
   };
 
   JournalWriter() = default;
+  ~JournalWriter();
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  /// Creates (or truncates) the journal at `path`, seeded with `records`
+  /// Creates (or replaces) the journal at `path`, seeded with `records`
   /// — pass the salvaged `JournalContents::records` to continue an
   /// existing journal, or an empty vector to start fresh. The seeded file
-  /// (header + records) is written durably before Open returns, so an
-  /// interrupted run that never appends still leaves a valid journal.
+  /// (header + records) is written atomically before Open returns, so an
+  /// interrupted run that never appends still leaves a valid journal; the
+  /// file is then held open for appending.
   Status Open(std::string path, std::vector<std::string> records,
               Options options);
-  Status Open(std::string path) { return Open(std::move(path), {}, {}); }
 
-  /// Appends one record and durably rewrites the journal. `payload` must
-  /// not contain '\n'. Failpoint: `ckpt.write.record`.
+  /// Appends one record line. `payload` must not contain '\n'. On a
+  /// failed write the file is truncated back to the last complete record;
+  /// if that truncate fails too, every later Append returns
+  /// FailedPrecondition. Failpoints: `ckpt.write.record` (before any byte
+  /// is written), `ckpt.write.rollback` (the truncate fails).
   Status Append(std::string_view payload);
 
-  const std::string& path() const { return path_; }
   /// Records currently in the journal (seeded + appended).
   size_t num_records() const { return num_records_; }
 
  private:
-  Status Flush();
-
   std::string path_;
-  std::string content_;  ///< Full serialized journal, header included.
+  int fd_ = -1;
+  /// Bytes of the journal up to the end of its last complete record.
+  size_t size_ = 0;
   size_t num_records_ = 0;
   Options options_;
-  bool open_ = false;
+  /// A failed append could not be rolled back: a torn record may sit at
+  /// the end of the file, and nothing may be appended after it.
+  bool torn_ = false;
 };
 
 }  // namespace culevo

@@ -62,18 +62,7 @@ Status WriteAttempt(const std::string& path, std::string_view content,
   if (!status.ok()) return status;
 
   status = FailpointCheck("io.write.write");
-  const char* data = content.data();
-  size_t remaining = content.size();
-  while (status.ok() && remaining > 0) {
-    const ssize_t n = ::write(fd, data, remaining);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      status = ErrnoStatus("write failure", temp);
-      break;
-    }
-    data += n;
-    remaining -= static_cast<size_t>(n);
-  }
+  if (status.ok()) status = WriteAll(fd, content, temp);
 
   if (status.ok()) status = FailpointCheck("io.write.sync");
   if (status.ok() && sync && ::fsync(fd) != 0) {
@@ -109,6 +98,18 @@ Status WriteAttempt(const std::string& path, std::string_view content,
 }
 
 }  // namespace
+
+Status WriteAll(int fd, std::string_view data, const std::string& path) {
+  while (!data.empty()) {
+    const ssize_t n = ::write(fd, data.data(), data.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("write failure", path);
+    }
+    data.remove_prefix(static_cast<size_t>(n));
+  }
+  return Status::Ok();
+}
 
 std::chrono::milliseconds NextBackoffDelay(std::chrono::milliseconds base,
                                            std::chrono::milliseconds prev,

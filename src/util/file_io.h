@@ -40,6 +40,10 @@ std::chrono::milliseconds NextBackoffDelay(std::chrono::milliseconds base,
                                            std::chrono::milliseconds cap,
                                            Rng* rng);
 
+/// Writes all of `data` to `fd`, looping over partial writes and EINTR.
+/// `path` names the file in the IOError.
+Status WriteAll(int fd, std::string_view data, const std::string& path);
+
 /// Writes `content` to `path` atomically: the bytes land in a unique temp
 /// file in the target directory, are flushed (and fsynced, see options),
 /// and the temp file is renamed over `path`. Readers — and crashes at any

@@ -1,7 +1,8 @@
 // Resume-protocol tests for the crash-recovery subsystem: the
 // bit-identical resume-equivalence guarantee for every model, manifest
 // mismatch refusals, corruption recovery at the RunSimulation level,
-// RunReport continuity across attempts, and sweep-point checkpointing.
+// RunReport continuity across attempts, sweep-point checkpointing, and
+// the merged resume of shard journals (one read, parse and write each).
 
 #include <gtest/gtest.h>
 
@@ -121,6 +122,24 @@ class CheckpointResumeTest : public ::testing::Test {
     return options;
   }
 };
+
+/// Replaces `from` with `to` in the first record of the journal at `path`
+/// that holds it, and re-signs that record as any producer could.
+void EditRecord(const std::string& path, const std::string& from,
+                const std::string& to) {
+  Result<std::string> raw = ReadFileToString(path);
+  ASSERT_TRUE(raw.ok());
+  std::string content = raw.value();
+  const size_t at = content.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  const size_t line = content.rfind('\n', at) + 1;
+  const size_t eol = content.find('\n', at);
+  const size_t payload_start = line + 17;  // after "<hex16> "
+  std::string payload = content.substr(payload_start, eol - payload_start);
+  payload.replace(at - payload_start, from.size(), to);
+  content.replace(line, eol + 1 - line, FormatJournalRecord(payload));
+  ASSERT_TRUE(WriteStringToFile(path, content).ok());
+}
 
 void ExpectBitIdentical(const SimulationResult& resumed,
                         const SimulationResult& golden) {
@@ -560,6 +579,140 @@ TEST_F(CheckpointResumeTest, CkptMetricsTrackResumes) {
   ASSERT_TRUE(RunSimulation(model, context, lexicon, config).ok());
   EXPECT_EQ(resumes->Value() - resumes0, 1);
   EXPECT_EQ(restored->Value() - restored0, config.replicas);
+}
+
+// A journal integer outside `int` is an unreadable record, not a value to
+// truncate: 4294967303 would otherwise read as the 7 of this run.
+TEST_F(CheckpointResumeTest, ManifestCountOutsideIntIsRefused) {
+  const Lexicon& lexicon = WorldLexicon();
+  const NullModel model;
+  const std::string dir = FreshDir();
+  SimulationConfig config = BaseConfig();
+  config.replicas = 7;
+  config.checkpoint = Checkpointed(dir, false);
+  ASSERT_TRUE(RunSimulation(model, SmallContext(), lexicon, config).ok());
+
+  EditRecord(dir + "/sim_nm_c0.journal", "replicas=7 ",
+             "replicas=4294967303 ");
+  config.checkpoint = Checkpointed(dir, true);
+  EXPECT_EQ(
+      RunSimulation(model, SmallContext(), lexicon, config).status().code(),
+      StatusCode::kFailedPrecondition);
+}
+
+// Likewise a replica index: k=4294967299 would otherwise restore into
+// slot 3.
+TEST_F(CheckpointResumeTest, ReplicaIndexOutsideIntIsRefused) {
+  const Lexicon& lexicon = WorldLexicon();
+  const NullModel model;
+  const std::string dir = FreshDir();
+  SimulationConfig config = BaseConfig();
+  config.replicas = 7;
+  config.checkpoint = Checkpointed(dir, false);
+  ASSERT_TRUE(RunSimulation(model, SmallContext(), lexicon, config).ok());
+
+  EditRecord(dir + "/sim_nm_c0.journal", "kind=replica k=3 ",
+             "kind=replica k=4294967299 ");
+  config.checkpoint = Checkpointed(dir, true);
+  EXPECT_EQ(
+      RunSimulation(model, SmallContext(), lexicon, config).status().code(),
+      StatusCode::kFailedPrecondition);
+}
+
+// The merged resume reads each shard journal once and writes the
+// consolidated journal once.
+TEST_F(CheckpointResumeTest, MergedResumeReadsAndWritesEachRecordOnce) {
+  const Lexicon& lexicon = WorldLexicon();
+  const auto model = MakeCmR(&lexicon);
+  const CuisineContext context = SmallContext();
+  const std::string dir = FreshDir();
+  SimulationConfig config = BaseConfig();
+  Result<SimulationResult> golden =
+      RunSimulation(*model, context, lexicon, config);
+  ASSERT_TRUE(golden.ok());
+
+  const std::string file_name =
+      "sim_" + SanitizeFileToken(model->name()) + "_c0.journal";
+  size_t shard_records = 0;
+  for (int s = 0; s < 2; ++s) {
+    SimulationConfig shard = config;
+    shard.checkpoint = Checkpointed(dir, true);
+    shard.shard.index = s;
+    shard.shard.count = 2;
+    ASSERT_TRUE(RunSimulation(*model, context, lexicon, shard).ok());
+    Result<JournalContents> contents =
+        ReadJournal(dir + "/" + ShardJournalFileName(file_name, s));
+    ASSERT_TRUE(contents.ok()) << contents.status();
+    shard_records += contents->records.size();
+  }
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  obs::Counter* atomic_writes = registry.counter("io.write.atomic");
+  obs::Counter* loaded = registry.counter("ckpt.records_loaded");
+  const int64_t atomic_writes0 = atomic_writes->Value();
+  const int64_t loaded0 = loaded->Value();
+  config.checkpoint = Checkpointed(dir, true);
+  config.checkpoint.merge_shards = 2;
+  Result<SimulationResult> merged =
+      RunSimulation(*model, context, lexicon, config);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_EQ(atomic_writes->Value() - atomic_writes0, 1);
+  EXPECT_EQ(loaded->Value() - loaded0, static_cast<int64_t>(shard_records));
+  ExpectBitIdentical(merged.value(), golden.value());
+}
+
+// The journal resume rewrites holds exactly what it restored: repeated
+// incidents survive, interrupt records are dropped, and merging the
+// rewritten journal with a shard that repeats an incident less often adds
+// nothing.
+TEST_F(CheckpointResumeTest, RewrittenJournalHoldsTheRestoredState) {
+  const std::string dir = FreshDir();
+  RunManifest manifest;
+  manifest.run_kind = "simulation";
+  manifest.name = "NM";
+  manifest.replicas = 4;
+  const std::string file_name = "sim_nm_c0.journal";
+  const Status flaky = Status::Internal("flaky = 100%");
+  {
+    Result<std::unique_ptr<RunJournal>> journal =
+        RunJournal::Open(Checkpointed(dir, false), file_name, manifest);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE((*journal)->AppendIncident(1, flaky, 2).ok());
+    ASSERT_TRUE((*journal)->AppendReplica({0, 0, {1.0, 0.5}, {2.0}}).ok());
+    ASSERT_TRUE((*journal)->AppendIncident(1, flaky, 2).ok());
+    ASSERT_TRUE(
+        (*journal)->AppendInterrupt(Status::Cancelled("stopped")).ok());
+  }
+  {
+    Result<std::unique_ptr<RunJournal>> shard = RunJournal::Open(
+        Checkpointed(dir, false), ShardJournalFileName(file_name, 0),
+        manifest);
+    ASSERT_TRUE(shard.ok()) << shard.status();
+    ASSERT_TRUE((*shard)->AppendReplica({0, 1, {9.0}, {9.0}}).ok());
+    ASSERT_TRUE((*shard)->AppendIncident(1, flaky, 2).ok());
+    ASSERT_TRUE((*shard)->AppendReplica({3, 0, {4.0}, {}}).ok());
+  }
+
+  const auto expect_restored = [&](int merge_shards, size_t replicas) {
+    CheckpointOptions options = Checkpointed(dir, true);
+    options.merge_shards = merge_shards;
+    Result<std::unique_ptr<RunJournal>> journal =
+        RunJournal::Open(options, file_name, manifest);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_EQ((*journal)->prior_incidents().size(), 2u) << merge_shards;
+    EXPECT_EQ((*journal)->prior_incidents()[1].message, flaky.message());
+    const std::vector<ReplicaCheckpoint>& restored =
+        (*journal)->restored_replicas();
+    ASSERT_EQ(restored.size(), replicas) << merge_shards;
+    EXPECT_EQ(restored[0].replica, 0);
+    EXPECT_EQ(restored[0].ingredient, (std::vector<double>{1.0, 0.5}));
+  };
+  expect_restored(0, 1);
+  Result<std::string> rewritten = ReadFileToString(dir + "/" + file_name);
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_EQ(rewritten->find("kind=interrupt"), std::string::npos);
+  expect_restored(1, 2);
+  expect_restored(1, 2);  // re-merging the merged journal adds nothing
 }
 
 }  // namespace

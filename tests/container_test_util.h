@@ -2,11 +2,14 @@
 #define CULEVO_TESTS_CONTAINER_TEST_UTIL_H_
 
 // Test-only helpers for crafting CULEVO-CORPUS / CULEVO-DELTA files
-// (corpus/container.h has the layout).
+// (corpus/container.h has the layout) and CULEVO-JOURNAL files
+// (util/checkpoint.h).
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "util/hash.h"
 
@@ -45,6 +48,24 @@ inline void ResignContainer(std::string* file) {
   }
   SetContainerField<uint64_t>(
       file, 56, Fnv1a64(file->substr(64, ContainerTableEntry(count) - 64)));
+}
+
+/// Recomputes the checksum of every record line of a journal file in
+/// place, as any producer could. A line whose 16-digit checksum and
+/// separating space are not where the format puts them is left alone.
+inline void ResignJournal(std::string* file) {
+  for (size_t eol = file->find('\n'); eol != std::string::npos;) {
+    const size_t start = eol + 1;
+    eol = file->find('\n', start);
+    const size_t end = eol == std::string::npos ? file->size() : eol;
+    if (end - start < 17 || (*file)[start + 16] != ' ') continue;
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(Fnv1a64(
+                      std::string_view(*file).substr(start + 17,
+                                                     end - start - 17))));
+    file->replace(start, 16, hex, 16);
+  }
 }
 
 }  // namespace culevo

@@ -1,18 +1,20 @@
 // Seeded byte-mutation fuzzing of every entry point that parses untrusted
-// bytes: the CULEVO-CORPUS and CULEVO-DELTA containers, the run journal,
-// the wire frame, the request line and the TSV readers (corpus, lexicon
-// and delimiter-separated tables). Each row mutates one valid seed
-// input a fixed number of times from a fixed seed, so a failure replays
-// exactly. The mutations are bit flips, byte sets, truncations, and
-// aligned u32/u64 fields set to 0, all-ones or the high bit; for the two
-// containers every other mutation also re-signs the file, so the
-// validators behind the checksums run too.
+// bytes: the CULEVO-CORPUS and CULEVO-DELTA containers, the run journal
+// (its framing and its record grammar), the wire frame, the request line
+// and the TSV readers (corpus, lexicon and delimiter-separated tables).
+// Each row mutates one valid seed input a fixed number of times from a
+// fixed seed, so a failure replays exactly. The mutations are bit flips,
+// byte sets, truncations, and aligned u32/u64 fields set to 0, all-ones
+// or the high bit; for the two containers and the journal records every
+// other mutation also re-signs the file, so the validators behind the
+// checksums run too.
 //
 // Every call must return (no abort, no sanitizer report; an escaped
 // exception fails the test) with a status from the entry point's
 // documented refusal set. A snapshot or delta the loader accepts must then
-// be refused at install or answer a fixed request list, and text a TSV
-// reader accepts must read back the same from its own output. The
+// be refused at install or answer a fixed request list, a journal resume
+// accepts must restore the same from the journal it rewrote, and text a
+// TSV reader accepts must read back the same from its own output. The
 // per-format named refusal tests, which pin exact statuses at exact
 // offsets, live beside each format's other tests.
 
@@ -24,6 +26,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <initializer_list>
 #include <string>
@@ -35,6 +38,7 @@
 #include "corpus/corpus_io.h"
 #include "corpus/corpus_snapshot.h"
 #include "corpus/ingestion.h"
+#include "core/run_journal.h"
 #include "lexicon/lexicon_io.h"
 #include "lexicon/world_lexicon.h"
 #include "service/protocol.h"
@@ -248,6 +252,112 @@ TEST_F(MutationFuzzTest, ReadJournal) {
                            contents->records.end(), records.begin()))
         << where;
   });
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Two resumes restored the same replicas, incidents and sweep points,
+/// doubles compared bit for bit.
+void ExpectSameRestored(const RunJournal& a, const RunJournal& b,
+                        const std::string& where) {
+  ASSERT_EQ(a.restored_replicas().size(), b.restored_replicas().size())
+      << where;
+  for (size_t i = 0; i < a.restored_replicas().size(); ++i) {
+    const ReplicaCheckpoint& x = a.restored_replicas()[i];
+    const ReplicaCheckpoint& y = b.restored_replicas()[i];
+    EXPECT_TRUE(x.replica == y.replica && x.retries == y.retries &&
+                SameBits(x.ingredient, y.ingredient) &&
+                SameBits(x.category, y.category))
+        << where << ": replica record " << i;
+  }
+  ASSERT_EQ(a.prior_incidents().size(), b.prior_incidents().size()) << where;
+  for (size_t i = 0; i < a.prior_incidents().size(); ++i) {
+    const IncidentCheckpoint& x = a.prior_incidents()[i];
+    const IncidentCheckpoint& y = b.prior_incidents()[i];
+    EXPECT_TRUE(x.replica == y.replica && x.status_code == y.status_code &&
+                x.message == y.message && x.retries == y.retries)
+        << where << ": incident " << i;
+  }
+  ASSERT_EQ(a.restored_points().size(), b.restored_points().size()) << where;
+  for (size_t i = 0; i < a.restored_points().size(); ++i) {
+    const SweepPointCheckpoint& x = a.restored_points()[i];
+    const SweepPointCheckpoint& y = b.restored_points()[i];
+    EXPECT_TRUE(x.index == y.index &&
+                SameBits({x.value, x.mae_ingredient, x.mae_category},
+                         {y.value, y.mae_ingredient, y.mae_category}))
+        << where << ": sweep point " << i;
+  }
+}
+
+// The record grammar behind the journal framing: each mutant of a real
+// simulation journal is resumed as the target journal and, separately, as
+// shard 0 of a two-shard merge. An accepted mutant's rewritten journal
+// must restore the same state when opened again.
+TEST_F(MutationFuzzTest, RunJournalOpen) {
+  const std::string dir = testing::TempDir() + "culevo_mutation_fuzz_journal";
+  std::filesystem::remove_all(dir);
+  CheckpointOptions options;
+  options.directory = dir;
+  options.sync = false;
+  RunManifest manifest;
+  manifest.run_kind = "simulation";
+  manifest.name = "CM-R";
+  manifest.config_fingerprint = 0x5eed;
+  manifest.seed = 42;
+  manifest.replicas = 4;
+  const std::string file_name = "sim_cm_r_c0.journal";
+  const std::string target = dir + "/" + file_name;
+  const std::string shard = dir + "/" + ShardJournalFileName(file_name, 0);
+  {
+    Result<std::unique_ptr<RunJournal>> journal =
+        RunJournal::Open(options, file_name, manifest);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE((*journal)->AppendReplica({0, 0, {1.0, 0.5}, {2.0}}).ok());
+    ASSERT_TRUE(
+        (*journal)->AppendReplica({2, 1, {3.0, 0.25, 0.125}, {}}).ok());
+    ASSERT_TRUE((*journal)
+                    ->AppendIncident(1, Status::Internal("mine = 100%\tx"), 2)
+                    .ok());
+    ASSERT_TRUE(
+        (*journal)->AppendInterrupt(Status::Cancelled("deadline")).ok());
+  }
+  const std::string seed = ReadFileToString(target).value();
+  options.resume = true;
+
+  Rng rng(11);
+  int accepted = 0;
+  for (int i = 0; i < kMutations && !HasFailure(); ++i) {
+    std::string mutant = Mutate(seed, rng);
+    if (i % 2 == 1) ResignJournal(&mutant);
+    for (const int merge_shards : {0, 2}) {
+      const std::string where =
+          StrFormat("mutant %d, merge_shards %d", i, merge_shards);
+      std::filesystem::remove(target);
+      std::filesystem::remove(shard);
+      WriteBytes(merge_shards == 0 ? target : shard, mutant);
+      options.merge_shards = merge_shards;
+      const Result<std::unique_ptr<RunJournal>> opened =
+          RunJournal::Open(options, file_name, manifest);
+      if (!StatusIn(opened.status(),
+                    {StatusCode::kOk, StatusCode::kInvalidArgument,
+                     StatusCode::kFailedPrecondition},
+                    where) ||
+          !opened.ok()) {
+        continue;
+      }
+      ++accepted;
+      const Result<std::unique_ptr<RunJournal>> reopened =
+          RunJournal::Open(options, file_name, manifest);
+      ASSERT_TRUE(reopened.ok()) << where << ": " << reopened.status();
+      ExpectSameRestored(**opened, **reopened, where);
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(MutationFuzzTest, ReadFrame) {

@@ -1,13 +1,23 @@
 // Corruption-matrix tests for the generic checksummed journal layer
 // (util/checkpoint.h): roundtrips, torn/bit-flipped tails, version and
-// magic mismatches, failpoint-driven write/read failures, and the
-// quarantine-then-rewrite protocol. Domain-level resume semantics are in
+// magic mismatches, failpoint-driven write/read failures, the
+// quarantine-then-rewrite protocol, and the appending writer under a
+// SIGKILL and a short write. Domain-level resume semantics are in
 // checkpoint_resume_test.cc.
 
 #include "util/checkpoint.h"
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -15,6 +25,8 @@
 #include "util/csv.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace culevo {
 namespace {
@@ -44,6 +56,32 @@ class CheckpointTest : public ::testing::Test {
   }
 
   std::string path_;
+};
+
+/// Lowers the soft RLIMIT_FSIZE to `bytes` with SIGXFSZ ignored, so a
+/// write past the limit fails with EFBIG instead of killing the process.
+/// Restores both on destruction.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    EXPECT_EQ(::sigaction(SIGXFSZ, &ignore, &old_action_), 0);
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit_), 0);
+    struct rlimit limit = old_limit_;
+    limit.rlim_cur = bytes;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &limit), 0);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &old_limit_);
+    ::sigaction(SIGXFSZ, &old_action_, nullptr);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  struct sigaction old_action_ {};
+  struct rlimit old_limit_ {};
 };
 
 TEST_F(CheckpointTest, ChecksumIsDeterministicAndContentSensitive) {
@@ -252,6 +290,134 @@ TEST_F(CheckpointTest, MetricsCountWritesLoadsAndCorruption) {
   ASSERT_TRUE(ReadJournal(path_).ok());
   EXPECT_EQ(loaded->Value() - loaded0, 1);
   EXPECT_EQ(corrupt->Value() - corrupt0, 1);
+}
+
+// Each append writes its own record line and nothing else.
+TEST_F(CheckpointTest, AppendWritesOnlyItsOwnRecord) {
+  obs::Counter* bytes = obs::MetricsRegistry::Get().counter(
+      "ckpt.bytes_written");
+  JournalWriter writer;
+  JournalWriter::Options options;
+  options.sync = false;
+  ASSERT_TRUE(writer.Open(path_, {"seeded"}, options).ok());
+  const uint64_t opened_size = std::filesystem::file_size(path_);
+
+  const int64_t bytes0 = bytes->Value();
+  int64_t appended = 0;
+  for (const std::string& payload :
+       {std::string("first"), std::string("kind=replica k=1"),
+        std::string(300, 'y'), std::string()}) {
+    ASSERT_TRUE(writer.Append(payload).ok());
+    appended += static_cast<int64_t>(FormatJournalRecord(payload).size());
+  }
+  EXPECT_EQ(bytes->Value() - bytes0, appended);
+  EXPECT_EQ(std::filesystem::file_size(path_),
+            opened_size + static_cast<uint64_t>(appended));
+  EXPECT_EQ(writer.num_records(), 5u);
+}
+
+// A writer SIGKILLed between (or inside) appends leaves a prefix of what
+// it appended, with at most the record it was writing quarantined, and
+// the salvaged prefix continues cleanly.
+TEST_F(CheckpointTest, KilledWriterLeavesAReadablePrefix) {
+  const auto payload = [](int i) {
+    return StrFormat("record %d ", i) +
+           std::string(static_cast<size_t>(i * 37 % 512), 'x');
+  };
+  Rng rng(17);
+  for (int trial = 0; trial < 5; ++trial) {
+    std::remove(path_.c_str());
+    const off_t kill_at =
+        1024 + static_cast<off_t>(rng.NextBounded(64 * 1024));
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      JournalWriter writer;
+      if (!writer.Open(path_, {}, {.sync = false}).ok()) ::_exit(1);
+      for (int i = 0;; ++i) {
+        if (!writer.Append(payload(i)).ok()) ::_exit(2);
+        // Past any kill point: wait for the SIGKILL without growing the
+        // file further.
+        while (i > 4096) ::pause();
+      }
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    struct stat st {};
+    while ((::stat(path_.c_str(), &st) != 0 || st.st_size < kill_at) &&
+           std::chrono::steady_clock::now() < deadline) {
+    }
+    ::kill(child, SIGKILL);
+    int wait_status = 0;
+    ASSERT_EQ(::waitpid(child, &wait_status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(wait_status)) << "trial " << trial;
+
+    Result<JournalContents> salvaged = ReadJournal(path_);
+    ASSERT_TRUE(salvaged.ok()) << salvaged.status();
+    EXPECT_LE(salvaged->quarantined_records, 1) << "trial " << trial;
+    ASSERT_FALSE(salvaged->records.empty()) << "trial " << trial;
+    for (size_t i = 0; i < salvaged->records.size(); ++i) {
+      ASSERT_EQ(salvaged->records[i], payload(static_cast<int>(i)))
+          << "trial " << trial;
+    }
+
+    JournalWriter writer;
+    ASSERT_TRUE(writer.Open(path_, salvaged->records, {.sync = false}).ok());
+    ASSERT_TRUE(writer.Append("after").ok());
+    Result<JournalContents> reread = ReadJournal(path_);
+    ASSERT_TRUE(reread.ok());
+    std::vector<std::string> expected = salvaged->records;
+    expected.push_back("after");
+    EXPECT_EQ(reread->records, expected);
+    EXPECT_EQ(reread->quarantined_records, 0);
+  }
+}
+
+// An append cut off part-way (here by the file-size limit) fails, and the
+// partial record is truncated away: the next append succeeds and nothing
+// is quarantined.
+TEST_F(CheckpointTest, ShortWriteIsTruncatedAway) {
+  JournalWriter writer;
+  ASSERT_TRUE(writer.Open(path_, {}, {.sync = false}).ok());
+  ASSERT_TRUE(writer.Append("first").ok());
+  const uint64_t size = std::filesystem::file_size(path_);
+  Status cut;
+  {
+    FileSizeLimit limit(static_cast<rlim_t>(size + 10));
+    cut = writer.Append(std::string(100, 'x'));
+  }
+  // EFBIG comes only after the first 10 bytes of the record landed.
+  EXPECT_EQ(cut.code(), StatusCode::kIOError) << cut;
+  EXPECT_NE(cut.message().find("File too large"), std::string::npos) << cut;
+  EXPECT_EQ(std::filesystem::file_size(path_), size);
+
+  ASSERT_TRUE(writer.Append("second").ok());
+  Result<JournalContents> contents = ReadJournal(path_);
+  ASSERT_TRUE(contents.ok());
+  EXPECT_EQ(contents->records,
+            (std::vector<std::string>{"first", "second"}));
+  EXPECT_EQ(contents->quarantined_records, 0);
+}
+
+// When the partial record cannot be truncated away, no record may follow
+// it: every later append is refused.
+TEST_F(CheckpointTest, FailedRollbackRefusesLaterAppends) {
+  JournalWriter writer;
+  ASSERT_TRUE(writer.Open(path_, {}, {.sync = false}).ok());
+  ASSERT_TRUE(writer.Append("first").ok());
+  const uint64_t size = std::filesystem::file_size(path_);
+  Failpoints::Get().Arm("ckpt.write.rollback");
+  {
+    FileSizeLimit limit(static_cast<rlim_t>(size + 10));
+    EXPECT_FALSE(writer.Append(std::string(100, 'x')).ok());
+  }
+  Failpoints::Get().DisarmAll();
+
+  EXPECT_EQ(writer.Append("second").code(), StatusCode::kFailedPrecondition);
+  Result<JournalContents> contents = ReadJournal(path_);
+  ASSERT_TRUE(contents.ok());
+  EXPECT_EQ(contents->records, std::vector<std::string>{"first"});
+  EXPECT_EQ(contents->quarantined_records, 1);
 }
 
 }  // namespace
