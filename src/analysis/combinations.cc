@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "analysis/apriori.h"
 #include "analysis/eclat.h"
 
 namespace culevo {
@@ -18,17 +17,9 @@ std::vector<Itemset> MineCombinations(const TransactionSet& transactions,
                                       const CombinationConfig& config) {
   const size_t support =
       AbsoluteSupport(transactions.size(), config.min_relative_support);
-  switch (config.miner) {
-    case MinerKind::kEclat: {
-      EclatOptions options;
-      options.pool = config.mining_pool;
-      options.cancel = config.cancel;
-      return MineEclat(transactions, support, options);
-    }
-    case MinerKind::kApriori:
-      return MineApriori(transactions, support);
-  }
-  return {};
+  EclatOptions options;
+  options.cancel = config.cancel;
+  return MineEclat(transactions, support, options);
 }
 
 RankFrequency CombinationCurve(const TransactionSet& transactions,

@@ -12,24 +12,12 @@
 namespace culevo {
 
 class CancelToken;
-class ThreadPool;
-
-/// Which frequent-itemset algorithm to run.
-enum class MinerKind {
-  kEclat,    ///< Vertical hybrid tid-list miner; default, fast.
-  kApriori,  ///< Level-wise reference miner.
-};
 
 /// Parameters of the paper's combination analysis (Section IV): itemsets of
 /// size >= 1 appearing in at least `min_relative_support` of a cuisine's
-/// recipes (the paper uses 5%).
+/// recipes (the paper uses 5%), mined with Eclat.
 struct CombinationConfig {
   double min_relative_support = 0.05;
-  MinerKind miner = MinerKind::kEclat;
-  /// When non-null and the miner is Eclat, root-level equivalence classes
-  /// are mined in parallel on this pool. Leave null when the surrounding
-  /// computation already runs on the same pool (see RunSimulation).
-  ThreadPool* mining_pool = nullptr;
   /// Polled by the Eclat root loop (see EclatOptions::cancel): a tripped
   /// token makes the mined result a partial prefix, which the caller must
   /// detect and discard. Null = never cancelled.

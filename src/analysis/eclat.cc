@@ -5,16 +5,13 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <memory>
 #include <utility>
 
-#include "analysis/mine_scheduler.h"
 #include "analysis/tidlist.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "util/cancel.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace culevo {
 namespace {
@@ -23,21 +20,14 @@ using mining::kAborted;
 using mining::TidArena;
 using mining::TidList;
 
-/// Kernel-invocation counts accumulated locally per mining participant and
-/// flushed to the obs registry once per call, so the hot loops never touch
-/// the (sharded but still atomic) counters.
+/// Kernel-invocation counts accumulated locally and flushed to the obs
+/// registry once per call, so the hot loops never touch the (sharded but
+/// still atomic) counters.
 struct KernelStats {
   int64_t dense_intersections = 0;
   int64_t sparse_intersections = 0;
   int64_t mixed_intersections = 0;
   int64_t early_aborts = 0;
-
-  void Accumulate(const KernelStats& other) {
-    dense_intersections += other.dense_intersections;
-    sparse_intersections += other.sparse_intersections;
-    mixed_intersections += other.mixed_intersections;
-    early_aborts += other.early_aborts;
-  }
 };
 
 struct Node {
@@ -52,20 +42,6 @@ struct Node {
 /// universes fall back to the count-then-fill build.
 constexpr size_t kDirectGridMaxWords = size_t{1} << 15;
 
-// Split-depth heuristic for the work-stealing path. A subtree task whose
-// equivalence class still looks expensive — estimated tid volume
-// (support x remaining siblings) at or above kSplitMinTidVolume, with at
-// least kMinSplitFanout siblings to fan out over — is split: its child
-// classes become individually stealable tasks instead of one sequential
-// recursion. Splitting stops at kMaxSplitDepth because each split copies
-// the child tid lists into a long-lived context arena (they must outlive
-// the task that built them); past a few levels the copy overhead buys no
-// additional balance. The decision depends only on the task itself, never
-// on scheduling, so the set of emitted itemsets is schedule-independent.
-constexpr uint64_t kSplitMinTidVolume = uint64_t{1} << 15;
-constexpr uint32_t kMaxSplitDepth = 4;
-constexpr size_t kMinSplitFanout = 4;
-
 bool NodeSupportLess(const Node& a, const Node& b) {
   if (a.tids.support != b.tids.support) {
     return a.tids.support < b.tids.support;
@@ -73,58 +49,44 @@ bool NodeSupportLess(const Node& a, const Node& b) {
   return a.item < b.item;
 }
 
-/// Mines equivalence classes. One instance per mining participant (the
-/// whole call when serial); owns no tid storage — candidate payloads live
-/// in the arena passed to each MineClass call, released with stack
+/// Mines the equivalence classes of one MineEclat call. Candidate tid
+/// lists go into the arena given at construction, released with stack
 /// discipline as the recursion unwinds. Sibling Node vectors are pooled
 /// per recursion depth, so steady-state mining allocates only for emitted
 /// itemsets.
 class ClassMiner {
  public:
-  ClassMiner(size_t num_words, size_t min_support, size_t dense_min_support)
-      : num_words_(num_words),
+  ClassMiner(TidArena* arena, std::vector<Itemset>* out, size_t num_words,
+             size_t min_support, size_t dense_min_support)
+      : arena_(arena),
+        out_(out),
+        num_words_(num_words),
         min_support_(min_support),
         dense_min_support_(dense_min_support) {}
 
-  void set_output(std::vector<Itemset>* out) { out_ = out; }
-
-  /// Mines `nodes[index]` under `prefix` with extensions drawn from the
-  /// nodes after it: emits (prefix + item), then recurses over the child
-  /// class. Scratch tid lists go into `arena`, which is rewound to its
-  /// entry position before returning.
-  void MineClass(TidArena* arena, const std::vector<Item>& prefix,
-                 const std::vector<Node>& nodes, size_t index) {
-    arena_ = arena;
-    prefix_.assign(prefix.begin(), prefix.end());
-    const Node& node = nodes[index];
-    prefix_.push_back(node.item);
-    EmitPrefix(node.tids.support);
-    if (index + 1 < nodes.size()) {
-      const TidArena::Mark mark = arena_->Position();
-      std::vector<Node>& children = LevelBuffer(0);
-      BuildChildren(node, nodes, index + 1, &children);
-      if (!children.empty()) MineSiblings(children, 1);
-      arena_->Rewind(mark);
+  /// Mines the class of each node of `siblings` under the current prefix:
+  /// emits (prefix + item), then recurses over its frequent extensions
+  /// among the nodes after it. `cancel` is polled before each class; the
+  /// recursion passes null, so a class that started always finishes.
+  void Mine(const std::vector<Node>& siblings, size_t depth,
+            const CancelToken* cancel) {
+    for (size_t i = 0; i < siblings.size(); ++i) {
+      if (CancelToken::ShouldStop(cancel)) return;
+      const Node& node = siblings[i];
+      prefix_.push_back(node.item);
+      // Prefixes are in mining order; itemsets are emitted in item order.
+      std::vector<Item> items(prefix_);
+      std::sort(items.begin(), items.end());
+      out_->push_back(Itemset{std::move(items), node.tids.support});
+      if (i + 1 < siblings.size()) {
+        const TidArena::Mark mark = arena_->Position();
+        std::vector<Node>& children = LevelBuffer(depth);
+        BuildChildren(node, siblings, i + 1, &children);
+        if (!children.empty()) Mine(children, depth + 1, nullptr);
+        arena_->Rewind(mark);
+      }
+      prefix_.pop_back();
     }
-  }
-
-  /// Split support: materializes the frequent children of `node` (vs the
-  /// siblings after `from`) into `arena`, sorted ascending by support.
-  /// Unlike MineClass scratch, these survive the call — the caller turns
-  /// each child into an independently schedulable task.
-  void BuildChildrenInto(TidArena* arena, const Node& node,
-                         const std::vector<Node>& siblings, size_t from,
-                         std::vector<Node>* children) {
-    arena_ = arena;
-    BuildChildren(node, siblings, from, children);
-  }
-
-  /// Emits `items` + `support` as one itemset (items get sorted; callers
-  /// hand over mining-order prefixes).
-  void EmitItemset(const std::vector<Item>& items, uint32_t support) {
-    std::vector<Item> sorted_items(items);
-    std::sort(sorted_items.begin(), sorted_items.end());
-    out_->push_back(Itemset{std::move(sorted_items), support});
   }
 
   const KernelStats& stats() const { return stats_; }
@@ -135,8 +97,8 @@ class ClassMiner {
     return levels_[depth];
   }
 
-  void EmitPrefix(uint32_t support) { EmitItemset(prefix_, support); }
-
+  /// Fills `children` with the frequent intersections of `node` with the
+  /// siblings from `from` on, sorted ascending by support.
   void BuildChildren(const Node& node, const std::vector<Node>& siblings,
                      size_t from, std::vector<Node>* children) {
     children->clear();
@@ -149,22 +111,6 @@ class ClassMiner {
     // Dynamic reordering: extend the smallest tid lists first so deeper
     // intersections shrink (and abort) as early as possible.
     std::sort(children->begin(), children->end(), NodeSupportLess);
-  }
-
-  void MineSiblings(std::vector<Node>& siblings, size_t depth) {
-    for (size_t i = 0; i < siblings.size(); ++i) {
-      const Node& node = siblings[i];
-      prefix_.push_back(node.item);
-      EmitPrefix(node.tids.support);
-      if (i + 1 < siblings.size()) {
-        const TidArena::Mark mark = arena_->Position();
-        std::vector<Node>& children = LevelBuffer(depth);
-        BuildChildren(node, siblings, i + 1, &children);
-        if (!children.empty()) MineSiblings(children, depth + 1);
-        arena_->Rewind(mark);
-      }
-      prefix_.pop_back();
-    }
   }
 
   /// Intersects two tid lists into arena storage. Returns false (with the
@@ -228,63 +174,20 @@ class ClassMiner {
     return true;
   }
 
-  TidArena* arena_ = nullptr;
+  TidArena* const arena_;
+  std::vector<Itemset>* const out_;
   const size_t num_words_;
   const size_t min_support_;
   const size_t dense_min_support_;
-  std::vector<Itemset>* out_ = nullptr;
   std::vector<Item> prefix_;
   std::deque<std::vector<Node>> levels_;  ///< Per-depth sibling freelist.
   std::vector<uint32_t> scratch_;         ///< Dense-to-sparse staging.
   KernelStats stats_;
 };
 
-/// Shared context for a batch of sibling subtree tasks: the mining prefix
-/// they extend, the sibling Node array they index into, and (for split
-/// contexts) the arena owning those nodes' tid payloads. Kept alive by
-/// shared_ptr from every outstanding task; the root context's nodes point
-/// into the caller's root arena instead of `arena`.
-struct SplitCtx {
-  explicit SplitCtx(size_t chunk_words) : arena(chunk_words) {}
-
-  std::vector<Item> prefix;
-  std::vector<Node> nodes;
-  TidArena arena;
-  uint32_t depth = 0;
-};
-
-/// One schedulable unit: mine `ctx->nodes[index]` (with extensions from
-/// the nodes after it) under `ctx->prefix`.
-struct SubtreeTask {
-  std::shared_ptr<SplitCtx> ctx;
-  uint32_t index = 0;
-};
-
-/// Per-participant mining state for the work-stealing path. Each
-/// participant runs its tasks strictly sequentially, so the arena, miner
-/// scratch, and output buffer need no locking; outputs are concatenated
-/// and canonically sorted after the run.
-struct MineParticipant {
-  MineParticipant(size_t chunk_words, size_t num_words, size_t min_support,
-                  size_t dense_min_support)
-      : arena(chunk_words), miner(num_words, min_support, dense_min_support) {
-    miner.set_output(&out);
-  }
-
-  TidArena arena;
-  ClassMiner miner;
-  std::vector<Itemset> out;
-  int64_t splits = 0;
-  int64_t split_bytes = 0;
-};
-
 /// Sorts `itemsets` with ItemsetLess — (size, lexicographic items) — via a
 /// presort on a packed (size, leading item) key, so the cache-hostile
 /// vector-vs-vector comparisons only run inside the tiny equal-key runs.
-/// This is a total order over distinct itemsets, which is what makes the
-/// parallel path's output bit-identical to serial: the mined *set* of
-/// itemsets is schedule-independent, and a total order admits exactly one
-/// sorted arrangement of it.
 void SortItemsets(std::vector<Itemset>* itemsets) {
   std::vector<std::pair<uint64_t, uint32_t>> keys(itemsets->size());
   for (size_t i = 0; i < itemsets->size(); ++i) {
@@ -324,9 +227,6 @@ struct EclatMetrics {
   obs::Counter* mixed;
   obs::Counter* aborts;
   obs::Counter* arena_bytes;
-  obs::Counter* subtree_tasks;
-  obs::Counter* steals;
-  obs::Counter* splits;
   obs::Histogram* wall_ms;
 
   static const EclatMetrics& Get() {
@@ -342,9 +242,6 @@ struct EclatMetrics {
             "mine.eclat.mixed_intersections"),
         obs::MetricsRegistry::Get().counter("mine.eclat.early_aborts"),
         obs::MetricsRegistry::Get().counter("mine.eclat.arena_bytes"),
-        obs::MetricsRegistry::Get().counter("mine.eclat.subtree_tasks"),
-        obs::MetricsRegistry::Get().counter("mine.eclat.steals"),
-        obs::MetricsRegistry::Get().counter("mine.eclat.splits"),
         obs::MetricsRegistry::Get().histogram("mine.eclat.ms"),
     };
     return m;
@@ -445,94 +342,10 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
   std::sort(roots.begin(), roots.end(), NodeSupportLess);
 
   std::vector<Itemset> result;
-  KernelStats stats;
-  int64_t arena_bytes = 0;
-  // Class arenas start at a few tid lists' worth of storage (wide-universe
-  // inputs spawn thousands of short-lived classes) and grow chunk-wise if
-  // a class runs deep.
-  const size_t class_chunk_words = std::min(
-      TidArena::kDefaultChunkWords, std::max<size_t>(64, 16 * num_words));
-  if (options.pool != nullptr && roots.size() > 1) {
-    // Work-stealing path: the caller plus up to num_threads() pool workers
-    // drain a shared graph of subtree tasks, each participant with its own
-    // arena and output buffer (no contention on the mining hot path).
-    // Oversized classes are split into stealable child tasks per the
-    // heuristic above; outputs are concatenated and canonically sorted, so
-    // the result is bit-identical to the serial path.
-    mining::WorkStealingScheduler<SubtreeTask> scheduler(options.pool);
-    std::vector<std::unique_ptr<MineParticipant>> participants;
-    participants.reserve(scheduler.num_participants());
-    for (size_t p = 0; p < scheduler.num_participants(); ++p) {
-      participants.push_back(std::make_unique<MineParticipant>(
-          class_chunk_words, num_words, min_support_count,
-          dense_min_support));
-    }
-
-    auto root_ctx = std::make_shared<SplitCtx>(/*chunk_words=*/1);
-    root_ctx->nodes = std::move(roots);
-    std::vector<SubtreeTask> seeds;
-    seeds.reserve(root_ctx->nodes.size());
-    for (size_t i = 0; i < root_ctx->nodes.size(); ++i) {
-      seeds.push_back(SubtreeTask{root_ctx, static_cast<uint32_t>(i)});
-    }
-
-    const auto body = [&](size_t p, SubtreeTask& task,
-                          std::vector<SubtreeTask>* spawned) {
-      MineParticipant& me = *participants[p];
-      SplitCtx& ctx = *task.ctx;
-      const Node& node = ctx.nodes[task.index];
-      const size_t remaining = ctx.nodes.size() - task.index - 1;
-      if (remaining >= kMinSplitFanout && ctx.depth < kMaxSplitDepth &&
-          uint64_t{node.tids.support} * remaining >= kSplitMinTidVolume) {
-        auto child = std::make_shared<SplitCtx>(class_chunk_words);
-        child->prefix = ctx.prefix;
-        child->prefix.push_back(node.item);
-        child->depth = ctx.depth + 1;
-        me.miner.EmitItemset(child->prefix, node.tids.support);
-        me.miner.BuildChildrenInto(&child->arena, node, ctx.nodes,
-                                   task.index + 1, &child->nodes);
-        ++me.splits;
-        me.split_bytes += static_cast<int64_t>(child->arena.allocated_bytes());
-        for (size_t j = 0; j < child->nodes.size(); ++j) {
-          spawned->push_back(SubtreeTask{child, static_cast<uint32_t>(j)});
-        }
-      } else {
-        me.miner.MineClass(&me.arena, ctx.prefix, ctx.nodes, task.index);
-      }
-    };
-
-    const mining::SchedulerStats run_stats =
-        scheduler.Run(std::move(seeds), body, options.cancel);
-
-    size_t total = 0;
-    int64_t splits = 0;
-    for (const std::unique_ptr<MineParticipant>& part : participants) {
-      total += part->out.size();
-    }
-    result.reserve(total);
-    for (std::unique_ptr<MineParticipant>& part : participants) {
-      std::move(part->out.begin(), part->out.end(),
-                std::back_inserter(result));
-      stats.Accumulate(part->miner.stats());
-      arena_bytes += static_cast<int64_t>(part->arena.allocated_bytes()) +
-                     part->split_bytes;
-      splits += part->splits;
-    }
-    arena_bytes += static_cast<int64_t>(root_arena.allocated_bytes());
-    metrics.subtree_tasks->Increment(run_stats.tasks_executed);
-    metrics.steals->Increment(run_stats.tasks_stolen);
-    metrics.splits->Increment(splits);
-  } else {
-    ClassMiner miner(num_words, min_support_count, dense_min_support);
-    miner.set_output(&result);
-    const std::vector<Item> empty_prefix;
-    for (size_t i = 0; i < roots.size(); ++i) {
-      if (CancelToken::ShouldStop(options.cancel)) break;
-      miner.MineClass(&root_arena, empty_prefix, roots, i);
-    }
-    stats.Accumulate(miner.stats());
-    arena_bytes = static_cast<int64_t>(root_arena.allocated_bytes());
-  }
+  ClassMiner miner(&root_arena, &result, num_words, min_support_count,
+                   dense_min_support);
+  miner.Mine(roots, 0, options.cancel);
+  const KernelStats& stats = miner.stats();
 
   SortItemsets(&result);
   metrics.itemsets->Increment(static_cast<int64_t>(result.size()));
@@ -540,7 +353,8 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
   metrics.sparse->Increment(stats.sparse_intersections);
   metrics.mixed->Increment(stats.mixed_intersections);
   metrics.aborts->Increment(stats.early_aborts);
-  metrics.arena_bytes->Increment(arena_bytes);
+  metrics.arena_bytes->Increment(
+      static_cast<int64_t>(root_arena.allocated_bytes()));
   return result;
 }
 

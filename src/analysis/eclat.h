@@ -8,32 +8,18 @@
 namespace culevo {
 
 class CancelToken;
-class ThreadPool;
 
 /// Tuning knobs for the Eclat engine. The defaults are what the pipeline
 /// uses; tests pin `density_threshold` to force the pure-dense or
 /// pure-sparse code paths.
 struct EclatOptions {
-  /// When non-null, mining runs on a work-stealing scheduler: the calling
-  /// thread plus up to pool->num_threads() workers drain subtree-granular
-  /// tasks from per-participant deques, with oversized equivalence classes
-  /// split into independently stealable child tasks. Output is
-  /// bit-identical to the serial path (the mined set of itemsets is
-  /// schedule-independent and the final sort is a total order). Safe to
-  /// pass the pool this call itself runs on: the calling thread can always
-  /// finish all work alone, so nested use degrades to caller-only mining
-  /// instead of deadlocking.
-  ThreadPool* pool = nullptr;
-
-  /// When non-null, the miner polls this token at task boundaries (between
-  /// root classes when serial; at every steal/subtree boundary when
-  /// parallel) and stops taking on new work once it trips. Subtrees that
-  /// already started always finish, so the partial result is a
-  /// well-formed SUBSET of complete subtrees — sorted, never torn, but not
-  /// the full answer and (in the parallel case) not necessarily a prefix
-  /// of the root classes. Callers that pass a token are expected to detect
-  /// the trip themselves (CancelToken::Check) and discard or label the
-  /// partial result.
+  /// When non-null, the miner polls this token before each root class and
+  /// stops once it trips. A root class that already started always
+  /// finishes, so the partial result is every itemset of a prefix of the
+  /// root classes (ascending singleton support, ties broken by item) —
+  /// sorted and never torn, but not the full answer. Callers that pass a
+  /// token are expected to detect the trip themselves (CancelToken::Check)
+  /// and discard or label the partial result.
   const CancelToken* cancel = nullptr;
 
   /// A tid list with support >= ceil(density_threshold * num_transactions)
@@ -45,10 +31,9 @@ struct EclatOptions {
 
 /// Eclat frequent-itemset mining (Zaki 2000) over vertical tid lists in a
 /// hybrid dense-bitset / sparse-vector representation, with arena-backed
-/// candidate storage and optional parallel root-class mining. Produces
-/// exactly the same itemsets as MineApriori (the test suite cross-checks
-/// them) but runs orders of magnitude faster on the corpus-sized inputs
-/// used by the benchmark harness.
+/// candidate storage. Produces exactly the same itemsets as MineApriori
+/// (the test suite cross-checks them) but runs orders of magnitude faster
+/// on the corpus-sized inputs used by the benchmark harness.
 ///
 /// Returns every itemset of size >= 1 with support >= `min_support_count`
 /// (0 is treated as 1), sorted with ItemsetLess.

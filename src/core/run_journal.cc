@@ -293,7 +293,7 @@ Status CheckManifest(const RunManifest& journal, const RunManifest& run,
                             run.points));
   }
   if (journal.mining_hash != run.mining_hash) {
-    return refuse("mining configuration (support/miner) differs");
+    return refuse("mining configuration (support) differs");
   }
   if (journal.context_hash != run.context_hash) {
     return refuse("corpus/lexicon content hash differs");

@@ -59,7 +59,7 @@ struct RunManifest {
   uint64_t seed = 0;
   int replicas = 0;
   int points = 0;             ///< Sweep points; 0 for plain simulations.
-  /// Mining parameters (support, miner kind).
+  /// Mining parameters (HashMiningConfig).
   uint64_t mining_hash = 0;
   /// Cuisine context + lexicon content hash — the "corpus hash": a
   /// journal recorded against a different synthetic world or lexicon

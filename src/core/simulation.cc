@@ -98,7 +98,9 @@ uint64_t HashMiningConfig(const CombinationConfig& mining) {
   uint64_t hash = 0x51ED270B35A7E9D1ull;
   hash = HashCombine(hash,
                      std::bit_cast<uint64_t>(mining.min_relative_support));
-  hash = HashCombine(hash, static_cast<uint64_t>(mining.miner));
+  // The constant fills the slot that once held the miner kind (Eclat was
+  // 0), which keeps the value every existing run manifest carries.
+  hash = HashCombine(hash, uint64_t{0});
   return hash;
 }
 
@@ -196,12 +198,7 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
   std::mutex journal_error_mu;
   Status journal_error;
 
-  // When the replicas themselves run on `pool`, mining must stay serial
-  // inside each replica: ThreadPool::ParallelFor is not reentrant, and
-  // nesting it can deadlock once every worker blocks on inner tasks that
-  // are queued behind other blocked workers.
   CombinationConfig mining = config.mining;
-  if (pool != nullptr) mining.mining_pool = nullptr;
   mining.cancel = config.cancel;
 
   const auto run_replica = [&](size_t k) {

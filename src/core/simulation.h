@@ -62,8 +62,8 @@ struct RunReport {
 std::string RunReportToJson(const RunReport& report);
 
 /// Stable content hash of the mining parameters that change mined output
-/// (support, miner kind). Pools and cancel tokens are execution detail
-/// and excluded — a checkpoint manifest must not depend on them.
+/// (the support). Cancel tokens are execution detail and excluded — a
+/// checkpoint manifest must not depend on them.
 uint64_t HashMiningConfig(const CombinationConfig& mining);
 
 /// Multi-process sharding of the work grid (see exec/fabric.h). The
@@ -93,11 +93,8 @@ struct ShardSpec {
 struct SimulationConfig {
   int replicas = 100;
   uint64_t seed = 42;
-  /// 5% relative support, Eclat by default. `mining.mining_pool` only
-  /// takes effect when RunSimulation itself runs serially (pool == null):
-  /// replica-level and root-class-level parallelism must not share one
-  /// pool, so RunSimulation clears the knob when replicas are parallel.
-  /// `mining.cancel` is overwritten with `cancel` below.
+  /// 5% relative support. `mining.cancel` is overwritten with `cancel`
+  /// below.
   CombinationConfig mining;
 
   /// Cooperative cancellation/deadline token, polled at replica

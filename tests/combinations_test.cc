@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/apriori.h"
 #include "lexicon/lexicon.h"
 
 namespace culevo {
@@ -39,12 +40,12 @@ TEST(MineCombinationsTest, RespectsRelativeSupport) {
 }
 
 TEST(MineCombinationsTest, MinersAgree) {
-  CombinationConfig eclat;
-  eclat.miner = MinerKind::kEclat;
-  CombinationConfig apriori;
-  apriori.miner = MinerKind::kApriori;
-  const auto a = MineCombinations(SkewedTransactions(), eclat);
-  const auto b = MineCombinations(SkewedTransactions(), apriori);
+  const TransactionSet transactions = SkewedTransactions();
+  const CombinationConfig config;
+  const auto a = MineCombinations(transactions, config);
+  const auto b = MineApriori(
+      transactions,
+      AbsoluteSupport(transactions.size(), config.min_relative_support));
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].items, b[i].items);

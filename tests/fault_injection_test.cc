@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <limits>
 #include <string>
+#include <thread>
 
 #include "analysis/eclat.h"
 #include "core/copy_mutate.h"
@@ -20,6 +24,7 @@
 #include "util/cancel.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 
 namespace culevo {
 namespace {
@@ -338,6 +343,102 @@ TEST_F(FaultInjectionTest, EclatHonoursPreCancelledToken) {
   EXPECT_TRUE(MineEclat(transactions, 2, options).empty());
   options.cancel = nullptr;
   EXPECT_FALSE(MineEclat(transactions, 2, options).empty());
+}
+
+/// 5,000 transactions of 20 uniform draws from 100 items. At support 50
+/// every pair is frequent and almost no triple is, so each of the 100 root
+/// classes emits its pairs as it mines them, and a serial mine takes tens
+/// of milliseconds.
+TransactionSet UniformBaskets() {
+  Rng rng(1234);
+  TransactionSet transactions;
+  transactions.Reserve(5000);
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<Item> t;
+    for (int j = 0; j < 20; ++j) {
+      t.push_back(static_cast<Item>(rng.NextBounded(100)));
+    }
+    std::sort(t.begin(), t.end());
+    t.erase(std::unique(t.begin(), t.end()), t.end());
+    transactions.Add(std::move(t));
+  }
+  return transactions;
+}
+
+TEST_F(FaultInjectionTest, EclatMidMineCancelKeepsPrefixOfRootClasses) {
+  const TransactionSet transactions = UniformBaskets();
+  constexpr size_t kSupport = 50;
+  Stopwatch watch;
+  const std::vector<Itemset> full = MineEclat(transactions, kSupport);
+  const double full_ms = watch.ElapsedMillis();
+
+  // Root order: ascending singleton support, ties broken by item. Every
+  // itemset is mined in the root class of its first item in that order.
+  std::vector<const Itemset*> roots;
+  for (const Itemset& set : full) {
+    if (set.items.size() == 1) roots.push_back(&set);
+  }
+  std::sort(roots.begin(), roots.end(),
+            [](const Itemset* a, const Itemset* b) {
+              if (a->support != b->support) return a->support < b->support;
+              return a->items[0] < b->items[0];
+            });
+  std::vector<size_t> rank(transactions.item_universe(),
+                           std::numeric_limits<size_t>::max());
+  for (size_t r = 0; r < roots.size(); ++r) rank[roots[r]->items[0]] = r;
+  const auto root_class = [&rank](const Itemset& set) {
+    size_t first = std::numeric_limits<size_t>::max();
+    for (Item item : set.items) first = std::min(first, rank[item]);
+    return first;
+  };
+
+  // A second thread trips the token part-way through the mine. Scheduling
+  // decides where it lands, so later attempts trip sooner; whenever it
+  // lands, the contract is the same.
+  bool landed_mid_mine = false;
+  for (int attempt = 0; attempt < 6 && !landed_mid_mine; ++attempt) {
+    CancelToken token;
+    const auto delay = std::chrono::duration<double, std::milli>(
+        full_ms / static_cast<double>(2 << attempt));
+    std::thread trip([&token, delay]() {
+      std::this_thread::sleep_for(delay);
+      token.Cancel();
+    });
+    EclatOptions options;
+    options.cancel = &token;
+    const std::vector<Itemset> partial =
+        MineEclat(transactions, kSupport, options);
+    trip.join();
+    EXPECT_EQ(CancelToken::Check(&token).code(), StatusCode::kCancelled);
+    ASSERT_TRUE(std::is_sorted(partial.begin(), partial.end(), ItemsetLess));
+
+    // Every itemset of the partial result is in the full one with the
+    // same support (both are sorted, so one merge scan checks it).
+    size_t j = 0;
+    for (const Itemset& set : partial) {
+      while (j < full.size() && ItemsetLess(full[j], set)) ++j;
+      ASSERT_LT(j, full.size()) << "partial result holds an unknown itemset";
+      ASSERT_EQ(full[j].items, set.items);
+      ASSERT_EQ(full[j].support, set.support);
+      ++j;
+    }
+
+    // The miner stops only between root classes, so the partial result
+    // is exactly the full result's itemsets of the first k root classes.
+    size_t k = 0;
+    for (const Itemset& set : partial) k = std::max(k, root_class(set) + 1);
+    std::vector<Itemset> expected;
+    for (const Itemset& set : full) {
+      if (root_class(set) < k) expected.push_back(set);
+    }
+    ASSERT_EQ(partial.size(), expected.size()) << "k = " << k;
+    for (size_t i = 0; i < partial.size(); ++i) {
+      ASSERT_EQ(partial[i].items, expected[i].items) << "k = " << k;
+      ASSERT_EQ(partial[i].support, expected[i].support) << "k = " << k;
+    }
+    landed_mid_mine = k > 0 && k < roots.size();
+  }
+  EXPECT_TRUE(landed_mid_mine) << "no trip landed between root classes";
 }
 
 TEST_F(FaultInjectionTest, RunReportToJsonRendersLedger) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "analysis/apriori.h"
 #include "analysis/combinations.h"
 #include "analysis/distance.h"
 #include "analysis/overrepresentation.h"
@@ -188,13 +189,17 @@ TEST(IntegrationTest, CorpusSurvivesSerializationPipeline) {
 
 TEST(IntegrationTest, MinersAgreeOnRealCuisine) {
   const CuisineId scnd = CuisineFromCode("SCND").value();
-  CombinationConfig eclat;
-  eclat.miner = MinerKind::kEclat;
-  CombinationConfig apriori;
-  apriori.miner = MinerKind::kApriori;
-  const RankFrequency a = IngredientCombinationCurve(World(), scnd, eclat);
+  const TransactionSet transactions = IngredientTransactions(World(), scnd);
+  const CombinationConfig config;
+  std::vector<size_t> apriori_counts;
+  for (const Itemset& itemset : MineApriori(
+           transactions, AbsoluteSupport(transactions.size(),
+                                         config.min_relative_support))) {
+    apriori_counts.push_back(itemset.support);
+  }
+  const RankFrequency a = IngredientCombinationCurve(World(), scnd, config);
   const RankFrequency b =
-      IngredientCombinationCurve(World(), scnd, apriori);
+      RankFrequency::FromCounts(apriori_counts, transactions.size());
   EXPECT_EQ(a.values(), b.values());
 }
 

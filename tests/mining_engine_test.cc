@@ -1,7 +1,7 @@
 // Tests for the hybrid tid-list Eclat engine: intersection-kernel edge
 // cases (early-abort bound, galloping merge, arena trim/rewind) and a
-// seeded randomized differential suite asserting that the dense, sparse,
-// and parallel Eclat paths and Apriori all return identical itemsets.
+// seeded randomized differential suite asserting that the dense, sparse
+// and hybrid Eclat paths and Apriori all return identical itemsets.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "analysis/transactions.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace culevo {
 namespace {
@@ -300,13 +299,10 @@ TransactionSet RandomTransactions(Rng* rng) {
 }
 
 TEST(MiningEngineDifferentialTest, AllPathsAgreeOnRandomDatabases) {
-  ThreadPool pool(4);
   EclatOptions dense_forced;
   dense_forced.density_threshold = 0.0;
   EclatOptions sparse_forced;
   sparse_forced.density_threshold = 2.0;
-  EclatOptions parallel;
-  parallel.pool = &pool;
 
   Rng rng(20240806);
   // ~200 databases x several support thresholds each.
@@ -330,25 +326,8 @@ TEST(MiningEngineDifferentialTest, AllPathsAgreeOnRandomDatabases) {
           apriori, MineEclat(transactions, min_support, sparse_forced)))
           << "sparse != apriori (round " << round << ", support "
           << min_support << ")";
-      ASSERT_TRUE(SameItemsets(
-          apriori, MineEclat(transactions, min_support, parallel)))
-          << "parallel != apriori (round " << round << ", support "
-          << min_support << ")";
     }
   }
-}
-
-TEST(MiningEngineTest, ParallelPathHandlesDegenerateInputs) {
-  ThreadPool pool(2);
-  EclatOptions parallel;
-  parallel.pool = &pool;
-  TransactionSet empty;
-  EXPECT_TRUE(MineEclat(empty, 1, parallel).empty());
-  TransactionSet one;
-  one.Add(std::vector<Item>{3});
-  const std::vector<Itemset> result = MineEclat(one, 1, parallel);
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].items, (std::vector<Item>{3}));
 }
 
 // ---------------------------------------------------------------------------

@@ -137,6 +137,20 @@ TEST(RunSimulationTest, InvalidConfigRejected) {
       RunSimulation(model, SmallContext(), lexicon, config).ok());
 }
 
+// Every run manifest carries this hash, so a changed value would make
+// every existing journal refuse to resume.
+TEST(HashMiningConfigTest, PinnedValues) {
+  EXPECT_EQ(HashMiningConfig(CombinationConfig{}), 0x6cff1387e3605d73ull);
+  CombinationConfig ten_percent;
+  ten_percent.min_relative_support = 0.1;
+  EXPECT_EQ(HashMiningConfig(ten_percent), 0x6c321387e3605d73ull);
+  // A cancel token is execution detail, not part of the identity.
+  CancelToken token;
+  CombinationConfig cancellable;
+  cancellable.cancel = &token;
+  EXPECT_EQ(HashMiningConfig(cancellable), 0x6cff1387e3605d73ull);
+}
+
 TEST(RunSimulationTest, PropagatesModelErrors) {
   const Lexicon& lexicon = WorldLexicon();
   const NullModel model;
