@@ -1,15 +1,14 @@
 // Perf-regression harness for the frequent-itemset mining engine.
 //
-// Times the hybrid tid-list Eclat miner and the prefix-indexed Apriori
+// Times the bitset tid-list Eclat miner and the prefix-indexed Apriori
 // reference on three workload families:
 //   corpus_sNN   — one mid-sized cuisine's ingredient transactions at
-//                  NN% of the synthetic corpus (dense-dominated, the
+//                  NN% of the synthetic corpus at 5% support (the
 //                  pipeline's actual shape);
 //   sparse_heavy — a hot core plus a long tail over a 2000-item universe
-//                  at low support (sparse/mixed kernels, dense->sparse
-//                  demotion);
-//   high_universe — near-uniform draws from an 8000-item universe
-//                  (sparse-only, wide root level).
+//                  at 0.4% support (most intersections die early);
+//   high_universe — near-uniform draws from an 8000-item universe at
+//                  0.15% support (a wide root level of rare items).
 //
 // With --json <path> it writes BENCH_mining.json (schema documented in
 // EXPERIMENTS.md): `<workload>_eclat_st_ms` / `_apriori_ms` medians plus
@@ -59,7 +58,7 @@ TransactionSet CorpusTransactions(const RecipeCorpus& corpus,
   return subset;
 }
 
-/// Hot core (dense tid lists) + long tail (sparse tid lists).
+/// Hot core (frequent items) + long tail (rare items).
 TransactionSet SparseHeavyTransactions(uint64_t seed) {
   Rng rng(seed);
   TransactionSet out;
@@ -79,7 +78,7 @@ TransactionSet SparseHeavyTransactions(uint64_t seed) {
   return out;
 }
 
-/// Near-uniform draws from a wide universe: everything sparse.
+/// Near-uniform draws from a wide universe: every item is rare.
 TransactionSet HighUniverseTransactions(uint64_t seed) {
   Rng rng(seed);
   TransactionSet out;

@@ -1,7 +1,6 @@
 #include "analysis/eclat.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -25,8 +24,6 @@ using mining::TidList;
 /// still atomic) counters.
 struct KernelStats {
   int64_t dense_intersections = 0;
-  int64_t sparse_intersections = 0;
-  int64_t mixed_intersections = 0;
   int64_t early_aborts = 0;
 };
 
@@ -57,12 +54,11 @@ bool NodeSupportLess(const Node& a, const Node& b) {
 class ClassMiner {
  public:
   ClassMiner(TidArena* arena, std::vector<Itemset>* out, size_t num_words,
-             size_t min_support, size_t dense_min_support)
+             size_t min_support)
       : arena_(arena),
         out_(out),
         num_words_(num_words),
-        min_support_(min_support),
-        dense_min_support_(dense_min_support) {}
+        min_support_(min_support) {}
 
   /// Mines the class of each node of `siblings` under the current prefix:
   /// emits (prefix + item), then recurses over its frequent extensions
@@ -114,62 +110,22 @@ class ClassMiner {
   }
 
   /// Intersects two tid lists into arena storage. Returns false (with the
-  /// arena rewound) when the result cannot reach min_support. Result
-  /// representation follows the density threshold: dense x dense results
-  /// that fall below it are demoted to sparse, and any result with a
-  /// sparse input is at most as large as that input, hence stays sparse.
+  /// arena rewound) when the result cannot reach min_support.
   ///
   /// early_aborts counts kernels that stopped before consuming all input
   /// (returned kAborted) — a completed scan that merely lands below
   /// min_support is an infrequent result, not an abort.
   bool Intersect(const TidList& a, const TidList& b, TidList* out) {
-    if (a.dense() && b.dense()) {
-      ++stats_.dense_intersections;
-      uint64_t* words = arena_->AllocWords(num_words_);
-      const size_t s = mining::IntersectDenseDense(
-          a.words, b.words, num_words_, min_support_, words);
-      if (s == kAborted || s < min_support_) {
-        if (s == kAborted) ++stats_.early_aborts;
-        arena_->TrimTo(words, 0);
-        return false;
-      }
-      if (s >= dense_min_support_) {
-        out->words = words;
-        out->support = static_cast<uint32_t>(s);
-        return true;
-      }
-      scratch_.resize(s);
-      mining::DenseToSparse(words, num_words_, scratch_.data());
-      arena_->TrimTo(words, 0);
-      uint32_t* tids = arena_->AllocTids(s);
-      std::copy_n(scratch_.data(), s, tids);
-      out->tids = tids;
-      out->support = static_cast<uint32_t>(s);
-      return true;
-    }
-
-    size_t s = 0;
-    uint32_t* tids = nullptr;
-    if (!a.dense() && !b.dense()) {
-      ++stats_.sparse_intersections;
-      tids = arena_->AllocTids(std::min(a.support, b.support));
-      s = mining::IntersectSparseSparse(a.tids, a.support, b.tids, b.support,
-                                        min_support_, tids);
-    } else {
-      ++stats_.mixed_intersections;
-      const TidList& sparse = a.dense() ? b : a;
-      const TidList& dense = a.dense() ? a : b;
-      tids = arena_->AllocTids(sparse.support);
-      s = mining::IntersectSparseDense(sparse.tids, sparse.support,
-                                       dense.words, min_support_, tids);
-    }
+    ++stats_.dense_intersections;
+    uint64_t* words = arena_->AllocWords(num_words_);
+    const size_t s = mining::IntersectDenseDense(a.words, b.words, num_words_,
+                                                 min_support_, words);
     if (s == kAborted || s < min_support_) {
       if (s == kAborted) ++stats_.early_aborts;
-      arena_->TrimToTids(tids, 0);
+      arena_->TrimTo(words, 0);
       return false;
     }
-    arena_->TrimToTids(tids, s);
-    out->tids = tids;
+    out->words = words;
     out->support = static_cast<uint32_t>(s);
     return true;
   }
@@ -178,10 +134,8 @@ class ClassMiner {
   std::vector<Itemset>* const out_;
   const size_t num_words_;
   const size_t min_support_;
-  const size_t dense_min_support_;
   std::vector<Item> prefix_;
   std::deque<std::vector<Node>> levels_;  ///< Per-depth sibling freelist.
-  std::vector<uint32_t> scratch_;         ///< Dense-to-sparse staging.
   KernelStats stats_;
 };
 
@@ -223,8 +177,6 @@ struct EclatMetrics {
   obs::Counter* itemsets;
   obs::Counter* txns;
   obs::Counter* dense;
-  obs::Counter* sparse;
-  obs::Counter* mixed;
   obs::Counter* aborts;
   obs::Counter* arena_bytes;
   obs::Histogram* wall_ms;
@@ -236,10 +188,6 @@ struct EclatMetrics {
         obs::MetricsRegistry::Get().counter("mine.eclat.transactions"),
         obs::MetricsRegistry::Get().counter(
             "mine.eclat.dense_intersections"),
-        obs::MetricsRegistry::Get().counter(
-            "mine.eclat.sparse_intersections"),
-        obs::MetricsRegistry::Get().counter(
-            "mine.eclat.mixed_intersections"),
         obs::MetricsRegistry::Get().counter("mine.eclat.early_aborts"),
         obs::MetricsRegistry::Get().counter("mine.eclat.arena_bytes"),
         obs::MetricsRegistry::Get().histogram("mine.eclat.ms"),
@@ -263,12 +211,6 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
   if (n == 0) return {};
   CULEVO_DCHECK(n <= UINT32_MAX);
   const size_t num_words = (n + 63) / 64;
-  const double threshold = options.density_threshold;
-  const size_t dense_min_support =
-      threshold <= 0.0
-          ? 0
-          : static_cast<size_t>(
-                std::ceil(threshold * static_cast<double>(n)));
 
   // Frequent singletons -> root tid lists (vertical representation).
   TidArena root_arena;
@@ -276,10 +218,10 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
   const size_t universe = transactions.item_universe();
   const size_t grid_words = universe * num_words;
   if (grid_words > 0 && grid_words <= kDirectGridMaxWords) {
-    // Direct transposition: scatter every occurrence into a dense
+    // Direct transposition: scatter every occurrence into a
     // universe x num_words bit grid in one pass, then read supports off
     // per-row popcounts. Skips the counting pass and the per-item
-    // frequent/representation branching in the scatter loop.
+    // frequent branch in the scatter loop.
     uint64_t* grid = root_arena.AllocWords(grid_words);
     std::memset(grid, 0, grid_words * sizeof(uint64_t));
     for (size_t tid = 0; tid < n; ++tid) {
@@ -293,65 +235,41 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
       const uint64_t* row = grid + item * num_words;
       const size_t support = mining::PopcountWords(row, num_words);
       if (support < min_support_count) continue;
-      TidList tids;
-      tids.support = static_cast<uint32_t>(support);
-      if (support >= dense_min_support) {
-        tids.words = row;
-      } else {
-        uint32_t* out = root_arena.AllocTids(support);
-        mining::DenseToSparse(row, num_words, out);
-        tids.tids = out;
-      }
-      roots.push_back(Node{static_cast<Item>(item), tids});
+      roots.push_back(Node{static_cast<Item>(item),
+                           TidList{row, static_cast<uint32_t>(support)}});
     }
   } else {
     std::vector<uint32_t> counts(universe, 0);
     for (Item item : transactions.items()) ++counts[item];
-    // Flat per-item destination tables keep the fill loop to one load and
-    // one branch per occurrence of a frequent item.
+    // A flat per-item destination table keeps the fill loop to one load
+    // and one branch per occurrence.
     std::vector<uint64_t*> words_of_item(universe, nullptr);
-    std::vector<uint32_t*> cursor_of_item(universe, nullptr);
     for (size_t item = 0; item < universe; ++item) {
       if (counts[item] < min_support_count) continue;
-      TidList tids;
-      tids.support = counts[item];
-      if (counts[item] >= dense_min_support) {
-        uint64_t* words = root_arena.AllocWords(num_words);
-        std::memset(words, 0, num_words * sizeof(uint64_t));
-        tids.words = words;
-        words_of_item[item] = words;
-      } else {
-        uint32_t* out = root_arena.AllocTids(counts[item]);
-        tids.tids = out;
-        cursor_of_item[item] = out;
-      }
-      roots.push_back(Node{static_cast<Item>(item), tids});
+      uint64_t* words = root_arena.AllocWords(num_words);
+      std::memset(words, 0, num_words * sizeof(uint64_t));
+      words_of_item[item] = words;
+      roots.push_back(
+          Node{static_cast<Item>(item), TidList{words, counts[item]}});
     }
     for (size_t tid = 0; tid < n; ++tid) {
       const size_t word = tid >> 6;
       const uint64_t bit = uint64_t{1} << (tid & 63);
       for (Item item : transactions.transaction(tid)) {
-        if (uint64_t* words = words_of_item[item]) {
-          words[word] |= bit;
-        } else if (uint32_t*& cursor = cursor_of_item[item]) {
-          *cursor++ = static_cast<uint32_t>(tid);
-        }
+        if (uint64_t* words = words_of_item[item]) words[word] |= bit;
       }
     }
   }
   std::sort(roots.begin(), roots.end(), NodeSupportLess);
 
   std::vector<Itemset> result;
-  ClassMiner miner(&root_arena, &result, num_words, min_support_count,
-                   dense_min_support);
+  ClassMiner miner(&root_arena, &result, num_words, min_support_count);
   miner.Mine(roots, 0, options.cancel);
   const KernelStats& stats = miner.stats();
 
   SortItemsets(&result);
   metrics.itemsets->Increment(static_cast<int64_t>(result.size()));
   metrics.dense->Increment(stats.dense_intersections);
-  metrics.sparse->Increment(stats.sparse_intersections);
-  metrics.mixed->Increment(stats.mixed_intersections);
   metrics.aborts->Increment(stats.early_aborts);
   metrics.arena_bytes->Increment(
       static_cast<int64_t>(root_arena.allocated_bytes()));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "util/check.h"
 
@@ -13,10 +12,9 @@
 #if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && \
     !defined(__SANITIZE_THREAD__)
 #define CULEVO_X86_SIMD 1
-#include <immintrin.h>
 #endif
 
-// The dense kernels are pure AND+popcount loops whose throughput is set by
+// The kernels are pure AND+popcount loops whose throughput is set by
 // the instruction set the compiler may assume. The portable x86-64 baseline
 // has no POPCNT instruction, turning std::popcount into a libcall per word
 // (~10x slower than the hardware path), so on x86-64 Linux the kernels are
@@ -98,202 +96,6 @@ size_t PopcountWords(const uint64_t* words, size_t num_words) {
   size_t count = 0;
   for (size_t i = 0; i < num_words; ++i) {
     count += static_cast<size_t>(std::popcount(words[i]));
-  }
-  return count;
-}
-
-size_t GallopFirstGeq(const uint32_t* v, size_t len, size_t from,
-                      uint32_t value) {
-  if (from >= len || v[from] >= value) return from;
-  // Invariant: v[from] < value. Double the step until we overshoot.
-  size_t step = 1;
-  size_t prev = from;
-  size_t next = from + step;
-  while (next < len && v[next] < value) {
-    prev = next;
-    step <<= 1;
-    next = from + step;
-  }
-  const uint32_t* first = v + prev + 1;
-  const uint32_t* last = v + std::min(next + 1, len);
-  return static_cast<size_t>(std::lower_bound(first, last, value) - v);
-}
-
-namespace {
-
-/// Galloping intersection: `small` is probed element-by-element against
-/// exponential+binary search positions in `large`.
-size_t GallopIntersect(const uint32_t* small_v, size_t small_len,
-                       const uint32_t* large_v, size_t large_len,
-                       size_t min_support, uint32_t* out) {
-  size_t count = 0;
-  size_t lo = 0;
-  for (size_t i = 0; i < small_len; ++i) {
-    if (count + (small_len - i) < min_support) return kAborted;
-    lo = GallopFirstGeq(large_v, large_len, lo, small_v[i]);
-    if (lo >= large_len) break;
-    if (large_v[lo] == small_v[i]) {
-      out[count++] = small_v[i];
-      ++lo;
-    }
-  }
-  return count;
-}
-
-// ---------------------------------------------------------------------------
-// Blocked window kernel.
-//
-// Every ISA variant runs the identical outer loop — per a element: abort
-// check, skip whole 8-tid b windows while the window maximum is still
-// below the probe, then test the window for the probe. Only the window
-// test differs (one 256-bit compare / two 128-bit compares / a scalar
-// scan), so abort points and results are ISA-independent.
-
-template <typename WindowProbe>
-inline size_t BlockedIntersectLoop(const uint32_t* a, size_t a_len,
-                                   const uint32_t* b, size_t b_len,
-                                   size_t min_support, uint32_t* out,
-                                   const WindowProbe& probe) {
-  constexpr size_t kWindow = 8;
-  size_t count = 0;
-  size_t j = 0;
-  for (size_t i = 0; i < a_len; ++i) {
-    if (count + (a_len - i) < min_support) return kAborted;
-    const uint32_t key = a[i];
-    while (j + kWindow <= b_len && b[j + kWindow - 1] < key) j += kWindow;
-    if (j + kWindow <= b_len) {
-      if (probe(b + j, key)) out[count++] = key;
-    } else {
-      // Fewer than kWindow b tids remain: finish with a scalar merge.
-      while (j < b_len && b[j] < key) ++j;
-      if (j >= b_len) break;
-      if (b[j] == key) out[count++] = key;
-    }
-  }
-  return count;
-}
-
-[[maybe_unused]] size_t BlockedIntersectScalar(const uint32_t* a, size_t a_len,
-                              const uint32_t* b, size_t b_len,
-                              size_t min_support, uint32_t* out) {
-  return BlockedIntersectLoop(a, a_len, b, b_len, min_support, out,
-                              [](const uint32_t* w, uint32_t key) {
-                                for (size_t k = 0; k < 8; ++k) {
-                                  if (w[k] == key) return true;
-                                }
-                                return false;
-                              });
-}
-
-#ifdef CULEVO_X86_SIMD
-
-size_t BlockedIntersectSse2(const uint32_t* a, size_t a_len,
-                            const uint32_t* b, size_t b_len,
-                            size_t min_support, uint32_t* out) {
-  return BlockedIntersectLoop(
-      a, a_len, b, b_len, min_support, out,
-      [](const uint32_t* w, uint32_t key) {
-        const __m128i vkey = _mm_set1_epi32(static_cast<int>(key));
-        const __m128i w0 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
-        const __m128i w1 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + 4));
-        const __m128i eq = _mm_or_si128(_mm_cmpeq_epi32(w0, vkey),
-                                        _mm_cmpeq_epi32(w1, vkey));
-        return _mm_movemask_ps(_mm_castsi128_ps(eq)) != 0;
-      });
-}
-
-/// AVX2 variant spells the loop out instead of going through
-/// BlockedIntersectLoop: a lambda body does not inherit the enclosing
-/// function's target("avx2") attribute, so the probe must live directly in
-/// an avx2-targeted function. Control flow is identical to the template.
-__attribute__((target("avx2"))) size_t BlockedIntersectAvx2(
-    const uint32_t* a, size_t a_len, const uint32_t* b, size_t b_len,
-    size_t min_support, uint32_t* out) {
-  constexpr size_t kWindow = 8;
-  size_t count = 0;
-  size_t j = 0;
-  for (size_t i = 0; i < a_len; ++i) {
-    if (count + (a_len - i) < min_support) return kAborted;
-    const uint32_t key = a[i];
-    while (j + kWindow <= b_len && b[j + kWindow - 1] < key) j += kWindow;
-    if (j + kWindow <= b_len) {
-      const __m256i vkey = _mm256_set1_epi32(static_cast<int>(key));
-      const __m256i win =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-      const __m256i eq = _mm256_cmpeq_epi32(win, vkey);
-      if (_mm256_movemask_ps(_mm256_castsi256_ps(eq)) != 0) {
-        out[count++] = key;
-      }
-    } else {
-      while (j < b_len && b[j] < key) ++j;
-      if (j >= b_len) break;
-      if (b[j] == key) out[count++] = key;
-    }
-  }
-  return count;
-}
-
-bool HasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
-}
-
-#endif  // CULEVO_X86_SIMD
-
-}  // namespace
-
-size_t IntersectSparseBlocked(const uint32_t* a, size_t a_len,
-                              const uint32_t* b, size_t b_len,
-                              size_t min_support, uint32_t* out) {
-#ifdef CULEVO_X86_SIMD
-  return HasAvx2() ? BlockedIntersectAvx2(a, a_len, b, b_len, min_support, out)
-                   : BlockedIntersectSse2(a, a_len, b, b_len, min_support,
-                                          out);
-#else
-  return BlockedIntersectScalar(a, a_len, b, b_len, min_support, out);
-#endif
-}
-
-size_t IntersectSparseSparse(const uint32_t* a, size_t a_len,
-                             const uint32_t* b, size_t b_len,
-                             size_t min_support, uint32_t* out) {
-  if (a_len > b_len) {
-    std::swap(a, b);
-    std::swap(a_len, b_len);
-  }
-  // The result can never exceed the shorter list, so an unreachable bound
-  // is known before reading a single tid.
-  if (a_len < min_support) return kAborted;
-  if (a_len == 0) return 0;
-  if (a_len * kGallopRatio < b_len) {
-    return GallopIntersect(a, a_len, b, b_len, min_support, out);
-  }
-  return IntersectSparseBlocked(a, a_len, b, b_len, min_support, out);
-}
-
-size_t IntersectSparseDense(const uint32_t* sparse, size_t sparse_len,
-                            const uint64_t* words, size_t min_support,
-                            uint32_t* out) {
-  size_t count = 0;
-  for (size_t i = 0; i < sparse_len; ++i) {
-    if (count + (sparse_len - i) < min_support) return kAborted;
-    const uint32_t tid = sparse[i];
-    if (words[tid >> 6] & (uint64_t{1} << (tid & 63))) out[count++] = tid;
-  }
-  return count;
-}
-
-size_t DenseToSparse(const uint64_t* words, size_t num_words, uint32_t* out) {
-  size_t count = 0;
-  for (size_t w = 0; w < num_words; ++w) {
-    uint64_t bits = words[w];
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      out[count++] = static_cast<uint32_t>((w << 6) + static_cast<size_t>(bit));
-      bits &= bits - 1;
-    }
   }
   return count;
 }

@@ -1,14 +1,13 @@
 #ifndef CULEVO_ANALYSIS_TIDLIST_H_
 #define CULEVO_ANALYSIS_TIDLIST_H_
 
-// Transaction-id-list machinery behind the Eclat miner: a hybrid
-// dense-bitset / sorted-sparse-vector representation, the intersection
-// kernels for every representation pairing (with support-based early
-// abort), and a rewindable arena so the recursive miner performs zero
-// per-candidate heap allocations.
+// Transaction-id-list machinery behind the Eclat miner: a dense bitset
+// per tid list, the AND+popcount intersection kernel (with support-based
+// early abort), and a rewindable arena so the recursive miner performs
+// zero per-candidate heap allocations.
 //
-// Exposed as a header so the kernel edge cases (early-abort bound,
-// galloping merge) are unit-testable in isolation; everything lives in
+// Exposed as a header so the kernel edge cases (the early-abort bound,
+// arena trim/rewind) are unit-testable in isolation; everything lives in
 // `culevo::mining` to keep the top-level namespace clean.
 
 #include <cstddef>
@@ -18,29 +17,19 @@
 
 namespace culevo::mining {
 
-/// Sentinel returned by the intersection kernels when the remaining-input
+/// Sentinel returned by IntersectDenseDense when the remaining-input
 /// upper bound proves the result cannot reach `min_support`, so the kernel
 /// stopped before consuming all input. Callers must treat the output
 /// buffer as garbage in that case.
 inline constexpr size_t kAborted = static_cast<size_t>(-1);
 
-/// Size-ratio between two sparse lists above which the intersection
-/// switches from a linear merge to galloping (exponential + binary probe
-/// of the longer list).
-inline constexpr size_t kGallopRatio = 8;
-
-/// A tid list in one of two representations:
-///  - dense: `words` points at a fixed-width bitset over all transactions
-///    (the miner knows the shared word count);
-///  - sparse: `tids` points at `support` sorted, unique transaction ids.
-/// Exactly one of `words`/`tids` is non-null. Payloads live in a TidArena
-/// (or, for roots, in the root arena) and are never owned by this struct.
+/// A tid list: `words` points at a fixed-width bitset over all
+/// transactions (the miner knows the shared word count) with `support`
+/// bits set. The payload lives in a TidArena (or, for roots, in the root
+/// arena) and is never owned by this struct.
 struct TidList {
   const uint64_t* words = nullptr;
-  const uint32_t* tids = nullptr;
   uint32_t support = 0;
-
-  bool dense() const { return words != nullptr; }
 };
 
 /// Bump-pointer arena over 64-bit words with stack-discipline rewind, used
@@ -72,11 +61,6 @@ class TidArena {
     return AllocWordsSlow(words);
   }
 
-  /// Returns storage for `count` (>= 1) uint32 tids (padded to a word).
-  uint32_t* AllocTids(size_t count) {
-    return reinterpret_cast<uint32_t*>(AllocWords((count + 1) / 2));
-  }
-
   /// A rewind point. Everything allocated after Position() is released by
   /// Rewind() — pointers handed out in between become invalid.
   struct Mark {
@@ -93,9 +77,6 @@ class TidArena {
   /// the current chunk) to `words` words, releasing the tail.
   void TrimTo(const uint64_t* ptr, size_t words) {
     used_ = static_cast<size_t>(ptr - chunks_[chunk_].data.get()) + words;
-  }
-  void TrimToTids(const uint32_t* ptr, size_t count) {
-    TrimTo(reinterpret_cast<const uint64_t*>(ptr), (count + 1) / 2);
   }
 
   /// Total backing storage reserved across all chunks, in bytes.
@@ -131,45 +112,6 @@ size_t IntersectDenseDense(const uint64_t* a, const uint64_t* b,
 
 /// Total popcount of `num_words` words (ISA-dispatched, see above).
 size_t PopcountWords(const uint64_t* words, size_t num_words);
-
-/// Intersection of two sorted unique tid arrays into `out` (capacity
-/// min(a_len, b_len)). Routes by shape: a galloping probe of the longer
-/// list when the length ratio is >= kGallopRatio, the blocked SIMD-window
-/// kernel otherwise (whose scalar tail handles sub-window lists — short,
-/// mostly-dying intersections want the merge's per-element abort, not a
-/// fixed-cost SIMD setup). Returns the result length, or kAborted when
-/// min(a_len, b_len) < min_support (the result cannot reach the bound
-/// without reading anything) or once matches-so-far + remaining upper
-/// bound < min_support mid-scan. A completed scan may return a value
-/// < min_support. Routing and abort points are ISA-independent.
-size_t IntersectSparseSparse(const uint32_t* a, size_t a_len,
-                             const uint32_t* b, size_t b_len,
-                             size_t min_support, uint32_t* out);
-
-/// Galloping-free blocked kernel for sparse pairs (`a` no
-/// longer than `b`): for each a element, the b cursor advances one
-/// 8-element window at a time (skip while the window's last tid is still
-/// smaller) and the window is probed with one SIMD equality compare.
-/// Abort check (matches-so-far + remaining a elements < min_support) runs
-/// once per a element in every ISA variant. Exposed for tests.
-size_t IntersectSparseBlocked(const uint32_t* a, size_t a_len,
-                              const uint32_t* b, size_t b_len,
-                              size_t min_support, uint32_t* out);
-
-/// Intersection of a sorted sparse tid array with a dense bitset into
-/// `out` (capacity sparse_len). Abort semantics as above.
-size_t IntersectSparseDense(const uint32_t* sparse, size_t sparse_len,
-                            const uint64_t* words, size_t min_support,
-                            uint32_t* out);
-
-/// Expands the set bits of a bitset into sorted tids; `out` must hold the
-/// popcount. Returns the number of tids written.
-size_t DenseToSparse(const uint64_t* words, size_t num_words, uint32_t* out);
-
-/// First index >= `from` with v[index] >= value, found by exponential
-/// search followed by binary search (len if none). Exposed for tests.
-size_t GallopFirstGeq(const uint32_t* v, size_t len, size_t from,
-                      uint32_t value);
 
 }  // namespace culevo::mining
 

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -25,9 +26,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// One liveness probe: fresh connect, one `ping` frame, deadline-bounded
-/// pong read. Any failure — no socket, refused connect, no/bad response —
-/// means the serving process is not answering, which is the only health
-/// signal that matters for a query server.
+/// pong read. Any failure — no socket, refused or timed-out connect,
+/// no/bad response — means the serving process is not answering, which is
+/// the only health signal that matters for a query server.
 Status ProbeOnce(const std::string& socket_path, int timeout_ms) {
   struct sockaddr_un addr;
   std::memset(&addr, 0, sizeof(addr));
@@ -41,10 +42,20 @@ Status ProbeOnce(const std::string& socket_path, int timeout_ms) {
     return Status::IOError(
         StrFormat("probe socket() failed: %s", std::strerror(errno)));
   }
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+  // A connect to a listener whose backlog is full waits for a free slot,
+  // and a wedged child never frees one. The send timeout bounds that wait
+  // (connect then fails with EAGAIN), as well as the ping write.
+  struct timeval send_timeout;
+  send_timeout.tv_sec = timeout_ms / 1000;
+  send_timeout.tv_usec = (timeout_ms % 1000) * 1000;
+  if (::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                   sizeof(send_timeout)) != 0 ||
+      ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     const Status status = Status::Unavailable(
-        StrFormat("probe connect failed: %s", std::strerror(errno)));
+        errno == EAGAIN
+            ? StrFormat("probe connect timed out after %d ms", timeout_ms)
+            : StrFormat("probe connect failed: %s", std::strerror(errno)));
     ::close(fd);
     return status;
   }

@@ -24,8 +24,9 @@ struct SupervisorOptions {
   /// of an incarnation, probing runs at a faster cadence (<= 50 ms) so
   /// restarts are detected healthy quickly.
   int probe_interval_ms = 1000;
-  /// Deadline on each probe's response read. A probe that cannot connect
-  /// or gets no pong within this fails.
+  /// Deadline on each probe's connect and on its response read. A probe
+  /// that cannot connect (a full listen backlog included) or gets no pong
+  /// within this fails.
   int probe_timeout_ms = 1000;
   /// Consecutive probe failures (after the child was first seen healthy)
   /// that trigger SIGKILL + restart — the fabric's journal-stall rule

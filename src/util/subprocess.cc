@@ -1,8 +1,10 @@
 #include "util/subprocess.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 #include <thread>
 
 #include <fcntl.h>
@@ -85,13 +87,21 @@ Status Subprocess::Spawn(const std::vector<std::string>& argv,
   std::vector<std::string> arg_storage = argv;
   std::vector<char*> argv_ptrs = PointerVector(arg_storage);
 
+  const auto name_of = [](std::string_view entry) {
+    return entry.substr(0, entry.find('='));
+  };
   std::vector<std::string> env_storage;
   for (char** e = environ; e != nullptr && *e != nullptr; ++e) {
-    env_storage.emplace_back(*e);
+    const std::string_view name = name_of(*e);
+    if (std::none_of(options.extra_env.begin(), options.extra_env.end(),
+                     [&](const std::string& extra) {
+                       return name_of(extra) == name;
+                     })) {
+      env_storage.emplace_back(*e);
+    }
   }
-  for (const std::string& extra : options.extra_env) {
-    env_storage.push_back(extra);
-  }
+  env_storage.insert(env_storage.end(), options.extra_env.begin(),
+                     options.extra_env.end());
   std::vector<char*> env_ptrs = PointerVector(env_storage);
 
   const pid_t pid = ::fork();

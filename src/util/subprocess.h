@@ -24,10 +24,10 @@ struct ExitState {
 
 /// Options for spawning one child process.
 struct SpawnOptions {
-  /// Extra environment entries, appended after the inherited environment
-  /// as "NAME=value" strings (later entries win for duplicate names on
-  /// glibc, which scans front-to-back — callers should not rely on
-  /// shadowing and instead pick fresh names).
+  /// Extra environment entries as "NAME=value" strings. Each one replaces
+  /// any inherited entry of the same name, which is dropped from the
+  /// child's environment (glibc's getenv returns the first match, so a
+  /// kept duplicate would shadow the extra entry).
   std::vector<std::string> extra_env;
   /// Redirect the child's stdout/stderr to /dev/null. Workers spawned by
   /// the fabric use this so N children don't interleave on the

@@ -1,6 +1,7 @@
 #include "util/subprocess.h"
 
 #include <csignal>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -103,6 +104,35 @@ TEST(SubprocessTest, ExtraEnvReachesChild) {
   const ExitState state = child.Wait();
   EXPECT_TRUE(state.exited);
   EXPECT_EQ(state.code, 0);
+}
+
+TEST(SubprocessTest, ExtraEnvShadowsInheritedVariable) {
+  // The child half: this binary re-exec'd with only this test selected.
+  // getenv returns the first match, so it sees the extra entry only if
+  // the inherited one was dropped. (A dash child cannot show this: dash
+  // keeps the last duplicate.)
+  if (std::getenv("CULEVO_SUBPROCESS_TEST_CHILD") != nullptr) {
+    const char* value = std::getenv("CULEVO_SUBPROCESS_TEST_SHADOW");
+    ASSERT_NE(value, nullptr);
+    EXPECT_STREQ(value, "42");
+    return;
+  }
+  ASSERT_EQ(::setenv("CULEVO_SUBPROCESS_TEST_SHADOW", "stale", 1), 0);
+  const testing::TestInfo* test =
+      testing::UnitTest::GetInstance()->current_test_info();
+  Subprocess child;
+  SpawnOptions options;
+  options.extra_env = {"CULEVO_SUBPROCESS_TEST_CHILD=1",
+                       "CULEVO_SUBPROCESS_TEST_SHADOW=42"};
+  const Status spawned = child.Spawn(
+      {"/proc/self/exe", std::string("--gtest_filter=") +
+                             test->test_suite_name() + "." + test->name()},
+      options);
+  ::unsetenv("CULEVO_SUBPROCESS_TEST_SHADOW");
+  ASSERT_TRUE(spawned.ok()) << spawned;
+  const ExitState state = child.Wait();
+  EXPECT_TRUE(state.exited);
+  EXPECT_EQ(state.code, 0) << "the child read the inherited value";
 }
 
 TEST(SubprocessTest, DestructorKillsLeakedChild) {
