@@ -44,19 +44,19 @@ Result<CuisineContext> ContextFromCorpus(const RecipeCorpus& corpus,
         "mean recipe size exceeds the cuisine's ingredient count");
   }
 
-  // Presence fraction per ingredient, aligned with context.ingredients.
-  std::vector<size_t> counts(context.ingredients.size(), 0);
+  // Presence fraction per ingredient, aligned with context.ingredients:
+  // one pass over the shard counts into a row indexed by id. Every id the
+  // cuisine's recipes use is in its sorted unique list (Builder,
+  // FromColumns and IncrementalCorpus all guarantee it), so the list's
+  // last entry bounds the row.
+  std::vector<uint32_t> counts(static_cast<size_t>(unique.back()) + 1, 0);
   for (uint32_t index : corpus.recipes_of(cuisine)) {
-    for (IngredientId id : corpus.ingredients_of(index)) {
-      const auto it = std::lower_bound(context.ingredients.begin(),
-                                       context.ingredients.end(), id);
-      counts[static_cast<size_t>(it - context.ingredients.begin())] += 1;
-    }
+    for (IngredientId id : corpus.ingredients_of(index)) ++counts[id];
   }
-  context.popularity.resize(counts.size());
-  for (size_t i = 0; i < counts.size(); ++i) {
+  context.popularity.resize(unique.size());
+  for (size_t i = 0; i < unique.size(); ++i) {
     context.popularity[i] =
-        static_cast<double>(counts[i]) / static_cast<double>(n);
+        static_cast<double>(counts[unique[i]]) / static_cast<double>(n);
   }
   return context;
 }

@@ -20,6 +20,7 @@ Status RecipeCorpus::Builder::Add(CuisineId cuisine,
   if (ingredients.empty()) {
     return Status::InvalidArgument("recipe has no ingredients");
   }
+  max_id_ = std::max(max_id_, ingredients.back());
   flat_.insert(flat_.end(), ingredients.begin(), ingredients.end());
   offsets_.push_back(static_cast<uint32_t>(flat_.size()));
   cuisines_.push_back(cuisine);
@@ -39,6 +40,7 @@ Status RecipeCorpus::Builder::Add(CuisineId cuisine,
   if (scratch_.empty()) {
     return Status::InvalidArgument("recipe has no ingredients");
   }
+  max_id_ = std::max(max_id_, scratch_.back());
   flat_.insert(flat_.end(), scratch_.begin(), scratch_.end());
   offsets_.push_back(static_cast<uint32_t>(flat_.size()));
   cuisines_.push_back(cuisine);
@@ -53,27 +55,29 @@ void RecipeCorpus::Builder::Reserve(size_t num_recipes, size_t num_mentions) {
 
 namespace {
 
-/// Scratch for distinct-ingredient passes: epoch-marked so 26 passes share
-/// one allocation without clearing between them.
-struct SeenScratch {
-  std::vector<uint32_t> epoch_of;
-  uint32_t epoch = 0;
+/// Cuisine × id presence table. Row c marks the ids the recipes of
+/// cuisine c use; row kNumCuisines, once FillUnion has run, marks the ids
+/// any cuisine uses. Build reads the unique lists off it in id order, and
+/// FromColumns checks stored lists against it.
+struct PresenceTable {
+  explicit PresenceTable(size_t universe)
+      : universe(universe), used((kNumCuisines + 1) * universe, 0) {}
 
-  explicit SeenScratch(size_t universe) : epoch_of(universe, 0) {}
-
-  void NextPass() { ++epoch; }
-  bool MarkSeen(IngredientId id) {
-    if (epoch_of[id] == epoch) return false;
-    epoch_of[id] = epoch;
-    return true;
+  std::span<uint8_t> row(size_t scope) {
+    return {used.data() + scope * universe, universe};
   }
-};
 
-size_t UniverseOf(std::span<const IngredientId> flat) {
-  IngredientId max_id = 0;
-  for (IngredientId id : flat) max_id = std::max(max_id, id);
-  return static_cast<size_t>(max_id) + 1;
-}
+  void FillUnion() {
+    const std::span<uint8_t> all = row(kNumCuisines);
+    for (size_t c = 0; c < kNumCuisines; ++c) {
+      const std::span<const uint8_t> marked = row(c);
+      for (size_t id = 0; id < universe; ++id) all[id] |= marked[id];
+    }
+  }
+
+  size_t universe;
+  std::vector<uint8_t> used;  // [scope][id]
+};
 
 }  // namespace
 
@@ -86,6 +90,8 @@ RecipeCorpus RecipeCorpus::Builder::Build() {
   flat_.clear();
   offsets_ = {0};
   cuisines_.clear();
+  const size_t universe = static_cast<size_t>(max_id_) + 1;
+  max_id_ = 0;
 
   const size_t n = s.cuisines.size();
 
@@ -105,31 +111,23 @@ RecipeCorpus RecipeCorpus::Builder::Build() {
     }
   }
 
-  // Cached unique-ingredient lists: one per cuisine plus the corpus-wide
-  // list, flattened back to back.
-  SeenScratch seen(UniverseOf(s.flat));
-  s.unique_offsets.assign(1, 0);
-  s.unique_flat.clear();
-  for (int c = 0; c <= kNumCuisines; ++c) {
-    seen.NextPass();
-    const size_t begin = s.unique_flat.size();
-    if (c < kNumCuisines) {
-      const size_t lo = s.shard_offsets[static_cast<size_t>(c)];
-      const size_t hi = s.shard_offsets[static_cast<size_t>(c) + 1];
-      for (size_t k = lo; k < hi; ++k) {
-        const uint32_t index = s.shard_index[k];
-        for (size_t m = s.offsets[index]; m < s.offsets[index + 1]; ++m) {
-          const IngredientId id = s.flat[m];
-          if (seen.MarkSeen(id)) s.unique_flat.push_back(id);
-        }
-      }
-    } else {
-      for (IngredientId id : s.flat) {
-        if (seen.MarkSeen(id)) s.unique_flat.push_back(id);
-      }
+  // Cached unique-ingredient lists, read in id order off the presence
+  // table: one per cuisine plus the corpus-wide list, flattened back to
+  // back.
+  PresenceTable table(universe);
+  for (size_t i = 0; i < n; ++i) {
+    const std::span<uint8_t> row = table.row(s.cuisines[i]);
+    for (uint32_t m = s.offsets[i]; m < s.offsets[i + 1]; ++m) {
+      row[s.flat[m]] = 1;
     }
-    std::sort(s.unique_flat.begin() + static_cast<long>(begin),
-              s.unique_flat.end());
+  }
+  table.FillUnion();
+  s.unique_offsets.assign(1, 0);
+  for (size_t scope = 0; scope <= kNumCuisines; ++scope) {
+    const std::span<const uint8_t> row = table.row(scope);
+    for (size_t id = 0; id < universe; ++id) {
+      if (row[id] != 0) s.unique_flat.push_back(static_cast<IngredientId>(id));
+    }
     s.unique_offsets.push_back(static_cast<uint32_t>(s.unique_flat.size()));
   }
 
@@ -283,7 +281,7 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
   const std::span<const IngredientId> all = views.unique[kNumCuisines];
   const size_t universe =
       all.empty() ? 0 : static_cast<size_t>(all.back()) + 1;
-  std::vector<uint8_t> used(kNumCuisines * universe, 0);  // [cuisine][id]
+  PresenceTable table(universe);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t begin = views.offsets[i];
     const uint32_t end = views.offsets[i + 1];
@@ -293,7 +291,7 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
     if (views.cuisines[i] >= kNumCuisines) {
       return invalid("cuisine id out of range");
     }
-    uint8_t* row = used.data() + views.cuisines[i] * universe;
+    const std::span<uint8_t> row = table.row(views.cuisines[i]);
     const std::span<const IngredientId> recipe =
         views.flat.subspan(begin, end - begin);
     for (size_t k = 0; k < recipe.size(); ++k) {
@@ -330,9 +328,10 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
 
   // Unique lists: sorted, and exactly the ids marked for their scope (the
   // corpus-wide scope is the union of the cuisine rows). Memory safety
-  // downstream (ContextFromCorpus indexes by lower_bound position)
-  // depends on completeness, so this is not optional even though the
-  // checksums already caught random corruption.
+  // downstream (ContextFromCorpus counts into a row indexed by id, sized
+  // by the last entry of the cuisine's list) depends on completeness, so
+  // this is not optional even though the checksums already caught random
+  // corruption.
   const auto mismatch = [](std::span<const IngredientId> unique,
                            std::span<const uint8_t> marked) -> const char* {
     for (size_t k = 0; k < unique.size(); ++k) {
@@ -352,15 +351,12 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
     }
     return nullptr;
   };
-  std::vector<uint8_t> any(universe, 0);
-  for (size_t c = 0; c < kNumCuisines; ++c) {
-    const std::span<const uint8_t> row(used.data() + c * universe, universe);
-    if (const char* error = mismatch(views.unique[c], row)) {
+  table.FillUnion();
+  for (size_t scope = 0; scope <= kNumCuisines; ++scope) {
+    if (const char* error = mismatch(views.unique[scope], table.row(scope))) {
       return invalid(error);
     }
-    for (size_t id = 0; id < universe; ++id) any[id] |= row[id];
   }
-  if (const char* error = mismatch(all, any)) return invalid(error);
 
   RecipeCorpus corpus;
   corpus.backing_ = std::move(backing);

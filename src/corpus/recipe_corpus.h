@@ -72,6 +72,8 @@ class RecipeCorpus {
     std::vector<uint32_t> offsets_ = {0};
     std::vector<CuisineId> cuisines_;
     std::vector<IngredientId> scratch_;
+    /// Largest id added so far: the last presence-table column Build needs.
+    IngredientId max_id_ = 0;
   };
 
   RecipeCorpus() { RebindViews(); }

@@ -2,8 +2,82 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "corpus/corpus_snapshot.h"
+#include "corpus/ingestion.h"
+#include "lexicon/world_lexicon.h"
+#include "synth/generator.h"
+
 namespace culevo {
 namespace {
+
+/// Algorithm 1's inputs for `cuisine`, counted by brute force: each id of
+/// every recipe of the corpus goes into an ordered map, without the
+/// cuisine shards or the cached unique lists.
+CuisineContext ReferenceContext(const RecipeCorpus& corpus,
+                                CuisineId cuisine) {
+  std::map<IngredientId, size_t> counts;
+  size_t recipes = 0;
+  size_t mentions = 0;
+  for (uint32_t i = 0; i < corpus.num_recipes(); ++i) {
+    const RecipeView recipe = corpus.recipe(i);
+    if (recipe.cuisine != cuisine) continue;
+    ++recipes;
+    mentions += recipe.size();
+    for (IngredientId id : recipe.ingredients) ++counts[id];
+  }
+  CuisineContext context;
+  context.cuisine = cuisine;
+  context.target_recipes = recipes;
+  for (const auto& [id, count] : counts) {
+    context.ingredients.push_back(id);
+    context.popularity.push_back(static_cast<double>(count) /
+                                 static_cast<double>(recipes));
+  }
+  context.phi =
+      static_cast<double>(counts.size()) / static_cast<double>(recipes);
+  context.mean_recipe_size = std::max(
+      1, static_cast<int>(std::lround(static_cast<double>(mentions) /
+                                      static_cast<double>(recipes))));
+  return context;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+/// Every cuisine's context equals the reference bit for bit; an empty
+/// cuisine is refused.
+void ExpectContextsMatchReference(const RecipeCorpus& corpus) {
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    SCOPED_TRACE("cuisine " + std::string(CuisineAt(cuisine).code));
+    const CuisineContext want = ReferenceContext(corpus, cuisine);
+    const Result<CuisineContext> got = ContextFromCorpus(corpus, cuisine);
+    if (want.target_recipes == 0) {
+      EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
+      continue;
+    }
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->cuisine, cuisine);
+    EXPECT_EQ(got->ingredients, want.ingredients);
+    EXPECT_EQ(got->target_recipes, want.target_recipes);
+    EXPECT_EQ(got->mean_recipe_size, want.mean_recipe_size);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got->phi),
+              std::bit_cast<uint64_t>(want.phi));
+    EXPECT_EQ(Bits(got->popularity), Bits(want.popularity));
+  }
+}
 
 TEST(ContextFromCorpusTest, DerivesAlgorithmOneInputs) {
   RecipeCorpus::Builder builder;
@@ -41,6 +115,84 @@ TEST(ContextFromCorpusTest, EmptyCuisineFails) {
 TEST(ContextFromCorpusTest, BadCuisineIdFails) {
   const RecipeCorpus corpus;
   EXPECT_FALSE(ContextFromCorpus(corpus, kNumCuisines).ok());
+}
+
+class ContextReferenceTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    SynthConfig config;
+    config.scale = 0.05;
+    config.seed = 42;
+    Result<RecipeCorpus> world = SynthesizeWorldCorpus(WorldLexicon(), config);
+    ASSERT_TRUE(world.ok()) << world.status();
+    world_ = std::move(world).value();
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  RecipeCorpus world_;
+  std::string path_ = testing::TempDir() + "culevo_context_reference.bin";
+};
+
+TEST_F(ContextReferenceTest, BuiltWorldMatchesReference) {
+  ExpectContextsMatchReference(world_);
+}
+
+TEST_F(ContextReferenceTest, LoadedSnapshotMatchesReference) {
+  SnapshotWriteOptions write;
+  write.sync = false;
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, world_, write).ok());
+  Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_TRUE(loaded->corpus.borrowed());
+  ExpectContextsMatchReference(loaded->corpus);
+}
+
+// Appended recipes land at the end of their shards, and one brings an id
+// past every id the world uses.
+TEST_F(ContextReferenceTest, MaterializedIncrementalCorpusMatchesReference) {
+  IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(world_);
+  const IngredientId beyond = world_.UniqueIngredients().back() + 40;
+  const std::vector<std::pair<CuisineId, std::vector<IngredientId>>> added = {
+      {0, {beyond, 3, 1}},
+      {0, {world_.ingredients_of(5).begin(), world_.ingredients_of(5).end()}},
+      {7, {2, 4, 6, 8}},
+      {kNumCuisines - 1, {beyond, 2}},
+  };
+  for (const auto& [cuisine, ids] : added) {
+    ASSERT_TRUE(incremental.Add(cuisine, ids).ok());
+  }
+  Result<RecipeCorpus> corpus = std::move(incremental).Materialize();
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  ASSERT_EQ(corpus->num_recipes(), world_.num_recipes() + added.size());
+  ExpectContextsMatchReference(*corpus);
+}
+
+// Cuisine 0's row needs 4 counters; the corpus's largest id is 4000.
+TEST(ContextFromCorpusTest, CuisineFarBelowCorpusLargestIdMatchesReference) {
+  RecipeCorpus::Builder builder;
+  ASSERT_TRUE(builder.Add(0, {1, 2, 3}).ok());
+  ASSERT_TRUE(builder.Add(0, {2, 3}).ok());
+  ASSERT_TRUE(builder.Add(1, {4000, 2}).ok());
+  const RecipeCorpus corpus = builder.Build();
+  ExpectContextsMatchReference(corpus);
+  Result<CuisineContext> context = ContextFromCorpus(corpus, 0);
+  ASSERT_TRUE(context.ok());
+  EXPECT_EQ(context->popularity, (std::vector<double>{0.5, 1.0, 1.0}));
+}
+
+TEST(ContextFromCorpusTest, SingleRecipeCuisineMatchesReference) {
+  RecipeCorpus::Builder builder;
+  ASSERT_TRUE(builder.Add(2, {11, 7, 9}).ok());
+  ASSERT_TRUE(builder.Add(3, {7, 12}).ok());
+  const RecipeCorpus corpus = builder.Build();
+  ExpectContextsMatchReference(corpus);
+  Result<CuisineContext> context = ContextFromCorpus(corpus, 2);
+  ASSERT_TRUE(context.ok());
+  EXPECT_EQ(context->target_recipes, 1u);
+  EXPECT_EQ(context->ingredients, (std::vector<IngredientId>{7, 9, 11}));
+  EXPECT_EQ(context->popularity, (std::vector<double>{1.0, 1.0, 1.0}));
+  EXPECT_EQ(context->phi, 3.0);
+  EXPECT_EQ(context->mean_recipe_size, 3);
 }
 
 }  // namespace
