@@ -30,10 +30,8 @@
 // n times with the hidden --worker-shard flag; each worker journals its
 // replica shard into --checkpoint <dir> (required) while the coordinator
 // supervises progress heartbeats, SIGKILLs workers whose journals stall
-// past an adaptive cutoff (--worker-stall-ms is the floor,
-// --worker-stall-mult <x> scales the observed per-unit growth EMA; 0
-// pins the fixed threshold), and re-dispatches crashed shards up to
-// --worker-retries times. A final in-process pass merges the shard
+// for --worker-stall-ms (default 30000), and re-dispatches crashed
+// shards up to --worker-retries times. A final in-process pass merges the shard
 // journals and re-runs anything no worker finished — results are
 // bit-identical to --workers 1. See DESIGN.md §12.
 
@@ -99,8 +97,7 @@ int Usage() {
          "recovery) --resume (restore completed replicas from the "
          "checkpoint journal) --workers <n> (shard replicas across n "
          "supervised worker processes; requires --checkpoint) "
-         "--worker-stall-ms <n> --worker-stall-mult <x> "
-         "--worker-retries <n>\n";
+         "--worker-stall-ms <n> --worker-retries <n>\n";
   return 2;
 }
 
@@ -209,8 +206,6 @@ int RunEvaluate(const FlagParser& flags) {
     fabric.checkpoint_dir = config.checkpoint.directory;
     fabric.stall_ms =
         static_cast<int>(flags.GetInt("worker-stall-ms", 30000));
-    fabric.adaptive_stall_multiplier =
-        flags.GetDouble("worker-stall-mult", 8.0);
     fabric.max_worker_retries =
         static_cast<int>(flags.GetInt("worker-retries", 2));
     fabric.failure_policy = config.failure_policy;

@@ -9,7 +9,6 @@
 
 #include "obs/metrics.h"
 #include "util/failpoint.h"
-#include "util/file_io.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -61,16 +60,14 @@ int64_t ShardProgressBytes(const std::string& dir, const std::string& token) {
 
 /// Per-shard supervision state.
 struct ShardState {
+  explicit ShardState(RestartPacer shard_pacer) : pacer(shard_pacer) {}
+
   Subprocess process;
-  bool running = false;
+  RestartPacer pacer;  ///< retries used = pacer.restarts()
   bool completed = false;
   bool failed = false;
-  int spawns = 0;  ///< attempts so far; retries used = spawns - 1
-  Status last_status;
   int64_t last_bytes = -1;
   Clock::time_point last_change;
-  Clock::time_point next_dispatch;  ///< backoff gate for the next spawn
-  std::chrono::milliseconds backoff{0};  ///< the last backoff delay
 };
 
 }  // namespace
@@ -134,61 +131,49 @@ Result<FabricReport> RunWorkerFabric(
 
   const FabricMetrics& metrics = FabricMetrics::Get();
   const int n = options.workers;
-  std::vector<ShardState> shards(static_cast<size_t>(n));
+  // Each shard paces its own re-dispatches, with the jitter seeded from
+  // the coordinator's pid and the shard.
+  const uint64_t backoff_seed =
+      DeriveSeed(0xFAB81Cull, static_cast<uint64_t>(::getpid()));
+  std::vector<ShardState> shards;
+  shards.reserve(static_cast<size_t>(n));
+  for (int s = 0; s < n; ++s) {
+    shards.emplace_back(
+        RestartPacer(options.max_worker_retries,
+                     std::chrono::milliseconds(options.retry_backoff_ms),
+                     std::chrono::milliseconds(options.retry_backoff_cap_ms),
+                     DeriveSeed(backoff_seed, static_cast<uint64_t>(s))));
+  }
   FabricReport report;
   report.workers = n;
 
-  // One estimator across all shards: units are round-robin sharded, so
-  // every worker sees the same unit population and one per-unit rhythm
-  // describes them all (and slow workloads pool their samples faster).
-  StallEstimator stall_estimator(options.stall_ms,
-                                 options.adaptive_stall_multiplier);
-  static obs::Gauge* stall_cutoff_gauge =
-      obs::MetricsRegistry::Get().gauge("exec.stall_cutoff_ms");
-
   const auto kill_all = [&shards] {
-    for (ShardState& shard : shards) {
-      if (shard.running) {
-        shard.process.Kill();
-        shard.running = false;
-      }
-    }
+    for (ShardState& shard : shards) shard.process.Kill();
   };
 
-  // Decorrelated-jitter backoff between re-dispatches (the supervisor's
-  // and WriteFileAtomic's policy), seeded from the pid like theirs.
-  const std::chrono::milliseconds backoff_base(options.retry_backoff_ms);
-  const std::chrono::milliseconds backoff_cap(options.retry_backoff_cap_ms);
-  Rng backoff_rng(DeriveSeed(0xFAB81Cull, static_cast<uint64_t>(::getpid())));
-
-  // Handles one worker death (exit, signal, or stall-kill): re-dispatch
-  // within budget, otherwise a permanent shard failure judged by the
-  // failure policy. Returns non-OK only when the whole fabric must abort.
-  const auto on_worker_death = [&](int s, Status status) -> Status {
+  // Handles one worker death (exit, signal, stall-kill or failed spawn):
+  // re-dispatch within budget, otherwise a permanent shard failure judged
+  // by the failure policy. Returns non-OK only when the whole fabric must
+  // abort.
+  const auto on_worker_death = [&](int s, const Status& status) -> Status {
     ShardState& shard = shards[static_cast<size_t>(s)];
-    shard.running = false;
-    shard.last_status = std::move(status);
     metrics.worker_failures->Increment();
-    if (shard.spawns - 1 < options.max_worker_retries) {
+    if (shard.pacer.RecordDeath(Clock::now())) {
       metrics.worker_retries->Increment();
-      shard.backoff = NextBackoffDelay(
-          backoff_base, shard.spawns == 1 ? backoff_base : shard.backoff,
-          backoff_cap, &backoff_rng);
-      shard.next_dispatch = Clock::now() + shard.backoff;
       return Status::Ok();
     }
     shard.failed = true;
     ++report.shards_failed;
     report.incidents.push_back(
-        WorkerIncident{s, shard.last_status, shard.spawns - 1});
+        WorkerIncident{s, status, shard.pacer.restarts()});
     if (options.failure_policy == FailurePolicy::kFailFast ||
         report.shards_failed > options.tolerate_k) {
       kill_all();
-      return Status(shard.last_status.code(),
+      return Status(status.code(),
                     StrFormat("fabric: shard %d failed permanently after %d "
                               "attempt(s): %s",
-                              s, shard.spawns,
-                              shard.last_status.message().c_str()));
+                              s, shard.pacer.restarts() + 1,
+                              status.message().c_str()));
     }
     // Tolerated: the merge + resume pass recovers this shard's units.
     return Status::Ok();
@@ -207,28 +192,23 @@ Result<FabricReport> RunWorkerFabric(
       if (shard.completed || shard.failed) continue;
       all_settled = false;
 
-      if (!shard.running) {
-        if (Clock::now() < shard.next_dispatch) continue;
+      if (!shard.process.running()) {
+        if (Clock::now() < shard.pacer.next_spawn()) continue;
         std::vector<std::string> argv = worker_argv;
         argv.push_back("--worker-shard");
         argv.push_back(std::to_string(s));
         SpawnOptions spawn;
-        spawn.silence_stdout = options.silence_worker_output;
-        spawn.silence_stderr = options.silence_worker_output;
+        spawn.silence_stdout = true;
+        spawn.silence_stderr = true;
         spawn.extra_env = {
             StrFormat("CULEVO_WORKER_SHARD=%d", s),
-            StrFormat("CULEVO_WORKER_ATTEMPT=%d", shard.spawns),
+            StrFormat("CULEVO_WORKER_ATTEMPT=%d", shard.pacer.restarts()),
         };
         if (Status spawned = shard.process.Spawn(argv, spawn);
             !spawned.ok()) {
-          // fork failure — treat like a worker death so the backoff and
-          // retry budget apply instead of a tight respawn loop.
-          ++shard.spawns;
           CULEVO_RETURN_IF_ERROR(on_worker_death(s, spawned));
           continue;
         }
-        ++shard.spawns;
-        shard.running = true;
         shard.last_bytes = -1;
         shard.last_change = Clock::now();
         metrics.workers_spawned->Increment();
@@ -244,15 +224,13 @@ Result<FabricReport> RunWorkerFabric(
 
       ExitState state;
       if (shard.process.TryWait(&state)) {
-        shard.process = Subprocess();  // release the reaped handle
         if (state.exited && state.code == 0) {
-          shard.running = false;
           shard.completed = true;
           ++report.shards_completed;
           metrics.shards_completed->Increment();
-          if (shard.spawns > 1) {
+          if (shard.pacer.restarts() > 0) {
             report.incidents.push_back(
-                WorkerIncident{s, Status::Ok(), shard.spawns - 1});
+                WorkerIncident{s, Status::Ok(), shard.pacer.restarts()});
           }
         } else {
           CULEVO_RETURN_IF_ERROR(on_worker_death(
@@ -265,31 +243,16 @@ Result<FabricReport> RunWorkerFabric(
         const int64_t bytes = ShardProgressBytes(
             options.checkpoint_dir, StrFormat(".shard%d.", s));
         if (bytes != shard.last_bytes) {
-          // A growth event. The gap since the previous one (not the one
-          // following the spawn, which measures process startup) feeds
-          // the adaptive cutoff.
-          if (shard.last_bytes >= 0) {
-            stall_estimator.ObserveGrowthGap(
-                std::chrono::duration<double, std::milli>(
-                    Clock::now() - shard.last_change)
-                    .count());
-            stall_cutoff_gauge->Set(
-                static_cast<double>(stall_estimator.CutoffMs()));
-          }
           shard.last_bytes = bytes;
           shard.last_change = Clock::now();
-        } else if (const int64_t cutoff_ms = stall_estimator.CutoffMs();
-                   Clock::now() - shard.last_change >
-                   std::chrono::milliseconds(cutoff_ms)) {
+        } else if (Clock::now() - shard.last_change >
+                   std::chrono::milliseconds(options.stall_ms)) {
           metrics.worker_stalls->Increment();
           shard.process.Kill();
-          shard.process = Subprocess();
           CULEVO_RETURN_IF_ERROR(on_worker_death(
               s, Status::DeadlineExceeded(StrFormat(
-                     "worker shard %d stalled: no journal progress in "
-                     "%lld ms (floor %d ms, growth EMA %.1f ms)",
-                     s, static_cast<long long>(cutoff_ms), options.stall_ms,
-                     stall_estimator.ema_ms()))));
+                     "worker shard %d stalled: no journal progress in %d ms",
+                     s, options.stall_ms))));
         }
       }
     }

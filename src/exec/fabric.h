@@ -1,7 +1,6 @@
 #ifndef CULEVO_EXEC_FABRIC_H_
 #define CULEVO_EXEC_FABRIC_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,25 +24,16 @@ struct FabricOptions {
   /// presumed hung, SIGKILLed, and re-dispatched. Must comfortably exceed
   /// the worst per-unit compute time (a worker mid-replica makes no
   /// journal progress while healthy). <= 0 disables stall detection.
-  /// With the adaptive estimator on (below), this is the *floor* of the
-  /// cutoff rather than the cutoff itself.
   int stall_ms = 30000;
-  /// Adaptive stall cutoff: observe the gaps between journal-growth
-  /// events across all shards and kill a worker only after
-  /// `multiplier * EMA(gap)` of silence — with stall_ms as the floor, so
-  /// the cutoff only ever *rises* above the configured value when the
-  /// workload's own rhythm demands it (slow units no longer need a
-  /// hand-tuned --worker-stall-ms). <= 0 disables adaptation and keeps
-  /// the fixed stall_ms behaviour.
-  double adaptive_stall_multiplier = 8.0;
   /// Re-dispatch budget per shard beyond the first attempt. A re-spawned
   /// worker resumes its own shard journal, so completed units are never
   /// re-run — only the interrupted remainder.
   int max_worker_retries = 2;
   /// Decorrelated-jitter backoff between re-dispatches of the same shard
-  /// (NextBackoffDelay): the first retry waits uniform in [base, 3·base],
-  /// each later one uniform in [base, 3 × the previous wait], never more
-  /// than the cap. The jitter is seeded from the coordinator's pid.
+  /// (each shard's RestartPacer, util/subprocess.h): the first retry waits
+  /// uniform in [base, 3·base], each later one uniform in [base, 3 × the
+  /// previous wait], never more than the cap. The jitter is seeded from
+  /// the coordinator's pid and the shard.
   int retry_backoff_ms = 250;
   int retry_backoff_cap_ms = 5000;
   /// PR 4's failure semantics at worker granularity. kFailFast: a shard
@@ -61,10 +51,6 @@ struct FabricOptions {
   /// Cooperative cancellation: a tripped token kills all workers and
   /// returns kCancelled / kDeadlineExceeded.
   const CancelToken* cancel = nullptr;
-  /// Silence worker stdout/stderr (default: both). N workers interleaving
-  /// on the coordinator's terminal helps nobody; the journals carry the
-  /// results.
-  bool silence_worker_output = true;
 };
 
 /// One shard that needed attention: mirrors ReplicaIncident one level up.
@@ -93,51 +79,6 @@ struct FabricReport {
 /// Compact JSON rendering (for CLI/bench telemetry).
 std::string FabricReportToJson(const FabricReport& report);
 
-/// EMA-driven stall cutoff (the adaptive half of the stall detector).
-///
-/// Healthy workers append to their shard journal once per finished unit,
-/// so the gap between two journal-growth observations estimates the
-/// per-unit compute time. The estimator smooths those gaps with an EMA
-/// and proposes `multiplier * EMA` as the silence cutoff, floored at the
-/// configured fixed threshold: before any sample the cutoff IS the floor
-/// (identical to the fixed detector), and a workload whose units take
-/// seconds automatically earns a proportionally longer leash instead of
-/// being killed by a threshold tuned for fast units.
-///
-/// Not thread-safe; owned by the single-threaded supervision loop.
-class StallEstimator {
- public:
-  StallEstimator(int64_t floor_ms, double multiplier, double alpha = 0.3)
-      : floor_ms_(floor_ms), multiplier_(multiplier), alpha_(alpha) {}
-
-  /// Feeds one observed journal-growth gap in milliseconds.
-  void ObserveGrowthGap(double gap_ms) {
-    if (gap_ms < 0) return;
-    ema_ms_ = samples_ == 0 ? gap_ms : alpha_ * gap_ms + (1 - alpha_) * ema_ms_;
-    ++samples_;
-  }
-
-  /// Current cutoff: max(floor, multiplier * EMA); the floor alone until
-  /// the first sample, or always when the multiplier is disabled (<= 0).
-  int64_t CutoffMs() const {
-    if (multiplier_ <= 0 || samples_ == 0) return floor_ms_;
-    const double adaptive = multiplier_ * ema_ms_;
-    return adaptive > static_cast<double>(floor_ms_)
-               ? static_cast<int64_t>(adaptive)
-               : floor_ms_;
-  }
-
-  double ema_ms() const { return ema_ms_; }
-  int64_t samples() const { return samples_; }
-
- private:
-  int64_t floor_ms_;
-  double multiplier_;
-  double alpha_;
-  double ema_ms_ = 0;
-  int64_t samples_ = 0;
-};
-
 /// Runs `worker_argv` + `--worker-shard <s>` once per shard s in
 /// [0, options.workers), supervising the children until every shard
 /// completes, fails permanently, or the policy aborts the run:
@@ -150,7 +91,8 @@ class StallEstimator {
 /// Workers inherit the coordinator's environment (including
 /// CULEVO_FAILPOINTS) plus CULEVO_WORKER_SHARD=<s> and
 /// CULEVO_WORKER_ATTEMPT=<a>, so tests can arm per-attempt behaviour.
-/// The coordinator never reads worker output — results flow exclusively
+/// Worker stdout and stderr go to /dev/null: N workers interleaving on
+/// the coordinator's terminal help nobody, and results flow exclusively
 /// through the shard journals, which the caller merges afterwards by
 /// re-running the command in-process with CheckpointOptions::merge_shards
 /// (see run_journal.h).

@@ -244,7 +244,6 @@ int RunServer(ServiceCore& core, const FlagParser& flags) {
   std::cerr << "culevod serving on " << server_options.socket_path << " ("
             << server_options.threads << " threads)\n";
 
-  InstallReloadHandler();
   while (!GlobalCancel().ShouldStop()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     if (!ConsumeReloadRequest()) continue;
@@ -293,6 +292,12 @@ int main(int argc, char** argv) {
     return RunSupervisor(argc, argv, flags);
   }
 
+  // SIGHUP's default action ends the process. The server catches it
+  // before the corpus load, so a reload request that arrives during
+  // startup waits for the serve loop instead of killing the server.
+  const bool once = flags.GetBool("once", false);
+  if (!once) InstallReloadHandler();
+
   ServiceOptions options;
   options.default_deadline_ms = flags.GetInt("deadline-ms", 250);
   options.max_inflight =
@@ -311,8 +316,7 @@ int main(int argc, char** argv) {
               << " recipes from " << snapshot->source << "\n";
   }
 
-  const int rc = flags.GetBool("once", false) ? RunOnce(core)
-                                              : RunServer(core, flags);
+  const int rc = once ? RunOnce(core) : RunServer(core, flags);
   if (flags.GetBool("metrics", false)) {
     std::cout << obs::MetricsSnapshotToJson(
                      obs::MetricsRegistry::Get().Snapshot())

@@ -9,12 +9,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "obs/metrics.h"
 #include "service/protocol.h"
+#include "util/file_io.h"
+#include "util/rng.h"
 #include "util/signal.h"
 #include "util/strings.h"
 
@@ -122,11 +124,14 @@ void SocketServer::WorkerLoop() {
   // Resource-exhaustion backoff: EMFILE/ENFILE (and kin) mean the fd
   // table is full *right now* — accept() will keep failing until some
   // connection closes, so a worker that retried immediately would spin a
-  // core doing nothing. Bounded exponential backoff, capped below the
+  // core doing nothing. Decorrelated jitter (NextBackoffDelay), so the
+  // workers that failed together do not retry together; capped below the
   // poll tick so Stop() stays responsive; resets on any success.
-  constexpr int kErrorBackoffBaseMs = 5;
-  constexpr int kErrorBackoffCapMs = 160;
-  int error_backoff_ms = kErrorBackoffBaseMs;
+  constexpr std::chrono::milliseconds kErrorBackoffBase{5};
+  constexpr std::chrono::milliseconds kErrorBackoffCap{160};
+  Rng backoff_rng(DeriveSeed(
+      0xACCE97ull, std::hash<std::thread::id>{}(std::this_thread::get_id())));
+  std::chrono::milliseconds error_backoff = kErrorBackoffBase;
   while (!stopping_.load(std::memory_order_relaxed)) {
     if (!PollReadable(listen_fd_)) continue;
     const int conn = ::accept(listen_fd_, nullptr, nullptr);
@@ -140,12 +145,12 @@ void SocketServer::WorkerLoop() {
       // EMFILE/ENFILE/ENOBUFS/ENOMEM and anything else transient: count
       // it, back off, keep serving. fd exhaustion is load, not a bug.
       accept_errors->Increment();
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(error_backoff_ms));
-      error_backoff_ms = std::min(error_backoff_ms * 2, kErrorBackoffCapMs);
+      error_backoff = NextBackoffDelay(kErrorBackoffBase, error_backoff,
+                                       kErrorBackoffCap, &backoff_rng);
+      std::this_thread::sleep_for(error_backoff);
       continue;
     }
-    error_backoff_ms = kErrorBackoffBaseMs;
+    error_backoff = kErrorBackoffBase;
     accepts->Increment();
     ServeConnection(conn);
     ::close(conn);

@@ -15,7 +15,6 @@
 #include "obs/metrics.h"
 #include "service/protocol.h"
 #include "util/file_io.h"
-#include "util/rng.h"
 #include "util/signal.h"
 #include "util/strings.h"
 #include "util/subprocess.h"
@@ -70,15 +69,6 @@ Status ProbeOnce(const std::string& socket_path, int timeout_ms) {
   return Status::Ok();
 }
 
-/// Sleeps `total` in poll-sized slices so a cancel lands within one tick.
-void InterruptibleSleep(std::chrono::milliseconds total, int poll_ms,
-                        const CancelToken* cancel) {
-  const Clock::time_point until = Clock::now() + total;
-  while (Clock::now() < until && CancelToken::Check(cancel).ok()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-  }
-}
-
 }  // namespace
 
 Result<SupervisorReport> SuperviseServer(const SupervisorOptions& options) {
@@ -100,25 +90,56 @@ Result<SupervisorReport> SuperviseServer(const SupervisorOptions& options) {
   static obs::Counter* probe_failures_metric =
       obs::MetricsRegistry::Get().counter("serve.probe_failures");
 
-  const std::chrono::milliseconds backoff_base(options.restart_backoff_ms);
-  const std::chrono::milliseconds backoff_cap(options.restart_backoff_cap_ms);
-  Rng backoff_rng(options.backoff_seed != 0
-                      ? options.backoff_seed
-                      : 0x53555052564953ull ^
-                            static_cast<uint64_t>(::getpid()));
-  std::chrono::milliseconds prev_backoff = backoff_base;
+  RestartPacer pacer(options.max_restarts,
+                     std::chrono::milliseconds(options.restart_backoff_ms),
+                     std::chrono::milliseconds(options.restart_backoff_cap_ms),
+                     options.backoff_seed != 0
+                         ? options.backoff_seed
+                         : 0x53555052564953ull ^
+                               static_cast<uint64_t>(::getpid()));
+  SpawnOptions spawn;
+  spawn.silence_stdout = options.silence_child;
+  spawn.silence_stderr = options.silence_child;
 
   SupervisorReport report;
-  for (;;) {
-    Subprocess child;
-    SpawnOptions spawn;
-    spawn.silence_stdout = options.silence_child;
-    spawn.silence_stderr = options.silence_child;
-    Status incident = Status::Ok();
-    if (Status spawned = child.Spawn(options.child_argv, spawn);
-        !spawned.ok()) {
-      incident = spawned;  // fork failure: back off and retry like a crash
-    } else {
+  // The current incarnation: its process and spawn time, whether it has
+  // answered a probe, the failed probes since its last answer, and when
+  // to probe next.
+  Subprocess child;
+  Clock::time_point spawned_at;
+  bool healthy = false;
+  int consecutive_failures = 0;
+  Clock::time_point next_probe;
+
+  // Records one incident (a death, a kill or a failed spawn); non-OK once
+  // the restart budget is spent.
+  const auto on_incident = [&](const Status& incident) -> Status {
+    if (!pacer.RecordDeath(Clock::now())) {
+      return Status(incident.code(),
+                    StrFormat("supervisor: restart budget (%d) exhausted; "
+                              "last incident: %s",
+                              options.max_restarts,
+                              incident.message().c_str()));
+    }
+    report.restarts = pacer.restarts();
+    restarts_metric->Increment();
+    return Status::Ok();
+  };
+
+  for (;; std::this_thread::sleep_for(
+           std::chrono::milliseconds(options.poll_ms))) {
+    if (!CancelToken::Check(options.cancel).ok()) {
+      child.Terminate(2000);
+      return report;  // clean shutdown: the only non-restart exit
+    }
+
+    if (!child.running()) {
+      if (Clock::now() < pacer.next_spawn()) continue;
+      if (Status spawned = child.Spawn(options.child_argv, spawn);
+          !spawned.ok()) {
+        CULEVO_RETURN_IF_ERROR(on_incident(spawned));
+        continue;
+      }
       if (!options.pidfile.empty()) {
         AtomicWriteOptions pid_write;
         pid_write.sync = false;
@@ -129,89 +150,63 @@ Result<SupervisorReport> SuperviseServer(const SupervisorOptions& options) {
             StrFormat("%lld\n", static_cast<long long>(child.pid())),
             pid_write);
       }
+      spawned_at = Clock::now();
+      healthy = false;
+      consecutive_failures = 0;
+      next_probe = spawned_at;
+    }
 
-      const Clock::time_point spawned_at = Clock::now();
-      bool healthy = false;  ///< answered >= 1 probe this incarnation
-      int consecutive_failures = 0;
-      Clock::time_point next_probe = Clock::now();
-      while (incident.ok()) {
-        if (!CancelToken::Check(options.cancel).ok()) {
-          child.Terminate(2000);
-          return report;  // clean shutdown: the only non-restart exit
-        }
-        if (options.forward_reload && ConsumeReloadRequest() &&
-            child.running()) {
-          ::kill(static_cast<pid_t>(child.pid()), SIGHUP);
-        }
+    // SIGHUP's default action ends a process, and a child that is still
+    // starting may not catch it yet: a reload request waits, latched,
+    // until the child has answered a probe.
+    if (options.forward_reload && healthy && ConsumeReloadRequest()) {
+      ::kill(static_cast<pid_t>(child.pid()), SIGHUP);
+    }
 
-        ExitState state;
-        if (child.TryWait(&state)) {
-          incident = state.ToStatus("supervised culevod");
-          if (incident.ok()) {
-            // A clean child exit without a cancel still means nobody is
-            // serving; treat it as an incident so the child comes back.
-            incident = Status::Internal("supervised culevod exited 0");
-          }
-          break;
-        }
-
-        if (Clock::now() >= next_probe) {
-          // Fast cadence until the incarnation proves healthy, so the
-          // post-restart outage window is bounded by the restart backoff
-          // rather than a full probe interval.
-          const int cadence_ms =
-              healthy ? options.probe_interval_ms
-                      : std::min(options.probe_interval_ms, 50);
-          next_probe =
-              Clock::now() + std::chrono::milliseconds(cadence_ms);
-          if (Status probe =
-                  ProbeOnce(options.socket_path, options.probe_timeout_ms);
-              probe.ok()) {
-            healthy = true;
-            consecutive_failures = 0;
-            prev_backoff = backoff_base;  // proven healthy: backoff resets
-          } else {
-            ++report.probe_failures;
-            probe_failures_metric->Increment();
-            if (healthy) {
-              if (++consecutive_failures >=
-                  options.probe_failures_to_kill) {
-                child.Kill();
-                incident = Status::DeadlineExceeded(StrFormat(
-                    "supervised culevod stopped answering: %d consecutive "
-                    "probe failures (last: %s)",
-                    consecutive_failures, probe.message().c_str()));
-              }
-            } else if (Clock::now() - spawned_at >
-                       std::chrono::milliseconds(options.startup_grace_ms)) {
-              child.Kill();
-              incident = Status::DeadlineExceeded(StrFormat(
-                  "supervised culevod never became healthy within %d ms "
-                  "(last probe: %s)",
-                  options.startup_grace_ms, probe.message().c_str()));
-            }
-          }
-        }
-
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(options.poll_ms));
+    ExitState state;
+    if (child.TryWait(&state)) {
+      Status incident = state.ToStatus("supervised culevod");
+      if (incident.ok()) {
+        // A clean child exit without a cancel still means nobody is
+        // serving; treat it as an incident so the child comes back.
+        incident = Status::Internal("supervised culevod exited 0");
       }
+      CULEVO_RETURN_IF_ERROR(on_incident(incident));
+      continue;
     }
 
-    if (options.max_restarts >= 0 &&
-        report.restarts >= options.max_restarts) {
-      return Status(incident.code(),
-                    StrFormat("supervisor: restart budget (%d) exhausted; "
-                              "last incident: %s",
-                              options.max_restarts,
-                              incident.message().c_str()));
+    if (Clock::now() < next_probe) continue;
+    // Fast cadence until the incarnation proves healthy, so the
+    // post-restart outage window is bounded by the restart backoff rather
+    // than a full probe interval.
+    const int cadence_ms = healthy ? options.probe_interval_ms
+                                   : std::min(options.probe_interval_ms, 50);
+    next_probe = Clock::now() + std::chrono::milliseconds(cadence_ms);
+    const Status probe =
+        ProbeOnce(options.socket_path, options.probe_timeout_ms);
+    if (probe.ok()) {
+      healthy = true;
+      consecutive_failures = 0;
+      pacer.RecordHealthy();
+      continue;
     }
-    ++report.restarts;
-    restarts_metric->Increment();
-    prev_backoff = NextBackoffDelay(backoff_base, prev_backoff, backoff_cap,
-                                    &backoff_rng);
-    InterruptibleSleep(prev_backoff, options.poll_ms, options.cancel);
-    if (!CancelToken::Check(options.cancel).ok()) return report;
+    ++report.probe_failures;
+    probe_failures_metric->Increment();
+    if (healthy) {
+      if (++consecutive_failures < options.probe_failures_to_kill) continue;
+      child.Kill();
+      CULEVO_RETURN_IF_ERROR(on_incident(Status::DeadlineExceeded(StrFormat(
+          "supervised culevod stopped answering: %d consecutive probe "
+          "failures (last: %s)",
+          consecutive_failures, probe.message().c_str()))));
+    } else if (Clock::now() - spawned_at >
+               std::chrono::milliseconds(options.startup_grace_ms)) {
+      child.Kill();
+      CULEVO_RETURN_IF_ERROR(on_incident(Status::DeadlineExceeded(StrFormat(
+          "supervised culevod never became healthy within %d ms (last "
+          "probe: %s)",
+          options.startup_grace_ms, probe.message().c_str()))));
+    }
   }
 }
 

@@ -36,8 +36,8 @@ struct SupervisorOptions {
   /// long is presumed wedged at startup and killed + restarted.
   int startup_grace_ms = 10000;
 
-  /// Decorrelated-jitter backoff between restarts (util/file_io.h's
-  /// NextBackoffDelay): uniform in [base, prev*3] capped. A crash-looping
+  /// Decorrelated-jitter backoff between restarts (RestartPacer,
+  /// util/subprocess.h): uniform in [base, prev*3] capped. A crash-looping
   /// child must not be re-exec'd in a tight loop.
   int restart_backoff_ms = 200;
   int restart_backoff_cap_ms = 2000;
@@ -53,7 +53,7 @@ struct SupervisorOptions {
   std::string pidfile;
   /// Redirect the child's stdout/stderr to /dev/null.
   bool silence_child = false;
-  /// Supervision tick: child reaping, cancel checks, and SIGHUP
+  /// Supervision tick: spawns, child reaping, cancel checks, and SIGHUP
   /// forwarding all happen at this granularity.
   int poll_ms = 20;
   /// Cooperative shutdown: when tripped (SIGTERM/SIGINT via
@@ -63,7 +63,8 @@ struct SupervisorOptions {
   /// Forward SIGHUP to the child (reload requests must reach the process
   /// that owns the snapshot). Requires the caller to have called
   /// InstallReloadHandler(); the supervisor consumes the flag and
-  /// re-raises SIGHUP on the child.
+  /// re-raises SIGHUP on the child once that child has answered a probe
+  /// (until then the request stays latched).
   bool forward_reload = true;
 };
 
@@ -80,9 +81,9 @@ struct SupervisorReport {
 /// The child is re-exec'd from `child_argv` whenever it exits, dies on a
 /// signal, or stops answering `ping` probes over the real serving socket
 /// (probe stall => SIGKILL first: a wedged server holds the socket and
-/// must be removed before its replacement can bind). Restarts are spaced
-/// by decorrelated-jitter backoff; the backoff resets to its base once an
-/// incarnation proves healthy.
+/// must be removed before its replacement can bind). A failed spawn is an
+/// incident too. Restarts are paced by a RestartPacer: decorrelated-jitter
+/// backoff that resets to its base once an incarnation proves healthy.
 ///
 /// Metrics: `serve.restarts`, `serve.probe_failures`.
 Result<SupervisorReport> SuperviseServer(const SupervisorOptions& options);

@@ -12,6 +12,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "util/file_io.h"
+
 extern char** environ;
 
 namespace culevo {
@@ -185,6 +187,14 @@ ExitState Subprocess::Terminate(int grace_ms) {
   }
   ::kill(static_cast<pid_t>(pid_), SIGKILL);
   return Wait();
+}
+
+bool RestartPacer::RecordDeath(Clock::time_point now) {
+  if (max_restarts_ >= 0 && restarts_ >= max_restarts_) return false;
+  ++restarts_;
+  prev_ = NextBackoffDelay(base_, prev_, cap_, &rng_);
+  next_spawn_ = now + prev_;
+  return true;
 }
 
 }  // namespace culevo

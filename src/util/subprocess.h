@@ -1,11 +1,13 @@
 #ifndef CULEVO_UTIL_SUBPROCESS_H_
 #define CULEVO_UTIL_SUBPROCESS_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace culevo {
@@ -82,6 +84,55 @@ class Subprocess {
   int64_t pid_ = -1;
   bool reaped_ = false;
   ExitState state_;
+};
+
+/// The restart policy of one supervised child, shared by the sweep
+/// fabric (one per shard) and `culevod --supervise`: a restart budget, a
+/// decorrelated-jitter backoff (NextBackoffDelay, util/file_io.h) between
+/// a death and the next spawn, and a reset of that backoff to its base
+/// once the child proves healthy. What counts as a death is the caller's
+/// rule, with one shared convention: a spawn that fails is a death, so a
+/// fork that keeps failing is paced and budgeted like a crash loop.
+///
+/// Not thread-safe; owned by one supervision loop.
+class RestartPacer {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  /// `max_restarts` < 0 means unlimited. Every delay lies in [base, cap];
+  /// `seed` seeds the jitter stream.
+  RestartPacer(int max_restarts, std::chrono::milliseconds base,
+               std::chrono::milliseconds cap, uint64_t seed)
+      : max_restarts_(max_restarts),
+        base_(base),
+        cap_(cap),
+        prev_(base),
+        rng_(seed) {}
+
+  /// Records one death at `now`. False once the budget is spent: the
+  /// child stays down. Otherwise counts a restart and makes the next
+  /// spawn due one backoff delay after `now`: the first delay is uniform
+  /// in [base, 3·base], each later one in [base, 3 × the previous].
+  bool RecordDeath(Clock::time_point now);
+
+  /// The child proved healthy: the next delay starts over from the base.
+  void RecordHealthy() { prev_ = base_; }
+
+  /// When the next spawn may happen; before the first death, at once.
+  Clock::time_point next_spawn() const { return next_spawn_; }
+
+  /// Restarts granted so far, which is also the 0-based index of the
+  /// next spawn.
+  int restarts() const { return restarts_; }
+
+ private:
+  int max_restarts_;
+  std::chrono::milliseconds base_;
+  std::chrono::milliseconds cap_;
+  std::chrono::milliseconds prev_;
+  Rng rng_;
+  int restarts_ = 0;
+  Clock::time_point next_spawn_;
 };
 
 }  // namespace culevo

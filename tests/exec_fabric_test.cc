@@ -6,6 +6,7 @@
 
 #include "exec/fabric.h"
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "fabric_test_context.h"
 #include "lexicon/world_lexicon.h"
 #include "obs/metrics.h"
+#include "util/cancel.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 
@@ -370,52 +372,33 @@ TEST_F(FabricTest, ConcurrentShardWriterTornRecordSalvaged) {
   ExpectBitIdentical(merged.value());
 }
 
-// ---------------------------------------------------------------------------
-// StallEstimator: the adaptive half of the stall detector, pure math.
+// Cancelling the coordinator kills every live worker and returns
+// kCancelled at once, even with a worker hung far inside the stall
+// cutoff. Killing for a cancel is no worker failure.
+TEST_F(FabricTest, CancelKillsWorkersAndReturnsCancelled) {
+  const std::string dir = FreshDir();
+  CancelToken cancel;
+  FabricOptions options = FastFabric(dir, 3);
+  options.stall_ms = 60000;
+  options.cancel = &cancel;
+  obs::Counter* failures =
+      obs::MetricsRegistry::Get().counter("exec.worker_failures");
+  const int64_t failures_before = failures->Value();
 
-TEST(StallEstimatorTest, FloorUntilFirstSample) {
-  StallEstimator estimator(/*floor_ms=*/800, /*multiplier=*/8.0);
-  EXPECT_EQ(estimator.CutoffMs(), 800);
-  EXPECT_EQ(estimator.samples(), 0);
-  // A workload faster than the floor never drops the cutoff below it:
-  // 8 * EMA(10ms) = 80ms < floor.
-  estimator.ObserveGrowthGap(10);
-  EXPECT_EQ(estimator.CutoffMs(), 800);
-}
-
-TEST(StallEstimatorTest, SlowWorkloadRaisesCutoffAboveFloor) {
-  StallEstimator estimator(/*floor_ms=*/800, /*multiplier=*/8.0);
-  // Units taking ~2s each: the fixed 800ms threshold would kill every
-  // healthy worker; the adaptive cutoff rises to 8 * EMA instead.
-  estimator.ObserveGrowthGap(2000);
-  EXPECT_EQ(estimator.samples(), 1);
-  EXPECT_DOUBLE_EQ(estimator.ema_ms(), 2000.0);  // first sample seeds EMA
-  EXPECT_EQ(estimator.CutoffMs(), 16000);
-}
-
-TEST(StallEstimatorTest, EmaSmoothsWithAlpha) {
-  StallEstimator estimator(/*floor_ms=*/100, /*multiplier=*/2.0,
-                           /*alpha=*/0.5);
-  estimator.ObserveGrowthGap(1000);
-  estimator.ObserveGrowthGap(500);
-  // EMA = 0.5 * 500 + 0.5 * 1000 = 750; cutoff = 2 * 750.
-  EXPECT_DOUBLE_EQ(estimator.ema_ms(), 750.0);
-  EXPECT_EQ(estimator.CutoffMs(), 1500);
-}
-
-TEST(StallEstimatorTest, DisabledMultiplierPinsFloor) {
-  StallEstimator estimator(/*floor_ms=*/800, /*multiplier=*/0);
-  estimator.ObserveGrowthGap(60000);
-  EXPECT_EQ(estimator.CutoffMs(), 800);  // fixed-threshold behaviour
-}
-
-TEST(StallEstimatorTest, NegativeGapsIgnored) {
-  StallEstimator estimator(/*floor_ms=*/100, /*multiplier=*/10.0);
-  estimator.ObserveGrowthGap(-5);  // clock weirdness must not poison EMA
-  EXPECT_EQ(estimator.samples(), 0);
-  EXPECT_EQ(estimator.CutoffMs(), 100);
-  estimator.ObserveGrowthGap(50);
-  EXPECT_EQ(estimator.CutoffMs(), 500);
+  std::thread canceller([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    cancel.Cancel();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  Result<FabricReport> report = RunWorkerFabric(
+      WorkerArgv(dir, 3, {"--stall-shard", "0"}), options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  canceller.join();
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kCancelled)
+      << report.status();
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  EXPECT_EQ(failures->Value(), failures_before);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // In-process tests of SuperviseServer (service/supervisor.h) with short
 // probe and backoff settings: the restart budget, the startup grace, a
-// cancel from another thread, a real culevod child that stops answering
-// probes, and a probe that meets a full listen backlog. The soak drives
-// the same loop through `culevod --supervise` under chaos; these pin each
-// rule on its own in a few seconds.
+// cancel from another thread (also during a restart backoff), a reload
+// request that waits for a healthy child, a real culevod child that stops
+// answering probes, and a probe that meets a full listen backlog. The
+// soak drives the same loop through `culevod --supervise` under chaos;
+// these pin each rule on its own in a few seconds.
 //
 // The culevod path is injected at compile time (CULEVOD_PATH).
 
@@ -160,6 +161,56 @@ TEST(SupervisorTest, CancelFromAnotherThreadStopsTheChild) {
   ASSERT_GT(pid, 0);
   EXPECT_TRUE(ProcessGone(pid)) << "child " << pid << " outlived the cancel";
   ::unlink(options.pidfile.c_str());
+}
+
+TEST(SupervisorTest, CancelDuringRestartBackoffReturnsPromptly) {
+  CancelToken cancel;
+  SupervisorOptions options = FastOptions({"true"}, "backoff");
+  options.restart_backoff_ms = 5000;
+  options.restart_backoff_cap_ms = 5000;
+  options.cancel = &cancel;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    cancel.Cancel();
+  });
+  const Clock::time_point start = Clock::now();
+  Result<SupervisorReport> report = SuperviseServer(options);
+  const Clock::duration elapsed = Clock::now() - start;
+  canceller.join();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->restarts, 1);
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  ::unlink(options.pidfile.c_str());
+}
+
+TEST(SupervisorTest, ReloadRequestWaitsForAHealthyChild) {
+  IgnoreSigPipe();
+  // A reload requested before the child is up: SIGHUP's default action
+  // would end a culevod still loading its corpus.
+  RequestReloadForTest();
+  CancelToken cancel(Deadline::AfterMillis(90000));
+  SupervisorOptions options = FastOptions({}, "reload");
+  options.child_argv = {CULEVOD_PATH, "--socket", options.socket_path,
+                        "--scale",    "0.02",   "--threads", "1"};
+  options.probe_timeout_ms = 500;
+  options.startup_grace_ms = 60000;
+  options.silence_child = true;
+  options.forward_reload = true;
+  options.cancel = &cancel;
+  std::future<Result<SupervisorReport>> session = std::async(
+      std::launch::async, [&options] { return SuperviseServer(options); });
+
+  ASSERT_TRUE(Eventually(30000, [&] { return Pings(options.socket_path); }))
+      << "culevod never came up";
+  // Let the supervisor see the child healthy and forward the request.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  cancel.Cancel();
+  Result<SupervisorReport> report = session.get();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->restarts, 0) << "the reload request killed the child";
+  EXPECT_FALSE(ConsumeReloadRequest()) << "the request was never forwarded";
+  ::unlink(options.pidfile.c_str());
+  ::unlink(options.socket_path.c_str());
 }
 
 TEST(SupervisorTest, StoppedChildIsKilledAfterFailedProbesAndReplaced) {

@@ -1,5 +1,6 @@
 #include "util/subprocess.h"
 
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <string>
@@ -158,6 +159,81 @@ TEST(SubprocessTest, MoveTransfersOwnership) {
   EXPECT_EQ(b.pid(), pid);
   const ExitState state = b.Kill();
   EXPECT_TRUE(state.signaled);
+}
+
+using Clock = RestartPacer::Clock;
+using std::chrono::milliseconds;
+
+TEST(RestartPacerTest, BudgetRunsOutAfterExactlyMaxRestartsDeaths) {
+  RestartPacer pacer(3, milliseconds{10}, milliseconds{100}, 1);
+  const Clock::time_point now = Clock::now();
+  for (int death = 0; death < 3; ++death) {
+    EXPECT_TRUE(pacer.RecordDeath(now)) << "death " << death;
+  }
+  EXPECT_EQ(pacer.restarts(), 3);
+  EXPECT_FALSE(pacer.RecordDeath(now));
+  EXPECT_EQ(pacer.restarts(), 3);
+
+  RestartPacer none(0, milliseconds{10}, milliseconds{100}, 1);
+  EXPECT_FALSE(none.RecordDeath(now));
+  EXPECT_EQ(none.restarts(), 0);
+}
+
+TEST(RestartPacerTest, NegativeBudgetNeverRunsOut) {
+  RestartPacer pacer(-1, milliseconds{10}, milliseconds{100}, 1);
+  const Clock::time_point now = Clock::now();
+  for (int death = 0; death < 1000; ++death) {
+    ASSERT_TRUE(pacer.RecordDeath(now)) << "death " << death;
+  }
+  EXPECT_EQ(pacer.restarts(), 1000);
+}
+
+TEST(RestartPacerTest, NextSpawnIsNotDueBeforeItsBackoff) {
+  RestartPacer pacer(-1, milliseconds{10}, milliseconds{100}, 1);
+  const Clock::time_point t0 = Clock::now();
+  EXPECT_LE(pacer.next_spawn(), t0) << "the first spawn waits for nothing";
+  ASSERT_TRUE(pacer.RecordDeath(t0));
+  EXPECT_GE(pacer.next_spawn(), t0 + milliseconds{10});
+  // A later death moves the gate past the earlier one.
+  const Clock::time_point t1 = t0 + milliseconds{500};
+  ASSERT_TRUE(pacer.RecordDeath(t1));
+  EXPECT_GE(pacer.next_spawn(), t1 + milliseconds{10});
+}
+
+TEST(RestartPacerTest, EveryDelayLiesBetweenBaseAndCap) {
+  const milliseconds base{10};
+  const milliseconds cap{1000};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    RestartPacer pacer(-1, base, cap, seed);
+    Clock::time_point now = Clock::now();
+    bool reached_cap = false;
+    for (int death = 0; death < 50; ++death) {
+      ASSERT_TRUE(pacer.RecordDeath(now));
+      const Clock::duration delay = pacer.next_spawn() - now;
+      ASSERT_GE(delay, base) << "seed " << seed << " death " << death;
+      ASSERT_LE(delay, cap) << "seed " << seed << " death " << death;
+      reached_cap = reached_cap || delay == cap;
+      now = pacer.next_spawn();
+    }
+    EXPECT_TRUE(reached_cap) << "seed " << seed << ": the backoff never grew";
+  }
+}
+
+TEST(RestartPacerTest, HealthyResetsTheNextDelayToTheFirstRange) {
+  const milliseconds base{10};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    RestartPacer pacer(-1, base, milliseconds{1000}, seed);
+    Clock::time_point now = Clock::now();
+    for (int death = 0; death < 50; ++death) {
+      ASSERT_TRUE(pacer.RecordDeath(now));
+    }
+    pacer.RecordHealthy();
+    now = pacer.next_spawn();
+    ASSERT_TRUE(pacer.RecordDeath(now));
+    const Clock::duration delay = pacer.next_spawn() - now;
+    EXPECT_GE(delay, base) << "seed " << seed;
+    EXPECT_LE(delay, 3 * base) << "seed " << seed;
+  }
 }
 
 }  // namespace
