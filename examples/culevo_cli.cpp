@@ -107,6 +107,8 @@ Result<RecipeCorpus> World(const FlagParser& flags) {
     if (!load.empty()) {
       Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(load);
       if (!loaded.ok()) return loaded.status();
+      CULEVO_RETURN_IF_ERROR(
+          CheckIdsInLexicon(loaded->corpus, WorldLexicon(), load));
       return std::move(loaded->corpus);
     }
     SynthConfig config;

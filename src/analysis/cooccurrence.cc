@@ -22,13 +22,11 @@ std::vector<PairingEdge> BuildPairingNetwork(const RecipeCorpus& corpus,
   const std::span<const uint32_t> indices = corpus.recipes_of(cuisine);
   if (indices.empty()) return {};
 
-  std::vector<size_t> singles(kInvalidIngredient, 0);
   std::unordered_map<uint64_t, size_t> pairs;
   for (uint32_t index : indices) {
     const std::span<const IngredientId> recipe =
         corpus.ingredients_of(index);
     for (size_t i = 0; i < recipe.size(); ++i) {
-      ++singles[recipe[i]];
       for (size_t j = i + 1; j < recipe.size(); ++j) {
         // Ids inside a recipe are sorted ascending, so recipe[i] <
         // recipe[j] and the key is canonical.
@@ -37,6 +35,7 @@ std::vector<PairingEdge> BuildPairingNetwork(const RecipeCorpus& corpus,
     }
   }
 
+  const std::span<const uint32_t> singles = corpus.presence(cuisine);
   const double n = static_cast<double>(indices.size());
   std::vector<PairingEdge> edges;
   edges.reserve(pairs.size());

@@ -17,16 +17,16 @@ bool ScoreBefore(const OverrepresentationScore& a,
 /// Eq. 1 for every ingredient occurring in `cuisine`, unsorted (ascending
 /// ingredient id, the table's order).
 std::vector<OverrepresentationScore> ScoreIngredients(
-    const PresenceCounts& counts, CuisineId cuisine) {
-  const size_t n_recipes = counts.recipes_in(cuisine);
+    const RecipeCorpus& corpus, CuisineId cuisine) {
+  const size_t n_recipes = corpus.num_recipes_in(cuisine);
   if (n_recipes == 0) return {};
 
   // A recipe counts an ingredient once regardless of how it is used
   // (corpus stores id sets).
-  const std::span<const uint32_t> cuisine_count = counts.cuisine(cuisine);
-  const std::span<const uint32_t> world_count = counts.world();
+  const std::span<const uint32_t> cuisine_count = corpus.presence(cuisine);
+  const std::span<const uint32_t> world_count = corpus.presence();
   const double n_cuisine = static_cast<double>(n_recipes);
-  const double n_world = static_cast<double>(counts.num_recipes());
+  const double n_world = static_cast<double>(corpus.num_recipes());
   std::vector<OverrepresentationScore> out;
   out.reserve(static_cast<size_t>(std::count_if(
       cuisine_count.begin(), cuisine_count.end(),
@@ -46,22 +46,16 @@ std::vector<OverrepresentationScore> ScoreIngredients(
 }  // namespace
 
 std::vector<OverrepresentationScore> ComputeOverrepresentation(
-    const PresenceCounts& counts, CuisineId cuisine) {
+    const RecipeCorpus& corpus, CuisineId cuisine) {
   std::vector<OverrepresentationScore> out =
-      ScoreIngredients(counts, cuisine);
+      ScoreIngredients(corpus, cuisine);
   std::sort(out.begin(), out.end(), ScoreBefore);
   return out;
 }
 
-std::vector<OverrepresentationScore> ComputeOverrepresentation(
-    const RecipeCorpus& corpus, CuisineId cuisine) {
-  return ComputeOverrepresentation(PresenceCounts(corpus), cuisine);
-}
-
 std::vector<OverrepresentationScore> TopOverrepresented(
     const RecipeCorpus& corpus, CuisineId cuisine, size_t k) {
-  std::vector<OverrepresentationScore> all =
-      ScoreIngredients(PresenceCounts(corpus), cuisine);
+  std::vector<OverrepresentationScore> all = ScoreIngredients(corpus, cuisine);
   if (all.size() <= k) {
     std::sort(all.begin(), all.end(), ScoreBefore);
     return all;

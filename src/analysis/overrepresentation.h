@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "analysis/presence_counts.h"
 #include "corpus/recipe_corpus.h"
 #include "lexicon/lexicon.h"
 
@@ -23,14 +22,10 @@ struct OverrepresentationScore {
 };
 
 /// Computes Eq. 1 for every ingredient that occurs in `cuisine`, sorted by
-/// descending score. Returns an empty vector for an empty cuisine.
+/// descending score, from the corpus's presence counts (no recipe pass).
+/// Returns an empty vector for an empty cuisine.
 std::vector<OverrepresentationScore> ComputeOverrepresentation(
     const RecipeCorpus& corpus, CuisineId cuisine);
-
-/// The same table read off a precomputed count table, so building every
-/// cuisine's table costs one corpus pass, not one per cuisine.
-std::vector<OverrepresentationScore> ComputeOverrepresentation(
-    const PresenceCounts& counts, CuisineId cuisine);
 
 /// Convenience: the `k` most overrepresented ingredients of a cuisine
 /// (Table I's rightmost column). Ranks only the top k (partial_sort with

@@ -7,15 +7,15 @@
 
 namespace culevo {
 
-CuisineUsageProfile BuildUsageProfile(const PresenceCounts& counts,
+CuisineUsageProfile BuildUsageProfile(const RecipeCorpus& corpus,
                                       CuisineId cuisine) {
   CuisineUsageProfile profile;
-  const size_t recipes = counts.recipes_in(cuisine);
+  const size_t recipes = corpus.num_recipes_in(cuisine);
   if (recipes == 0) return profile;
 
   // The nonzero counts, in ascending id order, are the profile's key
   // column; the norm accumulates in the same order.
-  const std::span<const uint32_t> row = counts.cuisine(cuisine);
+  const std::span<const uint32_t> row = corpus.presence(cuisine);
   const size_t used = static_cast<size_t>(
       std::count_if(row.begin(), row.end(), [](uint32_t n) { return n != 0; }));
   profile.ingredients.reserve(used);
@@ -31,11 +31,6 @@ CuisineUsageProfile BuildUsageProfile(const PresenceCounts& counts,
   }
   profile.norm = std::sqrt(norm_sq);
   return profile;
-}
-
-CuisineUsageProfile BuildUsageProfile(const RecipeCorpus& corpus,
-                                      CuisineId cuisine) {
-  return BuildUsageProfile(PresenceCounts(corpus), cuisine);
 }
 
 double UsageProfileDistance(const CuisineUsageProfile& a,
@@ -66,22 +61,18 @@ double UsageProfileDistance(const CuisineUsageProfile& a,
   return std::clamp(1.0 - cosine, 0.0, 1.0);
 }
 
-UsageProfileCache::UsageProfileCache(const RecipeCorpus& corpus)
-    : UsageProfileCache(PresenceCounts(corpus)) {}
-
-UsageProfileCache::UsageProfileCache(const PresenceCounts& counts) {
+UsageProfileCache::UsageProfileCache(const RecipeCorpus& corpus) {
   profiles_.reserve(kNumCuisines);
   for (int c = 0; c < kNumCuisines; ++c) {
     profiles_.push_back(
-        BuildUsageProfile(counts, static_cast<CuisineId>(c)));
+        BuildUsageProfile(corpus, static_cast<CuisineId>(c)));
   }
 }
 
 double IngredientUsageDistance(const RecipeCorpus& corpus, CuisineId a,
                                CuisineId b) {
-  const PresenceCounts counts(corpus);
-  return UsageProfileDistance(BuildUsageProfile(counts, a),
-                              BuildUsageProfile(counts, b));
+  return UsageProfileDistance(BuildUsageProfile(corpus, a),
+                              BuildUsageProfile(corpus, b));
 }
 
 std::vector<std::vector<double>> IngredientUsageDistanceMatrix(

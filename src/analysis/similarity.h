@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/presence_counts.h"
 #include "analysis/rank_frequency.h"
 #include "corpus/recipe_corpus.h"
 #include "lexicon/lexicon.h"
@@ -31,10 +30,8 @@ struct CuisineUsageProfile {
 };
 
 /// Builds the sparse usage profile of one cuisine: its row of the
-/// recipe-presence count table, zeros dropped, divided by N^c.
+/// corpus's recipe-presence counts, zeros dropped, divided by N^c.
 CuisineUsageProfile BuildUsageProfile(const RecipeCorpus& corpus,
-                                      CuisineId cuisine);
-CuisineUsageProfile BuildUsageProfile(const PresenceCounts& counts,
                                       CuisineId cuisine);
 
 /// 1 - cosine similarity of two profiles. 0 = identical usage profile,
@@ -49,7 +46,6 @@ double UsageProfileDistance(const CuisineUsageProfile& a,
 class UsageProfileCache {
  public:
   explicit UsageProfileCache(const RecipeCorpus& corpus);
-  explicit UsageProfileCache(const PresenceCounts& counts);
 
   /// Precondition: cuisine < kNumCuisines.
   const CuisineUsageProfile& profile(CuisineId cuisine) const {

@@ -48,17 +48,13 @@ ZipfFit FitZipf(const RankFrequency& curve) {
 
 RankFrequency IngredientPopularityCurve(const RecipeCorpus& corpus,
                                         CuisineId cuisine) {
-  const std::span<const uint32_t> indices = corpus.recipes_of(cuisine);
-  if (indices.empty()) return RankFrequency();
-  std::vector<size_t> counts(kInvalidIngredient, 0);
-  for (uint32_t index : indices) {
-    for (IngredientId id : corpus.ingredients_of(index)) ++counts[id];
-  }
+  const size_t recipes = corpus.num_recipes_in(cuisine);
+  if (recipes == 0) return RankFrequency();
   std::vector<size_t> positive;
-  for (size_t count : counts) {
+  for (uint32_t count : corpus.presence(cuisine)) {
     if (count > 0) positive.push_back(count);
   }
-  return RankFrequency::FromCounts(positive, indices.size());
+  return RankFrequency::FromCounts(positive, recipes);
 }
 
 }  // namespace culevo

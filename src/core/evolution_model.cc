@@ -44,15 +44,9 @@ Result<CuisineContext> ContextFromCorpus(const RecipeCorpus& corpus,
         "mean recipe size exceeds the cuisine's ingredient count");
   }
 
-  // Presence fraction per ingredient, aligned with context.ingredients:
-  // one pass over the shard counts into a row indexed by id. Every id the
-  // cuisine's recipes use is in its sorted unique list (Builder,
-  // FromColumns and IncrementalCorpus all guarantee it), so the list's
-  // last entry bounds the row.
-  std::vector<uint32_t> counts(static_cast<size_t>(unique.back()) + 1, 0);
-  for (uint32_t index : corpus.recipes_of(cuisine)) {
-    for (IngredientId id : corpus.ingredients_of(index)) ++counts[id];
-  }
+  // Presence fraction per ingredient, aligned with context.ingredients,
+  // read off the corpus's presence counts at the list's ids.
+  const std::span<const uint32_t> counts = corpus.presence(cuisine);
   context.popularity.resize(unique.size());
   for (size_t i = 0; i < unique.size(); ++i) {
     context.popularity[i] =

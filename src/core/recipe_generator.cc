@@ -23,12 +23,10 @@ RecipeGenerator::RecipeGenerator(const RecipeCorpus* corpus,
       lexicon_(lexicon),
       cuisine_(cuisine),
       rng_(DeriveSeed(seed, 0x6E0 + cuisine)) {
+  // Create checked that the corpus universe fits the lexicon.
+  const std::span<const uint32_t> counts = corpus->presence(cuisine);
   popularity_.assign(lexicon->size(), 0);
-  for (uint32_t index : corpus->recipes_of(cuisine)) {
-    for (IngredientId id : corpus->ingredients_of(index)) {
-      ++popularity_[id];
-    }
-  }
+  std::copy(counts.begin(), counts.end(), popularity_.begin());
   for (size_t id = 0; id < popularity_.size(); ++id) {
     if (popularity_[id] > 0) {
       by_popularity_.push_back(static_cast<IngredientId>(id));
@@ -54,6 +52,7 @@ Result<RecipeGenerator> RecipeGenerator::Create(const RecipeCorpus* corpus,
     return Status::FailedPrecondition(
         "cuisine has no recipes to seed generation from");
   }
+  CULEVO_RETURN_IF_ERROR(CheckIdsInLexicon(*corpus, *lexicon, "corpus"));
   return RecipeGenerator(corpus, cuisine, lexicon, seed);
 }
 

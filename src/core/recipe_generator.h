@@ -49,7 +49,8 @@ struct NovelRecipe {
 class RecipeGenerator {
  public:
   /// `corpus` and `lexicon` must outlive the generator. Fails with
-  /// FailedPrecondition if the cuisine is empty.
+  /// FailedPrecondition if the cuisine is empty or the corpus uses an id
+  /// outside the lexicon.
   static Result<RecipeGenerator> Create(const RecipeCorpus* corpus,
                                         CuisineId cuisine,
                                         const Lexicon* lexicon,

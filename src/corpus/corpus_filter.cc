@@ -9,10 +9,8 @@ namespace {
 
 void AddRecipe(const RecipeCorpus& corpus, uint32_t index,
                RecipeCorpus::Builder* builder) {
-  const std::span<const IngredientId> span = corpus.ingredients_of(index);
-  CULEVO_CHECK_OK(builder->Add(
-      corpus.cuisine_of(index),
-      std::vector<IngredientId>(span.begin(), span.end())));
+  CULEVO_CHECK_OK(
+      builder->Add(corpus.cuisine_of(index), corpus.ingredients_of(index)));
 }
 
 }  // namespace

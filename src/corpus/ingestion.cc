@@ -120,18 +120,17 @@ IncrementalCorpus IncrementalCorpus::FromCorpus(
   out.offsets_.assign(offsets.begin(), offsets.end());
   out.cuisines_.assign(cuisines.begin(), cuisines.end());
   for (int c = 0; c <= kNumCuisines; ++c) {
+    const bool world = c == kNumCuisines;
+    const CuisineId cuisine = static_cast<CuisineId>(c);
     const std::span<const IngredientId> unique =
-        c < kNumCuisines ? corpus.UniqueIngredients(static_cast<CuisineId>(c))
-                         : corpus.UniqueIngredients();
+        world ? corpus.UniqueIngredients() : corpus.UniqueIngredients(cuisine);
+    const std::span<const uint32_t> presence =
+        world ? corpus.presence() : corpus.presence(cuisine);
     const size_t ci = static_cast<size_t>(c);
     out.unique_[ci].assign(unique.begin(), unique.end());
-    for (const IngredientId id : unique) {
-      if (out.seen_[ci].size() <= id) out.seen_[ci].resize(id + 1, false);
-      out.seen_[ci][id] = true;
-    }
-    if (c < kNumCuisines) {
-      const std::span<const uint32_t> shard =
-          corpus.recipes_of(static_cast<CuisineId>(c));
+    out.presence_[ci].assign(presence.begin(), presence.end());
+    if (!world) {
+      const std::span<const uint32_t> shard = corpus.recipes_of(cuisine);
       out.shards_[ci].reserve(shard.size() + append_recipes);
       out.shards_[ci].assign(shard.begin(), shard.end());
     }
@@ -172,14 +171,15 @@ Status IncrementalCorpus::Add(CuisineId cuisine,
   cuisines_.push_back(cuisine);
   shards_[cuisine].push_back(index);
 
-  // Unique lists: a sorted insert only on the first sighting of an id in
-  // each scope, so steady-state appends never shift the lists.
+  // Presence counts, and unique lists: a sorted insert only on the first
+  // sighting of an id in each scope, so steady-state appends never shift
+  // the lists.
   for (const size_t scope : {static_cast<size_t>(cuisine),
                              static_cast<size_t>(kNumCuisines)}) {
+    std::vector<uint32_t>& counts = presence_[scope];
     for (const IngredientId id : scratch_) {
-      if (seen_[scope].size() <= id) seen_[scope].resize(id + 1, false);
-      if (seen_[scope][id]) continue;
-      seen_[scope][id] = true;
+      if (counts.size() <= id) counts.resize(id + 1, 0);
+      if (counts[id]++ != 0) continue;
       std::vector<IngredientId>& list = unique_[scope];
       list.insert(std::lower_bound(list.begin(), list.end(), id), id);
     }
@@ -220,8 +220,9 @@ Result<RecipeCorpus> IncrementalCorpus::Materialize() && {
 RecipeCorpus IncrementalCorpus::HandOff(std::vector<IngredientId> flat,
                                         std::vector<uint32_t> offsets,
                                         std::vector<CuisineId> cuisines) const {
-  // Add keeps every recipe sorted and unique, every shard ascending and
-  // every unique list sorted: exactly the storage Builder::Build derives.
+  // Add keeps every recipe sorted and unique, every shard ascending,
+  // every unique list sorted and every presence count exact: the storage
+  // Builder::Build derives.
   RecipeCorpus corpus;
   RecipeCorpus::Storage& s = corpus.storage_;
   s.flat = std::move(flat);
@@ -237,6 +238,12 @@ RecipeCorpus IncrementalCorpus::HandOff(std::vector<IngredientId> flat,
   for (const std::vector<IngredientId>& unique : unique_) {
     s.unique_flat.insert(s.unique_flat.end(), unique.begin(), unique.end());
     s.unique_offsets.push_back(static_cast<uint32_t>(s.unique_flat.size()));
+  }
+  const size_t universe = presence_[kNumCuisines].size();
+  s.presence.reserve((kNumCuisines + 1) * universe);
+  for (const std::vector<uint32_t>& counts : presence_) {
+    s.presence.insert(s.presence.end(), counts.begin(), counts.end());
+    s.presence.resize(s.presence.size() + universe - counts.size(), 0);
   }
   corpus.RebindViews();
   return corpus;

@@ -68,8 +68,8 @@ std::vector<RawRecipe> ParseRawRecipeText(std::string_view text);
 /// instead maintains every derived structure under appends:
 ///
 ///   - the CSR columns (flat / offsets / cuisines) only ever grow,
-///   - each cuisine's recipe-index shard and sorted unique-ingredient list
-///     are updated in place per recipe,
+///   - each cuisine's recipe-index shard, presence counts and sorted
+///     unique-ingredient list are updated in place per recipe,
 ///   - CuisineStats (count, mean, min/max, size histogram, unique count)
 ///     are maintained incrementally and stay bit-identical to what
 ///     ComputeCuisineStats would return on the materialized corpus,
@@ -122,11 +122,12 @@ class IncrementalCorpus {
 
   /// Builds an owned, finalized RecipeCorpus from the current contents,
   /// for code that wants the immutable type (snapshots and stats do not
-  /// need it). The columns, shards and unique lists this object maintains
-  /// become the corpus storage as they are: nothing is re-sorted or
-  /// re-scanned. `incremental.Materialize()` copies them;
-  /// `std::move(incremental).Materialize()` moves the columns instead and
-  /// leaves `incremental` fit only for destruction or assignment.
+  /// need it). The columns, shards, presence counts and unique lists this
+  /// object maintains become the corpus storage as they are: nothing is
+  /// re-sorted, re-counted or re-scanned. `incremental.Materialize()`
+  /// copies them; `std::move(incremental).Materialize()` moves the columns
+  /// instead and leaves `incremental` fit only for destruction or
+  /// assignment.
   Result<RecipeCorpus> Materialize() const&;
   Result<RecipeCorpus> Materialize() &&;
 
@@ -141,7 +142,8 @@ class IncrementalCorpus {
  private:
   void SeedSizeSums();
   /// Materialize's body: `flat`, `offsets` and `cuisines` (copies or this
-  /// object's own, moved) plus flattened copies of shards_ and unique_.
+  /// object's own, moved) plus flattened copies of shards_, unique_ and
+  /// presence_.
   RecipeCorpus HandOff(std::vector<IngredientId> flat,
                        std::vector<uint32_t> offsets,
                        std::vector<CuisineId> cuisines) const;
@@ -153,9 +155,11 @@ class IncrementalCorpus {
   // Derived per-cuisine indexes, updated per Add.
   std::array<std::vector<uint32_t>, kNumCuisines> shards_;
   std::array<std::vector<IngredientId>, kNumCuisines + 1> unique_;
-  /// seen_[c][id] == id already in unique_[c] (membership bitmap so the
-  /// sorted insert runs only on first sight of an id).
-  std::array<std::vector<bool>, kNumCuisines + 1> seen_;
+  /// presence_[c] = RecipeCorpus::presence(c), presence_[kNumCuisines] the
+  /// world row. A row grows to the largest id of its scope, so the world
+  /// row spans the universe and HandOff zero-pads the others to it. A
+  /// count leaving 0 is an id's first sighting in its scope.
+  std::array<std::vector<uint32_t>, kNumCuisines + 1> presence_;
   std::vector<CuisineStats> stats_;
   /// Exact per-cuisine mention totals (mean_recipe_size = sum / count,
   /// the same division ComputeCuisineStats performs).

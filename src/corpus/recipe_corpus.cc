@@ -8,23 +8,9 @@
 
 namespace culevo {
 
-Status RecipeCorpus::Builder::Add(CuisineId cuisine,
-                                  std::vector<IngredientId> ingredients) {
-  if (cuisine >= kNumCuisines) {
-    return Status::InvalidArgument(
-        StrFormat("cuisine id %u out of range", unsigned{cuisine}));
-  }
-  std::sort(ingredients.begin(), ingredients.end());
-  ingredients.erase(std::unique(ingredients.begin(), ingredients.end()),
-                    ingredients.end());
-  if (ingredients.empty()) {
-    return Status::InvalidArgument("recipe has no ingredients");
-  }
-  max_id_ = std::max(max_id_, ingredients.back());
-  flat_.insert(flat_.end(), ingredients.begin(), ingredients.end());
-  offsets_.push_back(static_cast<uint32_t>(flat_.size()));
-  cuisines_.push_back(cuisine);
-  return Status::Ok();
+Status RecipeCorpus::Builder::Add(
+    CuisineId cuisine, const std::vector<IngredientId>& ingredients) {
+  return Add(cuisine, std::span<const IngredientId>(ingredients));
 }
 
 Status RecipeCorpus::Builder::Add(CuisineId cuisine,
@@ -55,29 +41,15 @@ void RecipeCorpus::Builder::Reserve(size_t num_recipes, size_t num_mentions) {
 
 namespace {
 
-/// Cuisine × id presence table. Row c marks the ids the recipes of
-/// cuisine c use; row kNumCuisines, once FillUnion has run, marks the ids
-/// any cuisine uses. Build reads the unique lists off it in id order, and
-/// FromColumns checks stored lists against it.
-struct PresenceTable {
-  explicit PresenceTable(size_t universe)
-      : universe(universe), used((kNumCuisines + 1) * universe, 0) {}
-
-  std::span<uint8_t> row(size_t scope) {
-    return {used.data() + scope * universe, universe};
+/// Sets the world row of a Storage::presence table to the sum of its
+/// cuisine rows.
+void SumWorldRow(std::vector<uint32_t>& presence, size_t universe) {
+  uint32_t* world = presence.data() + kNumCuisines * universe;
+  for (size_t c = 0; c < kNumCuisines; ++c) {
+    const uint32_t* row = presence.data() + c * universe;
+    for (size_t id = 0; id < universe; ++id) world[id] += row[id];
   }
-
-  void FillUnion() {
-    const std::span<uint8_t> all = row(kNumCuisines);
-    for (size_t c = 0; c < kNumCuisines; ++c) {
-      const std::span<const uint8_t> marked = row(c);
-      for (size_t id = 0; id < universe; ++id) all[id] |= marked[id];
-    }
-  }
-
-  size_t universe;
-  std::vector<uint8_t> used;  // [scope][id]
-};
+}
 
 }  // namespace
 
@@ -90,10 +62,9 @@ RecipeCorpus RecipeCorpus::Builder::Build() {
   flat_.clear();
   offsets_ = {0};
   cuisines_.clear();
-  const size_t universe = static_cast<size_t>(max_id_) + 1;
-  max_id_ = 0;
-
   const size_t n = s.cuisines.size();
+  const size_t universe = n == 0 ? 0 : static_cast<size_t>(max_id_) + 1;
+  max_id_ = 0;
 
   // Cuisine shards: counting sort keeps each shard ascending.
   s.shard_offsets.assign(kNumCuisines + 1, 0);
@@ -111,20 +82,21 @@ RecipeCorpus RecipeCorpus::Builder::Build() {
     }
   }
 
-  // Cached unique-ingredient lists, read in id order off the presence
-  // table: one per cuisine plus the corpus-wide list, flattened back to
-  // back.
-  PresenceTable table(universe);
+  // Presence counts: a recipe stores each id once, so one increment per
+  // mention is exactly recipe presence. The cached unique-ingredient lists
+  // are read off them in id order: one per cuisine plus the corpus-wide
+  // list, flattened back to back.
+  s.presence.assign((kNumCuisines + 1) * universe, 0);
   for (size_t i = 0; i < n; ++i) {
-    const std::span<uint8_t> row = table.row(s.cuisines[i]);
+    uint32_t* row = s.presence.data() + s.cuisines[i] * universe;
     for (uint32_t m = s.offsets[i]; m < s.offsets[i + 1]; ++m) {
-      row[s.flat[m]] = 1;
+      ++row[s.flat[m]];
     }
   }
-  table.FillUnion();
+  SumWorldRow(s.presence, universe);
   s.unique_offsets.assign(1, 0);
   for (size_t scope = 0; scope <= kNumCuisines; ++scope) {
-    const std::span<const uint8_t> row = table.row(scope);
+    const std::span<const uint32_t> row = corpus.PresenceRow(scope);
     for (size_t id = 0; id < universe; ++id) {
       if (row[id] != 0) s.unique_flat.push_back(static_cast<IngredientId>(id));
     }
@@ -248,6 +220,21 @@ std::span<const IngredientId> RecipeCorpus::UniqueIngredients() const {
   return unique_[kNumCuisines];
 }
 
+std::span<const uint32_t> RecipeCorpus::PresenceRow(size_t scope) const {
+  const size_t universe = storage_.presence.size() / (kNumCuisines + 1);
+  return std::span<const uint32_t>(storage_.presence)
+      .subspan(scope * universe, universe);
+}
+
+std::span<const uint32_t> RecipeCorpus::presence(CuisineId cuisine) const {
+  CULEVO_CHECK(cuisine < kNumCuisines);
+  return PresenceRow(cuisine);
+}
+
+std::span<const uint32_t> RecipeCorpus::presence() const {
+  return PresenceRow(kNumCuisines);
+}
+
 double RecipeCorpus::MeanRecipeSize(CuisineId cuisine) const {
   const std::span<const uint32_t> indices = recipes_of(cuisine);
   if (indices.empty()) return 0.0;
@@ -275,13 +262,15 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
   }
 
   // One pass over the recipes checks the offsets, cuisines and ingredient
-  // order and marks which ids each cuisine uses. Every id of a well-formed
-  // corpus is at most the last entry of the sorted corpus-wide unique
-  // list; a larger one is missing from that list.
+  // order and counts the presence table. Every id of a well-formed corpus
+  // is at most the last entry of the sorted corpus-wide unique list; a
+  // larger one is missing from that list.
   const std::span<const IngredientId> all = views.unique[kNumCuisines];
   const size_t universe =
       all.empty() ? 0 : static_cast<size_t>(all.back()) + 1;
-  PresenceTable table(universe);
+  RecipeCorpus corpus;
+  std::vector<uint32_t>& presence = corpus.storage_.presence;
+  presence.assign((kNumCuisines + 1) * universe, 0);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t begin = views.offsets[i];
     const uint32_t end = views.offsets[i + 1];
@@ -291,7 +280,7 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
     if (views.cuisines[i] >= kNumCuisines) {
       return invalid("cuisine id out of range");
     }
-    const std::span<uint8_t> row = table.row(views.cuisines[i]);
+    uint32_t* row = presence.data() + views.cuisines[i] * universe;
     const std::span<const IngredientId> recipe =
         views.flat.subspan(begin, end - begin);
     for (size_t k = 0; k < recipe.size(); ++k) {
@@ -301,7 +290,7 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
       if (recipe[k] >= universe) {
         return invalid("unique-ingredient list is missing a used id");
       }
-      row[recipe[k]] = 1;
+      ++row[recipe[k]];
     }
   }
 
@@ -326,39 +315,39 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
     return invalid("shards must cover every recipe exactly once");
   }
 
-  // Unique lists: sorted, and exactly the ids marked for their scope (the
-  // corpus-wide scope is the union of the cuisine rows). Memory safety
-  // downstream (ContextFromCorpus counts into a row indexed by id, sized
-  // by the last entry of the cuisine's list) depends on completeness, so
-  // this is not optional even though the checksums already caught random
-  // corruption.
+  // Unique lists: sorted, and exactly the ids counted for their scope (the
+  // corpus-wide scope is the sum of the cuisine rows). Readers index
+  // presence(c) by the ids of the cuisine's list, so completeness is a
+  // memory-safety matter and not optional even though the checksums
+  // already caught random corruption.
   const auto mismatch = [](std::span<const IngredientId> unique,
-                           std::span<const uint8_t> marked) -> const char* {
+                           std::span<const uint32_t> counts) -> const char* {
     for (size_t k = 0; k < unique.size(); ++k) {
       if (k > 0 && unique[k - 1] >= unique[k]) {
         return "unique-ingredient lists must be sorted and unique";
       }
-      if (unique[k] >= marked.size()) {
+      if (unique[k] >= counts.size()) {
         return "unique-ingredient entry out of range";
       }
-      if (marked[unique[k]] == 0) {
+      if (counts[unique[k]] == 0) {
         return "unique-ingredient list contains unused ids";
       }
     }
     if (unique.size() !=
-        static_cast<size_t>(std::count(marked.begin(), marked.end(), 1))) {
+        static_cast<size_t>(std::count_if(counts.begin(), counts.end(),
+                                          [](uint32_t n) { return n != 0; }))) {
       return "unique-ingredient list is missing a used id";
     }
     return nullptr;
   };
-  table.FillUnion();
+  SumWorldRow(presence, universe);
   for (size_t scope = 0; scope <= kNumCuisines; ++scope) {
-    if (const char* error = mismatch(views.unique[scope], table.row(scope))) {
+    if (const char* error =
+            mismatch(views.unique[scope], corpus.PresenceRow(scope))) {
       return invalid(error);
     }
   }
 
-  RecipeCorpus corpus;
   corpus.backing_ = std::move(backing);
   corpus.flat_ = views.flat;
   corpus.offsets_ = views.offsets;
@@ -366,6 +355,16 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
   corpus.shards_ = views.shards;
   corpus.unique_ = views.unique;
   return corpus;
+}
+
+Status CheckIdsInLexicon(const RecipeCorpus& corpus, const Lexicon& lexicon,
+                         const std::string& source) {
+  // The corpus-wide unique list is sorted, so its last id is the largest.
+  const std::span<const IngredientId> used = corpus.UniqueIngredients();
+  if (used.empty() || used.back() < lexicon.size()) return Status::Ok();
+  return Status::FailedPrecondition(StrFormat(
+      "%s uses ingredient id %u, outside the %zu-entry lexicon",
+      source.c_str(), static_cast<unsigned>(used.back()), lexicon.size()));
 }
 
 }  // namespace culevo

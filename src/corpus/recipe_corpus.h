@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "corpus/cuisine.h"
@@ -29,13 +30,20 @@ struct RecipeView {
 /// stored as sorted unique id sets — the canonical form both the miners
 /// and the evolution models operate on.
 ///
+/// The recipe-presence counts n_i^c (Eq. 1) are counted once, by the pass
+/// each construction path already makes over the recipes (Builder::Build,
+/// FromColumns, IncrementalCorpus::Add), and every reader of them —
+/// overrepresentation, usage profiles, contexts, Zipf and PMI statistics,
+/// the query index — reads presence() instead of recounting.
+///
 /// Storage seam: every accessor returns a `std::span`, and the spans are
 /// backed either by vectors this corpus owns (Builder::Build, incremental
 /// ingestion) or by memory borrowed from a binary snapshot — an mmap'ed
 /// `CULEVO-CORPUS 1` container or its buffered-read fallback (see
 /// corpus/corpus_snapshot.h). In borrowed mode `backing_` keeps the
 /// mapping alive for as long as any copy of the corpus exists, so views
-/// never dangle. Call sites cannot tell the two modes apart.
+/// never dangle. Call sites cannot tell the two modes apart. The presence
+/// table is derived, never persisted, and always owned.
 ///
 /// Immutable after Build()/load; cheap to copy views from, thread-safe to
 /// read.
@@ -47,7 +55,7 @@ class RecipeCorpus {
    public:
     /// Adds one recipe. Returns InvalidArgument for an empty ingredient
     /// list or an out-of-range cuisine.
-    Status Add(CuisineId cuisine, std::vector<IngredientId> ingredients);
+    Status Add(CuisineId cuisine, const std::vector<IngredientId>& ingredients);
 
     /// Allocation-light overload for hot ingestion loops: the ingredients
     /// are copied into a reused scratch buffer for sort+dedup, so callers
@@ -72,7 +80,7 @@ class RecipeCorpus {
     std::vector<uint32_t> offsets_ = {0};
     std::vector<CuisineId> cuisines_;
     std::vector<IngredientId> scratch_;
-    /// Largest id added so far: the last presence-table column Build needs.
+    /// Largest id added so far: the last presence column Build counts.
     IngredientId max_id_ = 0;
   };
 
@@ -107,6 +115,14 @@ class RecipeCorpus {
 
   /// Distinct ingredient ids used anywhere in the corpus (sorted).
   std::span<const IngredientId> UniqueIngredients() const;
+
+  /// n_i^c: how many of `cuisine`'s recipes use ingredient i, for every id
+  /// i of the corpus universe [0, UniqueIngredients().back() + 1) — empty
+  /// for an empty corpus. Precondition: cuisine < kNumCuisines.
+  std::span<const uint32_t> presence(CuisineId cuisine) const;
+
+  /// sum_c n_i^c for every id of the universe.
+  std::span<const uint32_t> presence() const;
 
   /// Mean ingredient count per recipe in `cuisine`; 0 if empty.
   double MeanRecipeSize(CuisineId cuisine) const;
@@ -152,7 +168,9 @@ class RecipeCorpus {
   /// Owned columns (empty in borrowed mode). Shards and unique lists are
   /// flattened: shard c spans shard_offsets_[c]..shard_offsets_[c+1] of
   /// shard_index_, and likewise for unique lists (kNumCuisines + 1 lists,
-  /// the last one corpus-wide).
+  /// the last one corpus-wide). `presence` is filled in both modes:
+  /// kNumCuisines + 1 rows of universe counts, row-major [scope][id], the
+  /// last row the world totals.
   struct Storage {
     std::vector<IngredientId> flat;
     std::vector<uint32_t> offsets = {0};
@@ -161,7 +179,11 @@ class RecipeCorpus {
     std::vector<uint32_t> shard_offsets;
     std::vector<IngredientId> unique_flat;
     std::vector<uint32_t> unique_offsets;
+    std::vector<uint32_t> presence;
   };
+
+  /// Row `scope` of storage_.presence (kNumCuisines = the world row).
+  std::span<const uint32_t> PresenceRow(size_t scope) const;
 
   /// Points the view members at storage_ (owned mode).
   void RebindViews();
@@ -175,6 +197,13 @@ class RecipeCorpus {
   std::array<std::span<const uint32_t>, kNumCuisines> shards_;
   std::array<std::span<const IngredientId>, kNumCuisines + 1> unique_;
 };
+
+/// FailedPrecondition unless every id `corpus` uses is below
+/// `lexicon.size()`; `source` names the corpus in the message. A corpus
+/// from a file may use any id, and Lexicon CHECK-fails outside its
+/// entries, so code that reads ids through the lexicon checks this first.
+Status CheckIdsInLexicon(const RecipeCorpus& corpus, const Lexicon& lexicon,
+                         const std::string& source);
 
 }  // namespace culevo
 

@@ -12,8 +12,6 @@ namespace culevo {
 QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
   static obs::Histogram* build_ms = registry.histogram("serve.index.build_ms");
-  static obs::Histogram* counts_ms =
-      registry.histogram("serve.index.counts_ms");
   static obs::Histogram* overrep_ms =
       registry.histogram("serve.index.overrep_ms");
   static obs::Histogram* profiles_ms =
@@ -25,19 +23,13 @@ QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
 
   QueryIndex index;
 
-  // The one counting pass; every table below is derived from it.
-  const PresenceCounts counts = [&corpus] {
-    const obs::ScopedTimer phase(counts_ms);
-    return PresenceCounts(corpus);
-  }();
-
   // Per-cuisine overrepresentation tables, exactly the batch ranking.
   {
     const obs::ScopedTimer phase(overrep_ms);
     index.overrep_.resize(kNumCuisines);
     for (int c = 0; c < kNumCuisines; ++c) {
       index.overrep_[static_cast<size_t>(c)] =
-          ComputeOverrepresentation(counts, static_cast<CuisineId>(c));
+          ComputeOverrepresentation(corpus, static_cast<CuisineId>(c));
     }
   }
 
@@ -45,7 +37,7 @@ QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
   // the batch NearestCuisines (top-k is a prefix of it).
   {
     const obs::ScopedTimer phase(profiles_ms);
-    index.profiles_ = std::make_shared<const UsageProfileCache>(counts);
+    index.profiles_ = std::make_shared<const UsageProfileCache>(corpus);
     index.nearest_.resize(kNumCuisines);
     for (int c = 0; c < kNumCuisines; ++c) {
       index.nearest_[static_cast<size_t>(c)] = NearestCuisines(
@@ -59,7 +51,7 @@ QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
   index.cuisine_recipes_.resize(kNumCuisines);
   for (int c = 0; c < kNumCuisines; ++c) {
     index.cuisine_recipes_[static_cast<size_t>(c)] = static_cast<uint32_t>(
-        counts.recipes_in(static_cast<CuisineId>(c)));
+        corpus.num_recipes_in(static_cast<CuisineId>(c)));
   }
 
   // Ingredient→recipe postings, CSR over the id universe. A world count
@@ -68,7 +60,7 @@ QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
   // postings come out sorted.
   {
     const obs::ScopedTimer phase(postings_ms);
-    const std::span<const uint32_t> world = counts.world();
+    const std::span<const uint32_t> world = corpus.presence();
     index.posting_offsets_.assign(world.size() + 1, 0);
     std::partial_sum(world.begin(), world.end(),
                      index.posting_offsets_.begin() + 1);

@@ -24,16 +24,17 @@ namespace culevo {
 /// lookups binary-search a per-cuisine rank table. Every answer is
 /// bit-identical to what the batch analysis entry points
 /// (ComputeOverrepresentation, NearestCuisines, ...) return for the same
-/// corpus, because the tables are built *by* those entry points, fed from
-/// one shared PresenceCounts table.
+/// corpus, because the tables are built *by* those entry points, all
+/// reading the corpus's own presence counts (RecipeCorpus::presence).
 ///
 /// Immutable after Build(); safe to read concurrently.
 class QueryIndex {
  public:
-  /// Builds all tables from one counting pass (PresenceCounts) plus one
-  /// postings placement pass over the corpus. Each table's build time is
-  /// recorded in serve.index.{counts,overrep,profiles,postings,ranks}_ms,
-  /// the total in serve.index.build_ms.
+  /// Builds all tables from the corpus's presence counts plus one postings
+  /// placement pass over the corpus, its only pass over the recipes. Each
+  /// table's build time is recorded in
+  /// serve.index.{overrep,profiles,postings,ranks}_ms, the total in
+  /// serve.index.build_ms.
   static QueryIndex Build(const RecipeCorpus& corpus);
 
   QueryIndex() = default;

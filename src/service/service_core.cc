@@ -511,15 +511,9 @@ ServiceCore::ServiceCore(const Lexicon* lexicon, ServiceOptions options)
     : lexicon_(lexicon), options_(options) {}
 
 Status ServiceCore::Install(std::shared_ptr<const ServiceSnapshot> next) {
-  // Requests render ids through the lexicon, which CHECK-fails outside it;
-  // the corpus-wide unique list is sorted, so its last id is the largest.
-  const std::span<const IngredientId> used = next->corpus.UniqueIngredients();
-  if (!used.empty() && used.back() >= lexicon_->size()) {
-    return Status::FailedPrecondition(
-        StrFormat("%s uses ingredient id %u, outside the %zu-entry lexicon",
-                  next->source.c_str(), static_cast<unsigned>(used.back()),
-                  lexicon_->size()));
-  }
+  // Requests render ids through the lexicon, which CHECK-fails outside it.
+  CULEVO_RETURN_IF_ERROR(
+      CheckIdsInLexicon(next->corpus, *lexicon_, next->source));
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   const_cast<ServiceSnapshot&>(*next).epoch = next_epoch_++;
   snapshot_ = std::move(next);

@@ -58,10 +58,11 @@ struct ServiceOptions {
 bool ShouldShedExpensive(const ServiceOptions& options, int inflight,
                          double latency_ema_ms);
 
-/// One immutable generation of the service's data: the corpus, its
-/// precomputed stats, and the derived query indexes. Swapped wholesale on
-/// reload; readers that still hold the previous generation keep using it
-/// until they finish (shared_ptr refcount is the grace period).
+/// One immutable generation of the service's data: the corpus (with the
+/// presence counts it keeps), its precomputed stats, and the query
+/// indexes derived from them. Swapped wholesale on reload; readers that
+/// still hold the previous generation keep using it until they finish
+/// (shared_ptr refcount is the grace period).
 ///
 /// Every generation counts in the serve.generations_live gauge from
 /// construction to destruction, so one that something still pins after a
@@ -123,8 +124,7 @@ struct ServiceSnapshot {
 /// serve.brownout.sheds, serve.brownout.active, serve.generations_live
 /// (ServiceSnapshots alive: 1 when idle, 2 while a reload builds the next
 /// one or a reader still holds the previous one), serve.index.build_ms and
-/// its per-table parts serve.index.{counts,overrep,profiles,postings,
-/// ranks}_ms.
+/// its per-table parts serve.index.{overrep,profiles,postings,ranks}_ms.
 /// Failpoints: serve.reload (before any reload touches its file), plus
 /// the staged delta-swap points serve.reload.delta.read,
 /// serve.reload.delta.apply, serve.reload.index, serve.reload.install.

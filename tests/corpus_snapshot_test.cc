@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -64,6 +65,13 @@ void ExpectBitIdentical(const RecipeCorpus& expected,
   ASSERT_EQ(expected.num_recipes(), actual.num_recipes());
   EXPECT_TRUE(SameStats(ComputeCuisineStats(expected),
                         ComputeCuisineStats(actual)));
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    EXPECT_TRUE(std::ranges::equal(expected.presence(cuisine),
+                                   actual.presence(cuisine)))
+        << "cuisine " << c;
+  }
+  EXPECT_TRUE(std::ranges::equal(expected.presence(), actual.presence()));
   for (int c = 0; c < 6; ++c) {
     const TransactionSet lhs =
         IngredientTransactions(expected, static_cast<CuisineId>(c));
@@ -440,6 +448,7 @@ TEST_F(CorpusSnapshotTest, EmptyCorpusRoundTrips) {
   Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->corpus.num_recipes(), 0u);
+  ExpectBitIdentical(corpus, loaded->corpus);
 }
 
 }  // namespace

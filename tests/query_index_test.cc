@@ -16,7 +16,7 @@ namespace culevo {
 namespace {
 
 /// Recipe-presence counts by direct recipe scan, independent of
-/// PresenceCounts: counts[c][id] and the world totals.
+/// RecipeCorpus::presence: counts[c][id] and the world totals.
 struct BruteCounts {
   std::vector<std::map<IngredientId, uint32_t>> cuisine =
       std::vector<std::map<IngredientId, uint32_t>>(kNumCuisines);
@@ -34,12 +34,27 @@ BruteCounts CountByScan(const RecipeCorpus& corpus) {
   return counts;
 }
 
+/// `counts` dense over the corpus universe [0, UniqueIngredients().back()
+/// + 1), the shape of RecipeCorpus::presence.
+std::vector<uint32_t> Dense(const RecipeCorpus& corpus,
+                            const std::map<IngredientId, uint32_t>& counts) {
+  const std::span<const IngredientId> unique = corpus.UniqueIngredients();
+  std::vector<uint32_t> dense(unique.empty() ? 0 : unique.back() + 1u, 0);
+  for (const auto& [id, count] : counts) dense[id] = count;
+  return dense;
+}
+
+std::vector<uint32_t> AsVector(std::span<const uint32_t> counts) {
+  return std::vector<uint32_t>(counts.begin(), counts.end());
+}
+
 /// Checks every table of QueryIndex::Build(corpus) against the batch
 /// entry points and brute-force references, for every cuisine.
 void ExpectIndexMatchesReferences(const RecipeCorpus& corpus) {
   const QueryIndex index = QueryIndex::Build(corpus);
   const BruteCounts brute = CountByScan(corpus);
   const double n_world = static_cast<double>(corpus.num_recipes());
+  EXPECT_EQ(AsVector(corpus.presence()), Dense(corpus, brute.world));
 
   for (int c = 0; c < kNumCuisines; ++c) {
     SCOPED_TRACE("cuisine " + std::to_string(c));
@@ -47,6 +62,7 @@ void ExpectIndexMatchesReferences(const RecipeCorpus& corpus) {
     const std::map<IngredientId, uint32_t>& used = brute.cuisine[c];
     const double n_cuisine =
         static_cast<double>(corpus.num_recipes_in(cuisine));
+    EXPECT_EQ(AsVector(corpus.presence(cuisine)), Dense(corpus, used));
 
     // Overrepresentation: the batch table, and Eq. 1 from the scan.
     const std::vector<OverrepresentationScore> batch =
@@ -230,7 +246,7 @@ TEST(QueryIndexTest, RecordsPerTableBuildTimers) {
   const obs::MetricsSnapshot metrics =
       obs::MetricsRegistry::Get().Snapshot();
   for (const char* name :
-       {"serve.index.build_ms", "serve.index.counts_ms",
+       {"serve.index.build_ms",
         "serve.index.overrep_ms", "serve.index.profiles_ms",
         "serve.index.postings_ms", "serve.index.ranks_ms"}) {
     ASSERT_TRUE(metrics.histograms.count(name)) << name;

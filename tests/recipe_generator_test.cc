@@ -150,5 +150,20 @@ TEST(RecipeGeneratorTest, CreateValidation) {
       RecipeGenerator::Create(&GenCorpus(), kor, &WorldLexicon(), 1).ok());
 }
 
+// A corpus from a file may use any id; the generator's popularity table
+// is lexicon-sized and Lexicon CHECK-fails outside its entries, so such a
+// corpus is refused up front.
+TEST(RecipeGeneratorTest, RejectsCorpusIdsOutsideLexicon) {
+  const IngredientId outside =
+      static_cast<IngredientId>(WorldLexicon().size() + 40);
+  RecipeCorpus::Builder builder;
+  ASSERT_TRUE(builder.Add(Ita(), {1, 2, 3}).ok());
+  ASSERT_TRUE(builder.Add(Ita(), {2, 5, outside}).ok());
+  const RecipeCorpus corpus = builder.Build();
+  const Result<RecipeGenerator> generator =
+      RecipeGenerator::Create(&corpus, Ita(), &WorldLexicon(), 1);
+  EXPECT_EQ(generator.status().code(), StatusCode::kFailedPrecondition);
+}
+
 }  // namespace
 }  // namespace culevo
