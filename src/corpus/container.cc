@@ -9,12 +9,14 @@
 #include <array>
 #include <bit>
 #include <cerrno>
+#include <numeric>
 
 #include "obs/metrics.h"
 #include "util/failpoint.h"
 #include "util/file_io.h"
 #include "util/hash.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace culevo {
 namespace {
@@ -22,6 +24,9 @@ namespace {
 constexpr uint32_t kEndianMarker = 0x01020304;
 constexpr size_t kSectionAlign = 8;
 constexpr uint32_t kMaxSections = 4096;
+/// Fewest file bytes that earn a checksum thread (about 2 ms of FNV-1a):
+/// a smaller file is verified on the calling thread.
+constexpr size_t kHashBytesPerThread = size_t{1} << 20;
 
 /// The header and a section-table entry exactly as they lie on disk
 /// (little-endian hosts only; no padding).
@@ -240,13 +245,17 @@ Result<Container> ReadContainer(const std::string& path,
     return corrupt("section-table checksum mismatch");
   }
 
-  // Verify every section, and that the payloads tile the rest of the file
-  // exactly as WriteContainer lays them out, before handing any out.
+  // Check that the payloads tile the rest of the file exactly as
+  // WriteContainer lays them out, then verify every payload checksum,
+  // before handing any section out. The checksums are the cost of a load,
+  // so they run as parallel tasks, largest payload first (the longest
+  // serial FNV chain starts first). The refusal is the one a serial walk
+  // in table order gives: the first checksum mismatch before the first
+  // section that disagrees with the layout, else that disagreement.
   Container container;
   container.words_ = {header.word0, header.word1, header.word2};
   container.sections_.reserve(header.section_count);
-  const Status forced_corrupt =
-      FailpointCheck(Prefixed(format, ".read.corrupt"));
+  std::optional<Status> layout_error;
   size_t end = sizeof(Header) + table_bytes;
   for (uint32_t i = 0; i < header.section_count; ++i) {
     TableEntry entry{};
@@ -255,21 +264,43 @@ Result<Container> ReadContainer(const std::string& path,
     const size_t offset = AlignUp(end);
     if (entry.reserved != 0 || entry.offset != offset ||
         offset > file.size() || entry.size > file.size() - offset) {
-      return corrupt(
+      layout_error = corrupt(
           StrFormat("section %u disagrees with the layout", entry.id));
+      break;
     }
     if (file.substr(end, offset - end).find_first_not_of('\0') !=
         std::string_view::npos) {
-      return corrupt(StrFormat("nonzero padding before section %u", entry.id));
-    }
-    if (!forced_corrupt.ok() ||
-        Fnv1a64(file.substr(offset, entry.size)) != entry.checksum) {
-      return corrupt(StrFormat("checksum mismatch in section %u", entry.id));
+      layout_error =
+          corrupt(StrFormat("nonzero padding before section %u", entry.id));
+      break;
     }
     container.sections_.push_back(
         {entry.id, {(*backing)->data + offset, entry.size}, entry.checksum});
     end = offset + entry.size;
   }
+  const std::vector<Container::Entry>& sections = container.sections_;
+  std::vector<size_t> by_size(sections.size());
+  std::iota(by_size.begin(), by_size.end(), size_t{0});
+  std::stable_sort(by_size.begin(), by_size.end(), [&](size_t a, size_t b) {
+    return sections[a].bytes.size() > sections[b].bytes.size();
+  });
+  std::vector<uint8_t> intact(sections.size());
+  RunTasks(sections.size(), ThreadsFor(end, kHashBytesPerThread),
+           [&](size_t task) {
+             const Container::Entry& section = sections[by_size[task]];
+             intact[by_size[task]] = Fnv1a64(std::string_view(
+                 reinterpret_cast<const char*>(section.bytes.data()),
+                 section.bytes.size())) == section.checksum;
+           });
+  const Status forced_corrupt =
+      FailpointCheck(Prefixed(format, ".read.corrupt"));
+  for (size_t i = 0; i < sections.size(); ++i) {
+    if (!forced_corrupt.ok() || !intact[i]) {
+      return corrupt(
+          StrFormat("checksum mismatch in section %u", sections[i].id));
+    }
+  }
+  if (layout_error) return *std::move(layout_error);
   if (end != file.size()) {
     return corrupt("trailing bytes after the last section");
   }

@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace culevo {
 namespace {
@@ -191,8 +192,27 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
   const Result<uint64_t> flat_checksum = file->Checksum(kSecFlat);
   if (!flat_checksum.ok()) return flat_checksum.status();
 
-  Result<RecipeCorpus> corpus =
-      RecipeCorpus::FromColumns(views, file->backing());
+  // The fingerprint continuation reads only columns the checksums have
+  // verified, so once the corpus is large enough to split it runs on a
+  // thread of its own beside FromColumns, which keeps the calling thread
+  // and with it every buffer the load allocates.
+  uint64_t fingerprint = 0;
+  const auto continue_fingerprint = [&] {
+    fingerprint = FingerprintFrom(*flat_checksum, views.offsets,
+                                  views.cuisines);
+  };
+  Result<RecipeCorpus> corpus = [&] {
+    if (ThreadsFor(num_recipes, kRecipesPerThread) == 1) {
+      continue_fingerprint();
+      return RecipeCorpus::FromColumns(views, file->backing());
+    }
+    ThreadPool beside(1);
+    std::future<void> fingerprinted = beside.Submit(continue_fingerprint);
+    Result<RecipeCorpus> validated =
+        RecipeCorpus::FromColumns(views, file->backing());
+    fingerprinted.get();
+    return validated;
+  }();
   if (!corpus.ok()) {
     // Checksums passed but the columns are not a well-formed corpus: the
     // writer (or a crafted file) lied about the invariants.
@@ -211,8 +231,7 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
   LoadedCorpusSnapshot loaded;
   loaded.corpus = std::move(corpus).value();
   loaded.stats = std::move(stats);
-  loaded.content_fingerprint =
-      FingerprintFrom(*flat_checksum, views.offsets, views.cuisines);
+  loaded.content_fingerprint = fingerprint;
   loaded.memory_mapped = file->memory_mapped();
   loaded.file_bytes = file->file_bytes();
   load_ms->Record(load_watch.ElapsedMillis());

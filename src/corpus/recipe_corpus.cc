@@ -5,6 +5,7 @@
 
 #include "util/check.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace culevo {
 
@@ -265,32 +266,62 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
   // order and counts the presence table. Every id of a well-formed corpus
   // is at most the last entry of the sorted corpus-wide unique list; a
   // larger one is missing from that list.
+  //
+  // The pass splits into contiguous recipe ranges, one per thread. Range
+  // 0 counts into the table itself, every other range into private
+  // cuisine rows allocated here on the calling thread, and those rows are
+  // added to the table in range order. Each range stops at its first bad
+  // recipe, so the lowest failing range holds the first bad recipe in
+  // index order: the refusal is the serial pass's whatever the CPU count.
+  // A range reads its first offset unchecked, but a recipe's bounds are
+  // only used once begin < end <= flat.size() holds.
   const std::span<const IngredientId> all = views.unique[kNumCuisines];
   const size_t universe =
       all.empty() ? 0 : static_cast<size_t>(all.back()) + 1;
+  const size_t cuisine_cells = kNumCuisines * universe;
   RecipeCorpus corpus;
   std::vector<uint32_t>& presence = corpus.storage_.presence;
-  presence.assign((kNumCuisines + 1) * universe, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t begin = views.offsets[i];
-    const uint32_t end = views.offsets[i + 1];
-    if (end <= begin || end > views.flat.size()) {
-      return invalid("offsets must be strictly increasing (empty recipe?)");
-    }
-    if (views.cuisines[i] >= kNumCuisines) {
-      return invalid("cuisine id out of range");
-    }
-    uint32_t* row = presence.data() + views.cuisines[i] * universe;
-    const std::span<const IngredientId> recipe =
-        views.flat.subspan(begin, end - begin);
-    for (size_t k = 0; k < recipe.size(); ++k) {
-      if (k > 0 && recipe[k - 1] >= recipe[k]) {
-        return invalid("recipe ingredients must be sorted and unique");
+  presence.assign(cuisine_cells + universe, 0);
+  const size_t ranges = ThreadsFor(n, kRecipesPerThread);
+  std::vector<std::vector<uint32_t>> private_rows(
+      ranges - 1, std::vector<uint32_t>(cuisine_cells, 0));
+  std::vector<const char*> errors(ranges, nullptr);
+  RunTasks(ranges, ranges, [&](size_t range) {
+    uint32_t* const table =
+        range == 0 ? presence.data() : private_rows[range - 1].data();
+    for (size_t i = range * n / ranges; i < (range + 1) * n / ranges; ++i) {
+      const uint32_t begin = views.offsets[i];
+      const uint32_t end = views.offsets[i + 1];
+      if (end <= begin || end > views.flat.size()) {
+        errors[range] = "offsets must be strictly increasing (empty recipe?)";
+        return;
       }
-      if (recipe[k] >= universe) {
-        return invalid("unique-ingredient list is missing a used id");
+      if (views.cuisines[i] >= kNumCuisines) {
+        errors[range] = "cuisine id out of range";
+        return;
       }
-      ++row[recipe[k]];
+      uint32_t* row = table + views.cuisines[i] * universe;
+      const std::span<const IngredientId> recipe =
+          views.flat.subspan(begin, end - begin);
+      for (size_t k = 0; k < recipe.size(); ++k) {
+        if (k > 0 && recipe[k - 1] >= recipe[k]) {
+          errors[range] = "recipe ingredients must be sorted and unique";
+          return;
+        }
+        if (recipe[k] >= universe) {
+          errors[range] = "unique-ingredient list is missing a used id";
+          return;
+        }
+        ++row[recipe[k]];
+      }
+    }
+  });
+  for (const char* error : errors) {
+    if (error != nullptr) return invalid(error);
+  }
+  for (const std::vector<uint32_t>& rows : private_rows) {
+    for (size_t cell = 0; cell < cuisine_cells; ++cell) {
+      presence[cell] += rows[cell];
     }
   }
 

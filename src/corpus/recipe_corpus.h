@@ -198,6 +198,11 @@ class RecipeCorpus {
   std::array<std::span<const IngredientId>, kNumCuisines + 1> unique_;
 };
 
+/// Fewest recipes that earn a thread of their own in a pass over a corpus
+/// (FromColumns' validation, QueryIndex::Build's postings): about half a
+/// millisecond of work, so a smaller corpus stays on the calling thread.
+inline constexpr size_t kRecipesPerThread = 16384;
+
 /// FailedPrecondition unless every id `corpus` uses is below
 /// `lexicon.size()`; `source` names the corpus in the message. A corpus
 /// from a file may use any id, and Lexicon CHECK-fails outside its

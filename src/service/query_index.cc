@@ -6,10 +6,12 @@
 
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
+#include "util/thread_pool.h"
 
 namespace culevo {
 
-QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
+QueryIndex QueryIndex::Build(const RecipeCorpus& corpus,
+                             size_t max_threads) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
   static obs::Histogram* build_ms = registry.histogram("serve.index.build_ms");
   static obs::Histogram* overrep_ms =
@@ -55,24 +57,55 @@ QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
   }
 
   // Ingredient→recipe postings, CSR over the id universe. A world count
-  // is a posting-list length, so one placement pass suffices and writes
-  // every slot exactly once (no zero-fill first); recipes ascend, so
-  // postings come out sorted.
+  // is a posting-list length, so the list starts are a prefix sum of the
+  // presence counts. The recipes split into contiguous ranges, one per
+  // thread: each range but the last counts its ids, a pass over (id,
+  // range) turns the counts into each range's cursor into each list (the
+  // list start plus the counts of the ranges before it), and then every
+  // range places its recipes. A list holds its ranges' segments in range
+  // order and each range's recipes ascend, so every list comes out
+  // sorted, and every slot is written exactly once (no zero-fill first).
   {
     const obs::ScopedTimer phase(postings_ms);
     const std::span<const uint32_t> world = corpus.presence();
-    index.posting_offsets_.assign(world.size() + 1, 0);
+    const size_t universe = world.size();
+    index.posting_offsets_.assign(universe + 1, 0);
     std::partial_sum(world.begin(), world.end(),
                      index.posting_offsets_.begin() + 1);
     index.posting_recipes_ =
         std::make_unique_for_overwrite<uint32_t[]>(corpus.total_mentions());
-    std::vector<uint32_t> cursor(index.posting_offsets_.begin(),
-                                 index.posting_offsets_.end() - 1);
-    for (uint32_t r = 0; r < corpus.num_recipes(); ++r) {
-      for (IngredientId id : corpus.ingredients_of(r)) {
-        index.posting_recipes_[cursor[id]++] = r;
+    const size_t n = corpus.num_recipes();
+    const size_t ranges = std::max<size_t>(
+        1, std::min(max_threads, ThreadsFor(n, kRecipesPerThread)));
+    const auto first_recipe = [n, ranges](size_t range) {
+      return static_cast<uint32_t>(range * n / ranges);
+    };
+    // Row r of `cursors` is range r's cursors; rows 1.. first hold the
+    // counts of ranges 0.. (the last range's count is never needed).
+    std::vector<uint32_t> cursors(ranges * universe, 0);
+    std::copy(index.posting_offsets_.begin(),
+              index.posting_offsets_.end() - 1, cursors.begin());
+    RunTasks(ranges - 1, ranges - 1, [&](size_t range) {
+      uint32_t* const counts = cursors.data() + (range + 1) * universe;
+      for (uint32_t r = first_recipe(range); r < first_recipe(range + 1);
+           ++r) {
+        for (IngredientId id : corpus.ingredients_of(r)) ++counts[id];
+      }
+    });
+    for (size_t range = 1; range < ranges; ++range) {
+      for (size_t id = 0; id < universe; ++id) {
+        cursors[range * universe + id] += cursors[(range - 1) * universe + id];
       }
     }
+    RunTasks(ranges, ranges, [&](size_t range) {
+      uint32_t* const cursor = cursors.data() + range * universe;
+      for (uint32_t r = first_recipe(range); r < first_recipe(range + 1);
+           ++r) {
+        for (IngredientId id : corpus.ingredients_of(r)) {
+          index.posting_recipes_[cursor[id]++] = r;
+        }
+      }
+    });
   }
 
   // Per-cuisine usage-rank tables from the sparse profiles.

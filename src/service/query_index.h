@@ -2,6 +2,7 @@
 #define CULEVO_SERVICE_QUERY_INDEX_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -30,12 +31,15 @@ namespace culevo {
 /// Immutable after Build(); safe to read concurrently.
 class QueryIndex {
  public:
-  /// Builds all tables from the corpus's presence counts plus one postings
-  /// placement pass over the corpus, its only pass over the recipes. Each
-  /// table's build time is recorded in
+  /// Builds all tables from the corpus's presence counts plus the
+  /// postings placement, its only pass over the recipes. Postings are
+  /// placed by recipe range on up to `max_threads` threads (at most one
+  /// per usable CPU, see ThreadsFor); the tables are the same whatever the
+  /// count. Each table's build time is recorded in
   /// serve.index.{overrep,profiles,postings,ranks}_ms, the total in
   /// serve.index.build_ms.
-  static QueryIndex Build(const RecipeCorpus& corpus);
+  static QueryIndex Build(const RecipeCorpus& corpus,
+                          size_t max_threads = SIZE_MAX);
 
   QueryIndex() = default;
 

@@ -135,27 +135,28 @@ Result<CuisineId> CuisineArg(const ParsedRequest& request, size_t pos) {
   return CuisineFromCode(request.positional[pos]);
 }
 
+/// The `k` of `overrep` and `nearest`: the positional one, else the `k=`
+/// option, else 5.
+Result<size_t> TopK(const ParsedRequest& request) {
+  Result<long long> k = request.positional.size() > 1
+                            ? ParseInt(request.positional[1])
+                            : IntOption(request, "k", 5);
+  if (!k.ok()) return k.status();
+  if (*k <= 0) return Status::InvalidArgument("k must be positive");
+  return static_cast<size_t>(*k);
+}
+
 /// `overrep <CUISINE> [k]` — prefix slice of the precomputed table.
 Result<std::vector<std::string>> HandleOverrep(
     const Lexicon& lexicon, const ServiceOptions& options,
     const ParsedRequest& request, const ServiceSnapshot& snapshot) {
   Result<CuisineId> cuisine = CuisineArg(request, 0);
   if (!cuisine.ok()) return cuisine.status();
-  long long k = 5;
-  if (request.positional.size() > 1) {
-    Result<long long> parsed = ParseInt(request.positional[1]);
-    if (!parsed.ok()) return parsed.status();
-    k = *parsed;
-  } else if (Result<long long> opt = IntOption(request, "k", k); opt.ok()) {
-    k = *opt;
-  } else {
-    return opt.status();
-  }
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
+  const Result<size_t> k = TopK(request);
+  if (!k.ok()) return k.status();
   const std::span<const OverrepresentationScore> table =
       snapshot.index.Overrepresentation(*cuisine);
-  const size_t n = std::min<size_t>(
-      {static_cast<size_t>(k), table.size(), options.max_results});
+  const size_t n = std::min<size_t>({*k, table.size(), options.max_results});
   std::vector<std::string> rows;
   rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -175,16 +176,10 @@ Result<std::vector<std::string>> HandleNearest(
     const ServiceSnapshot& snapshot) {
   Result<CuisineId> cuisine = CuisineArg(request, 0);
   if (!cuisine.ok()) return cuisine.status();
-  long long k = 5;
-  if (request.positional.size() > 1) {
-    Result<long long> parsed = ParseInt(request.positional[1]);
-    if (!parsed.ok()) return parsed.status();
-    k = *parsed;
-  }
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  const std::span<const CuisineNeighbor> neighbors = snapshot.index.Nearest(
-      *cuisine, std::min<size_t>(static_cast<size_t>(k),
-                                 options.max_results));
+  const Result<size_t> k = TopK(request);
+  if (!k.ok()) return k.status();
+  const std::span<const CuisineNeighbor> neighbors =
+      snapshot.index.Nearest(*cuisine, std::min(*k, options.max_results));
   std::vector<std::string> rows;
   rows.reserve(neighbors.size());
   for (const CuisineNeighbor& n : neighbors) {
@@ -510,14 +505,15 @@ ServiceSnapshot::~ServiceSnapshot() { GenerationsLive()->Add(-1.0); }
 ServiceCore::ServiceCore(const Lexicon* lexicon, ServiceOptions options)
     : lexicon_(lexicon), options_(options) {}
 
-Status ServiceCore::Install(std::shared_ptr<const ServiceSnapshot> next) {
+Result<std::shared_ptr<const ServiceSnapshot>> ServiceCore::Install(
+    std::shared_ptr<const ServiceSnapshot> next) {
   // Requests render ids through the lexicon, which CHECK-fails outside it.
   CULEVO_RETURN_IF_ERROR(
       CheckIdsInLexicon(next->corpus, *lexicon_, next->source));
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   const_cast<ServiceSnapshot&>(*next).epoch = next_epoch_++;
-  snapshot_ = std::move(next);
-  return Status::Ok();
+  snapshot_.swap(next);
+  return next;
 }
 
 Status ServiceCore::LoadFromFile(const std::string& path) {
@@ -535,7 +531,7 @@ Status ServiceCore::LoadFromFile(const std::string& path) {
     next->index = QueryIndex::Build(next->corpus);
     next->source = path;
     next->content_fingerprint = loaded->content_fingerprint;
-    return Install(std::move(next));
+    return Install(std::move(next)).status();
   }();
   if (status.ok()) {
     reloads->Increment();
@@ -552,19 +548,37 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
       obs::MetricsRegistry::Get().counter("serve.delta_reloads");
   static obs::Counter* reload_failures =
       obs::MetricsRegistry::Get().counter("serve.reload_failures");
+  // Stage timers, recorded together once the swap has succeeded, so a
+  // refused delta leaves no sample (the index stage is
+  // serve.index.build_ms).
+  enum Stage { kLoad, kApply, kFingerprint, kInstall, kRelease, kStages };
+  static obs::Histogram* const stage_ms[kStages] = {
+      obs::MetricsRegistry::Get().histogram("serve.reload.load_ms"),
+      obs::MetricsRegistry::Get().histogram("serve.reload.apply_ms"),
+      obs::MetricsRegistry::Get().histogram("serve.reload.fingerprint_ms"),
+      obs::MetricsRegistry::Get().histogram("serve.reload.install_ms"),
+      obs::MetricsRegistry::Get().histogram("serve.reload.release_ms")};
+  double elapsed_ms[kStages] = {};
+  Stopwatch stage;
+  const auto lap = [&](Stage done) {
+    elapsed_ms[done] = stage.ElapsedMillis();
+    stage.Restart();
+  };
   // Every stage of the swap is failpoint-armable and every failure path
   // returns before Install, so the old generation keeps serving no matter
   // where the swap dies.
   Status status = [&]() -> Status {
     CULEVO_FAILPOINT("serve.reload");
-    const std::shared_ptr<const ServiceSnapshot> current = Acquire();
+    std::shared_ptr<const ServiceSnapshot> current = Acquire();
     if (current == nullptr) {
       return Status::FailedPrecondition(
           "no generation installed to apply a delta to");
     }
     CULEVO_FAILPOINT("serve.reload.delta.read");
+    stage.Restart();
     Result<CorpusDelta> delta = LoadCorpusDelta(path);
     if (!delta.ok()) return delta.status();
+    lap(kLoad);
     if (delta->base_recipes != current->corpus.num_recipes() ||
         delta->base_fingerprint != current->content_fingerprint) {
       return Status::FailedPrecondition(StrFormat(
@@ -597,14 +611,30 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
       if (!corpus.ok()) return corpus.status();
       next->corpus = std::move(*corpus);
     }
+    lap(kApply);
     CULEVO_FAILPOINT("serve.reload.index");
-    next->index = QueryIndex::Build(next->corpus);
+    // The other workers go on serving reads meanwhile, so the build keeps
+    // to this thread and leaves them their CPUs: placing postings on every
+    // CPU shortened the reload far less than it slowed those reads.
+    next->index = QueryIndex::Build(next->corpus, 1);
     next->source = current->source + "+" + path;
+    stage.Restart();
     next->content_fingerprint = CorpusContentFingerprint(next->corpus);
+    lap(kFingerprint);
     CULEVO_FAILPOINT("serve.reload.install");
-    return Install(std::move(next));
+    Result<std::shared_ptr<const ServiceSnapshot>> previous =
+        Install(std::move(next));
+    if (!previous.ok()) return previous.status();
+    lap(kInstall);
+    // Both handles point at the replaced generation; it is torn down here
+    // unless a reader still holds it.
+    previous->reset();
+    current.reset();
+    lap(kRelease);
+    return Status::Ok();
   }();
   if (status.ok()) {
+    for (int i = 0; i < kStages; ++i) stage_ms[i]->Record(elapsed_ms[i]);
     reloads->Increment();
     delta_reloads->Increment();
   } else {
@@ -620,7 +650,7 @@ Status ServiceCore::InstallCorpus(RecipeCorpus corpus, std::string source) {
   next->content_fingerprint = CorpusContentFingerprint(corpus);
   next->corpus = std::move(corpus);
   next->source = std::move(source);
-  return Install(std::move(next));
+  return Install(std::move(next)).status();
 }
 
 std::shared_ptr<const ServiceSnapshot> ServiceCore::Acquire() const {

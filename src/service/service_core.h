@@ -93,19 +93,21 @@ struct ServiceSnapshot {
 ///   info
 ///   metrics
 ///   stats   <CUISINE>
-///   overrep <CUISINE> [k]
-///   nearest <CUISINE> [k]
+///   overrep <CUISINE> [k] [k=N]
+///   nearest <CUISINE> [k] [k=N]
 ///   freq    <CUISINE> <ingredient>
 ///   recipe  <index>
 ///   search  <ingredient>[,<ingredient>...] [cuisine=CODE] [limit=N]
 ///   simulate <CUISINE> <CM-R|CM-C|CM-M|NM> [replicas=N] [seed=N]
 ///   reload-delta <path>
 ///
-/// Any request accepts `deadline_ms=N` to tighten its deadline below the
-/// service default. Responses: first line `ok [rows]` or
-/// `error <Status>`, then one row per line, tab-separated; doubles are
-/// rendered with %.17g so round-tripping them is lossless (the values are
-/// bit-identical to the batch analysis entry points on the same corpus).
+/// `overrep` and `nearest` return their top k rows (default 5), k given
+/// positionally or as `k=N`; a positional k wins. Any request accepts
+/// `deadline_ms=N` to tighten its deadline below the service default.
+/// Responses: first line `ok [rows]` or `error <Status>`, then one row
+/// per line, tab-separated; doubles are rendered with %.17g so
+/// round-tripping them is lossless (the values are bit-identical to the
+/// batch analysis entry points on the same corpus).
 /// Brownout rejections carry one extra row, `retry-after-ms\t<N>`.
 ///
 /// `metrics` and `reload-delta` are admin requests: they are exempt from
@@ -124,7 +126,11 @@ struct ServiceSnapshot {
 /// serve.brownout.sheds, serve.brownout.active, serve.generations_live
 /// (ServiceSnapshots alive: 1 when idle, 2 while a reload builds the next
 /// one or a reader still holds the previous one), serve.index.build_ms and
-/// its per-table parts serve.index.{overrep,profiles,postings,ranks}_ms.
+/// its per-table parts serve.index.{overrep,profiles,postings,ranks}_ms,
+/// and the stages of a successful delta reload,
+/// serve.reload.{load,apply,fingerprint,install,release}_ms (its index
+/// stage is serve.index.build_ms; release is dropping the replaced
+/// generation after the swap).
 /// Failpoints: serve.reload (before any reload touches its file), plus
 /// the staged delta-swap points serve.reload.delta.read,
 /// serve.reload.delta.apply, serve.reload.index, serve.reload.install.
@@ -147,7 +153,9 @@ class ServiceCore {
   /// delta's base recipe count and content fingerprint must match the
   /// serving generation exactly; any mismatch is refused with
   /// FailedPrecondition. Like LoadFromFile, any failure at any stage of
-  /// the swap leaves the old generation serving.
+  /// the swap leaves the old generation serving. The next generation's
+  /// index is built on the calling thread alone, so the CPUs of the other
+  /// workers stay with the reads they serve meanwhile.
   Status ReloadDelta(const std::string& path);
 
   /// Installs an in-memory corpus (tests, benches, --synth mode).
@@ -169,7 +177,12 @@ class ServiceCore {
   }
 
  private:
-  Status Install(std::shared_ptr<const ServiceSnapshot> next);
+  /// Swaps `next` in and returns the generation it replaced (null for
+  /// the first install). The swap is all that runs under snapshot_mu_:
+  /// the caller drops the returned handle after the lock is released, so
+  /// tearing the old generation down never stalls a reader's Acquire().
+  Result<std::shared_ptr<const ServiceSnapshot>> Install(
+      std::shared_ptr<const ServiceSnapshot> next);
   void RecordLatency(double elapsed_ms);
 
   const Lexicon* lexicon_;

@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <exception>
 
@@ -117,6 +119,28 @@ void ThreadPool::ParallelFor(size_t count,
     }
   }
   if (first_error != nullptr) std::rethrow_exception(first_error);
+}
+
+size_t UsableCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (::sched_getaffinity(0, sizeof(mask), &mask) != 0) return 1;
+  return std::max(1, CPU_COUNT(&mask));
+}
+
+size_t ThreadsFor(size_t work, size_t grain) {
+  return std::clamp<size_t>(work / grain, 1, UsableCpus());
+}
+
+void RunTasks(size_t tasks, size_t threads,
+              const std::function<void(size_t)>& fn) {
+  threads = std::min(threads, tasks);
+  if (threads <= 1) {
+    for (size_t i = 0; i < tasks; ++i) fn(i);
+    return;
+  }
+  ThreadPool pool(threads);
+  pool.ParallelFor(tasks, fn);
 }
 
 }  // namespace culevo

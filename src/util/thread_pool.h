@@ -78,6 +78,24 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// CPUs in the calling thread's affinity mask (sched_getaffinity), at
+/// least 1. This, not hardware_concurrency(), is what a pass may use:
+/// taskset, a cpuset or a pinned daemon narrows it.
+size_t UsableCpus();
+
+/// Threads a pass over `work` units deserves: one per whole `grain`, so
+/// work under two grains stays on the calling thread; at least 1, at most
+/// UsableCpus().
+size_t ThreadsFor(size_t work, size_t grain);
+
+/// Runs fn(0), ..., fn(tasks - 1) and returns once all have finished:
+/// in index order on the calling thread when `threads` <= 1, else
+/// through ParallelFor (and its exception contract) on a pool of
+/// min(threads, tasks) threads made for this call. Either way every task
+/// runs the same code.
+void RunTasks(size_t tasks, size_t threads,
+              const std::function<void(size_t)>& fn);
+
 }  // namespace culevo
 
 #endif  // CULEVO_UTIL_THREAD_POOL_H_

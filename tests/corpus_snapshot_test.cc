@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/eclat.h"
@@ -14,10 +15,13 @@
 #include "corpus/corpus_stats.h"
 #include "corpus/ingestion.h"
 #include "lexicon/world_lexicon.h"
+#include "one_cpu_test_util.h"
+#include "synth/generator.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace culevo {
 namespace {
@@ -449,6 +453,170 @@ TEST_F(CorpusSnapshotTest, EmptyCorpusRoundTrips) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->corpus.num_recipes(), 0u);
   ExpectBitIdentical(corpus, loaded->corpus);
+}
+
+// ---------------------------------------------------------------------------
+// The load on every usable CPU against the same load on one.
+
+/// The scale-1.0 synthesized world (158,460 recipes): enough recipes and
+/// bytes for every parallel stage of a load to split.
+const RecipeCorpus& World() {
+  static const RecipeCorpus* const world = [] {
+    Result<RecipeCorpus> built = SynthesizeWorldCorpus(WorldLexicon());
+    EXPECT_TRUE(built.ok()) << built.status();
+    return new RecipeCorpus(built.ok() ? std::move(*built) : RecipeCorpus());
+  }();
+  return *world;
+}
+
+/// {offset, size} of the first section with `id` in a container file.
+std::pair<size_t, size_t> SectionBytes(const std::string& file, uint32_t id) {
+  for (uint32_t i = 0; i < ContainerField<uint32_t>(file, 44); ++i) {
+    const size_t at = ContainerTableEntry(i);
+    if (ContainerField<uint32_t>(file, at) == id) {
+      return {ContainerField<uint64_t>(file, at + 8),
+              ContainerField<uint64_t>(file, at + 16)};
+    }
+  }
+  ADD_FAILURE() << "no section " << id;
+  return {0, 0};
+}
+
+Result<LoadedCorpusSnapshot> LoadOnOneCpu(const std::string& path) {
+  const OneCpuScope pin;
+  EXPECT_EQ(UsableCpus(), 1u);
+  return LoadCorpusSnapshot(path);
+}
+
+template <typename T>
+bool Same(std::span<const T> a, std::span<const T> b) {
+  return std::ranges::equal(a, b);
+}
+
+// The checksums, the column validation and the fingerprint run on the
+// CPUs the process may use; what they produce must not depend on how
+// many that is.
+TEST_F(CorpusSnapshotTest, ParallelLoadMatchesOneCpuLoad) {
+  if (UsableCpus() < 2) GTEST_SKIP() << "this process may use one CPU";
+  path_ = TempPath("parallel");
+  const RecipeCorpus& world = World();
+  ASSERT_GE(ThreadsFor(world.num_recipes(), kRecipesPerThread), 2u);
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, world, {.sync = false}).ok());
+
+  const Result<LoadedCorpusSnapshot> one = LoadOnOneCpu(path_);
+  const Result<LoadedCorpusSnapshot> all = LoadCorpusSnapshot(path_);
+  ASSERT_TRUE(one.ok()) << one.status();
+  ASSERT_TRUE(all.ok()) << all.status();
+  const RecipeCorpus& a = one->corpus;
+  const RecipeCorpus& b = all->corpus;
+  EXPECT_TRUE(Same(a.flat(), b.flat()));
+  EXPECT_TRUE(Same(a.offsets(), b.offsets()));
+  EXPECT_TRUE(Same(a.cuisines(), b.cuisines()));
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    EXPECT_TRUE(Same(a.recipes_of(cuisine), b.recipes_of(cuisine))) << c;
+    EXPECT_TRUE(Same(a.UniqueIngredients(cuisine),
+                     b.UniqueIngredients(cuisine)))
+        << c;
+    EXPECT_TRUE(Same(a.presence(cuisine), b.presence(cuisine))) << c;
+    EXPECT_TRUE(Same(world.presence(cuisine), b.presence(cuisine))) << c;
+  }
+  EXPECT_TRUE(Same(a.UniqueIngredients(), b.UniqueIngredients()));
+  EXPECT_TRUE(Same(a.presence(), b.presence()));
+  EXPECT_TRUE(Same(world.presence(), b.presence()));
+  EXPECT_TRUE(SameStats(one->stats, all->stats));
+  EXPECT_EQ(one->content_fingerprint, all->content_fingerprint);
+  EXPECT_EQ(all->content_fingerprint, CorpusContentFingerprint(world));
+}
+
+// A refusal names the same first fault whatever the CPU count: the first
+// bad section in table order, then the first bad recipe in index order,
+// then the shards.
+TEST_F(CorpusSnapshotTest, ParallelLoadRefusesLikeOneCpuLoad) {
+  if (UsableCpus() < 2) GTEST_SKIP() << "this process may use one CPU";
+  path_ = TempPath("parallel_refusals");
+  const RecipeCorpus& world = World();
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, world, {.sync = false}).ok());
+  Result<std::string> bytes = ReadFileToString(path_);
+  ASSERT_TRUE(bytes.ok());
+  const std::string content = std::move(bytes).value();
+  const size_t n = world.num_recipes();
+  CuisineId largest = 0;
+  for (int c = 1; c < kNumCuisines; ++c) {
+    if (world.num_recipes_in(static_cast<CuisineId>(c)) >
+        world.num_recipes_in(largest)) {
+      largest = static_cast<CuisineId>(c);
+    }
+  }
+  const auto [flat_at, flat_size] = SectionBytes(content, 1);
+  const auto [cuisines_at, cuisines_size] = SectionBytes(content, 3);
+  const auto [stats_at, stats_size] = SectionBytes(content, 4);
+  const auto [largest_at, largest_size] = SectionBytes(content, 0x100 + largest);
+  const auto [shard24_at, shard24_size] = SectionBytes(content, 0x100 + 24);
+  ASSERT_GT(largest_size, stats_size);
+  const uint32_t last_begin = world.offsets()[n - 1];
+  ASSERT_GE(world.ingredients_of(static_cast<uint32_t>(n - 1)).size(), 2u);
+  const uint32_t first24 = world.recipes_of(24).front();
+  ASSERT_GT(first24, 0u);
+
+  const auto unsort_last_recipe = [&](std::string* file) {
+    const size_t at = flat_at + size_t{last_begin} * sizeof(IngredientId);
+    std::swap_ranges(file->begin() + static_cast<ptrdiff_t>(at),
+                     file->begin() + static_cast<ptrdiff_t>(at + 2),
+                     file->begin() + static_cast<ptrdiff_t>(at + 2));
+  };
+  struct Case {
+    const char* name;
+    std::string file;
+    const char* refusal;
+  };
+  std::vector<Case> cases;
+  {
+    // Not re-signed. The larger section is hashed first, but the stats
+    // section comes first in the table.
+    std::string file = content;
+    file[stats_at] = static_cast<char>(file[stats_at] ^ 1);
+    file[largest_at] = static_cast<char>(file[largest_at] ^ 1);
+    cases.push_back({"two corrupt sections", std::move(file),
+                     "checksum mismatch in section 4"});
+  }
+  {
+    std::string file = content;
+    unsort_last_recipe(&file);
+    ResignContainer(&file);
+    cases.push_back({"unsorted last recipe", std::move(file),
+                     "recipe ingredients must be sorted and unique"});
+  }
+  {
+    // Two bad recipes in different ranges: the first one wins.
+    std::string file = content;
+    unsort_last_recipe(&file);
+    file[cuisines_at] = static_cast<char>(kNumCuisines + 1);
+    ResignContainer(&file);
+    cases.push_back({"bad first and last recipes", std::move(file),
+                     "cuisine id out of range"});
+  }
+  {
+    // Cuisine 24's first shard entry moved to the recipe before it, which
+    // keeps the shard ascending.
+    std::string file = content;
+    SetContainerField<uint32_t>(&file, shard24_at, first24 - 1);
+    ResignContainer(&file);
+    cases.push_back({"misassigned shard entry", std::move(file),
+                     "shard entry assigned to the wrong cuisine"});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(WriteStringToFile(path_, c.file).ok());
+    const Result<LoadedCorpusSnapshot> one = LoadOnOneCpu(path_);
+    const Result<LoadedCorpusSnapshot> all = LoadCorpusSnapshot(path_);
+    ASSERT_FALSE(one.ok());
+    ASSERT_FALSE(all.ok());
+    EXPECT_EQ(one.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(all.status(), one.status());
+    EXPECT_NE(all.status().message().find(c.refusal), std::string::npos)
+        << all.status();
+  }
 }
 
 }  // namespace

@@ -10,7 +10,11 @@
 #include "analysis/overrepresentation.h"
 #include "analysis/similarity.h"
 #include "corpus/ingestion.h"
+#include "lexicon/world_lexicon.h"
 #include "obs/metrics.h"
+#include "one_cpu_test_util.h"
+#include "synth/generator.h"
+#include "util/thread_pool.h"
 
 namespace culevo {
 namespace {
@@ -251,6 +255,89 @@ TEST(QueryIndexTest, RecordsPerTableBuildTimers) {
         "serve.index.postings_ms", "serve.index.ranks_ms"}) {
     ASSERT_TRUE(metrics.histograms.count(name)) << name;
     EXPECT_GE(metrics.histograms.at(name).count, 1) << name;
+  }
+}
+
+/// Checks that two indexes of `corpus` hold the same tables, bit for bit.
+void ExpectSameIndex(const RecipeCorpus& corpus, const QueryIndex& one,
+                     const QueryIndex& all) {
+  const std::span<const IngredientId> unique = corpus.UniqueIngredients();
+  const size_t universe = unique.back() + 1u;
+  for (size_t id = 0; id < universe + 2; ++id) {
+    const std::span<const uint32_t> a =
+        one.Postings(static_cast<IngredientId>(id));
+    const std::span<const uint32_t> b =
+        all.Postings(static_cast<IngredientId>(id));
+    ASSERT_TRUE(std::ranges::equal(a, b)) << "id " << id;
+    ASSERT_TRUE(std::is_sorted(b.begin(), b.end())) << "id " << id;
+    ASSERT_EQ(b.size(), id < universe ? corpus.presence()[id] : 0u);
+  }
+  for (int c = 0; c < kNumCuisines; ++c) {
+    SCOPED_TRACE("cuisine " + std::to_string(c));
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    const std::span<const OverrepresentationScore> a =
+        one.Overrepresentation(cuisine);
+    const std::span<const OverrepresentationScore> b =
+        all.Overrepresentation(cuisine);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].ingredient, b[i].ingredient);
+      EXPECT_EQ(a[i].score, b[i].score);
+      EXPECT_EQ(a[i].cuisine_fraction, b[i].cuisine_fraction);
+      EXPECT_EQ(a[i].world_fraction, b[i].world_fraction);
+    }
+    const std::span<const CuisineNeighbor> near_a =
+        one.Nearest(cuisine, kNumCuisines);
+    const std::span<const CuisineNeighbor> near_b =
+        all.Nearest(cuisine, kNumCuisines);
+    ASSERT_EQ(near_a.size(), near_b.size());
+    for (size_t i = 0; i < near_a.size(); ++i) {
+      EXPECT_EQ(near_a[i].cuisine, near_b[i].cuisine);
+      EXPECT_EQ(near_a[i].distance, near_b[i].distance);
+    }
+    EXPECT_TRUE(std::ranges::equal(one.RankedIngredients(cuisine),
+                                   all.RankedIngredients(cuisine)));
+    for (IngredientId id : corpus.UniqueIngredients(cuisine)) {
+      const std::optional<QueryIndex::UsageRank> a_usage =
+          one.Usage(cuisine, id);
+      const std::optional<QueryIndex::UsageRank> b_usage =
+          all.Usage(cuisine, id);
+      ASSERT_TRUE(a_usage.has_value() && b_usage.has_value()) << id;
+      EXPECT_EQ(a_usage->count, b_usage->count);
+      EXPECT_EQ(a_usage->fraction, b_usage->fraction);
+      EXPECT_EQ(a_usage->rank, b_usage->rank);
+    }
+  }
+}
+
+// Postings are placed by recipe range on the CPUs the process may use;
+// every table must come out bit for bit as on one CPU, or as with a
+// budget of one thread, which starts no pool task.
+TEST(QueryIndexTest, ParallelBuildMatchesOneCpuBuild) {
+  if (UsableCpus() < 2) GTEST_SKIP() << "this process may use one CPU";
+  const Result<RecipeCorpus> world = SynthesizeWorldCorpus(WorldLexicon());
+  ASSERT_TRUE(world.ok()) << world.status();
+  ASSERT_GE(ThreadsFor(world->num_recipes(), kRecipesPerThread), 2u);
+  const obs::Counter* tasks =
+      obs::MetricsRegistry::Get().counter("threadpool.tasks_executed");
+  const QueryIndex one = [&] {
+    const OneCpuScope pin;
+    EXPECT_EQ(UsableCpus(), 1u);
+    return QueryIndex::Build(*world);
+  }();
+  const int64_t before_all = tasks->Value();
+  const QueryIndex all = QueryIndex::Build(*world);
+  EXPECT_GT(tasks->Value(), before_all);
+  const int64_t before_budget = tasks->Value();
+  const QueryIndex budget = QueryIndex::Build(*world, 1);
+  EXPECT_EQ(tasks->Value(), before_budget);
+  {
+    SCOPED_TRACE("one CPU");
+    ExpectSameIndex(*world, one, all);
+  }
+  {
+    SCOPED_TRACE("one thread");
+    ExpectSameIndex(*world, budget, all);
   }
 }
 

@@ -1,8 +1,10 @@
 #include "service/service_core.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "corpus/corpus_snapshot.h"
 #include "corpus/ingestion.h"
 #include "lexicon/world_lexicon.h"
+#include "obs/metrics.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
@@ -49,6 +52,19 @@ RecipeCorpus OtherCorpus() {
   EXPECT_TRUE(builder.Add(kA, {10, 11}).ok());
   EXPECT_TRUE(builder.Add(kB, {11, 12}).ok());
   EXPECT_TRUE(builder.Add(kB, {12, 13}).ok());
+  return builder.Build();
+}
+
+/// Six populated cuisines, so every cuisine has more neighbours than the
+/// small k of the `nearest` tests.
+RecipeCorpus SixCuisineCorpus() {
+  RecipeCorpus::Builder builder;
+  for (int c = 0; c < 6; ++c) {
+    const IngredientId own = static_cast<IngredientId>(2 + c);
+    const IngredientId shared = static_cast<IngredientId>(3 + c % 3);
+    EXPECT_TRUE(builder.Add(static_cast<CuisineId>(c), {1, own}).ok());
+    EXPECT_TRUE(builder.Add(static_cast<CuisineId>(c), {own, shared}).ok());
+  }
   return builder.Build();
 }
 
@@ -115,6 +131,31 @@ TEST(ServiceCoreTest, NearestMatchesBatchBitExactly) {
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(rows[i], StrFormat("%s\t%.17g", Code(batch[i].cuisine).c_str(),
                                  batch[i].distance));
+  }
+
+  // k comes positionally or as k=N (default 5); a positional k wins.
+  const RecipeCorpus six = SixCuisineCorpus();
+  ServiceCore wide = MakeCore();
+  ASSERT_TRUE(wide.InstallCorpus(six, "<test>").ok());
+  const std::vector<CuisineNeighbor> all =
+      NearestCuisines(six, kA, kNumCuisines);
+  ASSERT_EQ(all.size(), 5u);
+  const std::pair<std::string, size_t> cases[] = {
+      {"", 5}, {" k=3", 3}, {" k=1", 1}, {" 2 k=4", 2}, {" 4", 4}};
+  for (const auto& [args, k] : cases) {
+    const std::vector<std::string> top =
+        Rows(wide.Handle("nearest " + Code(kA) + args));
+    ASSERT_EQ(top.size(), k) << args;
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(top[i], StrFormat("%s\t%.17g", Code(all[i].cuisine).c_str(),
+                                  all[i].distance))
+          << args;
+    }
+  }
+  for (const char* bad : {" k=0", " k=x", " 0"}) {
+    EXPECT_TRUE(StartsWith(wide.Handle("nearest " + Code(kA) + bad),
+                           "error InvalidArgument"))
+        << bad;
   }
 }
 
@@ -768,6 +809,99 @@ TEST(ServiceCoreTest, ReloadDeltaThroughRequestGrammar) {
   EXPECT_TRUE(StartsWith(core.Handle("reload-delta " + path),
                          "error FailedPrecondition"));
   EXPECT_EQ(core.Acquire()->epoch, 2u);
+  std::remove(path.c_str());
+}
+
+// Replacing a generation tears the old one down after the swap, outside
+// the lock every reader's Acquire() takes: a teardown that blocks (here,
+// a backing whose deleter waits on a latch) must not stall requests.
+TEST(ServiceCoreTest, ReplacedGenerationIsReleasedOutsideTheLock) {
+  const RecipeCorpus columns = SmallCorpus();  // Outlives the core.
+  std::promise<void> latch;
+  const std::shared_future<void> released = latch.get_future().share();
+  std::atomic<bool> armed{false};
+  std::atomic<bool> releasing{false};
+  ServiceCore core = MakeCore();
+  {
+    RecipeCorpus::ColumnViews views;
+    views.flat = columns.flat();
+    views.offsets = columns.offsets();
+    views.cuisines = columns.cuisines();
+    for (int c = 0; c < kNumCuisines; ++c) {
+      const CuisineId cuisine = static_cast<CuisineId>(c);
+      views.shards[cuisine] = columns.recipes_of(cuisine);
+      views.unique[cuisine] = columns.UniqueIngredients(cuisine);
+    }
+    views.unique[kNumCuisines] = columns.UniqueIngredients();
+    std::shared_ptr<const void> backing(
+        new int(0), [released, &armed, &releasing](const int* owned) {
+          if (armed) {
+            releasing = true;
+            released.wait();
+          }
+          delete owned;
+        });
+    Result<RecipeCorpus> borrowed =
+        RecipeCorpus::FromColumns(views, std::move(backing));
+    ASSERT_TRUE(borrowed.ok()) << borrowed.status();
+    ASSERT_TRUE(core.InstallCorpus(std::move(*borrowed), "blocking").ok());
+  }
+
+  // From here until the latch opens nothing may return early: the
+  // installer would block forever.
+  armed = true;
+  std::thread installer([&core] {
+    EXPECT_TRUE(core.InstallCorpus(OtherCorpus(), "next").ok());
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!releasing && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::future<std::string> info =
+      std::async(std::launch::async, [&core] { return core.Handle("info"); });
+  const bool answered =
+      info.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  latch.set_value();
+  installer.join();
+  EXPECT_TRUE(releasing) << "the first generation was never torn down";
+  ASSERT_TRUE(answered) << "info waited for the old generation's teardown";
+  const std::vector<std::string> rows = Rows(info.get());
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.front(), "epoch\t2");
+}
+
+// A successful delta reload records one sample of each stage timer; a
+// refused one records none.
+TEST(ServiceCoreTest, ReloadDeltaTimesEveryStage) {
+  const std::vector<std::string> timers = {
+      "serve.reload.load_ms", "serve.reload.apply_ms",
+      "serve.reload.fingerprint_ms", "serve.reload.install_ms",
+      "serve.reload.release_ms"};
+  const auto samples = [&timers] {
+    const obs::MetricsSnapshot metrics =
+        obs::MetricsRegistry::Get().Snapshot();
+    std::vector<int64_t> counts;
+    for (const std::string& name : timers) {
+      const auto it = metrics.histograms.find(name);
+      counts.push_back(it == metrics.histograms.end() ? 0 : it->second.count);
+    }
+    return counts;
+  };
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "base").ok());
+  const std::string path = WriteDeltaFor(SmallCorpus(), "timers");
+
+  const std::vector<int64_t> before = samples();
+  ASSERT_TRUE(core.ReloadDelta(path).ok());
+  const std::vector<int64_t> after = samples();
+  for (size_t i = 0; i < timers.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], 1) << timers[i];
+  }
+
+  // The same delta again no longer extends the serving generation.
+  EXPECT_EQ(core.ReloadDelta(path).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(samples(), after);
   std::remove(path.c_str());
 }
 

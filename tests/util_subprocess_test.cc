@@ -79,14 +79,14 @@ TEST(SubprocessTest, TryWaitIsNonBlockingAndIdempotent) {
 
 TEST(SubprocessTest, TerminateEscalatesToSigkill) {
   Subprocess child;
-  // A child that ignores SIGTERM forces the escalation path. The trap
-  // keeps the shell from exec-replacing itself, so SIGKILLing it orphans
-  // the inner sleep — silenced output detaches that orphan from our
-  // stdout pipe, or ctest would wait the full 30 s for it to exit.
+  // A child that ignores SIGTERM forces the escalation path. The shell
+  // ignores TERM and then execs the sleep, which keeps the ignored
+  // disposition, so the SIGKILL lands on the sleeping process itself and
+  // nothing outlives the test.
   SpawnOptions options;
   options.silence_stdout = true;
   options.silence_stderr = true;
-  ASSERT_TRUE(child.Spawn(Sh("trap '' TERM; sleep 30"), options).ok());
+  ASSERT_TRUE(child.Spawn(Sh("trap '' TERM; exec sleep 30"), options).ok());
   // Give the shell a moment to install the trap; without it the SIGTERM
   // may land first and the test would pass vacuously.
   ::usleep(200 * 1000);
