@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "analysis/category_usage.h"
+#include "analysis/summary.h"
 #include "bench/bench_common.h"
 #include "util/table_printer.h"
 

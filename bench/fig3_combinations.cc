@@ -21,6 +21,7 @@
 #include "analysis/distance.h"
 #include "analysis/export.h"
 #include "bench/bench_common.h"
+#include "util/csv.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -111,7 +112,7 @@ int Run(int argc, char** argv) {
     }
     const auto write = [&](const std::string& name,
                            const std::string& csv) {
-      const Status status = WriteCsv(csv_dir + "/" + name, csv);
+      const Status status = WriteStringToFile(csv_dir + "/" + name, csv);
       if (!status.ok()) std::cerr << status << "\n";
     };
     write("fig3_ingredient_curves.csv",

@@ -13,14 +13,7 @@
 //   rebuild_ms          — full rebuild after a 1% batch of new recipes:
 //                         Builder over all rows + Build + ComputeCuisineStats;
 //   incremental_ms      — the same 1% batch absorbed by IncrementalCorpus:
-//                         Add per recipe;
-//   snapshot_write_delta_ms / snapshot_write_full_ms
-//                       — after each of --reps fresh 1% batches, the
-//                         standing corpus written by its incremental
-//                         writer (column checksums resumed) and by a full
-//                         WriteCorpusSnapshot, timed as alternating pairs;
-//                         best and median of each side, and the pairs the
-//                         incremental write won.
+//                         Add per recipe.
 //
 // Cross-checks inside the run (exit 1 on any failure):
 //   - TSV round trip: the parsed corpus must match the built one
@@ -29,9 +22,7 @@
 //     must match the built one the same way;
 //   - incremental ingestion: stats, and the per-cuisine transactions of
 //     the materialized standing corpus, must be bit-identical to the full
-//     rebuild's;
-//   - the incremental and the full snapshot write of each pair must be
-//     byte-identical files.
+//     rebuild's.
 //
 // --assert-snapshot-speedup turns the two headline ratios into a gate
 // (exit 1): mmap snapshot load must beat TSV parse by >= 20x and the
@@ -60,7 +51,6 @@
 #include "corpus/corpus_stats.h"
 #include "corpus/ingestion.h"
 #include "util/check.h"
-#include "util/csv.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -167,17 +157,6 @@ bool EquivalentCorpora(const RecipeCorpus& reference,
     return false;
   }
   return true;
-}
-
-double Best(const std::vector<double>& values) {
-  return *std::min_element(values.begin(), values.end());
-}
-
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const size_t mid = values.size() / 2;
-  return values.size() % 2 == 1 ? values[mid]
-                                 : (values[mid - 1] + values[mid]) / 2;
 }
 
 /// Minimum wall time of `reps` runs of `fn`, in milliseconds.
@@ -386,77 +365,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // -- Incremental vs full snapshot write, timed as alternating pairs ------
-  // Each rep absorbs a fresh 1% batch into the standing corpus, then times
-  // two writes of that same corpus: the standing WriteSnapshot, whose
-  // writer resumes the column checksums of the previous rep, and a full
-  // WriteCorpusSnapshot of a materialized copy. The batch and the copy are
-  // untimed; the order within a pair alternates; the two files must be
-  // byte-identical. The first write on the standing writer hashes every
-  // column (warm-up, untimed).
-  reporter.BeginPhase("snapshot_write_delta");
-  const std::string full_path = snapshot_path + ".full";
-  CULEVO_CHECK(standing.WriteSnapshot(snapshot_path, write_options).ok());
-  std::vector<double> delta_write_ms;
-  std::vector<double> full_write_ms;
-  int delta_write_wins = 0;
-  for (int r = 0; r < reps; ++r) {
-    const SynthRows batch = SynthesizeRows(
-        delta_count, lexicon.size(),
-        options.seed ^ (0x51AFB00Bull * (static_cast<uint64_t>(r) + 1)));
-    for (size_t i = 0; i < batch.size(); ++i) {
-      CULEVO_CHECK(standing.Add(batch.cuisines[i], batch.row(i)).ok());
-    }
-    const Result<RecipeCorpus> copy = standing.Materialize();
-    CULEVO_CHECK(copy.ok());
-    const auto incremental = [&] {
-      Stopwatch watch;
-      CULEVO_CHECK(standing.WriteSnapshot(snapshot_path, write_options).ok());
-      delta_write_ms.push_back(watch.ElapsedMillis());
-    };
-    const auto full = [&] {
-      Stopwatch watch;
-      CULEVO_CHECK(WriteCorpusSnapshot(full_path, *copy, standing.stats(),
-                                       write_options)
-                       .ok());
-      full_write_ms.push_back(watch.ElapsedMillis());
-    };
-    if (r % 2 == 0) {
-      incremental();
-      full();
-    } else {
-      full();
-      incremental();
-    }
-    if (delta_write_ms.back() < full_write_ms.back()) ++delta_write_wins;
-    if (ReadFileToString(snapshot_path).value() !=
-        ReadFileToString(full_path).value()) {
-      std::fprintf(stderr,
-                   "SNAPSHOT FAILURE: rep %d incremental write differs from "
-                   "the full write of the same corpus\n",
-                   r);
-      consistent = false;
-    }
-  }
   std::remove(snapshot_path.c_str());
-  std::remove(full_path.c_str());
-  const double snapshot_write_delta_ms = Best(delta_write_ms);
-  const double snapshot_write_full_ms = Best(full_write_ms);
 
   // -- Report --------------------------------------------------------------
-  std::printf("\n%-26s %12s %12s\n", "path", "best_ms", "median_ms");
+  std::printf("\n%-26s %12s\n", "path", "best_ms");
   std::printf("%-26s %12.2f\n", "parse_tsv", parse_tsv_ms);
   std::printf("%-26s %12.2f\n", "snapshot_write", snapshot_write_ms);
   std::printf("%-26s %12.2f\n", "snapshot_load_mmap", snapshot_load_mmap_ms);
   std::printf("%-26s %12.2f\n", "snapshot_load_read", snapshot_load_read_ms);
   std::printf("%-26s %12.2f\n", "rebuild_1pct", rebuild_ms);
   std::printf("%-26s %12.2f\n", "incremental_1pct", incremental_ms);
-  std::printf("%-26s %12.2f %12.2f\n", "snapshot_write_delta",
-              snapshot_write_delta_ms, Median(delta_write_ms));
-  std::printf("%-26s %12.2f %12.2f\n", "snapshot_write_full",
-              snapshot_write_full_ms, Median(full_write_ms));
-  std::printf("incremental write won %d of %d pairs\n", delta_write_wins,
-              reps);
   std::printf("\nsnapshot-vs-parse speedup: %.1fx, "
               "incremental-vs-rebuild speedup: %.1fx\n",
               load_speedup, ingest_speedup);
@@ -473,12 +391,6 @@ int main(int argc, char** argv) {
   reporter.AddResult("snapshot_load_read_ms", snapshot_load_read_ms);
   reporter.AddResult("rebuild_ms", rebuild_ms);
   reporter.AddResult("incremental_ms", incremental_ms);
-  reporter.AddResult("snapshot_write_delta_ms", snapshot_write_delta_ms);
-  reporter.AddResult("snapshot_write_delta_median_ms",
-                     Median(delta_write_ms));
-  reporter.AddResult("snapshot_write_full_ms", snapshot_write_full_ms);
-  reporter.AddResult("snapshot_write_full_median_ms", Median(full_write_ms));
-  reporter.AddResult("delta_write_wins", static_cast<double>(delta_write_wins));
   reporter.AddResult("reps", static_cast<double>(reps));
   reporter.AddResult("cores",
                      static_cast<double>(std::thread::hardware_concurrency()));

@@ -24,12 +24,12 @@
 #include <string>
 #include <vector>
 
-#include "analysis/apriori.h"
 #include "analysis/combinations.h"
 #include "analysis/eclat.h"
 #include "analysis/transactions.h"
 #include "bench/bench_common.h"
 #include "corpus/cuisine.h"
+#include "testing/apriori.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"

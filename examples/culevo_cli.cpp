@@ -5,6 +5,7 @@
 //   culevo_cli evaluate --cuisine ITA      model comparison for a cuisine
 //   culevo_cli generate --cuisine INSC     novel recipe proposals
 //   culevo_cli ingest <raw.txt>            ingest raw scraped recipes
+//                                          (--out <tsv>, --snapshot <path>)
 //   culevo_cli export-corpus <out.tsv>     write a synthetic world corpus
 //   culevo_cli export-lexicon <out.tsv>    write the 721-entity lexicon
 //
@@ -12,7 +13,8 @@
 // Corpus-bearing subcommands also take --load-snapshot <path> (mmap a
 // CULEVO-CORPUS binary snapshot instead of synthesizing the world) and
 // --snapshot <path> (write a snapshot of the corpus they ran on, for
-// fast reloads; see DATA_FORMATS.md).
+// fast reloads; see DATA_FORMATS.md). `ingest --snapshot` writes the
+// ingested corpus, so the other subcommands can --load-snapshot it.
 // Pass --metrics to dump the process metrics registry (counters, gauges,
 // latency histograms) as JSON on exit. Pass --timeout-ms <n> to bound the
 // whole run with a deadline; Ctrl-C (SIGINT) or SIGTERM (what container
@@ -101,6 +103,15 @@ int Usage() {
   return 2;
 }
 
+// --snapshot <path>: writes a snapshot of the corpus a subcommand ran on.
+Status WriteSnapshotFlag(const FlagParser& flags, const RecipeCorpus& corpus) {
+  const std::string save = flags.GetString("snapshot", "");
+  if (save.empty()) return Status::Ok();
+  CULEVO_RETURN_IF_ERROR(WriteCorpusSnapshot(save, corpus));
+  std::cerr << "snapshot written to " << save << "\n";
+  return Status::Ok();
+}
+
 Result<RecipeCorpus> World(const FlagParser& flags) {
   Result<RecipeCorpus> corpus = [&]() -> Result<RecipeCorpus> {
     const std::string load = flags.GetString("load-snapshot", "");
@@ -117,11 +128,7 @@ Result<RecipeCorpus> World(const FlagParser& flags) {
     return SynthesizeWorldCorpus(WorldLexicon(), config);
   }();
   if (!corpus.ok()) return corpus;
-  if (const std::string save = flags.GetString("snapshot", "");
-      !save.empty()) {
-    if (Status s = WriteCorpusSnapshot(save, *corpus); !s.ok()) return s;
-    std::cerr << "snapshot written to " << save << "\n";
-  }
+  CULEVO_RETURN_IF_ERROR(WriteSnapshotFlag(flags, *corpus));
   return corpus;
 }
 
@@ -302,7 +309,8 @@ int RunGenerate(const FlagParser& flags) {
 
 int RunIngest(const FlagParser& flags) {
   if (flags.positional().size() < 2) {
-    std::cerr << "usage: culevo_cli ingest <raw.txt> [--out corpus.tsv]\n";
+    std::cerr << "usage: culevo_cli ingest <raw.txt> [--out corpus.tsv] "
+                 "[--snapshot corpus.snap]\n";
     return 2;
   }
   Result<std::string> text = ReadFileToString(flags.positional()[1]);
@@ -339,6 +347,10 @@ int RunIngest(const FlagParser& flags) {
       return 1;
     }
     std::cout << "corpus written to " << out << "\n";
+  }
+  if (Status s = WriteSnapshotFlag(flags, *corpus); !s.ok()) {
+    std::cerr << s << "\n";
+    return 1;
   }
   return 0;
 }

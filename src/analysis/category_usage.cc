@@ -2,23 +2,6 @@
 
 namespace culevo {
 
-std::vector<double> PerRecipeCategoryCounts(const RecipeCorpus& corpus,
-                                            CuisineId cuisine,
-                                            Category category,
-                                            const Lexicon& lexicon) {
-  std::vector<double> out;
-  const std::span<const uint32_t> indices = corpus.recipes_of(cuisine);
-  out.reserve(indices.size());
-  for (uint32_t index : indices) {
-    int count = 0;
-    for (IngredientId id : corpus.ingredients_of(index)) {
-      if (lexicon.category(id) == category) ++count;
-    }
-    out.push_back(static_cast<double>(count));
-  }
-  return out;
-}
-
 std::vector<std::array<double, kNumCategories>> CategoryUsageMatrix(
     const RecipeCorpus& corpus, const Lexicon& lexicon) {
   std::vector<std::array<double, kNumCategories>> matrix(
@@ -40,13 +23,6 @@ std::vector<std::array<double, kNumCategories>> CategoryUsageMatrix(
     }
   }
   return matrix;
-}
-
-BoxplotStats CategoryUsageBoxplot(const RecipeCorpus& corpus,
-                                  CuisineId cuisine, Category category,
-                                  const Lexicon& lexicon) {
-  return ComputeBoxplotStats(
-      PerRecipeCategoryCounts(corpus, cuisine, category, lexicon));
 }
 
 }  // namespace culevo

@@ -4,30 +4,15 @@
 #include <array>
 #include <vector>
 
-#include "analysis/summary.h"
 #include "corpus/recipe_corpus.h"
 #include "lexicon/lexicon.h"
 
 namespace culevo {
 
-/// Per-recipe counts of ingredients drawn from `category` across one
-/// cuisine's recipes (the raw samples behind Fig. 2's boxplots). One entry
-/// per recipe, possibly zero.
-std::vector<double> PerRecipeCategoryCounts(const RecipeCorpus& corpus,
-                                            CuisineId cuisine,
-                                            Category category,
-                                            const Lexicon& lexicon);
-
 /// Mean ingredients-per-recipe from each category for each cuisine:
 /// result[cuisine][category]. Empty cuisines yield all-zero rows.
 std::vector<std::array<double, kNumCategories>> CategoryUsageMatrix(
     const RecipeCorpus& corpus, const Lexicon& lexicon);
-
-/// Boxplot of per-recipe usage of `category` inside `cuisine` (one Fig. 2
-/// box). Precondition: the cuisine has at least one recipe.
-BoxplotStats CategoryUsageBoxplot(const RecipeCorpus& corpus,
-                                  CuisineId cuisine, Category category,
-                                  const Lexicon& lexicon);
 
 }  // namespace culevo
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "util/hash.h"
-
 namespace culevo {
 namespace {
 
@@ -62,24 +60,6 @@ std::vector<PairingEdge> BuildPairingNetwork(const RecipeCorpus& corpus,
               return x.b < y.b;
             });
   return edges;
-}
-
-std::vector<PairingPartner> TopPartners(const RecipeCorpus& corpus,
-                                        CuisineId cuisine,
-                                        IngredientId ingredient, size_t k,
-                                        size_t min_cooccurrences) {
-  std::vector<PairingPartner> partners;
-  for (const PairingEdge& edge :
-       BuildPairingNetwork(corpus, cuisine, min_cooccurrences)) {
-    if (edge.a != ingredient && edge.b != ingredient) continue;
-    PairingPartner partner;
-    partner.partner = edge.a == ingredient ? edge.b : edge.a;
-    partner.cooccurrences = edge.cooccurrences;
-    partner.pmi = edge.pmi;
-    partners.push_back(partner);
-    if (partners.size() == k) break;  // Edges already PMI-sorted.
-  }
-  return partners;
 }
 
 }  // namespace culevo

@@ -28,20 +28,6 @@ std::vector<PairingEdge> BuildPairingNetwork(const RecipeCorpus& corpus,
                                              CuisineId cuisine,
                                              size_t min_cooccurrences);
 
-/// Affinity summary of one ingredient: its strongest partners.
-struct PairingPartner {
-  IngredientId partner = kInvalidIngredient;
-  size_t cooccurrences = 0;
-  double pmi = 0.0;
-};
-
-/// The `k` highest-PMI partners of `ingredient` within `cuisine`
-/// (among pairs with at least `min_cooccurrences` joint recipes).
-std::vector<PairingPartner> TopPartners(const RecipeCorpus& corpus,
-                                        CuisineId cuisine,
-                                        IngredientId ingredient, size_t k,
-                                        size_t min_cooccurrences);
-
 }  // namespace culevo
 
 #endif  // CULEVO_ANALYSIS_COOCCURRENCE_H_

@@ -42,27 +42,6 @@ double PaperEq2Distance(const RankFrequency& a, const RankFrequency& b) {
       a, b, [](double x, double y) { return (x - y) * (x - y); });
 }
 
-double KolmogorovSmirnovDistance(const RankFrequency& a,
-                                 const RankFrequency& b) {
-  double mass_a = 0.0;
-  double mass_b = 0.0;
-  for (double v : a.values()) mass_a += v;
-  for (double v : b.values()) mass_b += v;
-  if (mass_a <= 0.0 || mass_b <= 0.0) {
-    return (mass_a <= 0.0 && mass_b <= 0.0) ? 0.0 : 1.0;
-  }
-  const size_t n = std::max(a.size(), b.size());
-  double cdf_a = 0.0;
-  double cdf_b = 0.0;
-  double ks = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (i < a.size()) cdf_a += a.values()[i] / mass_a;
-    if (i < b.size()) cdf_b += b.values()[i] / mass_b;
-    ks = std::max(ks, std::abs(cdf_a - cdf_b));
-  }
-  return ks;
-}
-
 std::vector<std::vector<double>> PairwiseMae(
     const std::vector<RankFrequency>& curves) {
   const size_t n = curves.size();

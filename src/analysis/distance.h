@@ -18,11 +18,6 @@ double MeanAbsoluteError(const RankFrequency& a, const RankFrequency& b);
 /// the MAE name): (1/r) * sum (f_a(i) - f_b(i))^2. See DESIGN.md §5.
 double PaperEq2Distance(const RankFrequency& a, const RankFrequency& b);
 
-/// Kolmogorov–Smirnov statistic between the two curves interpreted as
-/// discrete distributions over ranks (each normalized to unit mass).
-double KolmogorovSmirnovDistance(const RankFrequency& a,
-                                 const RankFrequency& b);
-
 /// Symmetric pairwise-distance matrix over a set of curves using
 /// MeanAbsoluteError. matrix[i][j] == matrix[j][i], diagonal == 0.
 std::vector<std::vector<double>> PairwiseMae(

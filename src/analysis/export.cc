@@ -1,18 +1,9 @@
 #include "analysis/export.h"
 
 #include "util/check.h"
-#include "util/csv.h"
 #include "util/strings.h"
 
 namespace culevo {
-
-std::string CurveToCsv(const RankFrequency& curve) {
-  std::string out = "rank,frequency\n";
-  for (size_t rank = 1; rank <= curve.size(); ++rank) {
-    out += StrFormat("%zu,%.10g\n", rank, curve.at_rank(rank));
-  }
-  return out;
-}
 
 std::string CurvesToCsv(const std::vector<std::string>& labels,
                         const std::vector<RankFrequency>& curves) {
@@ -40,14 +31,6 @@ std::string CurvesToCsv(const std::vector<std::string>& labels,
   return out;
 }
 
-std::string HistogramToCsv(const std::vector<size_t>& histogram) {
-  std::string out = "size,count\n";
-  for (size_t size = 0; size < histogram.size(); ++size) {
-    out += StrFormat("%zu,%zu\n", size, histogram[size]);
-  }
-  return out;
-}
-
 std::string MatrixToCsv(const std::vector<std::string>& labels,
                         const std::vector<std::vector<double>>& matrix) {
   CULEVO_CHECK(labels.size() == matrix.size());
@@ -66,10 +49,6 @@ std::string MatrixToCsv(const std::vector<std::string>& labels,
     out += '\n';
   }
   return out;
-}
-
-Status WriteCsv(const std::string& path, const std::string& csv) {
-  return WriteStringToFile(path, csv);
 }
 
 }  // namespace culevo

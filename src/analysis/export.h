@@ -5,16 +5,11 @@
 #include <vector>
 
 #include "analysis/rank_frequency.h"
-#include "corpus/corpus_stats.h"
-#include "util/status.h"
 
 namespace culevo {
 
 /// CSV exporters for the figure data, so the paper's plots can be
 /// regenerated with any plotting tool from bench output.
-
-/// rank,frequency rows (1-based ranks), one curve.
-std::string CurveToCsv(const RankFrequency& curve);
 
 /// rank,<label1>,<label2>,... — several curves aligned by rank; shorter
 /// curves pad with empty cells. Precondition: labels.size() ==
@@ -22,16 +17,10 @@ std::string CurveToCsv(const RankFrequency& curve);
 std::string CurvesToCsv(const std::vector<std::string>& labels,
                         const std::vector<RankFrequency>& curves);
 
-/// size,count rows for a recipe-size histogram (Fig. 1).
-std::string HistogramToCsv(const std::vector<size_t>& histogram);
-
 /// Square matrix with row/column labels (e.g. pairwise MAE, Fig. 3).
 /// Precondition: labels.size() == matrix.size() == each row's size.
 std::string MatrixToCsv(const std::vector<std::string>& labels,
                         const std::vector<std::vector<double>>& matrix);
-
-/// Writes any of the above to a file.
-Status WriteCsv(const std::string& path, const std::string& csv);
 
 }  // namespace culevo
 

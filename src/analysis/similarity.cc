@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/check.h"
 
 namespace culevo {
 
@@ -69,28 +68,6 @@ UsageProfileCache::UsageProfileCache(const RecipeCorpus& corpus) {
   }
 }
 
-double IngredientUsageDistance(const RecipeCorpus& corpus, CuisineId a,
-                               CuisineId b) {
-  return UsageProfileDistance(BuildUsageProfile(corpus, a),
-                              BuildUsageProfile(corpus, b));
-}
-
-std::vector<std::vector<double>> IngredientUsageDistanceMatrix(
-    const RecipeCorpus& corpus) {
-  const UsageProfileCache cache(corpus);
-  std::vector<std::vector<double>> matrix(
-      kNumCuisines, std::vector<double>(kNumCuisines, 0.0));
-  for (int i = 0; i < kNumCuisines; ++i) {
-    for (int j = i + 1; j < kNumCuisines; ++j) {
-      const double d = cache.Distance(static_cast<CuisineId>(i),
-                                      static_cast<CuisineId>(j));
-      matrix[static_cast<size_t>(i)][static_cast<size_t>(j)] = d;
-      matrix[static_cast<size_t>(j)][static_cast<size_t>(i)] = d;
-    }
-  }
-  return matrix;
-}
-
 std::vector<CuisineNeighbor> NearestCuisines(const UsageProfileCache& cache,
                                              CuisineId cuisine, size_t k) {
   std::vector<CuisineNeighbor> neighbors;
@@ -112,87 +89,6 @@ std::vector<CuisineNeighbor> NearestCuisines(const UsageProfileCache& cache,
 std::vector<CuisineNeighbor> NearestCuisines(const RecipeCorpus& corpus,
                                              CuisineId cuisine, size_t k) {
   return NearestCuisines(UsageProfileCache(corpus), cuisine, k);
-}
-
-std::vector<ClusterMerge> AgglomerativeCluster(
-    const std::vector<std::vector<double>>& matrix) {
-  const size_t n = matrix.size();
-  for (const std::vector<double>& row : matrix) {
-    CULEVO_CHECK(row.size() == n);
-  }
-  if (n <= 1) return {};
-
-  // Active clusters as member lists; average linkage computed from the
-  // original matrix (O(n^3) overall — trivial at n = 25).
-  std::vector<std::vector<CuisineId>> clusters;
-  clusters.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    clusters.push_back({static_cast<CuisineId>(i)});
-  }
-
-  const auto linkage = [&matrix](const std::vector<CuisineId>& a,
-                                 const std::vector<CuisineId>& b) {
-    double total = 0.0;
-    for (CuisineId x : a) {
-      for (CuisineId y : b) total += matrix[x][y];
-    }
-    return total / static_cast<double>(a.size() * b.size());
-  };
-
-  std::vector<ClusterMerge> merges;
-  while (clusters.size() > 1) {
-    size_t best_i = 0;
-    size_t best_j = 1;
-    double best = linkage(clusters[0], clusters[1]);
-    for (size_t i = 0; i < clusters.size(); ++i) {
-      for (size_t j = i + 1; j < clusters.size(); ++j) {
-        const double d = linkage(clusters[i], clusters[j]);
-        if (d < best) {
-          best = d;
-          best_i = i;
-          best_j = j;
-        }
-      }
-    }
-    std::vector<CuisineId> merged = clusters[best_i];
-    merged.insert(merged.end(), clusters[best_j].begin(),
-                  clusters[best_j].end());
-    std::sort(merged.begin(), merged.end());
-    clusters.erase(clusters.begin() + static_cast<long>(best_j));
-    clusters.erase(clusters.begin() + static_cast<long>(best_i));
-    clusters.push_back(merged);
-    merges.push_back(ClusterMerge{std::move(merged), best});
-  }
-  return merges;
-}
-
-std::vector<std::vector<CuisineId>> CutClusters(
-    const std::vector<std::vector<double>>& matrix, size_t k) {
-  const size_t n = matrix.size();
-  CULEVO_CHECK(k >= 1 && k <= n);
-  std::vector<std::vector<CuisineId>> clusters;
-  for (size_t i = 0; i < n; ++i) {
-    clusters.push_back({static_cast<CuisineId>(i)});
-  }
-  // Replay the merge sequence until k clusters remain.
-  const std::vector<ClusterMerge> merges = AgglomerativeCluster(matrix);
-  size_t remaining = n;
-  for (const ClusterMerge& merge : merges) {
-    if (remaining == k) break;
-    // Remove the two clusters whose union is `merge.members`, insert it.
-    std::vector<std::vector<CuisineId>> next;
-    for (std::vector<CuisineId>& cluster : clusters) {
-      const bool subsumed = std::includes(
-          merge.members.begin(), merge.members.end(), cluster.begin(),
-          cluster.end());
-      if (!subsumed) next.push_back(std::move(cluster));
-    }
-    next.push_back(merge.members);
-    clusters = std::move(next);
-    --remaining;
-  }
-  std::sort(clusters.begin(), clusters.end());
-  return clusters;
 }
 
 }  // namespace culevo

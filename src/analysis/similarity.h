@@ -10,9 +10,9 @@
 
 namespace culevo {
 
-/// Cuisine-to-cuisine distance matrices and a simple agglomerative
-/// clustering on top of them — tooling for the Section-III/IV discussion
-/// of how distinct or homogeneous world cuisines are.
+/// Cuisine-to-cuisine ingredient-usage distances — tooling for the
+/// Section-III/IV discussion of how distinct or homogeneous world cuisines
+/// are.
 
 /// Sparse ingredient-usage profile of one cuisine: the presence fraction
 /// of every ingredient the cuisine actually uses (parallel arrays, sorted
@@ -52,7 +52,8 @@ class UsageProfileCache {
     return profiles_[cuisine];
   }
 
-  /// IngredientUsageDistance served from the cached profiles.
+  /// 1 - cosine similarity of the two cuisines' ingredient-usage vectors
+  /// (presence fraction per ingredient), from the cached profiles.
   double Distance(CuisineId a, CuisineId b) const {
     return UsageProfileDistance(profiles_[a], profiles_[b]);
   }
@@ -60,18 +61,6 @@ class UsageProfileCache {
  private:
   std::vector<CuisineUsageProfile> profiles_;
 };
-
-/// Distance between two cuisines as 1 - cosine similarity of their
-/// ingredient-usage vectors (presence fraction per ingredient). 0 =
-/// identical usage profile, 1 = orthogonal. Builds both sparse profiles
-/// on the fly; repeated queries should go through UsageProfileCache.
-double IngredientUsageDistance(const RecipeCorpus& corpus, CuisineId a,
-                               CuisineId b);
-
-/// Full kNumCuisines x kNumCuisines ingredient-usage distance matrix.
-/// Cuisines with no recipes get distance 1 to everything (0 to self).
-std::vector<std::vector<double>> IngredientUsageDistanceMatrix(
-    const RecipeCorpus& corpus);
 
 /// The `k` nearest cuisines to `cuisine` under ingredient-usage distance,
 /// closest first (excluding itself and empty cuisines).
@@ -87,24 +76,6 @@ std::vector<CuisineNeighbor> NearestCuisines(const RecipeCorpus& corpus,
 /// excluded).
 std::vector<CuisineNeighbor> NearestCuisines(const UsageProfileCache& cache,
                                              CuisineId cuisine, size_t k);
-
-/// One merge step of average-linkage agglomerative clustering.
-struct ClusterMerge {
-  /// Cluster members after the merge (cuisine ids, sorted).
-  std::vector<CuisineId> members;
-  /// Average-linkage distance at which the merge happened.
-  double distance = 0.0;
-};
-
-/// Average-linkage agglomerative clustering over a symmetric distance
-/// matrix. Returns the n-1 merges in order of increasing distance.
-/// Precondition: matrix is square, symmetric, zero-diagonal.
-std::vector<ClusterMerge> AgglomerativeCluster(
-    const std::vector<std::vector<double>>& matrix);
-
-/// Cuts the merge sequence to produce exactly `k` clusters (1 <= k <= n).
-std::vector<std::vector<CuisineId>> CutClusters(
-    const std::vector<std::vector<double>>& matrix, size_t k);
 
 }  // namespace culevo
 

@@ -7,18 +7,6 @@
 
 namespace culevo {
 
-const char* FitnessKindName(FitnessKind kind) {
-  switch (kind) {
-    case FitnessKind::kUniform:
-      return "uniform";
-    case FitnessKind::kCategoryBiased:
-      return "category-biased";
-    case FitnessKind::kPopularityRank:
-      return "popularity-rank";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Categories that carry pan-cuisine staples get a mild fitness edge under

@@ -19,8 +19,6 @@ enum class FitnessKind {
   kPopularityRank,  ///< Monotone in empirical popularity plus noise.
 };
 
-const char* FitnessKindName(FitnessKind kind);
-
 /// Per-ingredient fitness values for one simulation replica. Fitness is
 /// indexed by *position* in the cuisine's ingredient list, not by global
 /// IngredientId, matching Algorithm 1's per-cuisine scope.

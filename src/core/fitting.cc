@@ -49,13 +49,4 @@ Result<std::vector<FitResult>> FitCopyMutateParameters(
   return results;
 }
 
-Result<FitResult> BestFit(const RecipeCorpus& corpus, CuisineId cuisine,
-                          const Lexicon& lexicon, const FitGrid& grid,
-                          const SimulationConfig& config, ThreadPool* pool) {
-  Result<std::vector<FitResult>> results = FitCopyMutateParameters(
-      corpus, cuisine, lexicon, grid, config, pool);
-  if (!results.ok()) return results.status();
-  return results->front();
-}
-
 }  // namespace culevo

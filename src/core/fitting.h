@@ -36,12 +36,6 @@ Result<std::vector<FitResult>> FitCopyMutateParameters(
     const FitGrid& grid, const SimulationConfig& config,
     ThreadPool* pool = nullptr);
 
-/// Convenience: the best grid point only.
-Result<FitResult> BestFit(const RecipeCorpus& corpus, CuisineId cuisine,
-                          const Lexicon& lexicon, const FitGrid& grid,
-                          const SimulationConfig& config,
-                          ThreadPool* pool = nullptr);
-
 }  // namespace culevo
 
 #endif  // CULEVO_CORE_FITTING_H_

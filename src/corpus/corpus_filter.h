@@ -2,32 +2,11 @@
 #define CULEVO_CORPUS_CORPUS_FILTER_H_
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "corpus/recipe_corpus.h"
 #include "util/rng.h"
 
 namespace culevo {
-
-/// Builds a new corpus containing the recipes for which `keep` returns
-/// true. Recipe indices are re-numbered densely.
-RecipeCorpus FilterCorpus(const RecipeCorpus& corpus,
-                          const std::function<bool(const RecipeView&)>& keep);
-
-/// The sub-corpus holding only the given cuisines.
-RecipeCorpus SelectCuisines(const RecipeCorpus& corpus,
-                            const std::vector<CuisineId>& cuisines);
-
-/// The sub-corpus of recipes containing `ingredient`.
-RecipeCorpus RecipesContaining(const RecipeCorpus& corpus,
-                               IngredientId ingredient);
-
-/// Uniform random sample of `fraction` (in (0, 1]) of each cuisine's
-/// recipes (stratified, so small cuisines are not wiped out). Deterministic
-/// in `seed`.
-RecipeCorpus SampleCorpus(const RecipeCorpus& corpus, double fraction,
-                          uint64_t seed);
 
 /// Splits a corpus into two disjoint halves per cuisine (even/odd after a
 /// seeded shuffle): the basis of the split-half stability analysis in

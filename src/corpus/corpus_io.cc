@@ -91,15 +91,6 @@ Result<RecipeCorpus> ParseCorpusTsv(std::string_view text,
   return builder.Build();
 }
 
-Result<RecipeCorpus> ReadCorpusTsv(const std::string& path,
-                                   const Lexicon& lexicon,
-                                   bool skip_unknown) {
-  CULEVO_FAILPOINT("corpus.read");
-  Result<std::string> content = ReadFileToString(path);
-  if (!content.ok()) return content.status();
-  return ParseCorpusTsv(content.value(), lexicon, skip_unknown);
-}
-
 std::string FormatCorpusTsv(const RecipeCorpus& corpus,
                             const Lexicon& lexicon) {
   std::string out = "# culevo corpus: cuisine\tingredient;ingredient;...\n";

@@ -20,10 +20,6 @@ Result<RecipeCorpus> ParseCorpusTsv(std::string_view text,
                                     const Lexicon& lexicon,
                                     bool skip_unknown = false);
 
-Result<RecipeCorpus> ReadCorpusTsv(const std::string& path,
-                                   const Lexicon& lexicon,
-                                   bool skip_unknown = false);
-
 /// Serializes in the format accepted by ParseCorpusTsv (canonical names).
 std::string FormatCorpusTsv(const RecipeCorpus& corpus,
                             const Lexicon& lexicon);

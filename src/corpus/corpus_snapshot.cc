@@ -6,6 +6,7 @@
 
 #include "corpus/container.h"
 #include "obs/metrics.h"
+#include "util/hash.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -67,65 +68,7 @@ uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus) {
 }
 
 // ---------------------------------------------------------------------------
-// SnapshotWriter.
-
-SnapshotWriter::Input SnapshotWriter::Input::FromCorpus(
-    const RecipeCorpus& corpus, std::span<const CuisineStats> stats) {
-  Input input;
-  input.flat = corpus.flat();
-  input.offsets = corpus.offsets();
-  input.cuisines = corpus.cuisines();
-  for (int c = 0; c < kNumCuisines; ++c) {
-    input.shards[static_cast<size_t>(c)] =
-        corpus.recipes_of(static_cast<CuisineId>(c));
-    input.unique[static_cast<size_t>(c)] =
-        corpus.UniqueIngredients(static_cast<CuisineId>(c));
-  }
-  input.unique[kNumCuisines] = corpus.UniqueIngredients();
-  input.stats = stats;
-  return input;
-}
-
-uint64_t SnapshotWriter::ColumnChecksum::Extend(std::string_view column) {
-  if (column.size() < bytes) *this = ColumnChecksum{};
-  state = Fnv1a64(column.substr(bytes), state);
-  bytes = column.size();
-  return state;
-}
-
-Status SnapshotWriter::Write(const std::string& path, const Input& input,
-                             const SnapshotWriteOptions& options) {
-  if (input.offsets.size() != input.cuisines.size() + 1 ||
-      input.stats.size() != static_cast<size_t>(kNumCuisines)) {
-    return Status::InvalidArgument(
-        "corpus snapshot: malformed writer input (offsets/stats shape)");
-  }
-  const std::string stats = SerializeStats(input.stats);
-  std::vector<ContainerSection> sections;
-  sections.reserve(4 + 2 * kNumCuisines + 1);
-  const std::string_view flat = AsBytes(input.flat);
-  const std::string_view offsets = AsBytes(input.offsets);
-  const std::string_view cuisines = AsBytes(input.cuisines);
-  sections.push_back({kSecFlat, flat, flat_.Extend(flat)});
-  sections.push_back({kSecOffsets, offsets, offsets_.Extend(offsets)});
-  sections.push_back({kSecCuisines, cuisines, cuisines_.Extend(cuisines)});
-  sections.push_back({kSecStats, stats, Fnv1a64(stats)});
-  for (int c = 0; c <= kNumCuisines; ++c) {
-    const size_t ci = static_cast<size_t>(c);
-    if (c < kNumCuisines) {
-      sections.push_back(ColumnSection(
-          kSecShardBase + static_cast<uint32_t>(c), input.shards[ci]));
-    }
-    sections.push_back(ColumnSection(
-        kSecUniqueBase + static_cast<uint32_t>(c), input.unique[ci]));
-  }
-  const ContainerWords words = {input.cuisines.size(), input.flat.size(),
-                                static_cast<uint32_t>(kNumCuisines)};
-  return WriteContainer(path, kSnapshotFormat, words, sections, options.sync);
-}
-
-// ---------------------------------------------------------------------------
-// One-shot write + load.
+// Write + load.
 
 Status WriteCorpusSnapshot(const std::string& path,
                            const RecipeCorpus& corpus,
@@ -138,9 +81,29 @@ Status WriteCorpusSnapshot(const std::string& path,
                            const RecipeCorpus& corpus,
                            std::span<const CuisineStats> stats,
                            const SnapshotWriteOptions& options) {
-  SnapshotWriter writer;
-  return writer.Write(path, SnapshotWriter::Input::FromCorpus(corpus, stats),
-                      options);
+  if (stats.size() != static_cast<size_t>(kNumCuisines)) {
+    return Status::InvalidArgument(
+        "corpus snapshot: stats need one entry per cuisine");
+  }
+  const std::string stats_bytes = SerializeStats(stats);
+  std::vector<ContainerSection> sections;
+  sections.reserve(4 + 2 * kNumCuisines + 1);
+  sections.push_back(ColumnSection(kSecFlat, corpus.flat()));
+  sections.push_back(ColumnSection(kSecOffsets, corpus.offsets()));
+  sections.push_back(ColumnSection(kSecCuisines, corpus.cuisines()));
+  sections.push_back({kSecStats, stats_bytes, Fnv1a64(stats_bytes)});
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    sections.push_back(ColumnSection(kSecShardBase + cuisine,
+                                     corpus.recipes_of(cuisine)));
+    sections.push_back(ColumnSection(kSecUniqueBase + cuisine,
+                                     corpus.UniqueIngredients(cuisine)));
+  }
+  sections.push_back(ColumnSection(kSecUniqueBase + kNumCuisines,
+                                   corpus.UniqueIngredients()));
+  const ContainerWords words = {corpus.num_recipes(), corpus.flat().size(),
+                                static_cast<uint32_t>(kNumCuisines)};
+  return WriteContainer(path, kSnapshotFormat, words, sections, options.sync);
 }
 
 Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(

@@ -1,16 +1,13 @@
 #ifndef CULEVO_CORPUS_CORPUS_SNAPSHOT_H_
 #define CULEVO_CORPUS_CORPUS_SNAPSHOT_H_
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "corpus/corpus_stats.h"
 #include "corpus/recipe_corpus.h"
-#include "util/hash.h"
 #include "util/status.h"
 
 namespace culevo {
@@ -87,12 +84,13 @@ struct LoadedCorpusSnapshot {
 uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus);
 
 /// Serializes `corpus` (computing its CuisineStats) and writes the
-/// snapshot atomically. Convenience wrapper over SnapshotWriter.
+/// snapshot atomically.
 Status WriteCorpusSnapshot(const std::string& path,
                            const RecipeCorpus& corpus,
                            const SnapshotWriteOptions& options = {});
 
-/// As above with caller-precomputed stats: they must be exactly what
+/// As above with caller-precomputed stats (IncrementalCorpus::stats(),
+/// say): one entry per cuisine, else InvalidArgument, and exactly what
 /// ComputeCuisineStats(corpus) returns, or LoadCorpusSnapshot refuses the
 /// file.
 Status WriteCorpusSnapshot(const std::string& path,
@@ -103,54 +101,6 @@ Status WriteCorpusSnapshot(const std::string& path,
 /// Reads, verifies, and adopts a snapshot. See the refusal contract above.
 Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
     const std::string& path, const SnapshotLoadOptions& options = {});
-
-/// Snapshot writer that hashes each append-only column only once. It
-/// keeps a resumable FNV-1a-64 state for each of flat, offsets and
-/// cuisines, so a Write whose columns extend those of this writer's
-/// previous Write hashes only the appended bytes. The shard, unique-list
-/// and stats sections are hashed in full on every Write: a realistic
-/// batch touches every cuisine, so caching them never paid. The file is
-/// always written in full through WriteFileAtomic.
-///
-/// IncrementalCorpus, whose columns only ever grow, keeps one writer across
-/// its WriteSnapshot calls; WriteCorpusSnapshot uses a fresh one.
-class SnapshotWriter {
- public:
-  /// The columns of one snapshot. Spans must stay valid for the duration
-  /// of Write().
-  struct Input {
-    std::span<const IngredientId> flat;
-    std::span<const uint32_t> offsets;    ///< num_recipes + 1.
-    std::span<const CuisineId> cuisines;  ///< num_recipes.
-    std::array<std::span<const uint32_t>, kNumCuisines> shards;
-    std::array<std::span<const IngredientId>, kNumCuisines + 1> unique;
-    std::span<const CuisineStats> stats;  ///< kNumCuisines entries.
-
-    /// Convenience: the columns of a finalized corpus.
-    static Input FromCorpus(const RecipeCorpus& corpus,
-                            std::span<const CuisineStats> stats);
-  };
-
-  /// Serializes and atomically writes the snapshot. Precondition: each
-  /// column of `input` begins with the bytes it had at this writer's
-  /// previous Write (a column that shrank is rehashed from its start).
-  Status Write(const std::string& path, const Input& input,
-               const SnapshotWriteOptions& options = {});
-
- private:
-  /// FNV-1a-64 state over the first `bytes` bytes of one column.
-  struct ColumnChecksum {
-    size_t bytes = 0;
-    uint64_t state = kFnv1a64Offset;
-
-    /// Hashes what `column` holds past `bytes`; returns its checksum.
-    uint64_t Extend(std::string_view column);
-  };
-
-  ColumnChecksum flat_;
-  ColumnChecksum offsets_;
-  ColumnChecksum cuisines_;
-};
 
 }  // namespace culevo
 

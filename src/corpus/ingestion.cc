@@ -249,22 +249,6 @@ RecipeCorpus IncrementalCorpus::HandOff(std::vector<IngredientId> flat,
   return corpus;
 }
 
-Status IncrementalCorpus::WriteSnapshot(const std::string& path,
-                                        const SnapshotWriteOptions& options) {
-  SnapshotWriter::Input input;
-  input.flat = flat_;
-  input.offsets = offsets_;
-  input.cuisines = cuisines_;
-  for (int c = 0; c < kNumCuisines; ++c) {
-    const size_t ci = static_cast<size_t>(c);
-    input.shards[ci] = shards_[ci];
-    input.unique[ci] = unique_[ci];
-  }
-  input.unique[kNumCuisines] = unique_[kNumCuisines];
-  input.stats = stats_;
-  return writer_.Write(path, input, options);
-}
-
 // ---------------------------------------------------------------------------
 // CULEVO-DELTA 2.
 

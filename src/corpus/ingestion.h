@@ -72,9 +72,7 @@ std::vector<RawRecipe> ParseRawRecipeText(std::string_view text);
 ///     unique-ingredient list are updated in place per recipe,
 ///   - CuisineStats (count, mean, min/max, size histogram, unique count)
 ///     are maintained incrementally and stay bit-identical to what
-///     ComputeCuisineStats would return on the materialized corpus,
-///   - snapshots go through a persistent SnapshotWriter, which resumes the
-///     checksums of the append-only columns instead of rehashing them.
+///     ComputeCuisineStats would return on the materialized corpus.
 ///
 /// Metrics: `corpus.ingest.recipes` (appended recipes).
 ///
@@ -121,8 +119,8 @@ class IncrementalCorpus {
   }
 
   /// Builds an owned, finalized RecipeCorpus from the current contents,
-  /// for code that wants the immutable type (snapshots and stats do not
-  /// need it). The columns, shards, presence counts and unique lists this
+  /// for code that wants the immutable type: a snapshot is
+  /// WriteCorpusSnapshot(path, *Materialize(), stats()). The columns, shards, presence counts and unique lists this
   /// object maintains become the corpus storage as they are: nothing is
   /// re-sorted, re-counted or re-scanned. `incremental.Materialize()`
   /// copies them; `std::move(incremental).Materialize()` moves the columns
@@ -130,14 +128,6 @@ class IncrementalCorpus {
   /// assignment.
   Result<RecipeCorpus> Materialize() const&;
   Result<RecipeCorpus> Materialize() &&;
-
-  /// Writes a `CULEVO-CORPUS 1` snapshot of the current contents,
-  /// byte-identical to WriteCorpusSnapshot of Materialize(). The column
-  /// checksums resume from this object's previous WriteSnapshot (see
-  /// SnapshotWriter), so only the appended bytes of flat, offsets and
-  /// cuisines are hashed again.
-  Status WriteSnapshot(const std::string& path,
-                       const SnapshotWriteOptions& options = {});
 
  private:
   void SeedSizeSums();
@@ -165,10 +155,6 @@ class IncrementalCorpus {
   /// the same division ComputeCuisineStats performs).
   std::array<uint64_t, kNumCuisines> size_sums_{};
   std::vector<IngredientId> scratch_;
-
-  /// Holds the column checksums as of the previous WriteSnapshot; the
-  /// columns only ever grow, as it requires.
-  SnapshotWriter writer_;
 };
 
 /// `CULEVO-DELTA 2` — the incremental-reload delta file.

@@ -1,7 +1,6 @@
 #include "lexicon/lexicon_io.h"
 
 #include "util/csv.h"
-#include "util/failpoint.h"
 #include "util/strings.h"
 
 namespace culevo {
@@ -49,13 +48,6 @@ Result<Lexicon> ParseLexiconTsv(std::string_view text) {
     }
   }
   return lexicon;
-}
-
-Result<Lexicon> ReadLexiconTsv(const std::string& path) {
-  CULEVO_FAILPOINT("lexicon.read");
-  Result<std::string> content = ReadFileToString(path);
-  if (!content.ok()) return content.status();
-  return ParseLexiconTsv(content.value());
 }
 
 std::string FormatLexiconTsv(const Lexicon& lexicon) {

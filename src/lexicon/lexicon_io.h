@@ -15,8 +15,6 @@ namespace culevo {
 /// be empty or absent.
 Result<Lexicon> ParseLexiconTsv(std::string_view text);
 
-Result<Lexicon> ReadLexiconTsv(const std::string& path);
-
 /// Serializes in the format accepted by ParseLexiconTsv. Aliases other than
 /// the canonical name are not stored in Lexicon by surface form, so the
 /// alias column is emitted empty; round-tripping preserves entities.

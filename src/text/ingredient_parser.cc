@@ -96,48 +96,6 @@ bool IsPreparationWord(const std::string& token) {
 
 }  // namespace
 
-std::string_view UnitName(Unit unit) {
-  switch (unit) {
-    case Unit::kNone:
-      return "";
-    case Unit::kTeaspoon:
-      return "teaspoon";
-    case Unit::kTablespoon:
-      return "tablespoon";
-    case Unit::kCup:
-      return "cup";
-    case Unit::kOunce:
-      return "ounce";
-    case Unit::kPound:
-      return "pound";
-    case Unit::kGram:
-      return "gram";
-    case Unit::kKilogram:
-      return "kilogram";
-    case Unit::kMilliliter:
-      return "milliliter";
-    case Unit::kLiter:
-      return "liter";
-    case Unit::kPinch:
-      return "pinch";
-    case Unit::kDash:
-      return "dash";
-    case Unit::kClove:
-      return "clove";
-    case Unit::kSlice:
-      return "slice";
-    case Unit::kCan:
-      return "can";
-    case Unit::kPackage:
-      return "package";
-    case Unit::kBunch:
-      return "bunch";
-    case Unit::kPiece:
-      return "piece";
-  }
-  return "";
-}
-
 ParsedIngredientLine ParseIngredientLine(std::string_view raw) {
   ParsedIngredientLine parsed;
   // Note: NormalizeMention maps '/' to a space, so fractions are split

@@ -30,9 +30,6 @@ enum class Unit {
   kPiece,
 };
 
-/// Canonical display name ("tablespoon", "gram", ...; "" for kNone).
-std::string_view UnitName(Unit unit);
-
 /// A parsed raw recipe-ingredient line, e.g.
 ///   "2 1/2 cups finely chopped red onion"
 ///     -> quantity 2.5, unit kCup, preparation "finely chopped",

@@ -1,16 +1,11 @@
 #include "text/tokenizer.h"
 
-#include "text/normalize.h"
 #include "util/strings.h"
 
 namespace culevo {
 
 std::vector<std::string> TokenizeNormalized(std::string_view normalized) {
   return SplitAndTrim(normalized, ' ');
-}
-
-std::vector<std::string> TokenizeMention(std::string_view raw) {
-  return TokenizeNormalized(NormalizeMention(raw));
 }
 
 }  // namespace culevo

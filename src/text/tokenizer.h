@@ -10,9 +10,6 @@ namespace culevo {
 /// Splits normalized text (see NormalizeMention) into word tokens.
 std::vector<std::string> TokenizeNormalized(std::string_view normalized);
 
-/// Normalizes and tokenizes a raw mention in one step.
-std::vector<std::string> TokenizeMention(std::string_view raw);
-
 }  // namespace culevo
 
 #endif  // CULEVO_TEXT_TOKENIZER_H_

@@ -1,8 +1,22 @@
 #include "util/flags.h"
 
+#include <cstdlib>
+#include <iostream>
+
 #include "util/strings.h"
 
 namespace culevo {
+namespace {
+
+[[noreturn]] void ExitInvalidValue(const std::string& name,
+                                   const std::string& value) {
+  std::cerr << Status::InvalidArgument("invalid value '" + value +
+                                       "' for --" + name)
+            << "\n";
+  std::exit(2);
+}
+
+}  // namespace
 
 Status FlagParser::Parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -51,7 +65,8 @@ long long FlagParser::GetInt(const std::string& name,
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   long long parsed = 0;
-  return ParseInt64(it->second, &parsed) ? parsed : default_value;
+  if (!ParseInt64(it->second, &parsed)) ExitInvalidValue(name, it->second);
+  return parsed;
 }
 
 double FlagParser::GetDouble(const std::string& name,
@@ -59,7 +74,8 @@ double FlagParser::GetDouble(const std::string& name,
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   double parsed = 0.0;
-  return ParseDouble(it->second, &parsed) ? parsed : default_value;
+  if (!ParseDouble(it->second, &parsed)) ExitInvalidValue(name, it->second);
+  return parsed;
 }
 
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {
@@ -72,7 +88,7 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) const {
   if (lower == "false" || lower == "0" || lower == "no" || lower == "off") {
     return false;
   }
-  return default_value;
+  ExitInvalidValue(name, it->second);
 }
 
 }  // namespace culevo

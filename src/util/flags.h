@@ -21,8 +21,11 @@ class FlagParser {
 
   bool Has(const std::string& name) const;
 
-  /// Typed getters with defaults. Malformed values fall back to the default
-  /// and are reported via GetError().
+  /// Typed getters with defaults. A value that does not parse as the
+  /// getter's type is a usage error: the getter prints
+  /// `InvalidArgument: invalid value '<value>' for --<name>` to stderr and
+  /// exits the process with status 2, as every binary does when Parse
+  /// fails.
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   long long GetInt(const std::string& name, long long default_value) const;

@@ -1,10 +1,8 @@
 #ifndef CULEVO_UTIL_HASH_H_
 #define CULEVO_UTIL_HASH_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace culevo {
 
@@ -31,23 +29,6 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
   seed ^= value + 0x9E3779B97F4A7C15ull + (seed << 12) + (seed >> 4);
   return seed;
 }
-
-/// Order-sensitive hash of an integral sequence. Itemsets are kept sorted,
-/// so this doubles as a set hash for canonicalized itemsets.
-template <typename Int>
-uint64_t HashSequence(const std::vector<Int>& values) {
-  uint64_t seed = 0xC2B2AE3D27D4EB4Full ^ values.size();
-  for (Int v : values) seed = HashCombine(seed, static_cast<uint64_t>(v));
-  return seed;
-}
-
-/// Functor for unordered_map keys holding sorted id vectors.
-template <typename Int>
-struct SequenceHash {
-  size_t operator()(const std::vector<Int>& values) const {
-    return static_cast<size_t>(HashSequence(values));
-  }
-};
 
 }  // namespace culevo
 

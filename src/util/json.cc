@@ -91,13 +91,10 @@ void JsonWriter::String(std::string_view value) {
 }
 
 void JsonWriter::Number(double value) {
+  if (!std::isfinite(value)) return Null();  // JSON has no NaN/Inf.
   MaybeComma();
   if (!stack_.empty() && stack_.back() == 'v') stack_.back() = 'o';
-  if (std::isfinite(value)) {
-    out_ += StrFormat("%.10g", value);
-  } else {
-    out_ += "null";  // JSON has no NaN/Inf.
-  }
+  out_ += StrFormat("%.10g", value);
   needs_comma_ = true;
 }
 

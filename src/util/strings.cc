@@ -73,24 +73,6 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-std::string ReplaceAll(std::string_view text, std::string_view from,
-                       std::string_view to) {
-  if (from.empty()) return std::string(text);
-  std::string out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = text.find(from, start);
-    if (pos == std::string_view::npos) {
-      out.append(text.substr(start));
-      break;
-    }
-    out.append(text.substr(start, pos - start));
-    out.append(to);
-    start = pos + from.size();
-  }
-  return out;
-}
-
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

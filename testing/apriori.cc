@@ -1,4 +1,4 @@
-#include "analysis/apriori.h"
+#include "testing/apriori.h"
 
 #include <algorithm>
 #include <span>
@@ -11,11 +11,20 @@
 namespace culevo {
 namespace {
 
+/// Order-sensitive hash of a sorted itemset, for the prune lookups.
+struct ItemsetHash {
+  size_t operator()(const std::vector<Item>& items) const {
+    uint64_t seed = 0xC2B2AE3D27D4EB4Full ^ items.size();
+    for (const Item item : items) seed = HashCombine(seed, item);
+    return static_cast<size_t>(seed);
+  }
+};
+
 /// Candidate generation: joins pairs of frequent (k-1)-itemsets sharing a
 /// (k-2)-prefix, then prunes candidates with an infrequent (k-1)-subset.
 std::vector<std::vector<Item>> GenerateCandidates(
     const std::vector<std::vector<Item>>& frequent_prev) {
-  std::unordered_set<std::vector<Item>, SequenceHash<Item>> frequent_lookup(
+  std::unordered_set<std::vector<Item>, ItemsetHash> frequent_lookup(
       frequent_prev.size());
   for (const std::vector<Item>& itemset : frequent_prev) {
     frequent_lookup.insert(itemset);

@@ -1,5 +1,5 @@
-#ifndef CULEVO_ANALYSIS_APRIORI_H_
-#define CULEVO_ANALYSIS_APRIORI_H_
+#ifndef CULEVO_TESTING_APRIORI_H_
+#define CULEVO_TESTING_APRIORI_H_
 
 #include <vector>
 
@@ -11,11 +11,12 @@ namespace culevo {
 ///
 /// Returns every itemset of size >= 1 whose support (number of containing
 /// transactions) is >= `min_support_count`, sorted with ItemsetLess.
-/// `min_support_count` of 0 is treated as 1. Reference implementation used
-/// to cross-check the faster Eclat miner; prefer MineEclat on large data.
+/// `min_support_count` of 0 is treated as 1. The reference that the tests
+/// and perf_mining cross-check MineEclat against; no library path mines
+/// with it.
 std::vector<Itemset> MineApriori(const TransactionSet& transactions,
                                  size_t min_support_count);
 
 }  // namespace culevo
 
-#endif  // CULEVO_ANALYSIS_APRIORI_H_
+#endif  // CULEVO_TESTING_APRIORI_H_

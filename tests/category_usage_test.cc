@@ -27,19 +27,6 @@ class CategoryUsageTest : public ::testing::Test {
   RecipeCorpus corpus_;
 };
 
-TEST_F(CategoryUsageTest, PerRecipeCounts) {
-  EXPECT_EQ(PerRecipeCategoryCounts(corpus_, 0, Category::kHerb, lexicon_),
-            (std::vector<double>{2.0, 1.0}));
-  EXPECT_EQ(
-      PerRecipeCategoryCounts(corpus_, 0, Category::kAdditive, lexicon_),
-      (std::vector<double>{1.0, 0.0}));
-  EXPECT_EQ(PerRecipeCategoryCounts(corpus_, 1, Category::kHerb, lexicon_),
-            (std::vector<double>{0.0}));
-  EXPECT_TRUE(
-      PerRecipeCategoryCounts(corpus_, 5, Category::kHerb, lexicon_)
-          .empty());
-}
-
 TEST_F(CategoryUsageTest, UsageMatrixMeans) {
   const auto matrix = CategoryUsageMatrix(corpus_, lexicon_);
   ASSERT_EQ(matrix.size(), static_cast<size_t>(kNumCuisines));
@@ -51,15 +38,6 @@ TEST_F(CategoryUsageTest, UsageMatrixMeans) {
   for (int k = 0; k < kNumCategories; ++k) {
     EXPECT_DOUBLE_EQ(matrix[9][static_cast<size_t>(k)], 0.0);
   }
-}
-
-TEST_F(CategoryUsageTest, BoxplotOverRecipes) {
-  const BoxplotStats box =
-      CategoryUsageBoxplot(corpus_, 0, Category::kHerb, lexicon_);
-  EXPECT_DOUBLE_EQ(box.min, 1.0);
-  EXPECT_DOUBLE_EQ(box.max, 2.0);
-  EXPECT_DOUBLE_EQ(box.mean, 1.5);
-  EXPECT_DOUBLE_EQ(box.median, 1.5);
 }
 
 }  // namespace

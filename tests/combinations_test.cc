@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/apriori.h"
 #include "lexicon/lexicon.h"
+#include "testing/apriori.h"
 
 namespace culevo {
 namespace {

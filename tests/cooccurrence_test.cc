@@ -57,18 +57,5 @@ TEST(PairingNetworkTest, EmptyCuisine) {
   EXPECT_TRUE(BuildPairingNetwork(PairingCorpus(), 7, 1).empty());
 }
 
-TEST(TopPartnersTest, ReturnsStrongestPartnersOfIngredient) {
-  const std::vector<PairingPartner> partners =
-      TopPartners(PairingCorpus(), 0, 3, 2, 1);
-  // Ingredient 3 pairs with 1, 2, 4; top 2 by PMI: 4 first (PMI 1).
-  ASSERT_EQ(partners.size(), 2u);
-  EXPECT_EQ(partners[0].partner, 4);
-  EXPECT_EQ(partners[0].cooccurrences, 1u);
-}
-
-TEST(TopPartnersTest, UnknownIngredientHasNoPartners) {
-  EXPECT_TRUE(TopPartners(PairingCorpus(), 0, 99, 3, 1).empty());
-}
-
 }  // namespace
 }  // namespace culevo

@@ -5,59 +5,6 @@
 namespace culevo {
 namespace {
 
-RecipeCorpus FilterTestCorpus() {
-  RecipeCorpus::Builder builder;
-  EXPECT_TRUE(builder.Add(0, {1, 2}).ok());
-  EXPECT_TRUE(builder.Add(0, {2, 3}).ok());
-  EXPECT_TRUE(builder.Add(1, {1, 4}).ok());
-  EXPECT_TRUE(builder.Add(2, {5, 6}).ok());
-  return builder.Build();
-}
-
-TEST(FilterCorpusTest, KeepsMatchingRecipes) {
-  const RecipeCorpus filtered =
-      FilterCorpus(FilterTestCorpus(), [](const RecipeView& recipe) {
-        return recipe.size() == 2 && recipe.ingredients[0] == 1;
-      });
-  EXPECT_EQ(filtered.num_recipes(), 2u);
-  EXPECT_EQ(filtered.num_recipes_in(0), 1u);
-  EXPECT_EQ(filtered.num_recipes_in(1), 1u);
-}
-
-TEST(SelectCuisinesTest, KeepsOnlyRequested) {
-  const RecipeCorpus selected =
-      SelectCuisines(FilterTestCorpus(), {0, 2});
-  EXPECT_EQ(selected.num_recipes(), 3u);
-  EXPECT_EQ(selected.num_recipes_in(0), 2u);
-  EXPECT_EQ(selected.num_recipes_in(1), 0u);
-  EXPECT_EQ(selected.num_recipes_in(2), 1u);
-}
-
-TEST(RecipesContainingTest, FindsIngredient) {
-  const RecipeCorpus with_2 = RecipesContaining(FilterTestCorpus(), 2);
-  EXPECT_EQ(with_2.num_recipes(), 2u);
-  const RecipeCorpus with_9 = RecipesContaining(FilterTestCorpus(), 9);
-  EXPECT_EQ(with_9.num_recipes(), 0u);
-}
-
-TEST(SampleCorpusTest, FullFractionKeepsEverything) {
-  const RecipeCorpus sampled = SampleCorpus(FilterTestCorpus(), 1.0, 3);
-  EXPECT_EQ(sampled.num_recipes(), 4u);
-}
-
-TEST(SampleCorpusTest, DeterministicAndRoughlyProportional) {
-  RecipeCorpus::Builder builder;
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(
-        builder.Add(0, {static_cast<IngredientId>(i % 50), 60}).ok());
-  }
-  const RecipeCorpus big = builder.Build();
-  const RecipeCorpus a = SampleCorpus(big, 0.3, 7);
-  const RecipeCorpus b = SampleCorpus(big, 0.3, 7);
-  EXPECT_EQ(a.num_recipes(), b.num_recipes());
-  EXPECT_NEAR(static_cast<double>(a.num_recipes()), 300.0, 60.0);
-}
-
 TEST(SplitHalvesTest, PartitionsEveryCuisine) {
   RecipeCorpus::Builder builder;
   for (int i = 0; i < 101; ++i) {

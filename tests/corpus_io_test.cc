@@ -8,10 +8,19 @@
 #include <vector>
 
 #include "lexicon/world_lexicon.h"
+#include "util/csv.h"
 #include "util/failpoint.h"
 
 namespace culevo {
 namespace {
+
+/// The corpus in the TSV file at `path`.
+Result<RecipeCorpus> ReadCorpusFile(const std::string& path,
+                                    const Lexicon& lexicon) {
+  Result<std::string> text = ReadFileToString(path);
+  if (!text.ok()) return text.status();
+  return ParseCorpusTsv(*text, lexicon);
+}
 
 TEST(CorpusIoTest, ParsesRecipesThroughLexicon) {
   const Lexicon& lexicon = WorldLexicon();
@@ -99,7 +108,7 @@ TEST(CorpusIoTest, FileRoundTrip) {
   ASSERT_TRUE(original.ok());
   const std::string path = ::testing::TempDir() + "/culevo_corpus.tsv";
   ASSERT_TRUE(WriteCorpusTsv(path, original.value(), lexicon).ok());
-  Result<RecipeCorpus> loaded = ReadCorpusTsv(path, lexicon);
+  Result<RecipeCorpus> loaded = ReadCorpusFile(path, lexicon);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->num_recipes(), 1u);
   std::remove(path.c_str());
@@ -107,13 +116,13 @@ TEST(CorpusIoTest, FileRoundTrip) {
 
 TEST(CorpusIoTest, ReadMissingFileFails) {
   Result<RecipeCorpus> corpus =
-      ReadCorpusTsv("/nonexistent/corpus.tsv", WorldLexicon());
+      ReadCorpusFile("/nonexistent/corpus.tsv", WorldLexicon());
   ASSERT_FALSE(corpus.ok());
   EXPECT_EQ(corpus.status().code(), StatusCode::kIOError);
 }
 
 // Failpoint-driven I/O error paths: a read that fails before the file is
-// opened (corpus.read), one that fails mid-stream after a successful open
+// opened (io.read.open), one that fails mid-stream after a successful open
 // (io.read.stream), and a row-level parse fault — all propagate the
 // injected Status instead of crashing or returning a half-parsed corpus.
 class CorpusIoFaultTest : public ::testing::Test {
@@ -135,15 +144,15 @@ class CorpusIoFaultTest : public ::testing::Test {
 };
 
 TEST_F(CorpusIoFaultTest, ReadFailpointPropagates) {
-  Failpoints::Get().Arm("corpus.read");
-  Result<RecipeCorpus> corpus = ReadCorpusTsv(path_, WorldLexicon());
+  Failpoints::Get().Arm("io.read.open");
+  Result<RecipeCorpus> corpus = ReadCorpusFile(path_, WorldLexicon());
   ASSERT_FALSE(corpus.ok());
   EXPECT_EQ(corpus.status().code(), StatusCode::kIOError);
 }
 
 TEST_F(CorpusIoFaultTest, MidStreamReadFailurePropagates) {
   Failpoints::Get().Arm("io.read.stream");
-  Result<RecipeCorpus> corpus = ReadCorpusTsv(path_, WorldLexicon());
+  Result<RecipeCorpus> corpus = ReadCorpusFile(path_, WorldLexicon());
   ASSERT_FALSE(corpus.ok());
   EXPECT_EQ(corpus.status().code(), StatusCode::kIOError);
 }
@@ -154,12 +163,12 @@ TEST_F(CorpusIoFaultTest, RowFaultAbortsParseNotJustTheRow) {
   Failpoints::ArmSpec spec;
   spec.skip = 1;
   Failpoints::Get().Arm("corpus.parse.row", spec);
-  Result<RecipeCorpus> corpus = ReadCorpusTsv(path_, WorldLexicon());
+  Result<RecipeCorpus> corpus = ReadCorpusFile(path_, WorldLexicon());
   ASSERT_FALSE(corpus.ok());
   EXPECT_EQ(corpus.status().code(), StatusCode::kIOError);
   // Disarmed, the same file parses completely.
   Failpoints::Get().DisarmAll();
-  Result<RecipeCorpus> clean = ReadCorpusTsv(path_, WorldLexicon());
+  Result<RecipeCorpus> clean = ReadCorpusFile(path_, WorldLexicon());
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(clean->num_recipes(), 2u);
 }

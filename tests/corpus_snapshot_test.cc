@@ -423,16 +423,16 @@ TEST_F(CorpusSnapshotTest, LoadReturnsContentFingerprint) {
   expect_fingerprint(small, {}, "small corpus");
   expect_fingerprint(small, {.allow_mmap = false}, "buffered load");
 
-  // The incremental writer resumes its column checksums across appends.
+  // An incremental corpus after appends, written with its own stats.
   IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(small);
-  ASSERT_TRUE(incremental.WriteSnapshot(path_, write).ok());
   const std::vector<IngredientId> appended[] = {{1, 2, 3}, {250, 7}, {42}};
   for (size_t i = 0; i < std::size(appended); ++i) {
     ASSERT_TRUE(incremental.Add(static_cast<CuisineId>(i), appended[i]).ok());
   }
-  ASSERT_TRUE(incremental.WriteSnapshot(path_, write).ok());
   Result<RecipeCorpus> grown = incremental.Materialize();
   ASSERT_TRUE(grown.ok()) << grown.status();
+  ASSERT_TRUE(
+      WriteCorpusSnapshot(path_, *grown, incremental.stats(), write).ok());
   expect_fingerprint(*grown, {}, "incremental snapshot after appends");
 }
 

@@ -49,31 +49,6 @@ TEST(PaperEq2Test, SmallerThanMaeForSubUnitGaps) {
   EXPECT_LT(PaperEq2Distance(a, b), MeanAbsoluteError(a, b));
 }
 
-TEST(KsTest, IdenticalDistributionsAreZero) {
-  const RankFrequency a = Curve({0.6, 0.3, 0.1});
-  EXPECT_NEAR(KolmogorovSmirnovDistance(a, a), 0.0, 1e-12);
-}
-
-TEST(KsTest, ScaleInvariantUnderMassNormalization) {
-  const RankFrequency a = Curve({0.6, 0.3, 0.1});
-  const RankFrequency b = Curve({0.06, 0.03, 0.01});
-  EXPECT_NEAR(KolmogorovSmirnovDistance(a, b), 0.0, 1e-12);
-}
-
-TEST(KsTest, DisjointShapes) {
-  // All mass at rank 1 vs spread evenly over 10 ranks.
-  const RankFrequency a = Curve({1.0});
-  const RankFrequency b = Curve(std::vector<double>(10, 0.1));
-  EXPECT_NEAR(KolmogorovSmirnovDistance(a, b), 0.9, 1e-12);
-}
-
-TEST(KsTest, EmptyCurves) {
-  EXPECT_DOUBLE_EQ(
-      KolmogorovSmirnovDistance(RankFrequency(), RankFrequency()), 0.0);
-  EXPECT_DOUBLE_EQ(KolmogorovSmirnovDistance(Curve({0.5}), RankFrequency()),
-                   1.0);
-}
-
 TEST(PairwiseMaeTest, SymmetricZeroDiagonal) {
   const std::vector<RankFrequency> curves = {
       Curve({0.8, 0.4}), Curve({0.6, 0.2}), Curve({0.5})};

@@ -44,25 +44,6 @@ TEST(FittingTest, EvaluatesWholeGridSortedByMae) {
   }
 }
 
-TEST(FittingTest, BestFitMatchesGridHead) {
-  const CuisineId grc = CuisineFromCode("GRC").value();
-  FitGrid grid;
-  grid.initial_pools = {20};
-  grid.mutation_counts = {4, 6};
-  grid.policies = {ReplacementPolicy::kSameCategory};
-  SimulationConfig config;
-  config.replicas = 2;
-
-  Result<std::vector<FitResult>> all = FitCopyMutateParameters(
-      FitCorpus(), grc, WorldLexicon(), grid, config);
-  Result<FitResult> best =
-      BestFit(FitCorpus(), grc, WorldLexicon(), grid, config);
-  ASSERT_TRUE(all.ok());
-  ASSERT_TRUE(best.ok());
-  EXPECT_DOUBLE_EQ(best->mae_ingredient, all->front().mae_ingredient);
-  EXPECT_EQ(best->params.mutations, all->front().params.mutations);
-}
-
 TEST(FittingTest, ExtremeMutationCountsFitWorseThanModerate) {
   // The U-shape: M=1 and M=24 should both lose to the paper range.
   const CuisineId grc = CuisineFromCode("GRC").value();

@@ -293,16 +293,17 @@ TEST(IncrementalCorpusTest, SnapshotRoundTripsAfterAppends) {
   };
 
   add_batch(100);
-  ASSERT_TRUE(incremental.WriteSnapshot(path, write).ok());
-  // Second write with appended batches exercises the resumed column
-  // checksums: only the appended bytes of each column are hashed.
   add_batch(40);
-  ASSERT_TRUE(incremental.WriteSnapshot(path, write).ok());
+  // Written with the incrementally maintained stats, which the load
+  // checks against the columns.
+  Result<RecipeCorpus> materialized = incremental.Materialize();
+  ASSERT_TRUE(materialized.ok());
+  ASSERT_TRUE(
+      WriteCorpusSnapshot(path, *materialized, incremental.stats(), write)
+          .ok());
 
   Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  Result<RecipeCorpus> materialized = incremental.Materialize();
-  ASSERT_TRUE(materialized.ok());
   EXPECT_EQ(loaded->corpus.num_recipes(), materialized->num_recipes());
   EXPECT_TRUE(SameStats(loaded->stats,
                         ComputeCuisineStats(materialized.value())));
@@ -324,14 +325,16 @@ TEST(IncrementalCorpusTest, DeltaSnapshotIdenticalToFreshSnapshot) {
   IncrementalCorpus incremental;
   ASSERT_TRUE(incremental.Add(0, std::vector<IngredientId>{3, 1}).ok());
   ASSERT_TRUE(incremental.Add(4, std::vector<IngredientId>{2}).ok());
-  ASSERT_TRUE(incremental.WriteSnapshot(incremental_path, write).ok());
   ASSERT_TRUE(incremental.Add(0, std::vector<IngredientId>{8}).ok());
-  ASSERT_TRUE(incremental.WriteSnapshot(incremental_path, write).ok());
-
-  // A from-scratch snapshot of the same corpus must be byte-identical —
-  // resuming the column checksums is not allowed to change the bytes.
   Result<RecipeCorpus> materialized = incremental.Materialize();
   ASSERT_TRUE(materialized.ok());
+  ASSERT_TRUE(WriteCorpusSnapshot(incremental_path, *materialized,
+                                  incremental.stats(), write)
+                  .ok());
+
+  // A from-scratch snapshot of the same corpus must be byte-identical —
+  // the incrementally maintained stats are not allowed to change the
+  // bytes.
   ASSERT_TRUE(
       WriteCorpusSnapshot(fresh_path, materialized.value(), write).ok());
   Result<std::string> delta_bytes = ReadFileToString(incremental_path);

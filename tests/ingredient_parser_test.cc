@@ -102,11 +102,5 @@ TEST(IngredientParserTest, MalformedFractionFallsThrough) {
   EXPECT_FALSE(p.quantity.has_value());
 }
 
-TEST(UnitNameTest, Names) {
-  EXPECT_EQ(UnitName(Unit::kNone), "");
-  EXPECT_EQ(UnitName(Unit::kTablespoon), "tablespoon");
-  EXPECT_EQ(UnitName(Unit::kKilogram), "kilogram");
-}
-
 }  // namespace
 }  // namespace culevo

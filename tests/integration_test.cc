@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "analysis/apriori.h"
 #include "analysis/combinations.h"
 #include "analysis/distance.h"
 #include "analysis/overrepresentation.h"
@@ -18,6 +17,7 @@
 #include "corpus/corpus_stats.h"
 #include "lexicon/world_lexicon.h"
 #include "synth/generator.h"
+#include "testing/apriori.h"
 #include "util/check.h"
 
 namespace culevo {

@@ -4,10 +4,18 @@
 
 #include <cstdio>
 
+#include "util/csv.h"
 #include "util/failpoint.h"
 
 namespace culevo {
 namespace {
+
+/// The lexicon in the TSV file at `path`.
+Result<Lexicon> ReadLexiconFile(const std::string& path) {
+  Result<std::string> text = ReadFileToString(path);
+  if (!text.ok()) return text.status();
+  return ParseLexiconTsv(*text);
+}
 
 constexpr char kGoodTsv[] =
     "# comment line\n"
@@ -72,13 +80,13 @@ TEST(LexiconTsvRoundTripTest, PreservesEntities) {
 }
 
 TEST(LexiconTsvFileTest, ReadMissingFileFails) {
-  Result<Lexicon> lexicon = ReadLexiconTsv("/nonexistent/lex.tsv");
+  Result<Lexicon> lexicon = ReadLexiconFile("/nonexistent/lex.tsv");
   ASSERT_FALSE(lexicon.ok());
   EXPECT_EQ(lexicon.status().code(), StatusCode::kIOError);
 }
 
-// Failpoint-driven error paths through the file reader: the read-level
-// fault (lexicon.read) and a mid-stream failure after a successful open
+// Failpoint-driven error paths through the file read: a fault before the
+// open (io.read.open) and a mid-stream failure after a successful open
 // (io.read.stream) both surface the injected Status.
 class LexiconIoFaultTest : public ::testing::Test {
  protected:
@@ -97,19 +105,19 @@ class LexiconIoFaultTest : public ::testing::Test {
 };
 
 TEST_F(LexiconIoFaultTest, ReadFailpointPropagates) {
-  Failpoints::Get().Arm("lexicon.read");
-  Result<Lexicon> lexicon = ReadLexiconTsv(path_);
+  Failpoints::Get().Arm("io.read.open");
+  Result<Lexicon> lexicon = ReadLexiconFile(path_);
   ASSERT_FALSE(lexicon.ok());
   EXPECT_EQ(lexicon.status().code(), StatusCode::kIOError);
 }
 
 TEST_F(LexiconIoFaultTest, MidStreamReadFailurePropagates) {
   Failpoints::Get().Arm("io.read.stream");
-  Result<Lexicon> lexicon = ReadLexiconTsv(path_);
+  Result<Lexicon> lexicon = ReadLexiconFile(path_);
   ASSERT_FALSE(lexicon.ok());
   EXPECT_EQ(lexicon.status().code(), StatusCode::kIOError);
   Failpoints::Get().DisarmAll();
-  EXPECT_TRUE(ReadLexiconTsv(path_).ok());
+  EXPECT_TRUE(ReadLexiconFile(path_).ok());
 }
 
 }  // namespace

@@ -9,11 +9,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/apriori.h"
 #include "analysis/eclat.h"
 #include "analysis/tidlist.h"
 #include "analysis/transactions.h"
 #include "obs/metrics.h"
+#include "testing/apriori.h"
 #include "util/rng.h"
 
 namespace culevo {

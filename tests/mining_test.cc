@@ -5,9 +5,9 @@
 #include <span>
 #include <vector>
 
-#include "analysis/apriori.h"
 #include "analysis/eclat.h"
 #include "analysis/transactions.h"
+#include "testing/apriori.h"
 #include "util/rng.h"
 
 namespace culevo {

@@ -1,7 +1,7 @@
 // Seeded byte-mutation fuzzing of every entry point that parses untrusted
 // bytes: the CULEVO-CORPUS and CULEVO-DELTA containers, the run journal
-// (its framing and its record grammar), the wire frame, the request line
-// and the TSV readers (corpus, lexicon and delimiter-separated tables).
+// (its framing and its record grammar), the wire frame, the request line,
+// the TSV readers (corpus and lexicon) and the raw-recipe ingest path.
 // Each row mutates one valid seed input a fixed number of times from a
 // fixed seed, so a failure replays exactly. The mutations are bit flips,
 // byte sets, truncations, and aligned u32/u64 fields set to 0, all-ones
@@ -13,8 +13,9 @@
 // exception fails the test) with a status from the entry point's
 // documented refusal set. A snapshot or delta the loader accepts must then
 // be refused at install or answer a fixed request list, a journal resume
-// accepts must restore the same from the journal it rewrote, and text a
-// TSV reader accepts must read back the same from its own output. The
+// accepts must restore the same from the journal it rewrote, text a TSV
+// reader accepts must read back the same from its own output, and raw
+// recipes must always ingest into a corpus that does. The
 // per-format named refusal tests, which pin exact statuses at exact
 // offsets, live beside each format's other tests.
 
@@ -473,41 +474,52 @@ TEST_F(MutationFuzzTest, ParseLexiconTsv) {
   EXPECT_GT(accepted, 0);
 }
 
-TEST_F(MutationFuzzTest, ParseDsv) {
-  for (const char delimiter : {',', '\t'}) {
-    std::string seed =
-        "name,count,notes\r\n"
-        "\"tomato \"\"roma\"\"\",3,\"sliced, salted\"\n"
-        "basil,,\"two\nlines\"\n"
-        "\n"
-        "milk,12\n";
-    std::replace(seed.begin(), seed.end(), ',', delimiter);
-    // A row holding one empty field, between two others.
-    const std::string lone_empty =
-        std::string("a\n\"\"\nb") + delimiter + "c\n";
-    const uint64_t rng_seed = delimiter == ',' ? 9 : 10;
-    for (const auto& [text, text_rng_seed] :
-         {std::pair{seed, rng_seed}, std::pair{lone_empty, rng_seed + 2}}) {
-      ASSERT_TRUE(ParseDsv(text, delimiter).ok());
-      int accepted = 0;
-      FuzzText(text, text_rng_seed, [&](const std::string& mutant,
-                                        const std::string& where) {
-        const Result<DsvTable> parsed = ParseDsv(mutant, delimiter);
-        if (!StatusIn(parsed.status(),
-                      {StatusCode::kOk, StatusCode::kInvalidArgument},
-                      where) ||
-            !parsed.ok()) {
-          return;
-        }
-        ++accepted;
-        const Result<DsvTable> reparsed =
-            ParseDsv(FormatDsv(*parsed, delimiter), delimiter);
-        ASSERT_TRUE(reparsed.ok()) << where << ": " << reparsed.status();
-        EXPECT_EQ(reparsed->rows, parsed->rows) << where;
-      });
-      EXPECT_GT(accepted, 0) << "delimiter " << static_cast<int>(delimiter);
-    }
-  }
+// What `culevo_cli ingest` reads: ParseRawRecipeText, then
+// ParseIngredientLine and Lexicon::ResolveMention per line. Ingestion
+// never fails on content, its report must add up, and the corpus must
+// hold only lexicon ids and survive a TSV round trip.
+TEST_F(MutationFuzzTest, IngestRawRecipes) {
+  const std::string seed =
+      "# scraped recipes\n"
+      "ITA\n"
+      "2 1/2 cups finely chopped tomatoes\n"
+      "1 tbsp olive oil\n"
+      "3 cloves garlic\n"
+      "a pinch of oregano\n"
+      "\n"
+      "JPN\n"
+      "1/4 cup soy sauce\n"
+      "2 tsp grated fresh ginger\n"
+      "\n"
+      "INSC\n"
+      "2 cups ginger garlic paste\n"
+      "1 tsp turmeric powder\n";
+  const Lexicon& lexicon = WorldLexicon();
+  IngestionReport seed_report;
+  ASSERT_TRUE(
+      IngestRawRecipes(ParseRawRecipeText(seed), lexicon, &seed_report).ok());
+  ASSERT_EQ(seed_report.recipes_ingested, 3u);
+  ASSERT_EQ(seed_report.lines_resolved, seed_report.lines_in);
+  int ingesting = 0;
+  FuzzText(seed, 11, [&](const std::string& mutant, const std::string& where) {
+    IngestionReport report;
+    const Result<RecipeCorpus> corpus =
+        IngestRawRecipes(ParseRawRecipeText(mutant), lexicon, &report);
+    ASSERT_TRUE(corpus.ok()) << where << ": " << corpus.status();
+    EXPECT_EQ(report.recipes_in,
+              report.recipes_ingested + report.recipes_dropped)
+        << where;
+    EXPECT_EQ(corpus->num_recipes(), report.recipes_ingested) << where;
+    EXPECT_LE(report.lines_resolved, report.lines_in) << where;
+    const Status ids = CheckIdsInLexicon(*corpus, lexicon, where);
+    ASSERT_TRUE(ids.ok()) << ids;
+    const Result<RecipeCorpus> reparsed =
+        ParseCorpusTsv(FormatCorpusTsv(*corpus, lexicon), lexicon);
+    ASSERT_TRUE(reparsed.ok()) << where << ": " << reparsed.status();
+    EXPECT_TRUE(SameColumns(*corpus, *reparsed)) << where;
+    if (corpus->num_recipes() > 0) ++ingesting;
+  });
+  EXPECT_GT(ingesting, 0);
 }
 
 }  // namespace

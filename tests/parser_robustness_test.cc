@@ -13,7 +13,6 @@
 #include "lexicon/world_lexicon.h"
 #include "text/ingredient_parser.h"
 #include "text/normalize.h"
-#include "util/csv.h"
 #include "util/rng.h"
 
 namespace culevo {
@@ -43,22 +42,6 @@ std::string StructuredNoise(Rng* rng, size_t max_len) {
 }
 
 class ParserRobustnessTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ParserRobustnessTest, DsvParserNeverCrashes) {
-  Rng rng(GetParam());
-  for (int round = 0; round < 200; ++round) {
-    const std::string input = round % 2 == 0 ? RandomBytes(&rng, 300)
-                                             : StructuredNoise(&rng, 300);
-    Result<DsvTable> parsed = ParseDsv(input, ',');
-    if (parsed.ok()) {
-      // Reserialize must also succeed and reparse to the same table.
-      const std::string text = FormatDsv(parsed.value(), ',');
-      Result<DsvTable> reparsed = ParseDsv(text, ',');
-      ASSERT_TRUE(reparsed.ok());
-      EXPECT_EQ(reparsed->rows, parsed->rows);
-    }
-  }
-}
 
 TEST_P(ParserRobustnessTest, LexiconParserNeverCrashes) {
   Rng rng(GetParam() ^ 0x1111);

@@ -19,31 +19,31 @@ RecipeCorpus ThreeCuisines() {
 }
 
 TEST(UsageDistanceTest, SelfIsZeroDisjointIsOne) {
-  const RecipeCorpus corpus = ThreeCuisines();
-  EXPECT_NEAR(IngredientUsageDistance(corpus, 0, 0), 0.0, 1e-12);
-  EXPECT_NEAR(IngredientUsageDistance(corpus, 0, 2), 1.0, 1e-12);
-  const double near = IngredientUsageDistance(corpus, 0, 1);
+  const UsageProfileCache cache(ThreeCuisines());
+  EXPECT_NEAR(cache.Distance(0, 0), 0.0, 1e-12);
+  EXPECT_NEAR(cache.Distance(0, 2), 1.0, 1e-12);
+  const double near = cache.Distance(0, 1);
   EXPECT_GT(near, 0.0);
   EXPECT_LT(near, 0.5);
 }
 
 TEST(UsageDistanceTest, SymmetricMatrix) {
-  const auto matrix = IngredientUsageDistanceMatrix(ThreeCuisines());
-  ASSERT_EQ(matrix.size(), static_cast<size_t>(kNumCuisines));
-  for (int i = 0; i < kNumCuisines; ++i) {
-    EXPECT_DOUBLE_EQ(matrix[i][i], 0.0);
-    for (int j = 0; j < kNumCuisines; ++j) {
-      EXPECT_DOUBLE_EQ(matrix[i][j], matrix[j][i]);
+  const UsageProfileCache cache(ThreeCuisines());
+  for (CuisineId i = 0; i < kNumCuisines; ++i) {
+    // Self-distance is 1 - cosine, zero up to rounding.
+    EXPECT_NEAR(cache.Distance(i, i), 0.0, 1e-12);
+    for (CuisineId j = 0; j < kNumCuisines; ++j) {
+      EXPECT_DOUBLE_EQ(cache.Distance(i, j), cache.Distance(j, i));
     }
   }
 }
 
 TEST(UsageDistanceTest, EmptyCuisinesAreFar) {
-  const auto matrix = IngredientUsageDistanceMatrix(ThreeCuisines());
+  const UsageProfileCache cache(ThreeCuisines());
   // Cuisine 5 has no recipes: distance 1 to populated cuisines.
-  EXPECT_DOUBLE_EQ(matrix[5][0], 1.0);
+  EXPECT_DOUBLE_EQ(cache.Distance(5, 0), 1.0);
   // Two empty cuisines: both zero vectors -> distance 0.
-  EXPECT_DOUBLE_EQ(matrix[5][6], 0.0);
+  EXPECT_DOUBLE_EQ(cache.Distance(5, 6), 0.0);
 }
 
 TEST(NearestCuisinesTest, OrdersByDistance) {
@@ -69,9 +69,9 @@ TEST(UsageProfileTest, SparseProfileMatchesDenseDefinition) {
   EXPECT_TRUE(BuildUsageProfile(corpus, 5).empty());
 }
 
-// The cached-profile distance must be bit-identical to the per-query
-// IngredientUsageDistance it replaced (same accumulation order, zero
-// terms contribute exactly 0.0), so downstream rankings cannot shift.
+// The cached-profile distance must be bit-identical to the distance of
+// two freshly built profiles (same accumulation order, zero terms
+// contribute exactly 0.0), so downstream rankings cannot shift.
 TEST(UsageProfileTest, CacheDistanceBitIdenticalToDirect) {
   const RecipeCorpus corpus = ThreeCuisines();
   const UsageProfileCache cache(corpus);
@@ -79,8 +79,9 @@ TEST(UsageProfileTest, CacheDistanceBitIdenticalToDirect) {
     for (int b = 0; b < kNumCuisines; ++b) {
       EXPECT_EQ(cache.Distance(static_cast<CuisineId>(a),
                                static_cast<CuisineId>(b)),
-                IngredientUsageDistance(corpus, static_cast<CuisineId>(a),
-                                        static_cast<CuisineId>(b)))
+                UsageProfileDistance(
+                    BuildUsageProfile(corpus, static_cast<CuisineId>(a)),
+                    BuildUsageProfile(corpus, static_cast<CuisineId>(b))))
           << a << " vs " << b;
     }
   }
@@ -96,39 +97,6 @@ TEST(UsageProfileTest, CachedNearestMatchesCorpusOverload) {
     EXPECT_EQ(cached[i].cuisine, direct[i].cuisine);
     EXPECT_EQ(cached[i].distance, direct[i].distance);
   }
-}
-
-TEST(AgglomerativeClusterTest, MergesClosestFirst) {
-  // Three points: A and B close (0.1), C far (1.0).
-  const std::vector<std::vector<double>> matrix = {
-      {0.0, 0.1, 1.0}, {0.1, 0.0, 1.0}, {1.0, 1.0, 0.0}};
-  const std::vector<ClusterMerge> merges = AgglomerativeCluster(matrix);
-  ASSERT_EQ(merges.size(), 2u);
-  EXPECT_EQ(merges[0].members, (std::vector<CuisineId>{0, 1}));
-  EXPECT_DOUBLE_EQ(merges[0].distance, 0.1);
-  EXPECT_EQ(merges[1].members, (std::vector<CuisineId>{0, 1, 2}));
-  EXPECT_DOUBLE_EQ(merges[1].distance, 1.0);  // Average linkage.
-}
-
-TEST(AgglomerativeClusterTest, TrivialInputs) {
-  EXPECT_TRUE(AgglomerativeCluster({}).empty());
-  EXPECT_TRUE(AgglomerativeCluster({{0.0}}).empty());
-}
-
-TEST(CutClustersTest, ProducesRequestedPartition) {
-  const std::vector<std::vector<double>> matrix = {
-      {0.0, 0.1, 1.0, 0.9}, {0.1, 0.0, 1.0, 0.9},
-      {1.0, 1.0, 0.0, 0.2}, {0.9, 0.9, 0.2, 0.0}};
-  const auto two = CutClusters(matrix, 2);
-  ASSERT_EQ(two.size(), 2u);
-  EXPECT_EQ(two[0], (std::vector<CuisineId>{0, 1}));
-  EXPECT_EQ(two[1], (std::vector<CuisineId>{2, 3}));
-
-  const auto four = CutClusters(matrix, 4);
-  EXPECT_EQ(four.size(), 4u);
-  const auto one = CutClusters(matrix, 1);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].size(), 4u);
 }
 
 }  // namespace

@@ -54,10 +54,5 @@ TEST(TokenizerTest, SplitsNormalizedText) {
   EXPECT_TRUE(TokenizeNormalized("").empty());
 }
 
-TEST(TokenizerTest, TokenizeMentionNormalizesFirst) {
-  EXPECT_EQ(TokenizeMention("Soy-Sauce!"),
-            (std::vector<std::string>{"soy", "sauce"}));
-}
-
 }  // namespace
 }  // namespace culevo

@@ -43,10 +43,12 @@ TEST(FlagParserTest, DuplicateFlagRejected) {
   EXPECT_FALSE(parser.Parse(3, argv).ok());
 }
 
-TEST(FlagParserTest, MalformedValueFallsBackToDefault) {
+TEST(FlagParserTest, MalformedValueExitsWithUsageError) {
   FlagParser flags = Parse({"--n=abc", "--d=xyz"});
-  EXPECT_EQ(flags.GetInt("n", 9), 9);
-  EXPECT_DOUBLE_EQ(flags.GetDouble("d", 2.5), 2.5);
+  EXPECT_EXIT(flags.GetInt("n", 9), ::testing::ExitedWithCode(2),
+              "invalid value 'abc' for --n");
+  EXPECT_EXIT(flags.GetDouble("d", 2.5), ::testing::ExitedWithCode(2),
+              "invalid value 'xyz' for --d");
 }
 
 TEST(FlagParserTest, BoolSpellings) {
@@ -56,7 +58,8 @@ TEST(FlagParserTest, BoolSpellings) {
   EXPECT_FALSE(flags.GetBool("b", true));
   EXPECT_TRUE(flags.GetBool("c", false));
   EXPECT_FALSE(flags.GetBool("d", true));
-  EXPECT_TRUE(flags.GetBool("e", true));  // Unparseable -> default.
+  EXPECT_EXIT(flags.GetBool("e", true), ::testing::ExitedWithCode(2),
+              "invalid value 'maybe' for --e");
 }
 
 TEST(FlagParserTest, MissingFlagUsesDefault) {

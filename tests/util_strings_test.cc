@@ -48,12 +48,6 @@ TEST(StartsEndsWithTest, Basics) {
   EXPECT_TRUE(EndsWith("x", ""));
 }
 
-TEST(ReplaceAllTest, ReplacesEveryOccurrence) {
-  EXPECT_EQ(ReplaceAll("a-b-c", "-", "+"), "a+b+c");
-  EXPECT_EQ(ReplaceAll("aaa", "aa", "b"), "ba");  // Non-overlapping.
-  EXPECT_EQ(ReplaceAll("abc", "", "x"), "abc");   // Empty pattern no-op.
-}
-
 TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");
