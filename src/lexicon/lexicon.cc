@@ -29,7 +29,6 @@ Result<IngredientId> Lexicon::Add(std::string_view name, Category category,
   entries_.push_back(IngredientEntry{std::string(name), category, compound});
   alias_map_.emplace(key, id);
   alias_trie_.Insert(TokenizeNormalized(key), id);
-  by_category_[static_cast<int>(category)].push_back(id);
   if (compound) ++num_compounds_;
   return id;
 }
@@ -83,11 +82,6 @@ std::vector<IngredientId> Lexicon::ResolveMention(
     if (!seen) out.push_back(id);
   }
   return out;
-}
-
-const std::vector<IngredientId>& Lexicon::ids_in_category(
-    Category category) const {
-  return by_category_[static_cast<int>(category)];
 }
 
 std::vector<IngredientId> Lexicon::AllIds() const {

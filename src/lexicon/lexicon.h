@@ -64,9 +64,6 @@ class Lexicon {
   /// "fresh ginger garlic paste and ginger" -> {GingerGarlicPaste, Ginger}.
   std::vector<IngredientId> ResolveMention(std::string_view mention) const;
 
-  /// Ids of all entities in `category` (ascending).
-  const std::vector<IngredientId>& ids_in_category(Category category) const;
-
   /// All entity ids, 0..size()-1.
   std::vector<IngredientId> AllIds() const;
 
@@ -80,7 +77,6 @@ class Lexicon {
   std::vector<IngredientEntry> entries_;
   PhraseTrie alias_trie_;
   std::unordered_map<std::string, IngredientId> alias_map_;
-  std::vector<IngredientId> by_category_[kNumCategories];
   size_t num_compounds_ = 0;
 };
 

@@ -68,24 +68,28 @@ CancelToken& GlobalCancel() {
 
 int Usage() {
   std::cerr
-      << "usage: culevod --socket <path> [--load-snapshot <file>]\n"
+      << "usage: culevod --socket <path> [--load-snapshot <file>] "
+         "[--delta-path <file>]\n"
          "       culevod --once [--load-snapshot <file>]\n"
+         "       culevod --supervise --socket <path> [supervisor flags]\n"
          "       culevod --client <socket-path> [request...]\n"
          "flags: --scale <0..1> --seed <n> (synthesize when no snapshot) "
          "--threads <n> --deadline-ms <n> --max-inflight <n> "
-         "--client-read-timeout-ms <n> --metrics\n";
+         "--client-read-timeout-ms <n> --brownout-latency-ms <n> "
+         "--metrics\n"
+         "supervisor flags: --pidfile <path> --probe-interval-ms <n> "
+         "--probe-timeout-ms <n> --probe-failures <n> --startup-grace-ms <n> "
+         "--restart-backoff-ms <n> --restart-backoff-cap-ms <n> "
+         "--backoff-seed <n> --max-restarts <n> --silence-child\n";
   return 2;
 }
 
-/// Builds the core's first snapshot: the --load-snapshot file when given,
-/// a synthesized world corpus otherwise.
-Status InstallInitial(ServiceCore& core, const FlagParser& flags) {
-  const std::string path = flags.GetString("load-snapshot", "");
-  if (!path.empty()) return core.LoadFromFile(path);
-  SynthConfig config;
-  config.scale = flags.GetDouble("scale", 0.25);
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  Result<RecipeCorpus> corpus = SynthesizeWorldCorpus(WorldLexicon(), config);
+/// Builds the core's first snapshot: the `snapshot_path` file when given,
+/// a world corpus synthesized with `synth` otherwise.
+Status InstallInitial(ServiceCore& core, const std::string& snapshot_path,
+                      const SynthConfig& synth) {
+  if (!snapshot_path.empty()) return core.LoadFromFile(snapshot_path);
+  Result<RecipeCorpus> corpus = SynthesizeWorldCorpus(WorldLexicon(), synth);
   if (!corpus.ok()) return corpus.status();
   return core.InstallCorpus(std::move(*corpus), "<synthetic>");
 }
@@ -224,18 +228,11 @@ int RunSupervisor(int argc, char** argv, const FlagParser& flags) {
 }
 
 /// Server mode: accept loop until SIGINT/SIGTERM. SIGHUP applies the
-/// --delta-path CULEVO-DELTA file to the serving generation when given
-/// (hot incremental reload), and re-reads the full snapshot otherwise.
-int RunServer(ServiceCore& core, const FlagParser& flags) {
-  const std::string snapshot_path = flags.GetString("load-snapshot", "");
-  const std::string delta_path = flags.GetString("delta-path", "");
-  ServerOptions server_options;
-  server_options.socket_path = flags.GetString("socket", "");
-  server_options.threads = static_cast<int>(flags.GetInt("threads", 4));
-  server_options.client_read_timeout_ms =
-      static_cast<int>(flags.GetInt("client-read-timeout-ms", 5000));
-  if (server_options.socket_path.empty()) return Usage();
-
+/// `delta_path` CULEVO-DELTA file to the serving generation when given
+/// (hot incremental reload), and re-reads `snapshot_path` otherwise.
+int RunServer(ServiceCore& core, const ServerOptions& server_options,
+              const std::string& snapshot_path,
+              const std::string& delta_path) {
   SocketServer server(&core, server_options);
   if (Status s = server.Start(); !s.ok()) {
     std::cerr << s << "\n";
@@ -292,19 +289,34 @@ int main(int argc, char** argv) {
     return RunSupervisor(argc, argv, flags);
   }
 
-  // SIGHUP's default action ends the process. The server catches it
-  // before the corpus load, so a reload request that arrives during
-  // startup waits for the serve loop instead of killing the server.
+  // Every flag is read before the cold start, so a malformed value or a
+  // missing --socket exits 2 without loading or synthesizing a corpus.
   const bool once = flags.GetBool("once", false);
-  if (!once) InstallReloadHandler();
-
+  const bool dump_metrics = flags.GetBool("metrics", false);
+  const std::string snapshot_path = flags.GetString("load-snapshot", "");
+  const std::string delta_path = flags.GetString("delta-path", "");
+  SynthConfig synth;
+  synth.scale = flags.GetDouble("scale", 0.25);
+  synth.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   ServiceOptions options;
   options.default_deadline_ms = flags.GetInt("deadline-ms", 250);
   options.max_inflight =
       static_cast<int>(flags.GetInt("max-inflight", 256));
   options.brownout_latency_ms = flags.GetDouble("brownout-latency-ms", 0);
+  ServerOptions server_options;
+  server_options.socket_path = flags.GetString("socket", "");
+  server_options.threads = static_cast<int>(flags.GetInt("threads", 4));
+  server_options.client_read_timeout_ms =
+      static_cast<int>(flags.GetInt("client-read-timeout-ms", 5000));
+  if (!once && server_options.socket_path.empty()) return Usage();
+
+  // SIGHUP's default action ends the process. The server catches it
+  // before the corpus load, so a reload request that arrives during
+  // startup waits for the serve loop instead of killing the server.
+  if (!once) InstallReloadHandler();
+
   ServiceCore core(&WorldLexicon(), options);
-  if (Status s = InstallInitial(core, flags); !s.ok()) {
+  if (Status s = InstallInitial(core, snapshot_path, synth); !s.ok()) {
     std::cerr << s << "\n";
     return 1;
   }
@@ -316,8 +328,10 @@ int main(int argc, char** argv) {
               << " recipes from " << snapshot->source << "\n";
   }
 
-  const int rc = once ? RunOnce(core) : RunServer(core, flags);
-  if (flags.GetBool("metrics", false)) {
+  const int rc =
+      once ? RunOnce(core)
+           : RunServer(core, server_options, snapshot_path, delta_path);
+  if (dump_metrics) {
     std::cout << obs::MetricsSnapshotToJson(
                      obs::MetricsRegistry::Get().Snapshot())
               << "\n";

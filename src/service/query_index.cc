@@ -6,12 +6,75 @@
 
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace culevo {
 
-QueryIndex QueryIndex::Build(const RecipeCorpus& corpus,
-                             size_t max_threads) {
+// The list starts are a prefix sum of the counts. The recipes split into
+// contiguous ranges, one per thread: each range but the last counts its
+// ids, a pass over (id, range) turns the counts into each range's cursor
+// into each list (the list start plus the counts of the ranges before
+// it), and then every range places its recipes. A list holds its ranges'
+// segments in range order and each range's recipes ascend, so every list
+// comes out sorted, and every slot is written exactly once (no zero-fill
+// first).
+QueryIndex::Segment QueryIndex::Place(const RecipeCorpus& corpus,
+                                      uint32_t first,
+                                      std::span<const uint32_t> counts,
+                                      size_t ranges) {
+  Segment segment;
+  segment.first = first;
+  const size_t universe = counts.size();
+  segment.offsets.assign(universe + 1, 0);
+  std::partial_sum(counts.begin(), counts.end(), segment.offsets.begin() + 1);
+  segment.recipes =
+      std::make_unique_for_overwrite<uint32_t[]>(segment.offsets.back());
+  segment.cuisines.assign(corpus.cuisines().begin() + first,
+                          corpus.cuisines().end());
+  const size_t n = corpus.num_recipes() - first;
+  const auto first_recipe = [first, n, ranges](size_t range) {
+    return static_cast<uint32_t>(first + range * n / ranges);
+  };
+  // Row r of `cursors` is range r's cursors; rows 1.. hold the counts of
+  // ranges 0.. until the prefix pass (the last range's count is never
+  // needed).
+  std::vector<uint32_t> cursors(ranges * universe, 0);
+  std::copy(segment.offsets.begin(), segment.offsets.end() - 1,
+            cursors.begin());
+  RunTasks(ranges - 1, ranges - 1, [&](size_t range) {
+    uint32_t* const counted = cursors.data() + (range + 1) * universe;
+    for (uint32_t r = first_recipe(range); r < first_recipe(range + 1); ++r) {
+      for (IngredientId id : corpus.ingredients_of(r)) ++counted[id];
+    }
+  });
+  for (size_t range = 1; range < ranges; ++range) {
+    for (size_t id = 0; id < universe; ++id) {
+      cursors[range * universe + id] += cursors[(range - 1) * universe + id];
+    }
+  }
+  RunTasks(ranges, ranges, [&](size_t range) {
+    uint32_t* const cursor = cursors.data() + range * universe;
+    for (uint32_t r = first_recipe(range); r < first_recipe(range + 1); ++r) {
+      for (IngredientId id : corpus.ingredients_of(r)) {
+        segment.recipes[cursor[id]++] = r;
+      }
+    }
+  });
+  return segment;
+}
+
+QueryIndex QueryIndex::Build(const RecipeCorpus& corpus) {
+  return Derive(corpus, nullptr);
+}
+
+QueryIndex QueryIndex::Extend(const QueryIndex& serving,
+                              const RecipeCorpus& corpus) {
+  return Derive(corpus, serving.base_);
+}
+
+QueryIndex QueryIndex::Derive(const RecipeCorpus& corpus,
+                              std::shared_ptr<const Segment> base) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
   static obs::Histogram* build_ms = registry.histogram("serve.index.build_ms");
   static obs::Histogram* overrep_ms =
@@ -47,65 +110,36 @@ QueryIndex QueryIndex::Build(const RecipeCorpus& corpus,
     }
   }
 
-  // Cuisine column copy for the search filter (the index must stay valid
-  // even if the corpus it was built from is destroyed first).
-  index.cuisines_.assign(corpus.cuisines().begin(), corpus.cuisines().end());
   index.cuisine_recipes_.resize(kNumCuisines);
   for (int c = 0; c < kNumCuisines; ++c) {
     index.cuisine_recipes_[static_cast<size_t>(c)] = static_cast<uint32_t>(
         corpus.num_recipes_in(static_cast<CuisineId>(c)));
   }
 
-  // Ingredient→recipe postings, CSR over the id universe. A world count
-  // is a posting-list length, so the list starts are a prefix sum of the
-  // presence counts. The recipes split into contiguous ranges, one per
-  // thread: each range but the last counts its ids, a pass over (id,
-  // range) turns the counts into each range's cursor into each list (the
-  // list start plus the counts of the ranges before it), and then every
-  // range places its recipes. A list holds its ranges' segments in range
-  // order and each range's recipes ascend, so every list comes out
-  // sorted, and every slot is written exactly once (no zero-fill first).
+  // Ingredient→recipe postings. A world count is a posting-list length,
+  // so a fresh base takes its list lengths from the presence counts and
+  // covers every recipe, on the usable CPUs. The tail's list lengths are
+  // the world counts less the base's, and its recipes are those past the
+  // base, placed on this thread; over a fresh base they are all zero.
   {
     const obs::ScopedTimer phase(postings_ms);
     const std::span<const uint32_t> world = corpus.presence();
-    const size_t universe = world.size();
-    index.posting_offsets_.assign(universe + 1, 0);
-    std::partial_sum(world.begin(), world.end(),
-                     index.posting_offsets_.begin() + 1);
-    index.posting_recipes_ =
-        std::make_unique_for_overwrite<uint32_t[]>(corpus.total_mentions());
-    const size_t n = corpus.num_recipes();
-    const size_t ranges = std::max<size_t>(
-        1, std::min(max_threads, ThreadsFor(n, kRecipesPerThread)));
-    const auto first_recipe = [n, ranges](size_t range) {
-      return static_cast<uint32_t>(range * n / ranges);
-    };
-    // Row r of `cursors` is range r's cursors; rows 1.. first hold the
-    // counts of ranges 0.. (the last range's count is never needed).
-    std::vector<uint32_t> cursors(ranges * universe, 0);
-    std::copy(index.posting_offsets_.begin(),
-              index.posting_offsets_.end() - 1, cursors.begin());
-    RunTasks(ranges - 1, ranges - 1, [&](size_t range) {
-      uint32_t* const counts = cursors.data() + (range + 1) * universe;
-      for (uint32_t r = first_recipe(range); r < first_recipe(range + 1);
-           ++r) {
-        for (IngredientId id : corpus.ingredients_of(r)) ++counts[id];
-      }
-    });
-    for (size_t range = 1; range < ranges; ++range) {
-      for (size_t id = 0; id < universe; ++id) {
-        cursors[range * universe + id] += cursors[(range - 1) * universe + id];
-      }
+    if (base == nullptr) {
+      base = std::make_shared<const Segment>(Place(
+          corpus, 0, world,
+          ThreadsFor(corpus.num_recipes(), kRecipesPerThread)));
     }
-    RunTasks(ranges, ranges, [&](size_t range) {
-      uint32_t* const cursor = cursors.data() + range * universe;
-      for (uint32_t r = first_recipe(range); r < first_recipe(range + 1);
-           ++r) {
-        for (IngredientId id : corpus.ingredients_of(r)) {
-          index.posting_recipes_[cursor[id]++] = r;
-        }
-      }
-    });
+    const uint32_t base_end = static_cast<uint32_t>(base->cuisines.size());
+    CULEVO_CHECK(base_end <= corpus.num_recipes());
+    CULEVO_CHECK(base->offsets.size() <= world.size() + 1);
+    std::vector<uint32_t> tail_counts(world.begin(), world.end());
+    for (size_t id = 0; id + 1 < base->offsets.size(); ++id) {
+      const uint32_t in_base = base->offsets[id + 1] - base->offsets[id];
+      CULEVO_CHECK(tail_counts[id] >= in_base);
+      tail_counts[id] -= in_base;
+    }
+    index.tail_ = Place(corpus, base_end, tail_counts, 1);
+    index.base_ = std::move(base);
   }
 
   // Per-cuisine usage-rank tables from the sparse profiles.
@@ -160,13 +194,6 @@ std::optional<QueryIndex::UsageRank> QueryIndex::Usage(
   return usage;
 }
 
-std::span<const uint32_t> QueryIndex::Postings(IngredientId id) const {
-  if (static_cast<size_t>(id) + 1 >= posting_offsets_.size()) return {};
-  return std::span<const uint32_t>(
-      posting_recipes_.get() + posting_offsets_[id],
-      posting_offsets_[id + 1] - posting_offsets_[id]);
-}
-
 std::vector<uint32_t> QueryIndex::SearchRecipes(
     std::span<const IngredientId> ids, std::optional<CuisineId> cuisine,
     size_t limit) const {
@@ -174,28 +201,38 @@ std::vector<uint32_t> QueryIndex::SearchRecipes(
   if (ids.empty() || limit == 0) return out;
 
   // Intersect postings starting from the rarest list; each candidate from
-  // it is probed against the other lists by binary search.
-  std::vector<std::span<const uint32_t>> lists;
+  // it is probed by binary search against the other lists, in the segment
+  // it falls in. The base segments come first, so the hits ascend.
+  std::vector<PostingList> lists;
   lists.reserve(ids.size());
   for (IngredientId id : ids) {
-    std::span<const uint32_t> postings = Postings(id);
+    const PostingList postings = Postings(id);
     if (postings.empty()) return out;
     lists.push_back(postings);
   }
   std::sort(lists.begin(), lists.end(),
-            [](std::span<const uint32_t> a, std::span<const uint32_t> b) {
+            [](const PostingList& a, const PostingList& b) {
               return a.size() < b.size();
             });
-  for (uint32_t candidate : lists[0]) {
-    bool in_all = true;
-    for (size_t i = 1; i < lists.size() && in_all; ++i) {
-      in_all = std::binary_search(lists[i].begin(), lists[i].end(),
-                                  candidate);
+  for (const bool in_tail : {false, true}) {
+    const auto segment = [in_tail](const PostingList& list) {
+      return in_tail ? list.tail : list.base;
+    };
+    const Segment& postings = in_tail ? tail_ : *base_;
+    for (uint32_t candidate : segment(lists[0])) {
+      bool in_all = true;
+      for (size_t i = 1; i < lists.size() && in_all; ++i) {
+        const std::span<const uint32_t> probe = segment(lists[i]);
+        in_all = std::binary_search(probe.begin(), probe.end(), candidate);
+      }
+      if (!in_all) continue;
+      if (cuisine.has_value() &&
+          postings.cuisines[candidate - postings.first] != *cuisine) {
+        continue;
+      }
+      out.push_back(candidate);
+      if (out.size() == limit) return out;
     }
-    if (!in_all) continue;
-    if (cuisine.has_value() && cuisines_[candidate] != *cuisine) continue;
-    out.push_back(candidate);
-    if (out.size() == limit) break;
   }
   return out;
 }

@@ -28,18 +28,33 @@ namespace culevo {
 /// corpus, because the tables are built *by* those entry points, all
 /// reading the corpus's own presence counts (RecipeCorpus::presence).
 ///
-/// Immutable after Build(); safe to read concurrently.
+/// The postings come in two parts: an immutable base over recipes
+/// [0, base_n), held by shared_ptr, and a tail over recipes [base_n, n).
+/// Build() places a fresh base and leaves the tail empty; Extend() shares
+/// the base of the index it extends and places only the tail, so a delta
+/// reload never allocates or writes a second corpus-sized posting array.
+/// Every tail recipe index is above every base index, so a posting list
+/// is its base segment followed by its tail segment, ascending, and every
+/// answer is the same as a Build() of the whole corpus.
+///
+/// Immutable after Build()/Extend(); safe to read concurrently.
 class QueryIndex {
  public:
   /// Builds all tables from the corpus's presence counts plus the
   /// postings placement, its only pass over the recipes. Postings are
-  /// placed by recipe range on up to `max_threads` threads (at most one
-  /// per usable CPU, see ThreadsFor); the tables are the same whatever the
-  /// count. Each table's build time is recorded in
-  /// serve.index.{overrep,profiles,postings,ranks}_ms, the total in
+  /// placed by recipe range on the usable CPUs (ThreadsFor); the tables
+  /// are the same whatever the count. Each table's build time is recorded
+  /// in serve.index.{overrep,profiles,postings,ranks}_ms, the total in
   /// serve.index.build_ms.
-  static QueryIndex Build(const RecipeCorpus& corpus,
-                          size_t max_threads = SIZE_MAX);
+  static QueryIndex Build(const RecipeCorpus& corpus);
+
+  /// The index of `corpus`, whose first recipes are, unchanged, the ones
+  /// `serving` was built from (IncrementalCorpus::FromCorpus plus Add).
+  /// Shares `serving`'s posting base and places, on the calling thread, a
+  /// tail over every recipe past it; the other tables are re-derived in
+  /// full. Records the same timers as Build().
+  static QueryIndex Extend(const QueryIndex& serving,
+                           const RecipeCorpus& corpus);
 
   QueryIndex() = default;
 
@@ -61,9 +76,23 @@ class QueryIndex {
         std::min(k, all.size()));
   }
 
-  /// Ascending recipe indices whose ingredient set contains `id`; empty
-  /// for ids outside the corpus universe.
-  std::span<const uint32_t> Postings(IngredientId id) const;
+  /// The ascending recipe indices whose ingredient set contains one id:
+  /// the base segment, then the tail segment.
+  struct PostingList {
+    std::span<const uint32_t> base;
+    std::span<const uint32_t> tail;
+
+    size_t size() const { return base.size() + tail.size(); }
+    bool empty() const { return base.empty() && tail.empty(); }
+  };
+
+  /// The posting list of `id`; empty for ids outside the corpus universe.
+  PostingList Postings(IngredientId id) const {
+    return {base_->List(id), tail_.List(id)};
+  }
+
+  /// Recipes in the posting tail: those added since the base was placed.
+  size_t tail_recipes() const { return tail_.cuisines.size(); }
 
   /// Recipes containing *all* of `ids` (sorted unique required),
   /// optionally restricted to one cuisine, capped at `limit` results
@@ -91,20 +120,45 @@ class QueryIndex {
   }
 
  private:
+  /// Ingredient→recipe postings of the recipes [first, first +
+  /// cuisines.size()), in CSR layout over the id universe
+  /// [0, offsets.size() - 1): the list of id is recipes[offsets[id],
+  /// offsets[id + 1]), ascending. `cuisines` is those recipes' cuisine
+  /// column, copied so that the index never dangles off the corpus it was
+  /// built from.
+  struct Segment {
+    uint32_t first = 0;
+    std::vector<uint32_t> offsets;
+    std::unique_ptr<uint32_t[]> recipes;
+    std::vector<CuisineId> cuisines;
+
+    std::span<const uint32_t> List(IngredientId id) const {
+      if (static_cast<size_t>(id) + 1 >= offsets.size()) return {};
+      return std::span<const uint32_t>(recipes.get() + offsets[id],
+                                       offsets[id + 1] - offsets[id]);
+    }
+  };
+
+  /// The postings of recipes [first, corpus.num_recipes()), whose list
+  /// lengths over the id universe are `counts`, placed on `ranges`
+  /// threads.
+  static Segment Place(const RecipeCorpus& corpus, uint32_t first,
+                       std::span<const uint32_t> counts, size_t ranges);
+
+  /// Build() when `base` is null, else Extend() of the index owning it.
+  static QueryIndex Derive(const RecipeCorpus& corpus,
+                           std::shared_ptr<const Segment> base);
+
   std::vector<std::vector<OverrepresentationScore>> overrep_;
   std::shared_ptr<const UsageProfileCache> profiles_;
   /// nearest_[c] = every other non-empty cuisine, closest first.
   std::vector<std::vector<CuisineNeighbor>> nearest_;
-  /// Per-recipe cuisine column (copy; the index never dangles off the
-  /// corpus it was built from).
-  std::vector<CuisineId> cuisines_;
   /// Recipe count per cuisine (denominator of the usage fractions).
   std::vector<uint32_t> cuisine_recipes_;
-  /// Ingredient→recipe postings in CSR layout over the id universe
-  /// [0, posting_offsets_.size() - 1); posting_recipes_ holds
-  /// posting_offsets_.back() entries.
-  std::vector<uint32_t> posting_offsets_;
-  std::unique_ptr<uint32_t[]> posting_recipes_;
+  /// The postings of recipes [0, tail_.first), shared by every index
+  /// extended from the one that placed them, and of the rest.
+  std::shared_ptr<const Segment> base_;
+  Segment tail_;
   /// ranked_[c] = cuisine ingredients by descending fraction;
   /// rank_of_[c][i] = 1-based rank of profile(c).ingredients[i].
   std::vector<std::vector<IngredientId>> ranked_;

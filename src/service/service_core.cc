@@ -510,8 +510,11 @@ Result<std::shared_ptr<const ServiceSnapshot>> ServiceCore::Install(
   // Requests render ids through the lexicon, which CHECK-fails outside it.
   CULEVO_RETURN_IF_ERROR(
       CheckIdsInLexicon(next->corpus, *lexicon_, next->source));
+  static obs::Gauge* tail_recipes =
+      obs::MetricsRegistry::Get().gauge("serve.index.tail_recipes");
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   const_cast<ServiceSnapshot&>(*next).epoch = next_epoch_++;
+  tail_recipes->Set(static_cast<double>(next->index.tail_recipes()));
   snapshot_.swap(next);
   return next;
 }
@@ -613,10 +616,10 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
     }
     lap(kApply);
     CULEVO_FAILPOINT("serve.reload.index");
-    // The other workers go on serving reads meanwhile, so the build keeps
-    // to this thread and leaves them their CPUs: placing postings on every
-    // CPU shortened the reload far less than it slowed those reads.
-    next->index = QueryIndex::Build(next->corpus, 1);
+    // The next index shares the serving one's posting base and places only
+    // the recipes past it, on this thread: the other workers keep their
+    // CPUs for the reads they serve meanwhile.
+    next->index = QueryIndex::Extend(current->index, next->corpus);
     next->source = current->source + "+" + path;
     stage.Restart();
     next->content_fingerprint = CorpusContentFingerprint(next->corpus);

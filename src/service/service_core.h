@@ -127,7 +127,9 @@ struct ServiceSnapshot {
 /// (ServiceSnapshots alive: 1 when idle, 2 while a reload builds the next
 /// one or a reader still holds the previous one), serve.index.build_ms and
 /// its per-table parts serve.index.{overrep,profiles,postings,ranks}_ms,
-/// and the stages of a successful delta reload,
+/// serve.index.tail_recipes (gauge: the recipes in the installed
+/// generation's posting tail, 0 after a full install), and the stages of
+/// a successful delta reload,
 /// serve.reload.{load,apply,fingerprint,install,release}_ms (its index
 /// stage is serve.index.build_ms; release is dropping the replaced
 /// generation after the swap).
@@ -154,8 +156,11 @@ class ServiceCore {
   /// serving generation exactly; any mismatch is refused with
   /// FailedPrecondition. Like LoadFromFile, any failure at any stage of
   /// the swap leaves the old generation serving. The next generation's
-  /// index is built on the calling thread alone, so the CPUs of the other
-  /// workers stay with the reads they serve meanwhile.
+  /// index extends the current one's (QueryIndex::Extend): both share one
+  /// posting base, and only the tail over the recipes added since that
+  /// base is placed, on the calling thread alone, so the CPUs of the
+  /// other workers stay with the reads they serve meanwhile. LoadFromFile
+  /// and InstallCorpus place a fresh base with an empty tail.
   Status ReloadDelta(const std::string& path);
 
   /// Installs an in-memory corpus (tests, benches, --synth mode).

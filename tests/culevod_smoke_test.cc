@@ -225,6 +225,66 @@ TEST_F(CulevodSnapshotTest, ReloadDeltaLeavesOneGenerationLive) {
       << metrics;
 }
 
+// The posting tail holds the delta's two recipes until a SIGHUP full
+// reload of the snapshot places a fresh base with an empty tail.
+TEST_F(CulevodSnapshotTest, TailRecipesGaugeFollowsTheInstall) {
+  EXPECT_NE(Query("metrics").find("\ngauge\tserve.index.tail_recipes\t0\n"),
+            std::string::npos);
+  EXPECT_EQ(Query("reload-delta " + delta_path_),
+            "ok 2\nepoch\t2\nrecipes\t4\n");
+  std::string metrics = Query("metrics");
+  EXPECT_NE(metrics.find("\ngauge\tserve.index.tail_recipes\t2\n"),
+            std::string::npos)
+      << metrics;
+
+  ASSERT_EQ(::kill(pid_, SIGHUP), 0);
+  bool reloaded = false;
+  for (int attempt = 0; attempt < 100 && !reloaded; ++attempt) {
+    ::usleep(50 * 1000);
+    reloaded = Query("info").find("\nepoch\t3\n") != std::string::npos;
+  }
+  ASSERT_TRUE(reloaded) << "SIGHUP did not reload the snapshot";
+  EXPECT_TRUE(StartsWith(Query("recipe 3"), "error NotFound"));
+  metrics = Query("metrics");
+  EXPECT_NE(metrics.find("\ngauge\tserve.index.tail_recipes\t0\n"),
+            std::string::npos)
+      << metrics;
+}
+
+/// Runs culevod with `args` to its exit and returns its exit status, or
+/// -1 when it did not exit normally.
+int ExitStatusOf(std::vector<std::string> args) {
+  const pid_t pid = ::fork();
+  if (pid < 0) return -1;
+  if (pid == 0) {
+    std::vector<char*> argv;
+    argv.reserve(args.size() + 1);
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    ::execv(CULEVOD_PATH, argv.data());
+    ::_exit(127);  // exec failed
+  }
+  int wstatus = 0;
+  if (::waitpid(pid, &wstatus, 0) != pid || !WIFEXITED(wstatus)) return -1;
+  return WEXITSTATUS(wstatus);
+}
+
+// Every flag is checked before the cold start: a malformed value, or a
+// missing --socket, is a usage error (exit 2) even when the corpus load
+// would fail too (exit 1), because the load never starts.
+TEST(CulevodFlagsTest, BadFlagExitsTwoBeforeTheColdStart) {
+  const std::string absent =
+      testing::TempDir() + "culevod_absent_" + std::to_string(::getpid()) +
+      ".snap";
+  ::unlink(absent.c_str());
+  EXPECT_EQ(ExitStatusOf({"culevod", "--socket", SocketPath(), "--threads",
+                          "two", "--load-snapshot", absent}),
+            2);
+  EXPECT_EQ(ExitStatusOf({"culevod", "--load-snapshot", absent}), 2);
+  EXPECT_EQ(ExitStatusOf({"culevod", "--once", "--load-snapshot", absent}),
+            1);
+}
+
 class CulevodClientTimeoutTest : public CulevodSmokeTest {
  protected:
   std::vector<std::string> ExtraArgs() const override {

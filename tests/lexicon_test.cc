@@ -101,16 +101,6 @@ TEST(LexiconTest, ResolveMentionDeduplicates) {
             (std::vector<IngredientId>{salt}));
 }
 
-TEST(LexiconTest, IdsInCategory) {
-  Lexicon lexicon;
-  const IngredientId a = lexicon.Add("Basil", Category::kHerb).value();
-  const IngredientId b = lexicon.Add("Mint", Category::kHerb).value();
-  lexicon.Add("Salt", Category::kAdditive).value();
-  EXPECT_EQ(lexicon.ids_in_category(Category::kHerb),
-            (std::vector<IngredientId>{a, b}));
-  EXPECT_TRUE(lexicon.ids_in_category(Category::kFish).empty());
-}
-
 TEST(LexiconTest, AllIdsIsDense) {
   Lexicon lexicon;
   lexicon.Add("A1", Category::kSpice).value();

@@ -1,7 +1,9 @@
 #include "service/query_index.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,10 +54,27 @@ std::vector<uint32_t> AsVector(std::span<const uint32_t> counts) {
   return std::vector<uint32_t>(counts.begin(), counts.end());
 }
 
-/// Checks every table of QueryIndex::Build(corpus) against the batch
+/// A posting list's base segment followed by its tail segment.
+std::vector<uint32_t> Flatten(QueryIndex::PostingList list) {
+  std::vector<uint32_t> flat(list.base.begin(), list.base.end());
+  flat.insert(flat.end(), list.tail.begin(), list.tail.end());
+  return flat;
+}
+
+/// The first `n` recipes of `corpus`, rebuilt by a Builder.
+RecipeCorpus Prefix(const RecipeCorpus& corpus, uint32_t n) {
+  RecipeCorpus::Builder builder;
+  for (uint32_t r = 0; r < n; ++r) {
+    EXPECT_TRUE(builder.Add(corpus.cuisine_of(r), corpus.ingredients_of(r))
+                    .ok());
+  }
+  return builder.Build();
+}
+
+/// Checks every table of `index`, an index of `corpus`, against the batch
 /// entry points and brute-force references, for every cuisine.
-void ExpectIndexMatchesReferences(const RecipeCorpus& corpus) {
-  const QueryIndex index = QueryIndex::Build(corpus);
+void ExpectTablesMatchReferences(const RecipeCorpus& corpus,
+                                 const QueryIndex& index) {
   const BruteCounts brute = CountByScan(corpus);
   const double n_world = static_cast<double>(corpus.num_recipes());
   EXPECT_EQ(AsVector(corpus.presence()), Dense(corpus, brute.world));
@@ -155,10 +174,60 @@ void ExpectIndexMatchesReferences(const RecipeCorpus& corpus) {
       const std::span<const IngredientId> ids = corpus.ingredients_of(r);
       if (std::binary_search(ids.begin(), ids.end(), id)) want.push_back(r);
     }
-    const std::span<const uint32_t> got =
-        index.Postings(static_cast<IngredientId>(id));
-    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want)
+    EXPECT_EQ(Flatten(index.Postings(static_cast<IngredientId>(id))), want)
         << "id " << id;
+  }
+
+  // Search: one- and two-id queries over ids spread across the universe,
+  // in the whole corpus and in each cuisine, against a recipe scan,
+  // uncapped and with a limit of 2.
+  std::vector<IngredientId> picks;
+  const size_t stride = std::max<size_t>(1, unique.size() / 10);
+  for (size_t i = 0; i < unique.size(); i += stride) {
+    picks.push_back(unique[i]);
+  }
+  for (size_t i = 0; i < picks.size(); ++i) {
+    for (size_t j = i; j < picks.size(); ++j) {
+      std::vector<IngredientId> query = {picks[i]};
+      if (j > i) query.push_back(picks[j]);
+      for (int c = -1; c < kNumCuisines; ++c) {
+        const std::optional<CuisineId> cuisine =
+            c < 0 ? std::nullopt
+                  : std::optional<CuisineId>(static_cast<CuisineId>(c));
+        std::vector<uint32_t> want;
+        for (uint32_t r = 0; r < corpus.num_recipes(); ++r) {
+          if (cuisine.has_value() && corpus.cuisine_of(r) != *cuisine) continue;
+          if (std::ranges::includes(corpus.ingredients_of(r), query)) {
+            want.push_back(r);
+          }
+        }
+        EXPECT_EQ(index.SearchRecipes(query, cuisine, SIZE_MAX), want)
+            << "ids " << picks[i] << "," << picks[j] << " cuisine " << c;
+        if (want.size() > 2) want.erase(want.begin() + 2, want.end());
+        EXPECT_EQ(index.SearchRecipes(query, cuisine, 2), want)
+            << "ids " << picks[i] << "," << picks[j] << " cuisine " << c;
+      }
+    }
+  }
+}
+
+/// Checks QueryIndex::Build(corpus), and Extend() of the index of the
+/// corpus's first none, half and all of its recipes: a tail over every
+/// recipe, over the second half and over none.
+void ExpectIndexMatchesReferences(const RecipeCorpus& corpus) {
+  {
+    SCOPED_TRACE("Build");
+    ExpectTablesMatchReferences(corpus, QueryIndex::Build(corpus));
+  }
+  const uint32_t n = static_cast<uint32_t>(corpus.num_recipes());
+  for (const uint32_t base_n : {0u, n / 2, n}) {
+    SCOPED_TRACE("Extend over a base of " + std::to_string(base_n) +
+                 " recipes");
+    const QueryIndex base = QueryIndex::Build(Prefix(corpus, base_n));
+    EXPECT_EQ(base.tail_recipes(), 0u);
+    const QueryIndex extended = QueryIndex::Extend(base, corpus);
+    EXPECT_EQ(extended.tail_recipes(), n - base_n);
+    ExpectTablesMatchReferences(corpus, extended);
   }
 }
 
@@ -228,21 +297,58 @@ TEST(QueryIndexTest, SparseIdUniverse) {
   EXPECT_TRUE(index.Postings(1).empty());
 }
 
-TEST(QueryIndexTest, CorpusExtendedIncrementally) {
+/// EveryCuisineBut(7) extended by four recipes: three in the previously
+/// empty cuisine, and ids past the old universe [0, 40).
+RecipeCorpus ExtendedCorpus() {
   IncrementalCorpus incremental =
       IncrementalCorpus::FromCorpus(EveryCuisineBut(7));
-  // New recipes in the previously empty cuisine, plus ids past the old
-  // universe.
   const std::vector<std::vector<IngredientId>> added = {
       {1, 2, 3}, {2, 40, 41}, {41, 90}};
   for (const std::vector<IngredientId>& ids : added) {
-    ASSERT_TRUE(incremental.Add(7, ids).ok());
+    EXPECT_TRUE(incremental.Add(7, ids).ok());
   }
-  ASSERT_TRUE(incremental.Add(0, std::vector<IngredientId>{90, 5}).ok());
+  EXPECT_TRUE(incremental.Add(0, std::vector<IngredientId>{90, 5}).ok());
   Result<RecipeCorpus> extended = incremental.Materialize();
-  ASSERT_TRUE(extended.ok()) << extended.status();
-  ASSERT_EQ(extended->num_recipes_in(7), 3u);
-  ExpectIndexMatchesReferences(*extended);
+  EXPECT_TRUE(extended.ok()) << extended.status();
+  return extended.ok() ? std::move(*extended) : RecipeCorpus();
+}
+
+TEST(QueryIndexTest, CorpusExtendedIncrementally) {
+  const RecipeCorpus extended = ExtendedCorpus();
+  ASSERT_EQ(extended.num_recipes_in(7), 3u);
+  ExpectIndexMatchesReferences(extended);
+  // The tail over exactly the appended recipes, as a delta reload places
+  // it: the universe widens from 40 ids to 91.
+  const RecipeCorpus base_corpus = EveryCuisineBut(7);
+  const QueryIndex base = QueryIndex::Build(base_corpus);
+  const QueryIndex next = QueryIndex::Extend(base, extended);
+  EXPECT_EQ(next.tail_recipes(), 4u);
+  ExpectTablesMatchReferences(extended, next);
+  EXPECT_TRUE(next.Postings(90).base.empty());
+  EXPECT_EQ(next.Postings(90).tail.size(), 2u);
+}
+
+// A second delta extends the first one's index: the tail grows to every
+// recipe past the first base, and the base is shared, not placed again.
+TEST(QueryIndexTest, ExtensionOfAnExtensionKeepsTheFirstBase) {
+  const RecipeCorpus extended = ExtendedCorpus();
+  const uint32_t base_n = static_cast<uint32_t>(extended.num_recipes()) - 4;
+  const QueryIndex base = QueryIndex::Build(Prefix(extended, base_n));
+  const QueryIndex once =
+      QueryIndex::Extend(base, Prefix(extended, base_n + 2));
+  const QueryIndex twice = QueryIndex::Extend(once, extended);
+  EXPECT_EQ(once.tail_recipes(), 2u);
+  EXPECT_EQ(twice.tail_recipes(), 4u);
+  ExpectTablesMatchReferences(extended, twice);
+  size_t shared_lists = 0;
+  for (IngredientId id = 0; id < 40; ++id) {
+    const std::span<const uint32_t> first = base.Postings(id).base;
+    if (first.empty()) continue;
+    EXPECT_EQ(once.Postings(id).base.data(), first.data()) << "id " << id;
+    EXPECT_EQ(twice.Postings(id).base.data(), first.data()) << "id " << id;
+    ++shared_lists;
+  }
+  EXPECT_GT(shared_lists, 0u);
 }
 
 TEST(QueryIndexTest, RecordsPerTableBuildTimers) {
@@ -264,11 +370,11 @@ void ExpectSameIndex(const RecipeCorpus& corpus, const QueryIndex& one,
   const std::span<const IngredientId> unique = corpus.UniqueIngredients();
   const size_t universe = unique.back() + 1u;
   for (size_t id = 0; id < universe + 2; ++id) {
-    const std::span<const uint32_t> a =
-        one.Postings(static_cast<IngredientId>(id));
-    const std::span<const uint32_t> b =
-        all.Postings(static_cast<IngredientId>(id));
-    ASSERT_TRUE(std::ranges::equal(a, b)) << "id " << id;
+    const std::vector<uint32_t> a =
+        Flatten(one.Postings(static_cast<IngredientId>(id)));
+    const std::vector<uint32_t> b =
+        Flatten(all.Postings(static_cast<IngredientId>(id)));
+    ASSERT_EQ(a, b) << "id " << id;
     ASSERT_TRUE(std::is_sorted(b.begin(), b.end())) << "id " << id;
     ASSERT_EQ(b.size(), id < universe ? corpus.presence()[id] : 0u);
   }
@@ -311,8 +417,9 @@ void ExpectSameIndex(const RecipeCorpus& corpus, const QueryIndex& one,
 }
 
 // Postings are placed by recipe range on the CPUs the process may use;
-// every table must come out bit for bit as on one CPU, or as with a
-// budget of one thread, which starts no pool task.
+// every table must come out bit for bit as on one CPU, and as in an
+// extension whose tail over the last 1% of the recipes is placed on the
+// calling thread, which starts no pool task.
 TEST(QueryIndexTest, ParallelBuildMatchesOneCpuBuild) {
   if (UsableCpus() < 2) GTEST_SKIP() << "this process may use one CPU";
   const Result<RecipeCorpus> world = SynthesizeWorldCorpus(WorldLexicon());
@@ -328,16 +435,19 @@ TEST(QueryIndexTest, ParallelBuildMatchesOneCpuBuild) {
   const int64_t before_all = tasks->Value();
   const QueryIndex all = QueryIndex::Build(*world);
   EXPECT_GT(tasks->Value(), before_all);
-  const int64_t before_budget = tasks->Value();
-  const QueryIndex budget = QueryIndex::Build(*world, 1);
-  EXPECT_EQ(tasks->Value(), before_budget);
+  const uint32_t n = static_cast<uint32_t>(world->num_recipes());
+  const QueryIndex base = QueryIndex::Build(Prefix(*world, n - n / 100));
+  const int64_t before_tail = tasks->Value();
+  const QueryIndex extended = QueryIndex::Extend(base, *world);
+  EXPECT_EQ(tasks->Value(), before_tail);
+  EXPECT_EQ(extended.tail_recipes(), n / 100);
   {
     SCOPED_TRACE("one CPU");
     ExpectSameIndex(*world, one, all);
   }
   {
-    SCOPED_TRACE("one thread");
-    ExpectSameIndex(*world, budget, all);
+    SCOPED_TRACE("tail");
+    ExpectSameIndex(*world, extended, all);
   }
 }
 

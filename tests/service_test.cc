@@ -905,5 +905,163 @@ TEST(ServiceCoreTest, ReloadDeltaTimesEveryStage) {
   std::remove(path.c_str());
 }
 
+/// A CULEVO-DELTA file that appends `records` to `base`.
+std::string WriteDelta(const RecipeCorpus& base,
+                       std::vector<CorpusDeltaRecord> records,
+                       const std::string& tag) {
+  const std::string path =
+      testing::TempDir() + "culevo_delta_" + tag + ".bin";
+  CorpusDelta delta;
+  delta.base_recipes = base.num_recipes();
+  delta.base_fingerprint = CorpusContentFingerprint(base);
+  delta.records = std::move(records);
+  EXPECT_TRUE(WriteCorpusDelta(path, delta, {.sync = false}).ok());
+  return path;
+}
+
+/// The serve.index.tail_recipes gauge as the `metrics` request reports it.
+double TailRecipes(ServiceCore& core) {
+  for (const std::string& row : Rows(core.Handle("metrics"))) {
+    const std::vector<std::string> fields = Split(row, '\t');
+    if (fields.size() == 3 && fields[0] == "gauge" &&
+        fields[1] == "serve.index.tail_recipes") {
+      return std::stod(fields[2]);
+    }
+  }
+  ADD_FAILURE() << "metrics has no serve.index.tail_recipes gauge";
+  return -1;
+}
+
+// Each delta reload extends the serving index: the next generation shares
+// its posting base and places a tail over every recipe added since. After
+// each of three chained deltas (one with an id past the base's universe,
+// one that gives an empty cuisine its first recipes), every query class
+// must answer as a core installed on the combined corpus does, including
+// searches whose hits lie on both sides of the base and whose limit cuts
+// inside the tail.
+TEST(ServiceCoreTest, ChainedDeltaReloadsMatchMonolithicBuilds) {
+  constexpr CuisineId kC = 2;  // No recipes until the second delta.
+  const std::vector<std::vector<CorpusDeltaRecord>> deltas = {
+      {{kA, {1, 2, 9}}, {kB, {2, 6}}},
+      {{kC, {1, 3}}, {kC, {2, 3, 9}}},
+      {{kA, {1, 2, 3}}, {kB, {2, 3, 6}}, {kC, {2, 3}}}};
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "base").ok());
+  EXPECT_EQ(TailRecipes(core), 0.0);
+  const RecipeCorpus first = SmallCorpus();
+  ASSERT_EQ(first.UniqueIngredients().back(), 7);
+  ASSERT_EQ(first.num_recipes_in(kC), 0u);
+
+  // Every recipe so far, and the corpus they make built monolithically.
+  std::vector<CorpusDeltaRecord> recipes;
+  for (uint32_t r = 0; r < first.num_recipes(); ++r) {
+    const std::span<const IngredientId> ids = first.ingredients_of(r);
+    recipes.push_back(
+        {first.cuisine_of(r), std::vector<IngredientId>(ids.begin(), ids.end())});
+  }
+  const auto combined = [&recipes] {
+    RecipeCorpus::Builder builder;
+    for (const CorpusDeltaRecord& recipe : recipes) {
+      EXPECT_TRUE(builder.Add(recipe.cuisine, recipe.ingredients).ok());
+    }
+    return builder.Build();
+  };
+  size_t appended = 0;
+  for (size_t d = 0; d < deltas.size(); ++d) {
+    SCOPED_TRACE("delta " + std::to_string(d + 1));
+    const std::string path =
+        WriteDelta(combined(), deltas[d], "chain" + std::to_string(d));
+    ASSERT_TRUE(core.ReloadDelta(path).ok());
+    std::remove(path.c_str());
+    recipes.insert(recipes.end(), deltas[d].begin(), deltas[d].end());
+    appended += deltas[d].size();
+    EXPECT_EQ(core.Acquire()->index.tail_recipes(), appended);
+    EXPECT_EQ(TailRecipes(core), static_cast<double>(appended));
+
+    ServiceCore reference = MakeCore();
+    ASSERT_TRUE(reference.InstallCorpus(combined(), "base").ok());
+    std::vector<std::string> requests = {
+        "overrep " + Code(kA) + " 5", "overrep " + Code(kB) + " 5",
+        "overrep " + Code(kC) + " 5", "nearest " + Code(kA),
+        "nearest " + Code(kC),        "stats " + Code(kA),
+        "stats " + Code(kB),          "stats " + Code(kC),
+        "freq " + Code(kA) + " #7",   "freq " + Code(kA) + " #9",
+        "freq " + Code(kC) + " #3",   "search #1,#5",
+        "search #2,#3",               "search #2,#3 cuisine=" + Code(kB),
+        "search #2,#3 cuisine=" + Code(kC),
+        "search #2,#3 limit=3",       "search #2 limit=6",
+        "search #9",                  "search #3,#9"};
+    for (size_t r = 0; r <= recipes.size(); ++r) {
+      requests.push_back("recipe " + std::to_string(r));
+    }
+    for (const std::string& request : requests) {
+      EXPECT_EQ(core.Handle(request), reference.Handle(request)) << request;
+    }
+  }
+  // The last delta's `search #2,#3 limit=3` stops inside the tail: two
+  // hits below the base's five recipes and one above them.
+  EXPECT_EQ(Rows(core.Handle("search #2,#3 limit=3")).size(), 3u);
+
+  // A full install starts a fresh base with an empty tail.
+  ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "again").ok());
+  EXPECT_EQ(core.Acquire()->index.tail_recipes(), 0u);
+  EXPECT_EQ(TailRecipes(core), 0.0);
+}
+
+// Readers send `search`, `recipe` and `freq` while the main thread applies
+// chained delta reloads, each over a tail that keeps growing: every
+// request must succeed. Run under TSan via the tsan preset.
+TEST(ServiceCoreTest, ConcurrentReadersAcrossDeltaReloads) {
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "gen0").ok());
+
+  constexpr int kReaders = 4;
+  constexpr int kDeltas = 12;
+  const std::vector<std::string> requests = {
+      "search #2,#3", "search #1 cuisine=" + Code(kB) + " limit=4",
+      "recipe 0", "recipe 4", "freq " + Code(kA) + " #2"};
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> served{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t i = static_cast<size_t>(t);
+           !done.load(std::memory_order_relaxed); ++i) {
+        if (!StartsWith(core.Handle(requests[i % requests.size()]), "ok ")) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        served.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  size_t appended = 0;
+  for (int d = 0; d < kDeltas; ++d) {
+    const std::shared_ptr<const ServiceSnapshot> current = core.Acquire();
+    const std::string path = testing::TempDir() + "culevo_delta_readers_" +
+                             std::to_string(d) + ".bin";
+    CorpusDelta delta;
+    delta.base_recipes = current->corpus.num_recipes();
+    delta.base_fingerprint = current->content_fingerprint;
+    delta.records = {
+        {kA, {1, 2, static_cast<IngredientId>(10 + d)}},
+        {kB, {2, 3}},
+        {static_cast<CuisineId>(2 + d % 3), {1, static_cast<IngredientId>(20 + d)}}};
+    ASSERT_TRUE(WriteCorpusDelta(path, delta, {.sync = false}).ok());
+    ASSERT_TRUE(core.ReloadDelta(path).ok()) << "delta " << d;
+    std::remove(path.c_str());
+    appended += delta.records.size();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(served.load(), 0);
+  EXPECT_EQ(core.Acquire()->epoch, static_cast<uint64_t>(kDeltas + 1));
+  EXPECT_EQ(core.Acquire()->index.tail_recipes(), appended);
+}
+
 }  // namespace
 }  // namespace culevo
