@@ -407,7 +407,14 @@ int Dispatch(const FlagParser& flags) {
 
 int main(int argc, char** argv) {
   FlagParser flags;
-  if (Status s = flags.Parse(argc, argv); !s.ok()) {
+  // Every flag any subcommand reads.
+  if (Status s = flags.Parse(
+          argc, argv,
+          {"scale", "seed", "replicas", "load-snapshot", "snapshot",
+           "cuisine", "tolerate", "retries", "checkpoint", "resume",
+           "workers", "worker-shard", "worker-stall-ms", "worker-retries",
+           "size", "count", "out", "timeout-ms", "metrics"});
+      !s.ok()) {
     std::cerr << s << "\n";
     return 2;
   }

@@ -45,26 +45,39 @@ std::string SerializeStats(std::span<const CuisineStats> stats) {
   return out;
 }
 
-/// CorpusContentFingerprint, continued from `flat_state`, the FNV-1a-64
-/// of the flat column.
-uint64_t FingerprintFrom(uint64_t flat_state,
-                         std::span<const uint32_t> offsets,
-                         std::span<const CuisineId> cuisines) {
-  return Fnv1a64(AsBytes(cuisines), Fnv1a64(AsBytes(offsets), flat_state));
+/// A section holding one column, the base segment's bytes then the
+/// tail's; they are joined in `*joined` unless the tail is empty.
+template <typename T>
+ContainerSection ColumnSection(uint32_t id, std::span<const T> base,
+                               std::span<const T> tail, std::string* joined) {
+  std::string_view bytes = AsBytes(base);
+  if (!tail.empty()) {
+    *joined = bytes;
+    *joined += AsBytes(tail);
+    bytes = *joined;
+  }
+  return {id, bytes, Fnv1a64(bytes)};
 }
 
 /// A section whose bytes are the column itself, hashed in full.
 template <typename T>
 ContainerSection ColumnSection(uint32_t id, std::span<const T> column) {
-  const std::string_view bytes = AsBytes(column);
-  return {id, bytes, Fnv1a64(bytes)};
+  return ColumnSection(id, column, std::span<const T>(), nullptr);
 }
 
 }  // namespace
 
 uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus) {
-  return FingerprintFrom(Fnv1a64(AsBytes(corpus.flat())), corpus.offsets(),
-                         corpus.cuisines());
+  return CorpusContentFingerprint(
+      corpus, Fnv1a64(AsBytes(corpus.segments()[0].flat)));
+}
+
+uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus,
+                                  uint64_t base_flat_hash) {
+  const auto [base, tail] = corpus.segments();
+  uint64_t hash = Fnv1a64(AsBytes(tail.flat), base_flat_hash);
+  hash = Fnv1a64(AsBytes(tail.offsets), Fnv1a64(AsBytes(base.offsets), hash));
+  return Fnv1a64(AsBytes(tail.cuisines), Fnv1a64(AsBytes(base.cuisines), hash));
 }
 
 // ---------------------------------------------------------------------------
@@ -88,9 +101,13 @@ Status WriteCorpusSnapshot(const std::string& path,
   const std::string stats_bytes = SerializeStats(stats);
   std::vector<ContainerSection> sections;
   sections.reserve(4 + 2 * kNumCuisines + 1);
-  sections.push_back(ColumnSection(kSecFlat, corpus.flat()));
-  sections.push_back(ColumnSection(kSecOffsets, corpus.offsets()));
-  sections.push_back(ColumnSection(kSecCuisines, corpus.cuisines()));
+  const auto [base, tail] = corpus.segments();
+  std::string joined[3];
+  sections.push_back(ColumnSection(kSecFlat, base.flat, tail.flat, &joined[0]));
+  sections.push_back(
+      ColumnSection(kSecOffsets, base.offsets, tail.offsets, &joined[1]));
+  sections.push_back(
+      ColumnSection(kSecCuisines, base.cuisines, tail.cuisines, &joined[2]));
   sections.push_back({kSecStats, stats_bytes, Fnv1a64(stats_bytes)});
   for (int c = 0; c < kNumCuisines; ++c) {
     const CuisineId cuisine = static_cast<CuisineId>(c);
@@ -101,7 +118,7 @@ Status WriteCorpusSnapshot(const std::string& path,
   }
   sections.push_back(ColumnSection(kSecUniqueBase + kNumCuisines,
                                    corpus.UniqueIngredients()));
-  const ContainerWords words = {corpus.num_recipes(), corpus.flat().size(),
+  const ContainerWords words = {corpus.num_recipes(), corpus.total_mentions(),
                                 static_cast<uint32_t>(kNumCuisines)};
   return WriteContainer(path, kSnapshotFormat, words, sections, options.sync);
 }
@@ -161,8 +178,8 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
   // and with it every buffer the load allocates.
   uint64_t fingerprint = 0;
   const auto continue_fingerprint = [&] {
-    fingerprint = FingerprintFrom(*flat_checksum, views.offsets,
-                                  views.cuisines);
+    fingerprint = Fnv1a64(AsBytes(views.cuisines),
+                          Fnv1a64(AsBytes(views.offsets), *flat_checksum));
   };
   Result<RecipeCorpus> corpus = [&] {
     if (ThreadsFor(num_recipes, kRecipesPerThread) == 1) {
@@ -195,6 +212,7 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
   loaded.corpus = std::move(corpus).value();
   loaded.stats = std::move(stats);
   loaded.content_fingerprint = fingerprint;
+  loaded.flat_hash = *flat_checksum;
   loaded.memory_mapped = file->memory_mapped();
   loaded.file_bytes = file->file_bytes();
   load_ms->Record(load_watch.ElapsedMillis());

@@ -68,20 +68,31 @@ struct SnapshotLoadOptions {
 struct LoadedCorpusSnapshot {
   RecipeCorpus corpus;
   std::vector<CuisineStats> stats;  ///< One entry per cuisine id.
-  /// CorpusContentFingerprint(corpus). The load continues it from the
-  /// flat section's verified checksum, so it hashes only the offsets and
-  /// cuisines.
+  /// CorpusContentFingerprint(corpus). The load continues it from
+  /// `flat_hash`, so it hashes only the offsets and cuisines.
   uint64_t content_fingerprint = 0;
+  /// FNV-1a-64 of the flat column: the flat section's verified checksum,
+  /// and the state a corpus extending this one continues its fingerprint
+  /// from (CorpusContentFingerprint(corpus, base_flat_hash)).
+  uint64_t flat_hash = 0;
   bool memory_mapped = false;       ///< mmap path vs buffered fallback.
   size_t file_bytes = 0;
 };
 
-/// Content identity of a corpus: FNV-1a-64 over the CSR columns
-/// (flat, offsets, cuisines). Two corpora with equal fingerprints hold
-/// byte-identical recipe data regardless of how they were built (snapshot
-/// load, synthesis, incremental materialization). This is what a delta's
+/// Content identity of a corpus: FNV-1a-64 over the whole CSR columns
+/// (flat, offsets, cuisines), each streamed base segment then tail. Two
+/// corpora with equal fingerprints hold byte-identical recipe data
+/// regardless of how they were built (snapshot load, synthesis,
+/// incremental materialization). This is what a delta's
 /// `base_fingerprint` pins (CULEVO-DELTA, corpus/ingestion.h).
 uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus);
+
+/// The same value, continued from `base_flat_hash`, the FNV-1a-64 of the
+/// corpus's base flat column (LoadedCorpusSnapshot::flat_hash of the
+/// snapshot the base came from, say): hashes only the tail's flat bytes,
+/// then the offsets and cuisines in full.
+uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus,
+                                  uint64_t base_flat_hash);
 
 /// Serializes `corpus` (computing its CuisineStats) and writes the
 /// snapshot atomically.

@@ -110,15 +110,14 @@ IncrementalCorpus IncrementalCorpus::FromCorpus(
     const RecipeCorpus& corpus, std::span<const CuisineStats> stats,
     size_t append_recipes, size_t append_mentions) {
   IncrementalCorpus out;
-  const std::span<const IngredientId> flat = corpus.flat();
-  const std::span<const uint32_t> offsets = corpus.offsets();
-  const std::span<const CuisineId> cuisines = corpus.cuisines();
-  out.flat_.reserve(flat.size() + append_mentions);
-  out.offsets_.reserve(offsets.size() + append_recipes);
-  out.cuisines_.reserve(cuisines.size() + append_recipes);
-  out.flat_.assign(flat.begin(), flat.end());
-  out.offsets_.assign(offsets.begin(), offsets.end());
-  out.cuisines_.assign(cuisines.begin(), cuisines.end());
+  out.from_ = corpus;
+  const RecipeCorpus::Segment& tail = corpus.tail_;
+  out.tail_.flat.reserve(tail.flat.size() + append_mentions);
+  out.tail_.offsets.reserve(tail.offsets.size() + append_recipes);
+  out.tail_.cuisines.reserve(tail.cuisines.size() + append_recipes);
+  out.tail_.flat.assign(tail.flat.begin(), tail.flat.end());
+  out.tail_.offsets.assign(tail.offsets.begin(), tail.offsets.end());
+  out.tail_.cuisines.assign(tail.cuisines.begin(), tail.cuisines.end());
   for (int c = 0; c <= kNumCuisines; ++c) {
     const bool world = c == kNumCuisines;
     const CuisineId cuisine = static_cast<CuisineId>(c);
@@ -129,26 +128,20 @@ IncrementalCorpus IncrementalCorpus::FromCorpus(
     const size_t ci = static_cast<size_t>(c);
     out.unique_[ci].assign(unique.begin(), unique.end());
     out.presence_[ci].assign(presence.begin(), presence.end());
-    if (!world) {
-      const std::span<const uint32_t> shard = corpus.recipes_of(cuisine);
-      out.shards_[ci].reserve(shard.size() + append_recipes);
-      out.shards_[ci].assign(shard.begin(), shard.end());
-    }
   }
   if (stats.empty()) {
     out.stats_ = ComputeCuisineStats(corpus);
   } else {
     out.stats_.assign(stats.begin(), stats.end());
   }
-  out.SeedSizeSums();
-  return out;
-}
-
-void IncrementalCorpus::SeedSizeSums() {
-  size_sums_.fill(0);
-  for (size_t i = 0; i < cuisines_.size(); ++i) {
-    size_sums_[cuisines_[i]] += offsets_[i + 1] - offsets_[i];
+  // A cuisine's mention total is its size histogram's weighted sum.
+  for (size_t c = 0; c < kNumCuisines; ++c) {
+    const std::vector<size_t>& histogram = out.stats_[c].size_histogram;
+    for (size_t size = 0; size < histogram.size(); ++size) {
+      out.size_sums_[c] += size * histogram[size];
+    }
   }
+  return out;
 }
 
 Status IncrementalCorpus::Add(CuisineId cuisine,
@@ -165,11 +158,12 @@ Status IncrementalCorpus::Add(CuisineId cuisine,
   scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
                  scratch_.end());
 
-  const uint32_t index = static_cast<uint32_t>(cuisines_.size());
-  flat_.insert(flat_.end(), scratch_.begin(), scratch_.end());
-  offsets_.push_back(static_cast<uint32_t>(flat_.size()));
-  cuisines_.push_back(cuisine);
-  shards_[cuisine].push_back(index);
+  const uint32_t index = static_cast<uint32_t>(num_recipes());
+  tail_.flat.insert(tail_.flat.end(), scratch_.begin(), scratch_.end());
+  tail_.offsets.push_back(tail_.offsets.back() +
+                          static_cast<uint32_t>(scratch_.size()));
+  tail_.cuisines.push_back(cuisine);
+  added_[cuisine].push_back(index);
 
   // Presence counts, and unique lists: a sorted insert only on the first
   // sighting of an id in each scope, so steady-state appends never shift
@@ -210,28 +204,30 @@ Status IncrementalCorpus::Add(CuisineId cuisine,
 }
 
 Result<RecipeCorpus> IncrementalCorpus::Materialize() const& {
-  return HandOff(flat_, offsets_, cuisines_);
+  return HandOff(tail_);
 }
 
 Result<RecipeCorpus> IncrementalCorpus::Materialize() && {
-  return HandOff(std::move(flat_), std::move(offsets_), std::move(cuisines_));
+  return HandOff(std::move(tail_));
 }
 
-RecipeCorpus IncrementalCorpus::HandOff(std::vector<IngredientId> flat,
-                                        std::vector<uint32_t> offsets,
-                                        std::vector<CuisineId> cuisines) const {
+RecipeCorpus IncrementalCorpus::HandOff(RecipeCorpus::Columns tail) const {
   // Add keeps every recipe sorted and unique, every shard ascending,
   // every unique list sorted and every presence count exact: the storage
   // Builder::Build derives.
-  RecipeCorpus corpus;
-  RecipeCorpus::Storage& s = corpus.storage_;
-  s.flat = std::move(flat);
-  s.offsets = std::move(offsets);
-  s.cuisines = std::move(cuisines);
-  s.shard_index.reserve(s.cuisines.size());
+  auto storage = std::make_shared<RecipeCorpus::Storage>();
+  RecipeCorpus::Storage& s = *storage;
+  s.tail = std::move(tail);
+  // The shard index, written once: a cuisine's shard in the corpus this
+  // one extends, then the recipes appended to it, all above that corpus.
+  s.shard_index.reserve(num_recipes());
   s.shard_offsets.assign(1, 0);
-  for (const std::vector<uint32_t>& shard : shards_) {
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const std::span<const uint32_t> shard =
+        from_.recipes_of(static_cast<CuisineId>(c));
+    const std::vector<uint32_t>& added = added_[static_cast<size_t>(c)];
     s.shard_index.insert(s.shard_index.end(), shard.begin(), shard.end());
+    s.shard_index.insert(s.shard_index.end(), added.begin(), added.end());
     s.shard_offsets.push_back(static_cast<uint32_t>(s.shard_index.size()));
   }
   s.unique_offsets.assign(1, 0);
@@ -245,7 +241,8 @@ RecipeCorpus IncrementalCorpus::HandOff(std::vector<IngredientId> flat,
     s.presence.insert(s.presence.end(), counts.begin(), counts.end());
     s.presence.resize(s.presence.size() + universe - counts.size(), 0);
   }
-  corpus.RebindViews();
+  RecipeCorpus corpus = from_;
+  corpus.Adopt(std::move(storage));
   return corpus;
 }
 

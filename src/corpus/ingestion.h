@@ -65,14 +65,22 @@ std::vector<RawRecipe> ParseRawRecipeText(std::string_view text);
 /// RecipeCorpus is immutable after Build(): absorbing one new batch means
 /// re-running the builder, the shard construction, the unique-ingredient
 /// scan, and ComputeCuisineStats over the whole store. IncrementalCorpus
-/// instead maintains every derived structure under appends:
+/// instead extends a corpus in O(batch):
 ///
-///   - the CSR columns (flat / offsets / cuisines) only ever grow,
-///   - each cuisine's recipe-index shard, presence counts and sorted
-///     unique-ingredient list are updated in place per recipe,
+///   - it shares the base columns of the corpus it starts from
+///     (FromCorpus) and appends to a tail of its own, which starts as a
+///     copy of that corpus's tail, so the tail holds every recipe added
+///     since the base;
+///   - per cuisine it keeps the recipe indices appended to its shard, and
+///     the presence counts and sorted unique-ingredient lists, updated in
+///     place per recipe;
 ///   - CuisineStats (count, mean, min/max, size histogram, unique count)
 ///     are maintained incrementally and stay bit-identical to what
 ///     ComputeCuisineStats would return on the materialized corpus.
+///
+/// Materialize() hands the tail over to a RecipeCorpus with the same
+/// base, and writes its shard index once: each cuisine's shard of the
+/// starting corpus, then the recipes appended to it.
 ///
 /// Metrics: `corpus.ingest.recipes` (appended recipes).
 ///
@@ -81,11 +89,13 @@ class IncrementalCorpus {
  public:
   IncrementalCorpus();
 
-  /// Seeds from a finalized corpus (copies the columns and indexes).
-  /// `stats` must be ComputeCuisineStats output for `corpus` when
-  /// provided; when empty it is computed here. The copies get room for
-  /// `append_recipes` more recipes of `append_mentions` mentions in all,
-  /// so that many Add calls never reallocate them.
+  /// Seeds from a finalized corpus: shares its base and copies its tail,
+  /// shards stay views of it, and the presence counts and unique lists
+  /// are copied. No base recipe is read. `stats` must be
+  /// ComputeCuisineStats output for `corpus` when provided; when empty it
+  /// is computed here. The tail gets room for `append_recipes` more
+  /// recipes of `append_mentions` mentions in all, so that many Add calls
+  /// never reallocate it.
   static IncrementalCorpus FromCorpus(const RecipeCorpus& corpus,
                                       std::span<const CuisineStats> stats = {},
                                       size_t append_recipes = 0,
@@ -96,13 +106,11 @@ class IncrementalCorpus {
   /// out-of-range cuisines are rejected).
   Status Add(CuisineId cuisine, std::span<const IngredientId> ingredients);
 
-  size_t num_recipes() const { return cuisines_.size(); }
-  size_t num_mentions() const { return flat_.size(); }
-
-  /// Indices of all recipes in `cuisine`, ascending.
-  std::span<const uint32_t> recipes_of(CuisineId cuisine) const {
-    return shards_[cuisine];
+  size_t num_recipes() const {
+    return from_.base_.cuisines.size() + tail_.cuisines.size();
   }
+  size_t num_mentions() const { return tail_.offsets.back(); }
+
   /// Sorted distinct ingredient ids of `cuisine` / of the whole corpus.
   std::span<const IngredientId> UniqueIngredients(CuisineId cuisine) const {
     return unique_[cuisine];
@@ -118,32 +126,33 @@ class IncrementalCorpus {
     return stats_[cuisine];
   }
 
-  /// Builds an owned, finalized RecipeCorpus from the current contents,
-  /// for code that wants the immutable type: a snapshot is
-  /// WriteCorpusSnapshot(path, *Materialize(), stats()). The columns, shards, presence counts and unique lists this
-  /// object maintains become the corpus storage as they are: nothing is
-  /// re-sorted, re-counted or re-scanned. `incremental.Materialize()`
-  /// copies them; `std::move(incremental).Materialize()` moves the columns
-  /// instead and leaves `incremental` fit only for destruction or
-  /// assignment.
+  /// Builds a finalized RecipeCorpus from the current contents, for code
+  /// that wants the immutable type: a snapshot is
+  /// WriteCorpusSnapshot(path, *Materialize(), stats()). It shares the
+  /// base of the corpus FromCorpus started from, and the tail, presence
+  /// counts and unique lists this object maintains become its storage as
+  /// they are: nothing is re-sorted, re-counted or re-scanned.
+  /// `incremental.Materialize()` copies the tail;
+  /// `std::move(incremental).Materialize()` moves it instead and leaves
+  /// `incremental` fit only for destruction or assignment.
   Result<RecipeCorpus> Materialize() const&;
   Result<RecipeCorpus> Materialize() &&;
 
  private:
-  void SeedSizeSums();
-  /// Materialize's body: `flat`, `offsets` and `cuisines` (copies or this
-  /// object's own, moved) plus flattened copies of shards_, unique_ and
+  /// Materialize's body: `tail` (a copy or this object's own, moved), the
+  /// shard index written once, and flattened copies of unique_ and
   /// presence_.
-  RecipeCorpus HandOff(std::vector<IngredientId> flat,
-                       std::vector<uint32_t> offsets,
-                       std::vector<CuisineId> cuisines) const;
+  RecipeCorpus HandOff(RecipeCorpus::Columns tail) const;
 
-  // CSR columns (append-only).
-  std::vector<IngredientId> flat_;
-  std::vector<uint32_t> offsets_ = {0};
-  std::vector<CuisineId> cuisines_;
-  // Derived per-cuisine indexes, updated per Add.
-  std::array<std::vector<uint32_t>, kNumCuisines> shards_;
+  /// The corpus FromCorpus started from (empty otherwise), shared: its
+  /// base is this object's, and its shards are the first part of this
+  /// object's.
+  RecipeCorpus from_;
+  /// Every recipe since the base (append-only); offsets start at the
+  /// base's mention count.
+  RecipeCorpus::Columns tail_;
+  /// added_[c] = indices of the recipes appended to cuisine c by Add.
+  std::array<std::vector<uint32_t>, kNumCuisines> added_;
   std::array<std::vector<IngredientId>, kNumCuisines + 1> unique_;
   /// presence_[c] = RecipeCorpus::presence(c), presence_[kNumCuisines] the
   /// world row. A row grows to the largest id of its scope, so the world

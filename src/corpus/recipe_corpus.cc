@@ -42,8 +42,17 @@ void RecipeCorpus::Builder::Reserve(size_t num_recipes, size_t num_mentions) {
 
 namespace {
 
-/// Sets the world row of a Storage::presence table to the sum of its
-/// cuisine rows.
+/// The offsets of no recipes: a default corpus's base and tail.
+constexpr uint32_t kNoRecipes[1] = {0};
+
+/// Row `scope` of a presence table of kNumCuisines + 1 rows.
+std::span<const uint32_t> Row(std::span<const uint32_t> presence,
+                              size_t scope) {
+  const size_t universe = presence.size() / (kNumCuisines + 1);
+  return presence.subspan(scope * universe, universe);
+}
+
+/// Sets the world row of a presence table to the sum of its cuisine rows.
 void SumWorldRow(std::vector<uint32_t>& presence, size_t universe) {
   uint32_t* world = presence.data() + kNumCuisines * universe;
   for (size_t c = 0; c < kNumCuisines; ++c) {
@@ -54,22 +63,33 @@ void SumWorldRow(std::vector<uint32_t>& presence, size_t universe) {
 
 }  // namespace
 
+RecipeCorpus::RecipeCorpus() {
+  base_.offsets = kNoRecipes;
+  tail_.offsets = kNoRecipes;
+}
+
 RecipeCorpus RecipeCorpus::Builder::Build() {
-  RecipeCorpus corpus;
-  Storage& s = corpus.storage_;
-  s.flat = std::move(flat_);
-  s.offsets = std::move(offsets_);
-  s.cuisines = std::move(cuisines_);
+  auto base = std::make_shared<Columns>();
+  base->flat = std::move(flat_);
+  base->offsets = std::move(offsets_);
+  base->cuisines = std::move(cuisines_);
   flat_.clear();
   offsets_ = {0};
   cuisines_.clear();
-  const size_t n = s.cuisines.size();
+  const std::span<const IngredientId> flat = base->flat;
+  const std::span<const uint32_t> offsets = base->offsets;
+  const std::span<const CuisineId> cuisines = base->cuisines;
+  const size_t n = cuisines.size();
   const size_t universe = n == 0 ? 0 : static_cast<size_t>(max_id_) + 1;
   max_id_ = 0;
 
+  auto storage = std::make_shared<Storage>();
+  Storage& s = *storage;
+  s.tail.offsets = {offsets.back()};
+
   // Cuisine shards: counting sort keeps each shard ascending.
   s.shard_offsets.assign(kNumCuisines + 1, 0);
-  for (CuisineId c : s.cuisines) ++s.shard_offsets[c + 1];
+  for (CuisineId c : cuisines) ++s.shard_offsets[c + 1];
   for (int c = 0; c < kNumCuisines; ++c) {
     s.shard_offsets[static_cast<size_t>(c) + 1] +=
         s.shard_offsets[static_cast<size_t>(c)];
@@ -79,7 +99,7 @@ RecipeCorpus RecipeCorpus::Builder::Build() {
     std::vector<uint32_t> cursor(s.shard_offsets.begin(),
                                  s.shard_offsets.end() - 1);
     for (uint32_t i = 0; i < n; ++i) {
-      s.shard_index[cursor[s.cuisines[i]]++] = i;
+      s.shard_index[cursor[cuisines[i]]++] = i;
     }
   }
 
@@ -89,109 +109,45 @@ RecipeCorpus RecipeCorpus::Builder::Build() {
   // list, flattened back to back.
   s.presence.assign((kNumCuisines + 1) * universe, 0);
   for (size_t i = 0; i < n; ++i) {
-    uint32_t* row = s.presence.data() + s.cuisines[i] * universe;
-    for (uint32_t m = s.offsets[i]; m < s.offsets[i + 1]; ++m) {
-      ++row[s.flat[m]];
-    }
+    uint32_t* row = s.presence.data() + cuisines[i] * universe;
+    for (uint32_t m = offsets[i]; m < offsets[i + 1]; ++m) ++row[flat[m]];
   }
   SumWorldRow(s.presence, universe);
   s.unique_offsets.assign(1, 0);
   for (size_t scope = 0; scope <= kNumCuisines; ++scope) {
-    const std::span<const uint32_t> row = corpus.PresenceRow(scope);
+    const std::span<const uint32_t> row = Row(s.presence, scope);
     for (size_t id = 0; id < universe; ++id) {
       if (row[id] != 0) s.unique_flat.push_back(static_cast<IngredientId>(id));
     }
     s.unique_offsets.push_back(static_cast<uint32_t>(s.unique_flat.size()));
   }
 
-  corpus.RebindViews();
+  RecipeCorpus corpus;
+  corpus.base_ = {flat, offsets, cuisines};
+  corpus.backing_ = std::move(base);
+  corpus.Adopt(std::move(storage));
   return corpus;
 }
 
-void RecipeCorpus::RebindViews() {
-  const Storage& s = storage_;
-  flat_ = s.flat;
-  offsets_ = s.offsets;
-  cuisines_ = s.cuisines;
-  for (int c = 0; c < kNumCuisines; ++c) {
-    if (s.shard_offsets.size() == kNumCuisines + 1) {
-      shards_[static_cast<size_t>(c)] = std::span<const uint32_t>(
-          s.shard_index.data() + s.shard_offsets[static_cast<size_t>(c)],
-          s.shard_offsets[static_cast<size_t>(c) + 1] -
-              s.shard_offsets[static_cast<size_t>(c)]);
-    } else {
-      shards_[static_cast<size_t>(c)] = {};
+void RecipeCorpus::Adopt(std::shared_ptr<const Storage> storage) {
+  const Storage& s = *storage;
+  tail_ = {s.tail.flat, s.tail.offsets, s.tail.cuisines};
+  presence_ = s.presence;
+  if (s.shard_offsets.size() == kNumCuisines + 1) {
+    for (size_t c = 0; c < kNumCuisines; ++c) {
+      shards_[c] = std::span<const uint32_t>(s.shard_index)
+                       .subspan(s.shard_offsets[c],
+                                s.shard_offsets[c + 1] - s.shard_offsets[c]);
     }
   }
-  for (int c = 0; c <= kNumCuisines; ++c) {
-    if (s.unique_offsets.size() == kNumCuisines + 2) {
-      unique_[static_cast<size_t>(c)] = std::span<const IngredientId>(
-          s.unique_flat.data() + s.unique_offsets[static_cast<size_t>(c)],
-          s.unique_offsets[static_cast<size_t>(c) + 1] -
-              s.unique_offsets[static_cast<size_t>(c)]);
-    } else {
-      unique_[static_cast<size_t>(c)] = {};
+  if (s.unique_offsets.size() == kNumCuisines + 2) {
+    for (size_t c = 0; c <= kNumCuisines; ++c) {
+      unique_[c] = std::span<const IngredientId>(s.unique_flat)
+                       .subspan(s.unique_offsets[c],
+                                s.unique_offsets[c + 1] - s.unique_offsets[c]);
     }
   }
-}
-
-RecipeCorpus::RecipeCorpus(const RecipeCorpus& other)
-    : storage_(other.storage_), backing_(other.backing_) {
-  // Owned mode is detected structurally (views aliasing other.storage_)
-  // rather than by backing_: FromColumns with a null backing still hands
-  // out external views, and rebinding those onto the empty storage_ would
-  // silently produce an empty copy.
-  const bool other_owned =
-      other.cuisines_.data() == other.storage_.cuisines.data() &&
-      other.flat_.data() == other.storage_.flat.data();
-  if (other_owned) {
-    RebindViews();
-  } else {
-    // Borrowed mode: views point into external memory (kept alive by the
-    // copied backing_ when there is one) — they stay valid as-is.
-    flat_ = other.flat_;
-    offsets_ = other.offsets_;
-    cuisines_ = other.cuisines_;
-    shards_ = other.shards_;
-    unique_ = other.unique_;
-  }
-}
-
-RecipeCorpus& RecipeCorpus::operator=(const RecipeCorpus& other) {
-  if (this == &other) return *this;
-  RecipeCorpus copy(other);
-  *this = std::move(copy);
-  return *this;
-}
-
-RecipeCorpus::RecipeCorpus(RecipeCorpus&& other) noexcept
-    : storage_(std::move(other.storage_)),
-      backing_(std::move(other.backing_)),
-      flat_(other.flat_),
-      offsets_(other.offsets_),
-      cuisines_(other.cuisines_),
-      shards_(other.shards_),
-      unique_(other.unique_) {
-  // Moving the vectors transfers their heap buffers, so the copied views
-  // still point at live memory owned by *this (or by backing_).
-  other.storage_ = Storage{};
-  other.backing_.reset();
-  other.RebindViews();
-}
-
-RecipeCorpus& RecipeCorpus::operator=(RecipeCorpus&& other) noexcept {
-  if (this == &other) return *this;
-  storage_ = std::move(other.storage_);
-  backing_ = std::move(other.backing_);
-  flat_ = other.flat_;
-  offsets_ = other.offsets_;
-  cuisines_ = other.cuisines_;
-  shards_ = other.shards_;
-  unique_ = other.unique_;
-  other.storage_ = Storage{};
-  other.backing_.reset();
-  other.RebindViews();
-  return *this;
+  storage_ = std::move(storage);
 }
 
 RecipeView RecipeCorpus::recipe(uint32_t index) const {
@@ -201,9 +157,25 @@ RecipeView RecipeCorpus::recipe(uint32_t index) const {
 std::span<const IngredientId> RecipeCorpus::ingredients_of(
     uint32_t index) const {
   CULEVO_DCHECK(index < num_recipes());
-  const uint32_t begin = offsets_[index];
-  const uint32_t end = offsets_[index + 1];
-  return flat_.subspan(begin, end - begin);
+  const size_t base_n = base_.cuisines.size();
+  if (index < base_n) {
+    const uint32_t begin = base_.offsets[index];
+    return base_.flat.subspan(begin, base_.offsets[index + 1] - begin);
+  }
+  // The tail's offsets start at the base's mention count.
+  const size_t i = index - base_n;
+  const uint32_t begin = tail_.offsets[i];
+  return tail_.flat.subspan(begin - tail_.offsets[0],
+                            tail_.offsets[i + 1] - begin);
+}
+
+std::array<RecipeCorpus::Segment, 2> RecipeCorpus::segments() const {
+  return {base_, {tail_.flat, tail_.offsets.subspan(1), tail_.cuisines}};
+}
+
+const RecipeCorpus::Segment& RecipeCorpus::Untailed() const {
+  CULEVO_CHECK(tail_.cuisines.empty());
+  return base_;
 }
 
 std::span<const uint32_t> RecipeCorpus::recipes_of(CuisineId cuisine) const {
@@ -222,9 +194,7 @@ std::span<const IngredientId> RecipeCorpus::UniqueIngredients() const {
 }
 
 std::span<const uint32_t> RecipeCorpus::PresenceRow(size_t scope) const {
-  const size_t universe = storage_.presence.size() / (kNumCuisines + 1);
-  return std::span<const uint32_t>(storage_.presence)
-      .subspan(scope * universe, universe);
+  return Row(presence_, scope);
 }
 
 std::span<const uint32_t> RecipeCorpus::presence(CuisineId cuisine) const {
@@ -279,8 +249,9 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
   const size_t universe =
       all.empty() ? 0 : static_cast<size_t>(all.back()) + 1;
   const size_t cuisine_cells = kNumCuisines * universe;
-  RecipeCorpus corpus;
-  std::vector<uint32_t>& presence = corpus.storage_.presence;
+  auto storage = std::make_shared<Storage>();
+  storage->tail.offsets = {static_cast<uint32_t>(views.flat.size())};
+  std::vector<uint32_t>& presence = storage->presence;
   presence.assign(cuisine_cells + universe, 0);
   const size_t ranges = ThreadsFor(n, kRecipesPerThread);
   std::vector<std::vector<uint32_t>> private_rows(
@@ -373,18 +344,19 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
   };
   SumWorldRow(presence, universe);
   for (size_t scope = 0; scope <= kNumCuisines; ++scope) {
-    if (const char* error =
-            mismatch(views.unique[scope], corpus.PresenceRow(scope))) {
+    if (const char* error = mismatch(views.unique[scope],
+                                     Row(presence, scope))) {
       return invalid(error);
     }
   }
 
-  corpus.backing_ = std::move(backing);
-  corpus.flat_ = views.flat;
-  corpus.offsets_ = views.offsets;
-  corpus.cuisines_ = views.cuisines;
+  RecipeCorpus corpus;
+  corpus.Adopt(std::move(storage));
+  corpus.base_ = {views.flat, views.offsets, views.cuisines};
   corpus.shards_ = views.shards;
   corpus.unique_ = views.unique;
+  corpus.borrowed_ = backing != nullptr;
+  corpus.backing_ = std::move(backing);
   return corpus;
 }
 

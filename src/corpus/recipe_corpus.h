@@ -36,17 +36,22 @@ struct RecipeView {
 /// overrepresentation, usage profiles, contexts, Zipf and PMI statistics,
 /// the query index — reads presence() instead of recounting.
 ///
-/// Storage seam: every accessor returns a `std::span`, and the spans are
-/// backed either by vectors this corpus owns (Builder::Build, incremental
-/// ingestion) or by memory borrowed from a binary snapshot — an mmap'ed
-/// `CULEVO-CORPUS 1` container or its buffered-read fallback (see
-/// corpus/corpus_snapshot.h). In borrowed mode `backing_` keeps the
-/// mapping alive for as long as any copy of the corpus exists, so views
-/// never dangle. Call sites cannot tell the two modes apart. The presence
-/// table is derived, never persisted, and always owned.
+/// Storage seam: the columns come in two segments (segments()). The base,
+/// recipes [0, base_n), is immutable and held through `backing_`: the
+/// vectors Builder::Build made, or memory borrowed from a binary snapshot
+/// — an mmap'ed `CULEVO-CORPUS 1` container or its buffered-read fallback
+/// (see corpus/corpus_snapshot.h). The tail, recipes [base_n, n), is this
+/// corpus's own: IncrementalCorpus::Materialize hands over the recipes
+/// appended since the base, so a corpus extending another shares that
+/// one's base and never copies it. A built or loaded corpus has an empty
+/// tail. Shards, unique lists and the presence table are whole, one set
+/// per corpus: views into the snapshot, or owned (always, for the
+/// presence table, which is derived and never persisted). Every view
+/// points into memory `backing_` or `storage_` keeps alive for as long as
+/// any copy of the corpus exists, so views never dangle, copies are cheap
+/// and share everything, and call sites cannot tell the modes apart.
 ///
-/// Immutable after Build()/load; cheap to copy views from, thread-safe to
-/// read.
+/// Immutable after Build()/load; cheap to copy, thread-safe to read.
 class RecipeCorpus {
  public:
   /// Incremental construction. Ingredient lists are deduplicated and
@@ -84,20 +89,30 @@ class RecipeCorpus {
     IngredientId max_id_ = 0;
   };
 
-  RecipeCorpus() { RebindViews(); }
+  /// The CSR columns of consecutive recipes. A corpus is its base segment
+  /// followed by its tail segment, and each column of the base followed
+  /// by the same column of the tail is the corpus's whole column, byte
+  /// for byte: the base's offsets hold its recipes' starts and the end of
+  /// its last recipe, and the tail's continue them, one end per recipe.
+  struct Segment {
+    std::span<const IngredientId> flat;
+    std::span<const uint32_t> offsets;
+    std::span<const CuisineId> cuisines;
+  };
 
-  // Span views must be re-pointed at the destination's own storage on
-  // copy (and are cheap to recompute on move), so all four are explicit.
-  RecipeCorpus(const RecipeCorpus& other);
-  RecipeCorpus& operator=(const RecipeCorpus& other);
-  RecipeCorpus(RecipeCorpus&& other) noexcept;
-  RecipeCorpus& operator=(RecipeCorpus&& other) noexcept;
+  RecipeCorpus();
 
-  size_t num_recipes() const { return cuisines_.size(); }
+  size_t num_recipes() const {
+    return base_.cuisines.size() + tail_.cuisines.size();
+  }
 
   /// Precondition: index < num_recipes().
   RecipeView recipe(uint32_t index) const;
-  CuisineId cuisine_of(uint32_t index) const { return cuisines_[index]; }
+  CuisineId cuisine_of(uint32_t index) const {
+    const size_t base_n = base_.cuisines.size();
+    return index < base_n ? base_.cuisines[index]
+                          : tail_.cuisines[index - base_n];
+  }
   std::span<const IngredientId> ingredients_of(uint32_t index) const;
 
   /// Indices of all recipes belonging to `cuisine` (ascending).
@@ -128,24 +143,34 @@ class RecipeCorpus {
   double MeanRecipeSize(CuisineId cuisine) const;
 
   /// Total ingredient-mention count (sum of recipe sizes).
-  size_t total_mentions() const { return flat_.size(); }
+  size_t total_mentions() const {
+    return base_.flat.size() + tail_.flat.size();
+  }
 
-  /// True when the columns are views into snapshot memory rather than
-  /// vectors owned by this object.
-  bool borrowed() const { return backing_ != nullptr; }
+  /// True when the base columns are views into memory held through
+  /// FromColumns' `backing` (a snapshot's), also for a corpus extending
+  /// such a one, rather than vectors a Builder made.
+  bool borrowed() const { return borrowed_; }
 
-  // Raw column views (the snapshot writer's input; stable for the
-  // lifetime of the corpus).
-  std::span<const IngredientId> flat() const { return flat_; }
-  std::span<const uint32_t> offsets() const { return offsets_; }
-  std::span<const CuisineId> cuisines() const { return cuisines_; }
+  /// The base segment, recipes [0, base_n), then the tail segment,
+  /// recipes [base_n, num_recipes()) (the snapshot writer's and the
+  /// fingerprint's input; stable for the lifetime of the corpus).
+  std::array<Segment, 2> segments() const;
+
+  /// The whole columns of a corpus with an empty tail — every built or
+  /// loaded one. CHECK-fails on a corpus with a tail, whose columns are
+  /// its segments().
+  std::span<const IngredientId> flat() const { return Untailed().flat; }
+  std::span<const uint32_t> offsets() const { return Untailed().offsets; }
+  std::span<const CuisineId> cuisines() const { return Untailed().cuisines; }
 
   /// Wires a corpus directly onto externally owned column memory. `views`
   /// spans must outlive `backing`; `backing` is retained until every copy
   /// of the corpus is destroyed. Validates all structural invariants
   /// (offset monotonicity, cuisine ranges, sorted-unique recipes, shard
   /// and unique-list consistency) and returns InvalidArgument when the
-  /// columns do not describe a well-formed corpus.
+  /// columns do not describe a well-formed corpus. The columns become the
+  /// corpus's base; its tail is empty.
   struct ColumnViews {
     std::span<const IngredientId> flat;
     std::span<const uint32_t> offsets;       ///< num_recipes + 1 entries.
@@ -161,20 +186,27 @@ class RecipeCorpus {
 
  private:
   friend class Builder;
-  /// Materialize hands its maintained columns, shards and unique lists
-  /// straight to storage_ instead of replaying them through Builder.
+  /// FromCorpus shares the base; Materialize hands its tail, shards,
+  /// unique lists and presence counts straight to a Storage.
   friend class IncrementalCorpus;
 
-  /// Owned columns (empty in borrowed mode). Shards and unique lists are
-  /// flattened: shard c spans shard_offsets_[c]..shard_offsets_[c+1] of
-  /// shard_index_, and likewise for unique lists (kNumCuisines + 1 lists,
-  /// the last one corpus-wide). `presence` is filled in both modes:
-  /// kNumCuisines + 1 rows of universe counts, row-major [scope][id], the
-  /// last row the world totals.
-  struct Storage {
+  /// CSR columns in vectors: the base a Builder made, or a tail. A tail's
+  /// offsets start with the base's mention count, so a segment of either
+  /// kind has one offset per recipe plus one.
+  struct Columns {
     std::vector<IngredientId> flat;
     std::vector<uint32_t> offsets = {0};
     std::vector<CuisineId> cuisines;
+  };
+
+  /// What one corpus owns besides its base. Shards and unique lists are
+  /// flattened (empty when they are views into a snapshot): shard c spans
+  /// shard_offsets[c]..shard_offsets[c+1] of shard_index, and likewise for
+  /// unique lists (kNumCuisines + 1 lists, the last one corpus-wide).
+  /// `presence` is kNumCuisines + 1 rows of universe counts, row-major
+  /// [scope][id], the last row the world totals.
+  struct Storage {
+    Columns tail;
     std::vector<uint32_t> shard_index;
     std::vector<uint32_t> shard_offsets;
     std::vector<IngredientId> unique_flat;
@@ -182,20 +214,30 @@ class RecipeCorpus {
     std::vector<uint32_t> presence;
   };
 
-  /// Row `scope` of storage_.presence (kNumCuisines = the world row).
+  /// The base columns when the tail is empty; CHECK-fails otherwise.
+  const Segment& Untailed() const;
+
+  /// Row `scope` of the presence table (kNumCuisines = the world row).
   std::span<const uint32_t> PresenceRow(size_t scope) const;
 
-  /// Points the view members at storage_ (owned mode).
-  void RebindViews();
+  /// Points the tail, the presence table and — when `storage` has them —
+  /// the shards and unique lists at `storage`, and keeps it.
+  void Adopt(std::shared_ptr<const Storage> storage);
 
-  Storage storage_;
-  std::shared_ptr<const void> backing_;  ///< Snapshot keepalive, or null.
+  /// Keeps the base columns alive: the Columns a Builder made, or a
+  /// snapshot's memory. Null for a default corpus and for FromColumns
+  /// views without a keepalive.
+  std::shared_ptr<const void> backing_;
+  std::shared_ptr<const Storage> storage_;
+  bool borrowed_ = false;
 
-  std::span<const IngredientId> flat_;
-  std::span<const uint32_t> offsets_;
-  std::span<const CuisineId> cuisines_;
+  /// Views of the base and the tail columns, each with one offset per
+  /// recipe plus one (the tail's first is the base's last).
+  Segment base_;
+  Segment tail_;
   std::array<std::span<const uint32_t>, kNumCuisines> shards_;
   std::array<std::span<const IngredientId>, kNumCuisines + 1> unique_;
+  std::span<const uint32_t> presence_;
 };
 
 /// Fewest recipes that earn a thread of their own in a pass over a corpus

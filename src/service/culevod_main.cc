@@ -271,7 +271,18 @@ int RunServer(ServiceCore& core, const ServerOptions& server_options,
 
 int main(int argc, char** argv) {
   FlagParser flags;
-  if (Status s = flags.Parse(argc, argv); !s.ok()) {
+  // Every flag any mode reads; the supervisor's too, since the supervised
+  // child is started with the same argv.
+  if (Status s = flags.Parse(
+          argc, argv,
+          {"client", "supervise", "socket", "probe-interval-ms",
+           "probe-timeout-ms", "probe-failures", "startup-grace-ms",
+           "restart-backoff-ms", "restart-backoff-cap-ms", "backoff-seed",
+           "max-restarts", "pidfile", "silence-child", "once", "metrics",
+           "load-snapshot", "delta-path", "scale", "seed", "deadline-ms",
+           "max-inflight", "brownout-latency-ms", "threads",
+           "client-read-timeout-ms"});
+      !s.ok()) {
     std::cerr << s << "\n";
     return 2;
   }

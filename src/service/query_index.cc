@@ -30,8 +30,15 @@ QueryIndex::Segment QueryIndex::Place(const RecipeCorpus& corpus,
   std::partial_sum(counts.begin(), counts.end(), segment.offsets.begin() + 1);
   segment.recipes =
       std::make_unique_for_overwrite<uint32_t[]>(segment.offsets.back());
-  segment.cuisines.assign(corpus.cuisines().begin() + first,
-                          corpus.cuisines().end());
+  // The cuisines of recipes [first, n): each segment's from `first` on.
+  segment.cuisines.reserve(corpus.num_recipes() - first);
+  size_t skip = first;
+  for (const RecipeCorpus::Segment& part : corpus.segments()) {
+    const std::span<const CuisineId> from =
+        part.cuisines.subspan(std::min(skip, part.cuisines.size()));
+    segment.cuisines.insert(segment.cuisines.end(), from.begin(), from.end());
+    skip -= part.cuisines.size() - from.size();
+  }
   const size_t n = corpus.num_recipes() - first;
   const auto first_recipe = [first, n, ranges](size_t range) {
     return static_cast<uint32_t>(first + range * n / ranges);
@@ -84,13 +91,18 @@ QueryIndex QueryIndex::Derive(const RecipeCorpus& corpus,
   static obs::Histogram* postings_ms =
       registry.histogram("serve.index.postings_ms");
   static obs::Histogram* ranks_ms = registry.histogram("serve.index.ranks_ms");
-  const obs::ScopedTimer timer(build_ms);
+  // Only a Build() records: an Extend() is timed by its caller (a delta
+  // reload's serve.reload.index_ms).
+  const auto timed = [built = base == nullptr](obs::Histogram* histogram) {
+    return built ? histogram : nullptr;
+  };
+  const obs::ScopedTimer timer(timed(build_ms));
 
   QueryIndex index;
 
   // Per-cuisine overrepresentation tables, exactly the batch ranking.
   {
-    const obs::ScopedTimer phase(overrep_ms);
+    const obs::ScopedTimer phase(timed(overrep_ms));
     index.overrep_.resize(kNumCuisines);
     for (int c = 0; c < kNumCuisines; ++c) {
       index.overrep_[static_cast<size_t>(c)] =
@@ -101,7 +113,7 @@ QueryIndex QueryIndex::Derive(const RecipeCorpus& corpus,
   // Usage profiles, and each cuisine's full nearest-neighbour order from
   // the batch NearestCuisines (top-k is a prefix of it).
   {
-    const obs::ScopedTimer phase(profiles_ms);
+    const obs::ScopedTimer phase(timed(profiles_ms));
     index.profiles_ = std::make_shared<const UsageProfileCache>(corpus);
     index.nearest_.resize(kNumCuisines);
     for (int c = 0; c < kNumCuisines; ++c) {
@@ -122,7 +134,7 @@ QueryIndex QueryIndex::Derive(const RecipeCorpus& corpus,
   // the world counts less the base's, and its recipes are those past the
   // base, placed on this thread; over a fresh base they are all zero.
   {
-    const obs::ScopedTimer phase(postings_ms);
+    const obs::ScopedTimer phase(timed(postings_ms));
     const std::span<const uint32_t> world = corpus.presence();
     if (base == nullptr) {
       base = std::make_shared<const Segment>(Place(
@@ -144,7 +156,7 @@ QueryIndex QueryIndex::Derive(const RecipeCorpus& corpus,
 
   // Per-cuisine usage-rank tables from the sparse profiles.
   {
-    const obs::ScopedTimer phase(ranks_ms);
+    const obs::ScopedTimer phase(timed(ranks_ms));
     index.ranked_.resize(kNumCuisines);
     index.rank_of_.resize(kNumCuisines);
     for (int c = 0; c < kNumCuisines; ++c) {

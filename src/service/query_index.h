@@ -52,7 +52,8 @@ class QueryIndex {
   /// `serving` was built from (IncrementalCorpus::FromCorpus plus Add).
   /// Shares `serving`'s posting base and places, on the calling thread, a
   /// tail over every recipe past it; the other tables are re-derived in
-  /// full. Records the same timers as Build().
+  /// full. Records none of the serve.index.*_ms timers, which time
+  /// Build() alone.
   static QueryIndex Extend(const QueryIndex& serving,
                            const RecipeCorpus& corpus);
 

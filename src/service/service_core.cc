@@ -8,12 +8,15 @@
 #include "core/evolution_model.h"
 #include "core/null_model.h"
 #include "core/simulation.h"
+#include "corpus/container.h"
 #include "corpus/corpus_snapshot.h"
 #include "corpus/cuisine.h"
 #include "corpus/ingestion.h"
 #include "obs/metrics.h"
 #include "util/cancel.h"
+#include "util/check.h"
 #include "util/failpoint.h"
+#include "util/hash.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 
@@ -534,6 +537,7 @@ Status ServiceCore::LoadFromFile(const std::string& path) {
     next->index = QueryIndex::Build(next->corpus);
     next->source = path;
     next->content_fingerprint = loaded->content_fingerprint;
+    next->base_flat_hash = loaded->flat_hash;
     return Install(std::move(next)).status();
   }();
   if (status.ok()) {
@@ -552,12 +556,20 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
   static obs::Counter* reload_failures =
       obs::MetricsRegistry::Get().counter("serve.reload_failures");
   // Stage timers, recorded together once the swap has succeeded, so a
-  // refused delta leaves no sample (the index stage is
-  // serve.index.build_ms).
-  enum Stage { kLoad, kApply, kFingerprint, kInstall, kRelease, kStages };
+  // refused delta leaves no sample.
+  enum Stage {
+    kLoad,
+    kApply,
+    kIndex,
+    kFingerprint,
+    kInstall,
+    kRelease,
+    kStages
+  };
   static obs::Histogram* const stage_ms[kStages] = {
       obs::MetricsRegistry::Get().histogram("serve.reload.load_ms"),
       obs::MetricsRegistry::Get().histogram("serve.reload.apply_ms"),
+      obs::MetricsRegistry::Get().histogram("serve.reload.index_ms"),
       obs::MetricsRegistry::Get().histogram("serve.reload.fingerprint_ms"),
       obs::MetricsRegistry::Get().histogram("serve.reload.install_ms"),
       obs::MetricsRegistry::Get().histogram("serve.reload.release_ms")};
@@ -596,8 +608,9 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
     CULEVO_FAILPOINT("serve.reload.delta.apply");
     auto next = std::make_shared<ServiceSnapshot>();
     {
-      // The reload's one copy of the corpus: seeded with room for the
-      // delta so Add never reallocates it, then moved into `next`.
+      // The next corpus shares the serving one's base and owns a tail over
+      // every recipe since it, seeded with room for the delta so Add never
+      // reallocates it, then moved into `next`.
       size_t delta_mentions = 0;
       for (const CorpusDeltaRecord& record : delta->records) {
         delta_mentions += record.ingredients.size();
@@ -620,9 +633,15 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
     // the recipes past it, on this thread: the other workers keep their
     // CPUs for the reads they serve meanwhile.
     next->index = QueryIndex::Extend(current->index, next->corpus);
+    lap(kIndex);
     next->source = current->source + "+" + path;
-    stage.Restart();
-    next->content_fingerprint = CorpusContentFingerprint(next->corpus);
+    // The base is the serving generation's, so is the hash of its flat
+    // column: only the tail's flat bytes are hashed on top of it.
+    CULEVO_CHECK(next->corpus.segments()[0].flat.data() ==
+                 current->corpus.segments()[0].flat.data());
+    next->base_flat_hash = current->base_flat_hash;
+    next->content_fingerprint =
+        CorpusContentFingerprint(next->corpus, next->base_flat_hash);
     lap(kFingerprint);
     CULEVO_FAILPOINT("serve.reload.install");
     Result<std::shared_ptr<const ServiceSnapshot>> previous =
@@ -650,7 +669,9 @@ Status ServiceCore::InstallCorpus(RecipeCorpus corpus, std::string source) {
   auto next = std::make_shared<ServiceSnapshot>();
   next->stats = ComputeCuisineStats(corpus);
   next->index = QueryIndex::Build(corpus);
-  next->content_fingerprint = CorpusContentFingerprint(corpus);
+  next->base_flat_hash = Fnv1a64(AsBytes(corpus.segments()[0].flat));
+  next->content_fingerprint =
+      CorpusContentFingerprint(corpus, next->base_flat_hash);
   next->corpus = std::move(corpus);
   next->source = std::move(source);
   return Install(std::move(next)).status();

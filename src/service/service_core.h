@@ -62,7 +62,10 @@ bool ShouldShedExpensive(const ServiceOptions& options, int inflight,
 /// presence counts it keeps), its precomputed stats, and the query
 /// indexes derived from them. Swapped wholesale on reload; readers that
 /// still hold the previous generation keep using it until they finish
-/// (shared_ptr refcount is the grace period).
+/// (shared_ptr refcount is the grace period). A generation made by a
+/// delta reload shares its corpus's base columns and its index's posting
+/// base with the generation it extends, so those (and a mapped snapshot
+/// they lie in) live as long as any generation that extends them.
 ///
 /// Every generation counts in the serve.generations_live gauge from
 /// construction to destruction, so one that something still pins after a
@@ -81,6 +84,9 @@ struct ServiceSnapshot {
   /// CorpusContentFingerprint of `corpus`: the identity a reload-delta's
   /// base must match (see ReloadDelta).
   uint64_t content_fingerprint = 0;
+  /// FNV-1a-64 of the corpus's base flat column, kept with the base: a
+  /// delta reload continues the next fingerprint from it.
+  uint64_t base_flat_hash = 0;
 };
 
 /// The transport-independent query engine behind `culevod`.
@@ -126,13 +132,13 @@ struct ServiceSnapshot {
 /// serve.brownout.sheds, serve.brownout.active, serve.generations_live
 /// (ServiceSnapshots alive: 1 when idle, 2 while a reload builds the next
 /// one or a reader still holds the previous one), serve.index.build_ms and
-/// its per-table parts serve.index.{overrep,profiles,postings,ranks}_ms,
+/// its per-table parts serve.index.{overrep,profiles,postings,ranks}_ms
+/// (a full index build: cold start, LoadFromFile, InstallCorpus),
 /// serve.index.tail_recipes (gauge: the recipes in the installed
 /// generation's posting tail, 0 after a full install), and the stages of
 /// a successful delta reload,
-/// serve.reload.{load,apply,fingerprint,install,release}_ms (its index
-/// stage is serve.index.build_ms; release is dropping the replaced
-/// generation after the swap).
+/// serve.reload.{load,apply,index,fingerprint,install,release}_ms
+/// (release is dropping the replaced generation after the swap).
 /// Failpoints: serve.reload (before any reload touches its file), plus
 /// the staged delta-swap points serve.reload.delta.read,
 /// serve.reload.delta.apply, serve.reload.index, serve.reload.install.
@@ -149,18 +155,22 @@ class ServiceCore {
 
   /// Builds the next generation from the *current* generation's corpus
   /// plus a CULEVO-DELTA file — no snapshot re-read (the hot incremental
-  /// reload; `corpus.snapshot.mmap_loads` stays flat). The corpus is
-  /// copied once, with room for the delta, and that copy becomes the next
-  /// generation's corpus, so a reload holds at most two generations. The
-  /// delta's base recipe count and content fingerprint must match the
-  /// serving generation exactly; any mismatch is refused with
-  /// FailedPrecondition. Like LoadFromFile, any failure at any stage of
-  /// the swap leaves the old generation serving. The next generation's
-  /// index extends the current one's (QueryIndex::Extend): both share one
-  /// posting base, and only the tail over the recipes added since that
-  /// base is placed, on the calling thread alone, so the CPUs of the
-  /// other workers stay with the reads they serve meanwhile. LoadFromFile
-  /// and InstallCorpus place a fresh base with an empty tail.
+  /// reload; `corpus.snapshot.mmap_loads` stays flat). The next corpus
+  /// shares the current one's base columns and owns a tail over every
+  /// recipe added since that base (IncrementalCorpus), plus its own shard
+  /// index, unique lists and presence counts, so a reload allocates
+  /// O(delta) columns and never copies the base. The delta's base recipe
+  /// count and content fingerprint must match the serving generation
+  /// exactly; any mismatch is refused with FailedPrecondition. Like
+  /// LoadFromFile, any failure at any stage of the swap leaves the old
+  /// generation serving. The next generation's index extends the current
+  /// one's (QueryIndex::Extend): both share one posting base, and only
+  /// the tail over the recipes added since that base is placed, on the
+  /// calling thread alone, so the CPUs of the other workers stay with the
+  /// reads they serve meanwhile. The fingerprint continues from the
+  /// base's flat hash and hashes only the tail's flat bytes, then the
+  /// offsets and cuisines. LoadFromFile and InstallCorpus start a fresh
+  /// base with an empty tail.
   Status ReloadDelta(const std::string& path);
 
   /// Installs an in-memory corpus (tests, benches, --synth mode).

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 
@@ -46,6 +47,17 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
       return Status::InvalidArgument("duplicate flag --" + name);
     }
     values_[name] = std::move(value);
+  }
+  return Status::Ok();
+}
+
+Status FlagParser::Parse(int argc, const char* const* argv,
+                         std::initializer_list<std::string_view> known) {
+  CULEVO_RETURN_IF_ERROR(Parse(argc, argv));
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
   }
   return Status::Ok();
 }

@@ -1,8 +1,10 @@
 #ifndef CULEVO_UTIL_FLAGS_H_
 #define CULEVO_UTIL_FLAGS_H_
 
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -18,6 +20,12 @@ class FlagParser {
  public:
   /// Parses argv; returns InvalidArgument on duplicate flags.
   Status Parse(int argc, const char* const* argv);
+
+  /// As above, and InvalidArgument naming a `--name` that is not one of
+  /// `known` (the flags the binary reads), so that a misspelled flag is
+  /// refused instead of silently ignored.
+  Status Parse(int argc, const char* const* argv,
+               std::initializer_list<std::string_view> known);
 
   bool Has(const std::string& name) const;
 

@@ -436,6 +436,42 @@ TEST_F(CorpusSnapshotTest, LoadReturnsContentFingerprint) {
   expect_fingerprint(*grown, {}, "incremental snapshot after appends");
 }
 
+// A corpus with a tail writes its columns whole: the snapshot of a corpus
+// extended from the first half of TestCorpus() is byte for byte the
+// snapshot of TestCorpus() itself.
+TEST_F(CorpusSnapshotTest, ExtendedCorpusWritesTheBytesOfItsRebuild) {
+  path_ = TempPath("extended");
+  const std::string rebuilt_path = TempPath("extended_rebuilt");
+  const SnapshotWriteOptions write{.sync = false};
+  const RecipeCorpus rebuilt = TestCorpus();
+  const uint32_t half = static_cast<uint32_t>(rebuilt.num_recipes() / 2);
+  RecipeCorpus::Builder builder;
+  for (uint32_t r = 0; r < half; ++r) {
+    ASSERT_TRUE(builder.Add(rebuilt.cuisine_of(r), rebuilt.ingredients_of(r))
+                    .ok());
+  }
+  IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(builder.Build());
+  for (uint32_t r = half; r < rebuilt.num_recipes(); ++r) {
+    ASSERT_TRUE(
+        incremental.Add(rebuilt.cuisine_of(r), rebuilt.ingredients_of(r)).ok());
+  }
+  Result<RecipeCorpus> extended = incremental.Materialize();
+  ASSERT_TRUE(extended.ok()) << extended.status();
+  ASSERT_EQ(extended->segments()[1].cuisines.size(),
+            rebuilt.num_recipes() - half);
+
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, *extended, write).ok());
+  ASSERT_TRUE(WriteCorpusSnapshot(rebuilt_path, rebuilt, write).ok());
+  Result<std::string> extended_bytes = ReadFileToString(path_);
+  Result<std::string> rebuilt_bytes = ReadFileToString(rebuilt_path);
+  std::remove(rebuilt_path.c_str());
+  ASSERT_TRUE(extended_bytes.ok());
+  ASSERT_TRUE(rebuilt_bytes.ok());
+  EXPECT_EQ(*extended_bytes, *rebuilt_bytes);
+  EXPECT_EQ(CorpusContentFingerprint(*extended),
+            CorpusContentFingerprint(rebuilt));
+}
+
 // A delta file pins its base corpus by this value, so it must not change:
 // FNV-1a-64 over flat, offsets and cuisines, in that order.
 TEST_F(CorpusSnapshotTest, ContentFingerprintIsPinned) {

@@ -281,6 +281,10 @@ TEST(CulevodFlagsTest, BadFlagExitsTwoBeforeTheColdStart) {
                           "two", "--load-snapshot", absent}),
             2);
   EXPECT_EQ(ExitStatusOf({"culevod", "--load-snapshot", absent}), 2);
+  // A misspelled flag (--thread for --threads) is refused, not ignored.
+  EXPECT_EQ(ExitStatusOf({"culevod", "--socket", SocketPath(), "--thread",
+                          "2", "--load-snapshot", absent}),
+            2);
   EXPECT_EQ(ExitStatusOf({"culevod", "--once", "--load-snapshot", absent}),
             1);
 }

@@ -146,14 +146,37 @@ bool SameStats(const std::vector<CuisineStats>& a,
   return true;
 }
 
+/// The whole CSR columns of a corpus, each its base segment's values
+/// followed by its tail segment's.
+struct WholeColumns {
+  std::vector<IngredientId> flat;
+  std::vector<uint32_t> offsets;
+  std::vector<CuisineId> cuisines;
+};
+
+WholeColumns Whole(const RecipeCorpus& corpus) {
+  WholeColumns whole;
+  for (const RecipeCorpus::Segment& segment : corpus.segments()) {
+    whole.flat.insert(whole.flat.end(), segment.flat.begin(),
+                      segment.flat.end());
+    whole.offsets.insert(whole.offsets.end(), segment.offsets.begin(),
+                         segment.offsets.end());
+    whole.cuisines.insert(whole.cuisines.end(), segment.cuisines.begin(),
+                          segment.cuisines.end());
+  }
+  return whole;
+}
+
 /// Materialize hands its own columns, shards and unique lists over instead
 /// of rebuilding them, so each must equal what Builder::Build derives.
 void ExpectSameCorpus(const RecipeCorpus& actual,
                       const RecipeCorpus& expected) {
   EXPECT_FALSE(actual.borrowed());
-  EXPECT_TRUE(std::ranges::equal(actual.flat(), expected.flat()));
-  EXPECT_TRUE(std::ranges::equal(actual.offsets(), expected.offsets()));
-  EXPECT_TRUE(std::ranges::equal(actual.cuisines(), expected.cuisines()));
+  const WholeColumns columns = Whole(actual);
+  const WholeColumns expected_columns = Whole(expected);
+  EXPECT_EQ(columns.flat, expected_columns.flat);
+  EXPECT_EQ(columns.offsets, expected_columns.offsets);
+  EXPECT_EQ(columns.cuisines, expected_columns.cuisines);
   for (int c = 0; c < kNumCuisines; ++c) {
     const CuisineId cuisine = static_cast<CuisineId>(c);
     EXPECT_TRUE(std::ranges::equal(actual.recipes_of(cuisine),
@@ -178,7 +201,7 @@ void ExpectMaterializesTo(IncrementalCorpus& incremental,
   Result<RecipeCorpus> moved = std::move(incremental).Materialize();
   ASSERT_TRUE(moved.ok()) << moved.status();
   ExpectSameCorpus(*moved, expected);
-  // A copy of the handed-off corpus points at its own storage.
+  // A copy of the handed-off corpus shares its storage.
   ExpectSameCorpus(RecipeCorpus(*moved), expected);
 }
 
@@ -203,12 +226,9 @@ TEST(IncrementalCorpusTest, MatchesFullRebuild) {
   EXPECT_EQ(incremental.num_recipes(), rebuilt.num_recipes());
   EXPECT_EQ(incremental.num_mentions(), rebuilt.total_mentions());
   EXPECT_TRUE(SameStats(incremental.stats(), ComputeCuisineStats(rebuilt)));
+  // The shards are checked on the materialized corpus, below.
   for (int c = 0; c < kNumCuisines; ++c) {
     const CuisineId cuisine = static_cast<CuisineId>(c);
-    const auto shard = incremental.recipes_of(cuisine);
-    const auto expected_shard = rebuilt.recipes_of(cuisine);
-    EXPECT_TRUE(std::equal(shard.begin(), shard.end(),
-                           expected_shard.begin(), expected_shard.end()));
     const auto unique = incremental.UniqueIngredients(cuisine);
     const auto expected_unique = rebuilt.UniqueIngredients(cuisine);
     EXPECT_TRUE(std::equal(unique.begin(), unique.end(),
@@ -269,6 +289,110 @@ TEST(IncrementalCorpusTest, SeedsFromCorpusAndExtends) {
   ExpectMaterializesTo(roomy, rebuilt);
 }
 
+/// The first `n` recipes of `corpus`, rebuilt by a Builder.
+RecipeCorpus Prefix(const RecipeCorpus& corpus, uint32_t n) {
+  RecipeCorpus::Builder builder;
+  for (uint32_t r = 0; r < n; ++r) {
+    EXPECT_TRUE(builder.Add(corpus.cuisine_of(r), corpus.ingredients_of(r))
+                    .ok());
+  }
+  return builder.Build();
+}
+
+/// Appends recipes [from, to) of `corpus` to `incremental`.
+void AddRecipes(IncrementalCorpus& incremental, const RecipeCorpus& corpus,
+                uint32_t from, uint32_t to) {
+  for (uint32_t r = from; r < to; ++r) {
+    ASSERT_TRUE(
+        incremental.Add(corpus.cuisine_of(r), corpus.ingredients_of(r)).ok());
+  }
+}
+
+/// Every accessor of `actual`, a base-plus-tail corpus, against
+/// `expected`, the same recipes built in one piece.
+void ExpectSameAccessors(const RecipeCorpus& actual,
+                         const RecipeCorpus& expected) {
+  ASSERT_EQ(actual.num_recipes(), expected.num_recipes());
+  EXPECT_EQ(actual.total_mentions(), expected.total_mentions());
+  for (uint32_t r = 0; r < expected.num_recipes(); ++r) {
+    const RecipeView view = actual.recipe(r);
+    EXPECT_EQ(view.index, r);
+    EXPECT_EQ(view.cuisine, expected.cuisine_of(r)) << "recipe " << r;
+    EXPECT_EQ(actual.cuisine_of(r), expected.cuisine_of(r)) << "recipe " << r;
+    EXPECT_TRUE(std::ranges::equal(view.ingredients, expected.ingredients_of(r)))
+        << "recipe " << r;
+    EXPECT_TRUE(
+        std::ranges::equal(actual.ingredients_of(r), expected.ingredients_of(r)))
+        << "recipe " << r;
+  }
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    EXPECT_TRUE(
+        std::ranges::equal(actual.recipes_of(cuisine), expected.recipes_of(cuisine)))
+        << "shard " << c;
+    EXPECT_TRUE(std::ranges::equal(actual.UniqueIngredients(cuisine),
+                                   expected.UniqueIngredients(cuisine)))
+        << "unique list " << c;
+    EXPECT_TRUE(std::ranges::equal(actual.presence(cuisine),
+                                   expected.presence(cuisine)))
+        << "presence " << c;
+    EXPECT_EQ(actual.MeanRecipeSize(cuisine), expected.MeanRecipeSize(cuisine));
+  }
+  EXPECT_TRUE(std::ranges::equal(actual.UniqueIngredients(),
+                                 expected.UniqueIngredients()));
+  EXPECT_TRUE(std::ranges::equal(actual.presence(), expected.presence()));
+  EXPECT_TRUE(
+      SameStats(ComputeCuisineStats(actual), ComputeCuisineStats(expected)));
+  const WholeColumns columns = Whole(actual);
+  EXPECT_TRUE(std::ranges::equal(columns.flat, expected.flat()));
+  EXPECT_TRUE(std::ranges::equal(columns.offsets, expected.offsets()));
+  EXPECT_TRUE(std::ranges::equal(columns.cuisines, expected.cuisines()));
+}
+
+// A corpus extended from a base of the first 0, n/2 or n recipes shares
+// that base and holds the rest in its tail; every accessor must read as
+// a Builder rebuild of all n, also after a second extension copies the
+// first one's tail.
+TEST(IncrementalCorpusTest, ExtendedCorpusMatchesBuilderRebuildAtEveryBase) {
+  Rng rng(29);
+  RecipeCorpus::Builder builder;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<IngredientId> ids;
+    for (size_t k = 0, size = 1 + rng.NextBounded(7); k < size; ++k) {
+      ids.push_back(static_cast<IngredientId>(rng.NextBounded(90)));
+    }
+    ASSERT_TRUE(
+        builder.Add(static_cast<CuisineId>(rng.NextBounded(6)), ids).ok());
+  }
+  const RecipeCorpus rebuilt = builder.Build();
+  const uint32_t n = static_cast<uint32_t>(rebuilt.num_recipes());
+  for (const uint32_t base_n : {0u, n / 2, n}) {
+    SCOPED_TRACE("base of " + std::to_string(base_n) + " recipes");
+    const RecipeCorpus base = Prefix(rebuilt, base_n);
+    const RecipeCorpus::Segment base_columns = base.segments()[0];
+    IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(base);
+    const uint32_t middle = base_n + (n - base_n) / 2;
+    AddRecipes(incremental, rebuilt, base_n, middle);
+    Result<RecipeCorpus> once = std::move(incremental).Materialize();
+    ASSERT_TRUE(once.ok()) << once.status();
+    IncrementalCorpus again = IncrementalCorpus::FromCorpus(*once);
+    AddRecipes(again, rebuilt, middle, n);
+    Result<RecipeCorpus> twice = again.Materialize();
+    ASSERT_TRUE(twice.ok()) << twice.status();
+
+    for (const RecipeCorpus* extended : {&*once, &*twice}) {
+      const auto [shared, tail] = extended->segments();
+      EXPECT_EQ(shared.flat.data(), base_columns.flat.data());
+      EXPECT_EQ(shared.offsets.data(), base_columns.offsets.data());
+      EXPECT_EQ(shared.cuisines.data(), base_columns.cuisines.data());
+      EXPECT_EQ(tail.cuisines.size(), extended->num_recipes() - base_n);
+    }
+    ExpectSameAccessors(*once, Prefix(rebuilt, middle));
+    ExpectSameAccessors(*twice, rebuilt);
+    EXPECT_TRUE(SameStats(again.stats(), ComputeCuisineStats(rebuilt)));
+  }
+}
+
 TEST(IncrementalCorpusTest, SnapshotRoundTripsAfterAppends) {
   const std::string path =
       testing::TempDir() + "culevo_incremental_snapshot.bin";
@@ -307,9 +431,7 @@ TEST(IncrementalCorpusTest, SnapshotRoundTripsAfterAppends) {
   EXPECT_EQ(loaded->corpus.num_recipes(), materialized->num_recipes());
   EXPECT_TRUE(SameStats(loaded->stats,
                         ComputeCuisineStats(materialized.value())));
-  EXPECT_TRUE(std::equal(
-      loaded->corpus.flat().begin(), loaded->corpus.flat().end(),
-      materialized->flat().begin(), materialized->flat().end()));
+  EXPECT_EQ(Whole(loaded->corpus).flat, Whole(*materialized).flat);
   EXPECT_TRUE(SameStats(loaded->stats, incremental.stats()));
   std::remove(path.c_str());
 }

@@ -876,8 +876,8 @@ TEST(ServiceCoreTest, ReplacedGenerationIsReleasedOutsideTheLock) {
 TEST(ServiceCoreTest, ReloadDeltaTimesEveryStage) {
   const std::vector<std::string> timers = {
       "serve.reload.load_ms", "serve.reload.apply_ms",
-      "serve.reload.fingerprint_ms", "serve.reload.install_ms",
-      "serve.reload.release_ms"};
+      "serve.reload.index_ms", "serve.reload.fingerprint_ms",
+      "serve.reload.install_ms", "serve.reload.release_ms"};
   const auto samples = [&timers] {
     const obs::MetricsSnapshot metrics =
         obs::MetricsRegistry::Get().Snapshot();
@@ -1006,6 +1006,69 @@ TEST(ServiceCoreTest, ChainedDeltaReloadsMatchMonolithicBuilds) {
   ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "again").ok());
   EXPECT_EQ(core.Acquire()->index.tail_recipes(), 0u);
   EXPECT_EQ(TailRecipes(core), 0.0);
+}
+
+// The counter `name` in the metrics registry (0 before its first use).
+int64_t Counter(const std::string& name) {
+  const obs::MetricsSnapshot metrics = obs::MetricsRegistry::Get().Snapshot();
+  const auto it = metrics.counters.find(name);
+  return it == metrics.counters.end() ? 0 : it->second;
+}
+
+// A delta reload shares the serving corpus's base columns and continues
+// the fingerprint from the base's flat hash. Across three chained deltas,
+// from a mapped snapshot and from an installed corpus, every generation's
+// base is the first generation's memory, the snapshot is mapped once, and
+// every fingerprint is that of the corpus built in one piece.
+TEST(ServiceCoreTest, ChainedDeltaReloadsShareTheFirstBase) {
+  const std::string snapshot = testing::TempDir() + "culevo_shared_base.snap";
+  ASSERT_TRUE(
+      WriteCorpusSnapshot(snapshot, SmallCorpus(), {.sync = false}).ok());
+  const std::vector<std::vector<CorpusDeltaRecord>> deltas = {
+      {{kA, {1, 9}}}, {{kB, {2, 3}}, {kA, {4, 6}}}, {{kB, {1, 7, 8}}}};
+  for (const bool mapped : {true, false}) {
+    SCOPED_TRACE(mapped ? "from LoadFromFile" : "from InstallCorpus");
+    ServiceCore core = MakeCore();
+    const int64_t loads_before = Counter("corpus.snapshot.mmap_loads");
+    ASSERT_TRUE(mapped ? core.LoadFromFile(snapshot).ok()
+                       : core.InstallCorpus(SmallCorpus(), "base").ok());
+    const RecipeCorpus::Segment first = core.Acquire()->corpus.segments()[0];
+    const int64_t loads = Counter("corpus.snapshot.mmap_loads");
+    EXPECT_EQ(loads - loads_before, mapped ? 1 : 0);
+
+    const RecipeCorpus small = SmallCorpus();
+    std::vector<CorpusDeltaRecord> recipes;
+    const auto combined = [&small, &recipes] {
+      RecipeCorpus::Builder builder;
+      for (uint32_t r = 0; r < small.num_recipes(); ++r) {
+        EXPECT_TRUE(
+            builder.Add(small.cuisine_of(r), small.ingredients_of(r)).ok());
+      }
+      for (const CorpusDeltaRecord& recipe : recipes) {
+        EXPECT_TRUE(builder.Add(recipe.cuisine, recipe.ingredients).ok());
+      }
+      return builder.Build();
+    };
+    for (size_t d = 0; d < deltas.size(); ++d) {
+      SCOPED_TRACE("delta " + std::to_string(d + 1));
+      const std::string path =
+          WriteDelta(combined(), deltas[d], "shared" + std::to_string(d));
+      ASSERT_TRUE(core.ReloadDelta(path).ok());
+      std::remove(path.c_str());
+      recipes.insert(recipes.end(), deltas[d].begin(), deltas[d].end());
+      const std::shared_ptr<const ServiceSnapshot> generation = core.Acquire();
+      const auto [base, tail] = generation->corpus.segments();
+      EXPECT_EQ(base.flat.data(), first.flat.data());
+      EXPECT_EQ(base.offsets.data(), first.offsets.data());
+      EXPECT_EQ(base.cuisines.data(), first.cuisines.data());
+      EXPECT_EQ(tail.cuisines.size(), recipes.size());
+      EXPECT_EQ(generation->corpus.borrowed(), mapped);
+      EXPECT_EQ(generation->content_fingerprint,
+                CorpusContentFingerprint(combined()));
+    }
+    EXPECT_EQ(Counter("corpus.snapshot.mmap_loads"), loads);
+  }
+  std::remove(snapshot.c_str());
 }
 
 // Readers send `search`, `recipe` and `freq` while the main thread applies

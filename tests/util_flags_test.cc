@@ -62,6 +62,25 @@ TEST(FlagParserTest, BoolSpellings) {
               "invalid value 'maybe' for --e");
 }
 
+TEST(FlagParserTest, UnknownFlagRejectedWhenKnownFlagsGiven) {
+  const char* typo[] = {"bin", "evaluate", "--replica", "3", "--scale=0.02"};
+  FlagParser refused;
+  const Status status = refused.Parse(5, typo, {"replicas", "scale"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--replica"), std::string::npos) << status;
+
+  const char* known[] = {"bin", "evaluate", "--replicas", "3", "--scale=0.02",
+                         "--metrics"};
+  FlagParser accepted;
+  ASSERT_TRUE(accepted.Parse(6, known, {"replicas", "scale", "metrics"}).ok());
+  EXPECT_EQ(accepted.GetInt("replicas", 0), 3);
+  EXPECT_EQ(accepted.positional(), (std::vector<std::string>{"evaluate"}));
+
+  // Without the names, any flag is accepted.
+  FlagParser lenient;
+  EXPECT_TRUE(lenient.Parse(5, typo).ok());
+}
+
 TEST(FlagParserTest, MissingFlagUsesDefault) {
   FlagParser flags = Parse({});
   EXPECT_EQ(flags.GetString("missing", "dflt"), "dflt");
