@@ -16,7 +16,7 @@ namespace {
 using namespace culevo;
 
 int Run(int argc, char** argv) {
-  bench::BenchOptions options = bench::ParseOptions(argc, argv);
+  bench::BenchOptions options = bench::ParseOptions(argc, argv, {"cuisine"});
   bench::BenchReporter reporter("ablation_pool", options);
   const Lexicon& lexicon = WorldLexicon();
   reporter.BeginPhase("world_synthesis");

@@ -8,7 +8,8 @@
 //   --replicas <n>   simulation replicas (default 20; paper uses 100)
 //   --seed <n>       master seed (default 42)
 //   --json <path>    write a structured BENCH_<name>.json telemetry file
-// and prints the table/figure series it reproduces to stdout. With
+// plus the flags it names to ParseOptions, refuses any other flag, and
+// prints the table/figure series it reproduces to stdout. With
 // --json, the binary also emits machine-readable telemetry (options,
 // per-phase wall times, the metrics-registry snapshot, scalar results,
 // and the reproduced series) — the schema is documented in EXPERIMENTS.md.
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -70,11 +72,14 @@ inline Status ApplyParsedFlags(BenchOptions* options) {
   return Status::Ok();
 }
 
-/// Parses common flags; exits the process on malformed command lines or
-/// out-of-range values.
-inline BenchOptions ParseOptions(int argc, char** argv) {
+/// Parses the common flags and `own`, the flags the binary reads besides
+/// them; exits the process with status 2 on a malformed command line, a
+/// flag that is neither (a misspelling, say), or an out-of-range value.
+inline BenchOptions ParseOptions(int argc, char** argv,
+                                 std::vector<std::string_view> own = {}) {
+  own.insert(own.end(), {"scale", "replicas", "seed", "json"});
   BenchOptions options;
-  if (Status s = options.flags.Parse(argc, argv); !s.ok()) {
+  if (Status s = options.flags.Parse(argc, argv, own); !s.ok()) {
     std::cerr << s << "\n";
     std::exit(2);
   }

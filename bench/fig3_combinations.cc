@@ -82,7 +82,7 @@ void PrintCurveFamily(const char* title,
 }
 
 int Run(int argc, char** argv) {
-  bench::BenchOptions options = bench::ParseOptions(argc, argv);
+  bench::BenchOptions options = bench::ParseOptions(argc, argv, {"csv-dir"});
   bench::BenchReporter reporter("fig3_combinations", options);
   const Lexicon& lexicon = WorldLexicon();
   reporter.BeginPhase("world_synthesis");

@@ -34,7 +34,10 @@ namespace {
 using namespace culevo;
 
 int Run(int argc, char** argv) {
-  bench::BenchOptions options = bench::ParseOptions(argc, argv);
+  bench::BenchOptions options = bench::ParseOptions(
+      argc, argv,
+      {"checkpoint", "resume", "workers", "worker-shard", "worker-stall-ms",
+       "worker-retries", "details-json"});
   bench::BenchReporter reporter("fig4_models", options);
   const Lexicon& lexicon = WorldLexicon();
   reporter.BeginPhase("world_synthesis");

@@ -11,7 +11,8 @@
 //                       — cold snapshot load via mmap and via the buffered
 //                         fallback (both verify every section checksum);
 //   rebuild_ms          — full rebuild after a 1% batch of new recipes:
-//                         Builder over all rows + Build + ComputeCuisineStats;
+//                         Builder over all rows + Build + ComputeCuisineStats
+//                         (read off the histograms Build counts);
 //   incremental_ms      — the same 1% batch applied as a delta reload
 //                         applies it: IncrementalCorpus::FromCorpus on the
 //                         corpus, Add per recipe, then Materialize.
@@ -176,7 +177,9 @@ double BestMs(int reps, const Fn& fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions options = bench::ParseOptions(argc, argv);
+  bench::BenchOptions options = bench::ParseOptions(
+      argc, argv,
+      {"recipes", "reps", "assert-snapshot-speedup", "snapshot-path"});
   const size_t num_recipes =
       static_cast<size_t>(options.flags.GetInt("recipes", 100000));
   const int reps = static_cast<int>(options.flags.GetInt("reps", 3));
@@ -221,7 +224,7 @@ int main(int argc, char** argv) {
   double snapshot_bytes = 0.0;
   const double snapshot_write_ms = BestMs(reps, [&] {
     const Status status =
-        WriteCorpusSnapshot(snapshot_path, corpus, stats, write_options);
+        WriteCorpusSnapshot(snapshot_path, corpus, write_options);
     CULEVO_CHECK(status.ok());
   });
 
@@ -327,11 +330,10 @@ int main(int argc, char** argv) {
                          (0x9E3779B9ull * (static_cast<uint64_t>(r) + 1)));
     Stopwatch incremental_watch;
     IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(
-        corpus, stats, batch.size(), batch.ids.size());
+        corpus, {}, batch.size(), batch.ids.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       CULEVO_CHECK(incremental.Add(batch.cuisines[i], batch.row(i)).ok());
     }
-    const std::vector<CuisineStats> applied_stats = incremental.stats();
     Result<RecipeCorpus> applied = std::move(incremental).Materialize();
     const double pair_incremental_ms = incremental_watch.ElapsedMillis();
     CULEVO_CHECK(applied.ok());
@@ -348,7 +350,7 @@ int main(int argc, char** argv) {
     if (r == 0) {
       // Cross-check against the full rebuild: the first batch applied to
       // the corpus is exactly what the rebuild holds.
-      if (!SameStats(applied_stats, rebuilt_stats)) {
+      if (!SameStats(ComputeCuisineStats(*applied), rebuilt_stats)) {
         std::fprintf(
             stderr, "INCREMENTAL FAILURE: stats diverged from full rebuild\n");
         consistent = false;

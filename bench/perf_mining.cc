@@ -134,7 +134,7 @@ bool SameItemsets(const std::vector<Itemset>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions options = bench::ParseOptions(argc, argv);
+  bench::BenchOptions options = bench::ParseOptions(argc, argv, {"reps"});
   const int reps = static_cast<int>(options.flags.GetInt("reps", 7));
   if (reps <= 0) {
     std::fprintf(stderr, "--reps must be positive\n");

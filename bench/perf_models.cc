@@ -186,7 +186,7 @@ bool RunGoldenCrossCheck(const std::vector<std::pair<
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions options = bench::ParseOptions(argc, argv);
+  bench::BenchOptions options = bench::ParseOptions(argc, argv, {"reps"});
   const int reps = static_cast<int>(options.flags.GetInt("reps", 5));
   if (reps <= 0) {
     std::fprintf(stderr, "--reps must be positive\n");

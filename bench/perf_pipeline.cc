@@ -79,7 +79,10 @@ int RunWorker(const bench::BenchOptions& options) {
 }
 
 int Run(int argc, char** argv) {
-  bench::BenchOptions options = bench::ParseOptions(argc, argv);
+  bench::BenchOptions options = bench::ParseOptions(
+      argc, argv,
+      {"load-snapshot", "checkpoint", "worker-shard", "workers", "reps",
+       "assert-fabric-speedup"});
   if (options.flags.Has("worker-shard")) return RunWorker(options);
 
   bench::BenchReporter reporter("perf_pipeline", options);

@@ -112,7 +112,11 @@ std::string NextQuery(Rng& rng, size_t num_recipes, size_t universe) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions options = bench::ParseOptions(argc, argv);
+  bench::BenchOptions options = bench::ParseOptions(
+      argc, argv,
+      {"recipes", "queries", "threads", "assert-serve-slo", "min-qps",
+       "snapshot-path", "assert-brownout-slo", "brownout-cheap-p99-ms",
+       "brownout-duration-ms", "brownout-latency-ms"});
   const size_t num_recipes =
       static_cast<size_t>(options.flags.GetInt("recipes", 100000));
   const size_t num_queries =

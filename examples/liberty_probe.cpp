@@ -16,7 +16,10 @@ using namespace culevo;
 
 int main(int argc, char** argv) {
   FlagParser flags;
-  (void)flags.Parse(argc, argv);
+  if (Status s = flags.Parse(argc, argv, {"count", "replicas"}); !s.ok()) {
+    std::cerr << s << "\n";
+    return 2;
+  }
   const Lexicon& lexicon = WorldLexicon();
   const int count = static_cast<int>(flags.GetInt("count", 3000));
   const int replicas = static_cast<int>(flags.GetInt("replicas", 10));

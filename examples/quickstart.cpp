@@ -18,9 +18,11 @@
 
 int main(int argc, char** argv) {
   culevo::FlagParser flags;
-  if (culevo::Status s = flags.Parse(argc, argv); !s.ok()) {
+  if (culevo::Status s =
+          flags.Parse(argc, argv, {"scale", "cuisine", "replicas"});
+      !s.ok()) {
     std::cerr << s << "\n";
-    return 1;
+    return 2;
   }
 
   const culevo::Lexicon& lexicon = culevo::WorldLexicon();

@@ -24,9 +24,11 @@ using namespace culevo;
 
 int main(int argc, char** argv) {
   FlagParser flags;
-  if (Status s = flags.Parse(argc, argv); !s.ok()) {
+  if (Status s = flags.Parse(
+          argc, argv, {"scale", "cuisine", "include", "seed", "size", "count"});
+      !s.ok()) {
     std::cerr << s << "\n";
-    return 1;
+    return 2;
   }
   const Lexicon& lexicon = WorldLexicon();
 

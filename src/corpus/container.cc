@@ -162,7 +162,7 @@ Status WriteContainer(const std::string& path, const ContainerFormat& format,
   for (const ContainerSection& section : sections) {
     const size_t offset = AlignUp(end);
     table.push_back({section.id, 0, offset, section.bytes.size(),
-                     section.checksum});
+                     Fnv1a64(section.bytes)});
     end = offset + section.bytes.size();
   }
   const std::string_view table_bytes =

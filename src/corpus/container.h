@@ -69,12 +69,10 @@ struct ContainerWords {
 };
 
 /// One section to write. `bytes` must stay valid until WriteContainer
-/// returns; `checksum` must be Fnv1a64(bytes), which the caller computes
-/// so that it can resume the hash of a column that only grew.
+/// returns, which hashes them.
 struct ContainerSection {
   uint32_t id = 0;
   std::string_view bytes;
-  uint64_t checksum = 0;
 };
 
 /// The bytes of a column of fixed-width values.

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "corpus/container.h"
@@ -56,10 +57,10 @@ ContainerSection ColumnSection(uint32_t id, std::span<const T> base,
     *joined += AsBytes(tail);
     bytes = *joined;
   }
-  return {id, bytes, Fnv1a64(bytes)};
+  return {id, bytes};
 }
 
-/// A section whose bytes are the column itself, hashed in full.
+/// A section whose bytes are the column itself.
 template <typename T>
 ContainerSection ColumnSection(uint32_t id, std::span<const T> column) {
   return ColumnSection(id, column, std::span<const T>(), nullptr);
@@ -86,19 +87,7 @@ uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus,
 Status WriteCorpusSnapshot(const std::string& path,
                            const RecipeCorpus& corpus,
                            const SnapshotWriteOptions& options) {
-  const std::vector<CuisineStats> stats = ComputeCuisineStats(corpus);
-  return WriteCorpusSnapshot(path, corpus, stats, options);
-}
-
-Status WriteCorpusSnapshot(const std::string& path,
-                           const RecipeCorpus& corpus,
-                           std::span<const CuisineStats> stats,
-                           const SnapshotWriteOptions& options) {
-  if (stats.size() != static_cast<size_t>(kNumCuisines)) {
-    return Status::InvalidArgument(
-        "corpus snapshot: stats need one entry per cuisine");
-  }
-  const std::string stats_bytes = SerializeStats(stats);
+  const std::string stats_bytes = SerializeStats(ComputeCuisineStats(corpus));
   std::vector<ContainerSection> sections;
   sections.reserve(4 + 2 * kNumCuisines + 1);
   const auto [base, tail] = corpus.segments();
@@ -108,7 +97,7 @@ Status WriteCorpusSnapshot(const std::string& path,
       ColumnSection(kSecOffsets, base.offsets, tail.offsets, &joined[1]));
   sections.push_back(
       ColumnSection(kSecCuisines, base.cuisines, tail.cuisines, &joined[2]));
-  sections.push_back({kSecStats, stats_bytes, Fnv1a64(stats_bytes)});
+  sections.push_back({kSecStats, stats_bytes});
   for (int c = 0; c < kNumCuisines; ++c) {
     const CuisineId cuisine = static_cast<CuisineId>(c);
     sections.push_back(ColumnSection(kSecShardBase + cuisine,
@@ -200,7 +189,8 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
         StrFormat("%s: %s", path.c_str(), corpus.status().message().c_str()));
   }
   // The stats section is derived data any producer could get wrong, so it
-  // must be exactly what the columns imply.
+  // must be exactly what the columns imply: the statistics read off the
+  // size histograms and unique lists the validation has just counted.
   std::vector<CuisineStats> stats = ComputeCuisineStats(*corpus);
   if (SerializeStats(stats) !=
       std::string_view(stats_section.data(), stats_section.size())) {

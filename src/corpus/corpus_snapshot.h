@@ -2,7 +2,6 @@
 #define CULEVO_CORPUS_CORPUS_SNAPSHOT_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -64,7 +63,7 @@ struct SnapshotLoadOptions {
 
 /// A corpus loaded from a snapshot, plus the per-cuisine statistics
 /// stored alongside it (checked equal to ComputeCuisineStats of the
-/// loaded columns).
+/// loaded corpus, whose size histograms the validating pass counts).
 struct LoadedCorpusSnapshot {
   RecipeCorpus corpus;
   std::vector<CuisineStats> stats;  ///< One entry per cuisine id.
@@ -94,19 +93,10 @@ uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus);
 uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus,
                                   uint64_t base_flat_hash);
 
-/// Serializes `corpus` (computing its CuisineStats) and writes the
-/// snapshot atomically.
+/// Serializes `corpus`, with the CuisineStats read off its tables, and
+/// writes the snapshot atomically.
 Status WriteCorpusSnapshot(const std::string& path,
                            const RecipeCorpus& corpus,
-                           const SnapshotWriteOptions& options = {});
-
-/// As above with caller-precomputed stats (IncrementalCorpus::stats(),
-/// say): one entry per cuisine, else InvalidArgument, and exactly what
-/// ComputeCuisineStats(corpus) returns, or LoadCorpusSnapshot refuses the
-/// file.
-Status WriteCorpusSnapshot(const std::string& path,
-                           const RecipeCorpus& corpus,
-                           std::span<const CuisineStats> stats,
                            const SnapshotWriteOptions& options = {});
 
 /// Reads, verifies, and adopts a snapshot. See the refusal contract above.

@@ -4,44 +4,43 @@
 
 namespace culevo {
 
-std::vector<CuisineStats> ComputeCuisineStats(const RecipeCorpus& corpus) {
-  std::vector<CuisineStats> out(kNumCuisines);
-  for (int c = 0; c < kNumCuisines; ++c) {
-    const CuisineId cuisine = static_cast<CuisineId>(c);
-    CuisineStats& stats = out[static_cast<size_t>(c)];
-    stats.cuisine = cuisine;
-    const std::span<const uint32_t> indices = corpus.recipes_of(cuisine);
-    stats.num_recipes = indices.size();
-    if (indices.empty()) continue;
+CuisineStats ComputeCuisineStats(const RecipeCorpus& corpus,
+                                 CuisineId cuisine) {
+  CuisineStats stats;
+  stats.cuisine = cuisine;
+  stats.num_recipes = corpus.num_recipes_in(cuisine);
+  if (stats.num_recipes == 0) return stats;
+  stats.num_unique_ingredients = corpus.UniqueIngredients(cuisine).size();
+  const std::span<const uint32_t> sizes = corpus.size_histogram(cuisine);
+  stats.size_histogram.assign(sizes.begin(), sizes.end());
+  stats.mean_recipe_size = corpus.MeanRecipeSize(cuisine);
+  // No recipe is empty, and the histogram ends at the largest recipe.
+  stats.min_recipe_size = static_cast<int>(
+      std::find_if(sizes.begin(), sizes.end(),
+                   [](uint32_t count) { return count != 0; }) -
+      sizes.begin());
+  stats.max_recipe_size = static_cast<int>(sizes.size()) - 1;
+  return stats;
+}
 
-    stats.num_unique_ingredients = corpus.UniqueIngredients(cuisine).size();
-    size_t total = 0;
-    int min_size = static_cast<int>(corpus.ingredients_of(indices[0]).size());
-    int max_size = min_size;
-    for (uint32_t index : indices) {
-      const int size = static_cast<int>(corpus.ingredients_of(index).size());
-      total += static_cast<size_t>(size);
-      min_size = std::min(min_size, size);
-      max_size = std::max(max_size, size);
-      if (static_cast<size_t>(size) >= stats.size_histogram.size()) {
-        stats.size_histogram.resize(static_cast<size_t>(size) + 1, 0);
-      }
-      ++stats.size_histogram[static_cast<size_t>(size)];
-    }
-    stats.mean_recipe_size =
-        static_cast<double>(total) / static_cast<double>(indices.size());
-    stats.min_recipe_size = min_size;
-    stats.max_recipe_size = max_size;
+std::vector<CuisineStats> ComputeCuisineStats(const RecipeCorpus& corpus) {
+  std::vector<CuisineStats> out;
+  out.reserve(kNumCuisines);
+  for (int c = 0; c < kNumCuisines; ++c) {
+    out.push_back(ComputeCuisineStats(corpus, static_cast<CuisineId>(c)));
   }
   return out;
 }
 
 std::vector<size_t> AggregateSizeHistogram(const RecipeCorpus& corpus) {
   std::vector<size_t> histogram;
-  for (uint32_t i = 0; i < corpus.num_recipes(); ++i) {
-    const size_t size = corpus.ingredients_of(i).size();
-    if (size >= histogram.size()) histogram.resize(size + 1, 0);
-    ++histogram[size];
+  for (int c = 0; c < kNumCuisines; ++c) {
+    const std::span<const uint32_t> sizes =
+        corpus.size_histogram(static_cast<CuisineId>(c));
+    if (sizes.size() > histogram.size()) histogram.resize(sizes.size(), 0);
+    for (size_t size = 0; size < sizes.size(); ++size) {
+      histogram[size] += sizes[size];
+    }
   }
   return histogram;
 }

@@ -20,11 +20,17 @@ struct CuisineStats {
   std::vector<size_t> size_histogram;
 };
 
-/// Computes per-cuisine statistics (one entry per cuisine id, including
-/// empty cuisines with zero counts).
+/// Statistics of `cuisine`, read off the corpus's size histogram and
+/// unique list: no recipe is read.
+CuisineStats ComputeCuisineStats(const RecipeCorpus& corpus,
+                                 CuisineId cuisine);
+
+/// Per-cuisine statistics (one entry per cuisine id, including empty
+/// cuisines with zero counts).
 std::vector<CuisineStats> ComputeCuisineStats(const RecipeCorpus& corpus);
 
-/// Aggregate recipe-size histogram over the whole corpus.
+/// Aggregate recipe-size histogram over the whole corpus: the sum of the
+/// cuisines' histograms.
 std::vector<size_t> AggregateSizeHistogram(const RecipeCorpus& corpus);
 
 }  // namespace culevo

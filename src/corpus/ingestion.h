@@ -1,7 +1,6 @@
 #ifndef CULEVO_CORPUS_INGESTION_H_
 #define CULEVO_CORPUS_INGESTION_H_
 
-#include <array>
 #include <span>
 #include <string>
 #include <string_view>
@@ -62,40 +61,37 @@ std::vector<RawRecipe> ParseRawRecipeText(std::string_view text);
 
 /// Append-friendly corpus for continuous million-recipe ingestion.
 ///
-/// RecipeCorpus is immutable after Build(): absorbing one new batch means
-/// re-running the builder, the shard construction, the unique-ingredient
-/// scan, and ComputeCuisineStats over the whole store. IncrementalCorpus
-/// instead extends a corpus in O(batch):
+/// RecipeCorpus is immutable after Build(): absorbing one new batch by
+/// re-running the builder re-copies, re-sorts and recounts the whole
+/// store. IncrementalCorpus instead extends a corpus in O(batch) plus its
+/// shard index and small tables. It holds three things:
 ///
-///   - it shares the base columns of the corpus it starts from
-///     (FromCorpus) and appends to a tail of its own, which starts as a
-///     copy of that corpus's tail, so the tail holds every recipe added
-///     since the base;
-///   - per cuisine it keeps the recipe indices appended to its shard, and
-///     the presence counts and sorted unique-ingredient lists, updated in
-///     place per recipe;
-///   - CuisineStats (count, mean, min/max, size histogram, unique count)
-///     are maintained incrementally and stay bit-identical to what
-///     ComputeCuisineStats would return on the materialized corpus.
+///   - the corpus it extends (FromCorpus; empty otherwise), shared, so its
+///     base columns are never copied;
+///   - its tail: every recipe since that corpus's base, starting as a copy
+///     of that corpus's tail, to which Add appends;
+///   - a scratch buffer for Add's sort and dedup.
 ///
-/// Materialize() hands the tail over to a RecipeCorpus with the same
-/// base, and writes its shard index once: each cuisine's shard of the
-/// starting corpus, then the recipes appended to it.
+/// Materialize() hands the tail over to a RecipeCorpus with the same base,
+/// whose tables — shards, presence counts, unique lists and size
+/// histograms — are those of the corpus it extends, extended by the
+/// appended recipes through the one derivation Builder::Build also uses.
+/// Statistics are read off the materialized corpus
+/// (ComputeCuisineStats(*Materialize())).
 ///
 /// Metrics: `corpus.ingest.recipes` (appended recipes).
 ///
 /// Not thread-safe; one writer at a time.
 class IncrementalCorpus {
  public:
-  IncrementalCorpus();
+  IncrementalCorpus() = default;
 
-  /// Seeds from a finalized corpus: shares its base and copies its tail,
-  /// shards stay views of it, and the presence counts and unique lists
-  /// are copied. No base recipe is read. `stats` must be
-  /// ComputeCuisineStats output for `corpus` when provided; when empty it
-  /// is computed here. The tail gets room for `append_recipes` more
-  /// recipes of `append_mentions` mentions in all, so that many Add calls
-  /// never reallocate it.
+  /// Seeds from a finalized corpus: shares it and copies its tail. No
+  /// base recipe is read. `stats` is unused: the corpus carries its own
+  /// tables, and the parameter stays for callers that still pass one. The
+  /// tail gets room for `append_recipes` more recipes of
+  /// `append_mentions` mentions in all, so that many Add calls never
+  /// reallocate it.
   static IncrementalCorpus FromCorpus(const RecipeCorpus& corpus,
                                       std::span<const CuisineStats> stats = {},
                                       size_t append_recipes = 0,
@@ -109,29 +105,12 @@ class IncrementalCorpus {
   size_t num_recipes() const {
     return from_.base_.cuisines.size() + tail_.cuisines.size();
   }
-  size_t num_mentions() const { return tail_.offsets.back(); }
-
-  /// Sorted distinct ingredient ids of `cuisine` / of the whole corpus.
-  std::span<const IngredientId> UniqueIngredients(CuisineId cuisine) const {
-    return unique_[cuisine];
-  }
-  std::span<const IngredientId> UniqueIngredients() const {
-    return unique_[kNumCuisines];
-  }
-
-  /// Per-cuisine statistics, maintained incrementally. Bit-identical to
-  /// ComputeCuisineStats(Materialize()).
-  const std::vector<CuisineStats>& stats() const { return stats_; }
-  const CuisineStats& stats_of(CuisineId cuisine) const {
-    return stats_[cuisine];
-  }
 
   /// Builds a finalized RecipeCorpus from the current contents, for code
   /// that wants the immutable type: a snapshot is
-  /// WriteCorpusSnapshot(path, *Materialize(), stats()). It shares the
-  /// base of the corpus FromCorpus started from, and the tail, presence
-  /// counts and unique lists this object maintains become its storage as
-  /// they are: nothing is re-sorted, re-counted or re-scanned.
+  /// WriteCorpusSnapshot(path, *Materialize()). It shares the base of the
+  /// corpus FromCorpus started from and takes the tail as its own; its
+  /// tables extend that corpus's by the appended recipes only.
   /// `incremental.Materialize()` copies the tail;
   /// `std::move(incremental).Materialize()` moves it instead and leaves
   /// `incremental` fit only for destruction or assignment.
@@ -139,30 +118,13 @@ class IncrementalCorpus {
   Result<RecipeCorpus> Materialize() &&;
 
  private:
-  /// Materialize's body: `tail` (a copy or this object's own, moved), the
-  /// shard index written once, and flattened copies of unique_ and
-  /// presence_.
-  RecipeCorpus HandOff(RecipeCorpus::Columns tail) const;
-
   /// The corpus FromCorpus started from (empty otherwise), shared: its
-  /// base is this object's, and its shards are the first part of this
+  /// base is this object's, and its tail is the first part of this
   /// object's.
   RecipeCorpus from_;
   /// Every recipe since the base (append-only); offsets start at the
   /// base's mention count.
   RecipeCorpus::Columns tail_;
-  /// added_[c] = indices of the recipes appended to cuisine c by Add.
-  std::array<std::vector<uint32_t>, kNumCuisines> added_;
-  std::array<std::vector<IngredientId>, kNumCuisines + 1> unique_;
-  /// presence_[c] = RecipeCorpus::presence(c), presence_[kNumCuisines] the
-  /// world row. A row grows to the largest id of its scope, so the world
-  /// row spans the universe and HandOff zero-pads the others to it. A
-  /// count leaving 0 is an id's first sighting in its scope.
-  std::array<std::vector<uint32_t>, kNumCuisines + 1> presence_;
-  std::vector<CuisineStats> stats_;
-  /// Exact per-cuisine mention totals (mean_recipe_size = sum / count,
-  /// the same division ComputeCuisineStats performs).
-  std::array<uint64_t, kNumCuisines> size_sums_{};
   std::vector<IngredientId> scratch_;
 };
 

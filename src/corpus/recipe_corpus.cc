@@ -9,6 +9,25 @@
 
 namespace culevo {
 
+Status RecipeCorpus::Columns::Append(
+    CuisineId cuisine, std::span<const IngredientId> ingredients,
+    std::vector<IngredientId>& scratch) {
+  if (cuisine >= kNumCuisines) {
+    return Status::InvalidArgument(
+        StrFormat("cuisine id %u out of range", unsigned{cuisine}));
+  }
+  if (ingredients.empty()) {
+    return Status::InvalidArgument("recipe has no ingredients");
+  }
+  scratch.assign(ingredients.begin(), ingredients.end());
+  std::sort(scratch.begin(), scratch.end());
+  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+  flat.insert(flat.end(), scratch.begin(), scratch.end());
+  offsets.push_back(offsets.back() + static_cast<uint32_t>(scratch.size()));
+  cuisines.push_back(cuisine);
+  return Status::Ok();
+}
+
 Status RecipeCorpus::Builder::Add(
     CuisineId cuisine, const std::vector<IngredientId>& ingredients) {
   return Add(cuisine, std::span<const IngredientId>(ingredients));
@@ -16,28 +35,13 @@ Status RecipeCorpus::Builder::Add(
 
 Status RecipeCorpus::Builder::Add(CuisineId cuisine,
                                   std::span<const IngredientId> ingredients) {
-  if (cuisine >= kNumCuisines) {
-    return Status::InvalidArgument(
-        StrFormat("cuisine id %u out of range", unsigned{cuisine}));
-  }
-  scratch_.assign(ingredients.begin(), ingredients.end());
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                 scratch_.end());
-  if (scratch_.empty()) {
-    return Status::InvalidArgument("recipe has no ingredients");
-  }
-  max_id_ = std::max(max_id_, scratch_.back());
-  flat_.insert(flat_.end(), scratch_.begin(), scratch_.end());
-  offsets_.push_back(static_cast<uint32_t>(flat_.size()));
-  cuisines_.push_back(cuisine);
-  return Status::Ok();
+  return columns_.Append(cuisine, ingredients, scratch_);
 }
 
 void RecipeCorpus::Builder::Reserve(size_t num_recipes, size_t num_mentions) {
-  flat_.reserve(num_mentions);
-  offsets_.reserve(num_recipes + 1);
-  cuisines_.reserve(num_recipes);
+  columns_.flat.reserve(num_mentions);
+  columns_.offsets.reserve(num_recipes + 1);
+  columns_.cuisines.reserve(num_recipes);
 }
 
 namespace {
@@ -69,70 +73,113 @@ RecipeCorpus::RecipeCorpus() {
 }
 
 RecipeCorpus RecipeCorpus::Builder::Build() {
-  auto base = std::make_shared<Columns>();
-  base->flat = std::move(flat_);
-  base->offsets = std::move(offsets_);
-  base->cuisines = std::move(cuisines_);
-  flat_.clear();
-  offsets_ = {0};
-  cuisines_.clear();
-  const std::span<const IngredientId> flat = base->flat;
-  const std::span<const uint32_t> offsets = base->offsets;
-  const std::span<const CuisineId> cuisines = base->cuisines;
-  const size_t n = cuisines.size();
-  const size_t universe = n == 0 ? 0 : static_cast<size_t>(max_id_) + 1;
-  max_id_ = 0;
-
-  auto storage = std::make_shared<Storage>();
-  Storage& s = *storage;
-  s.tail.offsets = {offsets.back()};
-
-  // Cuisine shards: counting sort keeps each shard ascending.
-  s.shard_offsets.assign(kNumCuisines + 1, 0);
-  for (CuisineId c : cuisines) ++s.shard_offsets[c + 1];
-  for (int c = 0; c < kNumCuisines; ++c) {
-    s.shard_offsets[static_cast<size_t>(c) + 1] +=
-        s.shard_offsets[static_cast<size_t>(c)];
-  }
-  s.shard_index.resize(n);
-  {
-    std::vector<uint32_t> cursor(s.shard_offsets.begin(),
-                                 s.shard_offsets.end() - 1);
-    for (uint32_t i = 0; i < n; ++i) {
-      s.shard_index[cursor[cuisines[i]]++] = i;
-    }
-  }
-
-  // Presence counts: a recipe stores each id once, so one increment per
-  // mention is exactly recipe presence. The cached unique-ingredient lists
-  // are read off them in id order: one per cuisine plus the corpus-wide
-  // list, flattened back to back.
-  s.presence.assign((kNumCuisines + 1) * universe, 0);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t* row = s.presence.data() + cuisines[i] * universe;
-    for (uint32_t m = offsets[i]; m < offsets[i + 1]; ++m) ++row[flat[m]];
-  }
-  SumWorldRow(s.presence, universe);
-  s.unique_offsets.assign(1, 0);
-  for (size_t scope = 0; scope <= kNumCuisines; ++scope) {
-    const std::span<const uint32_t> row = Row(s.presence, scope);
-    for (size_t id = 0; id < universe; ++id) {
-      if (row[id] != 0) s.unique_flat.push_back(static_cast<IngredientId>(id));
-    }
-    s.unique_offsets.push_back(static_cast<uint32_t>(s.unique_flat.size()));
-  }
-
+  auto base = std::make_shared<const Columns>(
+      std::exchange(columns_, Columns()));
   RecipeCorpus corpus;
-  corpus.base_ = {flat, offsets, cuisines};
-  corpus.backing_ = std::move(base);
+  corpus.base_ = {base->flat, base->offsets, base->cuisines};
+  corpus.backing_ = base;
+  auto storage = std::make_shared<Storage>();
+  storage->tail.offsets = {base->offsets.back()};
+  DeriveTables(RecipeCorpus(), corpus.base_, *storage);
   corpus.Adopt(std::move(storage));
   return corpus;
+}
+
+RecipeCorpus RecipeCorpus::Extended(Columns tail) const {
+  // The recipes past this corpus's own tail are the appended ones.
+  const size_t kept = tail_.cuisines.size();
+  auto storage = std::make_shared<Storage>();
+  storage->tail = std::move(tail);
+  const Columns& all = storage->tail;
+  const Segment added = {
+      std::span<const IngredientId>(all.flat).subspan(all.offsets[kept] -
+                                                      all.offsets[0]),
+      std::span<const uint32_t>(all.offsets).subspan(kept),
+      std::span<const CuisineId>(all.cuisines).subspan(kept)};
+  DeriveTables(*this, added, *storage);
+  RecipeCorpus corpus = *this;
+  corpus.Adopt(std::move(storage));
+  return corpus;
+}
+
+void RecipeCorpus::DeriveTables(const RecipeCorpus& prefix,
+                                const Segment& added, Storage& out) {
+  const size_t first = prefix.num_recipes();
+  const size_t n = added.cuisines.size();
+  const std::span<const IngredientId> used = prefix.UniqueIngredients();
+  size_t universe = used.empty() ? 0 : static_cast<size_t>(used.back()) + 1;
+  if (!added.flat.empty()) {
+    universe = std::max<size_t>(
+        universe, *std::max_element(added.flat.begin(), added.flat.end()) + 1);
+  }
+
+  // The prefix's tables, widened to the universe: shard sizes, cuisine
+  // presence rows and size histograms.
+  out.shard_offsets.assign(kNumCuisines + 1, 0);
+  out.presence.assign((kNumCuisines + 1) * universe, 0);
+  for (size_t c = 0; c < kNumCuisines; ++c) {
+    const CuisineId cuisine = static_cast<CuisineId>(c);
+    out.shard_offsets[c + 1] = prefix.recipes_of(cuisine).size();
+    const std::span<const uint32_t> row = prefix.presence(cuisine);
+    std::copy(row.begin(), row.end(), out.presence.begin() + c * universe);
+    const std::span<const uint32_t> sizes = prefix.size_histogram(cuisine);
+    out.sizes[c].assign(sizes.begin(), sizes.end());
+  }
+
+  // One pass over the appended recipes extends all three. A recipe stores
+  // each id once, so one increment per mention is exactly recipe presence.
+  for (size_t i = 0; i < n; ++i) {
+    const CuisineId cuisine = added.cuisines[i];
+    ++out.shard_offsets[cuisine + 1];
+    const uint32_t begin = added.offsets[i] - added.offsets[0];
+    const uint32_t end = added.offsets[i + 1] - added.offsets[0];
+    std::vector<uint32_t>& sizes = out.sizes[cuisine];
+    if (sizes.size() <= end - begin) sizes.resize(end - begin + 1, 0);
+    ++sizes[end - begin];
+    uint32_t* row = out.presence.data() + cuisine * universe;
+    for (uint32_t m = begin; m < end; ++m) ++row[added.flat[m]];
+  }
+  SumWorldRow(out.presence, universe);
+
+  // Cuisine shards, written once: the prefix's shard, then its appended
+  // recipes in index order, so each shard stays ascending.
+  for (size_t c = 0; c < kNumCuisines; ++c) {
+    out.shard_offsets[c + 1] += out.shard_offsets[c];
+  }
+  out.shard_index.resize(first + n);
+  std::array<uint32_t, kNumCuisines> cursor{};
+  for (size_t c = 0; c < kNumCuisines; ++c) {
+    const std::span<const uint32_t> shard =
+        prefix.recipes_of(static_cast<CuisineId>(c));
+    std::copy(shard.begin(), shard.end(),
+              out.shard_index.begin() + out.shard_offsets[c]);
+    cursor[c] = out.shard_offsets[c] + static_cast<uint32_t>(shard.size());
+  }
+  for (size_t i = 0; i < n; ++i) {
+    out.shard_index[cursor[added.cuisines[i]]++] =
+        static_cast<uint32_t>(first + i);
+  }
+
+  // The unique lists are read off the presence rows in id order: one per
+  // cuisine plus the corpus-wide list, flattened back to back.
+  out.unique_offsets.assign(1, 0);
+  for (size_t scope = 0; scope <= kNumCuisines; ++scope) {
+    const std::span<const uint32_t> row = Row(out.presence, scope);
+    for (size_t id = 0; id < universe; ++id) {
+      if (row[id] != 0) {
+        out.unique_flat.push_back(static_cast<IngredientId>(id));
+      }
+    }
+    out.unique_offsets.push_back(
+        static_cast<uint32_t>(out.unique_flat.size()));
+  }
 }
 
 void RecipeCorpus::Adopt(std::shared_ptr<const Storage> storage) {
   const Storage& s = *storage;
   tail_ = {s.tail.flat, s.tail.offsets, s.tail.cuisines};
   presence_ = s.presence;
+  for (size_t c = 0; c < kNumCuisines; ++c) sizes_[c] = s.sizes[c];
   if (s.shard_offsets.size() == kNumCuisines + 1) {
     for (size_t c = 0; c < kNumCuisines; ++c) {
       shards_[c] = std::span<const uint32_t>(s.shard_index)
@@ -206,12 +253,24 @@ std::span<const uint32_t> RecipeCorpus::presence() const {
   return PresenceRow(kNumCuisines);
 }
 
+std::span<const uint32_t> RecipeCorpus::size_histogram(
+    CuisineId cuisine) const {
+  CULEVO_CHECK(cuisine < kNumCuisines);
+  return sizes_[cuisine];
+}
+
 double RecipeCorpus::MeanRecipeSize(CuisineId cuisine) const {
-  const std::span<const uint32_t> indices = recipes_of(cuisine);
-  if (indices.empty()) return 0.0;
-  size_t total = 0;
-  for (uint32_t index : indices) total += ingredients_of(index).size();
-  return static_cast<double>(total) / static_cast<double>(indices.size());
+  // The mention total is exact, so the division is the one a walk over
+  // the cuisine's recipes would make.
+  const std::span<const uint32_t> sizes = size_histogram(cuisine);
+  size_t recipes = 0;
+  size_t mentions = 0;
+  for (size_t size = 0; size < sizes.size(); ++size) {
+    recipes += sizes[size];
+    mentions += size * sizes[size];
+  }
+  if (recipes == 0) return 0.0;
+  return static_cast<double>(mentions) / static_cast<double>(recipes);
 }
 
 Result<RecipeCorpus> RecipeCorpus::FromColumns(
@@ -233,14 +292,18 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
   }
 
   // One pass over the recipes checks the offsets, cuisines and ingredient
-  // order and counts the presence table. Every id of a well-formed corpus
-  // is at most the last entry of the sorted corpus-wide unique list; a
-  // larger one is missing from that list.
+  // order and counts the presence table and the size histograms. Every id
+  // of a well-formed corpus is at most the last entry of the sorted
+  // corpus-wide unique list; a larger one is missing from that list, and
+  // a recipe of sorted unique ids below the universe has at most
+  // `universe` of them.
   //
   // The pass splits into contiguous recipe ranges, one per thread. Range
-  // 0 counts into the table itself, every other range into private
-  // cuisine rows allocated here on the calling thread, and those rows are
-  // added to the table in range order. Each range stops at its first bad
+  // 0 counts presence into the table itself, every other range into
+  // private cuisine rows, and each range counts its histograms into a
+  // private kNumCuisines x (universe + 1) block, cut to each cuisine's
+  // largest recipe once added up; all are allocated here on the calling
+  // thread and added up in range order. Each range stops at its first bad
   // recipe, so the lowest failing range holds the first bad recipe in
   // index order: the refusal is the serial pass's whatever the CPU count.
   // A range reads its first offset unchecked, but a recipe's bounds are
@@ -256,10 +319,13 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
   const size_t ranges = ThreadsFor(n, kRecipesPerThread);
   std::vector<std::vector<uint32_t>> private_rows(
       ranges - 1, std::vector<uint32_t>(cuisine_cells, 0));
+  std::vector<std::vector<uint32_t>> histograms(
+      ranges, std::vector<uint32_t>(kNumCuisines * (universe + 1), 0));
   std::vector<const char*> errors(ranges, nullptr);
   RunTasks(ranges, ranges, [&](size_t range) {
     uint32_t* const table =
         range == 0 ? presence.data() : private_rows[range - 1].data();
+    uint32_t* const sizes = histograms[range].data();
     for (size_t i = range * n / ranges; i < (range + 1) * n / ranges; ++i) {
       const uint32_t begin = views.offsets[i];
       const uint32_t end = views.offsets[i + 1];
@@ -285,6 +351,7 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
         }
         ++row[recipe[k]];
       }
+      ++sizes[views.cuisines[i] * (universe + 1) + recipe.size()];
     }
   });
   for (const char* error : errors) {
@@ -294,6 +361,17 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
     for (size_t cell = 0; cell < cuisine_cells; ++cell) {
       presence[cell] += rows[cell];
     }
+  }
+  // Each cuisine's histogram, cut after its largest recipe.
+  for (size_t c = 0; c < kNumCuisines; ++c) {
+    std::vector<uint32_t>& sizes = storage->sizes[c];
+    sizes.assign(universe + 1, 0);
+    for (const std::vector<uint32_t>& counts : histograms) {
+      for (size_t size = 0; size <= universe; ++size) {
+        sizes[size] += counts[c * (universe + 1) + size];
+      }
+    }
+    while (!sizes.empty() && sizes.back() == 0) sizes.pop_back();
   }
 
   // Shards: ascending recipe indices, each in its own cuisine, jointly

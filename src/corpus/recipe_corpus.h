@@ -30,11 +30,15 @@ struct RecipeView {
 /// stored as sorted unique id sets — the canonical form both the miners
 /// and the evolution models operate on.
 ///
-/// The recipe-presence counts n_i^c (Eq. 1) are counted once, by the pass
-/// each construction path already makes over the recipes (Builder::Build,
-/// FromColumns, IncrementalCorpus::Add), and every reader of them —
-/// overrepresentation, usage profiles, contexts, Zipf and PMI statistics,
-/// the query index — reads presence() instead of recounting.
+/// The recipe-presence counts n_i^c (Eq. 1) and the per-cuisine
+/// recipe-size histograms are counted once, by the pass each construction
+/// path already makes over the recipes (FromColumns' validation, and the
+/// one derivation Builder::Build and IncrementalCorpus::Materialize share,
+/// which extends the tables of a prefix corpus by the recipes appended
+/// after it), and every reader of them — overrepresentation, usage
+/// profiles, contexts, Zipf and PMI statistics, the query index, the
+/// cuisine statistics — reads presence() or size_histogram() instead of
+/// recounting.
 ///
 /// Storage seam: the columns come in two segments (segments()). The base,
 /// recipes [0, base_n), is immutable and held through `backing_`: the
@@ -44,15 +48,33 @@ struct RecipeView {
 /// corpus's own: IncrementalCorpus::Materialize hands over the recipes
 /// appended since the base, so a corpus extending another shares that
 /// one's base and never copies it. A built or loaded corpus has an empty
-/// tail. Shards, unique lists and the presence table are whole, one set
-/// per corpus: views into the snapshot, or owned (always, for the
-/// presence table, which is derived and never persisted). Every view
-/// points into memory `backing_` or `storage_` keeps alive for as long as
-/// any copy of the corpus exists, so views never dangle, copies are cheap
-/// and share everything, and call sites cannot tell the modes apart.
+/// tail. Shards, unique lists, the presence table and the size histograms
+/// are whole, one set per corpus: views into the snapshot, or owned
+/// (always, for the presence table and the histograms, which are derived
+/// and not persisted as such). Every view points into memory `backing_`
+/// or `storage_` keeps alive for as long as any copy of the corpus
+/// exists, so views never dangle, copies are cheap and share everything,
+/// and call sites cannot tell the modes apart.
 ///
 /// Immutable after Build()/load; cheap to copy, thread-safe to read.
 class RecipeCorpus {
+  /// CSR columns in vectors: the base a Builder made, or a tail. A tail's
+  /// offsets start with the base's mention count, so a segment of either
+  /// kind has one offset per recipe plus one. (Declared first: the Builder
+  /// holds one.)
+  struct Columns {
+    std::vector<IngredientId> flat;
+    std::vector<uint32_t> offsets = {0};
+    std::vector<CuisineId> cuisines;
+
+    /// Appends one recipe in canonical form, its ids sorted and
+    /// deduplicated in `scratch`. InvalidArgument, with the columns
+    /// unchanged, for an out-of-range cuisine or no ingredients. Both
+    /// Builder::Add and IncrementalCorpus::Add come here.
+    Status Append(CuisineId cuisine, std::span<const IngredientId> ingredients,
+                  std::vector<IngredientId>& scratch);
+  };
+
  public:
   /// Incremental construction. Ingredient lists are deduplicated and
   /// sorted; empty recipes are rejected.
@@ -74,19 +96,16 @@ class RecipeCorpus {
     void Reserve(size_t num_recipes, size_t num_mentions);
 
     /// Number of recipes added so far.
-    size_t size() const { return cuisines_.size(); }
+    size_t size() const { return columns_.cuisines.size(); }
 
-    /// Finalizes the corpus — including the per-cuisine shards and the
-    /// cached unique-ingredient lists. The builder is left empty.
+    /// Finalizes the corpus — including the per-cuisine shards, the
+    /// cached unique-ingredient lists, the presence table and the size
+    /// histograms. The builder is left empty.
     RecipeCorpus Build();
 
    private:
-    std::vector<IngredientId> flat_;
-    std::vector<uint32_t> offsets_ = {0};
-    std::vector<CuisineId> cuisines_;
+    Columns columns_;
     std::vector<IngredientId> scratch_;
-    /// Largest id added so far: the last presence column Build counts.
-    IngredientId max_id_ = 0;
   };
 
   /// The CSR columns of consecutive recipes. A corpus is its base segment
@@ -139,7 +158,13 @@ class RecipeCorpus {
   /// sum_c n_i^c for every id of the universe.
   std::span<const uint32_t> presence() const;
 
-  /// Mean ingredient count per recipe in `cuisine`; 0 if empty.
+  /// Recipe-size histogram of `cuisine`: entry s counts its recipes of
+  /// exactly s ingredients, up to its largest recipe (empty for an empty
+  /// cuisine). Precondition: cuisine < kNumCuisines.
+  std::span<const uint32_t> size_histogram(CuisineId cuisine) const;
+
+  /// Mean ingredient count per recipe in `cuisine`, read off its size
+  /// histogram; 0 if empty.
   double MeanRecipeSize(CuisineId cuisine) const;
 
   /// Total ingredient-mention count (sum of recipe sizes).
@@ -170,7 +195,8 @@ class RecipeCorpus {
   /// (offset monotonicity, cuisine ranges, sorted-unique recipes, shard
   /// and unique-list consistency) and returns InvalidArgument when the
   /// columns do not describe a well-formed corpus. The columns become the
-  /// corpus's base; its tail is empty.
+  /// corpus's base; its tail is empty. The presence table and the size
+  /// histograms are counted in the validating pass.
   struct ColumnViews {
     std::span<const IngredientId> flat;
     std::span<const uint32_t> offsets;       ///< num_recipes + 1 entries.
@@ -185,26 +211,17 @@ class RecipeCorpus {
                                           std::shared_ptr<const void> backing);
 
  private:
-  friend class Builder;
-  /// FromCorpus shares the base; Materialize hands its tail, shards,
-  /// unique lists and presence counts straight to a Storage.
+  /// FromCorpus shares the corpus it starts from and copies its tail;
+  /// Add appends through Columns; Materialize is Extended.
   friend class IncrementalCorpus;
-
-  /// CSR columns in vectors: the base a Builder made, or a tail. A tail's
-  /// offsets start with the base's mention count, so a segment of either
-  /// kind has one offset per recipe plus one.
-  struct Columns {
-    std::vector<IngredientId> flat;
-    std::vector<uint32_t> offsets = {0};
-    std::vector<CuisineId> cuisines;
-  };
 
   /// What one corpus owns besides its base. Shards and unique lists are
   /// flattened (empty when they are views into a snapshot): shard c spans
   /// shard_offsets[c]..shard_offsets[c+1] of shard_index, and likewise for
   /// unique lists (kNumCuisines + 1 lists, the last one corpus-wide).
   /// `presence` is kNumCuisines + 1 rows of universe counts, row-major
-  /// [scope][id], the last row the world totals.
+  /// [scope][id], the last row the world totals. `sizes[c]` is cuisine
+  /// c's size histogram.
   struct Storage {
     Columns tail;
     std::vector<uint32_t> shard_index;
@@ -212,7 +229,21 @@ class RecipeCorpus {
     std::vector<IngredientId> unique_flat;
     std::vector<uint32_t> unique_offsets;
     std::vector<uint32_t> presence;
+    std::array<std::vector<uint32_t>, kNumCuisines> sizes;
   };
+
+  /// The one table derivation: fills `out`'s shards, presence table,
+  /// unique lists and size histograms with those of `prefix` extended by
+  /// `added`, the recipes numbered from prefix.num_recipes() on (every
+  /// recipe of a Build, with an empty prefix; the appended ones of an
+  /// Extended). Leaves `out.tail` alone.
+  static void DeriveTables(const RecipeCorpus& prefix, const Segment& added,
+                           Storage& out);
+
+  /// A corpus with this one's base and `tail` as its tail, where `tail`
+  /// is this corpus's tail followed by recipes appended to it: its tables
+  /// are this corpus's extended by those recipes.
+  RecipeCorpus Extended(Columns tail) const;
 
   /// The base columns when the tail is empty; CHECK-fails otherwise.
   const Segment& Untailed() const;
@@ -220,8 +251,9 @@ class RecipeCorpus {
   /// Row `scope` of the presence table (kNumCuisines = the world row).
   std::span<const uint32_t> PresenceRow(size_t scope) const;
 
-  /// Points the tail, the presence table and — when `storage` has them —
-  /// the shards and unique lists at `storage`, and keeps it.
+  /// Points the tail, the presence table, the size histograms and — when
+  /// `storage` has them — the shards and unique lists at `storage`, and
+  /// keeps it.
   void Adopt(std::shared_ptr<const Storage> storage);
 
   /// Keeps the base columns alive: the Columns a Builder made, or a
@@ -238,6 +270,7 @@ class RecipeCorpus {
   std::array<std::span<const uint32_t>, kNumCuisines> shards_;
   std::array<std::span<const IngredientId>, kNumCuisines + 1> unique_;
   std::span<const uint32_t> presence_;
+  std::array<std::span<const uint32_t>, kNumCuisines> sizes_;
 };
 
 /// Fewest recipes that earn a thread of their own in a pass over a corpus

@@ -10,6 +10,7 @@
 #include "core/simulation.h"
 #include "corpus/container.h"
 #include "corpus/corpus_snapshot.h"
+#include "corpus/corpus_stats.h"
 #include "corpus/cuisine.h"
 #include "corpus/ingestion.h"
 #include "obs/metrics.h"
@@ -22,6 +23,12 @@
 
 namespace culevo {
 namespace {
+
+/// Smoothing factor of the rolling latency EMA (weight of the newest
+/// sample); the EMA is also exported as `serve.latency_ema_ms`.
+constexpr double kLatencyEmaAlpha = 0.2;
+/// The retry hint attached to brownout rejections.
+constexpr int64_t kBrownoutRetryAfterMs = 50;
 
 /// One parsed request: positional tokens plus key=value options.
 struct ParsedRequest {
@@ -151,15 +158,15 @@ Result<size_t> TopK(const ParsedRequest& request) {
 
 /// `overrep <CUISINE> [k]` — prefix slice of the precomputed table.
 Result<std::vector<std::string>> HandleOverrep(
-    const Lexicon& lexicon, const ServiceOptions& options,
-    const ParsedRequest& request, const ServiceSnapshot& snapshot) {
+    const Lexicon& lexicon, const ParsedRequest& request,
+    const ServiceSnapshot& snapshot) {
   Result<CuisineId> cuisine = CuisineArg(request, 0);
   if (!cuisine.ok()) return cuisine.status();
   const Result<size_t> k = TopK(request);
   if (!k.ok()) return k.status();
   const std::span<const OverrepresentationScore> table =
       snapshot.index.Overrepresentation(*cuisine);
-  const size_t n = std::min<size_t>({*k, table.size(), options.max_results});
+  const size_t n = std::min<size_t>({*k, table.size(), kMaxResults});
   std::vector<std::string> rows;
   rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -175,14 +182,13 @@ Result<std::vector<std::string>> HandleOverrep(
 
 /// `nearest <CUISINE> [k]` — prefix of the precomputed neighbour list.
 Result<std::vector<std::string>> HandleNearest(
-    const ServiceOptions& options, const ParsedRequest& request,
-    const ServiceSnapshot& snapshot) {
+    const ParsedRequest& request, const ServiceSnapshot& snapshot) {
   Result<CuisineId> cuisine = CuisineArg(request, 0);
   if (!cuisine.ok()) return cuisine.status();
   const Result<size_t> k = TopK(request);
   if (!k.ok()) return k.status();
   const std::span<const CuisineNeighbor> neighbors =
-      snapshot.index.Nearest(*cuisine, std::min(*k, options.max_results));
+      snapshot.index.Nearest(*cuisine, std::min(*k, kMaxResults));
   std::vector<std::string> rows;
   rows.reserve(neighbors.size());
   for (const CuisineNeighbor& n : neighbors) {
@@ -250,8 +256,8 @@ Result<std::vector<std::string>> HandleRecipe(
 /// `search <ingredient>[,...] [cuisine=CODE] [limit=N]` — postings
 /// intersection.
 Result<std::vector<std::string>> HandleSearch(
-    const Lexicon& lexicon, const ServiceOptions& options,
-    const ParsedRequest& request, const ServiceSnapshot& snapshot) {
+    const Lexicon& lexicon, const ParsedRequest& request,
+    const ServiceSnapshot& snapshot) {
   if (request.positional.empty()) {
     return Status::InvalidArgument("missing ingredient list");
   }
@@ -285,7 +291,7 @@ Result<std::vector<std::string>> HandleSearch(
 
   const std::vector<uint32_t> hits = snapshot.index.SearchRecipes(
       ids, cuisine,
-      std::min<size_t>(static_cast<size_t>(*limit), options.max_results));
+      std::min<size_t>(static_cast<size_t>(*limit), kMaxResults));
   std::vector<std::string> rows;
   rows.reserve(hits.size());
   for (uint32_t r : hits) {
@@ -301,12 +307,13 @@ Result<std::vector<std::string>> HandleSearch(
   return rows;
 }
 
-/// `stats <CUISINE>` — the precomputed CuisineStats row.
+/// `stats <CUISINE>` — the CuisineStats row, read off the corpus's size
+/// histogram and unique list.
 Result<std::vector<std::string>> HandleStats(const ParsedRequest& request,
                                              const ServiceSnapshot& snapshot) {
   Result<CuisineId> cuisine = CuisineArg(request, 0);
   if (!cuisine.ok()) return cuisine.status();
-  const CuisineStats& stats = snapshot.stats[*cuisine];
+  const CuisineStats stats = ComputeCuisineStats(snapshot.corpus, *cuisine);
   return std::vector<std::string>{
       StrFormat("recipes\t%zu", stats.num_recipes),
       StrFormat("unique_ingredients\t%zu", stats.num_unique_ingredients),
@@ -318,9 +325,8 @@ Result<std::vector<std::string>> HandleStats(const ParsedRequest& request,
 /// `simulate <CUISINE> <model> [replicas=N] [seed=N]` — bounded
 /// on-demand model simulation under the request deadline.
 Result<std::vector<std::string>> HandleSimulate(
-    const Lexicon& lexicon, const ServiceOptions& options,
-    const ParsedRequest& request, const ServiceSnapshot& snapshot,
-    const CancelToken& cancel) {
+    const Lexicon& lexicon, const ParsedRequest& request,
+    const ServiceSnapshot& snapshot, const CancelToken& cancel) {
   Result<CuisineId> cuisine = CuisineArg(request, 0);
   if (!cuisine.ok()) return cuisine.status();
   if (request.positional.size() < 2) {
@@ -350,10 +356,10 @@ Result<std::vector<std::string>> HandleSimulate(
 
   Result<long long> replicas = IntOption(request, "replicas", 2);
   if (!replicas.ok()) return replicas.status();
-  if (*replicas <= 0 || *replicas > options.max_simulate_replicas) {
+  if (*replicas <= 0 || *replicas > kMaxSimulateReplicas) {
     return Status::InvalidArgument(
         StrFormat("replicas must be in [1, %d], got %lld",
-                  options.max_simulate_replicas, *replicas));
+                  kMaxSimulateReplicas, *replicas));
   }
   Result<long long> seed = IntOption(request, "seed", 42);
   if (!seed.ok()) return seed.status();
@@ -371,7 +377,7 @@ Result<std::vector<std::string>> HandleSimulate(
   if (!result.ok()) return result.status();
 
   const std::vector<double>& values = result->ingredient_curve.values();
-  const size_t n = std::min(values.size(), options.max_results);
+  const size_t n = std::min(values.size(), kMaxResults);
   std::vector<std::string> rows;
   rows.reserve(n + 1);
   rows.push_back(StrFormat("model\t%s\treplicas\t%d\tseed\t%lld",
@@ -404,7 +410,7 @@ Result<std::vector<std::string>> HandleInfo(const ServiceSnapshot& snapshot) {
 /// `metrics` — the full registry, one row per metric. Counters and gauges
 /// render their value; histograms render count/mean/p50/p99. Admin
 /// introspection (the soak harness reads corpus.snapshot.mmap_loads here),
-/// so the rows are not subject to max_results.
+/// so the rows are not subject to kMaxResults.
 std::vector<std::string> HandleMetrics() {
   const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Get().Snapshot();
   std::vector<std::string> rows;
@@ -427,7 +433,6 @@ std::vector<std::string> HandleMetrics() {
 }
 
 Result<std::vector<std::string>> Dispatch(const Lexicon& lexicon,
-                                          const ServiceOptions& options,
                                           const ParsedRequest& request,
                                           const ServiceSnapshot& snapshot,
                                           const CancelToken& cancel) {
@@ -437,10 +442,10 @@ Result<std::vector<std::string>> Dispatch(const Lexicon& lexicon,
   if (request.command == "info") return HandleInfo(snapshot);
   if (request.command == "stats") return HandleStats(request, snapshot);
   if (request.command == "overrep") {
-    return HandleOverrep(lexicon, options, request, snapshot);
+    return HandleOverrep(lexicon, request, snapshot);
   }
   if (request.command == "nearest") {
-    return HandleNearest(options, request, snapshot);
+    return HandleNearest(request, snapshot);
   }
   if (request.command == "freq") {
     return HandleFreq(lexicon, request, snapshot);
@@ -449,10 +454,10 @@ Result<std::vector<std::string>> Dispatch(const Lexicon& lexicon,
     return HandleRecipe(lexicon, request, snapshot);
   }
   if (request.command == "search") {
-    return HandleSearch(lexicon, options, request, snapshot);
+    return HandleSearch(lexicon, request, snapshot);
   }
   if (request.command == "simulate") {
-    return HandleSimulate(lexicon, options, request, snapshot, cancel);
+    return HandleSimulate(lexicon, request, snapshot, cancel);
   }
   return Status::InvalidArgument(
       StrFormat("unknown command '%s'", request.command.c_str()));
@@ -492,9 +497,8 @@ obs::Gauge* GenerationsLive() {
 
 bool ShouldShedExpensive(const ServiceOptions& options, int inflight,
                          double latency_ema_ms) {
-  if (options.brownout_inflight_fraction > 0 &&
-      static_cast<double>(inflight) >
-          options.brownout_inflight_fraction * options.max_inflight) {
+  if (static_cast<double>(inflight) >
+      kBrownoutInflightFraction * options.max_inflight) {
     return true;
   }
   return options.brownout_latency_ms > 0 &&
@@ -533,7 +537,6 @@ Status ServiceCore::LoadFromFile(const std::string& path) {
     if (!loaded.ok()) return loaded.status();
     auto next = std::make_shared<ServiceSnapshot>();
     next->corpus = std::move(loaded->corpus);
-    next->stats = std::move(loaded->stats);
     next->index = QueryIndex::Build(next->corpus);
     next->source = path;
     next->content_fingerprint = loaded->content_fingerprint;
@@ -616,13 +619,11 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
         delta_mentions += record.ingredients.size();
       }
       IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(
-          current->corpus, current->stats, delta->records.size(),
-          delta_mentions);
+          current->corpus, {}, delta->records.size(), delta_mentions);
       for (const CorpusDeltaRecord& record : delta->records) {
         CULEVO_RETURN_IF_ERROR(
             incremental.Add(record.cuisine, record.ingredients));
       }
-      next->stats = incremental.stats();
       Result<RecipeCorpus> corpus = std::move(incremental).Materialize();
       if (!corpus.ok()) return corpus.status();
       next->corpus = std::move(*corpus);
@@ -667,7 +668,6 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
 
 Status ServiceCore::InstallCorpus(RecipeCorpus corpus, std::string source) {
   auto next = std::make_shared<ServiceSnapshot>();
-  next->stats = ComputeCuisineStats(corpus);
   next->index = QueryIndex::Build(corpus);
   next->base_flat_hash = Fnv1a64(AsBytes(corpus.segments()[0].flat));
   next->content_fingerprint =
@@ -694,8 +694,8 @@ void ServiceCore::RecordLatency(double elapsed_ms) {
     // The first sample seeds the EMA directly so the detector does not
     // have to climb from zero through a cold-start window.
     next = prev <= 0 ? elapsed_ms
-                     : options_.latency_ema_alpha * elapsed_ms +
-                           (1 - options_.latency_ema_alpha) * prev;
+                     : kLatencyEmaAlpha * elapsed_ms +
+                           (1 - kLatencyEmaAlpha) * prev;
   } while (!latency_ema_ms_.compare_exchange_weak(
       prev, next, std::memory_order_relaxed));
   ema_gauge->Set(next);
@@ -799,7 +799,7 @@ std::string ServiceCore::Handle(std::string_view request) {
               "shedding expensive '%s' under overload (%d in flight, "
               "latency EMA %.3f ms)",
               parsed->command.c_str(), guard.entered(), latency_ema_ms())),
-          options_.brownout_retry_after_ms);
+          kBrownoutRetryAfterMs);
     }
     brownout_active->Set(0.0);
   }
@@ -812,7 +812,7 @@ std::string ServiceCore::Handle(std::string_view request) {
   }
 
   Result<std::vector<std::string>> rows =
-      Dispatch(*lexicon_, options_, *parsed, *snapshot, cancel);
+      Dispatch(*lexicon_, *parsed, *snapshot, cancel);
   RecordLatency(timer.ElapsedMillis());
   if (!rows.ok()) {
     errors->Increment();

@@ -9,7 +9,6 @@
 #include <string_view>
 #include <vector>
 
-#include "corpus/corpus_stats.h"
 #include "corpus/recipe_corpus.h"
 #include "lexicon/lexicon.h"
 #include "service/query_index.h"
@@ -17,7 +16,17 @@
 
 namespace culevo {
 
-/// Tuning knobs of the query service.
+/// Result-row cap for list-shaped queries (top-k, search, curves).
+inline constexpr size_t kMaxResults = 100;
+/// Upper bound on `simulate` replicas (each replica is a full
+/// generate+mine cycle — the one expensive query).
+inline constexpr int kMaxSimulateReplicas = 8;
+/// Brownout inflight trigger: expensive requests are shed once more than
+/// this share of ServiceOptions::max_inflight requests are executing (the
+/// remaining headroom is reserved for cheap lookups).
+inline constexpr double kBrownoutInflightFraction = 0.75;
+
+/// Tuning knobs of the query service (culevod's serving flags).
 struct ServiceOptions {
   /// Per-request deadline; requests may lower (never raise) it with a
   /// `deadline_ms=` option. <= 0 disables the default deadline.
@@ -25,31 +34,17 @@ struct ServiceOptions {
   /// Admission control: requests beyond this many concurrently executing
   /// ones are rejected with Unavailable instead of queuing without bound.
   int max_inflight = 256;
-  /// Result-row cap for list-shaped queries (top-k, search, curves).
-  size_t max_results = 100;
-  /// Upper bound on `simulate` replicas (each replica is a full
-  /// generate+mine cycle — the one expensive query).
-  int max_simulate_replicas = 8;
 
   /// Brownout (graceful degradation): under overload the expensive
   /// request classes (`simulate`, `search`) are shed with Unavailable +
   /// a `retry-after-ms` hint while cheap point lookups keep being served.
-  /// Overload is either trigger below; see ShouldShedExpensive.
+  /// Overload is either the inflight trigger (kBrownoutInflightFraction)
+  /// or the latency trigger below; see ShouldShedExpensive.
   ///
-  /// Inflight trigger: shed expensive requests once more than
-  /// `brownout_inflight_fraction * max_inflight` requests are executing
-  /// (the remaining headroom is reserved for cheap lookups). <= 0
-  /// disables.
-  double brownout_inflight_fraction = 0.75;
   /// Latency trigger: shed expensive requests while the rolling
   /// latency EMA exceeds this. <= 0 disables (the default — enable it
   /// alongside an SLO, e.g. half the default deadline).
   double brownout_latency_ms = 0;
-  /// Smoothing factor of the rolling latency EMA (weight of the newest
-  /// sample); the EMA is also exported as `serve.latency_ema_ms`.
-  double latency_ema_alpha = 0.2;
-  /// The retry hint attached to brownout rejections.
-  int64_t brownout_retry_after_ms = 50;
 };
 
 /// Pure brownout predicate (exposed for tests): true when an expensive
@@ -59,8 +54,8 @@ bool ShouldShedExpensive(const ServiceOptions& options, int inflight,
                          double latency_ema_ms);
 
 /// One immutable generation of the service's data: the corpus (with the
-/// presence counts it keeps), its precomputed stats, and the query
-/// indexes derived from them. Swapped wholesale on reload; readers that
+/// presence counts and size histograms it keeps) and the query indexes
+/// derived from it. Swapped wholesale on reload; readers that
 /// still hold the previous generation keep using it until they finish
 /// (shared_ptr refcount is the grace period). A generation made by a
 /// delta reload shares its corpus's base columns and its index's posting
@@ -77,7 +72,6 @@ struct ServiceSnapshot {
   ServiceSnapshot& operator=(const ServiceSnapshot&) = delete;
 
   RecipeCorpus corpus;
-  std::vector<CuisineStats> stats;  ///< One entry per cuisine id.
   QueryIndex index;
   uint64_t epoch = 0;      ///< Monotonic install counter.
   std::string source;      ///< Snapshot path or "<synthetic>".

@@ -52,7 +52,7 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
 }
 
 Status FlagParser::Parse(int argc, const char* const* argv,
-                         std::initializer_list<std::string_view> known) {
+                         const std::vector<std::string_view>& known) {
   CULEVO_RETURN_IF_ERROR(Parse(argc, argv));
   for (const auto& [name, value] : values_) {
     if (std::find(known.begin(), known.end(), name) == known.end()) {

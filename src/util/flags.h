@@ -1,7 +1,6 @@
 #ifndef CULEVO_UTIL_FLAGS_H_
 #define CULEVO_UTIL_FLAGS_H_
 
-#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -25,7 +24,7 @@ class FlagParser {
   /// `known` (the flags the binary reads), so that a misspelled flag is
   /// refused instead of silently ignored.
   Status Parse(int argc, const char* const* argv,
-               std::initializer_list<std::string_view> known);
+               const std::vector<std::string_view>& known);
 
   bool Has(const std::string& name) const;
 

@@ -93,6 +93,19 @@ void ExpectBitIdentical(const RecipeCorpus& expected,
   }
 }
 
+/// {offset, size} of the first section with `id` in a container file.
+std::pair<size_t, size_t> SectionBytes(const std::string& file, uint32_t id) {
+  for (uint32_t i = 0; i < ContainerField<uint32_t>(file, 44); ++i) {
+    const size_t at = ContainerTableEntry(i);
+    if (ContainerField<uint32_t>(file, at) == id) {
+      return {ContainerField<uint64_t>(file, at + 8),
+              ContainerField<uint64_t>(file, at + 16)};
+    }
+  }
+  ADD_FAILURE() << "no section " << id;
+  return {0, 0};
+}
+
 class CorpusSnapshotTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -319,6 +332,50 @@ TEST_F(CorpusSnapshotTest, RefusesStatsThatDisagreeWithColumns) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << loaded.status();
 }
 
+// The same check covers the rest of a stats record: under valid
+// checksums, a size-histogram bucket moved to its neighbour (the recipe
+// count unchanged) or the low bit of a mean flipped is refused.
+TEST_F(CorpusSnapshotTest, RefusesStatsHistogramsAndMeansThatDisagree) {
+  path_ = TempPath("stats_histogram_lie");
+  SnapshotWriteOptions write;
+  write.sync = false;
+  const RecipeCorpus corpus = TestCorpus(20);
+  const CuisineStats first = ComputeCuisineStats(corpus)[0];
+  ASSERT_LT(first.min_recipe_size, first.max_recipe_size);
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, corpus, write).ok());
+  Result<std::string> bytes = ReadFileToString(path_);
+  ASSERT_TRUE(bytes.ok());
+  const std::string content = std::move(bytes).value();
+  const size_t stats_offset = SectionBytes(content, 4).first;
+
+  // Record 0 is cuisine 0: its mean at +24 and its histogram buckets, one
+  // u64 per size, from +56.
+  const size_t low_bucket =
+      stats_offset + 56 + 8 * static_cast<size_t>(first.min_recipe_size);
+  ASSERT_EQ(ContainerField<uint64_t>(content, low_bucket),
+            first.size_histogram[static_cast<size_t>(first.min_recipe_size)]);
+  std::string moved = content;
+  SetContainerField<uint64_t>(&moved, low_bucket,
+                              ContainerField<uint64_t>(moved, low_bucket) - 1);
+  SetContainerField<uint64_t>(
+      &moved, low_bucket + 8,
+      ContainerField<uint64_t>(moved, low_bucket + 8) + 1);
+  std::string flipped = content;
+  flipped[stats_offset + 24] =
+      static_cast<char>(flipped[stats_offset + 24] ^ 1);
+
+  for (std::string* tampered : {&moved, &flipped}) {
+    ResignContainer(tampered);
+    ASSERT_TRUE(WriteStringToFile(path_, *tampered).ok());
+    for (const bool mmap : {true, false}) {
+      Result<LoadedCorpusSnapshot> loaded =
+          LoadCorpusSnapshot(path_, {.allow_mmap = mmap});
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+          << loaded.status();
+    }
+  }
+}
+
 // No byte of the file goes unchecked: the zero padding between sections,
 // the reserved word of each table entry and anything after the last
 // section are outside every payload checksum, so the reader checks them
@@ -423,7 +480,7 @@ TEST_F(CorpusSnapshotTest, LoadReturnsContentFingerprint) {
   expect_fingerprint(small, {}, "small corpus");
   expect_fingerprint(small, {.allow_mmap = false}, "buffered load");
 
-  // An incremental corpus after appends, written with its own stats.
+  // An incremental corpus after appends.
   IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(small);
   const std::vector<IngredientId> appended[] = {{1, 2, 3}, {250, 7}, {42}};
   for (size_t i = 0; i < std::size(appended); ++i) {
@@ -431,8 +488,7 @@ TEST_F(CorpusSnapshotTest, LoadReturnsContentFingerprint) {
   }
   Result<RecipeCorpus> grown = incremental.Materialize();
   ASSERT_TRUE(grown.ok()) << grown.status();
-  ASSERT_TRUE(
-      WriteCorpusSnapshot(path_, *grown, incremental.stats(), write).ok());
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, *grown, write).ok());
   expect_fingerprint(*grown, {}, "incremental snapshot after appends");
 }
 
@@ -503,19 +559,6 @@ const RecipeCorpus& World() {
     return new RecipeCorpus(built.ok() ? std::move(*built) : RecipeCorpus());
   }();
   return *world;
-}
-
-/// {offset, size} of the first section with `id` in a container file.
-std::pair<size_t, size_t> SectionBytes(const std::string& file, uint32_t id) {
-  for (uint32_t i = 0; i < ContainerField<uint32_t>(file, 44); ++i) {
-    const size_t at = ContainerTableEntry(i);
-    if (ContainerField<uint32_t>(file, at) == id) {
-      return {ContainerField<uint64_t>(file, at + 8),
-              ContainerField<uint64_t>(file, at + 16)};
-    }
-  }
-  ADD_FAILURE() << "no section " << id;
-  return {0, 0};
 }
 
 Result<LoadedCorpusSnapshot> LoadOnOneCpu(const std::string& path) {

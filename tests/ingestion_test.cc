@@ -223,18 +223,22 @@ TEST(IncrementalCorpusTest, MatchesFullRebuild) {
   }
   const RecipeCorpus rebuilt = reference.Build();
 
+  // The tables are the materialized corpus's; the shards are checked on
+  // both Materialize forms, below.
+  Result<RecipeCorpus> materialized = incremental.Materialize();
+  ASSERT_TRUE(materialized.ok()) << materialized.status();
   EXPECT_EQ(incremental.num_recipes(), rebuilt.num_recipes());
-  EXPECT_EQ(incremental.num_mentions(), rebuilt.total_mentions());
-  EXPECT_TRUE(SameStats(incremental.stats(), ComputeCuisineStats(rebuilt)));
-  // The shards are checked on the materialized corpus, below.
+  EXPECT_EQ(materialized->total_mentions(), rebuilt.total_mentions());
+  EXPECT_TRUE(SameStats(ComputeCuisineStats(*materialized),
+                        ComputeCuisineStats(rebuilt)));
   for (int c = 0; c < kNumCuisines; ++c) {
     const CuisineId cuisine = static_cast<CuisineId>(c);
-    const auto unique = incremental.UniqueIngredients(cuisine);
+    const auto unique = materialized->UniqueIngredients(cuisine);
     const auto expected_unique = rebuilt.UniqueIngredients(cuisine);
     EXPECT_TRUE(std::equal(unique.begin(), unique.end(),
                            expected_unique.begin(), expected_unique.end()));
   }
-  const auto global = incremental.UniqueIngredients();
+  const auto global = materialized->UniqueIngredients();
   const auto expected_global = rebuilt.UniqueIngredients();
   EXPECT_TRUE(std::equal(global.begin(), global.end(),
                          expected_global.begin(), expected_global.end()));
@@ -256,14 +260,18 @@ TEST(IncrementalCorpusTest, SeedsFromCorpusAndExtends) {
   ASSERT_TRUE(builder.Add(1, {2, 4}).ok());
   const RecipeCorpus base = builder.Build();
 
+  // Statistics are read off the materialized corpus.
+  const auto stats_of = [](const IncrementalCorpus& incremental) {
+    return ComputeCuisineStats(incremental.Materialize().value());
+  };
   IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(base);
   EXPECT_EQ(incremental.num_recipes(), 2u);
-  EXPECT_TRUE(SameStats(incremental.stats(), ComputeCuisineStats(base)));
+  EXPECT_TRUE(SameStats(stats_of(incremental), ComputeCuisineStats(base)));
 
   ASSERT_TRUE(incremental.Add(0, std::vector<IngredientId>{5, 3}).ok());
   EXPECT_EQ(incremental.num_recipes(), 3u);
-  EXPECT_EQ(incremental.stats_of(0).num_recipes, 2u);
-  EXPECT_EQ(incremental.stats_of(0).num_unique_ingredients, 4u);
+  EXPECT_EQ(stats_of(incremental)[0].num_recipes, 2u);
+  EXPECT_EQ(stats_of(incremental)[0].num_unique_ingredients, 4u);
 
   // The derived structures must equal a from-scratch build of the same
   // recipe sequence.
@@ -272,8 +280,10 @@ TEST(IncrementalCorpusTest, SeedsFromCorpusAndExtends) {
   ASSERT_TRUE(all.Add(1, {2, 4}).ok());
   ASSERT_TRUE(all.Add(0, {5, 3}).ok());
   const RecipeCorpus rebuilt = all.Build();
-  EXPECT_TRUE(SameStats(incremental.stats(), ComputeCuisineStats(rebuilt)));
-  const auto unique = incremental.UniqueIngredients();
+  EXPECT_TRUE(SameStats(stats_of(incremental), ComputeCuisineStats(rebuilt)));
+  Result<RecipeCorpus> materialized = incremental.Materialize();
+  ASSERT_TRUE(materialized.ok()) << materialized.status();
+  const auto unique = materialized->UniqueIngredients();
   const auto expected = rebuilt.UniqueIngredients();
   EXPECT_TRUE(
       std::equal(unique.begin(), unique.end(), expected.begin(),
@@ -285,7 +295,7 @@ TEST(IncrementalCorpusTest, SeedsFromCorpusAndExtends) {
       base, ComputeCuisineStats(base), /*append_recipes=*/1,
       /*append_mentions=*/2);
   ASSERT_TRUE(roomy.Add(0, std::vector<IngredientId>{5, 3}).ok());
-  EXPECT_TRUE(SameStats(roomy.stats(), ComputeCuisineStats(rebuilt)));
+  EXPECT_TRUE(SameStats(stats_of(roomy), ComputeCuisineStats(rebuilt)));
   ExpectMaterializesTo(roomy, rebuilt);
 }
 
@@ -389,7 +399,10 @@ TEST(IncrementalCorpusTest, ExtendedCorpusMatchesBuilderRebuildAtEveryBase) {
     }
     ExpectSameAccessors(*once, Prefix(rebuilt, middle));
     ExpectSameAccessors(*twice, rebuilt);
-    EXPECT_TRUE(SameStats(again.stats(), ComputeCuisineStats(rebuilt)));
+    Result<RecipeCorpus> materialized = again.Materialize();
+    ASSERT_TRUE(materialized.ok()) << materialized.status();
+    EXPECT_TRUE(SameStats(ComputeCuisineStats(*materialized),
+                          ComputeCuisineStats(rebuilt)));
   }
 }
 
@@ -418,13 +431,11 @@ TEST(IncrementalCorpusTest, SnapshotRoundTripsAfterAppends) {
 
   add_batch(100);
   add_batch(40);
-  // Written with the incrementally maintained stats, which the load
-  // checks against the columns.
+  // Written with the stats read off the materialized corpus's tables,
+  // which the load checks against the columns.
   Result<RecipeCorpus> materialized = incremental.Materialize();
   ASSERT_TRUE(materialized.ok());
-  ASSERT_TRUE(
-      WriteCorpusSnapshot(path, *materialized, incremental.stats(), write)
-          .ok());
+  ASSERT_TRUE(WriteCorpusSnapshot(path, *materialized, write).ok());
 
   Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -432,7 +443,9 @@ TEST(IncrementalCorpusTest, SnapshotRoundTripsAfterAppends) {
   EXPECT_TRUE(SameStats(loaded->stats,
                         ComputeCuisineStats(materialized.value())));
   EXPECT_EQ(Whole(loaded->corpus).flat, Whole(*materialized).flat);
-  EXPECT_TRUE(SameStats(loaded->stats, incremental.stats()));
+  Result<RecipeCorpus> again = incremental.Materialize();
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(SameStats(loaded->stats, ComputeCuisineStats(*again)));
   std::remove(path.c_str());
 }
 
@@ -450,15 +463,17 @@ TEST(IncrementalCorpusTest, DeltaSnapshotIdenticalToFreshSnapshot) {
   ASSERT_TRUE(incremental.Add(0, std::vector<IngredientId>{8}).ok());
   Result<RecipeCorpus> materialized = incremental.Materialize();
   ASSERT_TRUE(materialized.ok());
-  ASSERT_TRUE(WriteCorpusSnapshot(incremental_path, *materialized,
-                                  incremental.stats(), write)
-                  .ok());
-
-  // A from-scratch snapshot of the same corpus must be byte-identical —
-  // the incrementally maintained stats are not allowed to change the
-  // bytes.
   ASSERT_TRUE(
-      WriteCorpusSnapshot(fresh_path, materialized.value(), write).ok());
+      WriteCorpusSnapshot(incremental_path, *materialized, write).ok());
+
+  // A from-scratch snapshot of the same recipes must be byte-identical —
+  // the tables the extension derives are not allowed to change the
+  // bytes.
+  RecipeCorpus::Builder fresh;
+  ASSERT_TRUE(fresh.Add(0, {3, 1}).ok());
+  ASSERT_TRUE(fresh.Add(4, {2}).ok());
+  ASSERT_TRUE(fresh.Add(0, {8}).ok());
+  ASSERT_TRUE(WriteCorpusSnapshot(fresh_path, fresh.Build(), write).ok());
   Result<std::string> delta_bytes = ReadFileToString(incremental_path);
   Result<std::string> fresh_bytes = ReadFileToString(fresh_path);
   ASSERT_TRUE(delta_bytes.ok());

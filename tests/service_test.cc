@@ -205,7 +205,7 @@ TEST(ServiceCoreTest, SimulateMatchesDirectRunBitExactly) {
       "simulate " + Code(kA) + " NM replicas=1 seed=7 deadline_ms=60000"));
   ASSERT_EQ(rows.size(), 1 + std::min<size_t>(
                                  direct->ingredient_curve.values().size(),
-                                 core.options().max_results));
+                                 kMaxResults));
   for (size_t i = 1; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i],
               StrFormat("%zu\t%.17g", i,
@@ -214,13 +214,12 @@ TEST(ServiceCoreTest, SimulateMatchesDirectRunBitExactly) {
 }
 
 TEST(ServiceCoreTest, SimulateClampsReplicas) {
-  ServiceOptions options;
-  options.max_simulate_replicas = 2;
-  ServiceCore core = MakeCore(options);
+  ServiceCore core = MakeCore();
   ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "<test>").ok());
-  EXPECT_TRUE(StartsWith(core.Handle("simulate " + Code(kA) + " NM "
-                                     "replicas=3"),
-                         "error InvalidArgument"));
+  EXPECT_TRUE(StartsWith(
+      core.Handle(StrFormat("simulate %s NM replicas=%d", Code(kA).c_str(),
+                            kMaxSimulateReplicas + 1)),
+      "error InvalidArgument"));
 }
 
 TEST(ServiceCoreTest, DeadlineRejection) {
@@ -345,27 +344,25 @@ TEST(ServiceCoreTest, ConcurrentReadersAcrossSnapshotSwaps) {
 TEST(ServiceCoreTest, ShouldShedExpensivePredicate) {
   ServiceOptions options;
   options.max_inflight = 100;
-  options.brownout_inflight_fraction = 0.75;
   options.brownout_latency_ms = 0;  // latency trigger off
 
-  // The inflight trigger fires strictly above fraction * max_inflight.
+  // The inflight trigger fires strictly above
+  // kBrownoutInflightFraction (0.75) * max_inflight.
   EXPECT_FALSE(ShouldShedExpensive(options, 75, 0.0));
   EXPECT_TRUE(ShouldShedExpensive(options, 76, 0.0));
 
   // Latency trigger: only above the threshold, and only when enabled.
-  options.brownout_inflight_fraction = 0;  // inflight trigger off
   options.brownout_latency_ms = 10;
-  EXPECT_FALSE(ShouldShedExpensive(options, 1000, 9.0));
+  EXPECT_FALSE(ShouldShedExpensive(options, 0, 9.0));
   EXPECT_TRUE(ShouldShedExpensive(options, 0, 10.5));
   options.brownout_latency_ms = 0;
-  EXPECT_FALSE(ShouldShedExpensive(options, 1000, 1e9));
+  EXPECT_FALSE(ShouldShedExpensive(options, 75, 1e9));
 
   // Either trigger alone is sufficient.
-  options.brownout_inflight_fraction = 0.5;
   options.brownout_latency_ms = 10;
-  EXPECT_TRUE(ShouldShedExpensive(options, 51, 0.0));
+  EXPECT_TRUE(ShouldShedExpensive(options, 76, 0.0));
   EXPECT_TRUE(ShouldShedExpensive(options, 0, 11.0));
-  EXPECT_FALSE(ShouldShedExpensive(options, 50, 10.0));
+  EXPECT_FALSE(ShouldShedExpensive(options, 75, 10.0));
 }
 
 TEST(ServiceCoreTest, BrownoutShedsExpensiveKeepsCheapAndAdmin) {
@@ -539,7 +536,7 @@ TEST(CorpusDeltaTest, RefusesMalformedRecordsUnderValidChecksums) {
   };
   // The records in the delta's one section (id 1), signed by the writer.
   const auto load = [&](const std::string& records) {
-    const ContainerSection section = {1, records, Fnv1a64(records)};
+    const ContainerSection section = {1, records};
     EXPECT_TRUE(WriteContainer(path,
                                {"CULEVO-DELTA", kCorpusDeltaVersion,
                                 "corpus.delta"},
