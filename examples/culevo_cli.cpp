@@ -38,6 +38,7 @@
 // bit-identical to --workers 1. See DESIGN.md §12.
 
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -93,8 +94,9 @@ int Usage() {
          "--load-snapshot <path> (mmap a CULEVO-CORPUS snapshot instead "
          "of synthesizing) --snapshot <path> (write a snapshot of the "
          "corpus used)\n"
-         "evaluate flags: --cuisine <code> --tolerate <k> (continue unless "
-         "more than k replicas fail) --retries <n> (per-replica retries) "
+         "evaluate flags: --cuisine <code> --tolerate <k> (replicas that "
+         "may fail permanently; the default 0 fails fast) --retries <n> "
+         "(per-replica retries) "
          "--checkpoint <dir> (journal completed replicas for crash "
          "recovery) --resume (restore completed replicas from the "
          "checkpoint journal) --workers <n> (shard replicas across n "
@@ -110,6 +112,17 @@ Status WriteSnapshotFlag(const FlagParser& flags, const RecipeCorpus& corpus) {
   CULEVO_RETURN_IF_ERROR(WriteCorpusSnapshot(save, corpus));
   std::cerr << "snapshot written to " << save << "\n";
   return Status::Ok();
+}
+
+// The int value of --name, `default_value` when absent. A value below
+// `min`, or past int, is refused as one that does not parse is.
+int IntFlagAtLeast(const FlagParser& flags, const std::string& name,
+                   int default_value, int min) {
+  const long long value = flags.GetInt(name, default_value);
+  if (value < min || value > std::numeric_limits<int>::max()) {
+    flags.RefuseValue(name);
+  }
+  return static_cast<int>(value);
 }
 
 Result<RecipeCorpus> World(const FlagParser& flags) {
@@ -155,33 +168,17 @@ int RunStats(const FlagParser& flags) {
 }
 
 int RunEvaluate(const FlagParser& flags) {
-  Result<RecipeCorpus> corpus = World(flags);
-  if (!corpus.ok()) {
-    std::cerr << corpus.status() << "\n";
-    return 1;
-  }
-  Result<CuisineId> cuisine =
+  // Every flag is read and checked before the world corpus is built, so a
+  // malformed value exits 2 without synthesizing or loading one.
+  const Result<CuisineId> cuisine =
       CuisineFromCode(flags.GetString("cuisine", "ITA"));
-  if (!cuisine.ok()) {
-    std::cerr << cuisine.status() << "\n";
-    return 1;
-  }
-  const Lexicon& lexicon = WorldLexicon();
-  const auto cm_r = MakeCmR(&lexicon);
-  const auto cm_c = MakeCmC(&lexicon);
-  const auto cm_m = MakeCmM(&lexicon);
-  const NullModel nm;
+  if (!cuisine.ok()) flags.RefuseValue("cuisine");
   SimulationConfig config;
-  config.replicas = static_cast<int>(flags.GetInt("replicas", 10));
+  config.replicas = IntFlagAtLeast(flags, "replicas", 10, 1);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   config.cancel = &GlobalCancel();
-  const int tolerate = static_cast<int>(flags.GetInt("tolerate", 0));
-  if (tolerate > 0) {
-    config.failure_policy = FailurePolicy::kTolerateK;
-    config.tolerate_k = tolerate;
-  }
-  config.max_replica_retries =
-      static_cast<int>(flags.GetInt("retries", 0));
+  config.tolerate_k = IntFlagAtLeast(flags, "tolerate", 0, 0);
+  config.max_replica_retries = IntFlagAtLeast(flags, "retries", 0, 0);
   config.checkpoint.directory = flags.GetString("checkpoint", "");
   config.checkpoint.resume = flags.GetBool("resume", false);
   config.checkpoint.sync = true;  // the CLI journals durably
@@ -191,7 +188,7 @@ int RunEvaluate(const FlagParser& flags) {
     return 2;
   }
 
-  const int workers = static_cast<int>(flags.GetInt("workers", 1));
+  const int workers = IntFlagAtLeast(flags, "workers", 1, 1);
   const bool is_worker = flags.Has("worker-shard");
   if (workers > 1 && !config.checkpoint.enabled()) {
     std::cerr << "--workers requires --checkpoint <dir> (shard journals "
@@ -207,19 +204,27 @@ int RunEvaluate(const FlagParser& flags) {
     config.shard.count = workers;
     config.checkpoint.resume = true;
   }
+  FabricOptions fabric;
+  fabric.workers = workers;
+  fabric.checkpoint_dir = config.checkpoint.directory;
+  fabric.stall_ms = static_cast<int>(flags.GetInt("worker-stall-ms", 30000));
+  fabric.max_worker_retries = IntFlagAtLeast(flags, "worker-retries", 2, 0);
+  fabric.tolerate_k = config.tolerate_k;
+  fabric.cancel = &GlobalCancel();
+
+  Result<RecipeCorpus> corpus = World(flags);
+  if (!corpus.ok()) {
+    std::cerr << corpus.status() << "\n";
+    return 1;
+  }
+  const Lexicon& lexicon = WorldLexicon();
+  const auto cm_r = MakeCmR(&lexicon);
+  const auto cm_c = MakeCmC(&lexicon);
+  const auto cm_m = MakeCmM(&lexicon);
+  const NullModel nm;
 
   std::string fabric_json;
   if (workers > 1 && !is_worker) {
-    FabricOptions fabric;
-    fabric.workers = workers;
-    fabric.checkpoint_dir = config.checkpoint.directory;
-    fabric.stall_ms =
-        static_cast<int>(flags.GetInt("worker-stall-ms", 30000));
-    fabric.max_worker_retries =
-        static_cast<int>(flags.GetInt("worker-retries", 2));
-    fabric.failure_policy = config.failure_policy;
-    fabric.tolerate_k = config.tolerate_k;
-    fabric.cancel = &GlobalCancel();
     Result<FabricReport> dispatched =
         RunWorkerFabric(OriginalArgv(), fabric);
     if (!dispatched.ok()) {

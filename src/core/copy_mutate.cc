@@ -10,7 +10,6 @@
 #include "util/distributions.h"
 #include "util/hash.h"
 #include "util/rng.h"
-#include "util/strings.h"
 
 namespace culevo {
 
@@ -47,9 +46,12 @@ uint64_t CopyMutateModel::ConfigFingerprint() const {
   hash = HashCombine(hash, std::bit_cast<uint64_t>(params_.mixture_cross_prob));
   hash = HashCombine(hash, std::bit_cast<uint64_t>(params_.insert_prob));
   hash = HashCombine(hash, std::bit_cast<uint64_t>(params_.delete_prob));
-  hash = HashCombine(hash, static_cast<uint64_t>(params_.min_recipe_size));
-  hash = HashCombine(hash, static_cast<uint64_t>(params_.max_recipe_size));
-  hash = HashCombine(hash, static_cast<uint64_t>(params_.fitness));
+  // The size envelope and a 0 fill the slots that once held the
+  // settable size bounds and the fitness kind (uniform was 0), which keeps
+  // the value every existing run manifest carries.
+  hash = HashCombine(hash, static_cast<uint64_t>(kMinRecipeSize));
+  hash = HashCombine(hash, static_cast<uint64_t>(kMaxRecipeSize));
+  hash = HashCombine(hash, uint64_t{0});
   return hash;
 }
 
@@ -214,19 +216,11 @@ Status CopyMutateModel::GenerateInto(const CuisineContext& context,
                                      uint64_t seed,
                                      RecipeStore* store) const {
   CULEVO_RETURN_IF_ERROR(ValidateCuisineContext(context));
-  if (params_.min_recipe_size < 1) {
-    return Status::InvalidArgument("min_recipe_size must be >= 1");
-  }
-  if (params_.min_recipe_size > params_.max_recipe_size) {
-    return Status::InvalidArgument(
-        StrFormat("min_recipe_size %d exceeds max_recipe_size %d",
-                  params_.min_recipe_size, params_.max_recipe_size));
-  }
 
   Rng rng(seed);
-  const FitnessTable fitness =
-      FitnessTable::Make(params_.fitness, context.ingredients,
-                         context.popularity, *lexicon_, &rng);
+  // Step 1: one U(0,1) fitness per cuisine ingredient, by pool position.
+  std::vector<double> fitness(context.ingredients.size());
+  for (double& f : fitness) f = rng.NextDouble();
 
   IngredientPool pool(context, *lexicon_);
   SampleScratch scratch;
@@ -276,7 +270,7 @@ Status CopyMutateModel::GenerateInto(const CuisineContext& context,
                     : pool.SampleSameCategory(&rng, i);
             break;
         }
-        if (fitness.at(j) > fitness.at(i) && !in_recipe.Test(j)) {
+        if (fitness[j] > fitness[i] && !in_recipe.Test(j)) {
           recipe[slot] = j;
           in_recipe.Clear(i);
           in_recipe.Set(j);
@@ -287,7 +281,7 @@ Status CopyMutateModel::GenerateInto(const CuisineContext& context,
       }
       // §VII extension: variable recipe sizes (no-ops with the paper's
       // default probabilities of zero).
-      if (static_cast<int>(store->open_size()) < params_.max_recipe_size &&
+      if (static_cast<int>(store->open_size()) < kMaxRecipeSize &&
           rng.NextBool(params_.insert_prob)) {
         const PoolPos extra = pool.SampleUniform(&rng);
         if (!in_recipe.Test(extra)) {
@@ -296,7 +290,7 @@ Status CopyMutateModel::GenerateInto(const CuisineContext& context,
           ++stats.inserts;
         }
       }
-      if (static_cast<int>(store->open_size()) > params_.min_recipe_size &&
+      if (static_cast<int>(store->open_size()) > kMinRecipeSize &&
           rng.NextBool(params_.delete_prob)) {
         const size_t victim = rng.NextBounded(store->open_size());
         in_recipe.Clear(store->open()[victim]);

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/evolution_model.h"
-#include "core/fitness.h"
 #include "lexicon/lexicon.h"
 
 namespace culevo {
@@ -31,13 +30,10 @@ struct ModelParams {
   /// of the mutated ingredient's category (paper: exactly 0.5).
   double mixture_cross_prob = 0.5;
   /// §VII extension — variable recipe sizes. With these probabilities a
-  /// copied recipe also gains / loses one ingredient (0 = paper behaviour).
+  /// copied recipe also gains / loses one ingredient (0 = paper
+  /// behaviour), staying inside [kMinRecipeSize, kMaxRecipeSize].
   double insert_prob = 0.0;
   double delete_prob = 0.0;
-  int min_recipe_size = 2;
-  int max_recipe_size = 38;
-  /// §VII extension — alternative fitness hypotheses (paper: kUniform).
-  FitnessKind fitness = FitnessKind::kUniform;
 };
 
 /// The copy-mutate culinary-evolution model (Algorithm 1). One class
@@ -47,8 +43,9 @@ struct ModelParams {
 /// ratio ∂ = m/n tracking φ — when ∂ >= φ a recipe is copied and mutated,
 /// otherwise one unused ingredient enters the pool; the initial recipe pool
 /// has n0 = m/φ recipes of s̄ ingredients sampled without replacement from
-/// I0; a mutation replaces i with j only if fitness(j) > fitness(i) and j
-/// is not already in the recipe (recipes are ingredient sets).
+/// I0; fitness is uniform U(0,1) per cuisine ingredient (Step 1); a
+/// mutation replaces i with j only if fitness(j) > fitness(i) and j is not
+/// already in the recipe (recipes are ingredient sets).
 class CopyMutateModel : public EvolutionModel {
  public:
   /// `lexicon` must outlive the model (category lookups for CM-C / CM-M).

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "corpus/recipe_corpus.h"
-#include "core/fitness.h"
 #include "core/recipe_store.h"
 #include "lexicon/lexicon.h"
 #include "util/status.h"
@@ -21,7 +20,9 @@ struct CuisineContext {
   /// All ingredients of the cuisine (the algorithm's I), sorted.
   std::vector<IngredientId> ingredients;
   /// Empirical presence fraction per ingredient, aligned with
-  /// `ingredients` (used by the popularity-rank fitness hypothesis).
+  /// `ingredients`. No model reads it; the checkpoint manifest hashes it
+  /// (HashCuisineContext), so a journal never resumes against another
+  /// corpus of the same shape.
   std::vector<double> popularity;
   int mean_recipe_size = 9;  ///< s̄, rounded to an integer.
   size_t target_recipes = 0; ///< N.

@@ -1,8 +1,7 @@
 #include "core/fitting.h"
 
 #include <algorithm>
-
-#include "analysis/distance.h"
+#include <memory>
 
 namespace culevo {
 
@@ -13,14 +12,8 @@ Result<std::vector<FitResult>> FitCopyMutateParameters(
       grid.policies.empty()) {
     return Status::InvalidArgument("empty fit grid");
   }
-  Result<CuisineContext> context = ContextFromCorpus(corpus, cuisine);
-  if (!context.ok()) return context.status();
-  const RankFrequency empirical_ingredient =
-      IngredientCombinationCurve(corpus, cuisine, config.mining);
-  const RankFrequency empirical_category =
-      CategoryCombinationCurve(corpus, cuisine, lexicon, config.mining);
-
-  std::vector<FitResult> results;
+  std::vector<std::unique_ptr<CopyMutateModel>> grid_models;
+  std::vector<const EvolutionModel*> models;
   for (int m : grid.initial_pools) {
     for (int mutations : grid.mutation_counts) {
       for (ReplacementPolicy policy : grid.policies) {
@@ -28,19 +21,24 @@ Result<std::vector<FitResult>> FitCopyMutateParameters(
         params.initial_pool = m;
         params.mutations = mutations;
         params.policy = policy;
-        const CopyMutateModel model(&lexicon, params);
-        Result<SimulationResult> sim =
-            RunSimulation(model, context.value(), lexicon, config, pool);
-        if (!sim.ok()) return sim.status();
-        FitResult result;
-        result.params = params;
-        result.mae_ingredient =
-            MeanAbsoluteError(empirical_ingredient, sim->ingredient_curve);
-        result.mae_category =
-            MeanAbsoluteError(empirical_category, sim->category_curve);
-        results.push_back(result);
+        grid_models.push_back(
+            std::make_unique<CopyMutateModel>(&lexicon, params));
+        models.push_back(grid_models.back().get());
       }
     }
+  }
+  Result<CuisineEvaluation> evaluation =
+      EvaluateCuisine(corpus, cuisine, lexicon, models, config, pool);
+  if (!evaluation.ok()) return evaluation.status();
+
+  std::vector<FitResult> results;
+  results.reserve(grid_models.size());
+  for (size_t i = 0; i < grid_models.size(); ++i) {
+    FitResult result;
+    result.params = grid_models[i]->params();
+    result.mae_ingredient = evaluation->scores[i].mae_ingredient;
+    result.mae_category = evaluation->scores[i].mae_category;
+    results.push_back(result);
   }
   std::sort(results.begin(), results.end(),
             [](const FitResult& a, const FitResult& b) {

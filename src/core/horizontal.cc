@@ -10,6 +10,11 @@
 namespace culevo {
 namespace {
 
+/// CM-R's parameters (Section VI): the initial pool size m per cuisine
+/// and the mutations M per copied recipe.
+constexpr int kInitialPool = 20;
+constexpr int kMutations = 4;
+
 /// Per-cuisine evolving state (pools hold global IngredientIds here, unlike
 /// the position-indexed single-cuisine model, because recipes migrate).
 struct CuisineState {
@@ -67,8 +72,7 @@ Result<std::vector<TransactionSet>> EvolveHorizontalWorld(
     state.context = &context;
     const uint32_t total =
         static_cast<uint32_t>(context.ingredients.size());
-    const uint32_t m0 = std::min<uint32_t>(
-        static_cast<uint32_t>(config.initial_pool), total);
+    const uint32_t m0 = std::min<uint32_t>(kInitialPool, total);
     std::vector<bool> chosen(total, false);
     for (uint32_t pick : SampleWithoutReplacement(&rng, total, m0)) {
       chosen[pick] = true;
@@ -123,7 +127,7 @@ Result<std::vector<TransactionSet>> EvolveHorizontalWorld(
       }
 
       std::vector<IngredientId> recipe = *mother;
-      for (int g = 0; g < config.mutations; ++g) {
+      for (int g = 0; g < kMutations; ++g) {
         const size_t slot = rng.NextBounded(recipe.size());
         const IngredientId i = recipe[slot];
         const IngredientId j =

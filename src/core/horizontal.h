@@ -16,11 +16,10 @@ namespace culevo {
 /// `migration_prob` a copy-mutate step picks its mother recipe from a
 /// uniformly chosen *other* cuisine's evolved pool; mutations still replace
 /// ingredients from the local pool, so imported recipes assimilate over
-/// time. migration_prob = 0 reduces to independent CM-R evolutions.
+/// time. migration_prob = 0 reduces to independent CM-R evolutions with
+/// the paper's m = 20 and M = 4.
 struct HorizontalConfig {
   double migration_prob = 0.05;
-  int initial_pool = 20;  ///< m per cuisine.
-  int mutations = 4;      ///< M per copied recipe.
   uint64_t seed = 42;
 };
 

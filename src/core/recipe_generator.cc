@@ -147,7 +147,7 @@ double RecipeGenerator::Novelty(
 Result<NovelRecipe> RecipeGenerator::Generate(
     const GenerationConstraints& constraints) {
   const int target =
-      std::clamp(constraints.target_size, 2, 38);
+      std::clamp(constraints.target_size, kMinRecipeSize, kMaxRecipeSize);
 
   // Validate constraints.
   for (IngredientId id : constraints.must_include) {

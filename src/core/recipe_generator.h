@@ -15,7 +15,8 @@ namespace culevo {
 /// application the paper's conclusion motivates ("recipe generation
 /// algorithms aimed at dietary interventions").
 struct GenerationConstraints {
-  /// Desired ingredient count; clamped to the paper's [2, 38] envelope.
+  /// Desired ingredient count; clamped to the paper's recipe-size
+  /// envelope [kMinRecipeSize, kMaxRecipeSize].
   int target_size = 9;
   /// Ingredients that must appear.
   std::vector<IngredientId> must_include;

@@ -346,8 +346,7 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
   replica_retries->Increment(report.total_retries());
 
   if (report.replicas_failed > 0) {
-    if (config.failure_policy == FailurePolicy::kFailFast ||
-        report.replicas_failed > config.tolerate_k ||
+    if (report.replicas_failed > config.tolerate_k ||
         report.replicas_succeeded == 0) {
       return *first_failure;
     }

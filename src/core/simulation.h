@@ -16,17 +16,6 @@
 
 namespace culevo {
 
-/// What RunSimulation does when individual replicas fail.
-enum class FailurePolicy {
-  /// Any replica failure fails the whole run (the pre-fault-tolerance
-  /// behaviour). Completed replicas are discarded.
-  kFailFast,
-  /// Up to `SimulationConfig::tolerate_k` replicas may fail permanently;
-  /// the run degrades to aggregating the survivors and still returns OK,
-  /// with the casualties listed in the RunReport.
-  kTolerateK,
-};
-
 /// One replica that needed attention: its index, the last Status it
 /// produced (OK when a retry eventually succeeded), and how many retry
 /// attempts were spent on it.
@@ -103,9 +92,11 @@ struct SimulationConfig {
   /// kDeadlineExceeded; completed replicas are discarded.
   const CancelToken* cancel = nullptr;
 
-  /// Replica fault handling; see FailurePolicy.
-  FailurePolicy failure_policy = FailurePolicy::kFailFast;
-  /// Maximum permanently-failed replicas tolerated under kTolerateK.
+  /// Replica fault budget: how many replicas may fail permanently. With
+  /// 0 (fail-fast) any replica failure fails the whole run and completed
+  /// replicas are discarded. With k > 0 up to k replicas may fail; the run
+  /// degrades to aggregating the survivors and still returns OK, with the
+  /// casualties listed in the RunReport.
   int tolerate_k = 0;
   /// Retry budget per replica. Attempt a > 0 of replica k reruns it with
   /// the derived retry seed DeriveSeed(DeriveSeed(seed, k), a), so
@@ -146,7 +137,7 @@ struct SimulationResult {
   /// Same for category combinations.
   RankFrequency category_curve;
   /// Per-replica ingredient curves (for dispersion analysis), indexed by
-  /// replica. Under kTolerateK a failed replica's slot holds an empty
+  /// replica. With tolerate_k > 0 a failed replica's slot holds an empty
   /// curve; successful slots are bit-identical to what a fault-free run
   /// of the same seeds produces.
   std::vector<RankFrequency> replica_ingredient_curves;
@@ -163,10 +154,10 @@ struct SimulationResult {
 /// Fault tolerance: per-replica failures (model errors or armed
 /// failpoints `sim.replica.generate` / `sim.replica.mine`) are retried up
 /// to `config.max_replica_retries` times with derived retry seeds, then
-/// handled per `config.failure_policy` — kFailFast returns the first
-/// failure's Status, kTolerateK degrades gracefully while at most
-/// `config.tolerate_k` replicas are lost. A tripped `config.cancel` token
-/// aborts between replicas with kCancelled / kDeadlineExceeded.
+/// handled per `config.tolerate_k` — 0 returns the first failure's
+/// Status, k > 0 degrades gracefully while at most k replicas are lost.
+/// A tripped `config.cancel` token aborts between replicas with
+/// kCancelled / kDeadlineExceeded.
 Result<SimulationResult> RunSimulation(const EvolutionModel& model,
                                        const CuisineContext& context,
                                        const Lexicon& lexicon,

@@ -17,6 +17,13 @@ using CuisineId = uint8_t;
 /// The paper's 25 geo-cultural regions.
 inline constexpr int kNumCuisines = 25;
 
+/// Fig. 1's recipe-size envelope: sizes are "gaussian and bounded between
+/// 2 and 38" in every cuisine. The synthetic corpus draws its sizes inside
+/// it, and the copy-mutate size extension and the recipe generator keep
+/// theirs inside it.
+inline constexpr int kMinRecipeSize = 2;
+inline constexpr int kMaxRecipeSize = 38;
+
 /// Static description of one world cuisine, including the calibration
 /// targets published in Table I of the paper and the synthesis parameters
 /// culevo uses to reproduce the paper's per-cuisine behaviour (DESIGN.md §2).

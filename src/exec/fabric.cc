@@ -153,7 +153,7 @@ Result<FabricReport> RunWorkerFabric(
 
   // Handles one worker death (exit, signal, stall-kill or failed spawn):
   // re-dispatch within budget, otherwise a permanent shard failure judged
-  // by the failure policy. Returns non-OK only when the whole fabric must
+  // against tolerate_k. Returns non-OK only when the whole fabric must
   // abort.
   const auto on_worker_death = [&](int s, const Status& status) -> Status {
     ShardState& shard = shards[static_cast<size_t>(s)];
@@ -166,8 +166,7 @@ Result<FabricReport> RunWorkerFabric(
     ++report.shards_failed;
     report.incidents.push_back(
         WorkerIncident{s, status, shard.pacer.restarts()});
-    if (options.failure_policy == FailurePolicy::kFailFast ||
-        report.shards_failed > options.tolerate_k) {
+    if (report.shards_failed > options.tolerate_k) {
       kill_all();
       return Status(status.code(),
                     StrFormat("fabric: shard %d failed permanently after %d "

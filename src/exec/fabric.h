@@ -36,13 +36,12 @@ struct FabricOptions {
   /// the coordinator's pid and the shard.
   int retry_backoff_ms = 250;
   int retry_backoff_cap_ms = 5000;
-  /// PR 4's failure semantics at worker granularity. kFailFast: a shard
-  /// that exhausts its retries kills the remaining workers and fails the
-  /// fabric. kTolerateK: up to `tolerate_k` shards may die permanently —
-  /// their unfinished units are recovered by the coordinator's merge +
-  /// resume pass (straggler recovery), so the final output is still
-  /// complete and bit-identical.
-  FailurePolicy failure_policy = FailurePolicy::kFailFast;
+  /// SimulationConfig::tolerate_k at worker granularity. With 0
+  /// (fail-fast) a shard that exhausts its retries kills the remaining
+  /// workers and fails the fabric. With k > 0 up to k shards may die
+  /// permanently — their unfinished units are recovered by the
+  /// coordinator's merge + resume pass (straggler recovery), so the final
+  /// output is still complete and bit-identical.
   int tolerate_k = 0;
   /// Supervision tick. Each tick reaps exits, samples heartbeats, and
   /// evaluates the `exec.fabric.kill_worker` failpoint once per live
@@ -55,7 +54,7 @@ struct FabricOptions {
 
 /// One shard that needed attention: mirrors ReplicaIncident one level up.
 /// An OK status means the shard recovered via re-dispatch; a non-OK one
-/// is a permanent shard failure (tolerated or fatal per FailurePolicy).
+/// is a permanent shard failure (tolerated or fatal per tolerate_k).
 struct WorkerIncident {
   int shard = -1;
   Status status;

@@ -23,23 +23,14 @@ QueryIndex::Segment QueryIndex::Place(const RecipeCorpus& corpus,
                                       uint32_t first,
                                       std::span<const uint32_t> counts,
                                       size_t ranges) {
+  const size_t n = corpus.num_recipes() - first;
   Segment segment;
-  segment.first = first;
+  segment.count = static_cast<uint32_t>(n);
   const size_t universe = counts.size();
   segment.offsets.assign(universe + 1, 0);
   std::partial_sum(counts.begin(), counts.end(), segment.offsets.begin() + 1);
   segment.recipes =
       std::make_unique_for_overwrite<uint32_t[]>(segment.offsets.back());
-  // The cuisines of recipes [first, n): each segment's from `first` on.
-  segment.cuisines.reserve(corpus.num_recipes() - first);
-  size_t skip = first;
-  for (const RecipeCorpus::Segment& part : corpus.segments()) {
-    const std::span<const CuisineId> from =
-        part.cuisines.subspan(std::min(skip, part.cuisines.size()));
-    segment.cuisines.insert(segment.cuisines.end(), from.begin(), from.end());
-    skip -= part.cuisines.size() - from.size();
-  }
-  const size_t n = corpus.num_recipes() - first;
   const auto first_recipe = [first, n, ranges](size_t range) {
     return static_cast<uint32_t>(first + range * n / ranges);
   };
@@ -99,6 +90,7 @@ QueryIndex QueryIndex::Derive(const RecipeCorpus& corpus,
   const obs::ScopedTimer timer(timed(build_ms));
 
   QueryIndex index;
+  index.corpus_ = corpus;
 
   // Per-cuisine overrepresentation tables, exactly the batch ranking.
   {
@@ -122,12 +114,6 @@ QueryIndex QueryIndex::Derive(const RecipeCorpus& corpus,
     }
   }
 
-  index.cuisine_recipes_.resize(kNumCuisines);
-  for (int c = 0; c < kNumCuisines; ++c) {
-    index.cuisine_recipes_[static_cast<size_t>(c)] = static_cast<uint32_t>(
-        corpus.num_recipes_in(static_cast<CuisineId>(c)));
-  }
-
   // Ingredient→recipe postings. A world count is a posting-list length,
   // so a fresh base takes its list lengths from the presence counts and
   // covers every recipe, on the usable CPUs. The tail's list lengths are
@@ -141,7 +127,7 @@ QueryIndex QueryIndex::Derive(const RecipeCorpus& corpus,
           corpus, 0, world,
           ThreadsFor(corpus.num_recipes(), kRecipesPerThread)));
     }
-    const uint32_t base_end = static_cast<uint32_t>(base->cuisines.size());
+    const uint32_t base_end = base->count;
     CULEVO_CHECK(base_end <= corpus.num_recipes());
     CULEVO_CHECK(base->offsets.size() <= world.size() + 1);
     std::vector<uint32_t> tail_counts(world.begin(), world.end());
@@ -201,7 +187,8 @@ std::optional<QueryIndex::UsageRank> QueryIndex::Usage(
   // (the fraction was produced by that very division), the +0.5 guards
   // the representable-but-inexact cases.
   usage.count = static_cast<uint32_t>(
-      usage.fraction * static_cast<double>(cuisine_recipes_[cuisine]) + 0.5);
+      usage.fraction * static_cast<double>(corpus_.num_recipes_in(cuisine)) +
+      0.5);
   usage.rank = rank_of_[cuisine][slot];
   return usage;
 }
@@ -230,7 +217,6 @@ std::vector<uint32_t> QueryIndex::SearchRecipes(
     const auto segment = [in_tail](const PostingList& list) {
       return in_tail ? list.tail : list.base;
     };
-    const Segment& postings = in_tail ? tail_ : *base_;
     for (uint32_t candidate : segment(lists[0])) {
       bool in_all = true;
       for (size_t i = 1; i < lists.size() && in_all; ++i) {
@@ -238,8 +224,7 @@ std::vector<uint32_t> QueryIndex::SearchRecipes(
         in_all = std::binary_search(probe.begin(), probe.end(), candidate);
       }
       if (!in_all) continue;
-      if (cuisine.has_value() &&
-          postings.cuisines[candidate - postings.first] != *cuisine) {
+      if (cuisine.has_value() && corpus_.cuisine_of(candidate) != *cuisine) {
         continue;
       }
       out.push_back(candidate);

@@ -93,7 +93,7 @@ class QueryIndex {
   }
 
   /// Recipes in the posting tail: those added since the base was placed.
-  size_t tail_recipes() const { return tail_.cuisines.size(); }
+  size_t tail_recipes() const { return tail_.count; }
 
   /// Recipes containing *all* of `ids` (sorted unique required),
   /// optionally restricted to one cuisine, capped at `limit` results
@@ -121,17 +121,13 @@ class QueryIndex {
   }
 
  private:
-  /// Ingredient→recipe postings of the recipes [first, first +
-  /// cuisines.size()), in CSR layout over the id universe
-  /// [0, offsets.size() - 1): the list of id is recipes[offsets[id],
-  /// offsets[id + 1]), ascending. `cuisines` is those recipes' cuisine
-  /// column, copied so that the index never dangles off the corpus it was
-  /// built from.
+  /// Ingredient→recipe postings of `count` consecutive recipes, in CSR
+  /// layout over the id universe [0, offsets.size() - 1): the list of id
+  /// is recipes[offsets[id], offsets[id + 1]), ascending.
   struct Segment {
-    uint32_t first = 0;
+    uint32_t count = 0;
     std::vector<uint32_t> offsets;
     std::unique_ptr<uint32_t[]> recipes;
-    std::vector<CuisineId> cuisines;
 
     std::span<const uint32_t> List(IngredientId id) const {
       if (static_cast<size_t>(id) + 1 >= offsets.size()) return {};
@@ -150,13 +146,15 @@ class QueryIndex {
   static QueryIndex Derive(const RecipeCorpus& corpus,
                            std::shared_ptr<const Segment> base);
 
+  /// The indexed corpus, for its cuisine column and per-cuisine recipe
+  /// counts: a copy shares the corpus's storage, so the index never
+  /// dangles and duplicates nothing.
+  RecipeCorpus corpus_;
   std::vector<std::vector<OverrepresentationScore>> overrep_;
   std::shared_ptr<const UsageProfileCache> profiles_;
   /// nearest_[c] = every other non-empty cuisine, closest first.
   std::vector<std::vector<CuisineNeighbor>> nearest_;
-  /// Recipe count per cuisine (denominator of the usage fractions).
-  std::vector<uint32_t> cuisine_recipes_;
-  /// The postings of recipes [0, tail_.first), shared by every index
+  /// The postings of recipes [0, base_->count), shared by every index
   /// extended from the one that placed them, and of the rest.
   std::shared_ptr<const Segment> base_;
   Segment tail_;

@@ -20,9 +20,9 @@ struct CuisineProfile {
   /// Sampling weight per vocabulary position; sums to 1.
   std::vector<double> preference;
   double mean_recipe_size = 9.0;
-  double size_stddev = 3.0;
-  int min_recipe_size = 2;   ///< Fig. 1 bound.
-  int max_recipe_size = 38;  ///< Fig. 1 bound.
+  /// Fig. 1's size envelope, the same for every cuisine.
+  static constexpr int min_recipe_size = kMinRecipeSize;
+  static constexpr int max_recipe_size = kMaxRecipeSize;
   /// Probability that a generative mutation crosses category boundaries.
   double liberty = 0.5;
 };

@@ -15,6 +15,21 @@
 namespace culevo {
 namespace {
 
+/// Size of the primitive recipe pool each cuisine evolves from.
+constexpr int kSeedPool = 24;
+/// Per-ingredient probability of replacement when a recipe is copied.
+constexpr double kMutationRate = 0.35;
+/// Probability that a recipe is composed fresh from the preference
+/// distribution instead of copied from the pool.
+constexpr double kNoveltyRate = 0.08;
+/// Probability that a copied recipe's size is resampled from the
+/// truncated-normal size distribution (trimming or extending the copy).
+/// Keeps per-cuisine size distributions Gaussian (Fig. 1) while
+/// preserving inherited combination structure.
+constexpr double kSizeResampleRate = 0.5;
+/// Standard deviation of every cuisine's recipe-size distribution.
+constexpr double kSizeStddev = 3.0;
+
 /// Registry handles for the corpus-synthesis hot path, resolved once.
 struct SynthMetrics {
   obs::Counter* recipes_generated;
@@ -154,20 +169,19 @@ Status SynthesizeCuisine(const Lexicon& lexicon,
   // liberal cuisines flatten them. This is what lets the model-fitting
   // experiment (Fig. 4) discriminate CM-R / CM-C / CM-M per cuisine.
   const double effective_mutation_rate =
-      config.mutation_rate * (0.18 + 1.40 * profile.liberty);
+      kMutationRate * (0.18 + 1.40 * profile.liberty);
   const double effective_novelty_rate =
-      config.novelty_rate * (0.50 + 1.00 * profile.liberty);
+      kNoveltyRate * (0.50 + 1.00 * profile.liberty);
 
   const auto sample_size = [&]() {
     return SampleTruncatedNormalInt(&rng, profile.mean_recipe_size,
-                                    profile.size_stddev,
-                                    profile.min_recipe_size,
+                                    kSizeStddev, profile.min_recipe_size,
                                     profile.max_recipe_size);
   };
 
   std::vector<std::vector<IngredientId>> pool;
   pool.reserve(static_cast<size_t>(count));
-  const int seeds = std::min(config.seed_pool, count);
+  const int seeds = std::min(kSeedPool, count);
   for (int i = 0; i < seeds; ++i) {
     pool.push_back(samplers.SampleFreshRecipe(&rng, sample_size()));
   }
@@ -200,7 +214,7 @@ Status SynthesizeCuisine(const Lexicon& lexicon,
     // inherited; size is not — this keeps the per-cuisine recipe-size
     // distributions Gaussian (Fig. 1) instead of letting lineage
     // correlations make them lumpy.
-    if (!rng.NextBool(config.size_resample_rate)) {
+    if (!rng.NextBool(kSizeResampleRate)) {
       pool.push_back(std::move(recipe));
       continue;
     }

@@ -10,25 +10,14 @@
 
 namespace culevo {
 
-/// Knobs of the synthetic "empirical" corpus (DESIGN.md §2). The defaults
+/// Knobs of the synthetic "empirical" corpus (DESIGN.md §2). The
+/// generative process's rates are fixed (synth/generator.cc); they
 /// reproduce the paper's statistical signatures at full Table-I size.
 struct SynthConfig {
   uint64_t seed = 0xC0FFEE;
   /// Multiplies every cuisine's Table-I recipe count (0 < scale <= 1 for
   /// fast runs; 1.0 = paper size).
   double scale = 1.0;
-  /// Size of the primitive recipe pool each cuisine evolves from.
-  int seed_pool = 24;
-  /// Per-ingredient probability of replacement when a recipe is copied.
-  double mutation_rate = 0.35;
-  /// Probability that a recipe is composed fresh from the preference
-  /// distribution instead of copied from the pool.
-  double novelty_rate = 0.08;
-  /// Probability that a copied recipe's size is resampled from the
-  /// truncated-normal size distribution (trimming or extending the copy).
-  /// Keeps per-cuisine size distributions Gaussian (Fig. 1) while
-  /// preserving inherited combination structure.
-  double size_resample_rate = 0.5;
 };
 
 /// Generates one cuisine's recipes into `builder` (count recipes).

@@ -15,8 +15,8 @@ namespace culevo {
 double SampleStandardNormal(Rng* rng);
 
 /// Normal(mean, stddev) truncated to the closed integer interval [lo, hi]
-/// by resampling, then rounded to the nearest integer. The paper's recipe
-/// sizes are "gaussian and bounded between 2 and 38" (Fig. 1).
+/// by resampling, then rounded to the nearest integer: the paper's recipe
+/// sizes are gaussian and bounded (Fig. 1).
 int SampleTruncatedNormalInt(Rng* rng, double mean, double stddev, int lo,
                              int hi);
 

@@ -103,4 +103,8 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) const {
   ExitInvalidValue(name, it->second);
 }
 
+void FlagParser::RefuseValue(const std::string& name) const {
+  ExitInvalidValue(name, GetString(name, ""));
+}
+
 }  // namespace culevo

@@ -39,6 +39,11 @@ class FlagParser {
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
+  /// Refuses the value given for `--name` as the typed getters refuse one
+  /// that does not parse (same line, exit status 2). For a value that
+  /// parses but lies outside what the binary accepts.
+  [[noreturn]] void RefuseValue(const std::string& name) const;
+
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:

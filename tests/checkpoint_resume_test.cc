@@ -321,6 +321,26 @@ TEST_F(CheckpointResumeTest, SameNameDifferentParamsIsRefused) {
   EXPECT_TRUE(RunSimulation(half, context, lexicon, config).ok());
 }
 
+// A model's ConfigFingerprint is its identity in every journal manifest,
+// so a journal an earlier build wrote resumes only while these values
+// hold: the three paper models, and a CM-M with every probability moved
+// off its default.
+TEST_F(CheckpointResumeTest, ConfigFingerprintsArePinned) {
+  const Lexicon& lexicon = WorldLexicon();
+  EXPECT_EQ(MakeCmR(&lexicon)->ConfigFingerprint(), 0x4FCF8F11CBCDABF5ull);
+  EXPECT_EQ(MakeCmC(&lexicon)->ConfigFingerprint(), 0x8FD8B169E3DCA0E1ull);
+  EXPECT_EQ(MakeCmM(&lexicon)->ConfigFingerprint(), 0x2708A6E5FD13104Cull);
+
+  ModelParams params;
+  params.policy = ReplacementPolicy::kMixture;
+  params.mutations = 6;
+  params.mixture_cross_prob = 0.25;
+  params.insert_prob = 0.1;
+  params.delete_prob = 0.05;
+  EXPECT_EQ(CopyMutateModel(&lexicon, params).ConfigFingerprint(),
+            0x20E7E32B5981E1E8ull);
+}
+
 TEST_F(CheckpointResumeTest, CorruptTailReRunsOnlyAffectedReplicas) {
   const Lexicon& lexicon = WorldLexicon();
   const NullModel model;

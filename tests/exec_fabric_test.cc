@@ -234,14 +234,13 @@ TEST_F(FabricTest, PermanentShardFailureFailsFast) {
       << report.status();
 }
 
-// kTolerateK at worker granularity: a permanently dead shard is tolerated
+// tolerate_k at worker granularity: a permanently dead shard is tolerated
 // and its units are recovered by the coordinator's merge + resume pass —
 // straggler recovery, with the final output still complete.
 TEST_F(FabricTest, TolerateKRecoversFailedShardUnits) {
   const std::string dir = FreshDir();
   FabricOptions options = FastFabric(dir, 3);
   options.max_worker_retries = 1;
-  options.failure_policy = FailurePolicy::kTolerateK;
   options.tolerate_k = 1;
   Result<FabricReport> report = RunWorkerFabric(
       WorkerArgv(dir, 3, {"--fail-shard-always", "2"}), options);

@@ -86,7 +86,6 @@ TEST_F(FaultInjectionTest, TolerateKSurvivorsBitIdenticalToCleanRun) {
   spec.skip = 2;
   spec.fires = 1;
   Failpoints::Get().Arm("sim.replica.generate", spec);
-  config.failure_policy = FailurePolicy::kTolerateK;
   config.tolerate_k = 1;
   Result<SimulationResult> degraded =
       RunSimulation(model, SmallContext(), lexicon, config);
@@ -135,7 +134,6 @@ TEST_F(FaultInjectionTest, ToleranceBudgetExceededFails) {
   Failpoints::Get().Arm("sim.replica.generate");  // every replica fails
   SimulationConfig config;
   config.replicas = 3;
-  config.failure_policy = FailurePolicy::kTolerateK;
   config.tolerate_k = 1;
   Result<SimulationResult> result =
       RunSimulation(model, SmallContext(), lexicon, config);
@@ -150,7 +148,6 @@ TEST_F(FaultInjectionTest, MiningFailpointIsolatedLikeGeneration) {
   Failpoints::Get().Arm("sim.replica.mine", spec);
   SimulationConfig config;
   config.replicas = 2;
-  config.failure_policy = FailurePolicy::kTolerateK;
   config.tolerate_k = 1;
   Result<SimulationResult> result =
       RunSimulation(model, SmallContext(), lexicon, config);
@@ -213,7 +210,6 @@ TEST_F(FaultInjectionTest, SerialEqualsPoolUnderToleratedFault) {
   SimulationConfig config;
   config.replicas = 6;
   config.seed = 33;
-  config.failure_policy = FailurePolicy::kTolerateK;
   config.tolerate_k = 1;
   // Deny replica 4's canonical seed: it fails wherever it is scheduled.
   const SeedDenyModel model(inner.get(), {DeriveSeed(config.seed, 4)});

@@ -321,26 +321,6 @@ TEST(ModelEngineRegressionTest, ZeroMeanRecipeSizeIsInvalidArgument) {
   }
 }
 
-TEST(ModelEngineRegressionTest, InvertedRecipeSizeBoundsAreRejected) {
-  const Lexicon& lexicon = WorldLexicon();
-  ModelParams params;
-  params.insert_prob = 0.2;
-  params.delete_prob = 0.2;
-  params.min_recipe_size = 10;
-  params.max_recipe_size = 4;
-  const CopyMutateModel model(&lexicon, params);
-  EXPECT_EQ(GenerateRecipes(model, GoldenContext(), 1).status().code(),
-            StatusCode::kInvalidArgument);
-
-  ModelParams zero_min = params;
-  zero_min.min_recipe_size = 0;
-  zero_min.max_recipe_size = 38;
-  const CopyMutateModel zero_min_model(&lexicon, zero_min);
-  EXPECT_EQ(
-      GenerateRecipes(zero_min_model, GoldenContext(), 1).status().code(),
-      StatusCode::kInvalidArgument);
-}
-
 // The seed engine stored pool positions as uint16_t with an unchecked
 // narrowing cast: on a context of more than 65,535 ingredients, positions
 // past 65,535 silently wrapped to the low positions. With the layout below

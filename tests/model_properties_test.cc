@@ -1,6 +1,6 @@
 // Parameterized property tests: invariants that must hold for every
-// culinary-evolution model configuration (policy × fitness hypothesis ×
-// mutation count), swept with TEST_P.
+// culinary-evolution model configuration (policy × mutation count), swept
+// with TEST_P.
 
 #include <gtest/gtest.h>
 
@@ -31,16 +31,15 @@ CuisineContext WorldContext(size_t num_ingredients, size_t target,
   return context;
 }
 
-using ModelParamTuple = std::tuple<ReplacementPolicy, FitnessKind, int>;
+using ModelParamTuple = std::tuple<ReplacementPolicy, int>;
 
 class CopyMutatePropertyTest
     : public ::testing::TestWithParam<ModelParamTuple> {};
 
 TEST_P(CopyMutatePropertyTest, GeneratedPoolSatisfiesAllInvariants) {
-  const auto [policy, fitness, mutations] = GetParam();
+  const auto [policy, mutations] = GetParam();
   ModelParams params;
   params.policy = policy;
-  params.fitness = fitness;
   params.mutations = mutations;
   const CopyMutateModel model(&WorldLexicon(), params);
 
@@ -83,9 +82,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(ReplacementPolicy::kRandom,
                           ReplacementPolicy::kSameCategory,
                           ReplacementPolicy::kMixture),
-        ::testing::Values(FitnessKind::kUniform,
-                          FitnessKind::kCategoryBiased,
-                          FitnessKind::kPopularityRank),
         ::testing::Values(1, 4, 6)));
 
 class VariableSizePropertyTest

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Lists the public API in src/ that no code path calls.
+"""Lists the public API in src/ that no code path calls, and the options
+that no code path sets.
 
-Takes every CamelCase function, method and type declared outside a
+Names: takes every CamelCase function, method and type declared outside a
 private or protected section of a header under src/, and searches for it
 by word in src/, examples/, bench/ and culevo_bench/ (comments and string
 literals stripped). A name is reported when its only occurrences are its
@@ -10,10 +11,19 @@ files, counts as a use. Tests are not searched, so an API that only tests
 call is reported. A use by code that is itself dead still counts; run the
 scan again after a deletion to see what that deletion orphaned.
 
+Options: takes every data member of a struct in a src/ header whose name
+ends in Options, Config or Params, and reports it when no file of those
+directories but its own header sets it: assigns it (`.m =`, `->m =`, or a
+designated initializer) or calls push_back, assign or insert on it.
+Members are matched by name, so a name two structs share counts as set
+when either one is set.
+
 Usage: python3 tools/api_scan.py
-Prints one line per name: the name, then the headers that declare it.
-Exits 1 when a reported name is not one of TEST_HOOKS, the public names
-kept for tests on purpose (ctest runs it as api_scan_test).
+Prints one line per name (the name, then the headers that declare it) and
+one per option (Struct::member, then its header). Exits 1 when a reported
+name is not one of TEST_HOOKS, or a reported option not one of
+TEST_SEAMS: the public names and the option values kept for tests on
+purpose (ctest runs it as api_scan_test).
 """
 import pathlib
 import re
@@ -27,6 +37,19 @@ NAME = re.compile(r'\b[A-Z]\w*[a-z]\w*\b')
 NOT_A_TYPE = {'return', 'else', 'new', 'delete', 'case', 'throw', 'co_return'}
 TEST_HOOKS = {'AllIds', 'Disarm', 'DisarmAll', 'HitCount', 'Infinite',
               'RankedIngredients', 'RequestReloadForTest', 'WorldCuisines'}
+# Tests set these to shorten timings, to keep SIGHUP away from fake child
+# processes, or to vary the support.
+TEST_SEAMS = {'CombinationConfig::min_relative_support',
+              'SimulationConfig::mining',
+              'FabricOptions::retry_backoff_ms',
+              'FabricOptions::retry_backoff_cap_ms', 'FabricOptions::poll_ms',
+              'SupervisorOptions::poll_ms', 'SupervisorOptions::forward_reload',
+              'AtomicWriteOptions::max_attempts',
+              'AtomicWriteOptions::retry_backoff',
+              'AtomicWriteOptions::max_backoff'}
+OPTIONS = re.compile(r'\bstruct\s+(\w+(?:Options|Config|Params))\s*\{')
+NOT_A_MEMBER = re.compile(
+    r'^(static|using|friend|typedef|enum|struct|class|template)\b')
 
 
 def strip(text):
@@ -77,6 +100,55 @@ def is_declaration(text, match):
     return bool(last) and last.group(1) not in NOT_A_TYPE
 
 
+def statements(body):
+    """The top-level statements of a struct body, without function bodies
+    and access specifiers."""
+    out, depth, start = [], 0, 0
+    for i, c in enumerate(body):
+        if c in '({[':
+            depth += 1
+        elif c in ')}]':
+            depth -= 1
+            if c == '}' and depth == 0 and '=' not in body[start:i] and \
+                    '(' in body[start:i]:
+                start = i + 1  # an inline function body ends its statement
+        elif c == ';' and depth == 0:
+            out.append(body[start:i])
+            start = i + 1
+    return [re.sub(r'\b(public|private|protected):', '', st).strip()
+            for st in out]
+
+
+def option_members(text):
+    """(struct, member) for each data member of each options struct."""
+    for m in OPTIONS.finditer(text):
+        depth, i = 1, m.end()
+        while depth:
+            depth += {'{': 1, '}': -1}.get(text[i], 0)
+            i += 1
+        for st in statements(text[m.end():i - 1]):
+            declarator = re.split(r'=|\{', st, maxsplit=1)[0].strip()
+            if NOT_A_MEMBER.match(st) or declarator.endswith(')'):
+                continue
+            name = re.search(r'(\w+)(\s*\[[^]]*\])?$', declarator)
+            if name:
+                yield m.group(1), name.group(1)
+
+
+def unset_options(text):
+    """Struct::member -> header, for each option no other file sets."""
+    unset = {}
+    for header in FILES:
+        if header.suffix != '.h' or header.parts[len(ROOT.parts)] != 'src':
+            continue
+        for struct, member in option_members(text[header]):
+            sets = re.compile(r'(\.|->)%s(\s*=(?!=)|\.(push_back|assign|'
+                              r'insert)\()' % member)
+            if not any(p != header and sets.search(text[p]) for p in FILES):
+                unset['%s::%s' % (struct, member)] = header
+    return unset
+
+
 def main():
     text = {p: strip(p.read_text()) for p in FILES}
     declared = {}
@@ -105,7 +177,14 @@ def main():
     if unexpected:
         print('public API that only tests use, and no test hook:',
               ' '.join(unexpected), file=sys.stderr)
-    return 1 if unexpected else 0
+    unset = unset_options(text)
+    for option, header in sorted(unset.items()):
+        print(option, header.relative_to(ROOT))
+    unseamed = [option for option in sorted(unset) if option not in TEST_SEAMS]
+    if unseamed:
+        print('options that no code sets, and no test seam:',
+              ' '.join(unseamed), file=sys.stderr)
+    return 1 if unexpected or unseamed else 0
 
 
 if __name__ == '__main__':
