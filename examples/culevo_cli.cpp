@@ -4,6 +4,8 @@
 //   culevo_cli stats                       world corpus statistics
 //   culevo_cli evaluate --cuisine ITA      model comparison for a cuisine
 //   culevo_cli generate --cuisine INSC     novel recipe proposals
+//                                          (--include <ingredient>,
+//                                          --vegetarian)
 //   culevo_cli ingest <raw.txt>            ingest raw scraped recipes
 //                                          (--out <tsv>, --snapshot <path>)
 //   culevo_cli export-corpus <out.tsv>     write a synthetic world corpus
@@ -37,8 +39,10 @@
 // journals and re-runs anything no worker finished — results are
 // bit-identical to --workers 1. See DESIGN.md §12.
 
+#include <algorithm>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -101,7 +105,10 @@ int Usage() {
          "recovery) --resume (restore completed replicas from the "
          "checkpoint journal) --workers <n> (shard replicas across n "
          "supervised worker processes; requires --checkpoint) "
-         "--worker-stall-ms <n> --worker-retries <n>\n";
+         "--worker-stall-ms <n> --worker-retries <n>\n"
+         "generate flags: --cuisine <code> --size <2..38> --count <n> "
+         "--include <ingredient> (must appear in every recipe) "
+         "--vegetarian (no meat, fish or seafood)\n";
   return 2;
 }
 
@@ -114,14 +121,13 @@ Status WriteSnapshotFlag(const FlagParser& flags, const RecipeCorpus& corpus) {
   return Status::Ok();
 }
 
-// The int value of --name, `default_value` when absent. A value below
-// `min`, or past int, is refused as one that does not parse is.
-int IntFlagAtLeast(const FlagParser& flags, const std::string& name,
-                   int default_value, int min) {
+// The int value of --name, `default_value` when absent. A value outside
+// [min, max] is refused as one that does not parse is.
+int IntFlagIn(const FlagParser& flags, const std::string& name,
+              int default_value, int min,
+              int max = std::numeric_limits<int>::max()) {
   const long long value = flags.GetInt(name, default_value);
-  if (value < min || value > std::numeric_limits<int>::max()) {
-    flags.RefuseValue(name);
-  }
+  if (value < min || value > max) flags.RefuseValue(name);
   return static_cast<int>(value);
 }
 
@@ -174,11 +180,11 @@ int RunEvaluate(const FlagParser& flags) {
       CuisineFromCode(flags.GetString("cuisine", "ITA"));
   if (!cuisine.ok()) flags.RefuseValue("cuisine");
   SimulationConfig config;
-  config.replicas = IntFlagAtLeast(flags, "replicas", 10, 1);
+  config.replicas = IntFlagIn(flags, "replicas", 10, 1);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   config.cancel = &GlobalCancel();
-  config.tolerate_k = IntFlagAtLeast(flags, "tolerate", 0, 0);
-  config.max_replica_retries = IntFlagAtLeast(flags, "retries", 0, 0);
+  config.tolerate_k = IntFlagIn(flags, "tolerate", 0, 0);
+  config.max_replica_retries = IntFlagIn(flags, "retries", 0, 0);
   config.checkpoint.directory = flags.GetString("checkpoint", "");
   config.checkpoint.resume = flags.GetBool("resume", false);
   config.checkpoint.sync = true;  // the CLI journals durably
@@ -188,7 +194,7 @@ int RunEvaluate(const FlagParser& flags) {
     return 2;
   }
 
-  const int workers = IntFlagAtLeast(flags, "workers", 1, 1);
+  const int workers = IntFlagIn(flags, "workers", 1, 1);
   const bool is_worker = flags.Has("worker-shard");
   if (workers > 1 && !config.checkpoint.enabled()) {
     std::cerr << "--workers requires --checkpoint <dir> (shard journals "
@@ -208,7 +214,7 @@ int RunEvaluate(const FlagParser& flags) {
   fabric.workers = workers;
   fabric.checkpoint_dir = config.checkpoint.directory;
   fabric.stall_ms = static_cast<int>(flags.GetInt("worker-stall-ms", 30000));
-  fabric.max_worker_retries = IntFlagAtLeast(flags, "worker-retries", 2, 0);
+  fabric.max_worker_retries = IntFlagIn(flags, "worker-retries", 2, 0);
   fabric.tolerate_k = config.tolerate_k;
   fabric.cancel = &GlobalCancel();
 
@@ -273,18 +279,37 @@ int RunEvaluate(const FlagParser& flags) {
 }
 
 int RunGenerate(const FlagParser& flags) {
+  // As in evaluate, every flag is checked before the world corpus is built.
+  const Lexicon& lexicon = WorldLexicon();
+  const Result<CuisineId> cuisine =
+      CuisineFromCode(flags.GetString("cuisine", "ITA"));
+  if (!cuisine.ok()) flags.RefuseValue("cuisine");
+  const int count = IntFlagIn(flags, "count", 3, 1);
+  GenerationConstraints constraints;
+  constraints.target_size =
+      IntFlagIn(flags, "size", 9, kMinRecipeSize, kMaxRecipeSize);
+  if (flags.GetBool("vegetarian", false)) {
+    constraints.excluded_categories = {Category::kMeat, Category::kFish,
+                                       Category::kSeafood};
+  }
+  if (flags.Has("include")) {
+    // An unknown ingredient, or one the diet excludes, is refused here.
+    const std::optional<IngredientId> include =
+        lexicon.Find(flags.GetString("include", ""));
+    if (!include.has_value() ||
+        std::ranges::find(constraints.excluded_categories,
+                          lexicon.category(*include)) !=
+            constraints.excluded_categories.end()) {
+      flags.RefuseValue("include");
+    }
+    constraints.must_include = {*include};
+  }
+
   Result<RecipeCorpus> corpus = World(flags);
   if (!corpus.ok()) {
     std::cerr << corpus.status() << "\n";
     return 1;
   }
-  Result<CuisineId> cuisine =
-      CuisineFromCode(flags.GetString("cuisine", "ITA"));
-  if (!cuisine.ok()) {
-    std::cerr << cuisine.status() << "\n";
-    return 1;
-  }
-  const Lexicon& lexicon = WorldLexicon();
   Result<RecipeGenerator> generator = RecipeGenerator::Create(
       &corpus.value(), cuisine.value(), &lexicon,
       static_cast<uint64_t>(flags.GetInt("seed", 42)));
@@ -292,10 +317,8 @@ int RunGenerate(const FlagParser& flags) {
     std::cerr << generator.status() << "\n";
     return 1;
   }
-  GenerationConstraints constraints;
-  constraints.target_size = static_cast<int>(flags.GetInt("size", 9));
-  Result<std::vector<NovelRecipe>> batch = generator->GenerateBatch(
-      constraints, static_cast<int>(flags.GetInt("count", 3)));
+  Result<std::vector<NovelRecipe>> batch =
+      generator->GenerateBatch(constraints, count);
   if (!batch.ok()) {
     std::cerr << batch.status() << "\n";
     return 1;
@@ -418,7 +441,8 @@ int main(int argc, char** argv) {
           {"scale", "seed", "replicas", "load-snapshot", "snapshot",
            "cuisine", "tolerate", "retries", "checkpoint", "resume",
            "workers", "worker-shard", "worker-stall-ms", "worker-retries",
-           "size", "count", "out", "timeout-ms", "metrics"});
+           "size", "count", "include", "vegetarian", "out", "timeout-ms",
+           "metrics"});
       !s.ok()) {
     std::cerr << s << "\n";
     return 2;

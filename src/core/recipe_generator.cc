@@ -10,6 +10,10 @@
 namespace culevo {
 namespace {
 
+// Copy-mutate intensity: point mutations applied to the copied mother
+// recipe before constraint repair.
+constexpr int kMutations = 4;
+
 bool Contains(const std::vector<IngredientId>& recipe, IngredientId id) {
   return std::find(recipe.begin(), recipe.end(), id) != recipe.end();
 }
@@ -58,9 +62,6 @@ Result<RecipeGenerator> RecipeGenerator::Create(const RecipeCorpus* corpus,
 
 bool RecipeGenerator::Allowed(IngredientId id,
                               const GenerationConstraints& c) const {
-  for (IngredientId excluded : c.must_exclude) {
-    if (id == excluded) return false;
-  }
   const Category category = lexicon_->category(id);
   for (Category excluded : c.excluded_categories) {
     if (category == excluded) return false;
@@ -183,7 +184,7 @@ Result<NovelRecipe> RecipeGenerator::Generate(
   }
 
   // 2. Point mutations: popularity-weighted replacement (mutate step).
-  for (int g = 0; g < constraints.mutations && !recipe.empty(); ++g) {
+  for (int g = 0; g < kMutations && !recipe.empty(); ++g) {
     const size_t slot = rng_.NextBounded(recipe.size());
     // Popularity-weighted draw: sample a corpus recipe, then one of its
     // ingredients — this reproduces the empirical usage distribution.

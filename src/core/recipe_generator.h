@@ -20,14 +20,9 @@ struct GenerationConstraints {
   int target_size = 9;
   /// Ingredients that must appear.
   std::vector<IngredientId> must_include;
-  /// Ingredients that must not appear.
-  std::vector<IngredientId> must_exclude;
   /// Whole categories to avoid (e.g. kMeat + kFish + kSeafood for a
   /// vegetarian intervention).
   std::vector<Category> excluded_categories;
-  /// Copy-mutate intensity: point mutations applied to the copied mother
-  /// recipe before constraint repair.
-  int mutations = 4;
 };
 
 /// A proposed recipe with quality scores.
@@ -58,8 +53,9 @@ class RecipeGenerator {
                                         uint64_t seed);
 
   /// Proposes one recipe. Fails with InvalidArgument on unsatisfiable
-  /// constraints (e.g. must_include ∩ must_exclude, or the constraints
-  /// leave fewer than target_size candidate ingredients).
+  /// constraints (e.g. a must_include ingredient in an excluded category,
+  /// or the constraints leave fewer than target_size candidate
+  /// ingredients).
   Result<NovelRecipe> Generate(const GenerationConstraints& constraints);
 
   /// Proposes `count` recipes, sorted by descending typicality.

@@ -11,7 +11,6 @@ namespace {
 // Section-VI per-cuisine winners: near 0 where CM-C won (SP, ME,
 // ITA, SCND), ~0.08 where CM-R won (KOR, CBN, JPN — the small cuisines),
 // ~0.3 where CM-M won (ANZ, CHN), intermediate values elsewhere.
-// Calibrated with examples/liberty_probe.
 //
 // Note: the per-cuisine recipe counts in Table I sum to 158460, not the
 // 158544 quoted in the abstract; we embed the table as printed.

@@ -36,9 +36,9 @@ struct RecipeView {
 /// one derivation Builder::Build and IncrementalCorpus::Materialize share,
 /// which extends the tables of a prefix corpus by the recipes appended
 /// after it), and every reader of them — overrepresentation, usage
-/// profiles, contexts, Zipf and PMI statistics, the query index, the
-/// cuisine statistics — reads presence() or size_histogram() instead of
-/// recounting.
+/// profiles, contexts, the recipe generator's popularity, the query
+/// index, the cuisine statistics — reads presence() or size_histogram()
+/// instead of recounting.
 ///
 /// Storage seam: the columns come in two segments (segments()). The base,
 /// recipes [0, base_n), is immutable and held through `backing_`: the

@@ -1,8 +1,7 @@
 // fabric_worker: the worker binary the exec-fabric tests dispatch.
 //
 // Runs the shared FabricTestContext simulation (CM-R) as one shard of a
-// fabric run — the same role culevo_cli plays in production, but always
-// built (the sanitizer presets compile with examples off) and with
+// fabric run — the same role culevo_cli plays in production, but with
 // scripted failure modes for the supervision tests:
 //
 //   --fail-shard <s>         shard s exits 3 on its first attempt only

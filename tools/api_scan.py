@@ -12,9 +12,10 @@ call is reported. A use by code that is itself dead still counts; run the
 scan again after a deletion to see what that deletion orphaned.
 
 Options: takes every data member of a struct in a src/ header whose name
-ends in Options, Config or Params, and reports it when no file of those
-directories but its own header sets it: assigns it (`.m =`, `->m =`, or a
-designated initializer) or calls push_back, assign or insert on it.
+ends in Options, Config, Params or Constraints, and reports it when no
+file of those directories but its own header sets it: assigns it
+(`.m =`, `->m =`, or a designated initializer) or calls push_back,
+assign or insert on it.
 Members are matched by name, so a name two structs share counts as set
 when either one is set.
 
@@ -47,7 +48,8 @@ TEST_SEAMS = {'CombinationConfig::min_relative_support',
               'AtomicWriteOptions::max_attempts',
               'AtomicWriteOptions::retry_backoff',
               'AtomicWriteOptions::max_backoff'}
-OPTIONS = re.compile(r'\bstruct\s+(\w+(?:Options|Config|Params))\s*\{')
+OPTIONS = re.compile(
+    r'\bstruct\s+(\w+(?:Options|Config|Params|Constraints))\s*\{')
 NOT_A_MEMBER = re.compile(
     r'^(static|using|friend|typedef|enum|struct|class|template)\b')
 
