@@ -132,6 +132,9 @@ int IntFlagIn(const FlagParser& flags, const std::string& name,
 }
 
 Result<RecipeCorpus> World(const FlagParser& flags) {
+  // Checked before any world work, whether or not a snapshot is loaded.
+  const double scale = flags.GetDouble("scale", 0.25);
+  if (!(scale > 0 && scale <= 1)) flags.RefuseValue("scale");
   Result<RecipeCorpus> corpus = [&]() -> Result<RecipeCorpus> {
     const std::string load = flags.GetString("load-snapshot", "");
     if (!load.empty()) {
@@ -142,7 +145,7 @@ Result<RecipeCorpus> World(const FlagParser& flags) {
       return std::move(loaded->corpus);
     }
     SynthConfig config;
-    config.scale = flags.GetDouble("scale", 0.25);
+    config.scale = scale;
     config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
     return SynthesizeWorldCorpus(WorldLexicon(), config);
   }();

@@ -24,9 +24,16 @@ namespace {
 constexpr uint32_t kEndianMarker = 0x01020304;
 constexpr size_t kSectionAlign = 8;
 constexpr uint32_t kMaxSections = 4096;
-/// Fewest file bytes that earn a checksum thread (about 2 ms of FNV-1a):
-/// a smaller file is verified on the calling thread.
-constexpr size_t kHashBytesPerThread = size_t{1} << 20;
+/// Fewest file bytes that earn a checksum thread: a smaller file is
+/// verified on the calling thread. Xxh64 hashes ~10 GB/s, so 2 MiB is
+/// ~0.2 ms of work, several times a thread's start-up. On the 4-vCPU host
+/// the pass is bound by memory, not by the hash: from a fresh mapping the
+/// 26 MiB 1 M-recipe snapshot verified in 2.9-3.5 ms on one thread and
+/// 3.1-3.8 ms on two, at every block size from 64 KiB to 4 MiB, so there
+/// a second thread costs ~0.2 ms and gains nothing; a host with more
+/// memory bandwidth gains. A file of the FNV-1a version (~2 ms per MiB)
+/// shares the constant.
+constexpr size_t kHashBytesPerThread = size_t{2} << 20;
 
 /// The header and a section-table entry exactly as they lie on disk
 /// (little-endian hosts only; no padding).
@@ -162,7 +169,7 @@ Status WriteContainer(const std::string& path, const ContainerFormat& format,
   for (const ContainerSection& section : sections) {
     const size_t offset = AlignUp(end);
     table.push_back({section.id, 0, offset, section.bytes.size(),
-                     Fnv1a64(section.bytes)});
+                     BlockChecksum(section.bytes)});
     end = offset + section.bytes.size();
   }
   const std::string_view table_bytes =
@@ -175,7 +182,7 @@ Status WriteContainer(const std::string& path, const ContainerFormat& format,
                          words.word2,
                          static_cast<uint32_t>(sections.size()),
                          end,
-                         Fnv1a64(table_bytes)};
+                         BlockChecksum(table_bytes)};
 
   std::string content;
   content.reserve(end);
@@ -221,7 +228,11 @@ Result<Container> ReadContainer(const std::string& path,
     return Status::InvalidArgument(StrFormat(
         "%s: not a %s file (bad magic)", path.c_str(), name.c_str()));
   }
-  if (header.version != format.version) {
+  // The FNV-1a version, when the format still reads one, differs from the
+  // current one only in its checksums.
+  const bool fnv1a =
+      format.fnv1a_version != 0 && header.version == format.fnv1a_version;
+  if (header.version != format.version && !fnv1a) {
     return Status::FailedPrecondition(StrFormat(
         "%s: %s format version %u, this build understands %u — refusing "
         "to guess at the layout",
@@ -240,19 +251,22 @@ Result<Container> ReadContainer(const std::string& path,
       sizeof(Header) + table_bytes > file.size()) {
     return corrupt("section table exceeds the file");
   }
-  if (Fnv1a64(file.substr(sizeof(Header), table_bytes)) !=
+  const std::string_view table = file.substr(sizeof(Header), table_bytes);
+  if ((fnv1a ? Fnv1a64(table) : BlockChecksum(table)) !=
       header.table_checksum) {
     return corrupt("section-table checksum mismatch");
   }
 
   // Check that the payloads tile the rest of the file exactly as
   // WriteContainer lays them out, then verify every payload checksum,
-  // before handing any section out. The checksums are the cost of a load,
-  // so they run as parallel tasks, largest payload first (the longest
-  // serial FNV chain starts first). The refusal is the one a serial walk
-  // in table order gives: the first checksum mismatch before the first
-  // section that disagrees with the layout, else that disagreement.
+  // before handing any section out. The checksums run as parallel tasks:
+  // one per block (one per section in the FNV-1a version, whose chains
+  // cannot split), largest first, so the longest starts first. The
+  // refusal is the one a serial walk in table order gives: the first
+  // checksum mismatch before the first section that disagrees with the
+  // layout, else that disagreement.
   Container container;
+  container.version_ = header.version;
   container.words_ = {header.word0, header.word1, header.word2};
   container.sections_.reserve(header.section_count);
   std::optional<Status> layout_error;
@@ -275,30 +289,48 @@ Result<Container> ReadContainer(const std::string& path,
       break;
     }
     container.sections_.push_back(
-        {entry.id, {(*backing)->data + offset, entry.size}, entry.checksum});
+        {entry.id, {(*backing)->data + offset, entry.size}, entry.checksum,
+         0, 0});
     end = offset + entry.size;
   }
-  const std::vector<Container::Entry>& sections = container.sections_;
-  std::vector<size_t> by_size(sections.size());
+  // The byte ranges to hash: a section's are [first_block, first_block +
+  // blocks).
+  std::vector<std::string_view> pieces;
+  for (Container::Entry& section : container.sections_) {
+    const std::string_view payload(
+        reinterpret_cast<const char*>(section.bytes.data()),
+        section.bytes.size());
+    section.first_block = pieces.size();
+    section.blocks = fnv1a ? 1 : HashBlockCount(payload.size());
+    for (size_t b = 0; b < section.blocks; ++b) {
+      pieces.push_back(fnv1a ? payload
+                             : payload.substr(b * kHashBlockBytes,
+                                              kHashBlockBytes));
+    }
+  }
+  std::vector<size_t> by_size(pieces.size());
   std::iota(by_size.begin(), by_size.end(), size_t{0});
   std::stable_sort(by_size.begin(), by_size.end(), [&](size_t a, size_t b) {
-    return sections[a].bytes.size() > sections[b].bytes.size();
+    return pieces[a].size() > pieces[b].size();
   });
-  std::vector<uint8_t> intact(sections.size());
-  RunTasks(sections.size(), ThreadsFor(end, kHashBytesPerThread),
+  std::vector<uint64_t> hashes(pieces.size());
+  RunTasks(pieces.size(), ThreadsFor(end, kHashBytesPerThread),
            [&](size_t task) {
-             const Container::Entry& section = sections[by_size[task]];
-             intact[by_size[task]] = Fnv1a64(std::string_view(
-                 reinterpret_cast<const char*>(section.bytes.data()),
-                 section.bytes.size())) == section.checksum;
+             const std::string_view piece = pieces[by_size[task]];
+             hashes[by_size[task]] = fnv1a ? Fnv1a64(piece) : Xxh64(piece);
            });
   const Status forced_corrupt =
       FailpointCheck(Prefixed(format, ".read.corrupt"));
-  for (size_t i = 0; i < sections.size(); ++i) {
-    if (!forced_corrupt.ok() || !intact[i]) {
+  for (Container::Entry& section : container.sections_) {
+    const std::span<const uint64_t> own(hashes.data() + section.first_block,
+                                        section.blocks);
+    const uint64_t checksum = fnv1a ? own.front() : FoldBlockHashes(own);
+    if (!forced_corrupt.ok() || checksum != section.checksum) {
       return corrupt(
-          StrFormat("checksum mismatch in section %u", sections[i].id));
+          StrFormat("checksum mismatch in section %u", section.id));
     }
+    // A file of the FNV-1a version has no block hashes to hand out.
+    if (fnv1a) section.first_block = section.blocks = 0;
   }
   if (layout_error) return *std::move(layout_error);
   if (end != file.size()) {
@@ -310,6 +342,7 @@ Result<Container> ReadContainer(const std::string& path,
                                     ? ".mmap_loads"
                                     : ".fallback_loads"))
       ->Increment();
+  if (!fnv1a) container.block_hashes_ = std::move(hashes);
   container.backing_ = std::move(backing).value();
   container.path_ = path;
   return container;
@@ -338,6 +371,13 @@ Result<uint64_t> Container::Checksum(uint32_t id) const {
   Result<const Entry*> entry = Find(id);
   if (!entry.ok()) return entry.status();
   return (*entry)->checksum;
+}
+
+Result<std::span<const uint64_t>> Container::BlockHashes(uint32_t id) const {
+  Result<const Entry*> entry = Find(id);
+  if (!entry.ok()) return entry.status();
+  return std::span<const uint64_t>(block_hashes_)
+      .subspan((*entry)->first_block, (*entry)->blocks);
 }
 
 Result<std::span<const uint8_t>> Container::Payload(

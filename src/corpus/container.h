@@ -28,11 +28,19 @@ namespace culevo {
 ///     40  u32       format word 2  -'
 ///     44  u32       section count
 ///     48  u64       file size in bytes
-///     56  u64       FNV-1a-64 of the section table
+///     56  u64       checksum of the section table
 ///   section table, 32 bytes per section
-///      u32 id, u32 reserved (0), u64 offset, u64 size, u64 FNV-1a-64
+///      u32 id, u32 reserved (0), u64 offset, u64 size, u64 checksum
 ///   payloads, in table order, each at the next 8-byte-aligned offset
 ///   with zero padding before it; the last one ends the file.
+///
+/// Every checksum is the block checksum of util/hash.h (Xxh64 of each
+/// 256 KiB block, the block hashes folded in order). The reader verifies
+/// the blocks as parallel tasks and keeps their hashes, which a corpus's
+/// content fingerprint folds (corpus/corpus_snapshot.h). A format may
+/// still read one earlier version whose layout is the same and whose
+/// checksums are FNV-1a-64 of the whole bytes (CULEVO-CORPUS 1); such a
+/// file is verified a section per task and has no block hashes.
 ///
 /// The reader accounts for every byte: the header fields are checked here
 /// or by the format, the table and each payload by their checksums, and
@@ -41,7 +49,8 @@ namespace culevo {
 /// Refusal contract of ReadContainer:
 ///   - missing file                                  -> NotFound
 ///   - bad magic                                     -> InvalidArgument
-///   - other format version, foreign byte order      -> FailedPrecondition
+///   - a format version other than the format's
+///     (or its FNV-1a version), foreign byte order   -> FailedPrecondition
 ///   - truncation, checksum mismatch, a section
 ///     table or padding that disagrees with the
 ///     layout above                                  -> DataLoss
@@ -57,8 +66,11 @@ namespace culevo {
 /// Identity of one container format.
 struct ContainerFormat {
   std::string_view magic;   ///< Format name, at most 16 bytes.
-  uint32_t version = 0;
+  uint32_t version = 0;     ///< Written, and read with block checksums.
   std::string_view prefix;  ///< Metric and failpoint prefix.
+  /// The earlier version the reader also accepts, with FNV-1a-64
+  /// checksums; 0 for none.
+  uint32_t fnv1a_version = 0;
 };
 
 /// The header words whose meaning belongs to the format.
@@ -69,7 +81,7 @@ struct ContainerWords {
 };
 
 /// One section to write. `bytes` must stay valid until WriteContainer
-/// returns, which hashes them.
+/// returns, which checksums them.
 struct ContainerSection {
   uint32_t id = 0;
   std::string_view bytes;
@@ -110,9 +122,9 @@ class ByteCursor {
   size_t pos_ = 0;
 };
 
-/// Lays out the header, table and sections and writes them through
-/// WriteFileAtomic, so a crash leaves the previous complete file or the
-/// new complete one.
+/// Lays out the header, table and sections, signed with block checksums
+/// under `format.version`, and writes them through WriteFileAtomic, so a
+/// crash leaves the previous complete file or the new complete one.
 Status WriteContainer(const std::string& path, const ContainerFormat& format,
                       const ContainerWords& words,
                       std::span<const ContainerSection> sections, bool sync);
@@ -126,6 +138,8 @@ class Container {
   /// The mapped or buffered file bytes (opaque).
   struct Backing;
 
+  /// The file's format version: the format's, or its FNV-1a version.
+  uint32_t version() const { return version_; }
   const ContainerWords& words() const { return words_; }
 
   /// The payload of the first section with `id`, as `T`s (sections are
@@ -141,10 +155,14 @@ class Container {
                               bytes->size() / sizeof(T));
   }
 
-  /// The FNV-1a-64 of the first section with `id`, as verified against
-  /// its payload: the state to continue a hash of that payload from.
-  /// DataLoss when the file has no such section.
+  /// The checksum of the first section with `id`, as verified against its
+  /// payload. DataLoss when the file has no such section.
   Result<uint64_t> Checksum(uint32_t id) const;
+
+  /// The block hashes of the first section with `id`, which its checksum
+  /// folds, as verified: HashBlockCount(size) of them, or none in a file
+  /// of the FNV-1a version. DataLoss when the file has no such section.
+  Result<std::span<const uint64_t>> BlockHashes(uint32_t id) const;
 
   bool memory_mapped() const;
   size_t file_bytes() const;
@@ -159,6 +177,10 @@ class Container {
     uint32_t id;
     std::span<const uint8_t> bytes;
     uint64_t checksum;
+    /// The section's hashes in block_hashes_: [first_block, first_block +
+    /// blocks).
+    size_t first_block;
+    size_t blocks;
   };
 
   /// The first section with `id`, or DataLoss.
@@ -170,8 +192,10 @@ class Container {
 
   std::shared_ptr<const Backing> backing_;
   std::string path_;
+  uint32_t version_ = 0;
   ContainerWords words_;
   std::vector<Entry> sections_;
+  std::vector<uint64_t> block_hashes_;
 };
 
 /// Opens and verifies `path` as a `format` container: memory-mapped

@@ -10,16 +10,15 @@
 #include "util/hash.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace culevo {
 namespace {
 
 // Section ids (layout documented in docs/DATA_FORMATS.md). The container
 // header words are {num_recipes, num_mentions, num_cuisines}.
-constexpr ContainerFormat kSnapshotFormat = {"CULEVO-CORPUS",
-                                             kCorpusSnapshotVersion,
-                                             "corpus.snapshot"};
+constexpr ContainerFormat kSnapshotFormat = {
+    "CULEVO-CORPUS", kCorpusSnapshotVersion, "corpus.snapshot",
+    /*fnv1a_version=*/1};
 constexpr uint32_t kSecFlat = 1;
 constexpr uint32_t kSecOffsets = 2;
 constexpr uint32_t kSecCuisines = 3;
@@ -66,19 +65,56 @@ ContainerSection ColumnSection(uint32_t id, std::span<const T> column) {
   return ColumnSection(id, column, std::span<const T>(), nullptr);
 }
 
-}  // namespace
-
-uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus) {
-  return CorpusContentFingerprint(
-      corpus, Fnv1a64(AsBytes(corpus.segments()[0].flat)));
+/// The column sections of a version-2 snapshot carry block checksums:
+/// their verified block hashes are the corpus's column hashes, and their
+/// verified checksums fold to its fingerprint, so no column is hashed
+/// again.
+Status ReadColumnHashes(const Container& file, LoadedCorpusSnapshot* loaded) {
+  const uint32_t ids[] = {kSecFlat, kSecOffsets, kSecCuisines};
+  std::vector<uint64_t>* const columns[] = {&loaded->column_hashes.flat,
+                                            &loaded->column_hashes.offsets,
+                                            &loaded->column_hashes.cuisines};
+  uint64_t checksums[std::size(ids)];
+  for (size_t i = 0; i < std::size(ids); ++i) {
+    const Result<std::span<const uint64_t>> blocks = file.BlockHashes(ids[i]);
+    const Result<uint64_t> checksum = file.Checksum(ids[i]);
+    if (!blocks.ok()) return blocks.status();
+    if (!checksum.ok()) return checksum.status();
+    columns[i]->assign(blocks->begin(), blocks->end());
+    checksums[i] = *checksum;
+  }
+  loaded->content_fingerprint = FoldBlockHashes(checksums);
+  return Status::Ok();
 }
 
-uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus,
-                                  uint64_t base_flat_hash) {
+}  // namespace
+
+CorpusColumnHashes HashCorpusColumns(const RecipeCorpus& corpus,
+                                     const CorpusColumnHashes* prefix) {
+  static obs::Counter* bytes_hashed =
+      obs::MetricsRegistry::Get().counter("corpus.fingerprint.bytes_hashed");
+  CorpusColumnHashes hashes;
+  if (prefix != nullptr) hashes = *prefix;
   const auto [base, tail] = corpus.segments();
-  uint64_t hash = Fnv1a64(AsBytes(tail.flat), base_flat_hash);
-  hash = Fnv1a64(AsBytes(tail.offsets), Fnv1a64(AsBytes(base.offsets), hash));
-  return Fnv1a64(AsBytes(tail.cuisines), Fnv1a64(AsBytes(base.cuisines), hash));
+  size_t bytes =
+      ExtendBlockHashes(AsBytes(base.flat), AsBytes(tail.flat), hashes.flat);
+  bytes += ExtendBlockHashes(AsBytes(base.offsets), AsBytes(tail.offsets),
+                             hashes.offsets);
+  bytes += ExtendBlockHashes(AsBytes(base.cuisines), AsBytes(tail.cuisines),
+                             hashes.cuisines);
+  bytes_hashed->Increment(static_cast<int64_t>(bytes));
+  return hashes;
+}
+
+uint64_t CorpusContentFingerprint(const CorpusColumnHashes& hashes) {
+  const uint64_t checksums[] = {FoldBlockHashes(hashes.flat),
+                                FoldBlockHashes(hashes.offsets),
+                                FoldBlockHashes(hashes.cuisines)};
+  return FoldBlockHashes(checksums);
+}
+
+uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus) {
+  return CorpusContentFingerprint(HashCorpusColumns(corpus));
 }
 
 // ---------------------------------------------------------------------------
@@ -156,32 +192,8 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
   }
   std::span<const char> stats_section;
   CULEVO_RETURN_IF_ERROR(column(&stats_section, kSecStats, std::nullopt));
-  // The flat section is the fingerprint's first leg, and ReadContainer has
-  // just hashed it.
-  const Result<uint64_t> flat_checksum = file->Checksum(kSecFlat);
-  if (!flat_checksum.ok()) return flat_checksum.status();
-
-  // The fingerprint continuation reads only columns the checksums have
-  // verified, so once the corpus is large enough to split it runs on a
-  // thread of its own beside FromColumns, which keeps the calling thread
-  // and with it every buffer the load allocates.
-  uint64_t fingerprint = 0;
-  const auto continue_fingerprint = [&] {
-    fingerprint = Fnv1a64(AsBytes(views.cuisines),
-                          Fnv1a64(AsBytes(views.offsets), *flat_checksum));
-  };
-  Result<RecipeCorpus> corpus = [&] {
-    if (ThreadsFor(num_recipes, kRecipesPerThread) == 1) {
-      continue_fingerprint();
-      return RecipeCorpus::FromColumns(views, file->backing());
-    }
-    ThreadPool beside(1);
-    std::future<void> fingerprinted = beside.Submit(continue_fingerprint);
-    Result<RecipeCorpus> validated =
-        RecipeCorpus::FromColumns(views, file->backing());
-    fingerprinted.get();
-    return validated;
-  }();
+  Result<RecipeCorpus> corpus =
+      RecipeCorpus::FromColumns(views, file->backing());
   if (!corpus.ok()) {
     // Checksums passed but the columns are not a well-formed corpus: the
     // writer (or a crafted file) lied about the invariants.
@@ -199,10 +211,16 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
   }
 
   LoadedCorpusSnapshot loaded;
+  if (file->version() == kCorpusSnapshotVersion) {
+    CULEVO_RETURN_IF_ERROR(ReadColumnHashes(*file, &loaded));
+  } else {
+    // Version 1's FNV-1a checksums say nothing of the blocks.
+    loaded.column_hashes = HashCorpusColumns(*corpus);
+    loaded.content_fingerprint =
+        CorpusContentFingerprint(loaded.column_hashes);
+  }
   loaded.corpus = std::move(corpus).value();
   loaded.stats = std::move(stats);
-  loaded.content_fingerprint = fingerprint;
-  loaded.flat_hash = *flat_checksum;
   loaded.memory_mapped = file->memory_mapped();
   loaded.file_bytes = file->file_bytes();
   load_ms->Record(load_watch.ElapsedMillis());

@@ -11,7 +11,7 @@
 
 namespace culevo {
 
-/// `CULEVO-CORPUS 1` — the binary corpus snapshot.
+/// `CULEVO-CORPUS 2` — the binary corpus snapshot.
 ///
 /// A snapshot freezes a RecipeCorpus *and* its derived read indexes (the
 /// per-cuisine recipe-index shards, the cached unique-ingredient lists,
@@ -24,8 +24,10 @@ namespace culevo {
 /// so a crash leaves the previous complete snapshot or the new complete
 /// one, never a torn hybrid.
 ///
-/// The full byte layout, checksum rules, and compatibility policy are
-/// documented in docs/DATA_FORMATS.md.
+/// Version 2 signs every section with the container's block checksum;
+/// version 1, which this build still reads, had the same layout under
+/// FNV-1a-64 checksums. The full byte layout, checksum rules, and
+/// compatibility policy are documented in docs/DATA_FORMATS.md.
 ///
 /// Refusal contract (the container's, plus the corpus checks):
 ///   - missing file                                -> NotFound
@@ -39,13 +41,15 @@ namespace culevo {
 ///
 /// Metrics: `corpus.snapshot.writes`, `corpus.snapshot.bytes_written`,
 /// `corpus.snapshot.mmap_loads`, `corpus.snapshot.fallback_loads`,
-/// `corpus.snapshot.load_ms`.
+/// `corpus.snapshot.load_ms`, and `corpus.fingerprint.bytes_hashed` (the
+/// column bytes HashCorpusColumns hashed).
 /// Failpoints: `corpus.snapshot.read` (before the file is opened),
 /// `corpus.snapshot.read.corrupt` (forces a section-checksum mismatch),
 /// `corpus.snapshot.write` (before the atomic write).
 
-/// Snapshot format version this build reads and writes.
-inline constexpr uint32_t kCorpusSnapshotVersion = 1;
+/// Snapshot format version this build writes, and reads with block
+/// checksums. It also reads version 1, with FNV-1a-64 checksums.
+inline constexpr uint32_t kCorpusSnapshotVersion = 2;
 
 struct SnapshotWriteOptions {
   /// fsync through WriteFileAtomic (tests disable to keep tmpfs churn
@@ -61,37 +65,52 @@ struct SnapshotLoadOptions {
   bool allow_mmap = true;
 };
 
+/// The block hashes (util/hash.h) of a corpus's flat, offsets and cuisine
+/// columns, each column taken whole: its base segment's bytes, then its
+/// tail's. They are what the content fingerprint folds, and what the
+/// hashes of a corpus extending this one start from.
+struct CorpusColumnHashes {
+  std::vector<uint64_t> flat;
+  std::vector<uint64_t> offsets;
+  std::vector<uint64_t> cuisines;
+};
+
+/// The column hashes of `corpus`. With `prefix`, the column hashes of a
+/// corpus whose columns begin `corpus`'s (the generation a delta
+/// extends): its full blocks are reused, and only its last block of each
+/// column and the bytes after it are hashed. No column is joined or
+/// copied.
+CorpusColumnHashes HashCorpusColumns(
+    const RecipeCorpus& corpus, const CorpusColumnHashes* prefix = nullptr);
+
+/// Content identity of a corpus: FoldBlockHashes over the block checksums
+/// of its flat, offsets and cuisine columns, in that order. Of a snapshot
+/// they are the checksums of its three column sections. Two corpora with
+/// equal fingerprints hold byte-identical recipe data regardless of how
+/// they were built (snapshot load, synthesis, incremental
+/// materialization). This is what a delta's `base_fingerprint` pins
+/// (CULEVO-DELTA, corpus/ingestion.h).
+uint64_t CorpusContentFingerprint(const CorpusColumnHashes& hashes);
+
+/// CorpusContentFingerprint(HashCorpusColumns(corpus)).
+uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus);
+
 /// A corpus loaded from a snapshot, plus the per-cuisine statistics
 /// stored alongside it (checked equal to ComputeCuisineStats of the
 /// loaded corpus, whose size histograms the validating pass counts).
 struct LoadedCorpusSnapshot {
   RecipeCorpus corpus;
   std::vector<CuisineStats> stats;  ///< One entry per cuisine id.
-  /// CorpusContentFingerprint(corpus). The load continues it from
-  /// `flat_hash`, so it hashes only the offsets and cuisines.
+  /// CorpusContentFingerprint(corpus). Of a version-2 file it is folded
+  /// from the verified checksums of the three column sections, with no
+  /// column hashed again.
   uint64_t content_fingerprint = 0;
-  /// FNV-1a-64 of the flat column: the flat section's verified checksum,
-  /// and the state a corpus extending this one continues its fingerprint
-  /// from (CorpusContentFingerprint(corpus, base_flat_hash)).
-  uint64_t flat_hash = 0;
+  /// HashCorpusColumns(corpus). Of a version-2 file they are the column
+  /// sections' verified block hashes.
+  CorpusColumnHashes column_hashes;
   bool memory_mapped = false;       ///< mmap path vs buffered fallback.
   size_t file_bytes = 0;
 };
-
-/// Content identity of a corpus: FNV-1a-64 over the whole CSR columns
-/// (flat, offsets, cuisines), each streamed base segment then tail. Two
-/// corpora with equal fingerprints hold byte-identical recipe data
-/// regardless of how they were built (snapshot load, synthesis,
-/// incremental materialization). This is what a delta's
-/// `base_fingerprint` pins (CULEVO-DELTA, corpus/ingestion.h).
-uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus);
-
-/// The same value, continued from `base_flat_hash`, the FNV-1a-64 of the
-/// corpus's base flat column (LoadedCorpusSnapshot::flat_hash of the
-/// snapshot the base came from, say): hashes only the tail's flat bytes,
-/// then the offsets and cuisines in full.
-uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus,
-                                  uint64_t base_flat_hash);
 
 /// Serializes `corpus`, with the CuisineStats read off its tables, and
 /// writes the snapshot atomically.

@@ -130,7 +130,7 @@ Result<RecipeCorpus> IncrementalCorpus::Materialize() && {
 }
 
 // ---------------------------------------------------------------------------
-// CULEVO-DELTA 2.
+// CULEVO-DELTA 3.
 
 namespace {
 

@@ -128,25 +128,29 @@ class IncrementalCorpus {
   std::vector<IngredientId> scratch_;
 };
 
-/// `CULEVO-DELTA 2` — the incremental-reload delta file.
+/// `CULEVO-DELTA 3` — the incremental-reload delta file.
 ///
 /// A delta file is a batch of appended recipes pinned to the exact corpus
 /// generation it extends: `base_recipes` and `base_fingerprint` must match
 /// the serving corpus or the consumer refuses the file. It is a container
 /// (corpus/container.h) whose header words hold the base recipe count,
 /// the base fingerprint and the cuisine count, with the records in one
-/// checksummed section. Applying a delta is IncrementalCorpus::FromCorpus
-/// (base) + Add() per record, so the result is bit-identical to
-/// re-ingesting the combined corpus from scratch — a service can swap in
-/// the next generation without re-reading its full snapshot (see
-/// ServiceCore::ReloadDelta).
+/// block-checksummed section. Version 3 pins the base by the block
+/// content fingerprint (CorpusContentFingerprint), version 2 pinned it by
+/// an FNV-1a one, so a version-2 delta can name no corpus this build
+/// serves and is refused by its version. Applying a delta is
+/// IncrementalCorpus::FromCorpus (base) + Add() per record, so the result
+/// is bit-identical to re-ingesting the combined corpus from scratch — a
+/// service can swap in the next generation without re-reading its full
+/// snapshot (see ServiceCore::ReloadDelta).
 ///
 /// Refusal contract (the container's, plus the record checks):
 ///   - missing file                                -> NotFound
-///   - not a v2 delta (bad magic; version 1 files
-///     had another magic)                          -> InvalidArgument
-///   - other format version / wrong endianness /
-///     wrong compiled-in cuisine count             -> FailedPrecondition
+///   - not a delta (bad magic; version 1 files had
+///     another magic)                              -> InvalidArgument
+///   - other format version (the message names
+///     it) / wrong endianness / wrong compiled-in
+///     cuisine count                               -> FailedPrecondition
 ///   - truncated file, checksum mismatch, or a
 ///     record with a cuisine out of range, no
 ///     ingredients, or more than the section holds -> DataLoss
@@ -158,7 +162,7 @@ class IncrementalCorpus {
 /// `corpus.delta.read.corrupt`, `corpus.delta.write`.
 
 /// Delta format version this build reads and writes.
-inline constexpr uint32_t kCorpusDeltaVersion = 2;
+inline constexpr uint32_t kCorpusDeltaVersion = 3;
 
 /// One appended recipe.
 struct CorpusDeltaRecord {

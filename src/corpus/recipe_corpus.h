@@ -43,7 +43,7 @@ struct RecipeView {
 /// Storage seam: the columns come in two segments (segments()). The base,
 /// recipes [0, base_n), is immutable and held through `backing_`: the
 /// vectors Builder::Build made, or memory borrowed from a binary snapshot
-/// — an mmap'ed `CULEVO-CORPUS 1` container or its buffered-read fallback
+/// — an mmap'ed `CULEVO-CORPUS` container or its buffered-read fallback
 /// (see corpus/corpus_snapshot.h). The tail, recipes [base_n, n), is this
 /// corpus's own: IncrementalCorpus::Materialize hands over the recipes
 /// appended since the base, so a corpus extending another shares that

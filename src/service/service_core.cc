@@ -8,16 +8,13 @@
 #include "core/evolution_model.h"
 #include "core/null_model.h"
 #include "core/simulation.h"
-#include "corpus/container.h"
 #include "corpus/corpus_snapshot.h"
 #include "corpus/corpus_stats.h"
 #include "corpus/cuisine.h"
 #include "corpus/ingestion.h"
 #include "obs/metrics.h"
 #include "util/cancel.h"
-#include "util/check.h"
 #include "util/failpoint.h"
-#include "util/hash.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 
@@ -540,7 +537,7 @@ Status ServiceCore::LoadFromFile(const std::string& path) {
     next->index = QueryIndex::Build(next->corpus);
     next->source = path;
     next->content_fingerprint = loaded->content_fingerprint;
-    next->base_flat_hash = loaded->flat_hash;
+    next->column_hashes = std::move(loaded->column_hashes);
     return Install(std::move(next)).status();
   }();
   if (status.ok()) {
@@ -636,13 +633,12 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
     next->index = QueryIndex::Extend(current->index, next->corpus);
     lap(kIndex);
     next->source = current->source + "+" + path;
-    // The base is the serving generation's, so is the hash of its flat
-    // column: only the tail's flat bytes are hashed on top of it.
-    CULEVO_CHECK(next->corpus.segments()[0].flat.data() ==
-                 current->corpus.segments()[0].flat.data());
-    next->base_flat_hash = current->base_flat_hash;
-    next->content_fingerprint =
-        CorpusContentFingerprint(next->corpus, next->base_flat_hash);
+    // The serving generation's columns begin the next one's, so their
+    // full blocks are the next one's too: only the last block of each
+    // column and the delta's bytes are hashed.
+    next->column_hashes =
+        HashCorpusColumns(next->corpus, &current->column_hashes);
+    next->content_fingerprint = CorpusContentFingerprint(next->column_hashes);
     lap(kFingerprint);
     CULEVO_FAILPOINT("serve.reload.install");
     Result<std::shared_ptr<const ServiceSnapshot>> previous =
@@ -669,9 +665,8 @@ Status ServiceCore::ReloadDelta(const std::string& path) {
 Status ServiceCore::InstallCorpus(RecipeCorpus corpus, std::string source) {
   auto next = std::make_shared<ServiceSnapshot>();
   next->index = QueryIndex::Build(corpus);
-  next->base_flat_hash = Fnv1a64(AsBytes(corpus.segments()[0].flat));
-  next->content_fingerprint =
-      CorpusContentFingerprint(corpus, next->base_flat_hash);
+  next->column_hashes = HashCorpusColumns(corpus);
+  next->content_fingerprint = CorpusContentFingerprint(next->column_hashes);
   next->corpus = std::move(corpus);
   next->source = std::move(source);
   return Install(std::move(next)).status();

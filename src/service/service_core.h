@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "corpus/corpus_snapshot.h"
 #include "corpus/recipe_corpus.h"
 #include "lexicon/lexicon.h"
 #include "service/query_index.h"
@@ -78,9 +79,9 @@ struct ServiceSnapshot {
   /// CorpusContentFingerprint of `corpus`: the identity a reload-delta's
   /// base must match (see ReloadDelta).
   uint64_t content_fingerprint = 0;
-  /// FNV-1a-64 of the corpus's base flat column, kept with the base: a
-  /// delta reload continues the next fingerprint from it.
-  uint64_t base_flat_hash = 0;
+  /// HashCorpusColumns of `corpus`, which the fingerprint folds: a delta
+  /// reload keeps their full blocks and hashes only the rest.
+  CorpusColumnHashes column_hashes;
 };
 
 /// The transport-independent query engine behind `culevod`.

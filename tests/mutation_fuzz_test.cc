@@ -7,7 +7,10 @@
 // byte sets, truncations, and aligned u32/u64 fields set to 0, all-ones
 // or the high bit; for the two containers and the journal records every
 // other mutation also re-signs the file, so the validators behind the
-// checksums run too.
+// checksums run too. The snapshot is fuzzed in both versions a build
+// reads (2, and 1 with its FNV-1a checksums), and each container leg
+// checks that some re-signed mutant got past the checksums to be refused
+// by those validators.
 //
 // Every call must return (no abort, no sanitizer report; an escaped
 // exception fails the test) with a status from the entry point's
@@ -157,46 +160,83 @@ class MutationFuzzTest : public ::testing::Test {
     }
   }
 
-  /// Runs `check` on kMutations mutants of `seed` written to path_,
-  /// re-signing every other one when `resign` is set.
-  void Fuzz(const std::string& seed, uint64_t rng_seed, bool resign,
-            const std::function<void(const std::string& where)>& check) {
+  /// Runs `check`, which returns the entry point's status, on kMutations
+  /// mutants of `seed` written to path_. With a container `format`, every
+  /// other mutant is re-signed with its own version's checksum, and the
+  /// result is how many of those were refused past the checksums: refused
+  /// although ReadContainer verifies them, which only the validators
+  /// behind the checksums do.
+  int Fuzz(const std::string& seed, uint64_t rng_seed,
+           const ContainerFormat* format,
+           const std::function<Status(const std::string& where)>& check) {
     Rng rng(rng_seed);
+    int refused_past_checksums = 0;
     for (int i = 0; i < kMutations; ++i) {
       std::string mutant = Mutate(seed, rng);
-      if (resign && i % 2 == 1) ResignContainer(&mutant);
+      const bool resigned = format != nullptr && i % 2 == 1;
+      if (resigned) ResignContainer(&mutant);
       WriteBytes(path_, mutant);
-      check(StrFormat("mutant %d", i));
-      if (HasFailure()) return;  // One replayable failure is enough.
+      const Status status = check(StrFormat("mutant %d", i));
+      if (HasFailure()) break;  // One replayable failure is enough.
+      if (resigned && !status.ok() && ReadContainer(path_, *format).ok()) {
+        ++refused_past_checksums;
+      }
     }
+    return refused_past_checksums;
   }
+
+  /// A snapshot leg: a mutant the loader accepts must install and answer,
+  /// or be refused at install.
+  void FuzzSnapshot(const std::string& seed, uint64_t rng_seed) {
+    int accepted = 0;
+    const int refused_past_checksums = Fuzz(
+        seed, rng_seed, &kSnapshotFormat, [&](const std::string& where) {
+          const Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path_);
+          if (!StatusIn(loaded.status(),
+                        {StatusCode::kOk, StatusCode::kInvalidArgument,
+                         StatusCode::kFailedPrecondition,
+                         StatusCode::kDataLoss},
+                        where) ||
+              !loaded.ok()) {
+            return loaded.status();
+          }
+          ++accepted;
+          ServiceCore core(&WorldLexicon(), {});
+          const Status installed = core.LoadFromFile(path_);
+          if (StatusIn(installed,
+                       {StatusCode::kOk, StatusCode::kFailedPrecondition},
+                       where) &&
+              installed.ok()) {
+            ExpectAnswers(core, where);
+          }
+          return loaded.status();
+        });
+    EXPECT_GT(accepted, 0);  // Some mutants must reach the install path.
+    EXPECT_GT(refused_past_checksums, 0);
+  }
+
+  static constexpr ContainerFormat kSnapshotFormat = {
+      "CULEVO-CORPUS", kCorpusSnapshotVersion, "corpus.snapshot", 1};
+  static constexpr ContainerFormat kDeltaFormat = {
+      "CULEVO-DELTA", kCorpusDeltaVersion, "corpus.delta"};
 
   std::string path_ = testing::TempDir() + "culevo_mutation_fuzz.bin";
 };
 
 TEST_F(MutationFuzzTest, LoadCorpusSnapshot) {
   ASSERT_TRUE(WriteCorpusSnapshot(path_, SeedCorpus(), {.sync = false}).ok());
-  const std::string seed = ReadFileToString(path_).value();
-  int accepted = 0;
-  Fuzz(seed, 1, /*resign=*/true, [&](const std::string& where) {
-    const Result<LoadedCorpusSnapshot> loaded = LoadCorpusSnapshot(path_);
-    if (!StatusIn(loaded.status(),
-                  {StatusCode::kOk, StatusCode::kInvalidArgument,
-                   StatusCode::kFailedPrecondition, StatusCode::kDataLoss},
-                  where) ||
-        !loaded.ok()) {
-      return;
-    }
-    ++accepted;
-    ServiceCore core(&WorldLexicon(), {});
-    const Status installed = core.LoadFromFile(path_);
-    if (StatusIn(installed,
-                 {StatusCode::kOk, StatusCode::kFailedPrecondition}, where) &&
-        installed.ok()) {
-      ExpectAnswers(core, where);
-    }
-  });
-  EXPECT_GT(accepted, 0);  // Some mutants must reach the install path.
+  FuzzSnapshot(ReadFileToString(path_).value(), 1);
+}
+
+// The same corpus as a version-1 file: the writer's bytes re-signed with
+// FNV-1a-64 under version 1.
+TEST_F(MutationFuzzTest, LoadCorpusSnapshotVersion1) {
+  ASSERT_TRUE(WriteCorpusSnapshot(path_, SeedCorpus(), {.sync = false}).ok());
+  std::string seed = ReadFileToString(path_).value();
+  ResignAsVersion(&seed, 1);
+  WriteBytes(path_, seed);
+  ASSERT_TRUE(LoadCorpusSnapshot(path_).ok());
+  FuzzSnapshot(seed, 12);
 }
 
 TEST_F(MutationFuzzTest, LoadCorpusDelta) {
@@ -210,25 +250,29 @@ TEST_F(MutationFuzzTest, LoadCorpusDelta) {
   ServiceCore core(&WorldLexicon(), {});
   ASSERT_TRUE(core.InstallCorpus(base, "base").ok());
   int applied = 0;
-  Fuzz(seed, 2, /*resign=*/true, [&](const std::string& where) {
-    const Result<CorpusDelta> loaded = LoadCorpusDelta(path_);
-    if (!StatusIn(loaded.status(),
-                  {StatusCode::kOk, StatusCode::kInvalidArgument,
-                   StatusCode::kFailedPrecondition, StatusCode::kDataLoss},
-                  where) ||
-        !loaded.ok()) {
-      return;
-    }
-    const Status reloaded = core.ReloadDelta(path_);
-    if (StatusIn(reloaded,
-                 {StatusCode::kOk, StatusCode::kFailedPrecondition}, where) &&
-        reloaded.ok()) {
-      ++applied;
-      ExpectAnswers(core, where);
-      ASSERT_TRUE(core.InstallCorpus(base, "base").ok());
-    }
-  });
+  const int refused_past_checksums = Fuzz(
+      seed, 2, &kDeltaFormat, [&](const std::string& where) {
+        const Result<CorpusDelta> loaded = LoadCorpusDelta(path_);
+        if (!StatusIn(loaded.status(),
+                      {StatusCode::kOk, StatusCode::kInvalidArgument,
+                       StatusCode::kFailedPrecondition, StatusCode::kDataLoss},
+                      where) ||
+            !loaded.ok()) {
+          return loaded.status();
+        }
+        const Status reloaded = core.ReloadDelta(path_);
+        if (StatusIn(reloaded,
+                     {StatusCode::kOk, StatusCode::kFailedPrecondition},
+                     where) &&
+            reloaded.ok()) {
+          ++applied;
+          ExpectAnswers(core, where);
+          EXPECT_TRUE(core.InstallCorpus(base, "base").ok());
+        }
+        return loaded.status();
+      });
   EXPECT_GT(applied, 0);  // Some mutants must apply and be queried.
+  EXPECT_GT(refused_past_checksums, 0);
 }
 
 TEST_F(MutationFuzzTest, ReadJournal) {
@@ -238,20 +282,20 @@ TEST_F(MutationFuzzTest, ReadJournal) {
   for (const std::string& record : records) {
     seed += FormatJournalRecord(record);
   }
-  Fuzz(seed, 3, /*resign=*/false, [&](const std::string& where) {
+  Fuzz(seed, 3, /*format=*/nullptr, [&](const std::string& where) {
     const Result<JournalContents> contents = ReadJournal(path_);
-    if (!StatusIn(contents.status(),
-                  {StatusCode::kOk, StatusCode::kInvalidArgument,
-                   StatusCode::kFailedPrecondition},
-                  where) ||
-        !contents.ok()) {
-      return;
+    if (StatusIn(contents.status(),
+                 {StatusCode::kOk, StatusCode::kInvalidArgument,
+                  StatusCode::kFailedPrecondition},
+                 where) &&
+        contents.ok()) {
+      // What survives is a prefix of what was written.
+      EXPECT_TRUE(contents->records.size() <= records.size() &&
+                  std::equal(contents->records.begin(),
+                             contents->records.end(), records.begin()))
+          << where;
     }
-    // What survives is a prefix of what was written.
-    ASSERT_LE(contents->records.size(), records.size()) << where;
-    EXPECT_TRUE(std::equal(contents->records.begin(),
-                           contents->records.end(), records.begin()))
-        << where;
+    return contents.status();
   });
 }
 

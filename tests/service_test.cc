@@ -1,5 +1,6 @@
 #include "service/service_core.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -13,6 +14,7 @@
 
 #include "analysis/overrepresentation.h"
 #include "analysis/similarity.h"
+#include "container_test_util.h"
 #include "core/null_model.h"
 #include "core/simulation.h"
 #include "corpus/container.h"
@@ -23,6 +25,7 @@
 #include "util/csv.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace culevo {
@@ -588,6 +591,29 @@ TEST(CorpusDeltaTest, RefusesVersion1File) {
   std::remove(path.c_str());
 }
 
+// Version 2 deltas pinned their base by the FNV-1a content fingerprint,
+// so none can name a corpus this build serves: one is refused by its
+// version, which the message names, and the serving generation stays.
+TEST(CorpusDeltaTest, RefusesVersion2File) {
+  const RecipeCorpus base = SmallCorpus();
+  const std::string path = WriteDeltaFor(base, "v2");
+  std::string bytes = ReadFileToString(path).value();
+  ResignAsVersion(&bytes, 2);
+  ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
+
+  const Status loaded = LoadCorpusDelta(path).status();
+  EXPECT_EQ(loaded.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(loaded.message().find("version 2"), std::string::npos) << loaded;
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.InstallCorpus(base, "base").ok());
+  const Status reloaded = core.ReloadDelta(path);
+  EXPECT_EQ(reloaded.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(reloaded.message().find("version 2"), std::string::npos)
+      << reloaded;
+  EXPECT_EQ(core.Acquire()->epoch, 1u);
+  std::remove(path.c_str());
+}
+
 TEST(ServiceCoreTest, ReloadDeltaMatchesMonolithicBuildBitExactly) {
   ServiceCore core = MakeCore();
   ASSERT_TRUE(core.InstallCorpus(SmallCorpus(), "base").ok());
@@ -1066,6 +1092,68 @@ TEST(ServiceCoreTest, ChainedDeltaReloadsShareTheFirstBase) {
     EXPECT_EQ(Counter("corpus.snapshot.mmap_loads"), loads);
   }
   std::remove(snapshot.c_str());
+}
+
+// A delta reload's fingerprint keeps the serving generation's full
+// blocks. On a base whose columns span several blocks, each of three
+// chained deltas hashes its own column bytes plus at most one block per
+// column, far less than the columns, and every generation's column hashes
+// and fingerprint are those of its corpus hashed whole.
+TEST(ServiceCoreTest, DeltaReloadFingerprintHashesOnlyTheDelta) {
+  Rng rng(17);
+  const auto recipe = [&rng] {
+    const CuisineId cuisine = static_cast<CuisineId>(rng.NextBounded(4));
+    std::vector<IngredientId> ids;
+    for (size_t k = 0, n = 2 + rng.NextBounded(5); k < n; ++k) {
+      ids.push_back(static_cast<IngredientId>(1 + rng.NextBounded(200)));
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return CorpusDeltaRecord{cuisine, std::move(ids)};
+  };
+  RecipeCorpus::Builder builder;
+  for (size_t r = 0; r < kHashBlockBytes; ++r) {
+    const CorpusDeltaRecord added = recipe();
+    ASSERT_TRUE(builder.Add(added.cuisine, added.ingredients).ok());
+  }
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.InstallCorpus(builder.Build(), "base").ok());
+  const size_t column_bytes = core.Acquire()->corpus.total_mentions() *
+                                  sizeof(IngredientId) +
+                              core.Acquire()->corpus.num_recipes() *
+                                  (sizeof(uint32_t) + sizeof(CuisineId));
+  ASSERT_GT(column_bytes, 3 * kHashBlockBytes);
+
+  for (const size_t recipes : {size_t{1}, size_t{700}, size_t{3000}}) {
+    SCOPED_TRACE(std::to_string(recipes) + " recipes");
+    std::vector<CorpusDeltaRecord> records;
+    size_t delta_bytes = 0;
+    for (size_t r = 0; r < recipes; ++r) {
+      records.push_back(recipe());
+      delta_bytes += records.back().ingredients.size() * sizeof(IngredientId) +
+                     sizeof(uint32_t) + sizeof(CuisineId);
+    }
+    const std::string path = testing::TempDir() + "culevo_delta_blocks.bin";
+    CorpusDelta delta;
+    delta.base_recipes = core.Acquire()->corpus.num_recipes();
+    delta.base_fingerprint = core.Acquire()->content_fingerprint;
+    delta.records = std::move(records);
+    ASSERT_TRUE(WriteCorpusDelta(path, delta, {.sync = false}).ok());
+    const int64_t before = Counter("corpus.fingerprint.bytes_hashed");
+    ASSERT_TRUE(core.ReloadDelta(path).ok());
+    const int64_t hashed = Counter("corpus.fingerprint.bytes_hashed") - before;
+    std::remove(path.c_str());
+    EXPECT_GE(hashed, static_cast<int64_t>(delta_bytes));
+    EXPECT_LE(hashed, static_cast<int64_t>(delta_bytes + 3 * kHashBlockBytes));
+
+    const std::shared_ptr<const ServiceSnapshot> generation = core.Acquire();
+    const CorpusColumnHashes whole = HashCorpusColumns(generation->corpus);
+    EXPECT_EQ(generation->column_hashes.flat, whole.flat);
+    EXPECT_EQ(generation->column_hashes.offsets, whole.offsets);
+    EXPECT_EQ(generation->column_hashes.cuisines, whole.cuisines);
+    EXPECT_EQ(generation->content_fingerprint,
+              CorpusContentFingerprint(whole));
+  }
 }
 
 // Readers send `search`, `recipe` and `freq` while the main thread applies

@@ -90,8 +90,8 @@ TEST_F(CheckpointTest, ChecksumIsDeterministicAndContentSensitive) {
   EXPECT_NE(JournalChecksum(""), JournalChecksum(" "));
 }
 
-// The journal shares the containers' FNV-1a-64, which must stay the
-// standard one: record lines already on disk carry its values.
+// The journal's FNV-1a-64 (which version-1 snapshots also carry) must
+// stay the standard one: record lines already on disk carry its values.
 TEST_F(CheckpointTest, ChecksumIsStandardFnv1a64) {
   EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
