@@ -26,7 +26,11 @@
 // aggregate throughput >= --min-qps (default 10000) and the service-side
 // p99 must stay under the default request deadline (250 ms) — a served
 // point query that blows the deadline budget at p99 would be rejected in
-// production, so the gate treats it as a regression.
+// production, so the gate treats it as a regression. The installed
+// index's postings (`postings_bytes`, the serve.index.postings_bytes
+// gauge) must also hold at most 2 bytes per posting plus their
+// directory, (chunks + 1) uint32_t cursors per id for the base and one
+// for the empty tail: a change that widens the postings fails it.
 //
 // --assert-brownout-slo runs an additional overload phase and gates the
 // brownout policy itself: expensive `simulate` clients hammer a core with
@@ -44,6 +48,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <numeric>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,6 +59,7 @@
 #include "corpus/corpus_stats.h"
 #include "lexicon/world_lexicon.h"
 #include "obs/metrics.h"
+#include "service/query_index.h"
 #include "service/service_core.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -158,6 +165,15 @@ int main(int argc, char** argv) {
   }
   const double load_ms = load_watch.ElapsedMillis();
   std::printf("# snapshot load + index build: %.1f ms\n", load_ms);
+  const std::span<const uint32_t> presence = corpus.presence();
+  const size_t chunks =
+      (corpus.num_recipes() + QueryIndex::kChunkRecipes - 1) /
+      QueryIndex::kChunkRecipes;
+  const double postings_bound =
+      2.0 * std::accumulate(presence.begin(), presence.end(), 0.0) +
+      4.0 * static_cast<double>(presence.size() * (chunks + 2));
+  const double postings_bytes =
+      static_cast<double>(core.Acquire()->index.postings_bytes());
 
   // -- Mixed point-query workload ------------------------------------------
   reporter.BeginPhase("serve_queries");
@@ -215,6 +231,7 @@ int main(int argc, char** argv) {
   // -- Report --------------------------------------------------------------
   std::printf("\n%-18s %12s\n", "metric", "value");
   std::printf("%-18s %12.1f\n", "load_ms", load_ms);
+  std::printf("%-18s %12.0f\n", "postings_bytes", postings_bytes);
   std::printf("%-18s %12zu\n", "queries", served);
   std::printf("%-18s %12.1f\n", "wall_ms", wall_ms);
   std::printf("%-18s %12.0f\n", "qps", qps);
@@ -226,6 +243,7 @@ int main(int argc, char** argv) {
   reporter.AddResult("cores",
                      static_cast<double>(std::thread::hardware_concurrency()));
   reporter.AddResult("load_ms", load_ms);
+  reporter.AddResult("postings_bytes", postings_bytes);
   reporter.AddResult("queries", static_cast<double>(served));
   reporter.AddResult("ok_responses",
                      static_cast<double>(ok_responses.load()));
@@ -387,6 +405,13 @@ int main(int argc, char** argv) {
                    "%lld ms default deadline\n",
                    p99_ms,
                    static_cast<long long>(service_options.default_deadline_ms));
+      gate_passed = false;
+    }
+    if (postings_bytes > postings_bound) {
+      std::fprintf(stderr,
+                   "SERVE GATE FAILURE: the postings hold %.0f bytes, over "
+                   "the %.0f of 2 bytes per posting plus their directory\n",
+                   postings_bytes, postings_bound);
       gate_passed = false;
     }
     std::printf("serve gate: %s\n", gate_passed ? "PASS" : "FAIL (see stderr)");

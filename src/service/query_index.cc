@@ -18,28 +18,36 @@ namespace culevo {
 // it), and then every range places its recipes. A list holds its ranges'
 // segments in range order and each range's recipes ascend, so every list
 // comes out sorted, and every slot is written exactly once (no zero-fill
-// first).
+// first). A range may start inside a chunk: the range holding a chunk's
+// first recipe writes that chunk's directory column, its cursors there.
 QueryIndex::Segment QueryIndex::Place(const RecipeCorpus& corpus,
                                       uint32_t first,
                                       std::span<const uint32_t> counts,
                                       size_t ranges) {
   const size_t n = corpus.num_recipes() - first;
   Segment segment;
+  segment.first = first;
   segment.count = static_cast<uint32_t>(n);
+  segment.chunks =
+      static_cast<uint32_t>((n + kChunkRecipes - 1) / kChunkRecipes);
   const size_t universe = counts.size();
-  segment.offsets.assign(universe + 1, 0);
-  std::partial_sum(counts.begin(), counts.end(), segment.offsets.begin() + 1);
-  segment.recipes =
-      std::make_unique_for_overwrite<uint32_t[]>(segment.offsets.back());
+  const size_t stride = segment.chunks + 1;
+  segment.directory.resize(universe * stride);
   const auto first_recipe = [first, n, ranges](size_t range) {
     return static_cast<uint32_t>(first + range * n / ranges);
   };
   // Row r of `cursors` is range r's cursors; rows 1.. hold the counts of
   // ranges 0.. until the prefix pass (the last range's count is never
-  // needed).
+  // needed). Row 0 is the list starts; each list's end is its directory
+  // row's last cursor.
   std::vector<uint32_t> cursors(ranges * universe, 0);
-  std::copy(segment.offsets.begin(), segment.offsets.end() - 1,
-            cursors.begin());
+  uint32_t postings = 0;
+  for (size_t id = 0; id < universe; ++id) {
+    cursors[id] = postings;
+    postings += counts[id];
+    segment.directory[id * stride + segment.chunks] = postings;
+  }
+  segment.offsets = std::make_unique_for_overwrite<uint16_t[]>(postings);
   RunTasks(ranges - 1, ranges - 1, [&](size_t range) {
     uint32_t* const counted = cursors.data() + (range + 1) * universe;
     for (uint32_t r = first_recipe(range); r < first_recipe(range + 1); ++r) {
@@ -54,8 +62,16 @@ QueryIndex::Segment QueryIndex::Place(const RecipeCorpus& corpus,
   RunTasks(ranges, ranges, [&](size_t range) {
     uint32_t* const cursor = cursors.data() + range * universe;
     for (uint32_t r = first_recipe(range); r < first_recipe(range + 1); ++r) {
+      const uint32_t at = r - first;
+      if (at % kChunkRecipes == 0) {
+        uint32_t* const column =
+            segment.directory.data() + at / kChunkRecipes;
+        for (size_t id = 0; id < universe; ++id) {
+          column[id * stride] = cursor[id];
+        }
+      }
       for (IngredientId id : corpus.ingredients_of(r)) {
-        segment.recipes[cursor[id]++] = r;
+        segment.offsets[cursor[id]++] = static_cast<uint16_t>(at);
       }
     }
   });
@@ -129,12 +145,13 @@ QueryIndex QueryIndex::Derive(const RecipeCorpus& corpus,
     }
     const uint32_t base_end = base->count;
     CULEVO_CHECK(base_end <= corpus.num_recipes());
-    CULEVO_CHECK(base->offsets.size() <= world.size() + 1);
+    CULEVO_CHECK(base->universe() <= world.size());
     std::vector<uint32_t> tail_counts(world.begin(), world.end());
-    for (size_t id = 0; id + 1 < base->offsets.size(); ++id) {
-      const uint32_t in_base = base->offsets[id + 1] - base->offsets[id];
+    for (size_t id = 0; id < base->universe(); ++id) {
+      const size_t in_base =
+          base->List(static_cast<IngredientId>(id)).size();
       CULEVO_CHECK(tail_counts[id] >= in_base);
-      tail_counts[id] -= in_base;
+      tail_counts[id] -= static_cast<uint32_t>(in_base);
     }
     index.tail_ = Place(corpus, base_end, tail_counts, 1);
     index.base_ = std::move(base);
@@ -201,7 +218,8 @@ std::vector<uint32_t> QueryIndex::SearchRecipes(
 
   // Intersect postings starting from the rarest list; each candidate from
   // it is probed by binary search against the other lists, in the segment
-  // it falls in. The base segments come first, so the hits ascend.
+  // and the chunk it falls in. The base segments come first, so the hits
+  // ascend.
   std::vector<PostingList> lists;
   lists.reserve(ids.size());
   for (IngredientId id : ids) {
@@ -220,8 +238,7 @@ std::vector<uint32_t> QueryIndex::SearchRecipes(
     for (uint32_t candidate : segment(lists[0])) {
       bool in_all = true;
       for (size_t i = 1; i < lists.size() && in_all; ++i) {
-        const std::span<const uint32_t> probe = segment(lists[i]);
-        in_all = std::binary_search(probe.begin(), probe.end(), candidate);
+        in_all = segment(lists[i]).Contains(candidate);
       }
       if (!in_all) continue;
       if (cuisine.has_value() && corpus_.cuisine_of(candidate) != *cuisine) {

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -36,6 +38,11 @@ namespace culevo {
 /// Every tail recipe index is above every base index, so a posting list
 /// is its base segment followed by its tail segment, ascending, and every
 /// answer is the same as a Build() of the whole corpus.
+///
+/// Each segment stores a recipe as its 16-bit offset inside its chunk of
+/// kChunkRecipes recipes (the "array container" of Roaring bitmaps,
+/// Chambi et al.), plus a directory of each id's slice of each chunk:
+/// half the bytes of a uint32_t recipe index per posting.
 ///
 /// Immutable after Build()/Extend(); safe to read concurrently.
 class QueryIndex {
@@ -77,11 +84,108 @@ class QueryIndex {
         std::min(k, all.size()));
   }
 
+  /// Recipes per posting chunk: the range of the 16-bit offset that a
+  /// recipe is stored as.
+  static constexpr uint32_t kChunkRecipes =
+      uint32_t{std::numeric_limits<uint16_t>::max()} + 1;
+
+  /// One id's postings in one segment (the base or the tail), read as
+  /// ascending recipe indices. A view of the segment's storage.
+  class PostingSegment {
+   public:
+    /// Decodes the stored offsets chunk by chunk. Two iterators are equal
+    /// when they point at the same stored offset, so the begins of two
+    /// views of one placement compare equal.
+    class Iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = uint32_t;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = uint32_t;
+
+      Iterator() = default;
+      uint32_t operator*() const { return chunk_first_ + *at_; }
+      Iterator& operator++() {
+        ++at_;
+        Settle();
+        return *this;
+      }
+      Iterator operator++(int) {
+        Iterator before = *this;
+        ++*this;
+        return before;
+      }
+      bool operator==(const Iterator& other) const { return at_ == other.at_; }
+
+     private:
+      friend class PostingSegment;
+      Iterator(const PostingSegment& list, const uint16_t* at)
+          : at_(at),
+            offsets_(list.offsets_),
+            chunk_end_(list.row_ + 1),
+            last_(list.row_ + list.chunks_),
+            chunk_first_(list.first_) {
+        Settle();
+      }
+      /// Moves on to the chunk `at_` lies in, past every chunk that ends
+      /// at it (an empty one, or the one just read).
+      void Settle() {
+        while (chunk_end_ < last_ && at_ == offsets_ + *chunk_end_) {
+          ++chunk_end_;
+          chunk_first_ += kChunkRecipes;
+        }
+      }
+
+      const uint16_t* at_ = nullptr;
+      const uint16_t* offsets_ = nullptr;
+      /// The directory cursor where the current chunk's slice ends.
+      const uint32_t* chunk_end_ = nullptr;
+      const uint32_t* last_ = nullptr;
+      /// The recipe index of the current chunk's offset 0.
+      uint32_t chunk_first_ = 0;
+    };
+
+    PostingSegment() = default;
+
+    size_t size() const { return row_[chunks_] - row_[0]; }
+    bool empty() const { return size() == 0; }
+    Iterator begin() const { return Iterator(*this, offsets_ + row_[0]); }
+    Iterator end() const { return Iterator(*this, offsets_ + row_[chunks_]); }
+
+    /// Whether `recipe` is on the list: a binary search of its chunk's
+    /// slice alone.
+    bool Contains(uint32_t recipe) const {
+      if (recipe < first_) return false;
+      const uint32_t chunk = (recipe - first_) / kChunkRecipes;
+      if (chunk >= chunks_) return false;
+      return std::binary_search(offsets_ + row_[chunk],
+                                offsets_ + row_[chunk + 1],
+                                static_cast<uint16_t>(recipe - first_));
+    }
+
+   private:
+    friend class QueryIndex;
+    /// The row of an id outside the universe: one cursor, no chunks.
+    static constexpr uint32_t kNoRow[1] = {0};
+
+    PostingSegment(const uint16_t* offsets, const uint32_t* row,
+                   uint32_t first, uint32_t chunks)
+        : offsets_(offsets), row_(row), first_(first), chunks_(chunks) {}
+
+    /// The segment's stored offsets, and the id's directory row: chunks_
+    /// + 1 cursors into them, chunk k's slice being [row_[k], row_[k+1]).
+    const uint16_t* offsets_ = nullptr;
+    const uint32_t* row_ = kNoRow;
+    uint32_t first_ = 0;
+    uint32_t chunks_ = 0;
+  };
+
   /// The ascending recipe indices whose ingredient set contains one id:
   /// the base segment, then the tail segment.
   struct PostingList {
-    std::span<const uint32_t> base;
-    std::span<const uint32_t> tail;
+    PostingSegment base;
+    PostingSegment tail;
 
     size_t size() const { return base.size() + tail.size(); }
     bool empty() const { return base.empty() && tail.empty(); }
@@ -94,6 +198,10 @@ class QueryIndex {
 
   /// Recipes in the posting tail: those added since the base was placed.
   size_t tail_recipes() const { return tail_.count; }
+
+  /// Bytes of the postings: the base's and the tail's stored offsets and
+  /// directories (serve.index.postings_bytes).
+  size_t postings_bytes() const { return base_->bytes() + tail_.bytes(); }
 
   /// Recipes containing *all* of `ids` (sorted unique required),
   /// optionally restricted to one cuisine, capped at `limit` results
@@ -121,18 +229,32 @@ class QueryIndex {
   }
 
  private:
-  /// Ingredient→recipe postings of `count` consecutive recipes, in CSR
-  /// layout over the id universe [0, offsets.size() - 1): the list of id
-  /// is recipes[offsets[id], offsets[id + 1]), ascending.
+  /// Ingredient→recipe postings of `count` consecutive recipes from
+  /// `first`, in `chunks` chunks of kChunkRecipes: recipe r lies in chunk
+  /// k = (r - first) / kChunkRecipes and is stored as the offset r - first
+  /// - k * kChunkRecipes. Over the id universe [0, universe()), row id of
+  /// `directory` holds chunks + 1 cursors into `offsets`: the id's slice
+  /// of chunk k is [row[k], row[k + 1]), so its whole list is [row[0],
+  /// row[chunks]), and the last cursor of the last row is the total.
   struct Segment {
+    uint32_t first = 0;
     uint32_t count = 0;
-    std::vector<uint32_t> offsets;
-    std::unique_ptr<uint32_t[]> recipes;
+    uint32_t chunks = 0;
+    std::vector<uint32_t> directory;
+    std::unique_ptr<uint16_t[]> offsets;
 
-    std::span<const uint32_t> List(IngredientId id) const {
-      if (static_cast<size_t>(id) + 1 >= offsets.size()) return {};
-      return std::span<const uint32_t>(recipes.get() + offsets[id],
-                                       offsets[id + 1] - offsets[id]);
+    size_t universe() const { return directory.size() / (chunks + 1); }
+    size_t bytes() const {
+      const size_t postings = directory.empty() ? 0 : directory.back();
+      return postings * sizeof(uint16_t) +
+             directory.size() * sizeof(uint32_t);
+    }
+    PostingSegment List(IngredientId id) const {
+      if (static_cast<size_t>(id) >= universe()) return {};
+      return PostingSegment(
+          offsets.get(),
+          directory.data() + static_cast<size_t>(id) * (chunks + 1), first,
+          chunks);
     }
   };
 

@@ -516,9 +516,12 @@ Result<std::shared_ptr<const ServiceSnapshot>> ServiceCore::Install(
       CheckIdsInLexicon(next->corpus, *lexicon_, next->source));
   static obs::Gauge* tail_recipes =
       obs::MetricsRegistry::Get().gauge("serve.index.tail_recipes");
+  static obs::Gauge* postings_bytes =
+      obs::MetricsRegistry::Get().gauge("serve.index.postings_bytes");
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   const_cast<ServiceSnapshot&>(*next).epoch = next_epoch_++;
   tail_recipes->Set(static_cast<double>(next->index.tail_recipes()));
+  postings_bytes->Set(static_cast<double>(next->index.postings_bytes()));
   snapshot_.swap(next);
   return next;
 }

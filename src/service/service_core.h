@@ -162,10 +162,11 @@ class ServiceCore {
   /// one's (QueryIndex::Extend): both share one posting base, and only
   /// the tail over the recipes added since that base is placed, on the
   /// calling thread alone, so the CPUs of the other workers stay with the
-  /// reads they serve meanwhile. The fingerprint continues from the
-  /// base's flat hash and hashes only the tail's flat bytes, then the
-  /// offsets and cuisines. LoadFromFile and InstallCorpus start a fresh
-  /// base with an empty tail.
+  /// reads they serve meanwhile. The fingerprint extends the serving
+  /// generation's column block hashes (HashCorpusColumns with a prefix):
+  /// only each column's last block and the bytes the delta added are
+  /// hashed. LoadFromFile and InstallCorpus start a fresh base with an
+  /// empty tail.
   Status ReloadDelta(const std::string& path);
 
   /// Installs an in-memory corpus (tests, benches, --synth mode).

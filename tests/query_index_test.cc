@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
@@ -342,10 +343,13 @@ TEST(QueryIndexTest, ExtensionOfAnExtensionKeepsTheFirstBase) {
   ExpectTablesMatchReferences(extended, twice);
   size_t shared_lists = 0;
   for (IngredientId id = 0; id < 40; ++id) {
-    const std::span<const uint32_t> first = base.Postings(id).base;
+    const QueryIndex::PostingSegment first = base.Postings(id).base;
     if (first.empty()) continue;
-    EXPECT_EQ(once.Postings(id).base.data(), first.data()) << "id " << id;
-    EXPECT_EQ(twice.Postings(id).base.data(), first.data()) << "id " << id;
+    // Iterators compare by the stored offset they point at.
+    EXPECT_TRUE(once.Postings(id).base.begin() == first.begin())
+        << "id " << id;
+    EXPECT_TRUE(twice.Postings(id).base.begin() == first.begin())
+        << "id " << id;
     ++shared_lists;
   }
   EXPECT_GT(shared_lists, 0u);
@@ -448,6 +452,104 @@ TEST(QueryIndexTest, ParallelBuildMatchesOneCpuBuild) {
   {
     SCOPED_TRACE("tail");
     ExpectSameIndex(*world, extended, all);
+  }
+}
+
+/// Each id's posting list, from one pass over the recipes of `corpus`.
+std::vector<std::vector<uint32_t>> PostingsByScan(const RecipeCorpus& corpus) {
+  const std::span<const IngredientId> unique = corpus.UniqueIngredients();
+  std::vector<std::vector<uint32_t>> lists(
+      unique.empty() ? 0 : unique.back() + 1u);
+  for (uint32_t r = 0; r < corpus.num_recipes(); ++r) {
+    for (IngredientId id : corpus.ingredients_of(r)) lists[id].push_back(r);
+  }
+  return lists;
+}
+
+/// Checks every posting list of `index`, an index of `corpus`, against
+/// `want` (PostingsByScan), and one- and two-id searches over ids of every
+/// frequency, in the whole corpus and in every eighth cuisine, uncapped
+/// and cut halfway through their hits, against intersections of `want`.
+void ExpectPostingsMatch(const RecipeCorpus& corpus,
+                         const std::vector<std::vector<uint32_t>>& want,
+                         const QueryIndex& index) {
+  for (size_t id = 0; id < want.size() + 2; ++id) {
+    const std::vector<uint32_t> got =
+        Flatten(index.Postings(static_cast<IngredientId>(id)));
+    if (id < want.size()) {
+      EXPECT_EQ(got, want[id]) << "id " << id;
+    } else {
+      EXPECT_TRUE(got.empty()) << "id " << id;
+    }
+  }
+  // Ids from the most used to the least, at ranks 0, 1, 5, 21, ...
+  std::vector<IngredientId> by_use(corpus.UniqueIngredients().begin(),
+                                   corpus.UniqueIngredients().end());
+  std::stable_sort(by_use.begin(), by_use.end(),
+                   [&want](IngredientId a, IngredientId b) {
+                     return want[a].size() > want[b].size();
+                   });
+  std::vector<IngredientId> picks;
+  for (size_t rank = 0; rank < by_use.size(); rank = 4 * rank + 1) {
+    picks.push_back(by_use[rank]);
+  }
+  picks.push_back(by_use.back());
+  for (size_t i = 0; i < picks.size(); ++i) {
+    for (size_t j = i; j < picks.size(); ++j) {
+      std::vector<IngredientId> query = {picks[i]};
+      std::vector<uint32_t> hits = want[picks[i]];
+      if (j > i) {
+        query.push_back(picks[j]);
+        std::vector<uint32_t> both;
+        std::ranges::set_intersection(hits, want[picks[j]],
+                                      std::back_inserter(both));
+        hits = std::move(both);
+      }
+      std::sort(query.begin(), query.end());
+      for (int c = -1; c < kNumCuisines; c += c < 0 ? 1 : 8) {
+        const std::optional<CuisineId> cuisine =
+            c < 0 ? std::nullopt
+                  : std::optional<CuisineId>(static_cast<CuisineId>(c));
+        std::vector<uint32_t> in_cuisine;
+        for (const uint32_t r : hits) {
+          if (!cuisine.has_value() || corpus.cuisine_of(r) == *cuisine) {
+            in_cuisine.push_back(r);
+          }
+        }
+        EXPECT_EQ(index.SearchRecipes(query, cuisine, SIZE_MAX), in_cuisine)
+            << "ids " << picks[i] << "," << picks[j] << " cuisine " << c;
+        const size_t limit = std::max<size_t>(1, in_cuisine.size() / 2);
+        in_cuisine.resize(std::min(limit, in_cuisine.size()));
+        EXPECT_EQ(index.SearchRecipes(query, cuisine, limit), in_cuisine)
+            << "ids " << picks[i] << "," << picks[j] << " cuisine " << c
+            << " limit " << limit;
+      }
+    }
+  }
+}
+
+// The scale-1.0 world spans three chunks. Its postings and searches must
+// match a scan of its recipes for a Build, and for an Extend whose tail
+// starts inside a chunk and crosses a chunk boundary (a base of 30,000
+// recipes), whose base ends on a chunk boundary (65,536) and whose base
+// spans two chunks (100,000).
+TEST(QueryIndexTest, PostingsAcrossChunkBoundaries) {
+  const Result<RecipeCorpus> world = SynthesizeWorldCorpus(WorldLexicon());
+  ASSERT_TRUE(world.ok()) << world.status();
+  const uint32_t n = static_cast<uint32_t>(world->num_recipes());
+  ASSERT_GT(n, 2 * QueryIndex::kChunkRecipes);
+  const std::vector<std::vector<uint32_t>> want = PostingsByScan(*world);
+  {
+    SCOPED_TRACE("Build");
+    ExpectPostingsMatch(*world, want, QueryIndex::Build(*world));
+  }
+  for (const uint32_t base_n : {30000u, QueryIndex::kChunkRecipes, 100000u}) {
+    SCOPED_TRACE("Extend over a base of " + std::to_string(base_n) +
+                 " recipes");
+    const QueryIndex base = QueryIndex::Build(Prefix(*world, base_n));
+    const QueryIndex extended = QueryIndex::Extend(base, *world);
+    ASSERT_EQ(extended.tail_recipes(), n - base_n);
+    ExpectPostingsMatch(*world, want, extended);
   }
 }
 

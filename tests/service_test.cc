@@ -942,17 +942,20 @@ std::string WriteDelta(const RecipeCorpus& base,
   return path;
 }
 
-/// The serve.index.tail_recipes gauge as the `metrics` request reports it.
-double TailRecipes(ServiceCore& core) {
+/// The gauge `name` as the `metrics` request reports it.
+double Gauge(ServiceCore& core, const std::string& name) {
   for (const std::string& row : Rows(core.Handle("metrics"))) {
     const std::vector<std::string> fields = Split(row, '\t');
-    if (fields.size() == 3 && fields[0] == "gauge" &&
-        fields[1] == "serve.index.tail_recipes") {
+    if (fields.size() == 3 && fields[0] == "gauge" && fields[1] == name) {
       return std::stod(fields[2]);
     }
   }
-  ADD_FAILURE() << "metrics has no serve.index.tail_recipes gauge";
+  ADD_FAILURE() << "metrics has no " << name << " gauge";
   return -1;
+}
+
+double TailRecipes(ServiceCore& core) {
+  return Gauge(core, "serve.index.tail_recipes");
 }
 
 // Each delta reload extends the serving index: the next generation shares
@@ -1031,6 +1034,38 @@ TEST(ServiceCoreTest, ChainedDeltaReloadsMatchMonolithicBuilds) {
   EXPECT_EQ(TailRecipes(core), 0.0);
 }
 
+// The serve.index.postings_bytes gauge reports the installed index's
+// postings: two bytes per posting, plus (chunks + 1) four-byte directory
+// cursors per id for the base and for the tail. The base here is one
+// chunk; the tail has no chunk after the load, and one after a delta
+// reload, over a wider universe than the base's.
+TEST(ServiceCoreTest, PostingsBytesGaugeFollowsTheInstalledIndex) {
+  const std::string snapshot =
+      testing::TempDir() + "culevo_postings_bytes.snap";
+  const RecipeCorpus base = SmallCorpus();
+  ASSERT_TRUE(WriteCorpusSnapshot(snapshot, base, {.sync = false}).ok());
+  ServiceCore core = MakeCore();
+  ASSERT_TRUE(core.LoadFromFile(snapshot).ok());
+  std::remove(snapshot.c_str());
+  const size_t universe = base.presence().size();
+  ASSERT_EQ(universe, 8u);
+  ASSERT_EQ(base.total_mentions(), 13u);
+  EXPECT_EQ(Gauge(core, "serve.index.postings_bytes"),
+            2 * 13 + 4 * (2 * universe + universe));
+  EXPECT_EQ(Gauge(core, "serve.index.postings_bytes"),
+            static_cast<double>(core.Acquire()->index.postings_bytes()));
+
+  // Five postings more, and ids up to 9 in the tail.
+  const std::string path =
+      WriteDelta(base, {{kA, {1, 2, 9}}, {kB, {2, 6}}}, "postings_bytes");
+  ASSERT_TRUE(core.ReloadDelta(path).ok());
+  std::remove(path.c_str());
+  EXPECT_EQ(Gauge(core, "serve.index.postings_bytes"),
+            2 * (13 + 5) + 4 * (2 * universe + 2 * 10));
+  EXPECT_EQ(Gauge(core, "serve.index.postings_bytes"),
+            static_cast<double>(core.Acquire()->index.postings_bytes()));
+}
+
 // The counter `name` in the metrics registry (0 before its first use).
 int64_t Counter(const std::string& name) {
   const obs::MetricsSnapshot metrics = obs::MetricsRegistry::Get().Snapshot();
@@ -1038,10 +1073,11 @@ int64_t Counter(const std::string& name) {
   return it == metrics.counters.end() ? 0 : it->second;
 }
 
-// A delta reload shares the serving corpus's base columns and continues
-// the fingerprint from the base's flat hash. Across three chained deltas,
-// from a mapped snapshot and from an installed corpus, every generation's
-// base is the first generation's memory, the snapshot is mapped once, and
+// A delta reload shares the serving corpus's base columns and extends the
+// serving generation's column block hashes, rehashing only each column's
+// last block and the delta's bytes. Across three chained deltas, from a
+// mapped snapshot and from an installed corpus, every generation's base
+// is the first generation's memory, the snapshot is mapped once, and
 // every fingerprint is that of the corpus built in one piece.
 TEST(ServiceCoreTest, ChainedDeltaReloadsShareTheFirstBase) {
   const std::string snapshot = testing::TempDir() + "culevo_shared_base.snap";
