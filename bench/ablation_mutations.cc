@@ -20,6 +20,9 @@ using namespace culevo;
 
 int Run(int argc, char** argv) {
   bench::BenchOptions options = bench::ParseOptions(argc, argv, {"cuisine"});
+  const Result<CuisineId> cuisine =
+      CuisineFromCode(options.flags.GetString("cuisine", "ITA"));
+  if (!cuisine.ok()) options.flags.RefuseValue("cuisine");
   bench::BenchReporter reporter("ablation_mutations", options);
   const Lexicon& lexicon = WorldLexicon();
   reporter.BeginPhase("world_synthesis");
@@ -30,15 +33,12 @@ int Run(int argc, char** argv) {
   config.replicas = options.replicas;
   config.seed = options.seed;
 
-  const CuisineId cuisine = CuisineFromCode(
-      options.flags.GetString("cuisine", "ITA")).value();
-
   std::printf("\n== Ablation B1: mutation count M (CM-M, cuisine %s) ==\n\n",
-              std::string(CuisineAt(cuisine).code).c_str());
+              std::string(CuisineAt(*cuisine).code).c_str());
   ModelParams base;
   base.policy = ReplacementPolicy::kMixture;
   Result<std::vector<SweepPoint>> m_sweep = SweepMutationCount(
-      corpus, cuisine, lexicon, {1, 2, 3, 4, 6, 8, 12, 16}, base, config);
+      corpus, *cuisine, lexicon, {1, 2, 3, 4, 6, 8, 12, 16}, base, config);
   if (!m_sweep.ok()) {
     return reporter.Fail(m_sweep.status());
   }
@@ -55,7 +55,7 @@ int Run(int argc, char** argv) {
               "(CM-M, M=6) ==\n\n");
   base.mutations = 6;
   Result<std::vector<SweepPoint>> r_sweep = SweepSizeMutationRate(
-      corpus, cuisine, lexicon, {0.0, 0.05, 0.1, 0.2, 0.4}, base, config);
+      corpus, *cuisine, lexicon, {0.0, 0.05, 0.1, 0.2, 0.4}, base, config);
   if (!r_sweep.ok()) {
     return reporter.Fail(r_sweep.status());
   }

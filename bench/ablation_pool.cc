@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/fitting.h"
 #include "core/sweeps.h"
 #include "util/table_printer.h"
 
@@ -17,6 +16,9 @@ using namespace culevo;
 
 int Run(int argc, char** argv) {
   bench::BenchOptions options = bench::ParseOptions(argc, argv, {"cuisine"});
+  const Result<CuisineId> cuisine =
+      CuisineFromCode(options.flags.GetString("cuisine", "FRA"));
+  if (!cuisine.ok()) options.flags.RefuseValue("cuisine");
   bench::BenchReporter reporter("ablation_pool", options);
   const Lexicon& lexicon = WorldLexicon();
   reporter.BeginPhase("world_synthesis");
@@ -26,17 +28,15 @@ int Run(int argc, char** argv) {
   SimulationConfig config;
   config.replicas = options.replicas;
   config.seed = options.seed;
-  const CuisineId cuisine = CuisineFromCode(
-      options.flags.GetString("cuisine", "FRA")).value();
 
   std::printf("\n== Ablation D1: initial pool size m (CM-M, M=6, cuisine "
               "%s) ==\n\n",
-              std::string(CuisineAt(cuisine).code).c_str());
+              std::string(CuisineAt(*cuisine).code).c_str());
   ModelParams base;
   base.policy = ReplacementPolicy::kMixture;
   base.mutations = 6;
   Result<std::vector<SweepPoint>> sweep = SweepInitialPool(
-      corpus, cuisine, lexicon, {5, 10, 20, 40, 80, 160}, base, config);
+      corpus, *cuisine, lexicon, {5, 10, 20, 40, 80, 160}, base, config);
   if (!sweep.ok()) {
     return reporter.Fail(sweep.status());
   }
@@ -52,7 +52,7 @@ int Run(int argc, char** argv) {
   std::printf("\n== Ablation D2: full parameter grid search ==\n\n");
   FitGrid grid;
   Result<std::vector<FitResult>> fits =
-      FitCopyMutateParameters(corpus, cuisine, lexicon, grid, config);
+      FitCopyMutateParameters(corpus, *cuisine, lexicon, grid, config);
   if (!fits.ok()) {
     return reporter.Fail(fits.status());
   }

@@ -38,6 +38,8 @@ int Run(int argc, char** argv) {
       argc, argv,
       {"checkpoint", "resume", "workers", "worker-shard", "worker-stall-ms",
        "worker-retries", "details-json"});
+  const int workers = options.flags.GetIntIn("workers", 1, 1);
+  const int worker_retries = options.flags.GetIntIn("worker-retries", 2, 0);
   bench::BenchReporter reporter("fig4_models", options);
   const Lexicon& lexicon = WorldLexicon();
   reporter.BeginPhase("world_synthesis");
@@ -67,8 +69,6 @@ int Run(int argc, char** argv) {
   // worker processes (re-execs of this binary with --worker-shard; see
   // exec/fabric.h), then merges the shard journals and finishes in
   // process — output bit-identical to --workers 1.
-  const int workers =
-      static_cast<int>(options.flags.GetInt("workers", 1));
   const bool is_worker = options.flags.Has("worker-shard");
   if (workers > 1 && !config.checkpoint.enabled()) {
     return reporter.Fail(Status::InvalidArgument(
@@ -85,8 +85,7 @@ int Run(int argc, char** argv) {
     fabric.checkpoint_dir = config.checkpoint.directory;
     fabric.stall_ms =
         static_cast<int>(options.flags.GetInt("worker-stall-ms", 30000));
-    fabric.max_worker_retries =
-        static_cast<int>(options.flags.GetInt("worker-retries", 2));
+    fabric.max_worker_retries = worker_retries;
     Result<FabricReport> dispatched =
         RunWorkerFabric(std::vector<std::string>(argv, argv + argc), fabric);
     if (!dispatched.ok()) {

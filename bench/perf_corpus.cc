@@ -181,8 +181,8 @@ int main(int argc, char** argv) {
       argc, argv,
       {"recipes", "reps", "assert-snapshot-speedup", "snapshot-path"});
   const size_t num_recipes =
-      static_cast<size_t>(options.flags.GetInt("recipes", 100000));
-  const int reps = static_cast<int>(options.flags.GetInt("reps", 3));
+      static_cast<size_t>(options.flags.GetIntIn("recipes", 100000, 1));
+  const int reps = options.flags.GetIntIn("reps", 3, 1);
   const bool assert_speedup =
       options.flags.GetBool("assert-snapshot-speedup", false);
   std::string snapshot_path =
@@ -190,10 +190,6 @@ int main(int argc, char** argv) {
   if (snapshot_path.empty()) {
     snapshot_path = StrFormat("/tmp/culevo_perf_corpus_%d.snapshot",
                               static_cast<int>(::getpid()));
-  }
-  if (num_recipes == 0 || reps <= 0) {
-    std::fprintf(stderr, "--recipes and --reps must be positive\n");
-    return 2;
   }
 
   bench::BenchReporter reporter("perf_corpus", options);

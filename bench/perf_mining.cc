@@ -135,11 +135,7 @@ bool SameItemsets(const std::vector<Itemset>& a,
 
 int main(int argc, char** argv) {
   bench::BenchOptions options = bench::ParseOptions(argc, argv, {"reps"});
-  const int reps = static_cast<int>(options.flags.GetInt("reps", 7));
-  if (reps <= 0) {
-    std::fprintf(stderr, "--reps must be positive\n");
-    return 2;
-  }
+  const int reps = options.flags.GetIntIn("reps", 7, 1);
 
   bench::BenchReporter reporter("perf_mining", options);
   reporter.BeginPhase("workload_build");

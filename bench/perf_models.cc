@@ -187,11 +187,7 @@ bool RunGoldenCrossCheck(const std::vector<std::pair<
 
 int main(int argc, char** argv) {
   bench::BenchOptions options = bench::ParseOptions(argc, argv, {"reps"});
-  const int reps = static_cast<int>(options.flags.GetInt("reps", 5));
-  if (reps <= 0) {
-    std::fprintf(stderr, "--reps must be positive\n");
-    return 2;
-  }
+  const int reps = options.flags.GetIntIn("reps", 5, 1);
 
   bench::BenchReporter reporter("perf_models", options);
   reporter.BeginPhase("workload_build");

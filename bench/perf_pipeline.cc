@@ -68,7 +68,7 @@ int RunWorker(const bench::BenchOptions& options) {
   config.checkpoint.sync = false;
   config.shard.index =
       static_cast<int>(options.flags.GetInt("worker-shard", 0));
-  config.shard.count = static_cast<int>(options.flags.GetInt("workers", 1));
+  config.shard.count = options.flags.GetIntIn("workers", 1, 1);
   Result<CuisineEvaluation> evaluation =
       EvaluatePipeline(loaded->corpus, lexicon, config);
   if (!evaluation.ok()) {
@@ -84,6 +84,10 @@ int Run(int argc, char** argv) {
       {"load-snapshot", "checkpoint", "worker-shard", "workers", "reps",
        "assert-fabric-speedup"});
   if (options.flags.Has("worker-shard")) return RunWorker(options);
+  const int workers = options.flags.GetIntIn("workers", 4, 1);
+  const int reps = options.flags.GetIntIn("reps", 3, 1);
+  const bool assert_speedup =
+      options.flags.GetBool("assert-fabric-speedup", false);
 
   bench::BenchReporter reporter("perf_pipeline", options);
   const Lexicon& lexicon = WorldLexicon();
@@ -113,11 +117,6 @@ int Run(int argc, char** argv) {
       context_ms, curve_ms, curve_len);
   reporter.AddResult("context_extraction_ms", context_ms);
   reporter.AddResult("empirical_curve_ms", curve_ms);
-
-  const int workers = static_cast<int>(options.flags.GetInt("workers", 4));
-  const int reps = static_cast<int>(options.flags.GetInt("reps", 3));
-  const bool assert_speedup =
-      options.flags.GetBool("assert-fabric-speedup", false);
 
   // Scratch tree: one snapshot shared by all reps, one checkpoint
   // directory per rep (each rep runs a different seed, and the manifest

@@ -125,20 +125,16 @@ int main(int argc, char** argv) {
        "snapshot-path", "assert-brownout-slo", "brownout-cheap-p99-ms",
        "brownout-duration-ms", "brownout-latency-ms"});
   const size_t num_recipes =
-      static_cast<size_t>(options.flags.GetInt("recipes", 100000));
+      static_cast<size_t>(options.flags.GetIntIn("recipes", 100000, 1));
   const size_t num_queries =
-      static_cast<size_t>(options.flags.GetInt("queries", 20000));
-  const int threads = static_cast<int>(options.flags.GetInt("threads", 2));
+      static_cast<size_t>(options.flags.GetIntIn("queries", 20000, 1));
+  const int threads = options.flags.GetIntIn("threads", 2, 1);
   const bool assert_slo = options.flags.GetBool("assert-serve-slo", false);
   const double min_qps = options.flags.GetDouble("min-qps", 10000.0);
   std::string snapshot_path = options.flags.GetString("snapshot-path", "");
   if (snapshot_path.empty()) {
     snapshot_path = StrFormat("/tmp/culevo_perf_serve_%d.snapshot",
                               static_cast<int>(::getpid()));
-  }
-  if (num_recipes == 0 || num_queries == 0 || threads <= 0) {
-    std::fprintf(stderr, "--recipes, --queries, --threads must be positive\n");
-    return 2;
   }
 
   bench::BenchReporter reporter("perf_serve", options);

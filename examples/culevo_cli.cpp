@@ -41,7 +41,6 @@
 
 #include <algorithm>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -121,16 +120,6 @@ Status WriteSnapshotFlag(const FlagParser& flags, const RecipeCorpus& corpus) {
   return Status::Ok();
 }
 
-// The int value of --name, `default_value` when absent. A value outside
-// [min, max] is refused as one that does not parse is.
-int IntFlagIn(const FlagParser& flags, const std::string& name,
-              int default_value, int min,
-              int max = std::numeric_limits<int>::max()) {
-  const long long value = flags.GetInt(name, default_value);
-  if (value < min || value > max) flags.RefuseValue(name);
-  return static_cast<int>(value);
-}
-
 Result<RecipeCorpus> World(const FlagParser& flags) {
   // Checked before any world work, whether or not a snapshot is loaded.
   const double scale = flags.GetDouble("scale", 0.25);
@@ -183,11 +172,11 @@ int RunEvaluate(const FlagParser& flags) {
       CuisineFromCode(flags.GetString("cuisine", "ITA"));
   if (!cuisine.ok()) flags.RefuseValue("cuisine");
   SimulationConfig config;
-  config.replicas = IntFlagIn(flags, "replicas", 10, 1);
+  config.replicas = flags.GetIntIn("replicas", 10, 1);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   config.cancel = &GlobalCancel();
-  config.tolerate_k = IntFlagIn(flags, "tolerate", 0, 0);
-  config.max_replica_retries = IntFlagIn(flags, "retries", 0, 0);
+  config.tolerate_k = flags.GetIntIn("tolerate", 0, 0);
+  config.max_replica_retries = flags.GetIntIn("retries", 0, 0);
   config.checkpoint.directory = flags.GetString("checkpoint", "");
   config.checkpoint.resume = flags.GetBool("resume", false);
   config.checkpoint.sync = true;  // the CLI journals durably
@@ -197,7 +186,7 @@ int RunEvaluate(const FlagParser& flags) {
     return 2;
   }
 
-  const int workers = IntFlagIn(flags, "workers", 1, 1);
+  const int workers = flags.GetIntIn("workers", 1, 1);
   const bool is_worker = flags.Has("worker-shard");
   if (workers > 1 && !config.checkpoint.enabled()) {
     std::cerr << "--workers requires --checkpoint <dir> (shard journals "
@@ -217,7 +206,7 @@ int RunEvaluate(const FlagParser& flags) {
   fabric.workers = workers;
   fabric.checkpoint_dir = config.checkpoint.directory;
   fabric.stall_ms = static_cast<int>(flags.GetInt("worker-stall-ms", 30000));
-  fabric.max_worker_retries = IntFlagIn(flags, "worker-retries", 2, 0);
+  fabric.max_worker_retries = flags.GetIntIn("worker-retries", 2, 0);
   fabric.tolerate_k = config.tolerate_k;
   fabric.cancel = &GlobalCancel();
 
@@ -287,10 +276,10 @@ int RunGenerate(const FlagParser& flags) {
   const Result<CuisineId> cuisine =
       CuisineFromCode(flags.GetString("cuisine", "ITA"));
   if (!cuisine.ok()) flags.RefuseValue("cuisine");
-  const int count = IntFlagIn(flags, "count", 3, 1);
+  const int count = flags.GetIntIn("count", 3, 1);
   GenerationConstraints constraints;
   constraints.target_size =
-      IntFlagIn(flags, "size", 9, kMinRecipeSize, kMaxRecipeSize);
+      flags.GetIntIn("size", 9, kMinRecipeSize, kMaxRecipeSize);
   if (flags.GetBool("vegetarian", false)) {
     constraints.excluded_categories = {Category::kMeat, Category::kFish,
                                        Category::kSeafood};

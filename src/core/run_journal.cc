@@ -21,7 +21,6 @@ namespace {
 struct JournalMetrics {
   obs::Counter* resumes;
   obs::Counter* replicas_restored;
-  obs::Counter* points_restored;
   obs::Counter* shards_merged;
   obs::Counter* records_merged;
   obs::Counter* merge_quarantined;
@@ -30,7 +29,6 @@ struct JournalMetrics {
     static const JournalMetrics metrics = {
         obs::MetricsRegistry::Get().counter("ckpt.resumes"),
         obs::MetricsRegistry::Get().counter("ckpt.replicas_restored"),
-        obs::MetricsRegistry::Get().counter("ckpt.points_restored"),
         obs::MetricsRegistry::Get().counter("exec.merge.shards_merged"),
         obs::MetricsRegistry::Get().counter("exec.merge.records_merged"),
         obs::MetricsRegistry::Get().counter("exec.merge.quarantined_records"),
@@ -184,25 +182,25 @@ std::string FieldString(const Fields& fields, std::string_view key) {
 
 std::string FormatManifest(const RunManifest& manifest) {
   return StrFormat(
-      "kind=manifest v=%d run=%s name=%s cfg=%s seed=%s replicas=%d "
-      "points=%d mining=%s context=%s",
-      manifest.schema, EscapeField(manifest.run_kind).c_str(),
-      EscapeField(manifest.name).c_str(),
+      "kind=manifest v=%d name=%s cfg=%s seed=%s replicas=%d mining=%s "
+      "context=%s",
+      manifest.schema, EscapeField(manifest.name).c_str(),
       HexU64(manifest.config_fingerprint).c_str(),
-      HexU64(manifest.seed).c_str(), manifest.replicas, manifest.points,
+      HexU64(manifest.seed).c_str(), manifest.replicas,
       HexU64(manifest.mining_hash).c_str(),
       HexU64(manifest.context_hash).c_str());
 }
 
 /// One verified payload, typed. std::monostate is every other kind:
 /// interrupt records and kinds this build does not know.
-using JournalRecord =
-    std::variant<std::monostate, RunManifest, ReplicaCheckpoint,
-                 IncidentCheckpoint, SweepPointCheckpoint>;
+using JournalRecord = std::variant<std::monostate, RunManifest,
+                                   ReplicaCheckpoint, IncidentCheckpoint>;
 
 /// The one record parser: every source resume or merge reads goes through
 /// it. A known kind whose fields do not parse is FailedPrecondition;
-/// `index` names the record of `path` in the message.
+/// `index` names the record of `path` in the message. Fields it does not
+/// read are ignored, so a manifest that still carries the `run` and
+/// `points` fields older builds wrote parses as any other.
 Result<JournalRecord> ParseRecord(std::string_view payload,
                                   const std::string& path, size_t index) {
   const Fields fields = ParseFields(payload);
@@ -213,12 +211,10 @@ Result<JournalRecord> ParseRecord(std::string_view payload,
     RunManifest manifest;
     readable = Field(fields, "v", &manifest.schema) &&
                Field(fields, "replicas", &manifest.replicas) &&
-               Field(fields, "points", &manifest.points) &&
                Field(fields, "cfg", &manifest.config_fingerprint) &&
                Field(fields, "seed", &manifest.seed) &&
                Field(fields, "mining", &manifest.mining_hash) &&
                Field(fields, "context", &manifest.context_hash);
-    manifest.run_kind = FieldString(fields, "run");
     manifest.name = FieldString(fields, "name");
     record = std::move(manifest);
   } else if (kind == "replica") {
@@ -235,13 +231,6 @@ Result<JournalRecord> ParseRecord(std::string_view payload,
                Field(fields, "retries", &incident.retries);
     incident.message = FieldString(fields, "msg");
     record = std::move(incident);
-  } else if (kind == "sweep") {
-    SweepPointCheckpoint point;
-    readable = Field(fields, "i", &point.index) &&
-               Field(fields, "value", &point.value) &&
-               Field(fields, "mi", &point.mae_ingredient) &&
-               Field(fields, "mc", &point.mae_category);
-    record = point;
   }
   if (!readable) {
     return Status::FailedPrecondition(
@@ -265,12 +254,8 @@ Status CheckManifest(const RunManifest& journal, const RunManifest& run,
     return refuse(StrFormat("record schema v%d vs this build's v%d",
                             journal.schema, run.schema));
   }
-  if (journal.run_kind != run.run_kind) {
-    return refuse(StrFormat("run kind '%s' vs '%s'",
-                            journal.run_kind.c_str(), run.run_kind.c_str()));
-  }
   if (journal.name != run.name) {
-    return refuse(StrFormat("model/sweep '%s' vs '%s'",
+    return refuse(StrFormat("model '%s' vs '%s'",
                             journal.name.c_str(), run.name.c_str()));
   }
   if (journal.config_fingerprint != run.config_fingerprint) {
@@ -287,10 +272,6 @@ Status CheckManifest(const RunManifest& journal, const RunManifest& run,
   if (journal.replicas != run.replicas) {
     return refuse(StrFormat("replicas %d vs %d", journal.replicas,
                             run.replicas));
-  }
-  if (journal.points != run.points) {
-    return refuse(StrFormat("sweep points %d vs %d", journal.points,
-                            run.points));
   }
   if (journal.mining_hash != run.mining_hash) {
     return refuse("mining configuration (support) differs");
@@ -381,14 +362,13 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
   std::vector<std::string> records = {FormatManifest(manifest)};
   if (options.resume) {
     const bool merging = options.merge_shards > 0;
-    // One rule set for every source. The first record of a replica or
-    // sweep point wins: any copy of unit k is the deterministic output of
+    // One rule set for every source. The first record of a replica wins:
+    // any copy of replica k is the deterministic output of
     // DeriveSeed(seed, k), so which one wins is immaterial. Incidents are
     // a multiset union: each payload is kept as often as the one source
     // that repeats it most, so a single journal keeps its repeats and
     // re-merging a merged journal adds nothing.
     std::set<int> seen_replicas;
-    std::set<int> seen_points;
     struct IncidentCount {
       int kept = 0;
       int in_source = 0;
@@ -431,9 +411,6 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
         if (auto* replica = std::get_if<ReplicaCheckpoint>(&*record)) {
           keep = seen_replicas.insert(replica->replica).second;
           if (keep) journal->restored_replicas_.push_back(std::move(*replica));
-        } else if (auto* point = std::get_if<SweepPointCheckpoint>(&*record)) {
-          keep = seen_points.insert(point->index).second;
-          if (keep) journal->restored_points_.push_back(*point);
         } else if (auto* incident =
                        std::get_if<IncidentCheckpoint>(&*record)) {
           IncidentCount& count = incidents[payload];
@@ -477,8 +454,6 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
       metrics.resumes->Increment();
       metrics.replicas_restored->Increment(
           static_cast<int64_t>(journal->restored_replicas_.size()));
-      metrics.points_restored->Increment(
-          static_cast<int64_t>(journal->restored_points_.size()));
     }
   }
 
@@ -505,16 +480,6 @@ Status RunJournal::AppendIncident(int replica, const Status& status,
       "kind=incident k=%d code=%d retries=%d msg=%s", replica,
       static_cast<int>(status.code()), retries,
       EscapeField(status.message()).c_str());
-  std::lock_guard<std::mutex> lock(mu_);
-  return writer_.Append(payload);
-}
-
-Status RunJournal::AppendSweepPoint(const SweepPointCheckpoint& point) {
-  const std::string payload = StrFormat(
-      "kind=sweep i=%d value=%s mi=%s mc=%s", point.index,
-      HexDouble(point.value).c_str(),
-      HexDouble(point.mae_ingredient).c_str(),
-      HexDouble(point.mae_category).c_str());
   std::lock_guard<std::mutex> lock(mu_);
   return writer_.Append(payload);
 }

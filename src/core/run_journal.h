@@ -19,12 +19,12 @@ namespace culevo {
 /// a record kind changes incompatibly; resume refuses across versions.
 inline constexpr int kRunJournalSchemaVersion = 1;
 
-/// Crash-recovery knobs on SimulationConfig (and, transitively, on the
-/// sweep drivers). Empty `directory` disables checkpointing entirely —
-/// the default, costing nothing on the simulation hot path.
+/// Crash-recovery knobs on SimulationConfig. Empty `directory` disables
+/// checkpointing entirely — the default, costing nothing on the simulation
+/// hot path.
 struct CheckpointOptions {
-  /// Directory holding the run journals (one file per model × cuisine /
-  /// per sweep). Created on first use if missing.
+  /// Directory holding the run journals (one file per model × cuisine).
+  /// Created on first use if missing.
   std::string directory;
   /// Load completed work from an existing journal instead of starting
   /// fresh. A journal whose manifest does not match the current run is
@@ -50,15 +50,13 @@ struct CheckpointOptions {
 /// would corrupt the aggregate while looking healthy.
 struct RunManifest {
   int schema = kRunJournalSchemaVersion;
-  std::string run_kind;       ///< "simulation" or "sweep".
-  std::string name;           ///< Model name / sweep name.
-  /// Model parameters (EvolutionModel::ConfigFingerprint) or, for sweeps,
-  /// the base params + swept value list. Catches same-name models with
-  /// different knobs (two CM-M mixture probabilities both print "CM-M").
+  std::string name;           ///< Model name.
+  /// Model parameters (EvolutionModel::ConfigFingerprint). Catches
+  /// same-name models with different knobs (two CM-M mixture
+  /// probabilities both print "CM-M").
   uint64_t config_fingerprint = 0;
   uint64_t seed = 0;
   int replicas = 0;
-  int points = 0;             ///< Sweep points; 0 for plain simulations.
   /// Mining parameters (HashMiningConfig).
   uint64_t mining_hash = 0;
   /// Cuisine context + lexicon content hash — the "corpus hash": a
@@ -88,14 +86,6 @@ struct IncidentCheckpoint {
   int retries = 0;
 };
 
-/// One completed sweep point as checkpointed (bit-exact doubles).
-struct SweepPointCheckpoint {
-  int index = -1;
-  double value = 0.0;
-  double mae_ingredient = 0.0;
-  double mae_category = 0.0;
-};
-
 /// Content hash of a cuisine context plus the lexicon categories it maps
 /// through — the manifest's corpus/lexicon identity.
 uint64_t HashCuisineContext(const CuisineContext& context,
@@ -105,7 +95,7 @@ uint64_t HashCuisineContext(const CuisineContext& context,
 Status IncidentStatus(const IncidentCheckpoint& incident);
 
 /// Lowercases `name` and maps everything outside [a-z0-9] to '_', for
-/// journal file names derived from model/sweep names.
+/// journal file names derived from model names.
 std::string SanitizeFileToken(std::string_view name);
 
 /// Name of shard `shard_index`'s journal for the logical journal
@@ -117,9 +107,9 @@ std::string ShardJournalFileName(const std::string& file_name,
                                  int shard_index);
 
 /// The domain layer over util/checkpoint.h: serializes run records
-/// (manifest, replica, incident, sweep point, interrupt) and implements
-/// the resume protocol. Appends are thread-safe (RunSimulation journals
-/// from pool workers). See DESIGN.md §10 for the record grammar.
+/// (manifest, replica, incident, interrupt) and implements the resume
+/// protocol. Appends are thread-safe (RunSimulation journals from pool
+/// workers). See DESIGN.md §10 for the record grammar.
 class RunJournal {
  public:
   /// Opens `<options.directory>/<file_name>`, creating the directory if
@@ -141,16 +131,11 @@ class RunJournal {
   const std::vector<IncidentCheckpoint>& prior_incidents() const {
     return prior_incidents_;
   }
-  const std::vector<SweepPointCheckpoint>& restored_points() const {
-    return restored_points_;
-  }
 
   /// Checkpoints one completed replica. Thread-safe.
   Status AppendReplica(const ReplicaCheckpoint& replica);
   /// Records a permanent replica failure for RunReport continuity.
   Status AppendIncident(int replica, const Status& status, int retries);
-  /// Checkpoints one completed sweep point.
-  Status AppendSweepPoint(const SweepPointCheckpoint& point);
   /// Final record flushed when cancellation/deadline interrupts the run,
   /// so the journal itself documents why it is incomplete.
   Status AppendInterrupt(const Status& status);
@@ -162,7 +147,6 @@ class RunJournal {
   std::mutex mu_;
   std::vector<ReplicaCheckpoint> restored_replicas_;
   std::vector<IncidentCheckpoint> prior_incidents_;
-  std::vector<SweepPointCheckpoint> restored_points_;
 };
 
 }  // namespace culevo

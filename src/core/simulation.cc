@@ -148,7 +148,6 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
   std::unique_ptr<RunJournal> journal;
   if (config.checkpoint.enabled()) {
     RunManifest manifest;
-    manifest.run_kind = "simulation";
     manifest.name = model.name();
     manifest.config_fingerprint = model.ConfigFingerprint();
     manifest.seed = config.seed;

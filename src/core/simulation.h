@@ -56,15 +56,14 @@ std::string RunReportToJson(const RunReport& report);
 uint64_t HashMiningConfig(const CombinationConfig& mining);
 
 /// Multi-process sharding of the work grid (see exec/fabric.h). The
-/// coordinator spawns `count` workers; worker `index` computes only the
-/// units it owns — replicas inside RunSimulation, sweep points inside
-/// RunSweep — journaling them into a `.shard<index>` journal that the
-/// coordinator's resume (CheckpointOptions::merge_shards) later folds back
-/// together. Unit identity stays
-/// GLOBAL: replica k uses DeriveSeed(seed, k) whatever the layout, so the
-/// merged output is bit-identical to a single-process run and independent
-/// of worker count, scheduling, and which shard computed what. The
-/// default {0, 1} means "not sharded".
+/// coordinator spawns `count` workers; worker `index` runs only the
+/// replicas it owns, journaling them into a `.shard<index>` journal that
+/// the coordinator's resume (CheckpointOptions::merge_shards) later folds
+/// back together. Replica identity stays GLOBAL: replica k uses
+/// DeriveSeed(seed, k) whatever the layout, so the merged output is
+/// bit-identical to a single-process run and independent of worker count,
+/// scheduling, and which shard computed what. The default {0, 1} means
+/// "not sharded".
 struct ShardSpec {
   int index = 0;
   int count = 1;

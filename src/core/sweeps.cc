@@ -1,126 +1,53 @@
 #include "core/sweeps.h"
 
-#include <bit>
+#include <algorithm>
 #include <functional>
-#include <memory>
-
-#include "core/run_journal.h"
-#include "core/simulation.h"
-#include "util/cancel.h"
-#include "util/hash.h"
-#include "util/strings.h"
 
 namespace culevo {
 namespace {
 
-/// Evaluates a single parameterized CopyMutateModel and reports its MAEs.
-Result<SweepPoint> EvaluateOne(const RecipeCorpus& corpus, CuisineId cuisine,
-                               const Lexicon& lexicon,
-                               const ModelParams& params, double value,
-                               const SimulationConfig& config,
-                               ThreadPool* pool) {
-  const CopyMutateModel model(&lexicon, params);
-  const std::vector<const EvolutionModel*> models = {&model};
+/// Scores one CopyMutateModel per entry of `params`, in order, with one
+/// EvaluateCuisine call; no entries, no scores. A checkpointing or sharded
+/// `config` is refused first (see sweeps.h).
+Result<std::vector<ModelScore>> ScoreParams(
+    const RecipeCorpus& corpus, CuisineId cuisine, const Lexicon& lexicon,
+    const std::vector<ModelParams>& params, const SimulationConfig& config) {
+  if (config.checkpoint.enabled() || config.shard.active()) {
+    return Status::InvalidArgument(
+        "parameter sweeps neither checkpoint nor shard: their models "
+        "share a policy name, and with it a journal file");
+  }
+  if (params.empty()) return std::vector<ModelScore>{};
+  std::vector<CopyMutateModel> owned;
+  owned.reserve(params.size());
+  std::vector<const EvolutionModel*> models;
+  for (const ModelParams& p : params) {
+    models.push_back(&owned.emplace_back(&lexicon, p));
+  }
   Result<CuisineEvaluation> evaluation =
-      EvaluateCuisine(corpus, cuisine, lexicon, models, config, pool);
+      EvaluateCuisine(corpus, cuisine, lexicon, models, config);
   if (!evaluation.ok()) return evaluation.status();
-  SweepPoint point;
-  point.value = value;
-  point.mae_ingredient = evaluation.value().scores[0].mae_ingredient;
-  point.mae_category = evaluation.value().scores[0].mae_category;
-  return point;
+  return std::move(evaluation->scores);
 }
 
-/// Shared driver of the four parameter sweeps: runs `apply(params, v)` for
-/// each swept value, checkpointing at sweep-point granularity when
-/// `config.checkpoint` is set (file `sweep_<name>_c<cuisine>.journal`).
-/// Sweep points are the cancellation granule at this level; deeper checks
-/// happen inside RunSimulation.
+/// The four parameter sweeps: `apply(params, v)` sets the swept value `v`
+/// on a copy of `base`.
 Result<std::vector<SweepPoint>> RunSweep(
-    const char* sweep_name, const RecipeCorpus& corpus, CuisineId cuisine,
-    const Lexicon& lexicon, const std::vector<double>& values,
-    const ModelParams& base, const SimulationConfig& config, ThreadPool* pool,
+    const RecipeCorpus& corpus, CuisineId cuisine, const Lexicon& lexicon,
+    const std::vector<double>& values, const ModelParams& base,
+    const SimulationConfig& config,
     const std::function<void(ModelParams&, double)>& apply) {
-  // The per-point evaluations must not journal themselves: the sweep point
-  // is the checkpoint granule here, and child journals would collide
-  // across points (every point runs the same model name). Sharding is
-  // likewise consumed at point granularity — the inner simulation must
-  // not also split its replicas.
-  SimulationConfig child = config;
-  child.checkpoint = CheckpointOptions{};
-  child.shard = ShardSpec{};
-  if (config.shard.active() && !config.checkpoint.enabled()) {
-    return Status::InvalidArgument(
-        "sharded sweep execution requires a checkpoint directory");
-  }
+  std::vector<ModelParams> params(values.size(), base);
+  for (size_t i = 0; i < values.size(); ++i) apply(params[i], values[i]);
+  Result<std::vector<ModelScore>> scores =
+      ScoreParams(corpus, cuisine, lexicon, params, config);
+  if (!scores.ok()) return scores.status();
 
-  std::vector<SweepPoint> points(values.size());
-  std::vector<char> done(values.size(), 0);
-  std::unique_ptr<RunJournal> journal;
-  if (config.checkpoint.enabled()) {
-    RunManifest manifest;
-    manifest.run_kind = "sweep";
-    manifest.name = sweep_name;
-    // Identity = base model params + the swept value list: resuming with
-    // different values (or a different base) must be refused, not
-    // silently mixed point-by-index.
-    uint64_t fingerprint =
-        CopyMutateModel(&lexicon, base).ConfigFingerprint();
-    fingerprint = HashCombine(fingerprint, values.size());
-    for (double v : values) {
-      fingerprint = HashCombine(fingerprint, std::bit_cast<uint64_t>(v));
-    }
-    manifest.config_fingerprint = fingerprint;
-    manifest.seed = config.seed;
-    manifest.replicas = config.replicas;
-    manifest.points = static_cast<int>(values.size());
-    manifest.mining_hash = HashMiningConfig(config.mining);
-    Result<CuisineContext> context = ContextFromCorpus(corpus, cuisine);
-    if (!context.ok()) return context.status();
-    manifest.context_hash = HashCuisineContext(context.value(), lexicon);
-
-    std::string file_name = StrFormat(
-        "sweep_%s_c%d.journal", SanitizeFileToken(sweep_name).c_str(),
-        static_cast<int>(cuisine));
-    if (config.shard.active()) {
-      file_name = ShardJournalFileName(file_name, config.shard.index);
-    }
-    Result<std::unique_ptr<RunJournal>> opened =
-        RunJournal::Open(config.checkpoint, file_name, manifest);
-    if (!opened.ok()) return opened.status();
-    journal = std::move(opened).value();
-    for (const SweepPointCheckpoint& restored : journal->restored_points()) {
-      const size_t i = static_cast<size_t>(restored.index);
-      if (restored.index < 0 || i >= values.size() || done[i]) continue;
-      points[i] = SweepPoint{restored.value, restored.mae_ingredient,
-                             restored.mae_category};
-      done[i] = 1;
-    }
-  }
-
+  std::vector<SweepPoint> points;
+  points.reserve(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
-    if (!config.shard.owns(i)) continue;  // another worker's point
-    if (done[i]) continue;                // completed by a prior attempt
-    if (Status cancelled = CancelToken::Check(config.cancel);
-        !cancelled.ok()) {
-      if (journal != nullptr) (void)journal->AppendInterrupt(cancelled);
-      return cancelled;
-    }
-    ModelParams params = base;
-    apply(params, values[i]);
-    Result<SweepPoint> point =
-        EvaluateOne(corpus, cuisine, lexicon, params, values[i], child, pool);
-    if (!point.ok()) {
-      // Forensic marker of why the journal is incomplete (best-effort).
-      if (journal != nullptr) (void)journal->AppendInterrupt(point.status());
-      return point.status();
-    }
-    points[i] = point.value();
-    if (journal != nullptr) {
-      CULEVO_RETURN_IF_ERROR(journal->AppendSweepPoint(SweepPointCheckpoint{
-          static_cast<int>(i), points[i].value, points[i].mae_ingredient,
-          points[i].mae_category}));
-    }
+    points.push_back({values[i], (*scores)[i].mae_ingredient,
+                      (*scores)[i].mae_category});
   }
   return points;
 }
@@ -134,9 +61,9 @@ std::vector<double> ToDoubles(const std::vector<int>& values) {
 Result<std::vector<SweepPoint>> SweepMixtureProb(
     const RecipeCorpus& corpus, CuisineId cuisine, const Lexicon& lexicon,
     const std::vector<double>& probs, const ModelParams& base,
-    const SimulationConfig& config, ThreadPool* pool) {
-  return RunSweep("mixture_prob", corpus, cuisine, lexicon, probs, base,
-                  config, pool, [](ModelParams& params, double p) {
+    const SimulationConfig& config) {
+  return RunSweep(corpus, cuisine, lexicon, probs, base, config,
+                  [](ModelParams& params, double p) {
                     params.policy = ReplacementPolicy::kMixture;
                     params.mixture_cross_prob = p;
                   });
@@ -145,10 +72,9 @@ Result<std::vector<SweepPoint>> SweepMixtureProb(
 Result<std::vector<SweepPoint>> SweepMutationCount(
     const RecipeCorpus& corpus, CuisineId cuisine, const Lexicon& lexicon,
     const std::vector<int>& mutation_counts, const ModelParams& base,
-    const SimulationConfig& config, ThreadPool* pool) {
-  return RunSweep("mutation_count", corpus, cuisine, lexicon,
-                  ToDoubles(mutation_counts), base, config, pool,
-                  [](ModelParams& params, double m) {
+    const SimulationConfig& config) {
+  return RunSweep(corpus, cuisine, lexicon, ToDoubles(mutation_counts), base,
+                  config, [](ModelParams& params, double m) {
                     params.mutations = static_cast<int>(m);
                   });
 }
@@ -156,10 +82,9 @@ Result<std::vector<SweepPoint>> SweepMutationCount(
 Result<std::vector<SweepPoint>> SweepInitialPool(
     const RecipeCorpus& corpus, CuisineId cuisine, const Lexicon& lexicon,
     const std::vector<int>& pool_sizes, const ModelParams& base,
-    const SimulationConfig& config, ThreadPool* pool) {
-  return RunSweep("initial_pool", corpus, cuisine, lexicon,
-                  ToDoubles(pool_sizes), base, config, pool,
-                  [](ModelParams& params, double m) {
+    const SimulationConfig& config) {
+  return RunSweep(corpus, cuisine, lexicon, ToDoubles(pool_sizes), base,
+                  config, [](ModelParams& params, double m) {
                     params.initial_pool = static_cast<int>(m);
                   });
 }
@@ -167,12 +92,47 @@ Result<std::vector<SweepPoint>> SweepInitialPool(
 Result<std::vector<SweepPoint>> SweepSizeMutationRate(
     const RecipeCorpus& corpus, CuisineId cuisine, const Lexicon& lexicon,
     const std::vector<double>& rates, const ModelParams& base,
-    const SimulationConfig& config, ThreadPool* pool) {
-  return RunSweep("size_mutation_rate", corpus, cuisine, lexicon, rates, base,
-                  config, pool, [](ModelParams& params, double rate) {
+    const SimulationConfig& config) {
+  return RunSweep(corpus, cuisine, lexicon, rates, base, config,
+                  [](ModelParams& params, double rate) {
                     params.insert_prob = rate;
                     params.delete_prob = rate;
                   });
+}
+
+Result<std::vector<FitResult>> FitCopyMutateParameters(
+    const RecipeCorpus& corpus, CuisineId cuisine, const Lexicon& lexicon,
+    const FitGrid& grid, const SimulationConfig& config) {
+  if (grid.initial_pools.empty() || grid.mutation_counts.empty() ||
+      grid.policies.empty()) {
+    return Status::InvalidArgument("empty fit grid");
+  }
+  std::vector<ModelParams> params;
+  for (int m : grid.initial_pools) {
+    for (int mutations : grid.mutation_counts) {
+      for (ReplacementPolicy policy : grid.policies) {
+        ModelParams& p = params.emplace_back();
+        p.initial_pool = m;
+        p.mutations = mutations;
+        p.policy = policy;
+      }
+    }
+  }
+  Result<std::vector<ModelScore>> scores =
+      ScoreParams(corpus, cuisine, lexicon, params, config);
+  if (!scores.ok()) return scores.status();
+
+  std::vector<FitResult> results;
+  results.reserve(params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    results.push_back({params[i], (*scores)[i].mae_ingredient,
+                       (*scores)[i].mae_category});
+  }
+  std::sort(results.begin(), results.end(),
+            [](const FitResult& a, const FitResult& b) {
+              return a.mae_ingredient < b.mae_ingredient;
+            });
+  return results;
 }
 
 }  // namespace culevo

@@ -170,12 +170,9 @@ int RunSupervisor(int argc, char** argv, const FlagParser& flags) {
   SupervisorOptions options;
   options.socket_path = flags.GetString("socket", "");
   if (options.socket_path.empty()) return Usage();
-  options.probe_interval_ms =
-      static_cast<int>(flags.GetInt("probe-interval-ms", 1000));
-  options.probe_timeout_ms =
-      static_cast<int>(flags.GetInt("probe-timeout-ms", 1000));
-  options.probe_failures_to_kill =
-      static_cast<int>(flags.GetInt("probe-failures", 3));
+  options.probe_interval_ms = flags.GetIntIn("probe-interval-ms", 1000, 1);
+  options.probe_timeout_ms = flags.GetIntIn("probe-timeout-ms", 1000, 1);
+  options.probe_failures_to_kill = flags.GetIntIn("probe-failures", 3, 1);
   options.startup_grace_ms =
       static_cast<int>(flags.GetInt("startup-grace-ms", 10000));
   options.restart_backoff_ms =
@@ -296,6 +293,16 @@ int main(int argc, char** argv) {
   // process (the write path sees EPIPE instead of a fatal SIGPIPE).
   IgnoreSigPipe();
 
+  // The serving child's out-of-range values are refused here, before
+  // --supervise spawns a child that would exit on them again and again.
+  SynthConfig synth;
+  synth.scale = flags.GetDouble("scale", 0.25);
+  if (!(synth.scale > 0 && synth.scale <= 1)) flags.RefuseValue("scale");
+  ServiceOptions options;
+  options.max_inflight = flags.GetIntIn("max-inflight", 256, 1);
+  ServerOptions server_options;
+  server_options.threads = flags.GetIntIn("threads", 4, 1);
+
   if (flags.GetBool("supervise", false)) {
     return RunSupervisor(argc, argv, flags);
   }
@@ -306,17 +313,10 @@ int main(int argc, char** argv) {
   const bool dump_metrics = flags.GetBool("metrics", false);
   const std::string snapshot_path = flags.GetString("load-snapshot", "");
   const std::string delta_path = flags.GetString("delta-path", "");
-  SynthConfig synth;
-  synth.scale = flags.GetDouble("scale", 0.25);
   synth.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  ServiceOptions options;
   options.default_deadline_ms = flags.GetInt("deadline-ms", 250);
-  options.max_inflight =
-      static_cast<int>(flags.GetInt("max-inflight", 256));
   options.brownout_latency_ms = flags.GetDouble("brownout-latency-ms", 0);
-  ServerOptions server_options;
   server_options.socket_path = flags.GetString("socket", "");
-  server_options.threads = static_cast<int>(flags.GetInt("threads", 4));
   server_options.client_read_timeout_ms =
       static_cast<int>(flags.GetInt("client-read-timeout-ms", 5000));
   if (!once && server_options.socket_path.empty()) return Usage();

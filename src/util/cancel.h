@@ -14,7 +14,7 @@ namespace culevo {
 /// Deadlines are value types: compute one up front (e.g. from a
 /// `--timeout-ms` flag) and install it on a CancelToken. Expiry checks
 /// cost one steady_clock::now() call, so they are meant for granule
-/// boundaries (replica, root class, sweep point), not inner loops.
+/// boundaries (replica, root class), not inner loops.
 class Deadline {
  public:
   /// No deadline: never expires.
@@ -66,10 +66,10 @@ class Deadline {
 ///
 /// Protocol: long-running entry points accept `const CancelToken*` (null
 /// means "never cancelled") and poll `ShouldStop()` / `Check()` once per
-/// work granule — a simulation replica, an Eclat root class, a sweep
-/// point. A cancelled run abandons *pending* granules only; granules that
-/// already completed did so fully, which keeps partial state well-formed
-/// and cancellation responsive to within one granule.
+/// work granule — a simulation replica, an Eclat root class. A cancelled
+/// run abandons *pending* granules only; granules that already completed
+/// did so fully, which keeps partial state well-formed and cancellation
+/// responsive to within one granule.
 ///
 /// Cancel() is a single relaxed atomic store: safe from any thread and
 /// from async signal handlers. Determinism: cancellation affects *which*

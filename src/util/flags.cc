@@ -103,6 +103,13 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) const {
   ExitInvalidValue(name, it->second);
 }
 
+int FlagParser::GetIntIn(const std::string& name, int default_value,
+                         int min, int max) const {
+  const long long value = GetInt(name, default_value);
+  if (value < min || value > max) RefuseValue(name);
+  return static_cast<int>(value);
+}
+
 void FlagParser::RefuseValue(const std::string& name) const {
   ExitInvalidValue(name, GetString(name, ""));
 }

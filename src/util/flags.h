@@ -1,6 +1,7 @@
 #ifndef CULEVO_UTIL_FLAGS_H_
 #define CULEVO_UTIL_FLAGS_H_
 
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -38,6 +39,11 @@ class FlagParser {
   long long GetInt(const std::string& name, long long default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
+
+  /// GetInt for a flag whose value must lie in [min, max]; a value outside
+  /// is refused as RefuseValue refuses it.
+  int GetIntIn(const std::string& name, int default_value, int min,
+               int max = std::numeric_limits<int>::max()) const;
 
   /// Refuses the value given for `--name` as the typed getters refuse one
   /// that does not parse (same line, exit status 2). For a value that

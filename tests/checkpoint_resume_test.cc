@@ -1,8 +1,8 @@
 // Resume-protocol tests for the crash-recovery subsystem: the
 // bit-identical resume-equivalence guarantee for every model, manifest
 // mismatch refusals, corruption recovery at the RunSimulation level,
-// RunReport continuity across attempts, sweep-point checkpointing, and
-// the merged resume of shard journals (one read, parse and write each).
+// RunReport continuity across attempts, and the merged resume of shard
+// journals (one read, parse and write each).
 
 #include <gtest/gtest.h>
 
@@ -15,10 +15,8 @@
 #include "core/null_model.h"
 #include "core/run_journal.h"
 #include "core/simulation.h"
-#include "core/sweeps.h"
 #include "lexicon/world_lexicon.h"
 #include "obs/metrics.h"
-#include "synth/generator.h"
 #include "util/cancel.h"
 #include "util/check.h"
 #include "util/csv.h"
@@ -427,6 +425,42 @@ TEST_F(CheckpointResumeTest, FormatVersionBumpRefusesResume) {
             StatusCode::kFailedPrecondition);
 }
 
+// Journals written before the manifest lost its `run` and `points` fields
+// still resume: the parser ignores fields it does not read.
+TEST_F(CheckpointResumeTest, ManifestWithRunAndPointsFieldsResumes) {
+  const Lexicon& lexicon = WorldLexicon();
+  const NullModel model;
+  const CuisineContext context = SmallContext();
+  const std::string dir = FreshDir();
+
+  SimulationConfig config = BaseConfig();
+  config.checkpoint = Checkpointed(dir, false);
+  Result<SimulationResult> golden =
+      RunSimulation(model, context, lexicon, config);
+  ASSERT_TRUE(golden.ok());
+
+  // The manifest line in that older layout:
+  // `kind=manifest v=1 run=simulation name=NM ... replicas=6 points=0
+  // mining=...`.
+  const std::string path = dir + "/sim_nm_c0.journal";
+  EditRecord(path, "kind=manifest v=1 name=",
+             "kind=manifest v=1 run=simulation name=");
+  EditRecord(path, " mining=", " points=0 mining=");
+
+  // Every replica restores: a model that fails every replica seed
+  // finishes anyway.
+  std::vector<uint64_t> all_seeds;
+  for (int k = 0; k < config.replicas; ++k) {
+    all_seeds.push_back(DeriveSeed(config.seed, static_cast<uint64_t>(k)));
+  }
+  FlakyModel deny_all(&model, all_seeds);
+  config.checkpoint = Checkpointed(dir, true);
+  Result<SimulationResult> resumed =
+      RunSimulation(deny_all, context, lexicon, config);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  ExpectBitIdentical(resumed.value(), golden.value());
+}
+
 // Satellite: RunReport continuity. An attempt that fails a replica
 // permanently journals the incident; after resume, the merged ledger
 // still shows the prior failure even though the replica then succeeded.
@@ -497,86 +531,6 @@ TEST_F(CheckpointResumeTest, ParallelResumeMatchesSerialGolden) {
       RunSimulation(*model, context, lexicon, config, &pool);
   ASSERT_TRUE(resumed.ok());
   ExpectBitIdentical(resumed.value(), golden.value());
-}
-
-// --- Sweep-level checkpointing ---
-
-const RecipeCorpus& SweepCorpus() {
-  static const RecipeCorpus& corpus = []() -> const RecipeCorpus& {
-    const Lexicon& lexicon = WorldLexicon();
-    const CuisineId bn = CuisineFromCode("BN").value();
-    const CuisineProfile profile = BuildCuisineProfile(lexicon, bn, 3);
-    SynthConfig config;
-    RecipeCorpus::Builder builder;
-    CULEVO_CHECK_OK(
-        SynthesizeCuisine(lexicon, profile, config, 400, &builder));
-    return *new RecipeCorpus(builder.Build());
-  }();
-  return corpus;
-}
-
-TEST_F(CheckpointResumeTest, SweepResumesAtPointGranularity) {
-  const CuisineId bn = CuisineFromCode("BN").value();
-  const Lexicon& lexicon = WorldLexicon();
-  ModelParams base;
-  SimulationConfig config;
-  config.replicas = 2;
-  const std::vector<int> counts = {1, 4, 8};
-
-  Result<std::vector<SweepPoint>> golden =
-      SweepMutationCount(SweepCorpus(), bn, lexicon, counts, base, config);
-  ASSERT_TRUE(golden.ok());
-
-  // Interrupt after the first sweep point: the 3rd generate call belongs
-  // to point 1 (2 replicas per point), so point 0 is journaled and point
-  // 1 dies mid-flight.
-  const std::string dir = FreshDir();
-  SimulationConfig interrupted = config;
-  interrupted.checkpoint = Checkpointed(dir, false);
-  Failpoints::ArmSpec spec;
-  spec.skip = 2;
-  Failpoints::Get().Arm("sim.replica.generate", spec);
-  Result<std::vector<SweepPoint>> partial = SweepMutationCount(
-      SweepCorpus(), bn, lexicon, counts, base, interrupted);
-  Failpoints::Get().DisarmAll();
-  EXPECT_FALSE(partial.ok());
-
-  // Resume completes the remaining points; every double is bit-identical.
-  SimulationConfig resumed_config = config;
-  resumed_config.checkpoint = Checkpointed(dir, true);
-  Result<std::vector<SweepPoint>> resumed = SweepMutationCount(
-      SweepCorpus(), bn, lexicon, counts, base, resumed_config);
-  ASSERT_TRUE(resumed.ok());
-  ASSERT_EQ(resumed->size(), golden->size());
-  for (size_t i = 0; i < golden->size(); ++i) {
-    EXPECT_EQ((*resumed)[i].value, (*golden)[i].value);
-    EXPECT_EQ((*resumed)[i].mae_ingredient, (*golden)[i].mae_ingredient);
-    EXPECT_EQ((*resumed)[i].mae_category, (*golden)[i].mae_category);
-  }
-}
-
-TEST_F(CheckpointResumeTest, SweepWithChangedValuesIsRefused) {
-  const CuisineId bn = CuisineFromCode("BN").value();
-  const Lexicon& lexicon = WorldLexicon();
-  ModelParams base;
-  SimulationConfig config;
-  config.replicas = 2;
-  const std::string dir = FreshDir();
-
-  config.checkpoint = Checkpointed(dir, false);
-  ASSERT_TRUE(SweepMutationCount(SweepCorpus(), bn, lexicon, {1, 4}, base,
-                                 config)
-                  .ok());
-
-  config.checkpoint = Checkpointed(dir, true);
-  EXPECT_EQ(SweepMutationCount(SweepCorpus(), bn, lexicon, {1, 8}, base,
-                               config)
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(SweepMutationCount(SweepCorpus(), bn, lexicon, {1, 4}, base,
-                                 config)
-                  .ok());
 }
 
 TEST_F(CheckpointResumeTest, CkptMetricsTrackResumes) {
@@ -688,7 +642,6 @@ TEST_F(CheckpointResumeTest, MergedResumeReadsAndWritesEachRecordOnce) {
 TEST_F(CheckpointResumeTest, RewrittenJournalHoldsTheRestoredState) {
   const std::string dir = FreshDir();
   RunManifest manifest;
-  manifest.run_kind = "simulation";
   manifest.name = "NM";
   manifest.replicas = 4;
   const std::string file_name = "sim_nm_c0.journal";

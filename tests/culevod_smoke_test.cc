@@ -287,6 +287,33 @@ TEST(CulevodFlagsTest, BadFlagExitsTwoBeforeTheColdStart) {
             2);
   EXPECT_EQ(ExitStatusOf({"culevod", "--once", "--load-snapshot", absent}),
             1);
+  // So is a value out of range, in every mode, before the supervisor
+  // spawns a child. A supervisor that did spawn one would see it fail the
+  // load, and --max-restarts 0 would end it with exit 1.
+  const std::vector<std::vector<std::string>> out_of_range = {
+      {"--scale", "0"},
+      {"--scale", "1.5"},
+      {"--threads", "0"},
+      {"--max-inflight", "0"},
+      {"--probe-interval-ms", "0"},
+      {"--probe-timeout-ms", "-5"},
+      {"--probe-failures", "0"}};
+  for (const std::vector<std::string>& flag : out_of_range) {
+    const bool probe = StartsWith(flag[0], "--probe");
+    for (const bool supervise : {false, true}) {
+      if (probe && !supervise) continue;  // only the supervisor reads them
+      std::vector<std::string> args = {"culevod", flag[0], flag[1],
+                                        "--load-snapshot", absent};
+      if (supervise) {
+        args.insert(args.end(), {"--supervise", "--socket", SocketPath(),
+                                 "--max-restarts", "0"});
+      } else {
+        args.push_back("--once");
+      }
+      EXPECT_EQ(ExitStatusOf(args), 2)
+          << flag[0] << " " << flag[1] << (supervise ? " --supervise" : "");
+    }
+  }
 }
 
 class CulevodClientTimeoutTest : public CulevodSmokeTest {

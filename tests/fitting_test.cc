@@ -1,8 +1,6 @@
-#include "core/fitting.h"
+#include "core/sweeps.h"
 
 #include <gtest/gtest.h>
-
-#include "core/sweeps.h"
 
 #include "lexicon/world_lexicon.h"
 #include "synth/generator.h"

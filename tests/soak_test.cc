@@ -12,6 +12,7 @@
 //   4. The hot delta reload swaps generations without re-reading the
 //      snapshot (corpus.snapshot.mmap_loads stays flat), and a
 //      mismatched-base delta is refused while the old generation serves.
+//   5. In a sanitizer build, no daemon process writes a sanitizer report.
 //
 // The binary path is injected at compile time (CULEVOD_PATH).
 
@@ -24,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <span>
 #include <string>
@@ -132,6 +134,24 @@ Result<long long> CounterRow(const std::string& metrics,
   return std::strtoll(metrics.c_str() + at + needle.size(), nullptr, 10);
 }
 
+/// The sanitizer options this process inherited, each with a `log_path`
+/// under `prefix` added, as SpawnOptions::extra_env entries. The daemons
+/// run with stderr silenced, so a report goes to `<prefix>.<pid>` instead.
+/// Builds without the sanitizers ignore these variables, and so does
+/// GCC's UBSan runtime when it is linked beside ASan's: its reports stay
+/// on the silenced stderr.
+std::vector<std::string> SanitizerLogEnv(const std::string& prefix) {
+  std::vector<std::string> env;
+  for (const char* name : {"ASAN_OPTIONS", "UBSAN_OPTIONS", "TSAN_OPTIONS"}) {
+    const char* inherited = std::getenv(name);
+    std::string value = inherited != nullptr ? inherited : "";
+    if (!value.empty()) value += ':';
+    env.push_back(StrFormat("%s=%slog_path=%s", name, value.c_str(),
+                            prefix.c_str()));
+  }
+  return env;
+}
+
 /// Extracts the `epoch\t<n>` row from an `info` response.
 Result<long long> EpochRow(const std::string& info) {
   const size_t at = info.find("epoch\t");
@@ -149,6 +169,9 @@ TEST(CulevodSoakTest, SupervisedChaosSoakKeepsAnswersBitIdentical) {
   const std::string snapshot_path = TempPath("base.snap");
   const std::string delta_path = TempPath("good.delta");
   const std::string bad_delta_path = TempPath("mismatch.delta");
+  const std::string report_dir = TempPath("sanitizer_reports");
+  std::filesystem::remove_all(report_dir);
+  ASSERT_TRUE(std::filesystem::create_directory(report_dir));
 
   // --- Ground truth -------------------------------------------------------
   // Base corpus A: the same deterministic synthetic world the child will
@@ -232,7 +255,8 @@ TEST(CulevodSoakTest, SupervisedChaosSoakKeepsAnswersBitIdentical) {
   // serve.reload evaluations (startup load, refused bad delta, good
   // delta), the next reload attempt in that incarnation fails injected —
   // a reload dying mid-swap during the chaos phase.
-  spawn.extra_env = {"CULEVO_FAILPOINTS=serve.reload=3*1"};
+  spawn.extra_env = SanitizerLogEnv(report_dir + "/report");
+  spawn.extra_env.push_back("CULEVO_FAILPOINTS=serve.reload=3*1");
   spawn.silence_stdout = true;
   spawn.silence_stderr = true;
   ASSERT_TRUE(supervisor
@@ -435,6 +459,13 @@ TEST(CulevodSoakTest, SupervisedChaosSoakKeepsAnswersBitIdentical) {
   EXPECT_TRUE(exit_state.exited)
       << "supervisor died on signal " << exit_state.signal;
   EXPECT_EQ(exit_state.code, 0);
+
+  for (const auto& report : std::filesystem::directory_iterator(report_dir)) {
+    Result<std::string> text = ReadFileToString(report.path().string());
+    ADD_FAILURE() << "sanitizer report " << report.path() << ":\n"
+                  << (text.ok() ? *text : text.status().ToString());
+  }
+  std::filesystem::remove_all(report_dir);
 
   std::remove(pidfile.c_str());
   std::remove(snapshot_path.c_str());

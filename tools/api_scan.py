@@ -13,9 +13,9 @@ scan again after a deletion to see what that deletion orphaned.
 
 Options: takes every data member of a struct in a src/ header whose name
 ends in Options, Config, Params or Constraints, and reports it when no
-file of those directories but its own header sets it: assigns it
-(`.m =`, `->m =`, or a designated initializer) or calls push_back,
-assign or insert on it.
+file of those directories but its own header sets it: assigns it or
+one of its fields (`.m =`, `->m =`, `.m.field =`, or a designated
+initializer) or calls push_back, assign or insert on it.
 Members are matched by name, so a name two structs share counts as set
 when either one is set.
 
@@ -144,8 +144,8 @@ def unset_options(text):
         if header.suffix != '.h' or header.parts[len(ROOT.parts)] != 'src':
             continue
         for struct, member in option_members(text[header]):
-            sets = re.compile(r'(\.|->)%s(\s*=(?!=)|\.(push_back|assign|'
-                              r'insert)\()' % member)
+            sets = re.compile(r'(\.|->)%s(\.\w+)?(\s*=(?!=)|\.(push_back|'
+                              r'assign|insert)\()' % member)
             if not any(p != header and sets.search(text[p]) for p in FILES):
                 unset['%s::%s' % (struct, member)] = header
     return unset
