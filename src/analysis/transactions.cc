@@ -52,8 +52,9 @@ void TransactionSet::Seal() {
 TransactionSet IngredientTransactions(const RecipeCorpus& corpus,
                                       CuisineId cuisine) {
   TransactionSet out;
-  out.Reserve(corpus.recipes_of(cuisine).size());
-  for (uint32_t index : corpus.recipes_of(cuisine)) {
+  out.Reserve(corpus.num_recipes_in(cuisine));
+  for (uint32_t index = 0; index < corpus.num_recipes(); ++index) {
+    if (corpus.cuisine_of(index) != cuisine) continue;
     out.AddIngredientSet(corpus.ingredients_of(index));
   }
   return out;
@@ -63,8 +64,9 @@ TransactionSet CategoryTransactions(const RecipeCorpus& corpus,
                                     CuisineId cuisine,
                                     const Lexicon& lexicon) {
   TransactionSet out;
-  out.Reserve(corpus.recipes_of(cuisine).size());
-  for (uint32_t index : corpus.recipes_of(cuisine)) {
+  out.Reserve(corpus.num_recipes_in(cuisine));
+  for (uint32_t index = 0; index < corpus.num_recipes(); ++index) {
+    if (corpus.cuisine_of(index) != cuisine) continue;
     out.AddCategorySet(corpus.ingredients_of(index), lexicon);
   }
   return out;

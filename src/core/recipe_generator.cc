@@ -27,6 +27,9 @@ RecipeGenerator::RecipeGenerator(const RecipeCorpus* corpus,
       lexicon_(lexicon),
       cuisine_(cuisine),
       rng_(DeriveSeed(seed, 0x6E0 + cuisine)) {
+  for (uint32_t index = 0; index < corpus->num_recipes(); ++index) {
+    if (corpus->cuisine_of(index) == cuisine) recipes_.push_back(index);
+  }
   // Create checked that the corpus universe fits the lexicon.
   const std::span<const uint32_t> counts = corpus->presence(cuisine);
   popularity_.assign(lexicon->size(), 0);
@@ -72,8 +75,7 @@ bool RecipeGenerator::Allowed(IngredientId id,
 double RecipeGenerator::Typicality(
     const std::vector<IngredientId>& recipe) const {
   // Mean pairwise PMI over the cuisine's recipes.
-  const double n =
-      static_cast<double>(corpus_->num_recipes_in(cuisine_));
+  const double n = static_cast<double>(recipes_.size());
   if (recipe.size() < 2) return 0.0;
 
   // Count joint occurrences of the recipe's pairs with one corpus pass.
@@ -81,7 +83,7 @@ double RecipeGenerator::Typicality(
   const auto key = [&](size_t i, size_t j) {
     return static_cast<uint32_t>(i * recipe.size() + j);
   };
-  for (uint32_t index : corpus_->recipes_of(cuisine_)) {
+  for (uint32_t index : recipes_) {
     const std::span<const IngredientId> r = corpus_->ingredients_of(index);
     bool present[40];
     for (size_t i = 0; i < recipe.size(); ++i) {
@@ -117,7 +119,7 @@ double RecipeGenerator::Typicality(
 double RecipeGenerator::Novelty(
     const std::vector<IngredientId>& recipe) const {
   double max_jaccard = 0.0;
-  for (uint32_t index : corpus_->recipes_of(cuisine_)) {
+  for (uint32_t index : recipes_) {
     const std::span<const IngredientId> other =
         corpus_->ingredients_of(index);
     size_t intersection = 0;
@@ -175,9 +177,8 @@ Result<NovelRecipe> RecipeGenerator::Generate(
   }
 
   // 1. Copy a mother recipe (the copy step of culinary evolution).
-  const std::span<const uint32_t> indices = corpus_->recipes_of(cuisine_);
   const std::span<const IngredientId> mother =
-      corpus_->ingredients_of(indices[rng_.NextBounded(indices.size())]);
+      corpus_->ingredients_of(recipes_[rng_.NextBounded(recipes_.size())]);
   std::vector<IngredientId> recipe;
   for (IngredientId id : mother) {
     if (Allowed(id, constraints)) recipe.push_back(id);
@@ -189,7 +190,7 @@ Result<NovelRecipe> RecipeGenerator::Generate(
     // Popularity-weighted draw: sample a corpus recipe, then one of its
     // ingredients — this reproduces the empirical usage distribution.
     const std::span<const IngredientId> donor =
-        corpus_->ingredients_of(indices[rng_.NextBounded(indices.size())]);
+        corpus_->ingredients_of(recipes_[rng_.NextBounded(recipes_.size())]);
     const IngredientId replacement =
         donor[rng_.NextBounded(donor.size())];
     if (Allowed(replacement, constraints) &&
@@ -217,7 +218,7 @@ Result<NovelRecipe> RecipeGenerator::Generate(
   while (static_cast<int>(recipe.size()) < target && guard < 4000) {
     ++guard;
     const std::span<const IngredientId> donor =
-        corpus_->ingredients_of(indices[rng_.NextBounded(indices.size())]);
+        corpus_->ingredients_of(recipes_[rng_.NextBounded(recipes_.size())]);
     const IngredientId extra = donor[rng_.NextBounded(donor.size())];
     if (Allowed(extra, constraints) && !Contains(recipe, extra)) {
       recipe.push_back(extra);

@@ -77,6 +77,9 @@ class RecipeGenerator {
   const Lexicon* lexicon_;
   CuisineId cuisine_;
   Rng rng_;
+  /// The cuisine's recipe indices, ascending: the mother and donor
+  /// recipes are drawn from it by position.
+  std::vector<uint32_t> recipes_;
   /// Cuisine popularity (presence counts) per ingredient id.
   std::vector<size_t> popularity_;
   /// Ingredients of the cuisine sorted by descending popularity.

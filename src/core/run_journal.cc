@@ -319,8 +319,7 @@ uint64_t HashCuisineContext(const CuisineContext& context,
   return hash;
 }
 
-std::string ShardJournalFileName(const std::string& file_name,
-                                 int shard_index) {
+std::string ShardJournalFileName(const std::string& file_name, int k) {
   constexpr std::string_view kSuffix = ".journal";
   std::string stem = file_name;
   if (stem.size() >= kSuffix.size() &&
@@ -328,7 +327,7 @@ std::string ShardJournalFileName(const std::string& file_name,
           kSuffix) {
     stem.resize(stem.size() - kSuffix.size());
   }
-  return StrFormat("%s.shard%d.journal", stem.c_str(), shard_index);
+  return StrFormat("%s.shard%d.journal", stem.c_str(), k);
 }
 
 std::string SanitizeFileToken(std::string_view name) {

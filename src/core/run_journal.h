@@ -98,13 +98,12 @@ Status IncidentStatus(const IncidentCheckpoint& incident);
 /// journal file names derived from model names.
 std::string SanitizeFileToken(std::string_view name);
 
-/// Name of shard `shard_index`'s journal for the logical journal
+/// Name of shard `k`'s journal for the logical journal
 /// `file_name`: inserts `.shard<k>` before the `.journal` suffix
 /// (`sim_cm_c0.journal` → `sim_cm_c0.shard3.journal`). Workers write these;
 /// RunJournal::Open with CheckpointOptions::merge_shards folds them back
 /// into `file_name`.
-std::string ShardJournalFileName(const std::string& file_name,
-                                 int shard_index);
+std::string ShardJournalFileName(const std::string& file_name, int k);
 
 /// The domain layer over util/checkpoint.h: serializes run records
 /// (manifest, replica, incident, interrupt) and implements the resume

@@ -31,7 +31,7 @@ constexpr uint32_t kMaxSections = 4096;
 /// 26 MiB 1 M-recipe snapshot verified in 2.9-3.5 ms on one thread and
 /// 3.1-3.8 ms on two, at every block size from 64 KiB to 4 MiB, so there
 /// a second thread costs ~0.2 ms and gains nothing; a host with more
-/// memory bandwidth gains. A file of the FNV-1a version (~2 ms per MiB)
+/// memory bandwidth gains. A file of an FNV-1a version (~2 ms per MiB)
 /// shares the constant.
 constexpr size_t kHashBytesPerThread = size_t{2} << 20;
 
@@ -228,16 +228,18 @@ Result<Container> ReadContainer(const std::string& path,
     return Status::InvalidArgument(StrFormat(
         "%s: not a %s file (bad magic)", path.c_str(), name.c_str()));
   }
-  // The FNV-1a version, when the format still reads one, differs from the
-  // current one only in its checksums.
-  const bool fnv1a =
-      format.fnv1a_version != 0 && header.version == format.fnv1a_version;
-  if (header.version != format.version && !fnv1a) {
+  if (header.version < format.oldest_version ||
+      header.version > format.version) {
+    const std::string understood =
+        format.oldest_version == format.version
+            ? StrFormat("%u", format.version)
+            : StrFormat("%u to %u", format.oldest_version, format.version);
     return Status::FailedPrecondition(StrFormat(
-        "%s: %s format version %u, this build understands %u — refusing "
+        "%s: %s format version %u, this build understands %s — refusing "
         "to guess at the layout",
-        path.c_str(), name.c_str(), header.version, format.version));
+        path.c_str(), name.c_str(), header.version, understood.c_str()));
   }
+  const bool fnv1a = header.version < format.first_block_version;
   if (header.endian != kEndianMarker) {
     return Status::FailedPrecondition(
         StrFormat("%s: written with foreign byte order (marker 0x%08x)",
@@ -260,13 +262,13 @@ Result<Container> ReadContainer(const std::string& path,
   // Check that the payloads tile the rest of the file exactly as
   // WriteContainer lays them out, then verify every payload checksum,
   // before handing any section out. The checksums run as parallel tasks:
-  // one per block (one per section in the FNV-1a version, whose chains
+  // one per block (one per section in an FNV-1a version, whose chains
   // cannot split), largest first, so the longest starts first. The
   // refusal is the one a serial walk in table order gives: the first
   // checksum mismatch before the first section that disagrees with the
   // layout, else that disagreement.
   Container container;
-  container.version_ = header.version;
+  container.block_checksums_ = !fnv1a;
   container.words_ = {header.word0, header.word1, header.word2};
   container.sections_.reserve(header.section_count);
   std::optional<Status> layout_error;
@@ -329,7 +331,7 @@ Result<Container> ReadContainer(const std::string& path,
       return corrupt(
           StrFormat("checksum mismatch in section %u", section.id));
     }
-    // A file of the FNV-1a version has no block hashes to hand out.
+    // A file of an FNV-1a version has no block hashes to hand out.
     if (fnv1a) section.first_block = section.blocks = 0;
   }
   if (layout_error) return *std::move(layout_error);

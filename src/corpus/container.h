@@ -37,10 +37,13 @@ namespace culevo {
 /// Every checksum is the block checksum of util/hash.h (Xxh64 of each
 /// 256 KiB block, the block hashes folded in order). The reader verifies
 /// the blocks as parallel tasks and keeps their hashes, which a corpus's
-/// content fingerprint folds (corpus/corpus_snapshot.h). A format may
-/// still read one earlier version whose layout is the same and whose
-/// checksums are FNV-1a-64 of the whole bytes (CULEVO-CORPUS 1); such a
-/// file is verified a section per task and has no block hashes.
+/// content fingerprint folds (corpus/corpus_snapshot.h). A format reads a
+/// range of versions, from its oldest to the one it writes, all in this
+/// layout; which sections a version holds is the format's business. The
+/// versions before a format's first block-checksummed one carry FNV-1a-64
+/// checksums of the whole bytes instead (CULEVO-CORPUS 1); such a file is
+/// verified a section per task and has no block hashes. The checksum is
+/// the only thing the container decides by the version.
 ///
 /// The reader accounts for every byte: the header fields are checked here
 /// or by the format, the table and each payload by their checksums, and
@@ -49,8 +52,8 @@ namespace culevo {
 /// Refusal contract of ReadContainer:
 ///   - missing file                                  -> NotFound
 ///   - bad magic                                     -> InvalidArgument
-///   - a format version other than the format's
-///     (or its FNV-1a version), foreign byte order   -> FailedPrecondition
+///   - a format version outside the format's
+///     range, foreign byte order                     -> FailedPrecondition
 ///   - truncation, checksum mismatch, a section
 ///     table or padding that disagrees with the
 ///     layout above                                  -> DataLoss
@@ -66,11 +69,13 @@ namespace culevo {
 /// Identity of one container format.
 struct ContainerFormat {
   std::string_view magic;   ///< Format name, at most 16 bytes.
-  uint32_t version = 0;     ///< Written, and read with block checksums.
+  uint32_t version = 0;     ///< Written; the newest version read.
   std::string_view prefix;  ///< Metric and failpoint prefix.
-  /// The earlier version the reader also accepts, with FNV-1a-64
-  /// checksums; 0 for none.
-  uint32_t fnv1a_version = 0;
+  /// The oldest version read: every version from it to `version` is.
+  uint32_t oldest_version = 0;
+  /// The first version signed with block checksums; the versions before
+  /// it are signed with FNV-1a-64.
+  uint32_t first_block_version = 0;
 };
 
 /// The header words whose meaning belongs to the format.
@@ -138,8 +143,9 @@ class Container {
   /// The mapped or buffered file bytes (opaque).
   struct Backing;
 
-  /// The file's format version: the format's, or its FNV-1a version.
-  uint32_t version() const { return version_; }
+  /// True when the file's version signs with block checksums, so that
+  /// BlockHashes has the hashes of every section.
+  bool block_checksums() const { return block_checksums_; }
   const ContainerWords& words() const { return words_; }
 
   /// The payload of the first section with `id`, as `T`s (sections are
@@ -161,7 +167,7 @@ class Container {
 
   /// The block hashes of the first section with `id`, which its checksum
   /// folds, as verified: HashBlockCount(size) of them, or none in a file
-  /// of the FNV-1a version. DataLoss when the file has no such section.
+  /// of an FNV-1a version. DataLoss when the file has no such section.
   Result<std::span<const uint64_t>> BlockHashes(uint32_t id) const;
 
   bool memory_mapped() const;
@@ -192,7 +198,7 @@ class Container {
 
   std::shared_ptr<const Backing> backing_;
   std::string path_;
-  uint32_t version_ = 0;
+  bool block_checksums_ = false;
   ContainerWords words_;
   std::vector<Entry> sections_;
   std::vector<uint64_t> block_hashes_;

@@ -1,6 +1,5 @@
 #include "corpus/corpus_snapshot.h"
 
-#include <bit>
 #include <memory>
 #include <span>
 #include <utility>
@@ -15,35 +14,18 @@ namespace culevo {
 namespace {
 
 // Section ids (layout documented in docs/DATA_FORMATS.md). The container
-// header words are {num_recipes, num_mentions, num_cuisines}.
+// header words are {num_recipes, num_mentions, num_cuisines}. Versions 1
+// and 2 also held a stats section (4) and per-cuisine recipe-index
+// sections (0x100 + cuisine id); the container verifies their checksums
+// like every byte, and the load reads no section it does not name here.
 constexpr ContainerFormat kSnapshotFormat = {
     "CULEVO-CORPUS", kCorpusSnapshotVersion, "corpus.snapshot",
-    /*fnv1a_version=*/1};
+    /*oldest_version=*/1, /*first_block_version=*/2};
 constexpr uint32_t kSecFlat = 1;
 constexpr uint32_t kSecOffsets = 2;
 constexpr uint32_t kSecCuisines = 3;
-constexpr uint32_t kSecStats = 4;
-constexpr uint32_t kSecShardBase = 0x100;   // + cuisine id
 constexpr uint32_t kSecUniqueBase = 0x200;  // + cuisine id; +kNumCuisines
                                             // is the corpus-wide list.
-
-std::string SerializeStats(std::span<const CuisineStats> stats) {
-  std::string out;
-  for (const CuisineStats& s : stats) {
-    AppendPod<uint32_t>(&out, s.cuisine);
-    AppendPod<uint32_t>(&out, 0);  // reserved
-    AppendPod<uint64_t>(&out, s.num_recipes);
-    AppendPod<uint64_t>(&out, s.num_unique_ingredients);
-    AppendPod<uint64_t>(&out, std::bit_cast<uint64_t>(s.mean_recipe_size));
-    AppendPod<int64_t>(&out, s.min_recipe_size);
-    AppendPod<int64_t>(&out, s.max_recipe_size);
-    AppendPod<uint64_t>(&out, s.size_histogram.size());
-    for (size_t bucket : s.size_histogram) {
-      AppendPod<uint64_t>(&out, bucket);
-    }
-  }
-  return out;
-}
 
 /// A section holding one column, the base segment's bytes then the
 /// tail's; they are joined in `*joined` unless the tail is empty.
@@ -65,10 +47,9 @@ ContainerSection ColumnSection(uint32_t id, std::span<const T> column) {
   return ColumnSection(id, column, std::span<const T>(), nullptr);
 }
 
-/// The column sections of a version-2 snapshot carry block checksums:
-/// their verified block hashes are the corpus's column hashes, and their
-/// verified checksums fold to its fingerprint, so no column is hashed
-/// again.
+/// The column sections of a block-checksummed snapshot: their verified
+/// block hashes are the corpus's column hashes, and their verified
+/// checksums fold to its fingerprint, so no column is hashed again.
 Status ReadColumnHashes(const Container& file, LoadedCorpusSnapshot* loaded) {
   const uint32_t ids[] = {kSecFlat, kSecOffsets, kSecCuisines};
   std::vector<uint64_t>* const columns[] = {&loaded->column_hashes.flat,
@@ -123,9 +104,8 @@ uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus) {
 Status WriteCorpusSnapshot(const std::string& path,
                            const RecipeCorpus& corpus,
                            const SnapshotWriteOptions& options) {
-  const std::string stats_bytes = SerializeStats(ComputeCuisineStats(corpus));
   std::vector<ContainerSection> sections;
-  sections.reserve(4 + 2 * kNumCuisines + 1);
+  sections.reserve(3 + kNumCuisines + 1);
   const auto [base, tail] = corpus.segments();
   std::string joined[3];
   sections.push_back(ColumnSection(kSecFlat, base.flat, tail.flat, &joined[0]));
@@ -133,11 +113,8 @@ Status WriteCorpusSnapshot(const std::string& path,
       ColumnSection(kSecOffsets, base.offsets, tail.offsets, &joined[1]));
   sections.push_back(
       ColumnSection(kSecCuisines, base.cuisines, tail.cuisines, &joined[2]));
-  sections.push_back({kSecStats, stats_bytes});
   for (int c = 0; c < kNumCuisines; ++c) {
     const CuisineId cuisine = static_cast<CuisineId>(c);
-    sections.push_back(ColumnSection(kSecShardBase + cuisine,
-                                     corpus.recipes_of(cuisine)));
     sections.push_back(ColumnSection(kSecUniqueBase + cuisine,
                                      corpus.UniqueIngredients(cuisine)));
   }
@@ -180,18 +157,10 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
   CULEVO_RETURN_IF_ERROR(column(&views.cuisines, kSecCuisines, num_recipes));
   CULEVO_RETURN_IF_ERROR(column(&views.offsets, kSecOffsets, num_recipes + 1));
   for (int c = 0; c <= kNumCuisines; ++c) {
-    const size_t ci = static_cast<size_t>(c);
-    if (c < kNumCuisines) {
-      CULEVO_RETURN_IF_ERROR(column(&views.shards[ci],
-                                    kSecShardBase + static_cast<uint32_t>(c),
-                                    std::nullopt));
-    }
-    CULEVO_RETURN_IF_ERROR(column(&views.unique[ci],
+    CULEVO_RETURN_IF_ERROR(column(&views.unique[static_cast<size_t>(c)],
                                   kSecUniqueBase + static_cast<uint32_t>(c),
                                   std::nullopt));
   }
-  std::span<const char> stats_section;
-  CULEVO_RETURN_IF_ERROR(column(&stats_section, kSecStats, std::nullopt));
   Result<RecipeCorpus> corpus =
       RecipeCorpus::FromColumns(views, file->backing());
   if (!corpus.ok()) {
@@ -200,27 +169,20 @@ Result<LoadedCorpusSnapshot> LoadCorpusSnapshot(
     return Status::DataLoss(
         StrFormat("%s: %s", path.c_str(), corpus.status().message().c_str()));
   }
-  // The stats section is derived data any producer could get wrong, so it
-  // must be exactly what the columns imply: the statistics read off the
-  // size histograms and unique lists the validation has just counted.
-  std::vector<CuisineStats> stats = ComputeCuisineStats(*corpus);
-  if (SerializeStats(stats) !=
-      std::string_view(stats_section.data(), stats_section.size())) {
-    return Status::DataLoss(StrFormat(
-        "%s: stats section disagrees with the corpus columns", path.c_str()));
-  }
 
   LoadedCorpusSnapshot loaded;
-  if (file->version() == kCorpusSnapshotVersion) {
+  if (file->block_checksums()) {
     CULEVO_RETURN_IF_ERROR(ReadColumnHashes(*file, &loaded));
   } else {
-    // Version 1's FNV-1a checksums say nothing of the blocks.
+    // FNV-1a checksums say nothing of the blocks.
     loaded.column_hashes = HashCorpusColumns(*corpus);
     loaded.content_fingerprint =
         CorpusContentFingerprint(loaded.column_hashes);
   }
+  // Read off the size histograms and unique lists the validation has
+  // just counted.
+  loaded.stats = ComputeCuisineStats(*corpus);
   loaded.corpus = std::move(corpus).value();
-  loaded.stats = std::move(stats);
   loaded.memory_mapped = file->memory_mapped();
   loaded.file_bytes = file->file_bytes();
   load_ms->Record(load_watch.ElapsedMillis());

@@ -11,33 +11,40 @@
 
 namespace culevo {
 
-/// `CULEVO-CORPUS 2` — the binary corpus snapshot.
+/// `CULEVO-CORPUS 3` — the binary corpus snapshot.
 ///
-/// A snapshot freezes a RecipeCorpus *and* its derived read indexes (the
-/// per-cuisine recipe-index shards, the cached unique-ingredient lists,
-/// and the CuisineStats) as sections of the checksummed container in
-/// corpus/container.h, whose header words hold the recipe, mention and
-/// cuisine counts. Loading memory-maps the file and wires a RecipeCorpus
-/// directly onto the mapped columns (zero-copy: only the checksums and
-/// validation walk the data), with a buffered aligned read as the
-/// fallback when mmap is unavailable. Writes go through WriteFileAtomic,
-/// so a crash leaves the previous complete snapshot or the new complete
-/// one, never a torn hybrid.
+/// A snapshot freezes a RecipeCorpus as sections of the checksummed
+/// container in corpus/container.h, whose header words hold the recipe,
+/// mention and cuisine counts: the flat, offsets and cuisine columns, and
+/// the per-cuisine and corpus-wide unique-ingredient lists, which bound
+/// the id universe the load counts over. Everything else a corpus holds
+/// (the presence table, the size histograms and the CuisineStats read off
+/// them) is counted by the load's one validating pass, not stored.
+/// Loading memory-maps the file and wires a RecipeCorpus directly onto
+/// the mapped columns (zero-copy: only the checksums and validation walk
+/// the data), with a buffered aligned read as the fallback when mmap is
+/// unavailable. Writes go through WriteFileAtomic, so a crash leaves the
+/// previous complete snapshot or the new complete one, never a torn
+/// hybrid.
 ///
-/// Version 2 signs every section with the container's block checksum;
-/// version 1, which this build still reads, had the same layout under
-/// FNV-1a-64 checksums. The full byte layout, checksum rules, and
-/// compatibility policy are documented in docs/DATA_FORMATS.md.
+/// Version 3 signs every section with the container's block checksum.
+/// This build still reads versions 2 (the same checksums) and 1 (FNV-1a-64
+/// checksums), which also held a stats section and per-cuisine
+/// recipe-index sections: those are verified by checksum like every byte
+/// and otherwise ignored, so such a file loads to the corpus it was
+/// written from, and rewriting it upgrades it to version 3. The full byte
+/// layout, checksum rules, and compatibility policy are documented in
+/// docs/DATA_FORMATS.md.
 ///
 /// Refusal contract (the container's, plus the corpus checks):
 ///   - missing file                                -> NotFound
 ///   - not a snapshot (bad magic)                  -> InvalidArgument
-///   - other format version / wrong endianness /
-///     wrong compiled-in cuisine count             -> FailedPrecondition
+///   - a format version outside 1..3 / wrong
+///     endianness / wrong compiled-in cuisine
+///     count                                       -> FailedPrecondition
 ///   - truncated file, checksum mismatch, section
-///     table inconsistent with the header, columns
-///     that are not a well-formed corpus, or a
-///     stats section that disagrees with them      -> DataLoss
+///     table inconsistent with the header, or
+///     columns that are not a well-formed corpus   -> DataLoss
 ///
 /// Metrics: `corpus.snapshot.writes`, `corpus.snapshot.bytes_written`,
 /// `corpus.snapshot.mmap_loads`, `corpus.snapshot.fallback_loads`,
@@ -47,9 +54,9 @@ namespace culevo {
 /// `corpus.snapshot.read.corrupt` (forces a section-checksum mismatch),
 /// `corpus.snapshot.write` (before the atomic write).
 
-/// Snapshot format version this build writes, and reads with block
-/// checksums. It also reads version 1, with FNV-1a-64 checksums.
-inline constexpr uint32_t kCorpusSnapshotVersion = 2;
+/// Snapshot format version this build writes. It reads every version
+/// from 1 to this one.
+inline constexpr uint32_t kCorpusSnapshotVersion = 3;
 
 struct SnapshotWriteOptions {
   /// fsync through WriteFileAtomic (tests disable to keep tmpfs churn
@@ -95,25 +102,24 @@ uint64_t CorpusContentFingerprint(const CorpusColumnHashes& hashes);
 /// CorpusContentFingerprint(HashCorpusColumns(corpus)).
 uint64_t CorpusContentFingerprint(const RecipeCorpus& corpus);
 
-/// A corpus loaded from a snapshot, plus the per-cuisine statistics
-/// stored alongside it (checked equal to ComputeCuisineStats of the
-/// loaded corpus, whose size histograms the validating pass counts).
+/// A corpus loaded from a snapshot, plus its per-cuisine statistics.
 struct LoadedCorpusSnapshot {
   RecipeCorpus corpus;
-  std::vector<CuisineStats> stats;  ///< One entry per cuisine id.
-  /// CorpusContentFingerprint(corpus). Of a version-2 file it is folded
-  /// from the verified checksums of the three column sections, with no
-  /// column hashed again.
+  /// ComputeCuisineStats(corpus), read off the size histograms and unique
+  /// lists the validating pass counts. One entry per cuisine id.
+  std::vector<CuisineStats> stats;
+  /// CorpusContentFingerprint(corpus). Of a block-checksummed file
+  /// (version 2 or later) it is folded from the verified checksums of the
+  /// three column sections, with no column hashed again.
   uint64_t content_fingerprint = 0;
-  /// HashCorpusColumns(corpus). Of a version-2 file they are the column
-  /// sections' verified block hashes.
+  /// HashCorpusColumns(corpus). Of a block-checksummed file they are the
+  /// column sections' verified block hashes.
   CorpusColumnHashes column_hashes;
   bool memory_mapped = false;       ///< mmap path vs buffered fallback.
   size_t file_bytes = 0;
 };
 
-/// Serializes `corpus`, with the CuisineStats read off its tables, and
-/// writes the snapshot atomically.
+/// Serializes `corpus` as a version-3 snapshot and writes it atomically.
 Status WriteCorpusSnapshot(const std::string& path,
                            const RecipeCorpus& corpus,
                            const SnapshotWriteOptions& options = {});

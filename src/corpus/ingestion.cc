@@ -136,8 +136,10 @@ namespace {
 
 // One section of records; the container header words are {base_recipes,
 // base_fingerprint, num_cuisines}.
-constexpr ContainerFormat kDeltaFormat = {"CULEVO-DELTA", kCorpusDeltaVersion,
-                                          "corpus.delta"};
+constexpr ContainerFormat kDeltaFormat = {
+    "CULEVO-DELTA", kCorpusDeltaVersion, "corpus.delta",
+    /*oldest_version=*/kCorpusDeltaVersion,
+    /*first_block_version=*/kCorpusDeltaVersion};
 constexpr uint32_t kSecRecords = 1;
 
 }  // namespace

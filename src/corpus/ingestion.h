@@ -64,7 +64,7 @@ std::vector<RawRecipe> ParseRawRecipeText(std::string_view text);
 /// RecipeCorpus is immutable after Build(): absorbing one new batch by
 /// re-running the builder re-copies, re-sorts and recounts the whole
 /// store. IncrementalCorpus instead extends a corpus in O(batch) plus its
-/// shard index and small tables. It holds three things:
+/// small tables. It holds three things:
 ///
 ///   - the corpus it extends (FromCorpus; empty otherwise), shared, so its
 ///     base columns are never copied;
@@ -73,9 +73,9 @@ std::vector<RawRecipe> ParseRawRecipeText(std::string_view text);
 ///   - a scratch buffer for Add's sort and dedup.
 ///
 /// Materialize() hands the tail over to a RecipeCorpus with the same base,
-/// whose tables — shards, presence counts, unique lists and size
-/// histograms — are those of the corpus it extends, extended by the
-/// appended recipes through the one derivation Builder::Build also uses.
+/// whose tables — presence counts, unique lists and size histograms —
+/// are those of the corpus it extends, extended by the appended recipes
+/// through the one derivation Builder::Build also uses.
 /// Statistics are read off the materialized corpus
 /// (ComputeCuisineStats(*Materialize())).
 ///

@@ -1,6 +1,7 @@
 #include "corpus/recipe_corpus.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "util/check.h"
@@ -104,7 +105,6 @@ RecipeCorpus RecipeCorpus::Extended(Columns tail) const {
 
 void RecipeCorpus::DeriveTables(const RecipeCorpus& prefix,
                                 const Segment& added, Storage& out) {
-  const size_t first = prefix.num_recipes();
   const size_t n = added.cuisines.size();
   const std::span<const IngredientId> used = prefix.UniqueIngredients();
   size_t universe = used.empty() ? 0 : static_cast<size_t>(used.back()) + 1;
@@ -113,24 +113,21 @@ void RecipeCorpus::DeriveTables(const RecipeCorpus& prefix,
         universe, *std::max_element(added.flat.begin(), added.flat.end()) + 1);
   }
 
-  // The prefix's tables, widened to the universe: shard sizes, cuisine
-  // presence rows and size histograms.
-  out.shard_offsets.assign(kNumCuisines + 1, 0);
+  // The prefix's tables, widened to the universe: cuisine presence rows
+  // and size histograms.
   out.presence.assign((kNumCuisines + 1) * universe, 0);
   for (size_t c = 0; c < kNumCuisines; ++c) {
     const CuisineId cuisine = static_cast<CuisineId>(c);
-    out.shard_offsets[c + 1] = prefix.recipes_of(cuisine).size();
     const std::span<const uint32_t> row = prefix.presence(cuisine);
     std::copy(row.begin(), row.end(), out.presence.begin() + c * universe);
     const std::span<const uint32_t> sizes = prefix.size_histogram(cuisine);
     out.sizes[c].assign(sizes.begin(), sizes.end());
   }
 
-  // One pass over the appended recipes extends all three. A recipe stores
-  // each id once, so one increment per mention is exactly recipe presence.
+  // One pass over the appended recipes extends both. A recipe stores each
+  // id once, so one increment per mention is exactly recipe presence.
   for (size_t i = 0; i < n; ++i) {
     const CuisineId cuisine = added.cuisines[i];
-    ++out.shard_offsets[cuisine + 1];
     const uint32_t begin = added.offsets[i] - added.offsets[0];
     const uint32_t end = added.offsets[i + 1] - added.offsets[0];
     std::vector<uint32_t>& sizes = out.sizes[cuisine];
@@ -140,25 +137,6 @@ void RecipeCorpus::DeriveTables(const RecipeCorpus& prefix,
     for (uint32_t m = begin; m < end; ++m) ++row[added.flat[m]];
   }
   SumWorldRow(out.presence, universe);
-
-  // Cuisine shards, written once: the prefix's shard, then its appended
-  // recipes in index order, so each shard stays ascending.
-  for (size_t c = 0; c < kNumCuisines; ++c) {
-    out.shard_offsets[c + 1] += out.shard_offsets[c];
-  }
-  out.shard_index.resize(first + n);
-  std::array<uint32_t, kNumCuisines> cursor{};
-  for (size_t c = 0; c < kNumCuisines; ++c) {
-    const std::span<const uint32_t> shard =
-        prefix.recipes_of(static_cast<CuisineId>(c));
-    std::copy(shard.begin(), shard.end(),
-              out.shard_index.begin() + out.shard_offsets[c]);
-    cursor[c] = out.shard_offsets[c] + static_cast<uint32_t>(shard.size());
-  }
-  for (size_t i = 0; i < n; ++i) {
-    out.shard_index[cursor[added.cuisines[i]]++] =
-        static_cast<uint32_t>(first + i);
-  }
 
   // The unique lists are read off the presence rows in id order: one per
   // cuisine plus the corpus-wide list, flattened back to back.
@@ -180,13 +158,6 @@ void RecipeCorpus::Adopt(std::shared_ptr<const Storage> storage) {
   tail_ = {s.tail.flat, s.tail.offsets, s.tail.cuisines};
   presence_ = s.presence;
   for (size_t c = 0; c < kNumCuisines; ++c) sizes_[c] = s.sizes[c];
-  if (s.shard_offsets.size() == kNumCuisines + 1) {
-    for (size_t c = 0; c < kNumCuisines; ++c) {
-      shards_[c] = std::span<const uint32_t>(s.shard_index)
-                       .subspan(s.shard_offsets[c],
-                                s.shard_offsets[c + 1] - s.shard_offsets[c]);
-    }
-  }
   if (s.unique_offsets.size() == kNumCuisines + 2) {
     for (size_t c = 0; c <= kNumCuisines; ++c) {
       unique_[c] = std::span<const IngredientId>(s.unique_flat)
@@ -225,11 +196,6 @@ const RecipeCorpus::Segment& RecipeCorpus::Untailed() const {
   return base_;
 }
 
-std::span<const uint32_t> RecipeCorpus::recipes_of(CuisineId cuisine) const {
-  CULEVO_CHECK(cuisine < kNumCuisines);
-  return shards_[cuisine];
-}
-
 std::span<const IngredientId> RecipeCorpus::UniqueIngredients(
     CuisineId cuisine) const {
   CULEVO_CHECK(cuisine < kNumCuisines);
@@ -257,6 +223,11 @@ std::span<const uint32_t> RecipeCorpus::size_histogram(
     CuisineId cuisine) const {
   CULEVO_CHECK(cuisine < kNumCuisines);
   return sizes_[cuisine];
+}
+
+size_t RecipeCorpus::num_recipes_in(CuisineId cuisine) const {
+  const std::span<const uint32_t> sizes = size_histogram(cuisine);
+  return std::accumulate(sizes.begin(), sizes.end(), size_t{0});
 }
 
 double RecipeCorpus::MeanRecipeSize(CuisineId cuisine) const {
@@ -374,27 +345,6 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
     while (!sizes.empty() && sizes.back() == 0) sizes.pop_back();
   }
 
-  // Shards: ascending recipe indices, each in its own cuisine, jointly
-  // covering every recipe exactly once.
-  size_t shard_total = 0;
-  for (int c = 0; c < kNumCuisines; ++c) {
-    const std::span<const uint32_t> shard =
-        views.shards[static_cast<size_t>(c)];
-    shard_total += shard.size();
-    for (size_t k = 0; k < shard.size(); ++k) {
-      if (shard[k] >= n) return invalid("shard entry out of range");
-      if (views.cuisines[shard[k]] != static_cast<CuisineId>(c)) {
-        return invalid("shard entry assigned to the wrong cuisine");
-      }
-      if (k > 0 && shard[k - 1] >= shard[k]) {
-        return invalid("shard entries must be ascending");
-      }
-    }
-  }
-  if (shard_total != n) {
-    return invalid("shards must cover every recipe exactly once");
-  }
-
   // Unique lists: sorted, and exactly the ids counted for their scope (the
   // corpus-wide scope is the sum of the cuisine rows). Readers index
   // presence(c) by the ids of the cuisine's list, so completeness is a
@@ -431,7 +381,6 @@ Result<RecipeCorpus> RecipeCorpus::FromColumns(
   RecipeCorpus corpus;
   corpus.Adopt(std::move(storage));
   corpus.base_ = {views.flat, views.offsets, views.cuisines};
-  corpus.shards_ = views.shards;
   corpus.unique_ = views.unique;
   corpus.borrowed_ = backing != nullptr;
   corpus.backing_ = std::move(backing);

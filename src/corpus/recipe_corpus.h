@@ -24,11 +24,13 @@ struct RecipeView {
 };
 
 /// Columnar (CSR-layout) recipe store: a flat ingredient-id array plus
-/// per-recipe offsets and a parallel cuisine column, with cuisine-sharded
-/// secondary indexes (per-cuisine recipe-index shards and per-cuisine
-/// unique-ingredient lists) materialized once at Build() time. Recipes are
+/// per-recipe offsets and a parallel cuisine column, with per-cuisine
+/// unique-ingredient lists materialized once at Build() time. Recipes are
 /// stored as sorted unique id sets — the canonical form both the miners
-/// and the evolution models operate on.
+/// and the evolution models operate on. There is no per-cuisine list of
+/// recipe indices: a walk over one cuisine's recipes filters the cuisine
+/// column in index order (cuisine_of), and every per-cuisine count is a
+/// table below.
 ///
 /// The recipe-presence counts n_i^c (Eq. 1) and the per-cuisine
 /// recipe-size histograms are counted once, by the pass each construction
@@ -48,13 +50,13 @@ struct RecipeView {
 /// corpus's own: IncrementalCorpus::Materialize hands over the recipes
 /// appended since the base, so a corpus extending another shares that
 /// one's base and never copies it. A built or loaded corpus has an empty
-/// tail. Shards, unique lists, the presence table and the size histograms
-/// are whole, one set per corpus: views into the snapshot, or owned
-/// (always, for the presence table and the histograms, which are derived
-/// and not persisted as such). Every view points into memory `backing_`
-/// or `storage_` keeps alive for as long as any copy of the corpus
-/// exists, so views never dangle, copies are cheap and share everything,
-/// and call sites cannot tell the modes apart.
+/// tail. The unique lists, the presence table and the size histograms
+/// are whole, one set per corpus: the unique lists views into the
+/// snapshot or owned, the presence table and the histograms always owned
+/// (they are derived and not persisted). Every view points into memory
+/// `backing_` or `storage_` keeps alive for as long as any copy of the
+/// corpus exists, so views never dangle, copies are cheap and share
+/// everything, and call sites cannot tell the modes apart.
 ///
 /// Immutable after Build()/load; cheap to copy, thread-safe to read.
 class RecipeCorpus {
@@ -98,9 +100,9 @@ class RecipeCorpus {
     /// Number of recipes added so far.
     size_t size() const { return columns_.cuisines.size(); }
 
-    /// Finalizes the corpus — including the per-cuisine shards, the
-    /// cached unique-ingredient lists, the presence table and the size
-    /// histograms. The builder is left empty.
+    /// Finalizes the corpus — including the cached unique-ingredient
+    /// lists, the presence table and the size histograms. The builder is
+    /// left empty.
     RecipeCorpus Build();
 
    private:
@@ -134,13 +136,8 @@ class RecipeCorpus {
   }
   std::span<const IngredientId> ingredients_of(uint32_t index) const;
 
-  /// Indices of all recipes belonging to `cuisine` (ascending).
-  std::span<const uint32_t> recipes_of(CuisineId cuisine) const;
-
-  /// Number of recipes in `cuisine`.
-  size_t num_recipes_in(CuisineId cuisine) const {
-    return recipes_of(cuisine).size();
-  }
+  /// Number of recipes in `cuisine`, read off its size histogram.
+  size_t num_recipes_in(CuisineId cuisine) const;
 
   /// Distinct ingredient ids used anywhere in `cuisine` (sorted).
   /// Materialized once at Build()/load time and served as a view — calling
@@ -192,8 +189,8 @@ class RecipeCorpus {
   /// Wires a corpus directly onto externally owned column memory. `views`
   /// spans must outlive `backing`; `backing` is retained until every copy
   /// of the corpus is destroyed. Validates all structural invariants
-  /// (offset monotonicity, cuisine ranges, sorted-unique recipes, shard
-  /// and unique-list consistency) and returns InvalidArgument when the
+  /// (offset monotonicity, cuisine ranges, sorted-unique recipes,
+  /// unique-list consistency) and returns InvalidArgument when the
   /// columns do not describe a well-formed corpus. The columns become the
   /// corpus's base; its tail is empty. The presence table and the size
   /// histograms are counted in the validating pass.
@@ -201,8 +198,6 @@ class RecipeCorpus {
     std::span<const IngredientId> flat;
     std::span<const uint32_t> offsets;       ///< num_recipes + 1 entries.
     std::span<const CuisineId> cuisines;     ///< num_recipes entries.
-    /// shards[c] = ascending recipe indices of cuisine c.
-    std::array<std::span<const uint32_t>, kNumCuisines> shards;
     /// unique[c] = sorted unique ingredient ids of cuisine c;
     /// unique[kNumCuisines] = corpus-wide sorted unique ids.
     std::array<std::span<const IngredientId>, kNumCuisines + 1> unique;
@@ -215,25 +210,22 @@ class RecipeCorpus {
   /// Add appends through Columns; Materialize is Extended.
   friend class IncrementalCorpus;
 
-  /// What one corpus owns besides its base. Shards and unique lists are
-  /// flattened (empty when they are views into a snapshot): shard c spans
-  /// shard_offsets[c]..shard_offsets[c+1] of shard_index, and likewise for
-  /// unique lists (kNumCuisines + 1 lists, the last one corpus-wide).
-  /// `presence` is kNumCuisines + 1 rows of universe counts, row-major
-  /// [scope][id], the last row the world totals. `sizes[c]` is cuisine
-  /// c's size histogram.
+  /// What one corpus owns besides its base. The unique lists are
+  /// flattened (empty when they are views into a snapshot): list c spans
+  /// unique_offsets[c]..unique_offsets[c+1] of unique_flat (kNumCuisines +
+  /// 1 lists, the last one corpus-wide). `presence` is kNumCuisines + 1
+  /// rows of universe counts, row-major [scope][id], the last row the
+  /// world totals. `sizes[c]` is cuisine c's size histogram.
   struct Storage {
     Columns tail;
-    std::vector<uint32_t> shard_index;
-    std::vector<uint32_t> shard_offsets;
     std::vector<IngredientId> unique_flat;
     std::vector<uint32_t> unique_offsets;
     std::vector<uint32_t> presence;
     std::array<std::vector<uint32_t>, kNumCuisines> sizes;
   };
 
-  /// The one table derivation: fills `out`'s shards, presence table,
-  /// unique lists and size histograms with those of `prefix` extended by
+  /// The one table derivation: fills `out`'s presence table, unique
+  /// lists and size histograms with those of `prefix` extended by
   /// `added`, the recipes numbered from prefix.num_recipes() on (every
   /// recipe of a Build, with an empty prefix; the appended ones of an
   /// Extended). Leaves `out.tail` alone.
@@ -252,8 +244,7 @@ class RecipeCorpus {
   std::span<const uint32_t> PresenceRow(size_t scope) const;
 
   /// Points the tail, the presence table, the size histograms and — when
-  /// `storage` has them — the shards and unique lists at `storage`, and
-  /// keeps it.
+  /// `storage` has them — the unique lists at `storage`, and keeps it.
   void Adopt(std::shared_ptr<const Storage> storage);
 
   /// Keeps the base columns alive: the Columns a Builder made, or a
@@ -267,7 +258,6 @@ class RecipeCorpus {
   /// recipe plus one (the tail's first is the base's last).
   Segment base_;
   Segment tail_;
-  std::array<std::span<const uint32_t>, kNumCuisines> shards_;
   std::array<std::span<const IngredientId>, kNumCuisines + 1> unique_;
   std::span<const uint32_t> presence_;
   std::array<std::span<const uint32_t>, kNumCuisines> sizes_;

@@ -200,12 +200,7 @@ std::optional<QueryIndex::UsageRank> QueryIndex::Usage(
       static_cast<size_t>(it - profile.ingredients.begin());
   UsageRank usage;
   usage.fraction = profile.fractions[slot];
-  // Fractions are count / cuisine recipe count; the product is exact
-  // (the fraction was produced by that very division), the +0.5 guards
-  // the representable-but-inexact cases.
-  usage.count = static_cast<uint32_t>(
-      usage.fraction * static_cast<double>(corpus_.num_recipes_in(cuisine)) +
-      0.5);
+  usage.count = corpus_.presence(cuisine)[id];
   usage.rank = rank_of_[cuisine][slot];
   return usage;
 }

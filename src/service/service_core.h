@@ -152,13 +152,13 @@ class ServiceCore {
   /// plus a CULEVO-DELTA file — no snapshot re-read (the hot incremental
   /// reload; `corpus.snapshot.mmap_loads` stays flat). The next corpus
   /// shares the current one's base columns and owns a tail over every
-  /// recipe added since that base (IncrementalCorpus), plus its own shard
-  /// index, unique lists and presence counts, so a reload allocates
-  /// O(delta) columns and never copies the base. The delta's base recipe
-  /// count and content fingerprint must match the serving generation
-  /// exactly; any mismatch is refused with FailedPrecondition. Like
-  /// LoadFromFile, any failure at any stage of the swap leaves the old
-  /// generation serving. The next generation's index extends the current
+  /// recipe added since that base (IncrementalCorpus), plus its own
+  /// unique lists, presence counts and size histograms, so a reload
+  /// allocates O(delta) columns and never copies the base. The delta's
+  /// base recipe count and content fingerprint must match the serving
+  /// generation exactly; any mismatch is refused with FailedPrecondition.
+  /// Like LoadFromFile, any failure at any stage of the swap leaves the
+  /// old generation serving. The next generation's index extends the current
   /// one's (QueryIndex::Extend): both share one posting base, and only
   /// the tail over the recipes added since that base is placed, on the
   /// calling thread alone, so the CPUs of the other workers stay with the

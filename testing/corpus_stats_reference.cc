@@ -4,13 +4,22 @@
 
 namespace culevo {
 
+std::vector<uint32_t> RecipesOf(const RecipeCorpus& corpus,
+                                CuisineId cuisine) {
+  std::vector<uint32_t> indices;
+  for (uint32_t index = 0; index < corpus.num_recipes(); ++index) {
+    if (corpus.cuisine_of(index) == cuisine) indices.push_back(index);
+  }
+  return indices;
+}
+
 std::vector<CuisineStats> ReferenceCuisineStats(const RecipeCorpus& corpus) {
   std::vector<CuisineStats> out(kNumCuisines);
   for (int c = 0; c < kNumCuisines; ++c) {
     const CuisineId cuisine = static_cast<CuisineId>(c);
     CuisineStats& stats = out[static_cast<size_t>(c)];
     stats.cuisine = cuisine;
-    const std::span<const uint32_t> indices = corpus.recipes_of(cuisine);
+    const std::vector<uint32_t> indices = RecipesOf(corpus, cuisine);
     stats.num_recipes = indices.size();
     if (indices.empty()) continue;
 

@@ -1,6 +1,7 @@
 #ifndef CULEVO_TESTING_CORPUS_STATS_REFERENCE_H_
 #define CULEVO_TESTING_CORPUS_STATS_REFERENCE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "corpus/corpus_stats.h"
@@ -8,7 +9,11 @@
 
 namespace culevo {
 
-/// Per-cuisine statistics by a walk over every recipe of every shard,
+/// Indices of the recipes of `cuisine`, ascending: the cuisine column
+/// filtered in index order.
+std::vector<uint32_t> RecipesOf(const RecipeCorpus& corpus, CuisineId cuisine);
+
+/// Per-cuisine statistics by a walk over every recipe of every cuisine,
 /// each read through ingredients_of: the reference that the tests check
 /// ComputeCuisineStats and RecipeCorpus::MeanRecipeSize against, which
 /// read the corpus's size histograms instead. One entry per cuisine id,

@@ -18,6 +18,7 @@
 #include "lexicon/world_lexicon.h"
 #include "synth/generator.h"
 #include "testing/apriori.h"
+#include "testing/corpus_stats_reference.h"
 #include "util/check.h"
 
 namespace culevo {
@@ -167,7 +168,7 @@ TEST(IntegrationTest, CorpusSurvivesSerializationPipeline) {
   // Serialize a slice of the world (one cuisine) and re-analyze it.
   const CuisineId kor = CuisineFromCode("KOR").value();
   RecipeCorpus::Builder builder;
-  for (uint32_t index : World().recipes_of(kor)) {
+  for (uint32_t index : RecipesOf(World(), kor)) {
     const auto span = World().ingredients_of(index);
     ASSERT_TRUE(
         builder.Add(kor, std::vector<IngredientId>(span.begin(), span.end()))

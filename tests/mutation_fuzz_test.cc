@@ -7,10 +7,12 @@
 // byte sets, truncations, and aligned u32/u64 fields set to 0, all-ones
 // or the high bit; for the two containers and the journal records every
 // other mutation also re-signs the file, so the validators behind the
-// checksums run too. The snapshot is fuzzed in both versions a build
-// reads (2, and 1 with its FNV-1a checksums), and each container leg
-// checks that some re-signed mutant got past the checksums to be refused
-// by those validators.
+// checksums run too. The snapshot is fuzzed in every version a build
+// reads: 3 as this build writes it, 2 from the committed version-2 file
+// (with the stats and recipe-index sections the load ignores), and 1 from
+// that file re-signed with FNV-1a checksums. Each container leg checks
+// that some re-signed mutant got past the checksums to be refused by
+// those validators.
 //
 // Every call must return (no abort, no sanitizer report; an escaped
 // exception fails the test) with a status from the entry point's
@@ -216,9 +218,10 @@ class MutationFuzzTest : public ::testing::Test {
   }
 
   static constexpr ContainerFormat kSnapshotFormat = {
-      "CULEVO-CORPUS", kCorpusSnapshotVersion, "corpus.snapshot", 1};
+      "CULEVO-CORPUS", kCorpusSnapshotVersion, "corpus.snapshot", 1, 2};
   static constexpr ContainerFormat kDeltaFormat = {
-      "CULEVO-DELTA", kCorpusDeltaVersion, "corpus.delta"};
+      "CULEVO-DELTA", kCorpusDeltaVersion, "corpus.delta",
+      kCorpusDeltaVersion, kCorpusDeltaVersion};
 
   std::string path_ = testing::TempDir() + "culevo_mutation_fuzz.bin";
 };
@@ -228,11 +231,24 @@ TEST_F(MutationFuzzTest, LoadCorpusSnapshot) {
   FuzzSnapshot(ReadFileToString(path_).value(), 1);
 }
 
-// The same corpus as a version-1 file: the writer's bytes re-signed with
-// FNV-1a-64 under version 1.
+/// The committed bytes of the version-2 writer (corpus_snapshot_test's
+/// TestCorpus(), whose ids the world lexicon holds).
+std::string Version2Snapshot() {
+  return ReadFileToString(std::string(CULEVO_TEST_DATA_DIR) +
+                          "/corpus_v2.snap")
+      .value();
+}
+
+TEST_F(MutationFuzzTest, LoadCorpusSnapshotVersion2) {
+  const std::string seed = Version2Snapshot();
+  WriteBytes(path_, seed);
+  ASSERT_TRUE(LoadCorpusSnapshot(path_).ok());
+  FuzzSnapshot(seed, 13);
+}
+
+// The version-2 file re-signed with FNV-1a-64 under version 1.
 TEST_F(MutationFuzzTest, LoadCorpusSnapshotVersion1) {
-  ASSERT_TRUE(WriteCorpusSnapshot(path_, SeedCorpus(), {.sync = false}).ok());
-  std::string seed = ReadFileToString(path_).value();
+  std::string seed = Version2Snapshot();
   ResignAsVersion(&seed, 1);
   WriteBytes(path_, seed);
   ASSERT_TRUE(LoadCorpusSnapshot(path_).ok());

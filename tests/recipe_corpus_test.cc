@@ -8,6 +8,7 @@
 
 #include "lexicon/world_lexicon.h"
 #include "synth/generator.h"
+#include "testing/corpus_stats_reference.h"
 #include "util/rng.h"
 
 namespace culevo {
@@ -69,10 +70,12 @@ TEST(RecipeCorpusTest, RecipeViewFields) {
 
 TEST(RecipeCorpusTest, RecipesOfGroupsByCuisine) {
   const RecipeCorpus corpus = SmallCorpus();
-  EXPECT_EQ(ToVec(corpus.recipes_of(0)), (std::vector<uint32_t>{0, 1}));
-  EXPECT_EQ(ToVec(corpus.recipes_of(1)), (std::vector<uint32_t>{2}));
-  EXPECT_TRUE(corpus.recipes_of(2).empty());
+  EXPECT_EQ(RecipesOf(corpus, 0), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(RecipesOf(corpus, 1), (std::vector<uint32_t>{2}));
+  EXPECT_TRUE(RecipesOf(corpus, 2).empty());
   EXPECT_EQ(corpus.num_recipes_in(0), 2u);
+  EXPECT_EQ(corpus.num_recipes_in(1), 1u);
+  EXPECT_EQ(corpus.num_recipes_in(2), 0u);
 }
 
 TEST(RecipeCorpusTest, UniqueIngredients) {
@@ -121,7 +124,7 @@ TEST(RecipeCorpusTest, CopyRebindsViews) {
   original = RecipeCorpus();  // Destroy the source's storage.
   EXPECT_EQ(ToVec(copy.ingredients_of(0)),
             (std::vector<IngredientId>{1, 2, 3}));
-  EXPECT_EQ(ToVec(copy.recipes_of(0)), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(copy.num_recipes_in(0), 2u);
   EXPECT_EQ(ToVec(copy.UniqueIngredients()),
             (std::vector<IngredientId>{1, 2, 3, 5, 7}));
 }
@@ -143,7 +146,6 @@ struct OwnedColumns {
   std::vector<IngredientId> flat;
   std::vector<uint32_t> offsets;
   std::vector<CuisineId> cuisines;
-  std::array<std::vector<uint32_t>, kNumCuisines> shards;
   std::array<std::vector<IngredientId>, kNumCuisines + 1> unique;
 
   RecipeCorpus::ColumnViews Views() const {
@@ -151,11 +153,7 @@ struct OwnedColumns {
     views.flat = flat;
     views.offsets = offsets;
     views.cuisines = cuisines;
-    for (int c = 0; c < kNumCuisines; ++c) {
-      views.shards[static_cast<size_t>(c)] = shards[static_cast<size_t>(c)];
-      views.unique[static_cast<size_t>(c)] = unique[static_cast<size_t>(c)];
-    }
-    views.unique[kNumCuisines] = unique[kNumCuisines];
+    for (size_t c = 0; c <= kNumCuisines; ++c) views.unique[c] = unique[c];
     return views;
   }
 };
@@ -165,8 +163,6 @@ OwnedColumns SmallColumns() {
   columns.flat = {1, 2, 3, 2, 5, 7};
   columns.offsets = {0, 3, 5, 6};
   columns.cuisines = {0, 0, 1};
-  columns.shards[0] = {0, 1};
-  columns.shards[1] = {2};
   columns.unique[0] = {1, 2, 3, 5};
   columns.unique[1] = {7};
   columns.unique[kNumCuisines] = {1, 2, 3, 5, 7};
@@ -182,7 +178,8 @@ TEST(RecipeCorpusFromColumnsTest, AcceptsWellFormedColumns) {
   EXPECT_EQ(corpus->num_recipes(), 3u);
   EXPECT_EQ(ToVec(corpus->ingredients_of(0)),
             (std::vector<IngredientId>{1, 2, 3}));
-  EXPECT_EQ(ToVec(corpus->recipes_of(0)), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(RecipesOf(*corpus, 0), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(corpus->num_recipes_in(0), 2u);
   EXPECT_EQ(ToVec(corpus->UniqueIngredients()),
             (std::vector<IngredientId>{1, 2, 3, 5, 7}));
 }
@@ -196,13 +193,6 @@ TEST(RecipeCorpusFromColumnsTest, RejectsNonMonotonicOffsets) {
 TEST(RecipeCorpusFromColumnsTest, RejectsUnsortedRecipe) {
   OwnedColumns columns = SmallColumns();
   columns.flat = {3, 2, 1, 2, 5, 7};  // Recipe 0 descending.
-  EXPECT_FALSE(RecipeCorpus::FromColumns(columns.Views(), nullptr).ok());
-}
-
-TEST(RecipeCorpusFromColumnsTest, RejectsWrongShard) {
-  OwnedColumns columns = SmallColumns();
-  columns.shards[0] = {0};  // Recipe 1 missing from its shard.
-  columns.shards[2] = {1};  // ...and filed under the wrong cuisine.
   EXPECT_FALSE(RecipeCorpus::FromColumns(columns.Views(), nullptr).ok());
 }
 
@@ -240,7 +230,8 @@ TEST(RecipeCorpusFromColumnsTest, RejectsOffsetPastFlatColumn) {
 /// accepts `views`. One line is new, the bound on each offset before the
 /// order check reads through it. Without it the validator read past the
 /// flat column on such input, and refused it only afterwards, so the
-/// bound changes nothing it accepts.
+/// bound changes nothing it accepts. Each cuisine's recipes are gathered
+/// from the cuisine column, since the corpus keeps no list of them.
 bool ReferenceAccepts(const RecipeCorpus::ColumnViews& views) {
   const size_t n = views.cuisines.size();
   if (views.offsets.size() != n + 1 || views.offsets.front() != 0 ||
@@ -256,20 +247,7 @@ bool ReferenceAccepts(const RecipeCorpus::ColumnViews& views) {
     }
   }
 
-  size_t shard_total = 0;
-  for (int c = 0; c < kNumCuisines; ++c) {
-    const std::span<const uint32_t> shard =
-        views.shards[static_cast<size_t>(c)];
-    shard_total += shard.size();
-    for (size_t k = 0; k < shard.size(); ++k) {
-      if (shard[k] >= n) return false;
-      if (views.cuisines[shard[k]] != static_cast<CuisineId>(c)) return false;
-      if (k > 0 && shard[k - 1] >= shard[k]) return false;
-    }
-  }
-  if (shard_total != n) return false;
-
-  // Each unique list against its scope, gathered through the shards (the
+  // Each unique list against its scope, gathered by cuisine (the
   // corpus-wide list against the whole flat column), with epoch marks:
   // epoch = listed, epoch + 1 = listed and seen.
   IngredientId max_id = 0;
@@ -297,7 +275,8 @@ bool ReferenceAccepts(const RecipeCorpus::ColumnViews& views) {
       }
     };
     if (c < kNumCuisines) {
-      for (uint32_t index : views.shards[static_cast<size_t>(c)]) {
+      for (size_t index = 0; index < n; ++index) {
+        if (views.cuisines[index] != static_cast<CuisineId>(c)) continue;
         for (size_t m = views.offsets[index]; m < views.offsets[index + 1];
              ++m) {
           consume(views.flat[m]);
@@ -312,17 +291,15 @@ bool ReferenceAccepts(const RecipeCorpus::ColumnViews& views) {
   return true;
 }
 
-/// The columns, shards and unique lists of a built corpus.
+/// The columns and unique lists of a built corpus.
 OwnedColumns ColumnsOf(const RecipeCorpus& corpus) {
   OwnedColumns columns;
   columns.flat = ToVec(corpus.flat());
   columns.offsets = ToVec(corpus.offsets());
   columns.cuisines = ToVec(corpus.cuisines());
   for (int c = 0; c < kNumCuisines; ++c) {
-    const CuisineId cuisine = static_cast<CuisineId>(c);
-    columns.shards[static_cast<size_t>(c)] = ToVec(corpus.recipes_of(cuisine));
     columns.unique[static_cast<size_t>(c)] =
-        ToVec(corpus.UniqueIngredients(cuisine));
+        ToVec(corpus.UniqueIngredients(static_cast<CuisineId>(c)));
   }
   columns.unique[kNumCuisines] = ToVec(corpus.UniqueIngredients());
   return columns;
@@ -369,10 +346,9 @@ std::vector<T>* NonEmptyList(std::array<std::vector<T>, N>* lists,
 }
 
 /// One seeded mutation of `columns`: of the flat, offsets or cuisine
-/// column, of a shard or unique list, or a recipe moved to another
-/// cuisine's shard (its cuisine entry following it half the time).
+/// column, of a unique list, or a recipe moved to another cuisine.
 void MutateColumns(OwnedColumns* columns, Rng& rng) {
-  switch (rng.NextBounded(6)) {
+  switch (rng.NextBounded(5)) {
     case 0:
       MutateList(&columns->flat, rng);
       break;
@@ -383,24 +359,13 @@ void MutateColumns(OwnedColumns* columns, Rng& rng) {
       MutateList(&columns->cuisines, rng);
       break;
     case 3:
-      MutateList(NonEmptyList(&columns->shards, rng), rng);
-      break;
-    case 4:
       MutateList(NonEmptyList(&columns->unique, rng), rng);
       break;
-    default: {
+    default:
       if (columns->cuisines.empty()) break;
-      const uint32_t recipe =
-          static_cast<uint32_t>(rng.NextBounded(columns->cuisines.size()));
-      const CuisineId to =
+      columns->cuisines[rng.NextBounded(columns->cuisines.size())] =
           static_cast<CuisineId>(rng.NextBounded(kNumCuisines));
-      std::vector<uint32_t>& from = columns->shards[columns->cuisines[recipe]];
-      from.erase(std::find(from.begin(), from.end(), recipe));
-      std::vector<uint32_t>& into = columns->shards[to];
-      into.insert(std::lower_bound(into.begin(), into.end(), recipe), recipe);
-      if (rng.NextBounded(2) == 0) columns->cuisines[recipe] = to;
       break;
-    }
   }
 }
 
@@ -447,8 +412,8 @@ TEST(RecipeCorpusFromColumnsTest, MatchesReferenceOnSynthesizedCorpus) {
 }
 
 // Few cuisines over a small id range, so a recipe moved to another
-// cuisine (cuisine entry and all) often leaves every unique list right,
-// and both validators must accept it.
+// cuisine often leaves every unique list right, and both validators must
+// accept it.
 TEST(RecipeCorpusFromColumnsTest, MatchesReferenceOnFewCuisineCorpus) {
   Rng rng(1515);
   RecipeCorpus::Builder builder;

@@ -852,7 +852,6 @@ TEST(ServiceCoreTest, ReplacedGenerationIsReleasedOutsideTheLock) {
     views.cuisines = columns.cuisines();
     for (int c = 0; c < kNumCuisines; ++c) {
       const CuisineId cuisine = static_cast<CuisineId>(c);
-      views.shards[cuisine] = columns.recipes_of(cuisine);
       views.unique[cuisine] = columns.UniqueIngredients(cuisine);
     }
     views.unique[kNumCuisines] = columns.UniqueIngredients();

@@ -13,6 +13,9 @@
 //      snapshot (corpus.snapshot.mmap_loads stays flat), and a
 //      mismatched-base delta is refused while the old generation serves.
 //   5. In a sanitizer build, no daemon process writes a sanitizer report.
+//      The supervised stack's stderr goes to a file, which the verdict
+//      reads however the test ends, so one check serves UBSan, ASan, TSan
+//      and LSan alike.
 //
 // The binary path is injected at compile time (CULEVOD_PATH).
 
@@ -25,11 +28,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -134,23 +138,44 @@ Result<long long> CounterRow(const std::string& metrics,
   return std::strtoll(metrics.c_str() + at + needle.size(), nullptr, 10);
 }
 
-/// The sanitizer options this process inherited, each with a `log_path`
-/// under `prefix` added, as SpawnOptions::extra_env entries. The daemons
-/// run with stderr silenced, so a report goes to `<prefix>.<pid>` instead.
-/// Builds without the sanitizers ignore these variables, and so does
-/// GCC's UBSan runtime when it is linked beside ASan's: its reports stay
-/// on the silenced stderr.
-std::vector<std::string> SanitizerLogEnv(const std::string& prefix) {
-  std::vector<std::string> env;
-  for (const char* name : {"ASAN_OPTIONS", "UBSAN_OPTIONS", "TSAN_OPTIONS"}) {
-    const char* inherited = std::getenv(name);
-    std::string value = inherited != nullptr ? inherited : "";
-    if (!value.empty()) value += ':';
-    env.push_back(StrFormat("%s=%slog_path=%s", name, value.c_str(),
-                            prefix.c_str()));
+/// How each sanitizer a preset builds with starts a report: UBSan, ASan,
+/// TSan and LSan. Every one of them prints to stderr. (A `log_path` would
+/// not do: GCC's UBSan runtime ignores it when it is linked beside ASan's.)
+constexpr std::string_view kReportStarts[] = {
+    "runtime error:", "ERROR: AddressSanitizer", "WARNING: ThreadSanitizer",
+    "ERROR: LeakSanitizer"};
+
+/// Owns the file the supervised stack's stderr is appended to. When it
+/// goes out of scope, however the test ends, it fails the test with the
+/// first sanitizer report in the file, quoted from the start of its line,
+/// and removes the file.
+class StderrReports {
+ public:
+  explicit StderrReports(std::string path) : path_(std::move(path)) {
+    std::remove(path_.c_str());
   }
-  return env;
-}
+  StderrReports(const StderrReports&) = delete;
+  StderrReports& operator=(const StderrReports&) = delete;
+  ~StderrReports() {
+    const Result<std::string> text = ReadFileToString(path_);
+    std::remove(path_.c_str());
+    if (!text.ok()) return;
+    size_t first = std::string::npos;
+    for (const std::string_view start : kReportStarts) {
+      first = std::min(first, text->find(start));
+    }
+    if (first == std::string::npos) return;
+    const size_t line = text->rfind('\n', first);
+    ADD_FAILURE() << "sanitizer report on the daemons' stderr:\n"
+                  << text->substr(line == std::string::npos ? 0 : line + 1,
+                                  8192);
+  }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Extracts the `epoch\t<n>` row from an `info` response.
 Result<long long> EpochRow(const std::string& info) {
@@ -169,9 +194,9 @@ TEST(CulevodSoakTest, SupervisedChaosSoakKeepsAnswersBitIdentical) {
   const std::string snapshot_path = TempPath("base.snap");
   const std::string delta_path = TempPath("good.delta");
   const std::string bad_delta_path = TempPath("mismatch.delta");
-  const std::string report_dir = TempPath("sanitizer_reports");
-  std::filesystem::remove_all(report_dir);
-  ASSERT_TRUE(std::filesystem::create_directory(report_dir));
+  // Declared before the supervisor, so the supervisor is gone by the time
+  // the file is read.
+  const StderrReports reports(TempPath("daemons.stderr"));
 
   // --- Ground truth -------------------------------------------------------
   // Base corpus A: the same deterministic synthetic world the child will
@@ -254,14 +279,17 @@ TEST(CulevodSoakTest, SupervisedChaosSoakKeepsAnswersBitIdentical) {
   // Each child incarnation inherits the failpoint: after three clean
   // serve.reload evaluations (startup load, refused bad delta, good
   // delta), the next reload attempt in that incarnation fails injected —
-  // a reload dying mid-swap during the chaos phase.
-  spawn.extra_env = SanitizerLogEnv(report_dir + "/report");
+  // a reload dying mid-swap during the chaos phase. The shell appends the
+  // supervisor's stderr, which its children inherit, to the reports file
+  // and execs it, so the supervisor keeps the shell's pid.
   spawn.extra_env.push_back("CULEVO_FAILPOINTS=serve.reload=3*1");
   spawn.silence_stdout = true;
   spawn.silence_stderr = true;
   ASSERT_TRUE(supervisor
-                  .Spawn({CULEVOD_PATH, "--supervise", "--socket",
-                          socket_path, "--load-snapshot", snapshot_path,
+                  .Spawn({"/bin/sh", "-c", "exec \"$@\" 2>>\"$0\"",
+                          reports.path(), CULEVOD_PATH, "--supervise",
+                          "--socket", socket_path, "--load-snapshot",
+                          snapshot_path,
                           "--delta-path", delta_path, "--pidfile", pidfile,
                           "--threads", "3", "--deadline-ms", "60000",
                           "--client-read-timeout-ms", "200",
@@ -459,13 +487,6 @@ TEST(CulevodSoakTest, SupervisedChaosSoakKeepsAnswersBitIdentical) {
   EXPECT_TRUE(exit_state.exited)
       << "supervisor died on signal " << exit_state.signal;
   EXPECT_EQ(exit_state.code, 0);
-
-  for (const auto& report : std::filesystem::directory_iterator(report_dir)) {
-    Result<std::string> text = ReadFileToString(report.path().string());
-    ADD_FAILURE() << "sanitizer report " << report.path() << ":\n"
-                  << (text.ok() ? *text : text.status().ToString());
-  }
-  std::filesystem::remove_all(report_dir);
 
   std::remove(pidfile.c_str());
   std::remove(snapshot_path.c_str());

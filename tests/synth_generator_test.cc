@@ -8,6 +8,7 @@
 #include "analysis/summary.h"
 #include "corpus/corpus_stats.h"
 #include "lexicon/world_lexicon.h"
+#include "testing/corpus_stats_reference.h"
 
 namespace culevo {
 namespace {
@@ -95,7 +96,7 @@ TEST(SynthesizeCuisineTest, TopFiveIngredientsDominate) {
   for (std::string_view name : CuisineAt(cuisine).top_ingredients) {
     const IngredientId id = *lexicon.Find(name);
     size_t hits = 0;
-    for (uint32_t r : corpus.recipes_of(cuisine)) {
+    for (uint32_t r : RecipesOf(corpus, cuisine)) {
       for (IngredientId ing : corpus.ingredients_of(r)) {
         if (ing == id) {
           ++hits;
