@@ -35,12 +35,14 @@
 // replica shard into --checkpoint <dir> (required) while the coordinator
 // supervises progress heartbeats, SIGKILLs workers whose journals stall
 // for --worker-stall-ms (default 30000), and re-dispatches crashed
-// shards up to --worker-retries times. A final in-process pass merges the shard
-// journals and re-runs anything no worker finished — results are
-// bit-identical to --workers 1. See DESIGN.md §12.
+// shards up to --worker-retries times; --tolerate <k> lets up to k shards
+// fail permanently. A final in-process pass merges the shard journals and
+// re-runs anything no worker finished — results are bit-identical to
+// --workers 1. See DESIGN.md §12.
 
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -97,14 +99,14 @@ int Usage() {
          "--load-snapshot <path> (mmap a CULEVO-CORPUS snapshot instead "
          "of synthesizing) --snapshot <path> (write a snapshot of the "
          "corpus used)\n"
-         "evaluate flags: --cuisine <code> --tolerate <k> (replicas that "
-         "may fail permanently; the default 0 fails fast) --retries <n> "
-         "(per-replica retries) "
+         "evaluate flags: --cuisine <code> "
          "--checkpoint <dir> (journal completed replicas for crash "
          "recovery) --resume (restore completed replicas from the "
          "checkpoint journal) --workers <n> (shard replicas across n "
          "supervised worker processes; requires --checkpoint) "
-         "--worker-stall-ms <n> --worker-retries <n>\n"
+         "--worker-stall-ms <n> --worker-retries <n> --tolerate <k> "
+         "(worker shards that may fail permanently; needs --workers > 1, "
+         "the default 0 fails fast)\n"
          "generate flags: --cuisine <code> --size <2..38> --count <n> "
          "--include <ingredient> (must appear in every recipe) "
          "--vegetarian (no meat, fish or seafood)\n";
@@ -175,8 +177,6 @@ int RunEvaluate(const FlagParser& flags) {
   config.replicas = flags.GetIntIn("replicas", 10, 1);
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   config.cancel = &GlobalCancel();
-  config.tolerate_k = flags.GetIntIn("tolerate", 0, 0);
-  config.max_replica_retries = flags.GetIntIn("retries", 0, 0);
   config.checkpoint.directory = flags.GetString("checkpoint", "");
   config.checkpoint.resume = flags.GetBool("resume", false);
   config.checkpoint.sync = true;  // the CLI journals durably
@@ -207,7 +207,9 @@ int RunEvaluate(const FlagParser& flags) {
   fabric.checkpoint_dir = config.checkpoint.directory;
   fabric.stall_ms = static_cast<int>(flags.GetInt("worker-stall-ms", 30000));
   fabric.max_worker_retries = flags.GetIntIn("worker-retries", 2, 0);
-  fabric.tolerate_k = config.tolerate_k;
+  // --tolerate budgets lost worker shards, so it needs --workers > 1.
+  fabric.tolerate_k = flags.GetIntIn(
+      "tolerate", 0, 0, workers > 1 ? std::numeric_limits<int>::max() : 0);
   fabric.cancel = &GlobalCancel();
 
   Result<RecipeCorpus> corpus = World(flags);
@@ -256,14 +258,6 @@ int RunEvaluate(const FlagParser& flags) {
                   TablePrinter::Num(score.mae_category, 4)});
   }
   table.Print(std::cout);
-  if (config.checkpoint.enabled()) {
-    // The merged fault/recovery ledger (prior attempts included) of each
-    // model's run, machine-readable for the resume workflow.
-    for (const ModelScore& score : evaluation->scores) {
-      std::cout << "report " << score.model << " "
-                << RunReportToJson(score.report) << "\n";
-    }
-  }
   std::cout << "winner: "
             << evaluation->scores[evaluation->BestByIngredientMae()].model
             << "\n";
@@ -431,7 +425,7 @@ int main(int argc, char** argv) {
   if (Status s = flags.Parse(
           argc, argv,
           {"scale", "seed", "replicas", "load-snapshot", "snapshot",
-           "cuisine", "tolerate", "retries", "checkpoint", "resume",
+           "cuisine", "tolerate", "checkpoint", "resume",
            "workers", "worker-shard", "worker-stall-ms", "worker-retries",
            "size", "count", "include", "vegetarian", "out", "timeout-ms",
            "metrics"});

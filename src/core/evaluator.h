@@ -24,8 +24,7 @@ struct ModelScore {
   double paper_eq2_ingredient = 0.0;///< Eq. 2 as printed (squared form).
   RankFrequency ingredient_curve;   ///< Aggregated model curve.
   RankFrequency category_curve;
-  /// Fault/recovery ledger of the model's RunSimulation call (merged
-  /// across prior attempts when the run was resumed from a checkpoint).
+  /// Replica counts of the model's RunSimulation call.
   RunReport report;
 };
 

@@ -192,15 +192,17 @@ std::string FormatManifest(const RunManifest& manifest) {
 }
 
 /// One verified payload, typed. std::monostate is every other kind:
-/// interrupt records and kinds this build does not know.
-using JournalRecord = std::variant<std::monostate, RunManifest,
-                                   ReplicaCheckpoint, IncidentCheckpoint>;
+/// interrupt records, the `incident` records older builds wrote, and kinds
+/// this build does not know.
+using JournalRecord =
+    std::variant<std::monostate, RunManifest, ReplicaCheckpoint>;
 
 /// The one record parser: every source resume or merge reads goes through
 /// it. A known kind whose fields do not parse is FailedPrecondition;
 /// `index` names the record of `path` in the message. Fields it does not
 /// read are ignored, so a manifest that still carries the `run` and
-/// `points` fields older builds wrote parses as any other.
+/// `points` fields, or a replica record that still carries the `retries`
+/// field, that older builds wrote parses as any other.
 Result<JournalRecord> ParseRecord(std::string_view payload,
                                   const std::string& path, size_t index) {
   const Fields fields = ParseFields(payload);
@@ -220,17 +222,9 @@ Result<JournalRecord> ParseRecord(std::string_view payload,
   } else if (kind == "replica") {
     ReplicaCheckpoint replica;
     readable = Field(fields, "k", &replica.replica) &&
-               Field(fields, "retries", &replica.retries) &&
                Field(fields, "ic", &replica.ingredient) &&
                Field(fields, "cc", &replica.category);
     record = std::move(replica);
-  } else if (kind == "incident") {
-    IncidentCheckpoint incident;
-    readable = Field(fields, "k", &incident.replica) &&
-               Field(fields, "code", &incident.status_code) &&
-               Field(fields, "retries", &incident.retries);
-    incident.message = FieldString(fields, "msg");
-    record = std::move(incident);
   }
   if (!readable) {
     return Status::FailedPrecondition(
@@ -288,13 +282,6 @@ Status EnsureDirectory(const std::string& dir) {
   }
   return Status::IOError(StrFormat("cannot create checkpoint directory %s: %s",
                                    dir.c_str(), std::strerror(errno)));
-}
-
-StatusCode CodeFromInt(long long code) {
-  if (code < 0 || code > static_cast<long long>(StatusCode::kDataLoss)) {
-    return StatusCode::kInternal;
-  }
-  return static_cast<StatusCode>(code);
 }
 
 }  // namespace
@@ -363,16 +350,8 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
     const bool merging = options.merge_shards > 0;
     // One rule set for every source. The first record of a replica wins:
     // any copy of replica k is the deterministic output of
-    // DeriveSeed(seed, k), so which one wins is immaterial. Incidents are
-    // a multiset union: each payload is kept as often as the one source
-    // that repeats it most, so a single journal keeps its repeats and
-    // re-merging a merged journal adds nothing.
+    // DeriveSeed(seed, k), so which one wins is immaterial.
     std::set<int> seen_replicas;
-    struct IncidentCount {
-      int kept = 0;
-      int in_source = 0;
-    };
-    std::map<std::string, IncidentCount> incidents;
     int sources = 0;
     int shards_found = 0;
     int quarantined = 0;
@@ -401,28 +380,19 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
       CULEVO_RETURN_IF_ERROR(
           CheckManifest(std::get<RunManifest>(*first), manifest, source));
 
-      for (auto& [payload, count] : incidents) count.in_source = 0;
       for (size_t i = 1; i < contents.records.size(); ++i) {
         std::string& payload = contents.records[i];
         Result<JournalRecord> record = ParseRecord(payload, source, i);
         CULEVO_RETURN_IF_ERROR(record.status());
-        bool keep = false;
-        if (auto* replica = std::get_if<ReplicaCheckpoint>(&*record)) {
-          keep = seen_replicas.insert(replica->replica).second;
-          if (keep) journal->restored_replicas_.push_back(std::move(*replica));
-        } else if (auto* incident =
-                       std::get_if<IncidentCheckpoint>(&*record)) {
-          IncidentCount& count = incidents[payload];
-          keep = ++count.in_source > count.kept;
-          if (keep) {
-            ++count.kept;
-            journal->prior_incidents_.push_back(std::move(*incident));
-          }
-        }
-        // Interrupt records (and unknown kinds) describe why one process
-        // stopped. Resume restores nothing from them, so the rewritten
-        // journal drops them.
-        if (keep) records.push_back(std::move(payload));
+        // Interrupt records describe why one process stopped, and the
+        // incident records that older builds wrote describe a replica
+        // that failed. Resume restores nothing from them (or from
+        // unknown kinds), so the rewritten journal drops them.
+        auto* replica = std::get_if<ReplicaCheckpoint>(&*record);
+        if (replica == nullptr) continue;
+        if (!seen_replicas.insert(replica->replica).second) continue;
+        journal->restored_replicas_.push_back(std::move(*replica));
+        records.push_back(std::move(payload));
       }
       ++sources;
       if (shard) ++shards_found;
@@ -464,21 +434,10 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
 }
 
 Status RunJournal::AppendReplica(const ReplicaCheckpoint& replica) {
-  std::string payload = StrFormat("kind=replica k=%d retries=%d ic=",
-                                  replica.replica, replica.retries);
+  std::string payload = StrFormat("kind=replica k=%d ic=", replica.replica);
   payload.append(FormatCurve(replica.ingredient));
   payload.append(" cc=");
   payload.append(FormatCurve(replica.category));
-  std::lock_guard<std::mutex> lock(mu_);
-  return writer_.Append(payload);
-}
-
-Status RunJournal::AppendIncident(int replica, const Status& status,
-                                  int retries) {
-  const std::string payload = StrFormat(
-      "kind=incident k=%d code=%d retries=%d msg=%s", replica,
-      static_cast<int>(status.code()), retries,
-      EscapeField(status.message()).c_str());
   std::lock_guard<std::mutex> lock(mu_);
   return writer_.Append(payload);
 }
@@ -489,11 +448,6 @@ Status RunJournal::AppendInterrupt(const Status& status) {
       EscapeField(status.message()).c_str());
   std::lock_guard<std::mutex> lock(mu_);
   return writer_.Append(payload);
-}
-
-/// Reconstructs the Status a prior attempt recorded for an incident.
-Status IncidentStatus(const IncidentCheckpoint& incident) {
-  return Status(CodeFromInt(incident.status_code), incident.message);
 }
 
 }  // namespace culevo

@@ -70,29 +70,14 @@ struct RunManifest {
 /// indistinguishable from a freshly-computed one.
 struct ReplicaCheckpoint {
   int replica = -1;
-  int retries = 0;
   std::vector<double> ingredient;
   std::vector<double> category;
-};
-
-/// A replica failure recorded by a *prior* attempt of this logical run.
-/// Resume re-runs the replica (the failure may have been transient) and
-/// merges these into the final RunReport so the ledger describes the
-/// whole logical run, not just the final process.
-struct IncidentCheckpoint {
-  int replica = -1;
-  int status_code = 0;
-  std::string message;
-  int retries = 0;
 };
 
 /// Content hash of a cuisine context plus the lexicon categories it maps
 /// through — the manifest's corpus/lexicon identity.
 uint64_t HashCuisineContext(const CuisineContext& context,
                             const Lexicon& lexicon);
-
-/// Reconstructs the Status a prior attempt recorded for an incident.
-Status IncidentStatus(const IncidentCheckpoint& incident);
 
 /// Lowercases `name` and maps everything outside [a-z0-9] to '_', for
 /// journal file names derived from model names.
@@ -106,7 +91,7 @@ std::string SanitizeFileToken(std::string_view name);
 std::string ShardJournalFileName(const std::string& file_name, int k);
 
 /// The domain layer over util/checkpoint.h: serializes run records
-/// (manifest, replica, incident, interrupt) and implements the resume
+/// (manifest, replica, interrupt) and implements the resume
 /// protocol. Appends are thread-safe (RunSimulation journals from pool
 /// workers). See DESIGN.md §10 for the record grammar.
 class RunJournal {
@@ -127,14 +112,9 @@ class RunJournal {
   const std::vector<ReplicaCheckpoint>& restored_replicas() const {
     return restored_replicas_;
   }
-  const std::vector<IncidentCheckpoint>& prior_incidents() const {
-    return prior_incidents_;
-  }
 
   /// Checkpoints one completed replica. Thread-safe.
   Status AppendReplica(const ReplicaCheckpoint& replica);
-  /// Records a permanent replica failure for RunReport continuity.
-  Status AppendIncident(int replica, const Status& status, int retries);
   /// Final record flushed when cancellation/deadline interrupts the run,
   /// so the journal itself documents why it is incomplete.
   Status AppendInterrupt(const Status& status);
@@ -145,7 +125,6 @@ class RunJournal {
   JournalWriter writer_;
   std::mutex mu_;
   std::vector<ReplicaCheckpoint> restored_replicas_;
-  std::vector<IncidentCheckpoint> prior_incidents_;
 };
 
 }  // namespace culevo

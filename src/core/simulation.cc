@@ -1,19 +1,15 @@
 #include "core/simulation.h"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
-#include "util/json.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -56,44 +52,6 @@ TransactionSet StoreCategoryTransactions(
   return out;
 }
 
-int RunReport::total_retries() const {
-  int total = 0;
-  for (const ReplicaIncident& incident : incidents) {
-    total += incident.retries;
-  }
-  return total;
-}
-
-std::string RunReportToJson(const RunReport& report) {
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("replicas_requested");
-  json.Int(report.replicas_requested);
-  json.Key("replicas_succeeded");
-  json.Int(report.replicas_succeeded);
-  json.Key("replicas_failed");
-  json.Int(report.replicas_failed);
-  json.Key("total_retries");
-  json.Int(report.total_retries());
-  json.Key("degraded");
-  json.Bool(report.degraded());
-  json.Key("incidents");
-  json.BeginArray();
-  for (const ReplicaIncident& incident : report.incidents) {
-    json.BeginObject();
-    json.Key("replica");
-    json.Int(incident.replica);
-    json.Key("status");
-    json.String(incident.status.ToString());
-    json.Key("retries");
-    json.Int(incident.retries);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  return std::move(json).Take();
-}
-
 uint64_t HashMiningConfig(const CombinationConfig& mining) {
   uint64_t hash = 0x51ED270B35A7E9D1ull;
   hash = HashCombine(hash,
@@ -112,12 +70,6 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
   if (config.replicas <= 0) {
     return Status::InvalidArgument("replicas must be positive");
   }
-  if (config.tolerate_k < 0) {
-    return Status::InvalidArgument("tolerate_k must be >= 0");
-  }
-  if (config.max_replica_retries < 0) {
-    return Status::InvalidArgument("max_replica_retries must be >= 0");
-  }
   if (config.shard.count < 1 || config.shard.index < 0 ||
       config.shard.index >= config.shard.count) {
     return Status::InvalidArgument(StrFormat(
@@ -132,12 +84,6 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
 
   static obs::Counter* replicas_run =
       obs::MetricsRegistry::Get().counter("sim.replicas_run");
-  static obs::Counter* replica_failures =
-      obs::MetricsRegistry::Get().counter("sim.replica.failures");
-  static obs::Counter* replica_retries =
-      obs::MetricsRegistry::Get().counter("sim.replica.retries");
-  static obs::Counter* runs_degraded =
-      obs::MetricsRegistry::Get().counter("sim.runs_degraded");
   static obs::Histogram* generate_ms =
       obs::MetricsRegistry::Get().histogram("sim.replica.generate_ms");
   static obs::Histogram* mine_ms =
@@ -173,7 +119,6 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
   std::vector<RankFrequency> ingredient_curves(n);
   std::vector<RankFrequency> category_curves(n);
   std::vector<Status> statuses(n);
-  std::vector<int> retries(n, 0);
 
   // Replicas restored from the journal are bit-identical to freshly
   // computed ones (curves cross the journal as raw double bit patterns),
@@ -186,7 +131,6 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
       if (replica.replica < 0 || k >= n || restored[k]) continue;
       ingredient_curves[k] = RankFrequency::FromSorted(replica.ingredient);
       category_curves[k] = RankFrequency::FromSorted(replica.category);
-      retries[k] = replica.retries;
       restored[k] = 1;
     }
   }
@@ -219,72 +163,39 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
         }
       }
     }
-    Status status;
-    int attempt = 0;
-    for (;;) {
-      // Attempt 0 is the canonical replica seed; retries re-derive from
-      // it so a recovered replica is deterministic in (seed, k, attempt)
-      // and independent of which thread reruns it.
-      const uint64_t replica_seed =
-          attempt == 0 ? DeriveSeed(config.seed, k)
-                       : DeriveSeed(DeriveSeed(config.seed, k),
-                                    static_cast<uint64_t>(attempt));
-      // One flat store per attempt: the whole generated pool is a single
+    {
+      // One flat store per replica: the whole generated pool is a single
       // position buffer instead of target_recipes small vectors.
       RecipeStore store;
-      status = FailpointCheck("sim.replica.generate");
-      if (status.ok()) {
+      {
         obs::ScopedTimer timer(generate_ms);
-        status = model.GenerateInto(context, replica_seed, &store);
+        statuses[k] =
+            model.GenerateInto(context, DeriveSeed(config.seed, k), &store);
       }
-      if (status.ok()) {
-        status = FailpointCheck("sim.replica.mine");
-        if (status.ok()) {
-          obs::ScopedTimer timer(mine_ms);
-          ingredient_curves[k] = CombinationCurve(
-              StoreTransactions(store, context.ingredients), mining);
-          category_curves[k] = CombinationCurve(
-              StoreCategoryTransactions(store, context.ingredients,
-                                        lexicon),
-              mining);
-        }
-      }
-      if (status.ok() || attempt >= config.max_replica_retries ||
-          CancelToken::ShouldStop(config.cancel)) {
-        break;
-      }
-      ++attempt;
+      if (!statuses[k].ok()) return;
+      obs::ScopedTimer timer(mine_ms);
+      ingredient_curves[k] = CombinationCurve(
+          StoreTransactions(store, context.ingredients), mining);
+      category_curves[k] = CombinationCurve(
+          StoreCategoryTransactions(store, context.ingredients, lexicon),
+          mining);
     }
-    retries[k] = attempt;
-    statuses[k] = std::move(status);
-    if (statuses[k].ok()) replicas_run->Increment();
+    replicas_run->Increment();
 
-    if (journal != nullptr) {
-      Status appended;
-      // A tripped token may have truncated this replica's *mining* mid-way
-      // (CombinationCurve returns partial curves on cancellation, and the
-      // whole aggregate is discarded with kCancelled anyway) — such a
-      // replica must not be journaled as complete. Cancellation is
-      // monotonic, so an untripped token here proves mining ran whole.
-      if (statuses[k].ok() && !CancelToken::ShouldStop(config.cancel)) {
-        ReplicaCheckpoint checkpoint;
-        checkpoint.replica = static_cast<int>(k);
-        checkpoint.retries = attempt;
-        checkpoint.ingredient = ingredient_curves[k].values();
-        checkpoint.category = category_curves[k].values();
-        appended = journal->AppendReplica(checkpoint);
-      } else if (attempt >= config.max_replica_retries &&
-                 !CancelToken::ShouldStop(config.cancel)) {
-        // A permanent failure (retry budget exhausted, not a cancellation
-        // artifact) is journaled for RunReport continuity; the replica is
-        // NOT marked complete, so a resume re-runs it.
-        appended = journal->AppendIncident(static_cast<int>(k), statuses[k],
-                                           attempt);
-      }
-      if (!appended.ok()) {
-        std::lock_guard<std::mutex> lock(journal_error_mu);
-        if (journal_error.ok()) journal_error = std::move(appended);
-      }
+    // A tripped token may have truncated this replica's *mining* mid-way
+    // (CombinationCurve returns partial curves on cancellation, and the
+    // whole aggregate is discarded with kCancelled anyway) — such a
+    // replica must not be journaled as complete. Cancellation is
+    // monotonic, so an untripped token here proves mining ran whole.
+    if (journal == nullptr || CancelToken::ShouldStop(config.cancel)) return;
+    ReplicaCheckpoint checkpoint;
+    checkpoint.replica = static_cast<int>(k);
+    checkpoint.ingredient = ingredient_curves[k].values();
+    checkpoint.category = category_curves[k].values();
+    if (Status appended = journal->AppendReplica(checkpoint);
+        !appended.ok()) {
+      std::lock_guard<std::mutex> lock(journal_error_mu);
+      if (journal_error.ok()) journal_error = std::move(appended);
     }
   };
 
@@ -311,68 +222,32 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
   }
   if (!journal_error.ok()) return journal_error;
 
-  RunReport report;
-  // A shard accounts only for its own units: the coordinator's merged
-  // resume pass rebuilds the whole-run report afterwards.
-  int owned = 0;
-  for (size_t k = 0; k < n; ++k) {
-    owned += config.shard.owns(k) ? 1 : 0;
-  }
-  report.replicas_requested = owned;
-  if (journal != nullptr) {
-    // Ledger continuity: failures journaled by prior attempts of this
-    // logical run stay visible even though their replicas were re-run.
-    for (const IncidentCheckpoint& prior : journal->prior_incidents()) {
-      report.incidents.push_back(ReplicaIncident{
-          prior.replica, IncidentStatus(prior), prior.retries});
-    }
-  }
-  const Status* first_failure = nullptr;
-  for (size_t k = 0; k < n; ++k) {
-    if (!config.shard.owns(k)) continue;
-    if (statuses[k].ok()) {
-      ++report.replicas_succeeded;
-    } else {
-      ++report.replicas_failed;
-      if (first_failure == nullptr) first_failure = &statuses[k];
-    }
-    if (!statuses[k].ok() || retries[k] > 0) {
-      report.incidents.push_back(
-          ReplicaIncident{static_cast<int>(k), statuses[k], retries[k]});
-    }
-  }
-  replica_failures->Increment(report.replicas_failed);
-  replica_retries->Increment(report.total_retries());
-
-  if (report.replicas_failed > 0) {
-    if (report.replicas_failed > config.tolerate_k ||
-        report.replicas_succeeded == 0) {
-      return *first_failure;
-    }
-    runs_degraded->Increment();
+  // Every replica has run: the lowest failing one decides the status,
+  // whatever the scheduling.
+  for (const Status& status : statuses) {
+    if (!status.ok()) return status;
   }
 
   SimulationResult result;
-  if (!report.degraded() && !config.shard.active()) {
-    result.ingredient_curve = AverageRankFrequencies(ingredient_curves);
-    result.category_curve = AverageRankFrequencies(category_curves);
-  } else {
-    // Aggregate the survivors only, so a lost replica (or, on a shard,
-    // another worker's empty slot) dilutes nothing.
-    std::vector<RankFrequency> ok_ingredient;
-    std::vector<RankFrequency> ok_category;
-    ok_ingredient.reserve(static_cast<size_t>(report.replicas_succeeded));
-    ok_category.reserve(static_cast<size_t>(report.replicas_succeeded));
-    for (size_t k = 0; k < n; ++k) {
-      if (!config.shard.owns(k) || !statuses[k].ok()) continue;
-      ok_ingredient.push_back(ingredient_curves[k]);
-      ok_category.push_back(category_curves[k]);
-    }
-    result.ingredient_curve = AverageRankFrequencies(ok_ingredient);
-    result.category_curve = AverageRankFrequencies(ok_category);
+  // A shard accounts only for its own units: the coordinator's merged
+  // resume pass rebuilds the whole-run report afterwards.
+  for (size_t k = 0; k < n; ++k) {
+    result.report.replicas_requested += config.shard.owns(k) ? 1 : 0;
   }
+  result.report.replicas_succeeded = result.report.replicas_requested;
+  // A shard averages only the replicas it owns, so another worker's empty
+  // slot dilutes nothing.
+  const auto average = [&](const std::vector<RankFrequency>& curves) {
+    if (!config.shard.active()) return AverageRankFrequencies(curves);
+    std::vector<RankFrequency> owned;
+    for (size_t k = 0; k < n; ++k) {
+      if (config.shard.owns(k)) owned.push_back(curves[k]);
+    }
+    return AverageRankFrequencies(owned);
+  };
+  result.ingredient_curve = average(ingredient_curves);
+  result.category_curve = average(category_curves);
   result.replica_ingredient_curves = std::move(ingredient_curves);
-  result.report = std::move(report);
   return result;
 }
 

@@ -2,7 +2,6 @@
 #define CULEVO_CORE_SIMULATION_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "analysis/combinations.h"
@@ -16,39 +15,15 @@
 
 namespace culevo {
 
-/// One replica that needed attention: its index, the last Status it
-/// produced (OK when a retry eventually succeeded), and how many retry
-/// attempts were spent on it.
-struct ReplicaIncident {
-  int replica = -1;
-  Status status;
-  int retries = 0;
-};
-
-/// Fault ledger of one RunSimulation call, exported alongside the result
-/// (and convertible to JSON for telemetry via RunReportToJson).
+/// Replica counts of one RunSimulation call. A replica error fails the
+/// whole run, so in a returned result `replicas_failed` is always 0 and
+/// every requested replica succeeded. A shard counts only the replicas it
+/// owns.
 struct RunReport {
   int replicas_requested = 0;
   int replicas_succeeded = 0;
   int replicas_failed = 0;
-  /// Every replica that failed at least one attempt, in replica order.
-  /// Entries with an OK status recovered via retry; non-OK entries are
-  /// permanent failures (counted in replicas_failed). On a resumed run
-  /// this also carries incidents journaled by prior attempts of the same
-  /// logical run (the ledger describes the whole run, not just this
-  /// process), so a non-OK prior entry may coexist with a later success
-  /// of the same replica — replicas_failed always reflects the final
-  /// state only.
-  std::vector<ReplicaIncident> incidents;
-
-  /// True when the aggregate was computed from fewer replicas than asked.
-  bool degraded() const { return replicas_failed > 0; }
-  /// Total retry attempts across all replicas.
-  int total_retries() const;
 };
-
-/// Compact JSON rendering of a RunReport (for bench/CLI telemetry).
-std::string RunReportToJson(const RunReport& report);
 
 /// Stable content hash of the mining parameters that change mined output
 /// (the support). Cancel tokens are execution detail and excluded — a
@@ -91,19 +66,6 @@ struct SimulationConfig {
   /// kDeadlineExceeded; completed replicas are discarded.
   const CancelToken* cancel = nullptr;
 
-  /// Replica fault budget: how many replicas may fail permanently. With
-  /// 0 (fail-fast) any replica failure fails the whole run and completed
-  /// replicas are discarded. With k > 0 up to k replicas may fail; the run
-  /// degrades to aggregating the survivors and still returns OK, with the
-  /// casualties listed in the RunReport.
-  int tolerate_k = 0;
-  /// Retry budget per replica. Attempt a > 0 of replica k reruns it with
-  /// the derived retry seed DeriveSeed(DeriveSeed(seed, k), a), so
-  /// retries are deterministic, decorrelated from the first attempt, and
-  /// independent of scheduling (each replica retries inside its own
-  /// task).
-  int max_replica_retries = 0;
-
   /// Crash recovery. With `checkpoint.directory` set, every completed
   /// replica is journaled (file `sim_<model>_c<cuisine>.journal` in that
   /// directory) and, with `checkpoint.resume`, previously completed
@@ -119,7 +81,7 @@ struct SimulationConfig {
 
   /// Worker-process sharding. When active, only owned replicas are run,
   /// journaled (into the `.shard<index>` journal), and aggregated — the
-  /// returned result covers this shard's survivors only and non-owned
+  /// returned result covers this shard's replicas only and non-owned
   /// slots of `replica_ingredient_curves` stay empty, so sharded
   /// execution REQUIRES checkpointing (InvalidArgument otherwise): the
   /// partial result is only meaningful as journal input to the
@@ -130,32 +92,26 @@ struct SimulationConfig {
 /// Aggregated output of running one model on one cuisine context.
 struct SimulationResult {
   /// Rank-frequency of frequent ingredient combinations, averaged
-  /// position-wise across the successful replicas (the paper's
-  /// "aggregated statistics").
+  /// position-wise across the replicas (the paper's "aggregated
+  /// statistics").
   RankFrequency ingredient_curve;
   /// Same for category combinations.
   RankFrequency category_curve;
   /// Per-replica ingredient curves (for dispersion analysis), indexed by
-  /// replica. With tolerate_k > 0 a failed replica's slot holds an empty
-  /// curve; successful slots are bit-identical to what a fault-free run
-  /// of the same seeds produces.
+  /// replica.
   std::vector<RankFrequency> replica_ingredient_curves;
-  /// Fault ledger: which replicas failed/retried and with what Status.
   RunReport report;
 };
 
 /// Runs `config.replicas` independent replicas of `model` on `context`
-/// (replica k uses DeriveSeed(config.seed, k)), mines each generated recipe
-/// pool at the configured support, and aggregates the curves. If `pool` is
-/// non-null the replicas run on it concurrently; results are identical
-/// either way.
+/// (replica k runs once, at DeriveSeed(config.seed, k)), mines each
+/// generated recipe pool at the configured support, and aggregates the
+/// curves. If `pool` is non-null the replicas run on it concurrently;
+/// results are identical either way.
 ///
-/// Fault tolerance: per-replica failures (model errors or armed
-/// failpoints `sim.replica.generate` / `sim.replica.mine`) are retried up
-/// to `config.max_replica_retries` times with derived retry seeds, then
-/// handled per `config.tolerate_k` — 0 returns the first failure's
-/// Status, k > 0 degrades gracefully while at most k replicas are lost.
-/// A tripped `config.cancel` token aborts between replicas with
+/// A replica error fails the run: once every started replica has finished,
+/// the lowest failing replica's Status is returned, serially and on a pool
+/// alike. A tripped `config.cancel` token aborts between replicas with
 /// kCancelled / kDeadlineExceeded.
 Result<SimulationResult> RunSimulation(const EvolutionModel& model,
                                        const CuisineContext& context,

@@ -36,7 +36,7 @@ struct FabricOptions {
   /// the coordinator's pid and the shard.
   int retry_backoff_ms = 250;
   int retry_backoff_cap_ms = 5000;
-  /// SimulationConfig::tolerate_k at worker granularity. With 0
+  /// Shard fault budget: how many shards may fail permanently. With 0
   /// (fail-fast) a shard that exhausts its retries kills the remaining
   /// workers and fails the fabric. With k > 0 up to k shards may die
   /// permanently — their unfinished units are recovered by the
@@ -52,9 +52,9 @@ struct FabricOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// One shard that needed attention: mirrors ReplicaIncident one level up.
-/// An OK status means the shard recovered via re-dispatch; a non-OK one
-/// is a permanent shard failure (tolerated or fatal per tolerate_k).
+/// One shard that needed attention. An OK status means the shard
+/// recovered via re-dispatch; a non-OK one is a permanent shard failure
+/// (tolerated or fatal per tolerate_k).
 struct WorkerIncident {
   int shard = -1;
   Status status;
@@ -63,7 +63,7 @@ struct WorkerIncident {
 
 /// Supervision ledger of one fabric run. Deliberately separate from the
 /// run's RunReport: worker deaths are execution-environment noise, and
-/// folding them into the domain ledger would break the bit-identity of
+/// folding them into the replica counts would break the bit-identity of
 /// the merged report against a single-process run.
 struct FabricReport {
   int workers = 0;

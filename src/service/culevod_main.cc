@@ -35,13 +35,10 @@
 // --backoff-seed, --max-restarts, --silence-child.
 
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "corpus/corpus_snapshot.h"
@@ -111,22 +108,13 @@ int RunOnce(ServiceCore& core) {
 /// protocol.
 int RunClient(const std::string& socket_path,
               const std::vector<std::string>& requests) {
-  struct sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (socket_path.empty() || socket_path.size() >= sizeof(addr.sun_path)) {
-    std::cerr << "bad socket path\n";
-    return 2;
+  Result<int> connected = ConnectUnixSocket(socket_path);
+  if (!connected.ok()) {
+    std::cerr << connected.status() << "\n";
+    // A path no socket can have is a usage error.
+    return connected.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
   }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0 || ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                          sizeof(addr)) != 0) {
-    std::cerr << "connect(" << socket_path
-              << ") failed: " << std::strerror(errno) << "\n";
-    if (fd >= 0) ::close(fd);
-    return 1;
-  }
+  const int fd = connected.value();
   int rc = 0;
   std::string response;
   const auto send_one = [&](const std::string& request) {

@@ -5,6 +5,9 @@
 #include <cstring>
 
 #include <poll.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "util/file_io.h"
@@ -105,6 +108,49 @@ Status ReadFrame(int fd, std::string* payload, int timeout_ms) {
   payload->resize(len);
   if (len == 0) return Status::Ok();
   return ReadAll(fd, payload->data(), len, &got_any, has_deadline, deadline);
+}
+
+Status UnixSocketAddress(const std::string& path, struct sockaddr_un* addr) {
+  std::memset(addr, 0, sizeof(*addr));
+  addr->sun_family = AF_UNIX;
+  if (path.empty() || path.size() >= sizeof(addr->sun_path)) {
+    return Status::InvalidArgument(
+        StrFormat("socket path must be 1..%zu bytes, got %zu",
+                  sizeof(addr->sun_path) - 1, path.size()));
+  }
+  std::memcpy(addr->sun_path, path.data(), path.size());
+  return Status::Ok();
+}
+
+Result<int> ConnectUnixSocket(const std::string& path, int timeout_ms) {
+  struct sockaddr_un addr;
+  CULEVO_RETURN_IF_ERROR(UnixSocketAddress(path, &addr));
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::IOError(
+        StrFormat("socket() failed: %s", std::strerror(errno)));
+  }
+  // A connect to a listener whose backlog is full waits for a free slot,
+  // and a wedged server never frees one. The send timeout bounds that
+  // wait (connect then fails with EAGAIN).
+  struct timeval send_timeout;
+  send_timeout.tv_sec = timeout_ms / 1000;
+  send_timeout.tv_usec = (timeout_ms % 1000) * 1000;
+  if ((timeout_ms > 0 &&
+       ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                    sizeof(send_timeout)) != 0) ||
+      ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    const Status status = Status::Unavailable(
+        errno == EAGAIN
+            ? StrFormat("connect(%s) timed out after %d ms", path.c_str(),
+                        timeout_ms)
+            : StrFormat("connect(%s) failed: %s", path.c_str(),
+                        std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+  return fd;
 }
 
 }  // namespace culevo

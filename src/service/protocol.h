@@ -7,6 +7,8 @@
 
 #include "util/status.h"
 
+struct sockaddr_un;
+
 namespace culevo {
 
 /// `culevod` wire protocol: length-prefixed frames over a local stream
@@ -44,6 +46,23 @@ Status WriteFrame(int fd, std::string_view payload);
 /// should poll for readability first, as the server does. timeout_ms < 0
 /// waits forever (the pre-deadline behaviour).
 Status ReadFrame(int fd, std::string* payload, int timeout_ms = -1);
+
+/// Fills `*addr` with the address of the Unix socket at `path`, the one
+/// the server binds and ConnectUnixSocket connects to. InvalidArgument
+/// when `path` is empty or longer than `sun_path` holds.
+Status UnixSocketAddress(const std::string& path, struct sockaddr_un* addr);
+
+/// Connects a stream socket to the Unix socket at `path` and returns its
+/// fd, which the caller closes.
+///   - empty or overlong path        -> InvalidArgument
+///   - socket() failure              -> IOError
+///   - refused, failed or timed-out
+///     connect                       -> Unavailable
+///
+/// With `timeout_ms` > 0 the socket's send timeout is set to it. That
+/// bounds the connect, which waits for a free slot while the listener's
+/// backlog is full, as well as every later write.
+Result<int> ConnectUnixSocket(const std::string& path, int timeout_ms = 0);
 
 }  // namespace culevo
 

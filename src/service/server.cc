@@ -50,16 +50,7 @@ Status SocketServer::Start() {
   // response write has to fail with EPIPE, not raise a fatal SIGPIPE.
   IgnoreSigPipe();
   struct sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (options_.socket_path.empty() ||
-      options_.socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument(
-        StrFormat("socket path must be 1..%zu bytes, got %zu",
-                  sizeof(addr.sun_path) - 1, options_.socket_path.size()));
-  }
-  std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-              options_.socket_path.size());
+  CULEVO_RETURN_IF_ERROR(UnixSocketAddress(options_.socket_path, &addr));
   if (options_.threads < 1) {
     return Status::InvalidArgument("server needs at least one thread");
   }

@@ -1,15 +1,10 @@
 #include "service/supervisor.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstring>
 #include <thread>
 
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "obs/metrics.h"
@@ -29,35 +24,9 @@ using Clock = std::chrono::steady_clock;
 /// no/bad response — means the serving process is not answering, which is
 /// the only health signal that matters for a query server.
 Status ProbeOnce(const std::string& socket_path, int timeout_ms) {
-  struct sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (socket_path.empty() || socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("bad probe socket path");
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(
-        StrFormat("probe socket() failed: %s", std::strerror(errno)));
-  }
-  // A connect to a listener whose backlog is full waits for a free slot,
-  // and a wedged child never frees one. The send timeout bounds that wait
-  // (connect then fails with EAGAIN), as well as the ping write.
-  struct timeval send_timeout;
-  send_timeout.tv_sec = timeout_ms / 1000;
-  send_timeout.tv_usec = (timeout_ms % 1000) * 1000;
-  if (::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-                   sizeof(send_timeout)) != 0 ||
-      ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    const Status status = Status::Unavailable(
-        errno == EAGAIN
-            ? StrFormat("probe connect timed out after %d ms", timeout_ms)
-            : StrFormat("probe connect failed: %s", std::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
+  Result<int> connected = ConnectUnixSocket(socket_path, timeout_ms);
+  if (!connected.ok()) return connected.status();
+  const int fd = connected.value();
   std::string response;
   Status status = WriteFrame(fd, "ping");
   if (status.ok()) status = ReadFrame(fd, &response, timeout_ms);

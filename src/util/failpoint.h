@@ -15,7 +15,7 @@ namespace culevo {
 /// Named fault-injection points, compiled in unconditionally.
 ///
 /// Error-handling branches behind OS failures (a write that fails
-/// mid-stream, a replica whose generation errors) are unreachable from
+/// mid-stream, a journal append that errors) are unreachable from
 /// normal tests; failpoints make them reachable on demand. Production
 /// code marks a site with CULEVO_FAILPOINT("dotted.site.name"); when the
 /// site is unarmed the check is a single relaxed atomic load (the global
@@ -23,13 +23,13 @@ namespace culevo {
 ///
 /// Naming convention: `<layer>.<operation>[.<step>]`, all lower-case,
 /// dot-separated — e.g. `io.write.rename`, `corpus.parse.row`,
-/// `sim.replica.generate`. Sites are listed in DESIGN.md §9.
+/// `ckpt.write.record`. Sites are listed in DESIGN.md §9.
 ///
 /// Arming: tests call `Failpoints::Get().Arm(name, spec)` (and DisarmAll
 /// in teardown — the registry is process-global); operators can arm via
 /// the CULEVO_FAILPOINTS environment variable, parsed on first registry
 /// use: `name[=skip][*fires]` entries separated by `;` or `,`, e.g.
-/// `CULEVO_FAILPOINTS="sim.replica.generate=3;io.write.sync*1"`.
+/// `CULEVO_FAILPOINTS="ckpt.write.record=3;io.write.sync*1"`.
 class Failpoints {
  public:
   struct ArmSpec {

@@ -1,8 +1,8 @@
 // Resume-protocol tests for the crash-recovery subsystem: the
 // bit-identical resume-equivalence guarantee for every model, manifest
 // mismatch refusals, corruption recovery at the RunSimulation level,
-// RunReport continuity across attempts, and the merged resume of shard
-// journals (one read, parse and write each).
+// resume after a failed attempt, and the merged resume of shard journals
+// (one read, parse and write each).
 
 #include <gtest/gtest.h>
 
@@ -66,7 +66,7 @@ class InterruptModel : public EvolutionModel {
   mutable std::atomic<int> fuse_;
 };
 
-/// Transparent wrapper that fails every attempt whose seed is denied,
+/// Transparent wrapper that fails every replica whose seed is denied,
 /// again preserving the inner model's manifest identity.
 class FlakyModel : public EvolutionModel {
  public:
@@ -152,8 +152,21 @@ void ExpectBitIdentical(const SimulationResult& resumed,
               golden.replica_ingredient_curves[k].values())
         << "replica " << k;
   }
-  EXPECT_EQ(RunReportToJson(resumed.report),
-            RunReportToJson(golden.report));
+  EXPECT_EQ(resumed.report.replicas_requested,
+            golden.report.replicas_requested);
+  EXPECT_EQ(resumed.report.replicas_succeeded,
+            golden.report.replicas_succeeded);
+  EXPECT_EQ(resumed.report.replicas_failed, golden.report.replicas_failed);
+}
+
+/// Appends `payload` to the journal at `path` as a signed record, the way
+/// an older build wrote its records.
+void AppendRawRecord(const std::string& path, const std::string& payload) {
+  Result<std::string> raw = ReadFileToString(path);
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(
+      WriteStringToFile(path, raw.value() + FormatJournalRecord(payload))
+          .ok());
 }
 
 // The core guarantee, for every model the paper evaluates: interrupt a
@@ -461,10 +474,10 @@ TEST_F(CheckpointResumeTest, ManifestWithRunAndPointsFieldsResumes) {
   ExpectBitIdentical(resumed.value(), golden.value());
 }
 
-// Satellite: RunReport continuity. An attempt that fails a replica
-// permanently journals the incident; after resume, the merged ledger
-// still shows the prior failure even though the replica then succeeded.
-TEST_F(CheckpointResumeTest, PriorAttemptIncidentsSurviveResume) {
+// A failed attempt journals the replicas that succeeded and nothing for
+// the one that failed, so a resume once the fault is gone re-runs only
+// that replica and finishes as the clean run.
+TEST_F(CheckpointResumeTest, FailedAttemptResumesToTheCleanRun) {
   const Lexicon& lexicon = WorldLexicon();
   const NullModel inner;
   const CuisineContext context = SmallContext();
@@ -472,37 +485,28 @@ TEST_F(CheckpointResumeTest, PriorAttemptIncidentsSurviveResume) {
 
   SimulationConfig config = BaseConfig();
   config.replicas = 4;
+  Result<SimulationResult> golden =
+      RunSimulation(inner, context, lexicon, config);
+  ASSERT_TRUE(golden.ok());
 
-  // Attempt 1: replica 1 fails permanently under fail-fast.
+  // Attempt 1: replica 1 fails, and with it the run.
   FlakyModel flaky(&inner, {DeriveSeed(config.seed, 1)});
   config.checkpoint = Checkpointed(dir, false);
   Result<SimulationResult> attempt1 =
       RunSimulation(flaky, context, lexicon, config);
   EXPECT_EQ(attempt1.status().code(), StatusCode::kInternal);
 
-  // Attempt 2 (resume, fault gone): completes, and the ledger reports the
-  // prior attempt's incident alongside a fully-successful final state.
+  // Attempt 2 (resume, fault gone): every other replica restores, which
+  // a model that fails their seeds proves, and the result is the clean
+  // run's.
+  FlakyModel deny_restored(&inner, {DeriveSeed(config.seed, 0),
+                                    DeriveSeed(config.seed, 2),
+                                    DeriveSeed(config.seed, 3)});
   config.checkpoint = Checkpointed(dir, true);
   Result<SimulationResult> attempt2 =
-      RunSimulation(inner, context, lexicon, config);
-  ASSERT_TRUE(attempt2.ok());
-  const RunReport& report = attempt2->report;
-  EXPECT_EQ(report.replicas_succeeded, 4);
-  EXPECT_EQ(report.replicas_failed, 0);
-  ASSERT_EQ(report.incidents.size(), 1u);
-  EXPECT_EQ(report.incidents[0].replica, 1);
-  EXPECT_EQ(report.incidents[0].status.code(), StatusCode::kInternal);
-  EXPECT_NE(report.incidents[0].status.message().find("injected"),
-            std::string::npos);
-
-  // And the curves still match an uninterrupted fault-free run.
-  SimulationConfig plain = BaseConfig();
-  plain.replicas = 4;
-  Result<SimulationResult> golden =
-      RunSimulation(inner, context, lexicon, plain);
-  ASSERT_TRUE(golden.ok());
-  EXPECT_EQ(attempt2->ingredient_curve.values(),
-            golden->ingredient_curve.values());
+      RunSimulation(deny_restored, context, lexicon, config);
+  ASSERT_TRUE(attempt2.ok()) << attempt2.status();
+  ExpectBitIdentical(attempt2.value(), golden.value());
 }
 
 TEST_F(CheckpointResumeTest, ParallelResumeMatchesSerialGolden) {
@@ -635,36 +639,40 @@ TEST_F(CheckpointResumeTest, MergedResumeReadsAndWritesEachRecordOnce) {
   ExpectBitIdentical(merged.value(), golden.value());
 }
 
-// The journal resume rewrites holds exactly what it restored: repeated
-// incidents survive, interrupt records are dropped, and merging the
-// rewritten journal with a shard that repeats an incident less often adds
-// nothing.
+// The journal resume rewrites holds exactly what it restored: interrupt
+// records and the incident records older builds wrote are dropped, a
+// replica record that still carries their `retries` field restores, and
+// merging the rewritten journal again adds nothing.
 TEST_F(CheckpointResumeTest, RewrittenJournalHoldsTheRestoredState) {
   const std::string dir = FreshDir();
   RunManifest manifest;
   manifest.name = "NM";
   manifest.replicas = 4;
   const std::string file_name = "sim_nm_c0.journal";
-  const Status flaky = Status::Internal("flaky = 100%");
+  const std::string shard_name = ShardJournalFileName(file_name, 0);
+  // Replica 1 failed with Internal "flaky = 100%" after two retries.
+  const std::string incident =
+      "kind=incident k=1 code=6 retries=2 msg=flaky%20%3D%20100%25";
   {
     Result<std::unique_ptr<RunJournal>> journal =
         RunJournal::Open(Checkpointed(dir, false), file_name, manifest);
     ASSERT_TRUE(journal.ok()) << journal.status();
-    ASSERT_TRUE((*journal)->AppendIncident(1, flaky, 2).ok());
-    ASSERT_TRUE((*journal)->AppendReplica({0, 0, {1.0, 0.5}, {2.0}}).ok());
-    ASSERT_TRUE((*journal)->AppendIncident(1, flaky, 2).ok());
+    ASSERT_TRUE((*journal)->AppendReplica({0, {1.0, 0.5}, {2.0}}).ok());
     ASSERT_TRUE(
         (*journal)->AppendInterrupt(Status::Cancelled("stopped")).ok());
   }
+  AppendRawRecord(dir + "/" + file_name, incident);
+  AppendRawRecord(dir + "/" + file_name, incident);
   {
-    Result<std::unique_ptr<RunJournal>> shard = RunJournal::Open(
-        Checkpointed(dir, false), ShardJournalFileName(file_name, 0),
-        manifest);
+    Result<std::unique_ptr<RunJournal>> shard =
+        RunJournal::Open(Checkpointed(dir, false), shard_name, manifest);
     ASSERT_TRUE(shard.ok()) << shard.status();
-    ASSERT_TRUE((*shard)->AppendReplica({0, 1, {9.0}, {9.0}}).ok());
-    ASSERT_TRUE((*shard)->AppendIncident(1, flaky, 2).ok());
-    ASSERT_TRUE((*shard)->AppendReplica({3, 0, {4.0}, {}}).ok());
+    ASSERT_TRUE((*shard)->AppendReplica({0, {9.0}, {9.0}}).ok());
   }
+  AppendRawRecord(dir + "/" + shard_name, incident);
+  // Replica 3 with ingredient curve {4.0}, written with a `retries` field.
+  AppendRawRecord(dir + "/" + shard_name,
+                  "kind=replica k=3 retries=1 ic=4010000000000000 cc=");
 
   const auto expect_restored = [&](int merge_shards, size_t replicas) {
     CheckpointOptions options = Checkpointed(dir, true);
@@ -672,18 +680,22 @@ TEST_F(CheckpointResumeTest, RewrittenJournalHoldsTheRestoredState) {
     Result<std::unique_ptr<RunJournal>> journal =
         RunJournal::Open(options, file_name, manifest);
     ASSERT_TRUE(journal.ok()) << journal.status();
-    ASSERT_EQ((*journal)->prior_incidents().size(), 2u) << merge_shards;
-    EXPECT_EQ((*journal)->prior_incidents()[1].message, flaky.message());
     const std::vector<ReplicaCheckpoint>& restored =
         (*journal)->restored_replicas();
     ASSERT_EQ(restored.size(), replicas) << merge_shards;
     EXPECT_EQ(restored[0].replica, 0);
     EXPECT_EQ(restored[0].ingredient, (std::vector<double>{1.0, 0.5}));
+    if (replicas > 1) {
+      EXPECT_EQ(restored[1].replica, 3);
+      EXPECT_EQ(restored[1].ingredient, (std::vector<double>{4.0}));
+      EXPECT_TRUE(restored[1].category.empty());
+    }
+    Result<std::string> rewritten = ReadFileToString(dir + "/" + file_name);
+    ASSERT_TRUE(rewritten.ok());
+    EXPECT_EQ(rewritten->find("kind=interrupt"), std::string::npos);
+    EXPECT_EQ(rewritten->find("kind=incident"), std::string::npos);
   };
   expect_restored(0, 1);
-  Result<std::string> rewritten = ReadFileToString(dir + "/" + file_name);
-  ASSERT_TRUE(rewritten.ok());
-  EXPECT_EQ(rewritten->find("kind=interrupt"), std::string::npos);
   expect_restored(1, 2);
   expect_restored(1, 2);  // re-merging the merged journal adds nothing
 }

@@ -7,14 +7,19 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/copy_mutate.h"
+#include "core/null_model.h"
 #include "corpus/corpus_snapshot.h"
 #include "corpus/ingestion.h"
 #include "lexicon/world_lexicon.h"
 #include "synth/generator.h"
+#include "util/rng.h"
 
 namespace culevo {
 namespace {
@@ -193,6 +198,79 @@ TEST(ContextFromCorpusTest, SingleRecipeCuisineMatchesReference) {
   EXPECT_EQ(context->popularity, (std::vector<double>{1.0, 1.0, 1.0}));
   EXPECT_EQ(context->phi, 3.0);
   EXPECT_EQ(context->mean_recipe_size, 3);
+}
+
+// Every context a corpus yields is one that every model generates from:
+// the premise on which a replica runs once and any replica error fails
+// the run. Forty seeded corpora of 25 cuisines, each with 0-30 recipes of
+// 1-38 distinct lexicon ids, and in each two fixed edge cuisines: one
+// recipe of one ingredient, and recipes that all hold the same 38 ids.
+TEST(ContextFromCorpusTest, EveryCorpusContextValidatesAndGenerates) {
+  const Lexicon& lexicon = WorldLexicon();
+  const auto cm_r = MakeCmR(&lexicon);
+  const auto cm_c = MakeCmC(&lexicon);
+  const auto cm_m = MakeCmM(&lexicon);
+  const NullModel nm;
+  const std::vector<const EvolutionModel*> models = {cm_r.get(), cm_c.get(),
+                                                     cm_m.get(), &nm};
+  std::vector<IngredientId> ids(lexicon.size());
+  std::iota(ids.begin(), ids.end(), IngredientId{0});
+  const IngredientId last = ids.back();
+  ASSERT_EQ(last, 720);
+  std::vector<IngredientId> same(ids.begin(), ids.begin() + 37);
+  same.push_back(last);
+
+  for (uint64_t corpus_seed = 0; corpus_seed < 40; ++corpus_seed) {
+    Rng rng(corpus_seed);
+    const int single = static_cast<int>(corpus_seed % kNumCuisines);
+    const int repeated = static_cast<int>((corpus_seed + 12) % kNumCuisines);
+    RecipeCorpus::Builder builder;
+    ASSERT_TRUE(
+        builder.Add(single, {corpus_seed % 2 == 0 ? IngredientId{0} : last})
+            .ok());
+    for (int c = 0; c < kNumCuisines; ++c) {
+      if (c == single) continue;
+      const uint64_t recipes =
+          c == repeated ? 1 + rng.NextBounded(30) : rng.NextBounded(31);
+      for (uint64_t r = 0; r < recipes; ++r) {
+        if (c == repeated) {
+          ASSERT_TRUE(builder.Add(c, same).ok());
+          continue;
+        }
+        // A uniform draw of `size` distinct ids: a partial shuffle.
+        const size_t size = 1 + rng.NextBounded(38);
+        for (size_t i = 0; i < size; ++i) {
+          std::swap(ids[i], ids[i + rng.NextBounded(ids.size() - i)]);
+        }
+        ASSERT_TRUE(
+            builder.Add(c, std::span<const IngredientId>(ids.data(), size))
+                .ok());
+      }
+    }
+    const RecipeCorpus corpus = builder.Build();
+
+    for (int c = 0; c < kNumCuisines; ++c) {
+      const CuisineId cuisine = static_cast<CuisineId>(c);
+      if (corpus.num_recipes_in(cuisine) == 0) continue;
+      const std::string where =
+          "corpus " + std::to_string(corpus_seed) + ", cuisine " +
+          std::to_string(c);
+      const Result<CuisineContext> context =
+          ContextFromCorpus(corpus, cuisine);
+      ASSERT_TRUE(context.ok()) << where << ": " << context.status();
+      ASSERT_TRUE(ValidateCuisineContext(*context).ok()) << where;
+      for (const EvolutionModel* model : models) {
+        for (uint64_t seed = 0; seed < 3; ++seed) {
+          RecipeStore store;
+          const Status generated = model->GenerateInto(*context, seed, &store);
+          ASSERT_TRUE(generated.ok())
+              << where << ", " << model->name() << ", seed " << seed << ": "
+              << generated;
+          EXPECT_EQ(store.num_recipes(), context->target_recipes) << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,14 +3,10 @@
 // SIGHUP it mid-session, then check a SIGTERM drains to a clean exit 0.
 // The binary path is injected at compile time (CULEVOD_PATH).
 
-#include <cerrno>
 #include <csignal>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -32,19 +28,10 @@ std::string SocketPath() {
 /// Connects with retries while the server starts up (synthesis plus
 /// index build takes a moment; 15 s is far beyond the worst case).
 int ConnectWithRetry(const std::string& path) {
-  struct sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) return -1;
-  std::memcpy(addr.sun_path, path.c_str(), path.size());
   for (int attempt = 0; attempt < 150; ++attempt) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      return fd;
-    }
-    ::close(fd);
+    const Result<int> fd = ConnectUnixSocket(path);
+    if (fd.ok()) return *fd;
+    if (fd.status().code() != StatusCode::kUnavailable) return -1;
     ::usleep(100 * 1000);
   }
   return -1;
@@ -252,17 +239,33 @@ TEST_F(CulevodSnapshotTest, TailRecipesGaugeFollowsTheInstall) {
 }
 
 /// Runs culevod with `args` to its exit and returns its exit status, or
-/// -1 when it did not exit normally.
-int ExitStatusOf(std::vector<std::string> args) {
+/// -1 when it did not exit normally. With `out`, its stdout lands there.
+int ExitStatusOf(std::vector<std::string> args, std::string* out = nullptr) {
+  int stdout_pipe[2] = {-1, -1};
+  if (out != nullptr && ::pipe(stdout_pipe) != 0) return -1;
   const pid_t pid = ::fork();
   if (pid < 0) return -1;
   if (pid == 0) {
+    if (out != nullptr) {
+      ::dup2(stdout_pipe[1], STDOUT_FILENO);
+      ::close(stdout_pipe[0]);
+      ::close(stdout_pipe[1]);
+    }
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (std::string& arg : args) argv.push_back(arg.data());
     argv.push_back(nullptr);
     ::execv(CULEVOD_PATH, argv.data());
     ::_exit(127);  // exec failed
+  }
+  if (out != nullptr) {
+    ::close(stdout_pipe[1]);
+    char buffer[4096];
+    ssize_t n;
+    while ((n = ::read(stdout_pipe[0], buffer, sizeof(buffer))) > 0) {
+      out->append(buffer, static_cast<size_t>(n));
+    }
+    ::close(stdout_pipe[0]);
   }
   int wstatus = 0;
   if (::waitpid(pid, &wstatus, 0) != pid || !WIFEXITED(wstatus)) return -1;
@@ -314,6 +317,26 @@ TEST(CulevodFlagsTest, BadFlagExitsTwoBeforeTheColdStart) {
           << flag[0] << " " << flag[1] << (supervise ? " --supervise" : "");
     }
   }
+}
+
+// `culevod --client` sends each request as a frame and prints each
+// response. A socket nobody listens on is a failed connect (exit 1); a
+// path too long for a Unix socket address is a usage error (exit 2).
+TEST_F(CulevodSmokeTest, ClientModeQueriesTheServer) {
+  std::string out;
+  EXPECT_EQ(
+      ExitStatusOf({"culevod", "--client", socket_path_, "ping", "info"}, &out),
+      0);
+  EXPECT_TRUE(StartsWith(out, "ok 1\npong\nok 6\n")) << out;
+  EXPECT_NE(out.find("source\t<synthetic>"), std::string::npos) << out;
+  EXPECT_NE(out.find("fingerprint\t"), std::string::npos) << out;
+
+  EXPECT_EQ(
+      ExitStatusOf({"culevod", "--client", socket_path_ + ".absent", "ping"}),
+      1);
+  EXPECT_EQ(
+      ExitStatusOf({"culevod", "--client", std::string(200, 'x'), "ping"}),
+      2);
 }
 
 class CulevodClientTimeoutTest : public CulevodSmokeTest {

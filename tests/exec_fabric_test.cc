@@ -134,8 +134,11 @@ class FabricTest : public ::testing::Test {
               Golden().ingredient_curve.values());
     EXPECT_EQ(merged.category_curve.values(),
               Golden().category_curve.values());
-    EXPECT_EQ(RunReportToJson(merged.report),
-              RunReportToJson(Golden().report));
+    EXPECT_EQ(merged.report.replicas_requested,
+              Golden().report.replicas_requested);
+    EXPECT_EQ(merged.report.replicas_succeeded,
+              Golden().report.replicas_succeeded);
+    EXPECT_EQ(merged.report.replicas_failed, Golden().report.replicas_failed);
   }
 };
 

@@ -7,14 +7,12 @@
 
 #include <cerrno>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <sys/resource.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -230,20 +228,9 @@ TEST(AcceptExhaustionTest, EmfileBacksOffAndRecovers) {
   SocketServer server(&core, options);
   ASSERT_TRUE(server.Start().ok());
 
-  struct sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  ASSERT_LT(socket_path.size(), sizeof(addr.sun_path));
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size());
-  const auto connect_client = [&addr]() {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    if (::connect(fd, reinterpret_cast<const struct sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    return fd;
+  const auto connect_client = [&socket_path]() {
+    const Result<int> fd = ConnectUnixSocket(socket_path);
+    return fd.ok() ? *fd : -1;
   };
 
   // Sanity round trip before the storm. The control connection stays OPEN

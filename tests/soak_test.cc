@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <span>
 #include <string>
@@ -36,8 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -68,33 +65,14 @@ std::string TempPath(const std::string& name) {
          "_" + name;
 }
 
-int ConnectOnce(const std::string& path) {
-  struct sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) return -1;
-  std::memcpy(addr.sun_path, path.c_str(), path.size());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 /// One full connect + request + response cycle. Any transport failure is
 /// a non-OK status (tolerated during chaos, asserted quiet otherwise).
 Result<std::string> QueryFresh(const std::string& socket_path,
                                const std::string& request,
                                int timeout_ms = 10000) {
-  const int fd = ConnectOnce(socket_path);
-  if (fd < 0) {
-    return Status::Unavailable(StrFormat("connect(%s): %s",
-                                         socket_path.c_str(),
-                                         std::strerror(errno)));
-  }
+  Result<int> connected = ConnectUnixSocket(socket_path);
+  if (!connected.ok()) return connected.status();
+  const int fd = connected.value();
   std::string response;
   Status status = WriteFrame(fd, request);
   if (status.ok()) status = ReadFrame(fd, &response, timeout_ms);
@@ -395,12 +373,12 @@ TEST(CulevodSoakTest, SupervisedChaosSoakKeepsAnswersBitIdentical) {
   // connection.
   std::thread staller([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const int fd = ConnectOnce(socket_path);
-      if (fd >= 0) {
+      const Result<int> fd = ConnectUnixSocket(socket_path);
+      if (fd.ok()) {
         const char prefix[4] = {16, 0, 0, 0};
-        (void)!::write(fd, prefix, sizeof(prefix));
+        (void)!::write(*fd, prefix, sizeof(prefix));
         std::this_thread::sleep_for(std::chrono::milliseconds(250));
-        ::close(fd);
+        ::close(*fd);
       } else {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }

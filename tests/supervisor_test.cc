@@ -8,7 +8,6 @@
 //
 // The culevod path is injected at compile time (CULEVOD_PATH).
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -44,15 +43,6 @@ std::string TempPath(const std::string& name) {
          std::to_string(::getpid()) + "_" + name;
 }
 
-struct sockaddr_un SocketAddress(const std::string& path) {
-  struct sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(),
-              std::min(path.size(), sizeof(addr.sun_path) - 1));
-  return addr;
-}
-
 /// Fast probing (every 50 ms, 200 ms deadline) and restarts (10-20 ms
 /// backoff), a 500 ms startup grace and no restart budget.
 SupervisorOptions FastOptions(std::vector<std::string> child_argv,
@@ -85,16 +75,13 @@ bool ProcessGone(long long pid) {
 
 /// One fresh-connection ping; true on the exact pong.
 bool Pings(const std::string& socket_path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  const struct sockaddr_un addr = SocketAddress(socket_path);
+  const Result<int> fd = ConnectUnixSocket(socket_path);
+  if (!fd.ok()) return false;
   std::string response;
-  const bool ok =
-      ::connect(fd, reinterpret_cast<const struct sockaddr*>(&addr),
-                sizeof(addr)) == 0 &&
-      WriteFrame(fd, "ping").ok() && ReadFrame(fd, &response, 2000).ok() &&
-      response == "ok 1\npong\n";
-  ::close(fd);
+  const bool ok = WriteFrame(*fd, "ping").ok() &&
+                  ReadFrame(*fd, &response, 2000).ok() &&
+                  response == "ok 1\npong\n";
+  ::close(*fd);
   return ok;
 }
 
@@ -267,7 +254,8 @@ TEST(SupervisorTest, ProbeIntoAFullBacklogTimesOut) {
   ::unlink(options.socket_path.c_str());
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);
-  const struct sockaddr_un addr = SocketAddress(options.socket_path);
+  struct sockaddr_un addr;
+  ASSERT_TRUE(UnixSocketAddress(options.socket_path, &addr).ok());
   ASSERT_EQ(::bind(listener, reinterpret_cast<const struct sockaddr*>(&addr),
                    sizeof(addr)),
             0)
