@@ -43,6 +43,8 @@ struct CuisineEvaluation {
 /// Evaluates `models` on one cuisine of the empirical corpus: derives the
 /// cuisine context, computes the empirical rank-frequency curves, runs each
 /// model for config.replicas replicas and scores the aggregated curves.
+/// `pool` is passed to RunSimulation: each model's replicas run as one
+/// RunTasks loop on its thread count (on the calling thread when null).
 Result<CuisineEvaluation> EvaluateCuisine(
     const RecipeCorpus& corpus, CuisineId cuisine, const Lexicon& lexicon,
     const std::vector<const EvolutionModel*>& models,

@@ -199,14 +199,8 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
     }
   };
 
-  if (pool != nullptr) {
-    pool->ParallelFor(n, run_replica, config.cancel);
-  } else {
-    for (size_t k = 0; k < n; ++k) {
-      if (CancelToken::ShouldStop(config.cancel)) break;
-      run_replica(k);
-    }
-  }
+  RunTasks(n, pool != nullptr ? pool->num_threads() : 1, run_replica,
+           config.cancel);
 
   // A tripped token invalidates the aggregate: pending replicas were
   // skipped, so report the trip instead of a silently-partial result.

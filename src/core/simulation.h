@@ -106,8 +106,9 @@ struct SimulationResult {
 /// Runs `config.replicas` independent replicas of `model` on `context`
 /// (replica k runs once, at DeriveSeed(config.seed, k)), mines each
 /// generated recipe pool at the configured support, and aggregates the
-/// curves. If `pool` is non-null the replicas run on it concurrently;
-/// results are identical either way.
+/// curves. The replicas are the tasks of one RunTasks loop, on
+/// `pool->num_threads()` threads if `pool` is non-null and on the calling
+/// thread otherwise; results are identical either way.
 ///
 /// A replica error fails the run: once every started replica has finished,
 /// the lowest failing replica's Status is returned, serially and on a pool

@@ -161,12 +161,10 @@ int RunSupervisor(int argc, char** argv, const FlagParser& flags) {
   options.probe_interval_ms = flags.GetIntIn("probe-interval-ms", 1000, 1);
   options.probe_timeout_ms = flags.GetIntIn("probe-timeout-ms", 1000, 1);
   options.probe_failures_to_kill = flags.GetIntIn("probe-failures", 3, 1);
-  options.startup_grace_ms =
-      static_cast<int>(flags.GetInt("startup-grace-ms", 10000));
-  options.restart_backoff_ms =
-      static_cast<int>(flags.GetInt("restart-backoff-ms", 200));
-  options.restart_backoff_cap_ms =
-      static_cast<int>(flags.GetInt("restart-backoff-cap-ms", 2000));
+  options.startup_grace_ms = flags.GetIntIn("startup-grace-ms", 10000, 1);
+  options.restart_backoff_ms = flags.GetIntIn("restart-backoff-ms", 200, 1);
+  options.restart_backoff_cap_ms = flags.GetIntIn(
+      "restart-backoff-cap-ms", 2000, options.restart_backoff_ms);
   options.backoff_seed =
       static_cast<uint64_t>(flags.GetInt("backoff-seed", 0));
   options.max_restarts =

@@ -1,81 +1,26 @@
 #ifndef CULEVO_UTIL_THREAD_POOL_H_
 #define CULEVO_UTIL_THREAD_POOL_H_
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <thread>
-#include <type_traits>
-#include <vector>
 
 namespace culevo {
 
 class CancelToken;
 
-/// Fixed-size worker pool used to parallelize independent simulation
-/// replicas. Tasks are plain std::function<void()>; Submit returns a future.
+/// The thread count that RunSimulation and EvaluateCuisine run their
+/// replica loops on (each loop is one RunTasks call). It holds no thread.
+/// It stays a class only because culevo_bench/evolve.cc constructs one and
+/// passes it to EvaluateCuisine; elsewhere a pass takes its count directly.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (>= 1). Defaults to hardware concurrency.
+  /// `num_threads` == 0 means UsableCpus().
   explicit ThreadPool(size_t num_threads = 0);
 
-  /// Drains the queue and joins all workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  size_t num_threads() const { return workers_.size(); }
-
-  /// Enqueues `fn` and returns a future for its result.
-  template <typename Fn>
-  auto Submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
-    using R = std::invoke_result_t<Fn>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
-    std::future<R> result = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.emplace_back([task]() { (*task)(); });
-    }
-    NotifyTaskQueued();
-    cv_.notify_one();
-    return result;
-  }
-
-  /// Runs fn(i) for i in [0, count), distributing across the pool, and
-  /// blocks until ALL iterations complete — even when some of them throw.
-  /// The first exception (in index order of future consumption) is
-  /// rethrown after the last iteration has finished; later exceptions are
-  /// discarded.
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
-
-  /// Cancellation-aware variant: each queued iteration polls `cancel`
-  /// before running its body and is silently skipped once the token has
-  /// tripped, so a cancelled loop drains within one in-flight granule per
-  /// worker instead of running to completion. Iterations that already
-  /// started always finish (their outputs stay well-formed). The caller
-  /// decides what a tripped token means — this method still blocks until
-  /// every queued task has run or been skipped, and rethrows like the
-  /// two-argument overload. `cancel == nullptr` behaves identically to
-  /// the two-argument form.
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn,
-                   const CancelToken* cancel);
+  size_t num_threads() const { return num_threads_; }
 
  private:
-  void WorkerLoop();
-  /// Bumps the queue-depth gauge (out-of-line so the header does not pull
-  /// in the metrics registry).
-  void NotifyTaskQueued();
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
-  bool stop_ = false;
+  size_t num_threads_;
 };
 
 /// CPUs in the calling thread's affinity mask (sched_getaffinity), at
@@ -88,13 +33,21 @@ size_t UsableCpus();
 /// UsableCpus().
 size_t ThreadsFor(size_t work, size_t grain);
 
-/// Runs fn(0), ..., fn(tasks - 1) and returns once all have finished:
-/// in index order on the calling thread when `threads` <= 1, else
-/// through ParallelFor (and its exception contract) on a pool of
-/// min(threads, tasks) threads made for this call. Either way every task
-/// runs the same code.
+/// Runs fn(0), ..., fn(tasks - 1) and returns once all have finished. With
+/// t = min(threads, tasks):
+/// - t <= 1: the tasks run in index order on the calling thread and stop at
+///   a tripped `cancel`; the first exception propagates at once.
+/// - t > 1: the calling thread and t - 1 threads started for this call
+///   claim indices in ascending order from one counter, and an index
+///   claimed after `cancel` trips is skipped. A task's exception is caught:
+///   every thread is joined before the exception of the lowest throwing
+///   index is rethrown.
+/// Such a loop records one `threadpool.task_ms` sample per task run and one
+/// `threadpool.worker_idle_ms` sample per thread (the loop's wall time
+/// minus the thread's task time); a loop with t <= 1 records nothing.
 void RunTasks(size_t tasks, size_t threads,
-              const std::function<void(size_t)>& fn);
+              const std::function<void(size_t)>& fn,
+              const CancelToken* cancel = nullptr);
 
 }  // namespace culevo
 

@@ -293,20 +293,31 @@ TEST(CulevodFlagsTest, BadFlagExitsTwoBeforeTheColdStart) {
   // So is a value out of range, in every mode, before the supervisor
   // spawns a child. A supervisor that did spawn one would see it fail the
   // load, and --max-restarts 0 would end it with exit 1.
-  const std::vector<std::vector<std::string>> out_of_range = {
-      {"--scale", "0"},
-      {"--scale", "1.5"},
-      {"--threads", "0"},
-      {"--max-inflight", "0"},
-      {"--probe-interval-ms", "0"},
-      {"--probe-timeout-ms", "-5"},
-      {"--probe-failures", "0"}};
-  for (const std::vector<std::string>& flag : out_of_range) {
-    const bool probe = StartsWith(flag[0], "--probe");
+  struct OutOfRange {
+    std::vector<std::string> flags;
+    bool supervisor_only;  // only the supervisor reads them
+  };
+  const std::vector<OutOfRange> out_of_range = {
+      {{"--scale", "0"}, false},
+      {{"--scale", "1.5"}, false},
+      {{"--threads", "0"}, false},
+      {{"--max-inflight", "0"}, false},
+      {{"--probe-interval-ms", "0"}, true},
+      {{"--probe-timeout-ms", "-5"}, true},
+      {{"--probe-failures", "0"}, true},
+      {{"--startup-grace-ms", "0"}, true},
+      {{"--restart-backoff-ms", "0"}, true},
+      // Above INT_MAX: an int cast would read 0.
+      {{"--restart-backoff-ms", "4294967296"}, true},
+      // A cap below the floor.
+      {{"--restart-backoff-ms", "300", "--restart-backoff-cap-ms", "200"},
+       true}};
+  for (const OutOfRange& bad : out_of_range) {
     for (const bool supervise : {false, true}) {
-      if (probe && !supervise) continue;  // only the supervisor reads them
-      std::vector<std::string> args = {"culevod", flag[0], flag[1],
-                                        "--load-snapshot", absent};
+      if (bad.supervisor_only && !supervise) continue;
+      std::vector<std::string> args = {"culevod"};
+      args.insert(args.end(), bad.flags.begin(), bad.flags.end());
+      args.insert(args.end(), {"--load-snapshot", absent});
       if (supervise) {
         args.insert(args.end(), {"--supervise", "--socket", SocketPath(),
                                  "--max-restarts", "0"});
@@ -314,7 +325,7 @@ TEST(CulevodFlagsTest, BadFlagExitsTwoBeforeTheColdStart) {
         args.push_back("--once");
       }
       EXPECT_EQ(ExitStatusOf(args), 2)
-          << flag[0] << " " << flag[1] << (supervise ? " --supervise" : "");
+          << Join(bad.flags, " ") << (supervise ? " --supervise" : "");
     }
   }
 }

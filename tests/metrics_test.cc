@@ -172,8 +172,7 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsFromThreadPoolWorkers) {
   histogram->Reset();
 
   constexpr int kTasks = 2000;
-  ThreadPool pool(8);
-  pool.ParallelFor(kTasks, [&](size_t i) {
+  RunTasks(kTasks, 8, [&](size_t i) {
     counter->Increment();
     gauge->Add(1.0);
     histogram->Record(static_cast<double>(i % 7) + 0.5);

@@ -423,27 +423,28 @@ void ExpectSameIndex(const RecipeCorpus& corpus, const QueryIndex& one,
 // Postings are placed by recipe range on the CPUs the process may use;
 // every table must come out bit for bit as on one CPU, and as in an
 // extension whose tail over the last 1% of the recipes is placed on the
-// calling thread, which starts no pool task.
+// calling thread, which runs no task of a parallel loop.
 TEST(QueryIndexTest, ParallelBuildMatchesOneCpuBuild) {
   if (UsableCpus() < 2) GTEST_SKIP() << "this process may use one CPU";
   const Result<RecipeCorpus> world = SynthesizeWorldCorpus(WorldLexicon());
   ASSERT_TRUE(world.ok()) << world.status();
   ASSERT_GE(ThreadsFor(world->num_recipes(), kRecipesPerThread), 2u);
-  const obs::Counter* tasks =
-      obs::MetricsRegistry::Get().counter("threadpool.tasks_executed");
+  const obs::Histogram* task_ms =
+      obs::MetricsRegistry::Get().histogram("threadpool.task_ms");
+  const auto tasks = [task_ms] { return task_ms->Snapshot().count; };
   const QueryIndex one = [&] {
     const OneCpuScope pin;
     EXPECT_EQ(UsableCpus(), 1u);
     return QueryIndex::Build(*world);
   }();
-  const int64_t before_all = tasks->Value();
+  const int64_t before_all = tasks();
   const QueryIndex all = QueryIndex::Build(*world);
-  EXPECT_GT(tasks->Value(), before_all);
+  EXPECT_GT(tasks(), before_all);
   const uint32_t n = static_cast<uint32_t>(world->num_recipes());
   const QueryIndex base = QueryIndex::Build(Prefix(*world, n - n / 100));
-  const int64_t before_tail = tasks->Value();
+  const int64_t before_tail = tasks();
   const QueryIndex extended = QueryIndex::Extend(base, *world);
-  EXPECT_EQ(tasks->Value(), before_tail);
+  EXPECT_EQ(tasks(), before_tail);
   EXPECT_EQ(extended.tail_recipes(), n / 100);
   {
     SCOPED_TRACE("one CPU");
