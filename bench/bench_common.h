@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,8 +52,8 @@ struct BenchOptions {
 /// process-exit behavior.
 inline Status ApplyParsedFlags(BenchOptions* options) {
   options->scale = options->flags.GetDouble("scale", options->scale);
-  options->replicas =
-      static_cast<int>(options->flags.GetInt("replicas", options->replicas));
+  const long long replicas =
+      options->flags.GetInt("replicas", options->replicas);
   options->seed = static_cast<uint64_t>(options->flags.GetInt(
       "seed", static_cast<long long>(options->seed)));
   options->json_path = options->flags.GetString("json", options->json_path);
@@ -60,10 +61,13 @@ inline Status ApplyParsedFlags(BenchOptions* options) {
     return Status::InvalidArgument(
         StrFormat("--scale must be in (0, 1], got %g", options->scale));
   }
-  if (options->replicas <= 0) {
-    return Status::InvalidArgument(
-        StrFormat("--replicas must be positive, got %d", options->replicas));
+  // Read as the 64-bit value given: 4294967297 must not wrap to 1.
+  if (replicas <= 0 || replicas > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(StrFormat(
+        "--replicas must be in [1, %d], got %lld",
+        std::numeric_limits<int>::max(), replicas));
   }
+  options->replicas = static_cast<int>(replicas);
   // A value-less `--json` parses as the literal string "true" and would
   // silently write the telemetry to a file named `true`.
   if (options->json_path == "true") {

@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <map>
 
 #include "bench/bench_common.h"
@@ -40,6 +41,12 @@ int Run(int argc, char** argv) {
        "worker-retries", "details-json"});
   const int workers = options.flags.GetIntIn("workers", 1, 1);
   const int worker_retries = options.flags.GetIntIn("worker-retries", 2, 0);
+  // Any int: RunSimulation refuses a shard outside [0, --workers), and a
+  // stall bound of 0 or below turns stall detection off.
+  const int worker_shard = options.flags.GetIntIn(
+      "worker-shard", 0, std::numeric_limits<int>::min());
+  const int worker_stall_ms = options.flags.GetIntIn(
+      "worker-stall-ms", 30000, std::numeric_limits<int>::min());
   bench::BenchReporter reporter("fig4_models", options);
   const Lexicon& lexicon = WorldLexicon();
   reporter.BeginPhase("world_synthesis");
@@ -75,16 +82,14 @@ int Run(int argc, char** argv) {
         "--workers requires --checkpoint <dir>"));
   }
   if (is_worker) {
-    config.shard.index =
-        static_cast<int>(options.flags.GetInt("worker-shard", 0));
+    config.shard.index = worker_shard;
     config.shard.count = workers;
     config.checkpoint.resume = true;
   } else if (workers > 1) {
     FabricOptions fabric;
     fabric.workers = workers;
     fabric.checkpoint_dir = config.checkpoint.directory;
-    fabric.stall_ms =
-        static_cast<int>(options.flags.GetInt("worker-stall-ms", 30000));
+    fabric.stall_ms = worker_stall_ms;
     fabric.max_worker_retries = worker_retries;
     Result<FabricReport> dispatched =
         RunWorkerFabric(std::vector<std::string>(argv, argv + argc), fabric);

@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +51,10 @@ Result<CuisineEvaluation> EvaluatePipeline(const RecipeCorpus& corpus,
 /// shard into the shard journal, exit 0. Results flow through the
 /// journals only.
 int RunWorker(const bench::BenchOptions& options) {
+  // Any int; RunSimulation refuses one outside [0, --workers).
+  const int shard = options.flags.GetIntIn("worker-shard", 0,
+                                           std::numeric_limits<int>::min());
+  const int workers = options.flags.GetIntIn("workers", 1, 1);
   const Lexicon& lexicon = WorldLexicon();
   Result<LoadedCorpusSnapshot> loaded =
       LoadCorpusSnapshot(options.flags.GetString("load-snapshot", ""));
@@ -66,9 +71,8 @@ int RunWorker(const bench::BenchOptions& options) {
   // journals nothing, so charging the fabric row per-append fsyncs would
   // measure durability, not execution.
   config.checkpoint.sync = false;
-  config.shard.index =
-      static_cast<int>(options.flags.GetInt("worker-shard", 0));
-  config.shard.count = options.flags.GetIntIn("workers", 1, 1);
+  config.shard.index = shard;
+  config.shard.count = workers;
   Result<CuisineEvaluation> evaluation =
       EvaluatePipeline(loaded->corpus, lexicon, config);
   if (!evaluation.ok()) {

@@ -197,15 +197,19 @@ int RunEvaluate(const FlagParser& flags) {
     // Hidden worker mode (the coordinator spawns us with this flag):
     // compute only the owned shard of the replica grid into the shard
     // journal. Resume is forced on so a re-dispatched worker skips what
-    // its killed predecessor already journaled.
-    config.shard.index = static_cast<int>(flags.GetInt("worker-shard", 0));
+    // its killed predecessor already journaled. The shard may be any int;
+    // RunSimulation refuses one outside [0, --workers).
+    config.shard.index = flags.GetIntIn("worker-shard", 0,
+                                        std::numeric_limits<int>::min());
     config.shard.count = workers;
     config.checkpoint.resume = true;
   }
   FabricOptions fabric;
   fabric.workers = workers;
   fabric.checkpoint_dir = config.checkpoint.directory;
-  fabric.stall_ms = static_cast<int>(flags.GetInt("worker-stall-ms", 30000));
+  // Any int: a value of 0 or below turns stall detection off.
+  fabric.stall_ms = flags.GetIntIn("worker-stall-ms", 30000,
+                                   std::numeric_limits<int>::min());
   fabric.max_worker_retries = flags.GetIntIn("worker-retries", 2, 0);
   // --tolerate budgets lost worker shards, so it needs --workers > 1.
   fabric.tolerate_k = flags.GetIntIn(

@@ -344,8 +344,17 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
 
   std::unique_ptr<RunJournal> journal(new RunJournal());
   // The journal Open writes: this run's manifest, then every record
-  // resume restores, each payload exactly as its source held it.
-  std::vector<std::string> records = {FormatManifest(manifest)};
+  // resume restores, each payload exactly as its source held it, streamed
+  // to the replacement file as it is parsed. A refusal returns before
+  // Commit, and the writer's destructor unlinks the replacement, so the
+  // target keeps its bytes. The rewrite is not retried: a retry would
+  // have to read every source again, and a failed one leaves every source
+  // as it was for a rerun to resume from.
+  JournalWriter& writer = journal->writer_;
+  JournalWriter::Options writer_options;
+  writer_options.sync = options.sync;
+  CULEVO_RETURN_IF_ERROR(writer.Begin(path, writer_options));
+  CULEVO_RETURN_IF_ERROR(writer.Seed(FormatManifest(manifest)));
   if (options.resume) {
     const bool merging = options.merge_shards > 0;
     // One rule set for every source. The first record of a replica wins:
@@ -381,8 +390,8 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
           CheckManifest(std::get<RunManifest>(*first), manifest, source));
 
       for (size_t i = 1; i < contents.records.size(); ++i) {
-        std::string& payload = contents.records[i];
-        Result<JournalRecord> record = ParseRecord(payload, source, i);
+        Result<JournalRecord> record =
+            ParseRecord(contents.records[i], source, i);
         CULEVO_RETURN_IF_ERROR(record.status());
         // Interrupt records describe why one process stopped, and the
         // incident records that older builds wrote describe a replica
@@ -392,7 +401,7 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
         if (replica == nullptr) continue;
         if (!seen_replicas.insert(replica->replica).second) continue;
         journal->restored_replicas_.push_back(std::move(*replica));
-        records.push_back(std::move(payload));
+        CULEVO_RETURN_IF_ERROR(writer.Seed(contents.records[i]));
       }
       ++sources;
       if (shard) ++shards_found;
@@ -416,7 +425,7 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
     if (merging) {
       metrics.shards_merged->Increment(shards_found);
       metrics.records_merged->Increment(
-          static_cast<int64_t>(records.size() - 1));
+          static_cast<int64_t>(journal->restored_replicas_.size()));
       metrics.merge_quarantined->Increment(quarantined);
     }
     if (sources > 0) {
@@ -426,10 +435,7 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Open(
     }
   }
 
-  JournalWriter::Options writer_options;
-  writer_options.sync = options.sync;
-  CULEVO_RETURN_IF_ERROR(
-      journal->writer_.Open(path, std::move(records), writer_options));
+  CULEVO_RETURN_IF_ERROR(writer.Commit());
   return journal;
 }
 

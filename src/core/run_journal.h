@@ -102,9 +102,11 @@ class RunJournal {
   /// journal and, when `options.merge_shards > 0`, from each shard journal
   /// after it. Every source is read, and every record parsed, once, under
   /// the refusal matrix and dedup rules of DESIGN.md §10.2; a missing
-  /// source is skipped. The journal is then rewritten once, holding
-  /// exactly the manifest and the restored records, and appends continue
-  /// it.
+  /// source is skipped. The journal is rewritten once, holding exactly the
+  /// manifest and the restored records: each kept record is written to
+  /// the replacement as soon as it is parsed, one rename after the last
+  /// source publishes it, and appends continue it. A refusal or a failed
+  /// write leaves the journal as it was; the rewrite is not retried.
   static Result<std::unique_ptr<RunJournal>> Open(
       const CheckpointOptions& options, const std::string& file_name,
       const RunManifest& manifest);

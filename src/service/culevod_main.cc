@@ -36,6 +36,7 @@
 
 #include <chrono>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -167,8 +168,9 @@ int RunSupervisor(int argc, char** argv, const FlagParser& flags) {
       "restart-backoff-cap-ms", 2000, options.restart_backoff_ms);
   options.backoff_seed =
       static_cast<uint64_t>(flags.GetInt("backoff-seed", 0));
-  options.max_restarts =
-      static_cast<int>(flags.GetInt("max-restarts", -1));
+  // Any int: a negative count means unlimited.
+  options.max_restarts = flags.GetIntIn("max-restarts", -1,
+                                        std::numeric_limits<int>::min());
   options.pidfile = flags.GetString("pidfile", "");
   options.silence_child = flags.GetBool("silence-child", false);
   options.cancel = &GlobalCancel();
@@ -288,6 +290,9 @@ int main(int argc, char** argv) {
   options.max_inflight = flags.GetIntIn("max-inflight", 256, 1);
   ServerOptions server_options;
   server_options.threads = flags.GetIntIn("threads", 4, 1);
+  // Any int: a value of 0 or below turns the read deadline off.
+  server_options.client_read_timeout_ms = flags.GetIntIn(
+      "client-read-timeout-ms", 5000, std::numeric_limits<int>::min());
 
   if (flags.GetBool("supervise", false)) {
     return RunSupervisor(argc, argv, flags);
@@ -303,8 +308,6 @@ int main(int argc, char** argv) {
   options.default_deadline_ms = flags.GetInt("deadline-ms", 250);
   options.brownout_latency_ms = flags.GetDouble("brownout-latency-ms", 0);
   server_options.socket_path = flags.GetString("socket", "");
-  server_options.client_read_timeout_ms =
-      static_cast<int>(flags.GetInt("client-read-timeout-ms", 5000));
   if (!once && server_options.socket_path.empty()) return Usage();
 
   // SIGHUP's default action ends the process. The server catches it

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/csv.h"
@@ -181,36 +182,41 @@ JournalWriter::~JournalWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status JournalWriter::Open(std::string path,
-                           std::vector<std::string> records,
-                           Options options) {
+Status JournalWriter::Begin(std::string path, Options options) {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
-  std::string content = JournalHeader(kJournalFormatVersion);
-  content.push_back('\n');
-  for (const std::string& record : records) {
-    if (record.find('\n') != std::string::npos) {
-      return Status::InvalidArgument(
-          "journal record payload must not contain newlines");
-    }
-    content.append(FormatJournalRecord(record));
-  }
-  AtomicWriteOptions write_options;
-  write_options.sync = options.sync;
-  CULEVO_RETURN_IF_ERROR(WriteFileAtomic(path, content, write_options));
-  CkptMetrics::Get().bytes_written->Increment(
-      static_cast<int64_t>(content.size()));
+  path_ = std::move(path);
+  options_ = options;
+  num_records_ = 0;
+  torn_ = false;
+  CULEVO_RETURN_IF_ERROR(seeded_.Open(path_, options.sync));
+  std::string header = JournalHeader(kJournalFormatVersion);
+  header.push_back('\n');
+  CULEVO_RETURN_IF_ERROR(seeded_.Write(header));
+  size_ = header.size();
+  return Status::Ok();
+}
 
-  fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+Status JournalWriter::Seed(std::string_view payload) {
+  if (payload.find('\n') != std::string_view::npos) {
+    return Status::InvalidArgument(
+        "journal record payload must not contain newlines");
+  }
+  const std::string line = FormatJournalRecord(payload);
+  CULEVO_RETURN_IF_ERROR(seeded_.Write(line));
+  size_ += line.size();
+  ++num_records_;
+  return Status::Ok();
+}
+
+Status JournalWriter::Commit() {
+  CULEVO_RETURN_IF_ERROR(seeded_.Commit());
+  CkptMetrics::Get().bytes_written->Increment(static_cast<int64_t>(size_));
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
   if (fd_ < 0) {
     return Status::IOError(StrFormat("cannot open journal %s for appending: %s",
-                                     path.c_str(), std::strerror(errno)));
+                                     path_.c_str(), std::strerror(errno)));
   }
-  path_ = std::move(path);
-  size_ = content.size();
-  num_records_ = records.size();
-  options_ = options;
-  torn_ = false;
   return Status::Ok();
 }
 

@@ -25,19 +25,21 @@ namespace culevo {
 /// 16 lowercase hex digits. Payloads are opaque to this layer except that
 /// they must not contain '\n'.
 ///
-/// Durability model: JournalWriter::Open writes the header and the seeded
-/// records through WriteFileAtomic (dropping any quarantined tail); each
-/// later record is appended to the open file. A crash leaves at most one
-/// torn record at the end, which the reader quarantines, and a failed
-/// append is truncated away, so no record ever follows a torn one. The
-/// checksums also catch what no write protocol can: bit rot, partial
-/// scribbles by other tools, and files produced by other writers.
+/// Durability model: JournalWriter::Begin, Seed and Commit write the
+/// header and the seeded records one at a time through one
+/// AtomicFileWriter, so the file is replaced by a single rename (dropping
+/// any quarantined tail) without the seeded journal ever being held in
+/// memory; each later record is appended to the open file. A crash leaves
+/// at most one torn record at the end, which the reader quarantines, and
+/// a failed append is truncated away, so no record ever follows a torn
+/// one. The checksums also catch what no write protocol can: bit rot,
+/// partial scribbles by other tools, and files produced by other writers.
 ///
 /// Corruption protocol: ReadJournal verifies records in order and stops at
 /// the first bad one, quarantining it and everything after it (salvaging
 /// a suffix after a bad record could silently resurrect records the
-/// corrupted one superseded). The salvaged prefix is returned; the next
-/// JournalWriter::Open durably rewrites only that prefix.
+/// corrupted one superseded). The salvaged prefix is returned; seeding
+/// the next journal with it durably rewrites only that prefix.
 
 /// Journal format version understood by this build.
 inline constexpr int kJournalFormatVersion = 1;
@@ -79,9 +81,8 @@ std::string JournalHeader(int version);
 class JournalWriter {
  public:
   struct Options {
-    /// fsync the seeded file at Open (through WriteFileAtomic) and
-    /// fdatasync every append. The CLI runs durable; tests disable to keep
-    /// tmpfs churn down.
+    /// fsync the seeded file at Commit and fdatasync every append. The
+    /// CLI runs durable; tests disable to keep tmpfs churn down.
     bool sync = true;
   };
 
@@ -90,14 +91,18 @@ class JournalWriter {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  /// Creates (or replaces) the journal at `path`, seeded with `records`
-  /// — pass the salvaged `JournalContents::records` to continue an
-  /// existing journal, or an empty vector to start fresh. The seeded file
-  /// (header + records) is written atomically before Open returns, so an
-  /// interrupted run that never appends still leaves a valid journal; the
-  /// file is then held open for appending.
-  Status Open(std::string path, std::vector<std::string> records,
-              Options options);
+  /// Starts creating (or replacing) the journal at `path`: writes the
+  /// header to a temp file beside it. Seed adds the records the journal
+  /// starts with (a resume's restored state) one at a time, and Commit
+  /// publishes the file with one rename and holds it open for appending.
+  /// Until Commit succeeds, `path` keeps its old bytes, and a writer that
+  /// fails, is destroyed or begins again before it leaves no temp file.
+  /// An interrupted run that never appends still leaves a valid journal.
+  Status Begin(std::string path, Options options);
+  /// Adds one seeded record. `payload` must not contain '\n'.
+  Status Seed(std::string_view payload);
+  /// Publishes the seeded journal; Append is refused until it has.
+  Status Commit();
 
   /// Appends one record line. `payload` must not contain '\n'. On a
   /// failed write the file is truncated back to the last complete record;
@@ -111,6 +116,8 @@ class JournalWriter {
 
  private:
   std::string path_;
+  /// The replacement between Begin and Commit.
+  AtomicFileWriter seeded_;
   int fd_ = -1;
   /// Bytes of the journal up to the end of its last complete record.
   size_t size_ = 0;

@@ -44,21 +44,56 @@ std::chrono::milliseconds NextBackoffDelay(std::chrono::milliseconds base,
 /// `path` names the file in the IOError.
 Status WriteAll(int fd, std::string_view data, const std::string& path);
 
-/// Writes `content` to `path` atomically: the bytes land in a unique temp
-/// file in the target directory, are flushed (and fsynced, see options),
-/// and the temp file is renamed over `path`. Readers — and crashes at any
-/// point — observe either the complete previous file or the complete new
-/// one, never a truncated hybrid. Transient failures are retried with
+/// One atomic replacement of a file, written in pieces: Open creates a
+/// unique temp file in the target directory (skipping a name a crashed
+/// process left taken), Write appends to it, and Commit flushes it (fsync
+/// when `sync` is set), renames it over the target and fsyncs the
+/// directory. Readers — and crashes at any point — observe either the
+/// complete previous file or the complete new one, never a truncated
+/// hybrid: the target keeps its old bytes until Commit succeeds. A failed
+/// step, or destroying the writer before Commit, unlinks the temp file.
+/// Nothing is retried here; WriteFileAtomic retries whole attempts.
+///
+/// Metrics: `io.write.atomic` (successful commits).
+///
+/// Failpoints: `io.write.open` (Open), `io.write.write` (each Write),
+/// `io.write.sync` and `io.write.rename` (Commit), each inside its step.
+class AtomicFileWriter {
+ public:
+  AtomicFileWriter() = default;
+  ~AtomicFileWriter();
+  AtomicFileWriter(const AtomicFileWriter&) = delete;
+  AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
+
+  /// Starts replacing `path`, abandoning any uncommitted replacement.
+  Status Open(std::string path, bool sync);
+  /// Appends `data` to the replacement; a failure abandons it.
+  Status Write(std::string_view data);
+  /// Publishes the replacement. The writer is closed afterwards, whether
+  /// or not Commit succeeded; Write and Commit are then refused until the
+  /// next Open.
+  Status Commit();
+
+ private:
+  /// Closes the temp file and unlinks it, if there is one.
+  void Abandon();
+
+  std::string path_;
+  std::string temp_;
+  int fd_ = -1;
+  bool sync_ = true;
+};
+
+/// Writes `content` to `path` atomically through one AtomicFileWriter
+/// Open–Write–Commit per attempt. Transient failures are retried with
 /// decorrelated-jitter backoff (NextBackoffDelay) up to
-/// `options.max_attempts`; the temp file is unlinked on every failure
-/// path.
+/// `options.max_attempts`; no failed attempt leaves its temp file behind.
 ///
-/// Metrics: `io.write.atomic` (successful writes), `io.write.retries`
-/// (attempts beyond the first), `io.write.failures` (calls that exhausted
-/// all attempts).
+/// Metrics: `io.write.atomic` (successful writes, counted by Commit),
+/// `io.write.retries` (attempts beyond the first), `io.write.failures`
+/// (calls that exhausted all attempts).
 ///
-/// Failpoints: `io.write.open`, `io.write.write`, `io.write.sync`,
-/// `io.write.rename` fire once per attempt inside the corresponding step.
+/// Failpoints: AtomicFileWriter's, so each fires once per attempt.
 Status WriteFileAtomic(const std::string& path, std::string_view content,
                        const AtomicWriteOptions& options = {});
 

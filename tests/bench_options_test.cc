@@ -59,6 +59,13 @@ TEST(BenchOptionsTest, RejectsNegativeReplicas) {
   EXPECT_FALSE(status.ok());
 }
 
+// 4294967297 must not wrap to one replica.
+TEST(BenchOptionsTest, RejectsReplicasAboveIntMax) {
+  BenchOptions options;
+  const Status status = ParseInto({"--replicas", "4294967297"}, &options);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
 TEST(BenchOptionsTest, RejectsNonPositiveScale) {
   BenchOptions options;
   EXPECT_FALSE(ParseInto({"--scale", "0"}, &options).ok());

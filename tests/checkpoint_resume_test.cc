@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,7 +26,9 @@
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
+#include "util/file_io.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace culevo {
 namespace {
@@ -157,6 +164,26 @@ void ExpectBitIdentical(const SimulationResult& resumed,
   EXPECT_EQ(resumed.report.replicas_succeeded,
             golden.report.replicas_succeeded);
   EXPECT_EQ(resumed.report.replicas_failed, golden.report.replicas_failed);
+}
+
+/// The names of the temp files in `dir`: what an atomic rewrite that never
+/// committed left behind.
+std::vector<std::string> TempFilesIn(const std::string& dir) {
+  std::vector<std::string> temps;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".tmp-") != std::string::npos) temps.push_back(name);
+  }
+  std::sort(temps.begin(), temps.end());
+  return temps;
+}
+
+/// The bytes of `path`, or nullopt when it does not exist.
+std::optional<std::string> BytesOf(const std::string& path) {
+  if (!std::filesystem::exists(path)) return std::nullopt;
+  Result<std::string> raw = ReadFileToString(path);
+  EXPECT_TRUE(raw.ok()) << raw.status();
+  return raw.ok() ? std::optional<std::string>(raw.value()) : std::nullopt;
 }
 
 /// Appends `payload` to the journal at `path` as a signed record, the way
@@ -698,6 +725,117 @@ TEST_F(CheckpointResumeTest, RewrittenJournalHoldsTheRestoredState) {
   expect_restored(0, 1);
   expect_restored(1, 2);
   expect_restored(1, 2);  // re-merging the merged journal adds nothing
+}
+
+/// Leaves in `dir` what a coordinator that crashed while rewriting
+/// `file_name` would: its temp file, here under another pid, and, since a
+/// successor may run under the crashed one's pid, the next temp names this
+/// process would take. Returns their names, sorted.
+std::vector<std::string> PlantStaleTemps(const std::string& dir,
+                                         const std::string& file_name) {
+  std::vector<std::string> stale = {file_name + ".tmp-1-0"};
+  std::ofstream(dir + "/" + stale[0]) << JournalHeader(kJournalFormatVersion)
+                                      << "\n0123";
+  std::string probe;
+  {
+    AtomicFileWriter writer;
+    EXPECT_TRUE(writer.Open(dir + "/" + file_name, /*sync=*/false).ok());
+    for (const std::string& name : TempFilesIn(dir)) {
+      if (name != stale[0]) probe = name;
+    }
+  }
+  const std::string stem =
+      StrFormat("%s.tmp-%d-", file_name.c_str(), static_cast<int>(::getpid()));
+  if (probe.rfind(stem, 0) != 0) {
+    ADD_FAILURE() << "unexpected temp name " << probe;
+    return stale;
+  }
+  const unsigned long long n = std::stoull(probe.substr(stem.size()));
+  for (unsigned long long k = n + 1; k <= n + 3; ++k) {
+    stale.push_back(stem + std::to_string(k));
+    std::ofstream(dir + "/" + stale.back()) << "stale";
+  }
+  std::sort(stale.begin(), stale.end());
+  return stale;
+}
+
+// The merge streams the consolidated journal to a temp file and publishes
+// it with one rename; a write that fails part-way through is not retried.
+// It fails the run and leaves the previous journal (or its absence) and
+// every shard as they were, with no temp file, so a rerun merges the same
+// sources. The write fails right after the header, and again part-way
+// through the sources, after a whole source has been streamed. The rerun
+// then finds stale temp files beside the target, which change nothing.
+TEST_F(CheckpointResumeTest, FailedMergeRewriteLeavesEveryJournalAsItWas) {
+  const Lexicon& lexicon = WorldLexicon();
+  const auto model = MakeCmR(&lexicon);
+  const CuisineContext context = SmallContext();
+  SimulationConfig config = BaseConfig();
+  Result<SimulationResult> golden =
+      RunSimulation(*model, context, lexicon, config);
+  ASSERT_TRUE(golden.ok());
+  const std::string file_name =
+      "sim_" + SanitizeFileToken(model->name()) + "_c0.journal";
+
+  for (const bool with_target : {false, true}) {
+    for (const int skip : {1, 5}) {
+      SCOPED_TRACE(StrFormat("target %d, skip %d", with_target, skip));
+      const std::string dir =
+          FreshDir() + StrFormat("_%d_%d", with_target, skip);
+      std::filesystem::remove_all(dir);
+      if (with_target) {
+        // An interrupted single-process run left a partial target.
+        CancelToken token;
+        InterruptModel interruptible(model.get(), &token, 3);
+        SimulationConfig interrupted = config;
+        interrupted.cancel = &token;
+        interrupted.checkpoint = Checkpointed(dir, false);
+        EXPECT_EQ(RunSimulation(interruptible, context, lexicon, interrupted)
+                      .status()
+                      .code(),
+                  StatusCode::kCancelled);
+      }
+      std::vector<std::string> paths = {dir + "/" + file_name};
+      for (int s = 0; s < 2; ++s) {
+        SimulationConfig shard = config;
+        shard.checkpoint = Checkpointed(dir, true);
+        shard.shard.index = s;
+        shard.shard.count = 2;
+        ASSERT_TRUE(RunSimulation(*model, context, lexicon, shard).ok());
+        paths.push_back(dir + "/" + ShardJournalFileName(file_name, s));
+      }
+      std::vector<std::optional<std::string>> before;
+      for (const std::string& path : paths) before.push_back(BytesOf(path));
+      ASSERT_EQ(before[0].has_value(), with_target);
+
+      config.checkpoint = Checkpointed(dir, true);
+      config.checkpoint.merge_shards = 2;
+      Failpoints::ArmSpec spec;
+      spec.skip = skip;
+      spec.fires = 1;
+      Failpoints::Get().Arm("io.write.write", spec);
+      Result<SimulationResult> failed =
+          RunSimulation(*model, context, lexicon, config);
+      EXPECT_EQ(failed.status().code(), StatusCode::kIOError)
+          << failed.status();
+      // The writes it let through, then the one that failed: nothing is
+      // written or retried after it.
+      EXPECT_EQ(Failpoints::Get().HitCount("io.write.write"), skip + 1);
+      Failpoints::Get().DisarmAll();
+
+      for (size_t i = 0; i < paths.size(); ++i) {
+        EXPECT_EQ(BytesOf(paths[i]), before[i]) << paths[i];
+      }
+      EXPECT_TRUE(TempFilesIn(dir).empty());
+
+      const std::vector<std::string> stale = PlantStaleTemps(dir, file_name);
+      Result<SimulationResult> merged =
+          RunSimulation(*model, context, lexicon, config);
+      ASSERT_TRUE(merged.ok()) << merged.status();
+      ExpectBitIdentical(merged.value(), golden.value());
+      EXPECT_EQ(TempFilesIn(dir), stale);
+    }
+  }
 }
 
 }  // namespace

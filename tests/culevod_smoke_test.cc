@@ -3,6 +3,7 @@
 // SIGHUP it mid-session, then check a SIGTERM drains to a clean exit 0.
 // The binary path is injected at compile time (CULEVOD_PATH).
 
+#include <algorithm>
 #include <csignal>
 #include <string>
 #include <vector>
@@ -309,6 +310,9 @@ TEST(CulevodFlagsTest, BadFlagExitsTwoBeforeTheColdStart) {
       {{"--restart-backoff-ms", "0"}, true},
       // Above INT_MAX: an int cast would read 0.
       {{"--restart-backoff-ms", "4294967296"}, true},
+      {{"--client-read-timeout-ms", "4294967296"}, false},
+      // Read as 0, this would end the supervisor after one child.
+      {{"--max-restarts", "4294967296"}, true},
       // A cap below the floor.
       {{"--restart-backoff-ms", "300", "--restart-backoff-cap-ms", "200"},
        true}};
@@ -319,8 +323,11 @@ TEST(CulevodFlagsTest, BadFlagExitsTwoBeforeTheColdStart) {
       args.insert(args.end(), bad.flags.begin(), bad.flags.end());
       args.insert(args.end(), {"--load-snapshot", absent});
       if (supervise) {
-        args.insert(args.end(), {"--supervise", "--socket", SocketPath(),
-                                 "--max-restarts", "0"});
+        args.insert(args.end(), {"--supervise", "--socket", SocketPath()});
+        if (std::find(bad.flags.begin(), bad.flags.end(), "--max-restarts") ==
+            bad.flags.end()) {
+          args.insert(args.end(), {"--max-restarts", "0"});
+        }
       } else {
         args.push_back("--once");
       }

@@ -385,6 +385,7 @@ TEST_F(MutationFuzzTest, RunJournalOpen) {
       std::filesystem::remove(target);
       std::filesystem::remove(shard);
       WriteBytes(merge_shards == 0 ? target : shard, mutant);
+      const bool had_target = std::filesystem::exists(target);
       options.merge_shards = merge_shards;
       const Result<std::unique_ptr<RunJournal>> opened =
           RunJournal::Open(options, file_name, manifest);
@@ -393,6 +394,16 @@ TEST_F(MutationFuzzTest, RunJournalOpen) {
                      StatusCode::kFailedPrecondition},
                     where) ||
           !opened.ok()) {
+        // A refusal leaves the target as it was and no temp file.
+        ASSERT_EQ(std::filesystem::exists(target), had_target) << where;
+        if (had_target) {
+          ASSERT_EQ(ReadFileToString(target).value(), mutant) << where;
+        }
+        for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+          ASSERT_EQ(entry.path().filename().string().find(".tmp-"),
+                    std::string::npos)
+              << where << ": " << entry.path();
+        }
         continue;
       }
       ++accepted;

@@ -31,6 +31,18 @@
 namespace culevo {
 namespace {
 
+/// Creates (or replaces) the journal at `path`, seeded with `records`,
+/// as RunJournal::Open does, and leaves `writer` open for Append.
+Status OpenSeeded(JournalWriter* writer, const std::string& path,
+                  const std::vector<std::string>& records,
+                  JournalWriter::Options options) {
+  CULEVO_RETURN_IF_ERROR(writer->Begin(path, options));
+  for (const std::string& record : records) {
+    CULEVO_RETURN_IF_ERROR(writer->Seed(record));
+  }
+  return writer->Commit();
+}
+
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -43,7 +55,7 @@ class CheckpointTest : public ::testing::Test {
     JournalWriter writer;
     JournalWriter::Options options;
     options.sync = false;
-    ASSERT_TRUE(writer.Open(path_, {}, options).ok());
+    ASSERT_TRUE(OpenSeeded(&writer, path_, {}, options).ok());
     for (const std::string& payload : payloads) {
       ASSERT_TRUE(writer.Append(payload).ok());
     }
@@ -124,13 +136,38 @@ TEST_F(CheckpointTest, OpenSeedsWithExistingRecordsAndFlushesImmediately) {
   JournalWriter writer;
   JournalWriter::Options options;
   options.sync = false;
-  ASSERT_TRUE(writer.Open(path_, {"one", "two"}, options).ok());
+  ASSERT_TRUE(OpenSeeded(&writer, path_, {"one", "two"}, options).ok());
   EXPECT_EQ(writer.num_records(), 2u);
   // Valid on disk before any Append: an interrupted run that never
   // completes a record still leaves a resumable journal.
   Result<JournalContents> contents = ReadJournal(path_);
   ASSERT_TRUE(contents.ok());
   EXPECT_EQ(contents->records, (std::vector<std::string>{"one", "two"}));
+}
+
+// Begin and Seed write to a replacement; the journal keeps its old bytes,
+// and Append is refused, until Commit publishes it.
+TEST_F(CheckpointTest, SeededJournalReplacesTheOldOneAtCommit) {
+  WriteJournal({"old"});
+  const std::string old_bytes = ReadRaw();
+  JournalWriter writer;
+  JournalWriter::Options options;
+  options.sync = false;
+  ASSERT_TRUE(writer.Begin(path_, options).ok());
+  ASSERT_TRUE(writer.Seed("one").ok());
+  EXPECT_EQ(writer.Seed("two\nlines").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(writer.Append("early").code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(writer.Seed("two").ok());
+  EXPECT_EQ(ReadRaw(), old_bytes);
+
+  ASSERT_TRUE(writer.Commit().ok());
+  EXPECT_EQ(writer.Seed("late").code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(writer.Append("three").ok());
+  EXPECT_EQ(writer.num_records(), 3u);
+  Result<JournalContents> contents = ReadJournal(path_);
+  ASSERT_TRUE(contents.ok());
+  EXPECT_EQ(contents->records,
+            (std::vector<std::string>{"one", "two", "three"}));
 }
 
 TEST_F(CheckpointTest, MissingFileIsNotFound) {
@@ -214,7 +251,7 @@ TEST_F(CheckpointTest, QuarantinedPrefixIsDurablyRewrittenOnContinue) {
   JournalWriter writer;
   JournalWriter::Options options;
   options.sync = false;
-  ASSERT_TRUE(writer.Open(path_, salvaged->records, options).ok());
+  ASSERT_TRUE(OpenSeeded(&writer, path_, salvaged->records, options).ok());
   ASSERT_TRUE(writer.Append("fourth").ok());
 
   Result<JournalContents> reread = ReadJournal(path_);
@@ -227,7 +264,7 @@ TEST_F(CheckpointTest, PayloadWithNewlineIsRejected) {
   JournalWriter writer;
   JournalWriter::Options options;
   options.sync = false;
-  ASSERT_TRUE(writer.Open(path_, {}, options).ok());
+  ASSERT_TRUE(OpenSeeded(&writer, path_, {}, options).ok());
   EXPECT_EQ(writer.Append("two\nlines").code(),
             StatusCode::kInvalidArgument);
 }
@@ -236,7 +273,7 @@ TEST_F(CheckpointTest, WriteFailpointRollsBackInMemoryImage) {
   JournalWriter writer;
   JournalWriter::Options options;
   options.sync = false;
-  ASSERT_TRUE(writer.Open(path_, {}, options).ok());
+  ASSERT_TRUE(OpenSeeded(&writer, path_, {}, options).ok());
   ASSERT_TRUE(writer.Append("first").ok());
 
   Failpoints::ArmSpec spec;
@@ -299,7 +336,7 @@ TEST_F(CheckpointTest, AppendWritesOnlyItsOwnRecord) {
   JournalWriter writer;
   JournalWriter::Options options;
   options.sync = false;
-  ASSERT_TRUE(writer.Open(path_, {"seeded"}, options).ok());
+  ASSERT_TRUE(OpenSeeded(&writer, path_, {"seeded"}, options).ok());
   const uint64_t opened_size = std::filesystem::file_size(path_);
 
   const int64_t bytes0 = bytes->Value();
@@ -333,7 +370,7 @@ TEST_F(CheckpointTest, KilledWriterLeavesAReadablePrefix) {
     ASSERT_GE(child, 0);
     if (child == 0) {
       JournalWriter writer;
-      if (!writer.Open(path_, {}, {.sync = false}).ok()) ::_exit(1);
+      if (!OpenSeeded(&writer, path_, {}, {.sync = false}).ok()) ::_exit(1);
       for (int i = 0;; ++i) {
         if (!writer.Append(payload(i)).ok()) ::_exit(2);
         // Past any kill point: wait for the SIGKILL without growing the
@@ -362,7 +399,8 @@ TEST_F(CheckpointTest, KilledWriterLeavesAReadablePrefix) {
     }
 
     JournalWriter writer;
-    ASSERT_TRUE(writer.Open(path_, salvaged->records, {.sync = false}).ok());
+    ASSERT_TRUE(
+        OpenSeeded(&writer, path_, salvaged->records, {.sync = false}).ok());
     ASSERT_TRUE(writer.Append("after").ok());
     Result<JournalContents> reread = ReadJournal(path_);
     ASSERT_TRUE(reread.ok());
@@ -378,7 +416,7 @@ TEST_F(CheckpointTest, KilledWriterLeavesAReadablePrefix) {
 // is quarantined.
 TEST_F(CheckpointTest, ShortWriteIsTruncatedAway) {
   JournalWriter writer;
-  ASSERT_TRUE(writer.Open(path_, {}, {.sync = false}).ok());
+  ASSERT_TRUE(OpenSeeded(&writer, path_, {}, {.sync = false}).ok());
   ASSERT_TRUE(writer.Append("first").ok());
   const uint64_t size = std::filesystem::file_size(path_);
   Status cut;
@@ -403,7 +441,7 @@ TEST_F(CheckpointTest, ShortWriteIsTruncatedAway) {
 // it: every later append is refused.
 TEST_F(CheckpointTest, FailedRollbackRefusesLaterAppends) {
   JournalWriter writer;
-  ASSERT_TRUE(writer.Open(path_, {}, {.sync = false}).ok());
+  ASSERT_TRUE(OpenSeeded(&writer, path_, {}, {.sync = false}).ok());
   ASSERT_TRUE(writer.Append("first").ok());
   const uint64_t size = std::filesystem::file_size(path_);
   Failpoints::Get().Arm("ckpt.write.rollback");
