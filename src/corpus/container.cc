@@ -194,9 +194,7 @@ Status WriteContainer(const std::string& path, const ContainerFormat& format,
   }
 
   CULEVO_FAILPOINT(Prefixed(format, ".write"));
-  AtomicWriteOptions write_options;
-  write_options.sync = sync;
-  CULEVO_RETURN_IF_ERROR(WriteFileAtomic(path, content, write_options));
+  CULEVO_RETURN_IF_ERROR(WriteFileAtomic(path, content, sync));
   auto& registry = obs::MetricsRegistry::Get();
   registry.counter(Prefixed(format, ".writes"))->Increment();
   registry.counter(Prefixed(format, ".bytes_written"))

@@ -133,7 +133,7 @@ Result<FabricReport> RunWorkerFabric(
   const int n = options.workers;
   // Each shard paces its own re-dispatches, with the jitter seeded from
   // the coordinator's pid and the shard.
-  const uint64_t backoff_seed =
+  const uint64_t jitter_seed =
       DeriveSeed(0xFAB81Cull, static_cast<uint64_t>(::getpid()));
   std::vector<ShardState> shards;
   shards.reserve(static_cast<size_t>(n));
@@ -142,7 +142,7 @@ Result<FabricReport> RunWorkerFabric(
         RestartPacer(options.max_worker_retries,
                      std::chrono::milliseconds(options.retry_backoff_ms),
                      std::chrono::milliseconds(options.retry_backoff_cap_ms),
-                     DeriveSeed(backoff_seed, static_cast<uint64_t>(s))));
+                     DeriveSeed(jitter_seed, static_cast<uint64_t>(s))));
   }
   FabricReport report;
   report.workers = n;
@@ -200,9 +200,7 @@ Result<FabricReport> RunWorkerFabric(
         spawn.silence_stdout = true;
         spawn.silence_stderr = true;
         spawn.extra_env = {
-            StrFormat("CULEVO_WORKER_SHARD=%d", s),
-            StrFormat("CULEVO_WORKER_ATTEMPT=%d", shard.pacer.restarts()),
-        };
+            StrFormat("CULEVO_WORKER_ATTEMPT=%d", shard.pacer.restarts())};
         if (Status spawned = shard.process.Spawn(argv, spawn);
             !spawned.ok()) {
           CULEVO_RETURN_IF_ERROR(on_worker_death(s, spawned));

@@ -88,8 +88,8 @@ std::string FabricReportToJson(const FabricReport& report);
 ///  - journal progress stalls past `stall_ms` → SIGKILL + re-dispatch.
 ///
 /// Workers inherit the coordinator's environment (including
-/// CULEVO_FAILPOINTS) plus CULEVO_WORKER_SHARD=<s> and
-/// CULEVO_WORKER_ATTEMPT=<a>, so tests can arm per-attempt behaviour.
+/// CULEVO_FAILPOINTS) plus CULEVO_WORKER_ATTEMPT=<a>, so tests can arm
+/// per-attempt behaviour.
 /// Worker stdout and stderr go to /dev/null: N workers interleaving on
 /// the coordinator's terminal help nobody, and results flow exclusively
 /// through the shard journals, which the caller merges afterwards by

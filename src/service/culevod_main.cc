@@ -28,11 +28,12 @@
 // exit (serve.* counters and latency histograms).
 //
 // --supervise re-runs this binary as a supervised child (the same argv
-// minus the supervisor flags) and restarts it on crash or probe stall;
-// see service/supervisor.h. Supervisor-only flags: --pidfile <path>,
+// minus the supervisor flags) and restarts it on crash or probe stall,
+// with jittered backoff seeded from the supervisor's pid; see
+// service/supervisor.h. Supervisor-only flags: --pidfile <path>,
 // --probe-interval-ms, --probe-timeout-ms, --probe-failures,
 // --startup-grace-ms, --restart-backoff-ms, --restart-backoff-cap-ms,
-// --backoff-seed, --max-restarts, --silence-child.
+// --max-restarts, --silence-child.
 
 #include <chrono>
 #include <iostream>
@@ -78,7 +79,7 @@ int Usage() {
          "supervisor flags: --pidfile <path> --probe-interval-ms <n> "
          "--probe-timeout-ms <n> --probe-failures <n> --startup-grace-ms <n> "
          "--restart-backoff-ms <n> --restart-backoff-cap-ms <n> "
-         "--backoff-seed <n> --max-restarts <n> --silence-child\n";
+         "--max-restarts <n> --silence-child\n";
   return 2;
 }
 
@@ -166,8 +167,6 @@ int RunSupervisor(int argc, char** argv, const FlagParser& flags) {
   options.restart_backoff_ms = flags.GetIntIn("restart-backoff-ms", 200, 1);
   options.restart_backoff_cap_ms = flags.GetIntIn(
       "restart-backoff-cap-ms", 2000, options.restart_backoff_ms);
-  options.backoff_seed =
-      static_cast<uint64_t>(flags.GetInt("backoff-seed", 0));
   // Any int: a negative count means unlimited.
   options.max_restarts = flags.GetIntIn("max-restarts", -1,
                                         std::numeric_limits<int>::min());
@@ -183,8 +182,8 @@ int RunSupervisor(int argc, char** argv, const FlagParser& flags) {
            name == "--probe-interval-ms" || name == "--probe-timeout-ms" ||
            name == "--probe-failures" || name == "--startup-grace-ms" ||
            name == "--restart-backoff-ms" ||
-           name == "--restart-backoff-cap-ms" || name == "--backoff-seed" ||
-           name == "--max-restarts" || name == "--silence-child";
+           name == "--restart-backoff-cap-ms" || name == "--max-restarts" ||
+           name == "--silence-child";
   };
   options.child_argv.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
@@ -262,11 +261,10 @@ int main(int argc, char** argv) {
           argc, argv,
           {"client", "supervise", "socket", "probe-interval-ms",
            "probe-timeout-ms", "probe-failures", "startup-grace-ms",
-           "restart-backoff-ms", "restart-backoff-cap-ms", "backoff-seed",
-           "max-restarts", "pidfile", "silence-child", "once", "metrics",
-           "load-snapshot", "delta-path", "scale", "seed", "deadline-ms",
-           "max-inflight", "brownout-latency-ms", "threads",
-           "client-read-timeout-ms"});
+           "restart-backoff-ms", "restart-backoff-cap-ms", "max-restarts",
+           "pidfile", "silence-child", "once", "metrics", "load-snapshot",
+           "delta-path", "scale", "seed", "deadline-ms", "max-inflight",
+           "brownout-latency-ms", "threads", "client-read-timeout-ms"});
       !s.ok()) {
     std::cerr << s << "\n";
     return 2;

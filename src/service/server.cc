@@ -15,10 +15,10 @@
 
 #include "obs/metrics.h"
 #include "service/protocol.h"
-#include "util/file_io.h"
 #include "util/rng.h"
 #include "util/signal.h"
 #include "util/strings.h"
+#include "util/subprocess.h"
 
 namespace culevo {
 namespace {

@@ -62,10 +62,7 @@ Result<SupervisorReport> SuperviseServer(const SupervisorOptions& options) {
   RestartPacer pacer(options.max_restarts,
                      std::chrono::milliseconds(options.restart_backoff_ms),
                      std::chrono::milliseconds(options.restart_backoff_cap_ms),
-                     options.backoff_seed != 0
-                         ? options.backoff_seed
-                         : 0x53555052564953ull ^
-                               static_cast<uint64_t>(::getpid()));
+                     0x53555052564953ull ^ static_cast<uint64_t>(::getpid()));
   SpawnOptions spawn;
   spawn.silence_stdout = options.silence_child;
   spawn.silence_stderr = options.silence_child;
@@ -110,14 +107,12 @@ Result<SupervisorReport> SuperviseServer(const SupervisorOptions& options) {
         continue;
       }
       if (!options.pidfile.empty()) {
-        AtomicWriteOptions pid_write;
-        pid_write.sync = false;
         // Best effort: a missing pidfile degrades chaos tooling, not
         // serving.
         (void)WriteFileAtomic(
             options.pidfile,
             StrFormat("%lld\n", static_cast<long long>(child.pid())),
-            pid_write);
+            /*sync=*/false);
       }
       spawned_at = Clock::now();
       healthy = false;

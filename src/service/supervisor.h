@@ -37,12 +37,11 @@ struct SupervisorOptions {
   int startup_grace_ms = 10000;
 
   /// Decorrelated-jitter backoff between restarts (RestartPacer,
-  /// util/subprocess.h): uniform in [base, prev*3] capped. A crash-looping
-  /// child must not be re-exec'd in a tight loop.
+  /// util/subprocess.h): uniform in [base, prev*3] capped, its jitter
+  /// seeded from the supervisor's pid. A crash-looping child must not be
+  /// re-exec'd in a tight loop.
   int restart_backoff_ms = 200;
   int restart_backoff_cap_ms = 2000;
-  /// Seeds the jitter stream; 0 derives from the pid like WriteFileAtomic.
-  uint64_t backoff_seed = 0;
   /// Restart budget; < 0 means unlimited (the production default — a
   /// supervisor that gives up is just a slower crash).
   int max_restarts = -1;

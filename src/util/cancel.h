@@ -22,15 +22,20 @@ class Deadline {
 
   static Deadline Infinite() { return Deadline(); }
 
-  /// Expires `duration` from now.
+  /// Expires `duration` from now. A non-positive duration gives an
+  /// already-expired deadline, and one that ends past the clock's range
+  /// none at all.
   static Deadline After(std::chrono::nanoseconds duration) {
-    return Deadline(std::chrono::steady_clock::now() + duration);
+    const int64_t now = NowNanos();
+    if (duration.count() <= 0) return Deadline(now);
+    if (duration.count() >= kInfinite - now) return Infinite();
+    return Deadline(now + duration.count());
   }
 
-  /// Expires `ms` milliseconds from now. Non-positive values produce an
-  /// already-expired deadline.
+  /// Expires `ms` milliseconds from now, saturating as After does.
   static Deadline AfterMillis(int64_t ms) {
-    return After(std::chrono::milliseconds(ms));
+    if (ms > kInfinite / 1'000'000) return Infinite();
+    return After(std::chrono::milliseconds(ms < 0 ? 0 : ms));
   }
 
   bool infinite() const { return ns_ == kInfinite; }
@@ -52,10 +57,7 @@ class Deadline {
   }
 
  private:
-  explicit Deadline(std::chrono::steady_clock::time_point tp)
-      : ns_(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                tp.time_since_epoch())
-                .count()) {}
+  explicit Deadline(int64_t ns) : ns_(ns) {}
 
   int64_t ns_ = kInfinite;
 };

@@ -12,8 +12,8 @@ namespace culevo {
 /// `io.read.stream`.
 Result<std::string> ReadFileToString(const std::string& path);
 
-/// Writes a string to a file atomically (temp file + fsync + rename with
-/// bounded retry — see WriteFileAtomic).
+/// Writes a string to a file atomically (temp file + fsync + rename — see
+/// WriteFileAtomic).
 Status WriteStringToFile(const std::string& path, std::string_view content);
 
 }  // namespace culevo

@@ -1,5 +1,6 @@
 #include "util/failpoint.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -109,6 +110,14 @@ Status Failpoints::EvalSlow(std::string_view name) {
 
 namespace {
 
+/// Parses a spec count: a decimal in [0, INT_MAX].
+bool ParseCount(std::string_view text, int* out) {
+  long long value = 0;
+  if (!ParseInt64(text, &value) || value < 0 || value > INT_MAX) return false;
+  *out = static_cast<int>(value);
+  return true;
+}
+
 /// Parses one `name[=skip][*fires]` entry into (name, spec).
 Status ParseArmEntry(std::string_view entry, std::string* out_name,
                      Failpoints::ArmSpec* out_spec) {
@@ -132,24 +141,17 @@ Status ParseArmEntry(std::string_view entry, std::string* out_name,
         StrFormat("failpoint spec entry '%.*s' has no name",
                   static_cast<int>(entry.size()), entry.data()));
   }
-  long long value = 0;
-  if (!skip_str.empty()) {
-    if (!ParseInt64(skip_str, &value) || value < 0) {
-      return Status::InvalidArgument(
-          StrFormat("failpoint '%.*s': bad skip count '%.*s'",
-                    static_cast<int>(name.size()), name.data(),
-                    static_cast<int>(skip_str.size()), skip_str.data()));
-    }
-    arm.skip = static_cast<int>(value);
+  if (!skip_str.empty() && !ParseCount(skip_str, &arm.skip)) {
+    return Status::InvalidArgument(
+        StrFormat("failpoint '%.*s': bad skip count '%.*s'",
+                  static_cast<int>(name.size()), name.data(),
+                  static_cast<int>(skip_str.size()), skip_str.data()));
   }
-  if (!fires_str.empty()) {
-    if (!ParseInt64(fires_str, &value) || value < 0) {
-      return Status::InvalidArgument(
-          StrFormat("failpoint '%.*s': bad fire count '%.*s'",
-                    static_cast<int>(name.size()), name.data(),
-                    static_cast<int>(fires_str.size()), fires_str.data()));
-    }
-    arm.fires = static_cast<int>(value);
+  if (!fires_str.empty() && !ParseCount(fires_str, &arm.fires)) {
+    return Status::InvalidArgument(
+        StrFormat("failpoint '%.*s': bad fire count '%.*s'",
+                  static_cast<int>(name.size()), name.data(),
+                  static_cast<int>(fires_str.size()), fires_str.data()));
   }
   arm.status = Status::IOError(
       StrFormat("injected failure at failpoint '%.*s'",

@@ -3,12 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -17,21 +14,6 @@
 
 namespace culevo {
 namespace {
-
-struct WriteMetrics {
-  obs::Counter* atomic_writes;
-  obs::Counter* retries;
-  obs::Counter* failures;
-
-  static const WriteMetrics& Get() {
-    static const WriteMetrics metrics = {
-        obs::MetricsRegistry::Get().counter("io.write.atomic"),
-        obs::MetricsRegistry::Get().counter("io.write.retries"),
-        obs::MetricsRegistry::Get().counter("io.write.failures"),
-    };
-    return metrics;
-  }
-};
 
 Status ErrnoStatus(const char* op, const std::string& path) {
   return Status::IOError(
@@ -129,47 +111,18 @@ Status AtomicFileWriter::Commit() {
       ::close(dir_fd);
     }
   }
-  WriteMetrics::Get().atomic_writes->Increment();
+  static obs::Counter* atomic_writes =
+      obs::MetricsRegistry::Get().counter("io.write.atomic");
+  atomic_writes->Increment();
   return Status::Ok();
 }
 
-std::chrono::milliseconds NextBackoffDelay(std::chrono::milliseconds base,
-                                           std::chrono::milliseconds prev,
-                                           std::chrono::milliseconds cap,
-                                           Rng* rng) {
-  if (base.count() <= 0) return std::chrono::milliseconds{0};
-  const int64_t lo = base.count();
-  const int64_t hi = std::max(lo, prev.count() * 3);
-  const int64_t next = rng->NextInRange(lo, hi);
-  return std::chrono::milliseconds{std::min(next, cap.count())};
-}
-
 Status WriteFileAtomic(const std::string& path, std::string_view content,
-                       const AtomicWriteOptions& options) {
-  if (options.max_attempts < 1) {
-    return Status::InvalidArgument("max_attempts must be >= 1");
-  }
-  const WriteMetrics& metrics = WriteMetrics::Get();
-  Rng rng(options.backoff_seed != 0
-              ? options.backoff_seed
-              : DeriveSeed(0xB0FF0FFull, static_cast<uint64_t>(::getpid())));
-  std::chrono::milliseconds prev = options.retry_backoff;
-  Status status;
-  for (int attempt = 0; attempt < options.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      metrics.retries->Increment();
-      prev = NextBackoffDelay(options.retry_backoff, prev,
-                              options.max_backoff, &rng);
-      if (prev.count() > 0) std::this_thread::sleep_for(prev);
-    }
-    AtomicFileWriter writer;
-    status = writer.Open(path, options.sync);
-    if (status.ok()) status = writer.Write(content);
-    if (status.ok()) status = writer.Commit();
-    if (status.ok()) return status;
-  }
-  metrics.failures->Increment();
-  return status;
+                       bool sync) {
+  AtomicFileWriter writer;
+  CULEVO_RETURN_IF_ERROR(writer.Open(path, sync));
+  CULEVO_RETURN_IF_ERROR(writer.Write(content));
+  return writer.Commit();
 }
 
 }  // namespace culevo

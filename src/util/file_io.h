@@ -1,44 +1,12 @@
 #ifndef CULEVO_UTIL_FILE_IO_H_
 #define CULEVO_UTIL_FILE_IO_H_
 
-#include <chrono>
 #include <string>
 #include <string_view>
 
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace culevo {
-
-/// Tuning knobs for WriteFileAtomic.
-struct AtomicWriteOptions {
-  /// Total attempts (first try + retries). Must be >= 1.
-  int max_attempts = 3;
-  /// Base (minimum) sleep before a retry; see NextBackoffDelay for how
-  /// the actual delay grows and jitters from here.
-  std::chrono::milliseconds retry_backoff{5};
-  /// Ceiling on any single retry sleep.
-  std::chrono::milliseconds max_backoff{1000};
-  /// Seeds the jitter stream. The default 0 derives from the process id
-  /// so concurrent processes retrying the same file spread out; tests
-  /// pass a fixed nonzero seed for reproducible delay sequences.
-  uint64_t backoff_seed = 0;
-  /// fsync the temp file before the rename (and the directory after it),
-  /// so a crash immediately after WriteFileAtomic returns OK cannot lose
-  /// the content. Tests disable this to keep tmpfs churn down.
-  bool sync = true;
-};
-
-/// One step of decorrelated-jitter backoff (Brooker, "Exponential Backoff
-/// And Jitter"): uniform in [base, prev*3], capped at `cap`. Unlike plain
-/// doubling, concurrent retriers that failed together do not wake together
-/// — the delays decorrelate after the first step while still growing
-/// toward the cap on repeated failure. Pure given the Rng state; pass
-/// `prev = base` on the first retry.
-std::chrono::milliseconds NextBackoffDelay(std::chrono::milliseconds base,
-                                           std::chrono::milliseconds prev,
-                                           std::chrono::milliseconds cap,
-                                           Rng* rng);
 
 /// Writes all of `data` to `fd`, looping over partial writes and EINTR.
 /// `path` names the file in the IOError.
@@ -52,7 +20,7 @@ Status WriteAll(int fd, std::string_view data, const std::string& path);
 /// complete previous file or the complete new one, never a truncated
 /// hybrid: the target keeps its old bytes until Commit succeeds. A failed
 /// step, or destroying the writer before Commit, unlinks the temp file.
-/// Nothing is retried here; WriteFileAtomic retries whole attempts.
+/// Nothing is retried.
 ///
 /// Metrics: `io.write.atomic` (successful commits).
 ///
@@ -85,17 +53,13 @@ class AtomicFileWriter {
 };
 
 /// Writes `content` to `path` atomically through one AtomicFileWriter
-/// Open–Write–Commit per attempt. Transient failures are retried with
-/// decorrelated-jitter backoff (NextBackoffDelay) up to
-/// `options.max_attempts`; no failed attempt leaves its temp file behind.
+/// Open–Write–Commit. With `sync`, a crash right after an OK return
+/// cannot lose the content. A failed step's status returns at once; the
+/// target keeps its old bytes and no temp file is left.
 ///
-/// Metrics: `io.write.atomic` (successful writes, counted by Commit),
-/// `io.write.retries` (attempts beyond the first), `io.write.failures`
-/// (calls that exhausted all attempts).
-///
-/// Failpoints: AtomicFileWriter's, so each fires once per attempt.
+/// Metrics and failpoints: AtomicFileWriter's.
 Status WriteFileAtomic(const std::string& path, std::string_view content,
-                       const AtomicWriteOptions& options = {});
+                       bool sync = true);
 
 }  // namespace culevo
 

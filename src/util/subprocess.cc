@@ -12,8 +12,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "util/file_io.h"
-
 extern char** environ;
 
 namespace culevo {
@@ -187,6 +185,17 @@ ExitState Subprocess::Terminate(int grace_ms) {
   }
   ::kill(static_cast<pid_t>(pid_), SIGKILL);
   return Wait();
+}
+
+std::chrono::milliseconds NextBackoffDelay(std::chrono::milliseconds base,
+                                           std::chrono::milliseconds prev,
+                                           std::chrono::milliseconds cap,
+                                           Rng* rng) {
+  if (base.count() <= 0) return std::chrono::milliseconds{0};
+  const int64_t lo = base.count();
+  const int64_t hi = std::max(lo, prev.count() * 3);
+  const int64_t next = rng->NextInRange(lo, hi);
+  return std::chrono::milliseconds{std::min(next, cap.count())};
 }
 
 bool RestartPacer::RecordDeath(Clock::time_point now) {

@@ -86,13 +86,25 @@ class Subprocess {
   ExitState state_;
 };
 
+/// One step of decorrelated-jitter backoff (Brooker, "Exponential Backoff
+/// And Jitter"): uniform in [base, prev*3], capped at `cap`. Unlike plain
+/// doubling, concurrent retriers that failed together do not wake together
+/// — the delays decorrelate after the first step while still growing
+/// toward the cap on repeated failure. Pure given the Rng state; pass
+/// `prev = base` on the first step. RestartPacer paces restarts with it,
+/// and SocketServer its accept-error sleeps.
+std::chrono::milliseconds NextBackoffDelay(std::chrono::milliseconds base,
+                                           std::chrono::milliseconds prev,
+                                           std::chrono::milliseconds cap,
+                                           Rng* rng);
+
 /// The restart policy of one supervised child, shared by the sweep
 /// fabric (one per shard) and `culevod --supervise`: a restart budget, a
-/// decorrelated-jitter backoff (NextBackoffDelay, util/file_io.h) between
-/// a death and the next spawn, and a reset of that backoff to its base
-/// once the child proves healthy. What counts as a death is the caller's
-/// rule, with one shared convention: a spawn that fails is a death, so a
-/// fork that keeps failing is paced and budgeted like a crash loop.
+/// decorrelated-jitter backoff (NextBackoffDelay) between a death and the
+/// next spawn, and a reset of that backoff to its base once the child
+/// proves healthy. What counts as a death is the caller's rule, with one
+/// shared convention: a spawn that fails is a death, so a fork that keeps
+/// failing is paced and budgeted like a crash loop.
 ///
 /// Not thread-safe; owned by one supervision loop.
 class RestartPacer {

@@ -91,7 +91,7 @@ std::string Mutate(const std::string& seed, Rng& rng) {
 }
 
 void WriteBytes(const std::string& path, const std::string& bytes) {
-  ASSERT_TRUE(WriteFileAtomic(path, bytes, {.sync = false}).ok());
+  ASSERT_TRUE(WriteFileAtomic(path, bytes, /*sync=*/false).ok());
 }
 
 /// True when `status` is one of `allowed`; adds a failure naming `where`

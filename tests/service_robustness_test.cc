@@ -212,6 +212,25 @@ TEST_F(RequestTaxonomyTest, GarbageBytesNeverCrash) {
   }
 }
 
+// A deadline that ends past the clock's range is no deadline, whether the
+// request or the service default sets it: it must not wrap into the past
+// and refuse the request at admission.
+TEST(RequestDeadlineTest, DeadlinePastTheClockRangeNeverExpires) {
+  const struct {
+    int64_t default_deadline_ms;
+    std::string request;
+  } cases[] = {{0, "ping deadline_ms=9223372036854775807"},
+               {INT64_MAX, "ping"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.request);
+    ServiceOptions options;
+    options.default_deadline_ms = c.default_deadline_ms;
+    ServiceCore core(&WorldLexicon(), options);
+    ASSERT_TRUE(core.InstallCorpus(TinyCorpus(), "<test>").ok());
+    EXPECT_EQ(core.Handle(c.request), "ok 1\npong\n");
+  }
+}
+
 // --- fd exhaustion on the accept path ---------------------------------------
 
 // EMFILE on accept() is load, not a bug: the server must count it, back

@@ -57,7 +57,6 @@ SupervisorOptions FastOptions(std::vector<std::string> child_argv,
   options.startup_grace_ms = 500;
   options.restart_backoff_ms = 10;
   options.restart_backoff_cap_ms = 20;
-  options.backoff_seed = 1;
   options.poll_ms = 5;
   options.forward_reload = false;
   return options;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <thread>
 
 namespace culevo {
@@ -24,6 +26,18 @@ TEST(DeadlineTest, FutureDeadlineNotExpired) {
 TEST(DeadlineTest, NonPositiveMillisAlreadyExpired) {
   EXPECT_TRUE(Deadline::AfterMillis(0).expired());
   EXPECT_TRUE(Deadline::AfterMillis(-5).expired());
+}
+
+// Durations past the clock's range saturate instead of wrapping into the
+// past: a positive one never expires, a negative one has expired.
+TEST(DeadlineTest, DurationsPastTheClockRangeSaturate) {
+  for (const Deadline& deadline :
+       {Deadline::AfterMillis(INT64_MAX),
+        Deadline::After(std::chrono::nanoseconds::max())}) {
+    EXPECT_TRUE(deadline.infinite());
+    EXPECT_FALSE(deadline.expired());
+  }
+  EXPECT_TRUE(Deadline::AfterMillis(INT64_MIN).expired());
 }
 
 TEST(DeadlineTest, ShortDeadlineExpires) {

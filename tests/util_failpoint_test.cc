@@ -120,6 +120,12 @@ TEST_F(FailpointTest, ArmFromSpecRejectsMalformedEntries) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(Failpoints::Get().ArmFromSpec("=3").code(),
             StatusCode::kInvalidArgument);
+  // A count past INT_MAX is refused, not wrapped.
+  EXPECT_EQ(Failpoints::Get().ArmFromSpec("test.x=4294967296").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Failpoints::Get().ArmFromSpec("test.x*4294967296").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(FailpointCheck("test.x").ok());
   // Earlier entries in a partially-bad spec stay armed.
   EXPECT_FALSE(Failpoints::Get().ArmFromSpec("test.ok; test.bad=x").ok());
   EXPECT_FALSE(FailpointCheck("test.ok").ok());

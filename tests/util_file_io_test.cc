@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -33,15 +32,6 @@ Status WriteStringToFileTruncating(const std::string& path,
   out.flush();
   if (!out) return Status::IOError("write failure: " + path);
   return Status::Ok();
-}
-
-// Fast options for tests: no fsync churn on tmpfs, no backoff sleeps.
-AtomicWriteOptions FastOptions(int max_attempts = 3) {
-  AtomicWriteOptions options;
-  options.max_attempts = max_attempts;
-  options.retry_backoff = std::chrono::milliseconds(0);
-  options.sync = false;
-  return options;
 }
 
 class FileIoTest : public ::testing::Test {
@@ -81,13 +71,13 @@ class FileIoTest : public ::testing::Test {
 };
 
 TEST_F(FileIoTest, WritesNewFile) {
-  ASSERT_TRUE(WriteFileAtomic(path_, "hello\n", FastOptions()).ok());
+  ASSERT_TRUE(WriteFileAtomic(path_, "hello\n", /*sync=*/false).ok());
   EXPECT_EQ(ReadBack(), "hello\n");
 }
 
 TEST_F(FileIoTest, OverwritesExistingFile) {
-  ASSERT_TRUE(WriteFileAtomic(path_, "first", FastOptions()).ok());
-  ASSERT_TRUE(WriteFileAtomic(path_, "second", FastOptions()).ok());
+  ASSERT_TRUE(WriteFileAtomic(path_, "first", /*sync=*/false).ok());
+  ASSERT_TRUE(WriteFileAtomic(path_, "second", /*sync=*/false).ok());
   EXPECT_EQ(ReadBack(), "second");
 }
 
@@ -98,14 +88,14 @@ TEST_F(FileIoTest, SyncedWriteAlsoWorks) {
 
 TEST_F(FileIoTest, MissingDirectoryFails) {
   EXPECT_FALSE(
-      WriteFileAtomic("/nonexistent-dir/x.txt", "x", FastOptions(1)).ok());
+      WriteFileAtomic("/nonexistent-dir/x.txt", "x", /*sync=*/false).ok());
 }
 
 // The regression pair the fault-tolerance work exists for: the old
 // truncate-in-place path destroys the previous artifact when the write
 // fails mid-stream, the atomic path cannot.
 TEST_F(FileIoTest, TruncatingWriteCorruptsOnMidStreamFailure) {
-  ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact", FastOptions()).ok());
+  ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact", /*sync=*/false).ok());
   Failpoints::Get().Arm("io.write.stream");
   EXPECT_FALSE(WriteStringToFileTruncating(path_, "replacement").ok());
   // The destination was already truncated when the failure hit: the old
@@ -114,14 +104,14 @@ TEST_F(FileIoTest, TruncatingWriteCorruptsOnMidStreamFailure) {
 }
 
 TEST_F(FileIoTest, AtomicWriteLeavesDestinationIntactOnFailure) {
-  ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact", FastOptions()).ok());
+  ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact", /*sync=*/false).ok());
   for (const char* site :
        {"io.write.open", "io.write.write", "io.write.rename"}) {
     SCOPED_TRACE(site);
     Failpoints::Get().Arm(site);
-    EXPECT_FALSE(WriteFileAtomic(path_, "replacement", FastOptions()).ok());
+    EXPECT_FALSE(WriteFileAtomic(path_, "replacement", /*sync=*/false).ok());
     Failpoints::Get().DisarmAll();
-    // Every attempt failed, yet the previous artifact is byte-identical.
+    // The write failed, yet the previous artifact is byte-identical.
     EXPECT_EQ(ReadBack(), "precious artifact");
   }
 }
@@ -129,50 +119,48 @@ TEST_F(FileIoTest, AtomicWriteLeavesDestinationIntactOnFailure) {
 TEST_F(FileIoTest, SyncFailureAlsoLeavesDestinationIntact) {
   ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact").ok());
   Failpoints::Get().Arm("io.write.sync");
-  AtomicWriteOptions options;
-  options.max_attempts = 2;
-  options.retry_backoff = std::chrono::milliseconds(0);
-  EXPECT_FALSE(WriteFileAtomic(path_, "replacement", options).ok());
+  EXPECT_FALSE(WriteFileAtomic(path_, "replacement").ok());
   Failpoints::Get().DisarmAll();
   EXPECT_EQ(ReadBack(), "precious artifact");
 }
 
-TEST_F(FileIoTest, RetrySucceedsAfterTransientFailure) {
-  obs::Counter* retries =
-      obs::MetricsRegistry::Get().counter("io.write.retries");
-  const int64_t before = retries->Value();
-  Failpoints::ArmSpec spec;
-  spec.fires = 1;  // first attempt fails, second goes through
-  Failpoints::Get().Arm("io.write.write", spec);
-  ASSERT_TRUE(WriteFileAtomic(path_, "eventually", FastOptions()).ok());
-  EXPECT_EQ(ReadBack(), "eventually");
-  EXPECT_EQ(retries->Value(), before + 1);
-}
-
-TEST_F(FileIoTest, ExhaustedRetriesCountedAsFailure) {
-  obs::Counter* failures =
-      obs::MetricsRegistry::Get().counter("io.write.failures");
-  const int64_t before = failures->Value();
-  Failpoints::Get().Arm("io.write.rename");
-  const Status status = WriteFileAtomic(path_, "never", FastOptions(2));
-  EXPECT_EQ(status.code(), StatusCode::kIOError);
-  EXPECT_EQ(failures->Value(), before + 1);
-  // Both attempts hit the failpoint: the retry loop really ran twice.
-  EXPECT_EQ(Failpoints::Get().HitCount("io.write.rename"), 2);
+// A failed write returns its step's status at once: each armed site is hit
+// once, the target keeps its bytes and no temp file is left.
+TEST_F(FileIoTest, FailedWriteIsNotRetried) {
+  ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact", /*sync=*/false).ok());
+  for (const char* site : {"io.write.open", "io.write.write", "io.write.sync",
+                           "io.write.rename"}) {
+    SCOPED_TRACE(site);
+    Failpoints::Get().Arm(site);
+    EXPECT_EQ(WriteFileAtomic(path_, "replacement", /*sync=*/false).code(),
+              StatusCode::kIOError);
+    EXPECT_EQ(Failpoints::Get().HitCount(site), 1);
+    Failpoints::Get().DisarmAll();
+    EXPECT_EQ(ReadBack(), "precious artifact");
+    EXPECT_TRUE(TempFiles().empty());
+  }
+  // A real error, counted by a failpoint that never fires.
+  Failpoints::ArmSpec pass_through;
+  pass_through.skip = 1'000'000;
+  Failpoints::Get().Arm("io.write.open", pass_through);
+  EXPECT_EQ(WriteFileAtomic("/nonexistent-dir/x.txt", "x", /*sync=*/false)
+                .code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(Failpoints::Get().HitCount("io.write.open"), 1);
 }
 
 TEST_F(FileIoTest, InjectedStatusPropagatesVerbatim) {
   Failpoints::ArmSpec spec;
   spec.status = Status::Internal("disk on fire");
   Failpoints::Get().Arm("io.write.open", spec);
-  const Status status = WriteFileAtomic(path_, "x", FastOptions(1));
+  const Status status = WriteFileAtomic(path_, "x", /*sync=*/false);
   EXPECT_EQ(status.code(), StatusCode::kInternal);
 }
 
 // The streaming writer: `path` keeps its old bytes through every Write and
 // changes only at Commit.
 TEST_F(FileIoTest, StreamingWriterReplacesThePathOnlyAtCommit) {
-  ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact", FastOptions()).ok());
+  ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact", /*sync=*/false).ok());
   AtomicFileWriter writer;
   ASSERT_TRUE(writer.Open(path_, /*sync=*/false).ok());
   for (const char* piece : {"new ", "artifact"}) {
@@ -193,7 +181,7 @@ TEST_F(FileIoTest, StreamingWriterReplacesThePathOnlyAtCommit) {
 }
 
 TEST_F(FileIoTest, UncommittedWriterLeavesNoTempFile) {
-  ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact", FastOptions()).ok());
+  ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact", /*sync=*/false).ok());
   {
     AtomicFileWriter writer;
     ASSERT_TRUE(writer.Open(path_, /*sync=*/false).ok());
@@ -218,7 +206,7 @@ TEST_F(FileIoTest, UncommittedWriterLeavesNoTempFile) {
 // A step that fails closes the writer and unlinks its temp file, and is
 // not retried.
 TEST_F(FileIoTest, FailedStepUnlinksItsTempFile) {
-  ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact", FastOptions()).ok());
+  ASSERT_TRUE(WriteFileAtomic(path_, "precious artifact", /*sync=*/false).ok());
   for (const char* site :
        {"io.write.write", "io.write.sync", "io.write.rename"}) {
     SCOPED_TRACE(site);
@@ -270,65 +258,6 @@ TEST_F(FileIoTest, OpenSkipsATempNameThatIsTaken) {
     EXPECT_EQ(ReadFileToString(file).value(), "stale");
     std::remove(file.c_str());
   }
-}
-
-TEST(BackoffDelayTest, StaysWithinDecorrelatedJitterBounds) {
-  using std::chrono::milliseconds;
-  const milliseconds base{5};
-  const milliseconds cap{1000};
-  Rng rng(0xC0FFEEull);
-  milliseconds prev = base;
-  for (int step = 0; step < 200; ++step) {
-    const milliseconds bound = std::max(base, prev * 3);
-    const milliseconds next = NextBackoffDelay(base, prev, cap, &rng);
-    EXPECT_GE(next.count(), base.count()) << "step " << step;
-    EXPECT_LE(next.count(), std::min(bound, cap).count()) << "step " << step;
-    prev = next;
-  }
-}
-
-TEST(BackoffDelayTest, CapBoundsEveryDelay) {
-  using std::chrono::milliseconds;
-  Rng rng(7);
-  milliseconds prev{400};
-  for (int step = 0; step < 50; ++step) {
-    prev = NextBackoffDelay(milliseconds{5}, prev, milliseconds{50}, &rng);
-    EXPECT_LE(prev.count(), 50) << "step " << step;
-    EXPECT_GE(prev.count(), 5) << "step " << step;
-  }
-}
-
-TEST(BackoffDelayTest, SequenceIsReproduciblePerSeedAndJitters) {
-  using std::chrono::milliseconds;
-  const auto sequence = [](uint64_t seed) {
-    Rng rng(seed);
-    std::vector<int64_t> delays;
-    milliseconds prev{5};
-    for (int step = 0; step < 20; ++step) {
-      prev = NextBackoffDelay(milliseconds{5}, prev, milliseconds{1000},
-                              &rng);
-      delays.push_back(prev.count());
-    }
-    return delays;
-  };
-  // Deterministic per seed: the same seed replays the same delays.
-  EXPECT_EQ(sequence(42), sequence(42));
-  // Decorrelated across seeds: two writers that failed at the same instant
-  // must not march in lockstep (the whole point of jitter).
-  EXPECT_NE(sequence(42), sequence(43));
-  // And it actually jitters: a 20-step sequence is not one constant value.
-  const std::vector<int64_t> delays = sequence(42);
-  EXPECT_GT(std::set<int64_t>(delays.begin(), delays.end()).size(), 1u);
-}
-
-TEST(BackoffDelayTest, ZeroBaseDisablesSleeping) {
-  using std::chrono::milliseconds;
-  Rng rng(1);
-  EXPECT_EQ(
-      NextBackoffDelay(milliseconds{0}, milliseconds{64}, milliseconds{100},
-                       &rng)
-          .count(),
-      0);
 }
 
 TEST_F(FileIoTest, WriteStringToFileIsAtomicNow) {

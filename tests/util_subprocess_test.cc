@@ -1,8 +1,10 @@
 #include "util/subprocess.h"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -159,6 +161,65 @@ TEST(SubprocessTest, MoveTransfersOwnership) {
   EXPECT_EQ(b.pid(), pid);
   const ExitState state = b.Kill();
   EXPECT_TRUE(state.signaled);
+}
+
+TEST(BackoffDelayTest, StaysWithinDecorrelatedJitterBounds) {
+  using std::chrono::milliseconds;
+  const milliseconds base{5};
+  const milliseconds cap{1000};
+  Rng rng(0xC0FFEEull);
+  milliseconds prev = base;
+  for (int step = 0; step < 200; ++step) {
+    const milliseconds bound = std::max(base, prev * 3);
+    const milliseconds next = NextBackoffDelay(base, prev, cap, &rng);
+    EXPECT_GE(next.count(), base.count()) << "step " << step;
+    EXPECT_LE(next.count(), std::min(bound, cap).count()) << "step " << step;
+    prev = next;
+  }
+}
+
+TEST(BackoffDelayTest, CapBoundsEveryDelay) {
+  using std::chrono::milliseconds;
+  Rng rng(7);
+  milliseconds prev{400};
+  for (int step = 0; step < 50; ++step) {
+    prev = NextBackoffDelay(milliseconds{5}, prev, milliseconds{50}, &rng);
+    EXPECT_LE(prev.count(), 50) << "step " << step;
+    EXPECT_GE(prev.count(), 5) << "step " << step;
+  }
+}
+
+TEST(BackoffDelayTest, SequenceIsReproduciblePerSeedAndJitters) {
+  using std::chrono::milliseconds;
+  const auto sequence = [](uint64_t seed) {
+    Rng rng(seed);
+    std::vector<int64_t> delays;
+    milliseconds prev{5};
+    for (int step = 0; step < 20; ++step) {
+      prev = NextBackoffDelay(milliseconds{5}, prev, milliseconds{1000},
+                              &rng);
+      delays.push_back(prev.count());
+    }
+    return delays;
+  };
+  // Deterministic per seed: the same seed replays the same delays.
+  EXPECT_EQ(sequence(42), sequence(42));
+  // Decorrelated across seeds: two writers that failed at the same instant
+  // must not march in lockstep (the whole point of jitter).
+  EXPECT_NE(sequence(42), sequence(43));
+  // And it actually jitters: a 20-step sequence is not one constant value.
+  const std::vector<int64_t> delays = sequence(42);
+  EXPECT_GT(std::set<int64_t>(delays.begin(), delays.end()).size(), 1u);
+}
+
+TEST(BackoffDelayTest, ZeroBaseDisablesSleeping) {
+  using std::chrono::milliseconds;
+  Rng rng(1);
+  EXPECT_EQ(
+      NextBackoffDelay(milliseconds{0}, milliseconds{64}, milliseconds{100},
+                       &rng)
+          .count(),
+      0);
 }
 
 using Clock = RestartPacer::Clock;

@@ -24,7 +24,9 @@ Prints one line per name (the name, then the headers that declare it) and
 one per option (Struct::member, then its header). Exits 1 when a reported
 name is not one of TEST_HOOKS, or a reported option not one of
 TEST_SEAMS: the public names and the option values kept for tests on
-purpose (ctest runs it as api_scan_test).
+purpose (ctest runs it as api_scan_test). Exits 1 too when an entry of
+either list is no longer reported, because it was deleted or production
+code now uses it, so the lists name exactly what the scan finds.
 """
 import pathlib
 import re
@@ -36,7 +38,7 @@ FILES = [p for d in ('src', 'examples', 'bench', 'culevo_bench')
          if p.suffix in ('.h', '.cc', '.cpp')]
 NAME = re.compile(r'\b[A-Z]\w*[a-z]\w*\b')
 NOT_A_TYPE = {'return', 'else', 'new', 'delete', 'case', 'throw', 'co_return'}
-TEST_HOOKS = {'AllIds', 'Disarm', 'DisarmAll', 'HitCount', 'Infinite',
+TEST_HOOKS = {'AllIds', 'Disarm', 'DisarmAll', 'HitCount',
               'RankedIngredients', 'RequestReloadForTest', 'WorldCuisines'}
 # Tests set these to shorten timings, to keep SIGHUP away from fake child
 # processes, or to vary the support.
@@ -44,10 +46,7 @@ TEST_SEAMS = {'CombinationConfig::min_relative_support',
               'SimulationConfig::mining',
               'FabricOptions::retry_backoff_ms',
               'FabricOptions::retry_backoff_cap_ms', 'FabricOptions::poll_ms',
-              'SupervisorOptions::poll_ms', 'SupervisorOptions::forward_reload',
-              'AtomicWriteOptions::max_attempts',
-              'AtomicWriteOptions::retry_backoff',
-              'AtomicWriteOptions::max_backoff'}
+              'SupervisorOptions::poll_ms', 'SupervisorOptions::forward_reload'}
 OPTIONS = re.compile(
     r'\bstruct\s+(\w+(?:Options|Config|Params|Constraints))\s*\{')
 NOT_A_MEMBER = re.compile(
@@ -186,7 +185,11 @@ def main():
     if unseamed:
         print('options that no code sets, and no test seam:',
               ' '.join(unseamed), file=sys.stderr)
-    return 1 if unexpected or unseamed else 0
+    stale = sorted((TEST_HOOKS - set(unused)) | (TEST_SEAMS - set(unset)))
+    if stale:
+        print('test hooks and seams that the scan no longer reports:',
+              ' '.join(stale), file=sys.stderr)
+    return 1 if unexpected or unseamed or stale else 0
 
 
 if __name__ == '__main__':
