@@ -13,7 +13,7 @@ size_t AbsoluteSupport(size_t num_transactions, double min_relative_support) {
   return count;
 }
 
-std::vector<Itemset> MineCombinations(const TransactionSet& transactions,
+std::vector<Itemset> MineCombinations(const TransactionView& transactions,
                                       const CombinationConfig& config) {
   const size_t support =
       AbsoluteSupport(transactions.size(), config.min_relative_support);
@@ -22,7 +22,12 @@ std::vector<Itemset> MineCombinations(const TransactionSet& transactions,
   return MineEclat(transactions, support, options);
 }
 
-RankFrequency CombinationCurve(const TransactionSet& transactions,
+std::vector<Itemset> MineCombinations(const TransactionSet& transactions,
+                                      const CombinationConfig& config) {
+  return MineCombinations(transactions.view(), config);
+}
+
+RankFrequency CombinationCurve(const TransactionView& transactions,
                                const CombinationConfig& config) {
   if (transactions.size() == 0) return RankFrequency();
   const std::vector<Itemset> itemsets =
@@ -31,6 +36,11 @@ RankFrequency CombinationCurve(const TransactionSet& transactions,
   counts.reserve(itemsets.size());
   for (const Itemset& itemset : itemsets) counts.push_back(itemset.support);
   return RankFrequency::FromCounts(counts, transactions.size());
+}
+
+RankFrequency CombinationCurve(const TransactionSet& transactions,
+                               const CombinationConfig& config) {
+  return CombinationCurve(transactions.view(), config);
 }
 
 RankFrequency IngredientCombinationCurve(const RecipeCorpus& corpus,

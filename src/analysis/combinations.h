@@ -28,13 +28,17 @@ struct CombinationConfig {
 /// (ceiling, at least 1).
 size_t AbsoluteSupport(size_t num_transactions, double min_relative_support);
 
-/// Mines all frequent combinations of a transaction set.
+/// Mines all frequent combinations of a transaction database.
+std::vector<Itemset> MineCombinations(const TransactionView& transactions,
+                                      const CombinationConfig& config = {});
 std::vector<Itemset> MineCombinations(const TransactionSet& transactions,
                                       const CombinationConfig& config = {});
 
-/// The popularity (rank-frequency) curve of a transaction set's frequent
-/// combinations: supports normalized by the transaction count, sorted
-/// descending — one point per frequent itemset (Fig. 3 / Fig. 4).
+/// The popularity (rank-frequency) curve of a transaction database's
+/// frequent combinations: supports normalized by the transaction count,
+/// sorted descending — one point per frequent itemset (Fig. 3 / Fig. 4).
+RankFrequency CombinationCurve(const TransactionView& transactions,
+                               const CombinationConfig& config = {});
 RankFrequency CombinationCurve(const TransactionSet& transactions,
                                const CombinationConfig& config = {});
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <span>
 #include <utility>
 
 #include "analysis/tidlist.h"
@@ -172,6 +173,74 @@ void SortItemsets(std::vector<Itemset>* itemsets) {
   *itemsets = std::move(sorted);
 }
 
+/// Appends the frequent singletons of `transactions` to `roots`, each with
+/// its tid list in `arena`. `mined(x)` is the item that item x of a
+/// transaction is mined as (x itself, or the view's item map at x); an item
+/// that repeats within a transaction counts once.
+template <typename MinedItem>
+void BuildRoots(const TransactionView& transactions, size_t num_words,
+                size_t min_support_count, MinedItem mined, TidArena* arena,
+                std::vector<Node>* roots) {
+  const size_t n = transactions.size();
+  const size_t universe = transactions.item_universe;
+  const size_t grid_words = universe * num_words;
+  if (grid_words > 0 && grid_words <= kDirectGridMaxWords) {
+    // Direct transposition: scatter every occurrence into a
+    // universe x num_words bit grid in one pass, then read supports off
+    // per-row popcounts. Skips the counting pass and the per-item
+    // frequent branch in the scatter loop; a repeat ORs the same bit.
+    uint64_t* grid = arena->AllocWords(grid_words);
+    std::memset(grid, 0, grid_words * sizeof(uint64_t));
+    for (size_t tid = 0; tid < n; ++tid) {
+      const size_t word = tid >> 6;
+      const uint64_t bit = uint64_t{1} << (tid & 63);
+      for (Item raw : transactions.transaction(tid)) {
+        const size_t item = mined(raw);
+        CULEVO_DCHECK(item < universe);
+        grid[item * num_words + word] |= bit;
+      }
+    }
+    for (size_t item = 0; item < universe; ++item) {
+      const uint64_t* row = grid + item * num_words;
+      const size_t support = mining::PopcountWords(row, num_words);
+      if (support < min_support_count) continue;
+      roots->push_back(Node{static_cast<Item>(item),
+                            TidList{row, static_cast<uint32_t>(support)}});
+    }
+    return;
+  }
+  std::vector<uint32_t> counts(universe, 0);
+  // counted_in[item] is 1 + the last transaction that counted `item`.
+  std::vector<uint32_t> counted_in(universe, 0);
+  for (size_t tid = 0; tid < n; ++tid) {
+    const auto mark = static_cast<uint32_t>(tid + 1);
+    for (Item raw : transactions.transaction(tid)) {
+      const size_t item = mined(raw);
+      CULEVO_DCHECK(item < universe);
+      counts[item] += counted_in[item] != mark ? 1 : 0;
+      counted_in[item] = mark;
+    }
+  }
+  // A flat per-item destination table keeps the fill loop to one load
+  // and one branch per occurrence.
+  std::vector<uint64_t*> words_of_item(universe, nullptr);
+  for (size_t item = 0; item < universe; ++item) {
+    if (counts[item] < min_support_count) continue;
+    uint64_t* words = arena->AllocWords(num_words);
+    std::memset(words, 0, num_words * sizeof(uint64_t));
+    words_of_item[item] = words;
+    roots->push_back(
+        Node{static_cast<Item>(item), TidList{words, counts[item]}});
+  }
+  for (size_t tid = 0; tid < n; ++tid) {
+    const size_t word = tid >> 6;
+    const uint64_t bit = uint64_t{1} << (tid & 63);
+    for (Item raw : transactions.transaction(tid)) {
+      if (uint64_t* words = words_of_item[mined(raw)]) words[word] |= bit;
+    }
+  }
+}
+
 struct EclatMetrics {
   obs::Counter* calls;
   obs::Counter* itemsets;
@@ -198,7 +267,7 @@ struct EclatMetrics {
 
 }  // namespace
 
-std::vector<Itemset> MineEclat(const TransactionSet& transactions,
+std::vector<Itemset> MineEclat(const TransactionView& transactions,
                                size_t min_support_count,
                                const EclatOptions& options) {
   const EclatMetrics& metrics = EclatMetrics::Get();
@@ -215,50 +284,21 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
   // Frequent singletons -> root tid lists (vertical representation).
   TidArena root_arena;
   std::vector<Node> roots;
-  const size_t universe = transactions.item_universe();
-  const size_t grid_words = universe * num_words;
-  if (grid_words > 0 && grid_words <= kDirectGridMaxWords) {
-    // Direct transposition: scatter every occurrence into a
-    // universe x num_words bit grid in one pass, then read supports off
-    // per-row popcounts. Skips the counting pass and the per-item
-    // frequent branch in the scatter loop.
-    uint64_t* grid = root_arena.AllocWords(grid_words);
-    std::memset(grid, 0, grid_words * sizeof(uint64_t));
-    for (size_t tid = 0; tid < n; ++tid) {
-      const size_t word = tid >> 6;
-      const uint64_t bit = uint64_t{1} << (tid & 63);
-      for (Item item : transactions.transaction(tid)) {
-        grid[static_cast<size_t>(item) * num_words + word] |= bit;
-      }
-    }
-    for (size_t item = 0; item < universe; ++item) {
-      const uint64_t* row = grid + item * num_words;
-      const size_t support = mining::PopcountWords(row, num_words);
-      if (support < min_support_count) continue;
-      roots.push_back(Node{static_cast<Item>(item),
-                           TidList{row, static_cast<uint32_t>(support)}});
-    }
+  const std::span<const Item> map = transactions.item_map;
+  if (map.empty()) {
+    BuildRoots(transactions, num_words, min_support_count,
+               [](Item item) { return size_t{item}; }, &root_arena, &roots);
   } else {
-    std::vector<uint32_t> counts(universe, 0);
-    for (Item item : transactions.items()) ++counts[item];
-    // A flat per-item destination table keeps the fill loop to one load
-    // and one branch per occurrence.
-    std::vector<uint64_t*> words_of_item(universe, nullptr);
-    for (size_t item = 0; item < universe; ++item) {
-      if (counts[item] < min_support_count) continue;
-      uint64_t* words = root_arena.AllocWords(num_words);
-      std::memset(words, 0, num_words * sizeof(uint64_t));
-      words_of_item[item] = words;
-      roots.push_back(
-          Node{static_cast<Item>(item), TidList{words, counts[item]}});
-    }
-    for (size_t tid = 0; tid < n; ++tid) {
-      const size_t word = tid >> 6;
-      const uint64_t bit = uint64_t{1} << (tid & 63);
-      for (Item item : transactions.transaction(tid)) {
-        if (uint64_t* words = words_of_item[item]) words[word] |= bit;
-      }
-    }
+    // Checked once here, so a bad map cannot send the scatter past the
+    // universe-sized tables.
+    for (Item item : map) CULEVO_CHECK(item < transactions.item_universe);
+    BuildRoots(
+        transactions, num_words, min_support_count,
+        [map](Item item) {
+          CULEVO_DCHECK(item < map.size());
+          return size_t{map[item]};
+        },
+        &root_arena, &roots);
   }
   std::sort(roots.begin(), roots.end(), NodeSupportLess);
 
@@ -277,8 +317,9 @@ std::vector<Itemset> MineEclat(const TransactionSet& transactions,
 }
 
 std::vector<Itemset> MineEclat(const TransactionSet& transactions,
-                               size_t min_support_count) {
-  return MineEclat(transactions, min_support_count, EclatOptions{});
+                               size_t min_support_count,
+                               const EclatOptions& options) {
+  return MineEclat(transactions.view(), min_support_count, options);
 }
 
 }  // namespace culevo

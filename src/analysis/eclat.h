@@ -28,12 +28,14 @@ struct EclatOptions {
 /// corpus-sized inputs used by the benchmark harness.
 ///
 /// Returns every itemset of size >= 1 with support >= `min_support_count`
-/// (0 is treated as 1), sorted with ItemsetLess.
+/// (0 is treated as 1), sorted with ItemsetLess. Itemsets are over the
+/// mined items: through the view's item map when it has one.
+std::vector<Itemset> MineEclat(const TransactionView& transactions,
+                               size_t min_support_count,
+                               const EclatOptions& options = {});
 std::vector<Itemset> MineEclat(const TransactionSet& transactions,
                                size_t min_support_count,
-                               const EclatOptions& options);
-std::vector<Itemset> MineEclat(const TransactionSet& transactions,
-                               size_t min_support_count);
+                               const EclatOptions& options = {});
 
 }  // namespace culevo
 

@@ -24,9 +24,32 @@ struct Itemset {
 /// lexicographically by items.
 bool ItemsetLess(const Itemset& a, const Itemset& b);
 
+/// A transaction database as Eclat reads it, over buffers it does not own:
+/// transaction i is items[offsets[i], offsets[i + 1]). Items may come in
+/// any order, and an item that repeats within a transaction counts once.
+/// With `item_map` set, each item x is mined as item_map[x], so a map can
+/// fold several items into one (RunSimulation mines a recipe store's pool
+/// positions as they are for ingredient combinations, and mapped to their
+/// categories for category combinations).
+struct TransactionView {
+  std::span<const Item> items;
+  /// One more offset than there are transactions; empty for none.
+  std::span<const uint32_t> offsets;
+  /// Every mined item (after `item_map`) is below this.
+  size_t item_universe = 0;
+  /// Empty, or indexed by every item that occurs: the item it is mined as.
+  std::span<const Item> item_map;
+
+  size_t size() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+  std::span<const Item> transaction(size_t i) const {
+    return {items.data() + offsets[i], items.data() + offsets[i + 1]};
+  }
+};
+
 /// A transaction database: each transaction is a sorted set of items.
-/// This is the input format of both miners. Stored CSR, like RecipeCorpus
-/// and RecipeStore: transaction i is items[offsets[i], offsets[i + 1]).
+/// This is the input format of both miners (Eclat reads it through
+/// view()). Stored CSR, like RecipeCorpus and RecipeStore: transaction i
+/// is items[offsets[i], offsets[i + 1]).
 class TransactionSet {
  public:
   /// Appends one transaction. `items` must be sorted ascending and
@@ -59,6 +82,9 @@ class TransactionSet {
 
   /// Largest item value + 1 (0 if empty).
   size_t item_universe() const { return universe_; }
+
+  /// The set as Eclat's input, over this set's own buffers.
+  TransactionView view() const { return {items_, offsets_, universe_, {}}; }
 
   bool operator==(const TransactionSet&) const = default;
 

@@ -62,10 +62,15 @@ Status ValidateCuisineContext(const CuisineContext& context) {
   if (context.ingredients.empty()) {
     return Status::InvalidArgument("cuisine has no ingredients");
   }
-  if (context.ingredients.size() >
-      static_cast<size_t>(std::numeric_limits<PoolPos>::max())) {
-    return Status::InvalidArgument(
-        "ingredient list exceeds the pool position width");
+  // Valid ids are 0..65,534 (0xFFFF is kInvalidIngredient), so a list of
+  // distinct ids, as ContextFromCorpus makes, always fits; only one that
+  // repeats ids can be longer.
+  constexpr size_t kMaxIngredients = std::numeric_limits<PoolPos>::max();
+  if (context.ingredients.size() > kMaxIngredients) {
+    return Status::InvalidArgument(StrFormat(
+        "ingredient list of %zu entries exceeds the %zu a pool position "
+        "indexes",
+        context.ingredients.size(), kMaxIngredients));
   }
   if (context.phi <= 0.0) {
     return Status::InvalidArgument("phi must be positive");

@@ -59,8 +59,10 @@ class EvolutionModel {
   virtual uint64_t ConfigFingerprint() const;
 
   /// Evolves context.target_recipes recipes into `store` (reset first) as
-  /// context-ingredient positions in draw order (unsorted).
-  /// StoreTransactions (core/simulation.h) turns them into mining input.
+  /// context-ingredient positions in draw order (unsorted), distinct within
+  /// each recipe. RunSimulation mines the store as it stands;
+  /// StoreTransactions (core/simulation.h) is the reference projection to
+  /// sorted ingredient ids.
   virtual Status GenerateInto(const CuisineContext& context, uint64_t seed,
                               RecipeStore* store) const = 0;
 };

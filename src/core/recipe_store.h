@@ -12,14 +12,19 @@
 namespace culevo {
 
 /// Index of an ingredient *within* a CuisineContext's ingredient list (the
-/// position-indexed scope Algorithm 1 operates in). 32-bit: the seed engine
-/// narrowed these to uint16_t with an unchecked cast, which would silently
-/// wrap on a context of more than 65,535 ingredients.
-using PoolPos = uint32_t;
+/// position-indexed scope Algorithm 1 operates in). 16-bit, the width of
+/// IngredientId and of the miner's Item: a context lists a cuisine's
+/// distinct ids, so it never needs more positions than there are ids.
+/// ValidateCuisineContext refuses a longer list before any position is
+/// drawn, so no position is ever narrowed.
+using PoolPos = uint16_t;
 
 /// Flat arena of generated recipes: one contiguous position buffer plus an
 /// offsets directory, replacing the seed engine's one-std::vector-per-recipe
-/// layout (158k recipes × 100 replicas of small heap allocations).
+/// layout (158k recipes × 100 replicas of small heap allocations). The two
+/// arrays are a transaction database over pool positions (recipe i is
+/// items()[offsets()[i], offsets()[i + 1])), which RunSimulation mines as
+/// it stands.
 ///
 /// The copy-mutate loop only ever mutates the most recent recipe, so the
 /// store exposes an "open recipe" protocol: exactly the tail of the buffer
@@ -47,6 +52,13 @@ class RecipeStore {
     CULEVO_DCHECK(i < num_recipes());
     return {items_.data() + offsets_[i], items_.data() + offsets_[i + 1]};
   }
+
+  /// Every committed recipe's positions, back to back, and the
+  /// num_recipes() + 1 offsets that split them.
+  std::span<const PoolPos> items() const {
+    return {items_.data(), offsets_.back()};
+  }
+  std::span<const uint32_t> offsets() const { return offsets_; }
 
   /// --- Open-recipe protocol -------------------------------------------
 

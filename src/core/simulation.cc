@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
@@ -14,6 +15,9 @@
 #include "util/strings.h"
 
 namespace culevo {
+
+static_assert(std::is_same_v<PoolPos, Item>,
+              "RunSimulation mines a RecipeStore's positions as Items");
 
 namespace {
 
@@ -144,6 +148,14 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
   CombinationConfig mining = config.mining;
   mining.cancel = config.cancel;
 
+  // Each pool position's category: the item map under which a replica's
+  // store mines as category transactions.
+  std::vector<Item> category_of(context.ingredients.size());
+  for (size_t pos = 0; pos < category_of.size(); ++pos) {
+    category_of[pos] =
+        static_cast<Item>(lexicon.category(context.ingredients[pos]));
+  }
+
   const auto run_replica = [&](size_t k) {
     if (!config.shard.owns(k)) return;  // another worker's unit
     if (restored[k]) return;            // completed by a prior attempt
@@ -174,11 +186,20 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
       }
       if (!statuses[k].ok()) return;
       obs::ScopedTimer timer(mine_ms);
-      ingredient_curves[k] = CombinationCurve(
-          StoreTransactions(store, context.ingredients), mining);
-      category_curves[k] = CombinationCurve(
-          StoreCategoryTransactions(store, context.ingredients, lexicon),
-          mining);
+      // The store is mined as it stands, over pool positions. Each position
+      // names one id, and positions rise with ids (context.ingredients is
+      // sorted), so every support is the one StoreTransactions' ids give;
+      // through category_of every recipe has StoreCategoryTransactions'
+      // category set.
+      TransactionView positions;
+      positions.items = store.items();
+      positions.offsets = store.offsets();
+      positions.item_universe = context.ingredients.size();
+      ingredient_curves[k] = CombinationCurve(positions, mining);
+      TransactionView categories = positions;
+      categories.item_universe = kNumCategories;
+      categories.item_map = category_of;
+      category_curves[k] = CombinationCurve(categories, mining);
     }
     replicas_run->Increment();
 

@@ -105,7 +105,7 @@ struct SimulationResult {
 
 /// Runs `config.replicas` independent replicas of `model` on `context`
 /// (replica k runs once, at DeriveSeed(config.seed, k)), mines each
-/// generated recipe pool at the configured support, and aggregates the
+/// generated recipe store at the configured support, and aggregates the
 /// curves. The replicas are the tasks of one RunTasks loop, on
 /// `pool->num_threads()` threads if `pool` is non-null and on the calling
 /// thread otherwise; results are identical either way.
@@ -120,13 +120,16 @@ Result<SimulationResult> RunSimulation(const EvolutionModel& model,
                                        const SimulationConfig& config,
                                        ThreadPool* pool = nullptr);
 
-/// The ingredient-id transactions of a generated recipe store: recipe i's
-/// positions resolved against `ingredients` and sorted (the projection
-/// IngredientTransactions applies to a corpus).
+/// The reference projection of a generated recipe store: recipe i's
+/// positions resolved against `ingredients` and sorted, one ingredient-id
+/// transaction per recipe (the projection IngredientTransactions applies
+/// to a corpus). RunSimulation mines the store itself, without it; tests,
+/// perf_models' recipe-pool goldens and culevo_bench's traced
+/// decomposition use it as the reference.
 TransactionSet StoreTransactions(const RecipeStore& store,
                                  const std::vector<IngredientId>& ingredients);
 
-/// Category projection of StoreTransactions.
+/// Category projection of StoreTransactions, also a reference only.
 TransactionSet StoreCategoryTransactions(
     const RecipeStore& store, const std::vector<IngredientId>& ingredients,
     const Lexicon& lexicon);

@@ -1,7 +1,8 @@
 // Tests for the bitset tid-list Eclat engine: dense-kernel edge cases
 // (early-abort bound, arena trim/rewind), a seeded randomized
 // differential suite asserting that Eclat and Apriori return identical
-// itemsets, and the mine.eclat.* counting contract.
+// itemsets, the mine.eclat.* counting contract, and the TransactionView
+// input (unsorted items, repeats, item maps).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "analysis/transactions.h"
 #include "obs/metrics.h"
 #include "testing/apriori.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 
 namespace culevo {
@@ -231,6 +233,119 @@ TEST(MiningEngineTest, SparseHeavyDatabaseWithLowSupport) {
   const std::vector<Itemset> eclat = MineEclat(transactions, 6);
   EXPECT_TRUE(SameItemsets(apriori, eclat));
   EXPECT_FALSE(eclat.empty());
+}
+
+// ---------------------------------------------------------------------------
+// TransactionView: unsorted transactions with repeats, optionally folded
+// through an item map, mine like the sorted, deduplicated TransactionSet.
+
+/// A CSR database with unsorted items that may repeat within a transaction,
+/// and the TransactionSet of its mined (mapped, sorted, deduplicated)
+/// items. The view's spans point into this object.
+struct RawDatabase {
+  std::vector<Item> items;
+  std::vector<uint32_t> offsets = {0};
+  std::vector<Item> map;
+  size_t universe = 0;
+  TransactionSet reference;
+
+  TransactionView view() const { return {items, offsets, universe, map}; }
+};
+
+/// `num` transactions of 1..`max_len` uniform draws (repeats kept, draw
+/// order kept) from `raw_universe` items. With `labels` > 0 every item is
+/// mapped to one of `labels` labels by a random map that folds several
+/// items into each label.
+RawDatabase MakeRawDatabase(uint64_t seed, size_t num, size_t raw_universe,
+                            size_t max_len, size_t labels) {
+  Rng rng(seed);
+  RawDatabase db;
+  db.universe = labels > 0 ? labels : raw_universe;
+  for (size_t x = 0; x < raw_universe && labels > 0; ++x) {
+    db.map.push_back(static_cast<Item>(x < labels ? x
+                                                  : rng.NextBounded(labels)));
+  }
+  db.reference.Reserve(num);
+  for (size_t i = 0; i < num; ++i) {
+    std::vector<Item> mined;
+    const size_t len = 1 + rng.NextBounded(max_len);
+    for (size_t j = 0; j < len; ++j) {
+      const auto item = static_cast<Item>(rng.NextBounded(raw_universe));
+      db.items.push_back(item);
+      mined.push_back(labels > 0 ? db.map[item] : item);
+    }
+    db.offsets.push_back(static_cast<uint32_t>(db.items.size()));
+    std::sort(mined.begin(), mined.end());
+    mined.erase(std::unique(mined.begin(), mined.end()), mined.end());
+    db.reference.Add(mined);
+  }
+  return db;
+}
+
+void ExpectViewMinesLikeReference(const RawDatabase& db, size_t support) {
+  const std::vector<Itemset> expected = MineEclat(db.reference, support);
+  const std::vector<Itemset> mined =
+      MineEclat(db.view(), support);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_TRUE(SameItemsets(mined, expected))
+      << mined.size() << " vs " << expected.size() << " itemsets";
+}
+
+/// Words of the root grid MineEclat would build for `db`.
+size_t GridWords(const RawDatabase& db) {
+  return db.universe * ((db.offsets.size() - 1 + 63) / 64);
+}
+
+TEST(TransactionViewTest, DirectGridMatchesSortedSet) {
+  const RawDatabase db = MakeRawDatabase(11, 700, 40, 6, 0);
+  ASSERT_LE(GridWords(db), size_t{1} << 15);
+  ExpectViewMinesLikeReference(db, 1);
+  ExpectViewMinesLikeReference(db, 35);
+}
+
+TEST(TransactionViewTest, CountThenFillMatchesSortedSet) {
+  // 600 items x 63 words: past the 2^15-word direct grid.
+  const RawDatabase db = MakeRawDatabase(12, 4000, 600, 10, 0);
+  ASSERT_GT(GridWords(db), size_t{1} << 15);
+  ExpectViewMinesLikeReference(db, 2);
+  ExpectViewMinesLikeReference(db, 20);
+}
+
+TEST(TransactionViewTest, MappedDirectGridMatchesFoldedSet) {
+  const RawDatabase db = MakeRawDatabase(13, 2000, 300, 6, 21);
+  ASSERT_LE(GridWords(db), size_t{1} << 15);
+  ExpectViewMinesLikeReference(db, 1);
+  ExpectViewMinesLikeReference(db, 100);
+}
+
+TEST(TransactionViewTest, MappedCountThenFillMatchesFoldedSet) {
+  // 21 labels x 1,563 words: just past the direct grid, as a category
+  // curve of a very large generated pool is.
+  const RawDatabase db = MakeRawDatabase(14, 100000, 300, 12, 21);
+  ASSERT_GT(GridWords(db), size_t{1} << 15);
+  ExpectViewMinesLikeReference(db, 5000);
+}
+
+TEST(TransactionViewTest, EmptyViewsMineNothing) {
+  EXPECT_EQ(TransactionView{}.size(), 0u);
+  EXPECT_TRUE(MineEclat(TransactionView{}, 1).empty());
+  const std::vector<uint32_t> offsets = {0};
+  const std::vector<Item> map = {0, 0, 1};
+  const TransactionView no_transactions{{}, offsets, 2, map};
+  EXPECT_EQ(no_transactions.size(), 0u);
+  EXPECT_TRUE(MineEclat(no_transactions, 1).empty());
+}
+
+TEST(TransactionViewTest, PreTrippedTokenStopsLikeTheSetCall) {
+  const RawDatabase db = MakeRawDatabase(15, 2000, 300, 14, 21);
+  CancelToken token;
+  token.Cancel();
+  EclatOptions options;
+  options.cancel = &token;
+  const std::vector<Itemset> from_set = MineEclat(db.reference, 1, options);
+  const std::vector<Itemset> from_view = MineEclat(db.view(), 1, options);
+  EXPECT_TRUE(from_set.empty());
+  EXPECT_TRUE(SameItemsets(from_view, from_set));
 }
 
 }  // namespace

@@ -321,19 +321,19 @@ TEST(ModelEngineRegressionTest, ZeroMeanRecipeSizeIsInvalidArgument) {
   }
 }
 
-// The seed engine stored pool positions as uint16_t with an unchecked
+// The seed engine stored pool positions as uint16_t behind an unchecked
 // narrowing cast: on a context of more than 65,535 ingredients, positions
-// past 65,535 silently wrapped to the low positions. With the layout below
-// every wrapped position lands on an ingredient with id 7, so id 9 never
-// appeared in seed output. The context repeats ids, so its recipes have no
-// ingredient-set form; the store's positions are checked directly.
+// past 65,535 silently wrapped to the low positions. PoolPos is 16 bits
+// again, so no position may be narrowed: the widest context a position
+// indexes (65,535 distinct ids, every valid IngredientId) still reaches its
+// top positions, and a longer one is refused before any position is drawn.
 TEST(ModelEngineRegressionTest, WideContextsKeepHighPositions) {
-  constexpr size_t kTotal = 66000;
+  constexpr size_t kTotal = 65535;
   CuisineContext context;
   context.cuisine = 0;
   context.ingredients.resize(kTotal);
   for (size_t p = 0; p < kTotal; ++p) {
-    context.ingredients[p] = (p < 65536) ? 7 : 9;
+    context.ingredients[p] = static_cast<IngredientId>(p);
   }
   context.popularity.assign(kTotal, 0.5);
   context.mean_recipe_size = 40;
@@ -348,12 +348,33 @@ TEST(ModelEngineRegressionTest, WideContextsKeepHighPositions) {
   for (size_t i = 0; i < store.num_recipes(); ++i) {
     for (PoolPos pos : store.recipe(i)) {
       ASSERT_LT(pos, kTotal);
-      saw_high_position |= (pos >= 65536);
+      saw_high_position |= (pos >= 65000);
     }
   }
-  // 100 recipes x 40 draws over 66,000 positions, 464 of them high:
-  // P(no high draw) < 1e-12.
+  // 100 recipes x 40 draws over 65,535 positions, 535 of them high:
+  // P(no high draw) < 1e-13.
   EXPECT_TRUE(saw_high_position);
+
+  // Longer contexts must repeat ids (here in the seed engine's wrap layout:
+  // entries past the first 65,536 hold another id), and the models refuse
+  // them before touching the store.
+  const GoldenModels models;
+  for (const size_t wide : {size_t{65536}, size_t{66000}}) {
+    context.ingredients.resize(wide);
+    for (size_t p = 0; p < wide; ++p) {
+      context.ingredients[p] = (p < 65536) ? 7 : 9;
+    }
+    context.popularity.assign(wide, 0.5);
+    for (const char* name : {"CM-R", "NM"}) {
+      RecipeStore refused;
+      const Status status =
+          models.by_name(name).GenerateInto(context, 21, &refused);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << name << " on " << wide << " entries";
+      EXPECT_TRUE(refused.empty()) << name << " on " << wide << " entries";
+      EXPECT_EQ(refused.num_items(), 0u) << name << " on " << wide;
+    }
+  }
 }
 
 }  // namespace

@@ -4,12 +4,16 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/rank_frequency.h"
 #include "core/copy_mutate.h"
 #include "core/null_model.h"
 #include "lexicon/world_lexicon.h"
 #include "synth/generator.h"
+#include "util/rng.h"
 
 namespace culevo {
 namespace {
@@ -149,6 +153,81 @@ TEST(HashMiningConfigTest, PinnedValues) {
   CombinationConfig cancellable;
   cancellable.cancel = &token;
   EXPECT_EQ(HashMiningConfig(cancellable), 0x6cff1387e3605d73ull);
+}
+
+/// 300 ingredients (ids 0, stride, 2 x stride, ...) with s̄ 9 and `recipes`
+/// target recipes: with stride 1, the shape of model_engine_test's golden
+/// context.
+CuisineContext WideContext(size_t recipes, IngredientId stride) {
+  CuisineContext context;
+  context.cuisine = 0;
+  for (IngredientId p = 0; p < 300; ++p) {
+    context.ingredients.push_back(static_cast<IngredientId>(p * stride));
+  }
+  context.popularity.assign(300, 0.5);
+  context.mean_recipe_size = 9;
+  context.target_recipes = recipes;
+  context.phi = 300.0 / static_cast<double>(recipes);
+  return context;
+}
+
+// RunSimulation mines each replica's store over pool positions; the
+// reference projection (StoreTransactions, StoreCategoryTransactions) mines
+// sorted ingredient ids. Both must give the same curves bit for bit, on the
+// golden shape (2,000 recipes: 32 words x 300 items, inside Eclat's direct
+// root grid) and on 8,000 recipes (125 words x 300 items, past the grid's
+// 2^15 words, so the ingredient side takes the count-then-fill build). On
+// the golden ids a position equals its id; stride 2 makes them differ.
+TEST(RunSimulationTest, StoreMiningMatchesReferenceProjection) {
+  const Lexicon& lexicon = WorldLexicon();
+  const auto cmr = MakeCmR(&lexicon);
+  const auto cmc = MakeCmC(&lexicon);
+  const auto cmm = MakeCmM(&lexicon);
+  const NullModel nm;
+  SimulationConfig config;
+  config.replicas = 3;
+  config.seed = 42;
+  for (const auto& [recipes, stride] :
+       {std::pair<size_t, IngredientId>{2000, 1}, {8000, 1}, {8000, 2}}) {
+    const CuisineContext context = WideContext(recipes, stride);
+    for (const EvolutionModel* model :
+         {static_cast<const EvolutionModel*>(cmr.get()),
+          static_cast<const EvolutionModel*>(cmc.get()),
+          static_cast<const EvolutionModel*>(cmm.get()),
+          static_cast<const EvolutionModel*>(&nm)}) {
+      const std::string label = model->name() + " on " +
+                                std::to_string(recipes) + " recipes, stride " +
+                                std::to_string(stride);
+      Result<SimulationResult> result =
+          RunSimulation(*model, context, lexicon, config);
+      ASSERT_TRUE(result.ok()) << label;
+      ASSERT_EQ(result->replica_ingredient_curves.size(), 3u) << label;
+      std::vector<RankFrequency> ingredient_curves;
+      std::vector<RankFrequency> category_curves;
+      for (int k = 0; k < config.replicas; ++k) {
+        RecipeStore store;
+        ASSERT_TRUE(model
+                        ->GenerateInto(context, DeriveSeed(config.seed, k),
+                                       &store)
+                        .ok());
+        ingredient_curves.push_back(CombinationCurve(
+            StoreTransactions(store, context.ingredients), config.mining));
+        category_curves.push_back(CombinationCurve(
+            StoreCategoryTransactions(store, context.ingredients, lexicon),
+            config.mining));
+        EXPECT_FALSE(ingredient_curves.back().empty()) << label;
+        EXPECT_EQ(result->replica_ingredient_curves[k].values(),
+                  ingredient_curves.back().values())
+            << label << ", replica " << k;
+      }
+      EXPECT_EQ(result->ingredient_curve.values(),
+                AverageRankFrequencies(ingredient_curves).values())
+          << label;
+      EXPECT_EQ(result->category_curve.values(),
+                AverageRankFrequencies(category_curves).values())
+          << label;
+    }
+  }
 }
 
 TEST(RunSimulationTest, PropagatesModelErrors) {
